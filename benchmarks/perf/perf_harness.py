@@ -31,6 +31,10 @@ Sections
   master-weight update) — the third gated microbenchmark.
 - ``epoch``: one end-to-end SoCFlow epoch (real math + simulated
   clock) at quick scale, sequential and with ``--workers 2``.
+- ``serving_day``: a 24 h request-level serving day with a flash crowd
+  on a 16-SoC pool, no training tenants — seconds to generate the
+  arrival stream and host microseconds of ``ServingPlane.advance`` per
+  request (the serving event core's gated number).
 
 Usage::
 
@@ -364,6 +368,54 @@ def bench_epoch(repeats: int, workers: int = 1, epochs: int = 1) -> dict:
 
 
 # ----------------------------------------------------------------------
+#: peak request rate per ``serving_day`` size (``full`` is the claims
+#: benchmark's ``serve_flash_day`` traffic)
+SERVING_DAY_PEAK_RPS = {"smoke": 6.0, "full": 48.0}
+
+
+def bench_serving_day(size: str, repeats: int) -> dict:
+    """Arrival generation + the dispatch loop over one simulated day."""
+    from repro.cluster import ClusterTopology
+    from repro.serving import (ArrivalProcess, FlashCrowd, Region,
+                               ServiceModel, ServingPlane)
+
+    topology = ClusterTopology(num_socs=16)
+    service = ServiceModel.for_model("resnet18", soc=topology.soc,
+                                     max_batch=4)
+    day = {}
+
+    def generate():
+        day["arrivals"] = ArrivalProcess(
+            [Region("global", SERVING_DAY_PEAK_RPS[size])],
+            horizon_hours=24.0, seed=0,
+            flash_crowds=[FlashCrowd(20.0, 1.5, 1.8)])
+
+    def serve():
+        plane = ServingPlane(day["arrivals"], service, slo_ms=600.0,
+                             min_replicas=1)
+        plane.bootstrap(list(range(topology.num_socs)), 0.0)
+        for window in range(1, 97):
+            free = [s for s in range(topology.num_socs)
+                    if s not in plane.held_socs]
+            plane.advance(window * 0.25, claimable=free)
+        day["plane"] = plane
+
+    generated = _time(generate, repeats, warmup=0)
+    served = _time(serve, repeats, warmup=0)
+    plane = day["plane"]
+    assert plane.total_requests == plane.total_served \
+        + plane.total_dropped + plane.queue_depth
+    return {
+        "peak_rps": SERVING_DAY_PEAK_RPS[size],
+        "requests": plane.total_requests,
+        "arrivals_gen_s": generated["median_s"],
+        "dispatch_s": served["median_s"],
+        "dispatch_us_per_request":
+            served["median_s"] * 1e6 / plane.total_requests,
+    }
+
+
+# ----------------------------------------------------------------------
 def run_harness(mode: str = "smoke") -> dict:
     repeats = {"smoke": 3, "full": 10}[mode]
     report = {
@@ -383,6 +435,11 @@ def run_harness(mode: str = "smoke") -> dict:
             "workers2": bench_epoch(1 if mode == "smoke" else repeats,
                                     workers=2),
         },
+        # the gate reads the smoke size, so a full run measures both
+        "serving_day": {
+            size: bench_serving_day(size, repeats)
+            for size in (("smoke",) if mode == "smoke"
+                         else ("smoke", "full"))},
     }
     return report
 
@@ -415,6 +472,13 @@ def update_baseline(report: dict, path=BASELINE_PATH) -> dict:
         baseline[section] = {
             model: {"speedup": round(report[section][model]["speedup"], 2)}
             for model in ("lenet5", "vit_tiny")}
+    serving = report["serving_day"]["smoke"]
+    baseline["serving_day"] = {
+        "dispatch_us_per_request": round(
+            serving["dispatch_us_per_request"], 3),
+        "arrivals_gen_s": round(serving["arrivals_gen_s"], 4),
+        "requests": serving["requests"],
+    }
     with open(path, "w") as fh:
         json.dump(baseline, fh, indent=2)
         fh.write("\n")
@@ -455,6 +519,10 @@ def main(argv=None) -> int:
     print(f"epoch seq      "
           f"{report['epoch']['sequential']['median_s']:8.2f} s")
     print(f"epoch w=2      {report['epoch']['workers2']['median_s']:8.2f} s")
+    for size, day in report["serving_day"].items():
+        print(f"serve {size:5s}    gen {day['arrivals_gen_s']:6.3f} s  "
+              f"dispatch {day['dispatch_us_per_request']:6.3f} us/request "
+              f"({day['requests']} requests)")
     print(f"wrote {args.out}")
     if args.update_baseline:
         update_baseline(report)

@@ -5,9 +5,10 @@ writes the report to ``$BENCH_PERF_OUT`` (default ``BENCH_perf.json``
 in the current directory — CI uploads it as a workflow artifact), and
 fails when a gated microbenchmark regresses more than 25% relative to
 the committed ``baseline.json``: the fused-vs-per-key aggregation
-speedup, the per-tensor bucketed-averaging overhead, and the compiled
+speedup, the per-tensor bucketed-averaging overhead, the compiled
 (graph-executor) FP32 and INT8 training-step speedups on lenet5 and
-vit_tiny.  Regenerate the baseline with the harness's
+vit_tiny, and the serving event core's host microseconds per request.
+Regenerate the baseline with the harness's
 ``--update-baseline`` flag, never by hand (see DESIGN.md).
 
 Wall-clock assertions on shared CI runners are noisy, so the gate
@@ -28,8 +29,8 @@ from pathlib import Path
 import pytest
 
 from perf_harness import (bench_aggregation, bench_bucketed_aggregation,
-                          bench_int8_step_time, bench_step_time,
-                          run_harness, update_baseline)
+                          bench_int8_step_time, bench_serving_day,
+                          bench_step_time, run_harness, update_baseline)
 
 _HERE = Path(__file__).resolve().parent
 
@@ -53,7 +54,7 @@ def baseline() -> dict:
 def test_report_has_all_sections(report):
     assert set(report) >= {"mode", "host", "conv", "aggregation",
                            "bucketed_aggregation", "step_time",
-                           "int8_step_time", "epoch"}
+                           "int8_step_time", "epoch", "serving_day"}
     for section in ("forward", "forward_backward"):
         assert report["conv"][section]["median_s"] > 0
     for model in ("lenet5", "resnet18", "vit_tiny"):
@@ -65,6 +66,9 @@ def test_report_has_all_sections(report):
         assert report["aggregation"][path]["median_s"] > 0
     for variant in ("sequential", "workers2"):
         assert report["epoch"][variant]["median_s"] > 0
+    day = report["serving_day"]["smoke"]
+    assert day["requests"] > 0 and day["arrivals_gen_s"] > 0
+    assert day["dispatch_us_per_request"] > 0
 
 
 def test_bucketed_aggregation_geometries(report):
@@ -204,6 +208,24 @@ def test_compiled_int8_step_not_regressed_vs_baseline(report, baseline):
             f"at {floor:.2f}x) — the INT8 graph executor regressed")
 
 
+def test_serving_dispatch_not_regressed_vs_baseline(report, baseline):
+    """CI gate: fail when the serving event core spends >25% more host
+    time per request than the committed baseline (an absolute host
+    number, so the baseline is only meaningful on the reference
+    runner; the request count is exact by seed everywhere)."""
+    day = report["serving_day"]["smoke"]
+    assert day["requests"] == baseline["serving_day"]["requests"]
+    ceiling = 1.25 * baseline["serving_day"]["dispatch_us_per_request"]
+    cost = day["dispatch_us_per_request"]
+    if cost > ceiling:                                  # noisy runner: retry
+        cost = bench_serving_day("smoke", repeats=9)["dispatch_us_per_request"]
+    assert cost <= ceiling, (
+        f"serving dispatch costs {cost:.3f} us/request, above 125% of the "
+        f"committed baseline "
+        f"({baseline['serving_day']['dispatch_us_per_request']:.3f} us; "
+        f"gate at {ceiling:.3f} us) — the event core regressed")
+
+
 def test_update_baseline_rewrites_gated_quantities(report, baseline,
                                                   tmp_path):
     """``--update-baseline`` refreshes exactly the gated numbers and
@@ -216,7 +238,10 @@ def test_update_baseline_rewrites_gated_quantities(report, baseline,
     assert on_disk["comment"] == baseline["comment"]
     assert set(on_disk) == {"comment", "aggregation",
                             "bucketed_aggregation", "step_time",
-                            "int8_step_time"}
+                            "int8_step_time", "serving_day"}
+    assert on_disk["serving_day"]["dispatch_us_per_request"] == \
+        pytest.approx(report["serving_day"]["smoke"]
+                      ["dispatch_us_per_request"], abs=0.001)
     for section in ("step_time", "int8_step_time"):
         for model in _GATED_STEP_MODELS:
             assert on_disk[section][model]["speedup"] == pytest.approx(

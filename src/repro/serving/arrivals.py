@@ -28,6 +28,10 @@ from ..cluster.trace import TidalTrace
 
 __all__ = ["FlashCrowd", "Region", "ArrivalProcess"]
 
+#: thinning candidates evaluated per step (rate + keep-mask temporaries
+#: of 64 Ki doubles fit in L2; a flash day draws ~4 M candidates)
+_THIN_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class FlashCrowd:
@@ -166,9 +170,7 @@ class ArrivalProcess:
         return self._arrivals[lo:hi]
 
     def count_between(self, t0: float, t1: float) -> int:
-        lo = int(np.searchsorted(self._arrivals, t0, side="left"))
-        hi = int(np.searchsorted(self._arrivals, t1, side="left"))
-        return hi - lo
+        return len(self.slice_h(t0, t1))
 
     # ------------------------------------------------------------------
     # Generation (thinning + superposition)
@@ -177,32 +179,26 @@ class ArrivalProcess:
         rng = np.random.default_rng(self.seed)
         streams: list[np.ndarray] = []
         for region in self.regions:
-            # base diurnal component: thin against the region's peak
-            streams.append(self._thin(
-                rng, envelope_rps=region.peak_rps,
-                t0=self.start_hour, t1=self.end_hour,
-                rate_fn=lambda h, r=region: (
-                    r.peak_rps
-                    * self.trace.busy_ratio_array(h - r.phase_shift_hours)
-                    / self.trace.peak_busy)))
-            # each flash crowd adds an independent excess component at
-            # (multiplier - 1) x the base rate over its interval, so the
-            # quiet hours never pay for the surge's envelope
-            for crowd in self.flash_crowds:
-                t0 = max(self.start_hour, crowd.start_hour)
-                t1 = min(self.end_hour, crowd.end_hour)
+            # the diurnal base component thins against the region's
+            # peak; each flash crowd adds an independent excess
+            # component at (multiplier - 1) x the base rate over its
+            # interval, so the quiet hours never pay for the surge's
+            # envelope
+            components = [(1.0, self.start_hour, self.end_hour)] + [
+                (crowd.multiplier - 1.0,
+                 max(self.start_hour, crowd.start_hour),
+                 min(self.end_hour, crowd.end_hour))
+                for crowd in self.flash_crowds]
+            for scale, t0, t1 in components:
                 if t1 <= t0:
                     continue
-                excess = crowd.multiplier - 1.0
+                envelope = region.peak_rps * scale
                 streams.append(self._thin(
-                    rng, envelope_rps=region.peak_rps * excess,
-                    t0=t0, t1=t1,
-                    rate_fn=lambda h, r=region, e=excess: (
-                        e * r.peak_rps
-                        * self.trace.busy_ratio_array(h - r.phase_shift_hours)
+                    rng, envelope_rps=envelope, t0=t0, t1=t1,
+                    rate_fn=lambda h, r=region, e=envelope: (
+                        e * self.trace.busy_ratio_array(
+                            h - r.phase_shift_hours)
                         / self.trace.peak_busy)))
-        if not streams:                                 # pragma: no cover
-            return np.empty(0)
         merged = np.concatenate(streams)
         merged.sort(kind="stable")
         return merged
@@ -214,14 +210,25 @@ class ArrivalProcess:
 
         Candidates arrive homogeneously at ``envelope_rps``; each
         survives with probability ``rate(t) / envelope``.  Drawing the
-        count first, then sorted uniform times, keeps the whole
-        component a fixed number of RNG calls -> reproducible.
+        count, then all (unsorted) uniform times, then all acceptance
+        draws keeps the component three RNG calls -> reproducible;
+        ``_generate``'s merge sort orders the survivors.  The rate and
+        the keep mask are evaluated chunk by chunk, survivors compacted
+        to the front of the candidate array, so temporaries stay
+        cache-sized; every operation is element-wise, so the result
+        equals the one-shot formula bit for bit.
         """
         hours = t1 - t0
-        expected = envelope_rps * 3600.0 * hours
-        n = int(rng.poisson(expected))
-        if n == 0:
-            return np.empty(0)
-        times = t0 + rng.random(n) * hours
-        keep = rng.random(n) * envelope_rps < rate_fn(times)
-        return times[keep]
+        n = int(rng.poisson(envelope_rps * 3600.0 * hours))
+        times = rng.random(n)
+        times *= hours
+        times += t0
+        accept = rng.random(n)
+        accept *= envelope_rps
+        kept = 0
+        for lo in range(0, n, _THIN_CHUNK):
+            chunk = times[lo:lo + _THIN_CHUNK]
+            survivors = chunk[accept[lo:lo + _THIN_CHUNK] < rate_fn(chunk)]
+            times[kept:kept + len(survivors)] = survivors
+            kept += len(survivors)
+        return times[:kept].copy()      # let go of the candidate array

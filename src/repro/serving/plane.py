@@ -30,9 +30,10 @@ stats, metrics and traces.
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from heapq import heapreplace
 
 import numpy as np
 
@@ -161,12 +162,14 @@ class ServingPlane:
         self.replica_soc_hours = 0.0
 
         self._now = arrivals.start_hour
-        self._queue: "list[float]" = []      # arrival hours awaiting dispatch
-        self._head = 0                       # queue read pointer
-        self._arrival_ptr = 0                # consumed prefix of arrivals
-        self._heap: "list[tuple[float, int]]" = []   # (effective free, soc)
+        # the shared FIFO is the range [_head, _admitted) of arrivals_h
+        self._head = self._admitted = 0
+        # exactly one (free_hour, soc) entry per live replica
+        self._heap: "list[tuple[float, int]]" = []
+        #: service hours of an n-request batch (index 0 unused)
+        self._batch_h = [None] + [service.batch_seconds(n) / 3600.0
+                                  for n in range(1, service.max_batch + 1)]
         self._calm_windows = 0
-        self._window_index = 0
 
     # ------------------------------------------------------------------
     # Pool management
@@ -176,6 +179,17 @@ class ServingPlane:
         """SoCs currently owned by serving replicas."""
         return set(self.replicas)
 
+    @property
+    def queue_depth(self) -> int:
+        """Admitted requests not yet dispatched or shed."""
+        return self._admitted - self._head
+
+    def _rebuild_heap(self) -> None:
+        """Re-derive the pool heap after the replica set changed (a
+        sorted list is a heap; at most cluster-size entries)."""
+        self._heap = sorted((replica.free_hour, soc)
+                            for soc, replica in self.replicas.items())
+
     def provision(self, socs: "list[int]", hour: float, *,
                   warm: bool = True) -> None:
         """Install replicas on ``socs`` (no spin-up when ``warm``)."""
@@ -183,9 +197,8 @@ class ServingPlane:
         for soc in sorted(socs):
             if soc in self.replicas:
                 raise ValueError(f"soc {soc} already serves")
-            replica = Replica(soc, self.service, ready_hour=ready)
-            self.replicas[soc] = replica
-            heapq.heappush(self._heap, (replica.ready_hour, soc))
+            self.replicas[soc] = Replica(soc, self.service, ready_hour=ready)
+        self._rebuild_heap()
 
     def grant(self, socs: "list[int]", hour: float) -> None:
         """Hand over SoCs preempted from training (co-scheduler path)."""
@@ -196,10 +209,7 @@ class ServingPlane:
         self.pending_deficit -= len(socs)
         self.preempted_socs += len(socs)
         self.scale_ups += len(socs)
-        tracer = self.telemetry.tracer
-        if tracer.enabled:
-            tracer.event("scale", self._sim_s(hour), name="scale-up:preempt",
-                         socs=len(socs), replicas=len(self.replicas))
+        self._scale_event("scale-up:preempt", hour, len(socs))
 
     def bootstrap(self, claimable: "list[int]", hour: float) -> None:
         """Provision the initial pool for the first window's forecast.
@@ -210,12 +220,7 @@ class ServingPlane:
         """
         if self.replicas or not self.autoscale:
             return
-        check_s = self.check_interval_hours * 3600.0
-        forecast_rps = self.arrivals.count_between(
-            hour, hour + self.check_interval_hours) / check_s
-        per_replica_rps = self.target_utilisation * self.service.peak_rps
-        target = max(math.ceil(forecast_rps / per_replica_rps),
-                     self.min_replicas)
+        target = max(self._forecast_need(hour), self.min_replicas)
         if self.max_replicas is not None:
             target = min(target, self.max_replicas)
         claims = sorted(claimable, reverse=True)[:target]
@@ -224,8 +229,23 @@ class ServingPlane:
         self.provision(claims, hour, warm=True)
         self.pending_deficit = target - len(claims)
 
+    def _forecast_need(self, hour: float) -> int:
+        """Replicas covering the next window's arrival rate at
+        ``target_utilisation`` (the stream is pre-generated)."""
+        forecast_rps = self.arrivals.count_between(
+            hour, hour + self.check_interval_hours) \
+            / (self.check_interval_hours * 3600.0)
+        return math.ceil(forecast_rps / (self.target_utilisation
+                                         * self.service.peak_rps))
+
     def _sim_s(self, hour: float) -> float:
         return (hour - self.sim_zero_hour) * 3600.0
+
+    def _scale_event(self, name: str, hour: float, socs: int) -> None:
+        tracer = self.telemetry.tracer
+        if tracer.enabled:
+            tracer.event("scale", self._sim_s(hour), name=name, socs=socs,
+                         replicas=len(self.replicas))
 
     # ------------------------------------------------------------------
     # Time advance
@@ -252,18 +272,14 @@ class ServingPlane:
     # ------------------------------------------------------------------
     def _run_window(self, t0: float, t1: float,
                     claimable: "list[int]") -> None:
-        stats = WindowStats(index=self._window_index, start_hour=t0,
+        stats = WindowStats(index=len(self.windows), start_hour=t0,
                             end_hour=t1, replicas=len(self.replicas))
-        self._window_index += 1
 
-        # 1. admit this window's arrivals into the shared queue
+        # 1. admit this window's arrivals: the queue's upper bound moves
         hi = int(np.searchsorted(self.arrivals.arrivals_h, t1, side="left"))
-        fresh = self.arrivals.arrivals_h[self._arrival_ptr:hi]
-        self._arrival_ptr = hi
-        stats.arrivals = len(fresh)
-        self.total_requests += len(fresh)
-        if len(fresh):
-            self._queue.extend(fresh.tolist())
+        stats.arrivals = hi - self._admitted
+        self.total_requests += stats.arrivals
+        self._admitted = hi
 
         # 2. dispatch batches until nothing can start inside the window
         latencies_ms, dropped = self._dispatch(t1)
@@ -271,10 +287,13 @@ class ServingPlane:
         stats.dropped = dropped
         self.total_served += stats.served
         self.total_dropped += dropped
-        self.observe_latencies(latencies_ms)
-        stats.queue_depth = len(self._queue) - self._head
-        if latencies_ms:
-            ordered = np.sort(np.asarray(latencies_ms))
+        stats.queue_depth = self.queue_depth
+        if stats.served:
+            metrics = self.telemetry.metrics
+            if metrics.enabled:
+                metrics.histogram("serving.latency_ms").observe_many(
+                    latencies_ms)
+            ordered = np.sort(latencies_ms)
             stats.p50_ms = _nearest_rank(ordered, 50)
             stats.p99_ms = _nearest_rank(ordered, 99)
             stats.violation = stats.p99_ms > self.slo_ms
@@ -294,74 +313,82 @@ class ServingPlane:
             self._autoscale(stats, t1, claimable)
 
     # ------------------------------------------------------------------
-    def _dispatch(self, t1: float) -> "tuple[list[float], int]":
-        """Form and run batches whose start falls before ``t1``."""
-        latencies_ms: list[float] = []
-        dropped = 0
+    def _dispatch(self, t1: float) -> "tuple[np.ndarray, int]":
+        """Form and run batches whose start falls before ``t1``.
+
+        One iteration per *batch* — its start depends on the previous
+        batch's end — and numpy for everything per request.  Returns
+        the served latencies (dispatch order) and the shed count.
+        """
+        arrivals = self.arrivals.arrivals_h[self._head:self._admitted]
+        window = arrivals.tolist()      # scalar access, this window only
+        size = len(window)
+        served = np.ones(size, dtype=bool)
+        heap, batch_h = self._heap, self._batch_h
         shed_h = self.shed_after_s / 3600.0
         max_batch = self.service.max_batch
-        queue, heap = self._queue, self._heap
-        while self._head < len(queue):
-            # earliest-free live replica (lazy-invalidated heap)
-            replica = None
-            while heap:
-                free, soc = heap[0]
-                replica = self.replicas.get(soc)
-                if replica is None or \
-                        max(replica.free_hour, replica.ready_hour) > free + 1e-12:
-                    heapq.heappop(heap)
-                    replica = None
-                    continue
-                break
-            if replica is None:
-                # no capacity at all: shed what has already waited out
-                # the timeout by t1, keep the rest queued
-                while self._head < len(queue) \
-                        and t1 - queue[self._head] > shed_h:
-                    self._head += 1
-                    dropped += 1
-                break
-            start = max(free, queue[self._head])
-            if start >= t1 - 1e-12:
+        window_end = t1 - 1e-12
+        dones, sizes, socs = [], [], []
+        i = 0
+        if not heap:
+            # no capacity at all: shed what has already waited out the
+            # timeout by t1, keep the rest queued
+            while i < size and t1 - window[i] > shed_h:
+                i += 1
+            served[:i] = False
+        while heap and i < size:
+            free, soc = heap[0]
+            arrived = window[i]
+            start = free if free > arrived else arrived
+            if start >= window_end:
                 break                    # next batch belongs to a later window
-            # shed requests that would exceed the timeout by batch start
-            while self._head < len(queue) \
-                    and start - queue[self._head] > shed_h:
-                self._head += 1
-                dropped += 1
-            if self._head >= len(queue):
-                continue
-            start = max(free, queue[self._head])
-            if start >= t1 - 1e-12:
-                break
+            if start - arrived > shed_h:
+                # shed requests that would exceed the timeout by batch
+                # start, then re-derive the start from the new head
+                j = i + 1
+                while j < size and start - window[j] > shed_h:
+                    j += 1
+                served[i:j] = False
+                i = j
+                if i >= size:
+                    break
+                arrived = window[i]
+                start = free if free > arrived else arrived
+                if start >= window_end:
+                    break
             # batch = requests already arrived when the replica can start
-            n = 0
-            while n < max_batch and self._head + n < len(queue) \
-                    and queue[self._head + n] <= start + 1e-12:
-                n += 1
-            batch = queue[self._head:self._head + n]
-            self._head += n
-            heapq.heappop(heap)
-            done = replica.serve_batch(start, n)
-            heapq.heappush(heap, (done, replica.soc))
-            latencies_ms.extend((done - a) * 3_600_000.0 for a in batch)
-        if self._head > 4096 and self._head * 2 > len(queue):
-            del queue[:self._head]      # compact the consumed prefix
-            self._head = 0
-        return latencies_ms, dropped
+            stop = i + max_batch
+            n = bisect_right(window, start + 1e-12, i,
+                             stop if stop < size else size) - i
+            done = start + batch_h[n]
+            heapreplace(heap, (done, soc))
+            dones.append(done)
+            sizes.append(n)
+            socs.append(soc)
+            i += n
+        self._head += i
+
+        latencies_ms = (np.repeat(np.array(dones), sizes)
+                        - arrivals[:i][served[:i]]) * 3_600_000.0
+        top = max(self.replicas, default=-1) + 1
+        batches = np.bincount(socs, minlength=top)
+        requests = np.bincount(socs, weights=sizes, minlength=top)
+        for free, soc in heap:
+            replica = self.replicas[soc]
+            replica.free_hour = free
+            replica.batches += int(batches[soc])
+            replica.requests_served += int(requests[soc])
+        return latencies_ms, i - len(latencies_ms)
 
     # ------------------------------------------------------------------
     def _autoscale(self, stats: WindowStats, hour: float,
                    claimable: "list[int]") -> None:
-        check_s = self.check_interval_hours * 3600.0
-        per_replica_rps = self.target_utilisation * self.service.peak_rps
-        forecast_rps = self.arrivals.count_between(
-            hour, hour + self.check_interval_hours) / check_s
-        base_need = math.ceil(forecast_rps / per_replica_rps)
         # extra replicas to drain the backlog within one window
-        drain_per_replica = self.service.peak_rps * check_s
+        drain_per_replica = self.service.peak_rps \
+            * (self.check_interval_hours * 3600.0)
         backlog_need = math.ceil(stats.queue_depth / drain_per_replica)
-        target = max(base_need + backlog_need, self.min_replicas)
+        target = max(self._forecast_need(hour) + backlog_need,
+                     self.min_replicas)
         if stats.violation:
             target = max(target, len(self.replicas) + 1)
         if self.max_replicas is not None:
@@ -379,11 +406,7 @@ class ServingPlane:
                     claimable.remove(soc)
                 self.provision(claims, hour, warm=False)
                 self.scale_ups += len(claims)
-                tracer = self.telemetry.tracer
-                if tracer.enabled:
-                    tracer.event("scale", self._sim_s(hour),
-                                 name="scale-up", socs=len(claims),
-                                 replicas=len(self.replicas))
+                self._scale_event("scale-up", hour, len(claims))
             self.pending_deficit = want - len(claims)
         elif target < current:
             self.pending_deficit = 0
@@ -397,23 +420,16 @@ class ServingPlane:
     def _release(self, count: int, hour: float) -> None:
         """Release up to ``count`` idle replicas (lowest SoC ids first,
         handing the training-preferred low range back first)."""
-        released = []
-        for soc in sorted(self.replicas):
-            if len(released) >= count:
-                break
-            replica = self.replicas[soc]
-            if replica.free_hour <= hour + 1e-12:    # in-flight batches finish
-                released.append(soc)
+        # only idle replicas release: in-flight batches always finish
+        released = [soc for soc in sorted(self.replicas)
+                    if self.replicas[soc].free_hour <= hour + 1e-12][:count]
         for soc in released:
             del self.replicas[soc]
         if released:
+            self._rebuild_heap()
             self.scale_downs += len(released)
             self._calm_windows = 0
-            tracer = self.telemetry.tracer
-            if tracer.enabled:
-                tracer.event("scale", self._sim_s(hour), name="scale-down",
-                             socs=len(released),
-                             replicas=len(self.replicas))
+            self._scale_event("scale-down", hour, len(released))
 
     # ------------------------------------------------------------------
     def _emit_window(self, stats: WindowStats, t0: float, t1: float) -> None:
@@ -432,23 +448,12 @@ class ServingPlane:
             metrics.gauge("serving.queue_depth").set(stats.queue_depth)
         tracer = telemetry.tracer
         if tracer.enabled:
-            args = {"arrivals": stats.arrivals, "served": stats.served,
-                    "dropped": stats.dropped,
-                    "queue_depth": stats.queue_depth,
-                    "replicas": stats.replicas, "slo_ms": self.slo_ms,
-                    "violation": stats.violation}
-            if stats.p50_ms is not None:
-                args["p50_ms"] = round(stats.p50_ms, 3)
-                args["p99_ms"] = round(stats.p99_ms, 3)
+            args = {key: value for key, value in stats.to_dict().items()
+                    if key not in ("index", "start_hour")
+                    and value is not None}
             tracer.span("serve", self._sim_s(t0), (t1 - t0) * 3600.0,
-                        name=f"serve window {stats.index}", **args)
-
-    def observe_latencies(self, latencies_ms: "list[float]") -> None:
-        """Feed served-request latencies into the registry histogram."""
-        metrics = self.telemetry.metrics
-        if metrics.enabled and latencies_ms:
-            metrics.histogram("serving.latency_ms").observe_many(
-                latencies_ms)
+                        name=f"serve window {stats.index}",
+                        slo_ms=self.slo_ms, **args)
 
     # ------------------------------------------------------------------
     def summary(self) -> dict:
@@ -459,7 +464,7 @@ class ServingPlane:
             "requests": self.total_requests,
             "served": self.total_served,
             "dropped": self.total_dropped,
-            "queued_at_end": len(self._queue) - self._head,
+            "queued_at_end": self.queue_depth,
             "windows": len(self.windows),
             "violation_windows": self.violation_windows,
             "slo_ms": self.slo_ms,

@@ -12,7 +12,7 @@ latency has a load-dependent tail the SLO must police.
 
 The queue itself lives in :class:`~repro.serving.plane.ServingPlane`
 (it is shared, so a scale-up can drain a backlog); a replica only
-tracks when its NPU frees up and how much work it has done.
+records when its NPU frees up and how much work it has done.
 """
 
 from __future__ import annotations
@@ -89,35 +89,21 @@ class ServiceModel:
 
 
 class Replica:
-    """One SoC's serving state: ready time, busy time, work counters."""
+    """One SoC's serving state: busy-until time and work counters,
+    written back by the plane's event core once per check window."""
 
     def __init__(self, soc: int, service: ServiceModel, *,
                  ready_hour: float = 0.0):
         self.soc = soc
         self.service = service
-        #: not schedulable before this (model load / warm-up on spin-up)
-        self.ready_hour = ready_hour
-        #: the NPU is occupied until this hour
+        #: the NPU is occupied until this hour (from ``ready_hour``: model
+        #: load / warm-up on spin-up)
         self.free_hour = ready_hour
         self.requests_served = 0
         self.batches = 0
-        self.busy_s = 0.0
 
-    def serve_batch(self, start_hour: float, n: int) -> float:
-        """Run an ``n``-request batch starting at ``start_hour``.
-
-        Returns the completion hour and advances the replica clock.
-        """
-        seconds = self.service.batch_seconds(n)
-        self.free_hour = start_hour + seconds / 3600.0
-        self.requests_served += n
-        self.batches += 1
-        self.busy_s += seconds
-        return self.free_hour
-
-    def utilisation(self, since_hour: float, until_hour: float) -> float:
-        """Busy share of the replica's lifetime inside a window."""
-        alive = max(0.0, until_hour - max(since_hour, self.ready_hour))
-        if alive <= 0:
-            return 0.0
-        return min(1.0, (self.busy_s / 3600.0) / alive)
+    @property
+    def busy_s(self) -> float:
+        """NPU-busy seconds, derived from the two work counters."""
+        return (self.batches * self.service.batch_overhead_s
+                + self.requests_served * self.service.per_request_s)

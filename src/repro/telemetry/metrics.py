@@ -100,16 +100,20 @@ class Histogram:
     def observe_many(self, values) -> None:
         """Bulk :meth:`observe` for request-resolution callers.
 
+        An ndarray is unboxed once (``tolist``), never value by value.
         In unbounded mode the aggregates update in one pass without a
         per-value Python call; in reservoir mode values go through
         :meth:`observe` one by one so the RNG consumption — and thus the
         sample — is identical to the equivalent loop.
         """
+        if hasattr(values, "tolist"):
+            values = values.astype(float, copy=False).tolist()
+        else:
+            values = [float(v) for v in values]
         if self.reservoir is not None:
             for value in values:
                 self.observe(value)
             return
-        values = [float(v) for v in values]
         if not values:
             return
         self.count += len(values)

@@ -114,3 +114,54 @@ class TestQueries:
                                          horizon_hours=4.0)
         assert list(proc.arrivals_h) == [1.0, 2.0, 3.0]
         assert proc.count_between(0.0, 2.5) == 2
+
+
+class TestChunkedThinning:
+    """``_thin`` evaluates the rate chunk by chunk; every operation is
+    element-wise, so it must equal the one-shot formula bit for bit."""
+
+    @staticmethod
+    def one_shot(rng, *, envelope_rps, t0, t1, rate_fn):
+        hours = t1 - t0
+        n = int(rng.poisson(envelope_rps * 3600.0 * hours))
+        if n == 0:
+            return np.empty(0)
+        times = t0 + rng.random(n) * hours
+        keep = rng.random(n) * envelope_rps < rate_fn(times)
+        return times[keep]
+
+    def test_chunk_boundaries(self, monkeypatch):
+        from repro.cluster.trace import TidalTrace
+        from repro.serving import arrivals
+        trace = TidalTrace()
+        component = dict(
+            envelope_rps=0.3, t0=7.5, t1=19.0,
+            rate_fn=lambda h: 0.3 * trace.busy_ratio_array(h - 1.5)
+            / trace.peak_busy)
+        n = int(np.random.default_rng(6).poisson(0.3 * 3600.0 * 11.5))
+        expected = self.one_shot(np.random.default_rng(6), **component)
+        assert 0 < len(expected) < n and n % 1000
+        # candidate count below the chunk, equal to it, an exact
+        # multiple of it (7 | n) and not a multiple of it
+        assert n % 7 == 0
+        for chunk in (n + 5, n, n // 7, 1000):
+            monkeypatch.setattr(arrivals, "_THIN_CHUNK", chunk)
+            got = ArrivalProcess._thin(np.random.default_rng(6), **component)
+            assert np.array_equal(got, expected), chunk
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_generation_matches_one_shot(self, seed, monkeypatch):
+        """Whole realisations: phase-shifted regions and overlapping
+        flash crowds, with components longer than one chunk."""
+        kwargs = dict(
+            regions=[Region("east", 9.0, phase_shift_hours=-3.0),
+                     Region("west", 6.0, phase_shift_hours=4.5)],
+            start_hour=6.0, horizon_hours=30.0, seed=seed,
+            flash_crowds=[FlashCrowd(13.0, 2.0, 3.0),
+                          FlashCrowd(14.0, 0.5, 2.0),
+                          FlashCrowd(40.0, 1.0, 2.0)])
+        chunked = ArrivalProcess(**kwargs).arrivals_h
+        monkeypatch.setattr(ArrivalProcess, "_thin",
+                            staticmethod(self.one_shot))
+        assert np.array_equal(chunked, ArrivalProcess(**kwargs).arrivals_h)
+        assert len(chunked) > 2 * (1 << 16)

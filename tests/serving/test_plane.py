@@ -78,7 +78,8 @@ class TestBatching:
         plane.advance(1.0, flush=True)
         assert plane.total_dropped > 0
         assert plane.total_served + plane.total_dropped \
-            + (len(plane._queue) - plane._head) == 40
+            + plane.queue_depth == 40
+        assert plane.summary()["queued_at_end"] == plane.queue_depth
 
     def test_no_replicas_queues_then_flags_violation(self):
         plane = plane_for([0.1, 0.2], autoscale=False, shed_after_s=1e9)

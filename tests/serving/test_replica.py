@@ -62,23 +62,20 @@ class TestServiceModel:
 
 
 class TestReplica:
-    def test_serve_batch_advances_clock(self):
+    def test_starts_free_at_ready_hour(self):
         svc = ServiceModel("m", per_request_s=0.1, batch_overhead_s=0.1,
                            max_batch=4)
         replica = Replica(soc=3, service=svc, ready_hour=1.0)
-        done = replica.serve_batch(1.0, 4)
-        assert done == pytest.approx(1.0 + 0.5 / 3600.0)
-        assert replica.free_hour == done
-        assert replica.requests_served == 4
-        assert replica.batches == 1
-        assert replica.busy_s == pytest.approx(0.5)
+        assert replica.free_hour == 1.0
+        assert replica.busy_s == 0.0
 
-    def test_utilisation(self):
-        svc = ServiceModel("m", per_request_s=0.1, batch_overhead_s=0.0,
+    def test_busy_s_derived_from_counters(self):
+        """Busy time is a function of the two counters, not a running
+        sum: any order of the same batches gives the same value."""
+        svc = ServiceModel("m", per_request_s=0.1, batch_overhead_s=0.1,
                            max_batch=4)
         replica = Replica(soc=0, service=svc)
-        replica.serve_batch(0.0, 4)     # 0.4 s busy
-        hour = 0.4 / 3600.0
-        assert replica.utilisation(0.0, hour) == pytest.approx(1.0)
-        assert replica.utilisation(0.0, 2 * hour) == pytest.approx(0.5)
-        assert replica.utilisation(1.0, 1.0) == 0.0  # empty window
+        replica.batches, replica.requests_served = 3, 7
+        assert replica.busy_s == pytest.approx(
+            svc.batch_seconds(4) + svc.batch_seconds(2)
+            + svc.batch_seconds(1))

@@ -142,6 +142,20 @@ class TestHistogramReservoir:
             return h.observations
         assert build() == build()
 
+    @pytest.mark.parametrize("reservoir", [None, 64])
+    def test_observe_many_unboxes_arrays_once(self, reservoir):
+        """An ndarray goes through ``tolist`` — same floats, same order
+        as the list it replaces (ordered sum, one RNG draw per value)."""
+        import numpy as np
+        values = np.random.default_rng(0).exponential(100.0, 5000)
+        from_array, from_list = Histogram(reservoir), Histogram(reservoir)
+        for part in (values[:3000], values[3000:]):
+            from_array.observe_many(part)
+            from_list.observe_many([float(v) for v in part])
+        assert from_array.summary() == from_list.summary()
+        assert from_array.observations == from_list.observations
+        assert all(type(v) is float for v in from_array.observations)
+
     def test_sampled_percentiles_stay_in_range(self):
         h = Histogram(reservoir=32)
         for i in range(10_000):
