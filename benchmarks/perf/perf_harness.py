@@ -29,6 +29,13 @@ Sections
   step (``Int8Trainer.train_step``: fake-quantised weights/activations,
   STE hooks, clip, stochastically-rounded gradient quantisation,
   master-weight update) — the third gated microbenchmark.
+- ``graph_replicas``: fifteen ``GroupMixedTrainer``s (the logical
+  groups of a 60-SoC run) stepping round-robin at the bench preset,
+  vit_tiny and vgg11, eager against compiled — the multi-replica
+  number the single-model ``step_time`` cannot show: ms per group
+  step, plans compiled, bindings made, shared-workspace bytes (also
+  at two replicas: it must not depend on the count) and resident-set
+  growth.  Gated: compiled must not be slower than eager end to end.
 - ``epoch``: one end-to-end SoCFlow epoch (real math + simulated
   clock) at quick scale, sequential and with ``--workers 2``.
 - ``serving_day``: a 24 h request-level serving day with a flash crowd
@@ -351,6 +358,108 @@ def bench_int8_step_time(repeats: int) -> dict:
 
 
 # ----------------------------------------------------------------------
+#: logical groups of the paper's 60-SoC server
+GRAPH_REPLICAS = 15
+
+
+def _rss_mb() -> "float | None":
+    """Current (not peak) resident set of this process, Linux only."""
+    try:
+        with open("/proc/self/statm") as fh:
+            pages = int(fh.read().split()[1])
+    except (OSError, ValueError, IndexError):
+        return None
+    import resource
+    return pages * resource.getpagesize() / 2**20
+
+
+def bench_graph_replicas(rounds: int, replicas: int = GRAPH_REPLICAS) -> dict:
+    """``replicas`` logical groups round-robin, eager vs compiled.
+
+    Each model's groups come from ``SoCFlow._build_groups`` (one plan
+    cache, common initial state) on the claims benchmark's ``train_*``
+    configuration, and every group takes one
+    mixed-precision ``train_batch`` per round.  Eager and compiled
+    rounds alternate so host noise lands on both; the first compiled
+    round (captures + binds) is reported apart.  After timing, every
+    compiled group is asserted **bit-identical** to its eager twin.
+    """
+    from dataclasses import replace
+
+    from repro.core import SoCFlow, SoCFlowOptions
+    from repro.distributed.base import CostModel
+    from repro.harness import make_run_config
+    from repro.quant.mixed import MixedPrecisionController
+
+    base = make_run_config("vgg11", "bench", num_socs=4 * GRAPH_REPLICAS,
+                           num_groups=GRAPH_REPLICAS, max_epochs=1)
+    x_train, y_train = base.task.x_train, base.task.y_train
+    batch = base.batch_size
+    flow = SoCFlow(SoCFlowOptions())
+
+    def groups_for(config, count):
+        config = replace(config, num_groups=count)
+        cost = CostModel(config)
+        controller = MixedPrecisionController(cost.t_cpu_sample,
+                                              cost.t_npu_sample)
+        return flow._build_groups(config, flow._build_mapping(config),
+                                  controller, mixed=True)
+
+    def one_round(groups, index):
+        t0 = time.perf_counter()
+        for g, group in enumerate(groups):
+            start = ((index * len(groups) + g) * batch) % (
+                len(x_train) - batch)
+            group.train_batch(x_train[start:start + batch],
+                              y_train[start:start + batch])
+        return time.perf_counter() - t0
+
+    out: dict = {"replicas": replicas, "rounds": rounds, "batch": batch}
+    for model, width in (("vit_tiny", 0.5), ("vgg11", base.width)):
+        config = replace(base, model_name=model, width=width)
+        # resident-set growth of building the groups and touching all
+        # their state once (eager first: its freed temporaries stay
+        # with the allocator, so the compiled figure is not charged them)
+        rss0 = _rss_mb()
+        eager = groups_for(config, replicas)
+        one_round(eager, 0)
+        rss1 = _rss_mb()
+        graphed = groups_for(replace(config, graph=True), replicas)
+        first_round_s = one_round(graphed, 0)
+        rss2 = _rss_mb()
+        eager_s, graph_s = [], []
+        for index in range(1, rounds + 1):
+            for groups, samples in ((eager, eager_s), (graphed, graph_s))[
+                    ::1 if index % 2 else -1]:
+                samples.append(one_round(groups, index))
+        for a, b in zip(eager, graphed):
+            state_a, state_b = a.state_dict(), b.state_dict()
+            for key in state_a:
+                assert np.array_equal(state_a[key], state_b[key]), \
+                    (model, key)
+        eager_ms = sorted(eager_s)[len(eager_s) // 2] * 1e3 / replicas
+        graph_ms = sorted(graph_s)[len(graph_s) // 2] * 1e3 / replicas
+        plans = graphed[0].plans.snapshot()
+        pair = groups_for(replace(config, graph=True), 2)
+        one_round(pair, 0)
+        out[model] = {
+            "eager_ms_per_step": eager_ms,
+            "graph_ms_per_step": graph_ms,
+            "graph_vs_eager": graph_ms / eager_ms,
+            "graph_first_round_ms_per_step": first_round_s * 1e3 / replicas,
+            "plans": plans,
+            "workspace_bytes": sum(p["workspace_bytes"]
+                                   for p in plans.values()),
+            "workspace_bytes_2_replicas": sum(
+                p["workspace_bytes"]
+                for p in pair[0].plans.snapshot().values()),
+            "eager_rss_mb": None if rss0 is None else rss1 - rss0,
+            "graph_rss_mb": None if rss0 is None else rss2 - rss1,
+        }
+    return out
+
+
+# ----------------------------------------------------------------------
 def bench_epoch(repeats: int, workers: int = 1, epochs: int = 1) -> dict:
     """End-to-end SoCFlow wall time at quick scale (host seconds)."""
     from repro.core import SoCFlow, SoCFlowOptions
@@ -430,6 +539,7 @@ def run_harness(mode: str = "smoke") -> dict:
         "bucketed_aggregation": bench_bucketed_aggregation(max(repeats, 20)),
         "step_time": bench_step_time(max(repeats, 15)),
         "int8_step_time": bench_int8_step_time(max(repeats, 15)),
+        "graph_replicas": bench_graph_replicas(rounds=repeats + 1),
         "epoch": {
             "sequential": bench_epoch(1 if mode == "smoke" else repeats),
             "workers2": bench_epoch(1 if mode == "smoke" else repeats,
@@ -516,6 +626,13 @@ def main(argv=None) -> int:
                   f"{timing['eager']['median_s']*1e3:7.2f} ms  replay "
                   f"{timing['replay']['median_s']*1e3:7.2f} ms  "
                   f"{timing['speedup']:5.2f}x")
+    for model in ("vit_tiny", "vgg11"):
+        row = report["graph_replicas"][model]
+        print(f"x{report['graph_replicas']['replicas']} {model:9s} eager "
+              f"{row['eager_ms_per_step']:7.2f} ms  graph "
+              f"{row['graph_ms_per_step']:7.2f} ms  "
+              f"{row['graph_vs_eager']:5.2f}x  workspace "
+              f"{row['workspace_bytes'] / 2**20:6.1f} MiB")
     print(f"epoch seq      "
           f"{report['epoch']['sequential']['median_s']:8.2f} s")
     print(f"epoch w=2      {report['epoch']['workers2']['median_s']:8.2f} s")

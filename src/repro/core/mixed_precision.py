@@ -26,15 +26,27 @@ __all__ = ["GroupMixedTrainer"]
 
 
 class GroupMixedTrainer:
-    """FP32(CPU) + INT8(NPU) replica pair for one logical group."""
+    """FP32(CPU) + INT8(NPU) replica pair for one logical group.
+
+    ``plans`` is the run's compiled-plan cache (``config.graph`` only):
+    the logical groups of one run are structurally identical replicas
+    that step one after another, so whoever builds them hands all of
+    them the same cache and each precision is traced and compiled once
+    and computes in one workspace.  A trainer built without one keeps
+    its own; ``reform_groups`` passes it on to the members it adds.
+    """
 
     def __init__(self, config: RunConfig,
                  controller: MixedPrecisionController,
                  quant_config: QuantConfig, seed_offset: int = 0,
-                 mixed: bool = True):
+                 mixed: bool = True, plans=None):
         self.config = config
         self.controller = controller
         self.mixed = mixed
+        self.plans = plans
+        if config.graph and plans is None:
+            from ..nn.graph import PlanCache    # eager runs never load it
+            self.plans = PlanCache()
         self.telemetry = (config.telemetry if config.telemetry is not None
                           else NULL_TELEMETRY)
         self.fp32 = make_model(config, seed_offset=seed_offset)
@@ -45,7 +57,7 @@ class GroupMixedTrainer:
         if config.graph:
             # Trace-once/replay-many FP32 step; replays are bit-identical,
             # so group results match the eager trainer exactly.
-            self.fp32.enable_graph_executor()
+            self.fp32.enable_graph_executor(plans=self.plans)
         self.int8: Int8Trainer | None = None
         if mixed:
             int8_model = make_model(config, seed_offset=seed_offset)
@@ -62,7 +74,7 @@ class GroupMixedTrainer:
                 # to the same arena machinery.  Where capture cannot
                 # succeed the executor stays attached in fallback mode
                 # so ``graph.int8_fallbacks`` is reported, not dropped.
-                self.int8.enable_graph_executor()
+                self.int8.enable_graph_executor(plans=self.plans)
 
     # ------------------------------------------------------------------
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> None:

@@ -65,7 +65,8 @@ def reform_groups(config: RunConfig, controller, quant,
     groups = groups[:num_groups]
     for g in range(len(groups), num_groups):
         trainer = GroupMixedTrainer(config, controller, quant,
-                                    seed_offset=g, mixed=groups[0].mixed)
+                                    seed_offset=g, mixed=groups[0].mixed,
+                                    plans=groups[0].plans)
         if int8_only:
             trainer.train_batch = _int8_only_step(trainer)  # type: ignore
         groups.append(trainer)
@@ -311,9 +312,14 @@ class SoCFlow(Strategy):
         label, plus a dedicated ``graph.int8_fallbacks`` total so a
         silently-eager INT8 path is visible rather than dropped.  One
         ``graph_replay`` span per (group, precision) carries LG/CG
-        attribution.  Under ``workers > 1`` the steps run in worker
-        replicas whose executor counters are not shipped back, so the
-        main-process numbers only reflect local activity.
+        attribution.  The run's plan cache adds, per precision, how
+        many plans were compiled (``graph.plans``; ``unshared_plans``
+        of them for a replica that could not share), how many bindings
+        were made and the workspace bytes they all compute in — in
+        ``extra["graph_plans"]``, the metrics stream and on the spans.
+        Under ``workers > 1`` the steps run in worker replicas whose
+        executor counters are not shipped back, so the main-process
+        numbers only reflect local activity.
         """
         per_group = [group.graph_stats() for group in groups]
         if not any(per_group):
@@ -325,6 +331,7 @@ class SoCFlow(Strategy):
                 for key, value in counters.items():
                     total[key] = total.get(key, 0) + value
         extra["graph_stats"] = totals
+        plans = extra["graph_plans"] = groups[0].plans.snapshot()
         metrics = telemetry.metrics
         if metrics.enabled:
             for precision, counters in totals.items():
@@ -334,6 +341,13 @@ class SoCFlow(Strategy):
             if "int8" in totals:
                 metrics.counter("graph.int8_fallbacks").inc(
                     totals["int8"].get("fallbacks", 0))
+            for precision, counters in plans.items():
+                for key in ("plans", "binds", "unshared_plans"):
+                    metrics.counter(f"graph.{key}",
+                                    precision=precision).inc(counters[key])
+                metrics.gauge("graph.workspace_bytes",
+                              precision=precision).set(
+                    counters["workspace_bytes"])
         tracer = telemetry.tracer
         if tracer.enabled:
             lg_to_cg = {lg: cg_idx for cg_idx, cg in enumerate(plan.cgs)
@@ -343,7 +357,8 @@ class SoCFlow(Strategy):
                 for precision, counters in (stats or {}).items():
                     tracer.span("graph_replay", now, 0.0, lg=lg,
                                 cg=lg_to_cg.get(lg, 0),
-                                precision=precision, **counters)
+                                precision=precision, **counters,
+                                **plans.get(precision, {}))
 
     # ------------------------------------------------------------------
     # Pieces
@@ -385,7 +400,8 @@ class SoCFlow(Strategy):
         init_state = base.state_dict()
         for g in range(1, mapping.num_groups):
             trainer = GroupMixedTrainer(config, controller, options.quant,
-                                        seed_offset=g, mixed=base.mixed)
+                                        seed_offset=g, mixed=base.mixed,
+                                        plans=base.plans)
             trainer.load_state(init_state)
             groups.append(trainer)
         if options.precision == "int8":

@@ -209,7 +209,7 @@ class JobExecution:
         for g in range(1, num_groups):
             trainer = GroupMixedTrainer(self.config, self.controller,
                                         self.quant, seed_offset=g,
-                                        mixed=base.mixed)
+                                        mixed=base.mixed, plans=base.plans)
             trainer.load_state(init_state)
             groups.append(trainer)
         return groups

@@ -13,22 +13,35 @@ module removes that overhead:
     uninstrumented step.
 
 ``compile_program``
-    turns a capture into a ``_Program``: a flat tuple of closures over
-    preallocated numpy arrays.  A tensor-lifetime planner packs all
+    turns a capture into a ``_Plan``: an instruction list over one
+    preallocated workspace.  A tensor-lifetime planner packs all
     float32 intermediates and gradients into a single arena buffer
     (first-fit over [first-def, last-use] intervals), an elementwise
     chain fuser rewrites single-consumer elementwise ops to compute in
     place in their producer's buffer, and every kernel is an ``out=``
     ufunc/matmul/einsum call replicating the eager arithmetic
     operation-for-operation — replayed steps are bit-identical to eager
-    steps.
+    steps.  Everything a replica owns (parameters, gradients, BN
+    running statistics, dropout generators, range observers) enters
+    the plan as a ``_Leaf`` named by *where it lives*, so the plan
+    itself is replica-independent.
+
+``_Plan.bind``
+    resolves the leaves against one replica and returns a
+    ``_Program``: a flat tuple of closures over the plan's workspace
+    plus that replica's own storage.  Structurally identical replicas
+    (the logical groups of one SoCFlow run) bind the same plan out of
+    a run-scoped :class:`PlanCache`; they step strictly one after
+    another and nothing in the workspace outlives a step except
+    replica-independent constants, so one workspace serves them all.
 
 ``GraphExecutor``
-    owns per-input-shape programs for one model and dispatches
+    owns per-input-shape bindings for one model and dispatches
     ``step()`` to ``replay`` (zero tape construction, zero allocation in
-    the hot loop) or falls back to the eager interpreter on shape
-    change, non-intact flat buffers (faults-induced re-grouping rebinds
-    parameter storage), or unsupported ops.
+    the hot loop) or falls back to the eager interpreter on
+    ``max_programs`` overflow or unsupported ops.  Rebound parameter
+    storage only drops the bindings; the next step binds the cached
+    plan again.
 
 Bit-identity ground rules used throughout: ``out=`` ufuncs run the same
 inner loops as their allocating forms; ``np.copyto`` casts exactly like
@@ -40,7 +53,9 @@ reduction.  Anything that cannot be replicated exactly raises
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
+import math
 from typing import Callable
 
 import numpy as np
@@ -51,7 +66,7 @@ from .tensor import Tensor
 
 __all__ = [
     "GraphCapture", "GraphExecutor", "GraphUnsupported",
-    "Int8GraphExecutor", "attach_graph_executor",
+    "Int8GraphExecutor", "PlanCache", "attach_graph_executor",
     "attach_int8_graph_executor", "detach_graph_executor",
     "compile_program",
 ]
@@ -206,10 +221,41 @@ class _Buf:
         return n
 
 
+class _Leaf:
+    """A value one replica owns — a parameter, gradient or buffer view,
+    a dropout generator, a range observer — named by where it lives
+    (``path``, see :class:`_Replica`) so every binding resolves its own.
+
+    ``path is None`` pins the compile-time object itself: the replica
+    holds it somewhere a path cannot name, and the plan cannot be
+    shared.
+    """
+
+    __slots__ = ("path", "kind", "shape", "contig", "pinned")
+
+    def __init__(self, path, obj):
+        self.path = path
+        self.kind = type(obj)
+        self.shape = getattr(obj, "shape", None)
+        self.contig = (not isinstance(obj, np.ndarray)
+                       or obj.flags["C_CONTIGUOUS"])
+        self.pinned = obj if path is None else None
+
+    def fetch(self, replica: "_Replica"):
+        if self.path is None:
+            return self.pinned
+        obj = replica.fetch(self.path)
+        if (type(obj) is not self.kind
+                or getattr(obj, "shape", None) != self.shape):
+            raise GraphUnsupported(
+                f"replica holds a different value at {self.path}")
+        return obj
+
+
 class _View:
     """A bind-time alias of another value (zero-copy at replay)."""
 
-    __slots__ = ("base", "fn", "contig", "arr")
+    __slots__ = ("base", "fn", "contig", "arr", "leafy")
 
     def __init__(self, base, fn: Callable[[np.ndarray], np.ndarray],
                  contig: bool):
@@ -217,6 +263,11 @@ class _View:
         self.fn = fn
         self.contig = contig
         self.arr: np.ndarray | None = None
+        self.leafy = _is_leafy(base)    # aliases replica-owned storage
+
+
+def _is_leafy(val) -> bool:
+    return isinstance(val, _Leaf) or (isinstance(val, _View) and val.leafy)
 
 
 def _root_buf(val):
@@ -226,19 +277,104 @@ def _root_buf(val):
 
 
 def _is_contig(val) -> bool:
-    if isinstance(val, (_Buf, _View)):
+    if isinstance(val, (_Buf, _View, _Leaf)):
         return val.contig
     if isinstance(val, np.ndarray):
         return val.flags["C_CONTIGUOUS"]
     return False
 
 
-def _val_shape(val):
-    if isinstance(val, _Buf):
-        return val.shape
-    if isinstance(val, np.ndarray):
-        return val.shape
-    raise GraphUnsupported("shape of alias value requested")
+_SCALARS = (bool, int, float, str, type(None))
+
+
+def _public_config(obj, depth: int = 2) -> tuple:
+    """The public scalar configuration of a module or hook object:
+    what a plan bakes into its instructions (BN momentum, dropout
+    ``p``, an activation quantiser's ``QuantConfig``) rather than
+    reading through a leaf.  Private attributes are state, not
+    configuration, and are skipped."""
+    items = []
+    for name, value in vars(obj).items():
+        if name.startswith("_") or name == "training":
+            continue
+        if isinstance(value, _SCALARS) or (
+                isinstance(value, tuple)
+                and all(isinstance(item, _SCALARS) for item in value)):
+            items.append((name, value))
+        elif dataclasses.is_dataclass(value) and value.__hash__ is not None:
+            items.append((name, value))
+        elif (depth and hasattr(value, "__dict__")
+              and not hasattr(value, "modules")):       # children are listed
+            items.append((name, type(value), _public_config(value, depth - 1)))
+    return tuple(items)
+
+
+class _Replica:
+    """One model's replica-owned state, addressable by position.
+
+    Fused storage is addressed by element offset — ``("data", offset,
+    shape)`` / ``("grads", offset, shape)`` into the
+    ``FlatParamBuffer`` arrays — and module state by ``("attr", module
+    index, attribute[, attribute])`` over ``model.modules()`` order.
+    Two replicas with equal :attr:`structure` resolve every path to
+    their own copy of the same thing.
+    """
+
+    def __init__(self, model, flat, trainer=None):
+        self.model = model
+        self.flat = flat
+        self.trainer = trainer      # the Int8Trainer, for INT8 plans
+        self.modules = list(model.modules())
+        self._index: dict[int, tuple] | None = None
+        self._structure: tuple | None = None
+
+    @property
+    def structure(self) -> tuple:
+        """Hashable signature of everything a plan bakes in: the
+        interned layout (names and shapes of every parameter and
+        buffer), which parameters train, and every module's type and
+        public configuration, in traversal order."""
+        if self._structure is None:
+            self._structure = (
+                self.flat.layout,
+                tuple(p.requires_grad for p in self.flat.param_tensors),
+                tuple((type(m), _public_config(m)) for m in self.modules))
+        return self._structure
+
+    def locate(self, obj) -> tuple | None:
+        """The path of ``obj`` in this replica, or None."""
+        if isinstance(obj, np.ndarray) and obj.flags["C_CONTIGUOUS"]:
+            start = obj.__array_interface__["data"][0]
+            for name in ("data", "grads"):
+                storage = getattr(self.flat, name)
+                offset = start - storage.__array_interface__["data"][0]
+                if (obj.dtype == storage.dtype and 0 <= offset
+                        and offset + obj.nbytes <= storage.nbytes):
+                    return (name, offset // storage.itemsize, obj.shape)
+        if self._index is None:
+            self._index = index = {}
+            for i, module in enumerate(self.modules):
+                for name, value in vars(module).items():
+                    if isinstance(value, _SCALARS + (dict,)):
+                        continue
+                    index.setdefault(id(value), ("attr", i, name))
+                    if isinstance(value, Tensor):
+                        index.setdefault(id(value.data), ("attr", i, name))
+                    elif hasattr(value, "__dict__"):
+                        for sub, inner in vars(value).items():
+                            if not isinstance(inner, _SCALARS):
+                                index.setdefault(id(inner),
+                                                 ("attr", i, name, sub))
+        return self._index.get(id(obj))
+
+    def fetch(self, path: tuple):
+        if path[0] == "attr":
+            value = self.modules[path[1]]
+            for name in path[2:]:
+                value = getattr(value, name)
+            return value.data if isinstance(value, Tensor) else value
+        storage, offset, shape = getattr(self.flat, path[0]), path[1], path[2]
+        return storage[offset:offset + math.prod(shape)].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -477,32 +613,37 @@ def _pack_arena(bufs: list[_Buf]) -> int:
 # ---------------------------------------------------------------------------
 
 class _Compiler:
-    def __init__(self, capture: GraphCapture, loss_node: _Node, fuse: bool):
+    def __init__(self, capture: GraphCapture, loss_node: _Node,
+                 replica: _Replica, fuse: bool):
         self.capture = capture
         self.loss_node = loss_node
+        self.replica = replica
         self.fuse = fuse
         self._instrs: list[tuple] = []      # (maker, args...)
         self._bufs: list[_Buf] = []
-        self._ded_bytes = 0
+        #: dedicated buffers as (array, persistent): a persistent one
+        #: carries replica-independent constants across steps (zeroed
+        #: pad borders), everything else is dead between steps
+        self._dedicated: list[tuple[np.ndarray, bool]] = []
+        self._leaves: dict[int, _Leaf] = {}     # by id of the live object
+        self.shared = True
         self._gslot: dict[int, object] = {}   # id(node|src) -> value
         self._gcount: dict[int, int] = {}
-        self._param_grads: list[tuple[Tensor, np.ndarray]] = []
-        self._seen_params: set[int] = set()
+        self._param_index = {id(p): i for i, p in
+                             enumerate(replica.flat.param_tensors)}
+        self._grad_params: list[int] = []
         self._scratch_cache: dict[tuple, np.ndarray] = {}
         self.fused_elementwise = 0
 
-        x = capture.x_tensor.data
-        self.x_buf = np.empty(x.shape, dtype=np.float32)
+        self.x_buf = self._ded(capture.x_tensor.data.shape)
         y = np.asarray(capture.targets)
-        self.y_buf = np.empty(y.shape, dtype=y.dtype)
-        self._ded_bytes += self.x_buf.nbytes + self.y_buf.nbytes
-        self.loss_buf: np.ndarray | None = None
+        self.y_buf = self._ded(y.shape, y.dtype)
 
         for src in capture.leaves():
             if src.kind == "input":
                 src.val = self.x_buf
             else:
-                src.val = src.t.data
+                src.val = self._leaf(src.t.data, const=src.kind == "const")
         self._consumers = self._count_consumers()
         self._saved = self._saved_values()
 
@@ -562,8 +703,26 @@ class _Compiler:
 
     def _ded(self, shape, dtype=np.float32, zero=False) -> np.ndarray:
         arr = (np.zeros if zero else np.empty)(shape, dtype=dtype)
-        self._ded_bytes += arr.nbytes
+        self._dedicated.append((arr, zero))
         return arr
+
+    def _leaf(self, obj, const: bool = False):
+        """The plan's name for a replica-owned ``obj``.
+
+        A tensor the traced forward built from module configuration
+        alone (``x * 0.5``) is neither fused storage nor module state:
+        it is the same in every step and every structurally equal
+        replica, and stays a plain constant of the plan.
+        """
+        leaf = self._leaves.get(id(obj))
+        if leaf is None:
+            path = self.replica.locate(obj)
+            if path is None:
+                if const:
+                    return obj
+                self.shared = False
+            leaf = self._leaves[id(obj)] = _Leaf(path, obj)
+        return leaf
 
     def _scratch(self, shape, dtype) -> np.ndarray:
         """A dedicated scratch buffer shared by every kernel needing
@@ -604,11 +763,11 @@ class _Compiler:
                 count = self._gcount.get(key, 0)
                 self._gcount[key] = count + 1
                 if count == 0:
-                    if id(tgt.t) not in self._seen_params:
-                        self._seen_params.add(id(tgt.t))
-                        self._param_grads.append((tgt.t, gbuf))
-                    self._gslot[key] = gbuf
-                return gbuf, count == 0
+                    index = self._param_index[id(tgt.t)]
+                    if index not in self._grad_params:
+                        self._grad_params.append(index)
+                    self._gslot[key] = self._leaf(gbuf)
+                return self._gslot[key], count == 0
         if not tgt.rg:
             return None
         key = id(tgt)
@@ -640,9 +799,8 @@ class _Compiler:
         if s is None:
             return
         slot, first = s
-        slot_shape = slot.shape if isinstance(slot, _Buf) else slot.shape
         maker = _kuf1 if len(args) == 1 else _kuf2
-        if first and tuple(slot_shape) == tuple(shape):
+        if first and tuple(slot.shape) == tuple(shape):
             self._emit(maker, uf, *args, slot)
         else:
             tmp = self._buf(shape)
@@ -709,9 +867,9 @@ class _Compiler:
         self._emit(_kcopy, back, val)
         return out
 
-    def _leaf_array(self, src: _Src) -> np.ndarray:
+    def _leaf_array(self, src: _Src):
         v = self._value(src)
-        if not isinstance(v, np.ndarray) or not v.flags["C_CONTIGUOUS"]:
+        if src.node is not None or not _is_contig(v):
             raise GraphUnsupported(f"{src.kind} operand is not a contiguous "
                                    "leaf array")
         return v
@@ -817,7 +975,7 @@ class _Compiler:
             raise GraphUnsupported("ste_quant without an observer scale")
         a = self._value(node.srcs[0])
         out = self._ew_out(node)
-        self._emit(_kste_quant, observer, node.ctx["qmax"], a, out,
+        self._emit(_kste_quant, self._leaf(observer), node.ctx["qmax"], a, out,
                    self._scratch(node.shape, np.float32),
                    self._scratch(node.shape, np.float64))
         node.val = out
@@ -838,7 +996,7 @@ class _Compiler:
 
     def _fwd_dropout(self, node):
         p = node.ctx["p"]
-        rng = node.ctx["rng"]
+        rng = self._leaf(node.ctx["rng"])
         a = self._value(node.srcs[0])
         r = self._ded(node.shape, np.float64)
         mbool = self._ded(node.shape, np.bool_)
@@ -869,9 +1027,10 @@ class _Compiler:
                    stride=stride, groups=groups, cols=cols,
                    x_shape=tuple(x_src.shape))
         if groups == 1:
-            w_mat = wv.reshape(out_c, -1)
+            w_mat = _View(wv, lambda b: b.reshape(out_c, -1), True)
             out3 = self._buf((n, out_c, length))
-            self._emit(_kmatmul, w_mat[None, :, :], cols, out3)
+            self._emit(_kmatmul, _View(w_mat, lambda b: b[None, :, :], True),
+                       cols, out3)
             aux["w_mat"] = w_mat
             node.val = _View(out3,
                              lambda b, s=node.shape: b.reshape(s), True)
@@ -881,7 +1040,7 @@ class _Compiler:
             cols4 = _View(cols,
                           lambda b, s=(n, groups, gi * kernel * kernel,
                                        length): b.reshape(s), True)
-            w3 = wv.reshape(groups, go, -1)
+            w3 = _View(wv, lambda b: b.reshape(groups, go, -1), True)
             out4 = self._buf((n, groups, go, length))
             self._emit(_keinsum, "gok,ngkl->ngol", w3, cols4, out4)
             aux.update(gi=gi, go=go, cols4=cols4, w3=w3)
@@ -934,8 +1093,8 @@ class _Compiler:
         axes = (0,) if ndim == 2 else (0, 2, 3)
         ch = x_src.shape[1]
         rshape = (1, ch) if ndim == 2 else (1, ch, 1, 1)
-        rm = node.ctx["running_mean"]
-        rv = node.ctx["running_var"]
+        rm = self._leaf(node.ctx["running_mean"])
+        rv = self._leaf(node.ctx["running_var"])
         momentum = node.ctx["momentum"]
         eps = node.ctx["eps"]
 
@@ -955,8 +1114,8 @@ class _Compiler:
         xhat = self._buf(node.shape)
         self._emit(_kuf2, np.subtract, xv, mean_r, xhat)
         self._emit(_kuf2, np.multiply, xhat, invstd_r, xhat)
-        w_r = wv.reshape(rshape)
-        b_r = bv.reshape(rshape)
+        w_r = _View(wv, lambda b: b.reshape(rshape), True)
+        b_r = _View(bv, lambda b: b.reshape(rshape), True)
         out = self._buf(node.shape)
         self._emit(_kuf2, np.multiply, xhat, w_r, out)
         self._emit(_kuf2, np.add, out, b_r, out)
@@ -1039,8 +1198,8 @@ class _Compiler:
         return order
 
     def _backward(self) -> None:
-        ones = np.ones((), dtype=np.float32)
-        self._ded_bytes += ones.nbytes
+        ones = self._ded((), zero=True)       # persistent: the seed gradient
+        ones[...] = 1.0
         self._gslot[id(self.loss_node)] = ones
         self._gcount[id(self.loss_node)] = 1
         for unit in reversed(self._backward_order()):
@@ -1268,16 +1427,17 @@ class _Compiler:
                 s = self._slot(w_src)
                 if s is not None:
                     slot, first = s
-                    w2 = slot.reshape(aux["out_c"], -1)
+                    w2 = _View(slot, lambda b, s=(aux["out_c"], -1):
+                               b.reshape(s), True)
                     if first:
                         self._emit(_keinsum, "nol,nkl->ok", gmat, cols, w2)
                     else:
-                        tmp = self._buf(w2.shape)
+                        tmp = self._buf((aux["out_c"], cols.shape[1]))
                         self._emit(_keinsum, "nol,nkl->ok", gmat, cols, tmp)
                         self._emit(_kiadd, w2, tmp)
             if x_src.requires_grad:
                 gcols = self._buf(cols.shape)
-                w_t3 = aux["w_mat"].T[None, :, :]
+                w_t3 = _View(aux["w_mat"], lambda b: b.T[None, :, :], False)
                 self._emit(_kmatmul, w_t3, gmat, gcols)
                 gx = self._buf(x_src.shape)
                 self._emit(_kcol2im, gcols, aux["x_shape"], aux["kernel"],
@@ -1294,12 +1454,13 @@ class _Compiler:
                 s = self._slot(w_src)
                 if s is not None:
                     slot, first = s
-                    w3view = slot.reshape(groups, go, -1)
+                    w3view = _View(slot, lambda b: b.reshape(groups, go, -1),
+                                   True)
                     if first:
                         self._emit(_keinsum, "ngol,ngkl->gok", gmat4, cols4,
                                    w3view)
                     else:
-                        tmp = self._buf(w3view.shape)
+                        tmp = self._buf((groups, go, gik2))
                         self._emit(_keinsum, "ngol,ngkl->gok", gmat4, cols4,
                                    tmp)
                         self._emit(_kiadd, w3view, tmp)
@@ -1411,33 +1572,36 @@ class _Compiler:
         if not first:
             self._emit(_kiadd, slot, gl)
 
-    # -- bind ----------------------------------------------------------
-    def build(self) -> "_Program":
+    # -- plan ----------------------------------------------------------
+    def build(self) -> "_Plan":
         self._forward()
         self._backward()
         arena_bytes = _pack_arena(self._bufs)
         arena = np.empty(max(arena_bytes // 4, 1), dtype=np.float32)
         for buf in self._bufs:
-            n = 1
-            for d in buf.shape:
-                n *= d
             start = buf.offset // 4
-            buf.array = arena[start:start + n].reshape(buf.shape)
-        closures = tuple(entry[0](*[_resolve(a) for a in entry[1:]])
-                         for entry in self._instrs)
-        loss_arr = _resolve(self.loss_node.val)
-        if not isinstance(loss_arr, np.ndarray) or loss_arr.size != 1:
+            buf.array = arena[start:start + math.prod(buf.shape)].reshape(
+                buf.shape)
+        loss_val = self.loss_node.val
+        if _is_leafy(loss_val) or getattr(_resolve(loss_val), "size", 0) != 1:
             raise GraphUnsupported("loss is not a scalar buffer")
+        # An instruction that touches no leaf is the same closure in
+        # every binding: make it once, here.
+        template = tuple(
+            entry if any(map(_is_leafy, entry[1:]))
+            else entry[0](*map(_resolve, entry[1:]))
+            for entry in self._instrs)
         naive = sum(-(-b.nbytes // _ALIGN) * _ALIGN for b in self._bufs)
-        return _Program(
-            closures=closures, arena=arena, x_buf=self.x_buf,
-            y_buf=self.y_buf, loss=loss_arr, param_grads=self._param_grads,
+        return _Plan(
+            template=template, x_buf=self.x_buf, y_buf=self.y_buf,
+            loss=_resolve(loss_val), grad_params=tuple(self._grad_params),
+            workspace=[(arena, False)] + self._dedicated, shared=self.shared,
             stats={
                 "nodes": len(self.capture.nodes),
-                "instrs": len(closures),
+                "instrs": len(template),
                 "arena_bytes": arena_bytes,
                 "naive_bytes": naive,
-                "dedicated_bytes": self._ded_bytes,
+                "dedicated_bytes": sum(a.nbytes for a, _ in self._dedicated),
                 "fused_elementwise": self.fused_elementwise,
             })
 
@@ -1461,51 +1625,130 @@ def _basic_index(index) -> bool:
         for item in items)
 
 
-def _resolve(v):
+def _resolve(v, replica=None, memo=None):
+    """The runtime array (or state object) behind a compile-time value.
+
+    Workspace values resolve once per plan; anything leafy resolves
+    per binding, against ``replica``, memoised in ``memo``.
+    """
     if isinstance(v, _Buf):
         return v.array
+    if isinstance(v, _Leaf):
+        return v.fetch(replica)
     if isinstance(v, _View):
-        if v.arr is None:
-            v.arr = v.fn(_resolve(v.base))
-        return v.arr
+        if not v.leafy:
+            if v.arr is None:
+                v.arr = v.fn(_resolve(v.base))
+            return v.arr
+        arr = memo.get(id(v))
+        if arr is None:
+            arr = memo[id(v)] = v.fn(_resolve(v.base, replica, memo))
+        return arr
     return v
 
 
 # ---------------------------------------------------------------------------
-# Program + executor
+# Plan, binding, plan cache
 # ---------------------------------------------------------------------------
 
-class _Program:
-    """A bound, replayable training step."""
+class _Plan:
+    """A compiled training step, independent of any one replica.
 
-    __slots__ = ("_closures", "_arena", "_x_buf", "_y_buf", "_loss",
-                 "_param_grads", "stats")
+    Owns the instruction ``template`` (ready closures for instructions
+    over the workspace alone, symbolic ``(maker, args...)`` entries
+    for those touching a leaf), the single ``workspace`` every binding
+    computes in, and the re-entrancy flag that keeps the
+    sequential-replay invariant honest: bindings of one plan must
+    never run inside one another.
+    """
 
-    def __init__(self, closures, arena, x_buf, y_buf, loss, param_grads,
-                 stats):
-        self._closures = closures
-        self._arena = arena
-        self._x_buf = x_buf
-        self._y_buf = y_buf
-        self._loss = loss
-        self._param_grads = tuple(param_grads)
+    __slots__ = ("template", "x_buf", "y_buf", "loss", "grad_params",
+                 "workspace", "shared", "stats", "guard")
+
+    def __init__(self, template, x_buf, y_buf, loss, grad_params, workspace,
+                 shared, stats):
+        self.template = template
+        self.x_buf = x_buf
+        self.y_buf = y_buf
+        self.loss = loss
+        self.grad_params = grad_params      # indices into param_tensors
+        self.workspace = workspace          # [(array, persistent)]
+        self.shared = shared
         self.stats = stats
+        #: [running]; a cell so plans that pool scratch share one flag
+        self.guard = [False]
 
-    def replay(self, x, y, optimizer, model) -> float:
-        model.train()
-        np.copyto(self._x_buf, x)
-        np.copyto(self._y_buf, y)
-        for run in self._closures:
-            run()
+    @property
+    def workspace_bytes(self) -> int:
+        return sum(array.nbytes for array, _ in self.workspace)
+
+    def bind(self, replica: _Replica) -> "_Program":
+        """Closures over the shared workspace and ``replica``'s leaves.
+
+        Raises :class:`GraphUnsupported` when a leaf does not resolve
+        to the same kind of value the plan was compiled against.
+        """
+        memo: dict[int, np.ndarray] = {}
+        closures = tuple(
+            entry[0](*[_resolve(a, replica, memo) for a in entry[1:]])
+            if isinstance(entry, tuple) else entry
+            for entry in self.template)
+        flat = replica.flat
+        return _Program(self, closures, replica.model, tuple(
+            (flat.param_tensors[i], flat.grad_views[i])
+            for i in self.grad_params))
+
+
+class _Program:
+    """One replica's binding of a :class:`_Plan`: a replayable step."""
+
+    __slots__ = ("plan", "_closures", "_model", "_param_grads", "_x_buf",
+                 "_y_buf", "_loss")
+
+    def __init__(self, plan, closures, model, param_grads):
+        self.plan = plan
+        self._closures = closures
+        self._model = model
+        self._param_grads = param_grads
+        self._x_buf = plan.x_buf
+        self._y_buf = plan.y_buf
+        self._loss = plan.loss
+
+    def replay(self, x, y, optimizer) -> float:
+        guard = _enter(self.plan)
+        try:
+            self._model.train()
+            np.copyto(self._x_buf, x)
+            np.copyto(self._y_buf, y)
+            for run in self._closures:
+                run()
+            loss = float(self._loss)
+        finally:
+            guard[0] = False
         for param, gbuf in self._param_grads:
             param.grad = gbuf
         optimizer.step()
-        return float(self._loss)
+        return loss
 
 
-def compile_program(capture: GraphCapture, loss: Tensor,
-                    fuse: bool = True) -> _Program:
-    """Compile a :class:`GraphCapture` into a replayable ``_Program``.
+def _enter(plan: _Plan) -> list:
+    """Claim ``plan``'s workspace for one replay; returns the guard cell
+    to clear afterwards.  Replicas share the workspace on the strength
+    of stepping strictly one after another — a replay started from
+    inside another one would compute on a half-used arena."""
+    guard = plan.guard
+    if guard[0]:
+        raise RuntimeError(
+            "graph plan replayed while it is already running: its "
+            "replicas share one workspace and must step one at a time")
+    guard[0] = True
+    return guard
+
+
+def compile_program(capture: GraphCapture, loss: Tensor, replica: _Replica,
+                    fuse: bool = True) -> _Plan:
+    """Compile a :class:`GraphCapture` of ``replica``'s step into a
+    :class:`_Plan` any structurally equal replica can bind.
 
     Raises :class:`GraphUnsupported` when the step cannot be replayed
     bit-identically.
@@ -1515,7 +1758,64 @@ def compile_program(capture: GraphCapture, loss: Tensor,
     loss_node = capture.by_id.get(id(loss))
     if loss_node is None:
         raise GraphUnsupported("loss tensor was not produced by the capture")
-    return _Compiler(capture, loss_node, fuse).build()
+    return _Compiler(capture, loss_node, replica, fuse).build()
+
+
+_MISSING = object()
+
+
+class PlanCache:
+    """Run-scoped compiled plans, shared by structurally equal replicas.
+
+    One cache per training run (``SoCFlow.train``, a ``JobExecution``,
+    an ``LgExecutor`` worker) or, for a standalone executor, per
+    executor.  Keys carry the precision, the replica's
+    :attr:`_Replica.structure` and the batch signature, so a replica
+    that differs in anything a plan bakes in simply misses and compiles
+    its own.  Also pools the shape-independent INT8 stage scratch, so
+    changing the CPU/NPU batch split does not allocate another set.
+    """
+
+    def __init__(self):
+        self._plans: dict[tuple, object] = {}
+        self._scratch: dict[tuple, object] = {}
+        self._stats: dict[str, dict[str, int]] = {}
+
+    def counters(self, precision: str) -> dict[str, int]:
+        return self._stats.setdefault(precision, {
+            "plans": 0, "binds": 0, "unshared_plans": 0,
+            "workspace_bytes": 0})
+
+    def get(self, key: tuple):
+        """The shareable plan under ``key``, ``None`` when the step is
+        known not to compile, ``_MISSING`` when there is none."""
+        return self._plans.get(key, _MISSING)
+
+    def add(self, precision: str, key: tuple, plan) -> None:
+        """Record the outcome of one compilation under ``key``."""
+        if plan is None:
+            self._plans.setdefault(key, None)
+            return
+        counters = self.counters(precision)
+        counters["plans"] += 1
+        counters["workspace_bytes"] += plan.workspace_bytes
+        if not (plan.shared and self._plans.setdefault(key, plan) is plan):
+            # pinned to its replica, or refused by the plan already
+            # here: lives in that replica's binding only
+            counters["unshared_plans"] += 1
+
+    def scratch(self, precision: str, key: tuple, factory):
+        """A pooled scratch object, made by ``factory()`` on first use
+        (it reports its size as ``nbytes``)."""
+        item = self._scratch.get(key)
+        if item is None:
+            item = self._scratch[key] = factory()
+            self.counters(precision)["workspace_bytes"] += item.nbytes
+        return item
+
+    def snapshot(self) -> dict[str, dict[str, int]]:
+        return {precision: dict(counters)
+                for precision, counters in sorted(self._stats.items())}
 
 
 def _eager_step(model, optimizer, x, y) -> float:
@@ -1529,58 +1829,132 @@ def _eager_step(model, optimizer, x, y) -> float:
     return loss.item()
 
 
-_MISSING = object()
+class _StepExecutor:
+    """Shape-keyed dispatch common to the FP32 and INT8 executors.
 
-
-class GraphExecutor:
-    """Trace-once/replay-many dispatcher for one model's training step.
-
-    Programs are keyed by input shape/dtype; per-step validity is the
-    flat buffer's intactness (faults-induced re-grouping or per-key
-    state loads rebind parameter storage, which invalidates every bound
-    view — all programs are dropped and the step falls back to eager).
+    ``_programs`` maps a batch signature to this replica's binding, or
+    to ``None`` for a shape that trains eagerly for good.  A missing
+    key binds the cached plan (counted as a replay: nothing was
+    traced) or, when the run has none yet, captures one.  Subclasses
+    supply the step itself: ``_eager``, ``_capture``, ``_bind``, plus
+    ``_stale`` / ``_replica`` / ``_plan_key`` describing the replica.
     """
 
-    def __init__(self, model, max_programs: int = 8, fuse: bool = True):
+    precision = ""
+
+    def __init__(self, max_programs: int, fuse: bool,
+                 plans: "PlanCache | None"):
+        self.max_programs = max_programs
+        self.fuse = fuse
+        self.plans = plans if plans is not None else PlanCache()
+        self.stats = {"captures": 0, "replays": 0, "eager_steps": 0,
+                      "fallbacks": 0}
+        self._programs: dict[tuple, object] = {}
+
+    def _dispatch(self, x, y, *ctx) -> float:
+        key = (x.shape, y.shape, y.dtype.str)
+        prog = self._programs.get(key, _MISSING)
+        if prog is None:
+            self.stats["eager_steps"] += 1
+            return self._eager(x, y, *ctx)
+        stale = prog is not _MISSING and self._stale()
+        if stale or prog is _MISSING:
+            if stale or (self._programs and self._stale()):
+                # Storage (or an observer) was swapped under us: every
+                # binding aliases the old one, not just this shape's.
+                # The plans are untouched — bind again below.
+                self._programs.clear()
+            replica = self._replica(*ctx)
+            if replica is None:
+                self.stats["fallbacks"] += 1
+                return self._eager(x, y, *ctx)
+            if len(self._programs) >= self.max_programs:
+                self.stats["eager_steps"] += 1
+                return self._eager(x, y, *ctx)
+            plan_key = (self.precision, self.fuse, key,
+                        self._plan_key(replica))
+            plan = self.plans.get(plan_key)
+            if plan is None:
+                self._programs[key] = None
+                self.stats["fallbacks"] += 1
+                return self._eager(x, y, *ctx)
+            prog = None
+            if plan is not _MISSING:
+                try:
+                    prog = self._bind(plan, replica)
+                except GraphUnsupported:
+                    pass        # refused: compile a private plan instead
+            if prog is None:
+                loss, plan = self._capture(replica, x, y, *ctx)
+                self.plans.add(self.precision, plan_key, plan)
+                self._programs[key] = (None if plan is None
+                                       else self._bind(plan, replica))
+                self.stats["fallbacks" if plan is None else "captures"] += 1
+                return loss
+            self._programs[key] = prog
+        self.stats["replays"] += 1
+        return prog.replay(x, y, *ctx)
+
+    def _bind(self, plan, replica: _Replica):
+        prog = plan.bind(replica)
+        self.plans.counters(self.precision)["binds"] += 1
+        return prog
+
+    def snapshot(self) -> dict[str, int]:
+        return dict(self.stats)
+
+    def program_stats(self) -> list[dict]:
+        return [p.plan.stats for p in self._programs.values()
+                if p is not None]
+
+
+class GraphExecutor(_StepExecutor):
+    """Trace-once/replay-many dispatcher for one model's training step.
+
+    Bindings are keyed by input shape/dtype; per-step validity is the
+    flat buffer's intactness (per-key state loads or re-grouping that
+    rebind parameter storage leave every bound view stale — the
+    bindings are dropped, the storage re-fused, and the step replays
+    through a fresh binding of the same plan).
+    """
+
+    precision = "fp32"
+
+    def __init__(self, model, max_programs: int = 8, fuse: bool = True,
+                 plans: "PlanCache | None" = None):
         flat = model.flatten_parameters()
         if flat is None:
             raise GraphUnsupported("model has no fused flat parameter buffer")
+        super().__init__(max_programs, fuse, plans)
         self.model = model
         self.flat = flat
-        self.max_programs = max_programs
-        self.fuse = fuse
-        self.stats = {"captures": 0, "replays": 0, "eager_steps": 0,
-                      "fallbacks": 0}
-        self._programs: dict[tuple, _Program | None] = {}
 
     def step(self, optimizer, x, y) -> float:
-        x = np.asarray(x, dtype=np.float32)
-        y = np.asarray(y)
-        key = (x.shape, y.shape, y.dtype.str)
-        prog = self._programs.get(key, _MISSING)
-        if prog is _MISSING:
-            if not self.flat.is_intact():
-                self.stats["fallbacks"] += 1
-                return _eager_step(self.model, optimizer, x, y)
-            if len(self._programs) >= self.max_programs:
-                self.stats["eager_steps"] += 1
-                return _eager_step(self.model, optimizer, x, y)
-            return self._capture_step(key, optimizer, x, y)
-        if prog is None:
-            self.stats["eager_steps"] += 1
-            return _eager_step(self.model, optimizer, x, y)
-        if not self.flat.is_intact():
-            # parameter storage was rebound under us: every bound view in
-            # every program is stale, not just this shape's
-            self._programs.clear()
-            self.stats["fallbacks"] += 1
-            return _eager_step(self.model, optimizer, x, y)
-        self.stats["replays"] += 1
-        return prog.replay(x, y, optimizer, self.model)
+        return self._dispatch(np.asarray(x, dtype=np.float32), np.asarray(y),
+                              optimizer)
 
-    def _capture_step(self, key, optimizer, x, y) -> float:
+    def _eager(self, x, y, optimizer) -> float:
+        return _eager_step(self.model, optimizer, x, y)
+
+    def _stale(self) -> bool:
+        return not self.flat.is_intact()
+
+    def _replica(self, optimizer) -> "_Replica | None":
+        flat = self.model.flatten_parameters()      # re-fuses if rebound
+        if flat is None:
+            return None
+        if flat is not self.flat:
+            self.flat = flat
+            if getattr(optimizer, "bind_flat", None) is not None:
+                optimizer.bind_flat(flat)
+        return _Replica(self.model, flat)
+
+    def _plan_key(self, replica: _Replica) -> tuple:
+        return replica.structure
+
+    def _capture(self, replica, x, y, optimizer):
         x_t = Tensor(x)
-        capture = GraphCapture(x_t, y, self.flat.param_tensors)
+        capture = GraphCapture(x_t, y, replica.flat.param_tensors)
         tensor_mod._CAPTURE = capture
         try:
             self.model.train()
@@ -1591,37 +1965,29 @@ class GraphExecutor:
             optimizer.step()
         finally:
             tensor_mod._CAPTURE = None
-        loss_val = loss.item()
         try:
-            prog = compile_program(capture, loss, fuse=self.fuse)
+            plan = compile_program(capture, loss, replica, fuse=self.fuse)
         except GraphUnsupported:
-            prog = None
-        self._programs[key] = prog
-        if prog is None:
-            self.stats["fallbacks"] += 1
-        else:
-            self.stats["captures"] += 1
-        return loss_val
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.stats)
-
-    def program_stats(self) -> list[dict]:
-        return [p.stats for p in self._programs.values() if p is not None]
+            plan = None
+        return loss.item(), plan
 
 
-def attach_graph_executor(model, max_programs: int = 8,
-                          fuse: bool = True) -> GraphExecutor | None:
+def attach_graph_executor(model, max_programs: int = 8, fuse: bool = True,
+                          plans: "PlanCache | None" = None
+                          ) -> GraphExecutor | None:
     """Attach a :class:`GraphExecutor` to ``model`` (idempotent).
 
-    ``fp32_train_step`` dispatches to it when present.  Returns ``None``
-    (leaving the model eager) when the model cannot flatten.
+    ``fp32_train_step`` dispatches to it when present.  ``plans`` is the
+    run's :class:`PlanCache`; without one the executor keeps a private
+    cache.  Returns ``None`` (leaving the model eager) when the model
+    cannot flatten.
     """
     executor = getattr(model, "_graph_exec", None)
     if executor is not None:
         return executor
     try:
-        executor = GraphExecutor(model, max_programs=max_programs, fuse=fuse)
+        executor = GraphExecutor(model, max_programs=max_programs, fuse=fuse,
+                                 plans=plans)
     except GraphUnsupported:
         return None
     model._graph_exec = executor
@@ -1634,33 +2000,30 @@ def detach_graph_executor(model) -> None:
 
 
 # ---------------------------------------------------------------------------
-# INT8 training-step programs (the Int8Trainer / NPU hot path)
+# INT8 training-step plans (the Int8Trainer / NPU hot path)
 # ---------------------------------------------------------------------------
 
-def _make_input_stage(x_buf, observer, config):
-    """Closure quantising one raw input batch into the core program's
+def _make_input_stage(x_buf, observer, config, absbuf=None, wide=None):
+    """Closure quantising one raw input batch into the core plan's
     input buffer, replicating ``Int8Trainer._quantize_input`` exactly.
 
     ``observer`` is the trainer's live input :class:`EmaObserver` (or
     ``None`` when activations are not quantised): its EMA advances on
     every replay and its scale is re-read, so scale drift is program
-    *input*, not program *structure*.
+    *input*, not program *structure*.  ``absbuf`` / ``wide`` are the
+    plan's scratch (``wide`` is float16 or float64 by format).
     """
     if observer is None:
         def stage(x):
             np.copyto(x_buf, x)
         return stage
-    absbuf = np.empty(x_buf.shape, dtype=np.float32)
     if config.float16:
-        h16 = np.empty(x_buf.shape, dtype=np.float16)
-
         def stage(x):
             observer.update(float(np.abs(x, out=absbuf).max()))
-            np.copyto(h16, x)
-            np.copyto(x_buf, h16)
+            np.copyto(wide, x)
+            np.copyto(x_buf, wide)
         return stage
     qmax = config.qmax
-    tmp64 = np.empty(x_buf.shape, dtype=np.float64)
 
     def stage(x):
         observer.update(float(np.abs(x, out=absbuf).max()))
@@ -1668,13 +2031,13 @@ def _make_input_stage(x_buf, observer, config):
         np.divide(x, scale, out=x_buf)
         np.rint(x_buf, out=x_buf)
         np.clip(x_buf, -qmax, qmax, out=x_buf)
-        np.copyto(tmp64, x_buf)
-        np.multiply(tmp64, scale, out=tmp64)
-        np.copyto(x_buf, tmp64)
+        np.copyto(wide, x_buf)
+        np.multiply(wide, scale, out=wide)
+        np.copyto(x_buf, wide)
     return stage
 
 
-def _make_clip(flat_grads, layout, max_grad_norm):
+def _make_clip(flat_grads, layout, max_grad_norm, g64):
     """Fused global-norm gradient clip over the flat gradient buffer.
 
     Bit-identical to ``Int8Trainer._clip_gradients``: one float64
@@ -1682,9 +2045,9 @@ def _make_clip(flat_grads, layout, max_grad_norm):
     order (float addition order matters), then a single in-place
     multiply of the whole buffer — elementwise identical to the eager
     per-view loop because every parameter's gradient view tiles it.
+    ``g64`` is scratch as long as the largest segment.
     """
     n = layout.num_params
-    g64 = np.empty(int(max(layout.sizes[:n])), dtype=np.float64)
     segs = tuple(
         (flat_grads[off:off + size], g64[:size])
         for off, size in zip(layout.offsets[:n], layout.sizes[:n]))
@@ -1701,18 +2064,44 @@ def _make_clip(flat_grads, layout, max_grad_norm):
     return run
 
 
-class _Int8Program:
-    """A bound, replayable INT8 training step.
+class _Int8Scratch:
+    """The INT8 stages' batch-shape-independent scratch for one
+    (layout, config): master-weight snapshot, one segment quantiser
+    serving both the weight and the gradient stage (they never overlap)
+    and the clip's float64 segment.  Pooled per :class:`PlanCache`, so
+    every plan drawing on it shares its guard cell too."""
 
-    Wraps a core autograd :class:`_Program` (fake-quantised forward
-    with STE hooks, loss, backward) with the preallocated quantisation
-    stages ``Int8Trainer.train_step`` runs around it:
+    def __init__(self, layout, config):
+        from ..quant.int8 import SegmentQuantizer
+        n = layout.num_params
+        self.guard = [False]
+        self.masters = np.empty(layout.param_total, dtype=np.float32)
+        self.g64 = np.empty(max(layout.sizes[:n]), dtype=np.float64)
+        self.quant = None
+        if config.quantize_weights or config.quantize_gradients:
+            self.quant = SegmentQuantizer(
+                layout.offsets[:n], layout.sizes[:n], config,
+                stochastic=config.quantize_gradients)
+
+    def buffers(self) -> list[np.ndarray]:
+        return [self.masters, self.g64] + (
+            self.quant.buffers() if self.quant is not None else [])
+
+    @property
+    def nbytes(self) -> int:
+        return sum(b.nbytes for b in self.buffers())
+
+
+class _Int8Plan:
+    """The INT8 step around a core :class:`_Plan`: the preallocated
+    quantisation stages ``Int8Trainer.train_step`` runs around the
+    captured forward/backward, compiled once for every replica.
 
     1. master-weight snapshot + in-place segment fake-quantisation of
        the flat parameter buffer (scales are data-dependent and
        recomputed every replay),
     2. input observation + fake-quantisation straight into the core
-       program's input buffer,
+       plan's input buffer,
     3. the captured forward/backward closures,
     4. master restore, fused global-norm clip, and in-place
        stochastically-rounded gradient quantisation that advances the
@@ -1720,54 +2109,106 @@ class _Int8Program:
        ``fake_quantize_segments`` call (one ``rng.random(out=)`` draw).
     """
 
-    __slots__ = ("_core", "_flat_params", "_flat_grads", "_masters",
-                 "_weight_quant", "_input_stage", "_clip", "_grad_quant",
-                 "_stochastic", "stats")
-
-    def __init__(self, core, flat_params, flat_grads, weight_quant,
-                 input_stage, clip, grad_quant, stochastic):
-        self._core = core
-        self._flat_params = flat_params
-        self._flat_grads = flat_grads
-        self._masters = np.empty_like(flat_params)
-        self._weight_quant = weight_quant
-        self._input_stage = input_stage
-        self._clip = clip
-        self._grad_quant = grad_quant
-        self._stochastic = stochastic
+    def __init__(self, core: _Plan, scratch: _Int8Scratch, layout, config,
+                 max_grad_norm):
+        self.core = core
+        self.scratch = scratch
+        self.layout = layout
+        self.config = config
+        self.max_grad_norm = max_grad_norm
+        self.shared = core.shared
         self.stats = core.stats
+        core.guard = scratch.guard
+        #: the input stage's |x| and widening (float16/float64) buffers
+        self.stage: tuple = ()
+        if config.quantize_activations:
+            shape = core.x_buf.shape
+            self.stage = (np.empty(shape, dtype=np.float32), np.empty(
+                shape, dtype=np.float16 if config.float16 else np.float64))
 
-    def replay(self, trainer, x, y) -> float:
-        core = self._core
-        trainer.model.train()
-        np.copyto(self._masters, self._flat_params)
-        if self._weight_quant is not None:
-            self._weight_quant(self._flat_params)
-        self._input_stage(x)
-        np.copyto(core._y_buf, y)
-        for run in core._closures:
-            run()
-        np.copyto(self._flat_params, self._masters)
-        if self._clip is not None:
-            self._clip()
-        if self._grad_quant is not None:
-            self._grad_quant(self._flat_grads,
-                             rng=trainer.rng if self._stochastic else None)
+    @property
+    def workspace(self) -> list[tuple[np.ndarray, bool]]:
+        """Own plus pooled scratch (the poison test's view)."""
+        return self.core.workspace + [
+            (b, False) for b in (*self.stage, *self.scratch.buffers())]
+
+    @property
+    def workspace_bytes(self) -> int:
+        """Bytes this plan allocated (pooled scratch is counted once,
+        by the cache)."""
+        return self.core.workspace_bytes + sum(b.nbytes for b in self.stage)
+
+    def bind(self, replica: _Replica) -> "_Int8Program":
+        return _Int8Program(self, self.core.bind(replica), replica.flat,
+                            replica.trainer)
+
+
+class _Int8Program:
+    """One ``Int8Trainer``'s binding of an :class:`_Int8Plan`."""
+
+    __slots__ = ("plan", "_core", "_trainer", "_flat_params", "_flat_grads",
+                 "_masters", "_quant_weights", "_input_stage", "_clip",
+                 "_quant_grads", "_stochastic")
+
+    def __init__(self, plan: _Int8Plan, core: _Program, flat, trainer):
+        config, scratch = plan.config, plan.scratch
+        self.plan = plan
+        self._core = core
+        self._trainer = trainer
+        self._flat_params = flat.params
+        self._flat_grads = flat.grads
+        self._masters = scratch.masters
+        self._quant_weights = (scratch.quant if config.quantize_weights
+                               else None)
+        self._input_stage = _make_input_stage(
+            core._x_buf,
+            trainer._input_observer if config.quantize_activations else None,
+            config, *plan.stage)
+        self._clip = (_make_clip(flat.grads, plan.layout, plan.max_grad_norm,
+                                 scratch.g64)
+                      if plan.max_grad_norm is not None else None)
+        self._quant_grads = (scratch.quant if config.quantize_gradients
+                             else None)
+        self._stochastic = config.stochastic_rounding
+
+    def replay(self, x, y) -> float:
+        core, trainer = self._core, self._trainer
+        guard = _enter(core.plan)
+        try:
+            trainer.model.train()
+            np.copyto(self._masters, self._flat_params)
+            if self._quant_weights is not None:
+                self._quant_weights(self._flat_params)
+            self._input_stage(x)
+            np.copyto(core._y_buf, y)
+            for run in core._closures:
+                run()
+            np.copyto(self._flat_params, self._masters)
+            if self._clip is not None:
+                self._clip()
+            if self._quant_grads is not None:
+                self._quant_grads(
+                    self._flat_grads,
+                    rng=trainer.rng if self._stochastic else None)
+            loss = float(core._loss)
+        finally:
+            guard[0] = False
         for param, gbuf in core._param_grads:
             param.grad = gbuf
         trainer.optimizer.step()
-        return float(core._loss)
+        return loss
 
 
-class Int8GraphExecutor:
+class Int8GraphExecutor(_StepExecutor):
     """Trace-once/replay-many dispatcher for one ``Int8Trainer``.
 
-    Mirrors :class:`GraphExecutor` (shape-keyed programs, permanently
-    eager keys on cache overflow, drop-everything on flat-storage
-    rebinding) and adds the INT8-specific fallback edge: a quantiser /
-    observer reconfiguration (``attach_activation_quant`` re-run, a
-    changed ``QuantConfig`` or ``max_grad_norm``) invalidates every
-    program, because the bound closures hold the observer objects.
+    Mirrors :class:`GraphExecutor` (shape-keyed bindings, permanently
+    eager keys on cache overflow, drop-and-rebind on flat-storage
+    rebinding) and adds the INT8-specific staleness edge: re-running
+    ``attach_activation_quant`` swaps the observer objects a binding
+    closes over, so the bindings are dropped and the same plan binds
+    the new observers; a changed ``QuantConfig`` or ``max_grad_norm``
+    is a different plan key and compiles afresh.
 
     Unlike the FP32 executor it is attachable even when the model
     cannot flatten: every step then falls back with the ``fallbacks``
@@ -1775,52 +2216,50 @@ class Int8GraphExecutor:
     report instead of the flag being silently dropped.
     """
 
-    def __init__(self, trainer, max_programs: int = 8, fuse: bool = True):
+    precision = "int8"
+
+    def __init__(self, trainer, max_programs: int = 8, fuse: bool = True,
+                 plans: "PlanCache | None" = None):
+        super().__init__(max_programs, fuse, plans)
         self.trainer = trainer
-        self.max_programs = max_programs
-        self.fuse = fuse
-        self.stats = {"captures": 0, "replays": 0, "eager_steps": 0,
-                      "fallbacks": 0}
-        self._programs: dict[tuple, _Int8Program | None] = {}
         self._sig = None
 
     def _signature(self):
         t = self.trainer
-        return (id(t._input_observer),
+        return (id(t.model._flat), id(t._input_observer),
                 tuple(id(o) for o in t._activation_observers()),
                 t.config, t.max_grad_norm)
 
     def step(self, x, y) -> float:
-        t = self.trainer
-        x = np.asarray(x, dtype=np.float32)
-        y = np.asarray(y)
-        key = (x.shape, y.shape, y.dtype.str)
-        flat = t._flat()
-        prog = self._programs.get(key, _MISSING)
-        if prog is _MISSING:
-            if flat is None:
-                self.stats["fallbacks"] += 1
-                return t._eager_step(x, y)
-            if len(self._programs) >= self.max_programs:
-                self.stats["eager_steps"] += 1
-                return t._eager_step(x, y)
-            return self._capture_step(key, flat, x, y)
-        if prog is None:
-            self.stats["eager_steps"] += 1
-            return t._eager_step(x, y)
-        if flat is None or self._signature() != self._sig:
-            # Parameter storage was rebound or the quantisers were
-            # reconfigured under us: every bound view and observer
-            # closure is stale, not just this shape's.
-            self._programs.clear()
-            self._sig = None
-            self.stats["fallbacks"] += 1
-            return t._eager_step(x, y)
-        self.stats["replays"] += 1
-        return prog.replay(t, x, y)
+        return self._dispatch(np.asarray(x, dtype=np.float32), np.asarray(y))
 
-    def _capture_step(self, key, flat, x, y) -> float:
+    def _eager(self, x, y) -> float:
+        return self.trainer._eager_step(x, y)
+
+    def _stale(self) -> bool:
+        return (self.trainer._flat() is None
+                or self._signature() != self._sig)
+
+    def _replica(self) -> "_Replica | None":
         t = self.trainer
+        flat = t.model.flatten_parameters()         # re-fuses if rebound
+        if flat is None:
+            return None
+        if t.optimizer._flat is not flat:
+            t.optimizer.bind_flat(flat)
+        return _Replica(t.model, flat, trainer=t)
+
+    def _plan_key(self, replica: _Replica) -> tuple:
+        t = self.trainer
+        return replica.structure + (t.config, t.max_grad_norm)
+
+    def _bind(self, plan, replica: _Replica):
+        self._sig = self._signature()
+        return super()._bind(plan, replica)
+
+    def _capture(self, replica, x, y):
+        t = self.trainer
+        flat = replica.flat
         t.model.train()
         t.optimizer.zero_grad()
         masters = t._quantized_weights()
@@ -1835,51 +2274,25 @@ class Int8GraphExecutor:
             tensor_mod._CAPTURE = None
         loss_val = t._finish_step(loss, masters)
         try:
-            prog = self._compile(capture, loss, flat)
+            core = compile_program(capture, loss, replica, fuse=self.fuse)
+            if len(core.grad_params) != flat.layout.num_params:
+                # The eager step clips/quantises exactly the parameters
+                # that received gradients; the fused stages assume all.
+                raise GraphUnsupported(
+                    "not every parameter received a gradient")
         except GraphUnsupported:
-            prog = None
-        self._programs[key] = prog
-        if prog is None:
-            self.stats["fallbacks"] += 1
-        else:
-            self.stats["captures"] += 1
-            self._sig = self._signature()
-        return loss_val
-
-    def _compile(self, capture, loss, flat) -> _Int8Program:
-        from ..quant.int8 import SegmentQuantizer
-        t = self.trainer
-        config = t.config
-        core = compile_program(capture, loss, fuse=self.fuse)
-        layout = flat.layout
-        if len(core._param_grads) != layout.num_params:
-            # The eager step clips/quantises exactly the parameters that
-            # received gradients; the fused stages assume all of them.
-            raise GraphUnsupported("not every parameter received a gradient")
-        starts, sizes = t._param_segments(flat)
-        weight_quant = (SegmentQuantizer(starts, sizes, config)
-                        if config.quantize_weights else None)
-        grad_quant = (SegmentQuantizer(starts, sizes, config,
-                                       stochastic=True)
-                      if config.quantize_gradients else None)
-        observer = (t._input_observer if config.quantize_activations
-                    else None)
-        input_stage = _make_input_stage(core._x_buf, observer, config)
-        clip = (_make_clip(flat.grads, layout, t.max_grad_norm)
-                if t.max_grad_norm is not None else None)
-        return _Int8Program(
-            core, flat.params, flat.grads, weight_quant, input_stage,
-            clip, grad_quant, stochastic=config.stochastic_rounding)
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.stats)
-
-    def program_stats(self) -> list[dict]:
-        return [p.stats for p in self._programs.values() if p is not None]
+            return loss_val, None
+        scratch = self.plans.scratch(
+            self.precision, (flat.layout, t.config),
+            lambda: _Int8Scratch(flat.layout, t.config))
+        return loss_val, _Int8Plan(core, scratch, flat.layout, t.config,
+                                   t.max_grad_norm)
 
 
 def attach_int8_graph_executor(trainer, max_programs: int = 8,
-                               fuse: bool = True) -> Int8GraphExecutor:
+                               fuse: bool = True,
+                               plans: "PlanCache | None" = None
+                               ) -> Int8GraphExecutor:
     """Attach an :class:`Int8GraphExecutor` to an ``Int8Trainer``
     (idempotent).  Always succeeds — a trainer whose model cannot
     flatten keeps the executor in permanent-fallback mode so the
@@ -1888,6 +2301,6 @@ def attach_int8_graph_executor(trainer, max_programs: int = 8,
     if executor is not None:
         return executor
     executor = Int8GraphExecutor(trainer, max_programs=max_programs,
-                                 fuse=fuse)
+                                 fuse=fuse, plans=plans)
     trainer._graph_exec = executor
     return executor

@@ -110,18 +110,20 @@ class Module:
         return self._flat
 
     def enable_graph_executor(self, max_programs: int = 8,
-                              fuse: bool = True):
+                              fuse: bool = True, plans=None):
         """Attach a trace-once/replay-many step executor (idempotent).
 
         Returns the :class:`~repro.nn.graph.GraphExecutor` now owned by
         the module, or ``None`` when the module cannot flatten (the
         training step stays eager).  ``fp32_train_step`` dispatches to
         the executor when present; replayed steps are bit-identical to
-        the eager interpreter.
+        the eager interpreter.  ``plans`` is the run's
+        :class:`~repro.nn.graph.PlanCache`: structurally equal replicas
+        handed the same cache compile once and share one workspace.
         """
         from .graph import attach_graph_executor
         return attach_graph_executor(self, max_programs=max_programs,
-                                     fuse=fuse)
+                                     fuse=fuse, plans=plans)
 
     def disable_graph_executor(self) -> None:
         """Drop the attached executor; every step runs eager again."""

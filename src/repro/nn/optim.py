@@ -58,11 +58,17 @@ class SGD:
                 return False
         self._flat = flat
         if self.momentum:
+            previous = self._velocity
             self._flat_velocity = np.zeros(flat.layout.param_total,
                                            dtype=np.float32)
             # The slow path mutates these views, so both paths always
             # share one coherent velocity state.
             self._velocity = flat.layout.param_views(self._flat_velocity)
+            # Re-binding (the module re-fused its storage mid-run)
+            # carries the momentum accumulated so far.
+            for view, value in zip(self._velocity, previous):
+                if value is not None:
+                    view[...] = value
         return True
 
     def zero_grad(self) -> None:

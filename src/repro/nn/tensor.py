@@ -414,9 +414,15 @@ class Tensor:
         """Zero-pad the last two axes of an NCHW tensor."""
         if padding == 0:
             return self
-        pad = ((0, 0),) * (self.ndim - 2) + ((padding, padding), (padding, padding))
-        out_data = np.pad(self.data, pad)
         p = padding
+        # zeros + interior assignment: np.pad's generic per-axis
+        # machinery costs ~3x this for the same bits (and, like it,
+        # keeps a Fortran-ordered input's layout)
+        out_data = np.zeros(self.shape[:-2] + (self.shape[-2] + 2 * p,
+                                               self.shape[-1] + 2 * p),
+                            dtype=self.data.dtype,
+                            order="F" if self.data.flags.fnc else "C")
+        out_data[..., p:-p, p:-p] = self.data
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad[..., p:-p, p:-p])

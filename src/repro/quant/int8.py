@@ -134,6 +134,12 @@ class SegmentQuantizer:
     :class:`repro.nn.flat.FlatLayout`'s parameter regions) and one
     :class:`QuantConfig`.  Pass ``stochastic=True`` to allocate the
     rounding buffers (gradient path); the weight path never draws.
+
+    Nothing in the scratch outlives a call, so one instance serves any
+    number of arrays of that segmentation one after another — the
+    graph executor keeps a single one per run for the weight and the
+    gradient stage of every replica (:meth:`buffers` is what it counts
+    as workspace).
     """
 
     def __init__(self, starts: np.ndarray, sizes: np.ndarray,
@@ -159,6 +165,10 @@ class SegmentQuantizer:
             self._floor = np.empty(n, dtype=np.float32)
             self._r64 = np.empty(n, dtype=np.float64)
             self._lt = np.empty(n, dtype=np.bool_)
+
+    def buffers(self) -> list[np.ndarray]:
+        """Every scratch array this instance owns (the private ones)."""
+        return [v for k, v in vars(self).items() if k.startswith("_")]
 
     def __call__(self, flat: np.ndarray,
                  rng: np.random.Generator | None = None) -> None:

@@ -158,15 +158,17 @@ class Int8Trainer:
 
     # ------------------------------------------------------------------
     def enable_graph_executor(self, max_programs: int = 8,
-                              fuse: bool = True):
+                              fuse: bool = True, plans=None):
         """Compile-and-replay the INT8 step via the graph executor.
 
         Mirrors ``Module.enable_graph_executor`` but wraps the *whole*
         trainer step (weight/input/gradient quantisation included), not
-        just forward/backward.  Idempotent."""
+        just forward/backward.  ``plans`` is the run's
+        :class:`~repro.nn.graph.PlanCache` (replicas of one run compile
+        once and share a workspace).  Idempotent."""
         from ..nn.graph import attach_int8_graph_executor
         return attach_int8_graph_executor(self, max_programs=max_programs,
-                                          fuse=fuse)
+                                          fuse=fuse, plans=plans)
 
     def disable_graph_executor(self) -> None:
         self._graph_exec = None

@@ -818,9 +818,17 @@ def diff_reports(a: TraceReport, b: TraceReport,
 def _graph_note(stats: "dict | None") -> str:
     if not stats:
         return "off"
-    return (f"on ({stats.get('replays', 0)} replays, "
+    note = (f"on ({stats.get('replays', 0)} replays, "
             f"{stats.get('captures', 0)} captures, "
             f"{stats.get('eager_steps', 0)} eager)")
+    if "plans" in stats:
+        # run-wide, for the span's precision: replicas share plans
+        note += (f"; all {stats.get('precision', '')} replicas: "
+                 f"plans {stats['plans']} "
+                 f"(unshared {stats.get('unshared_plans', 0)}), "
+                 f"binds {stats.get('binds', 0)}, workspace "
+                 f"{stats.get('workspace_bytes', 0) / 2**20:.1f} MiB")
+    return note
 
 
 # ----------------------------------------------------------------------

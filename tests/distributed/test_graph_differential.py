@@ -14,8 +14,8 @@ SoCFlow) it must produce
   itself contributes.
 
 The contract must survive worker processes, injected faults (whose
-re-grouping rebinds parameter storage and must invalidate captured
-programs mid-run, not corrupt them) and tracing.
+re-grouping reloads and re-forms the replicas that share each compiled
+plan mid-run) and tracing.
 """
 
 import dataclasses
@@ -176,8 +176,8 @@ def test_workers_remain_bit_identical_with_graph(references, tiny_task):
 @pytest.mark.parametrize("method", ["ring", "socflow"])
 def test_graph_runs_survive_faults_identically(tiny_task, method):
     """Crash + NIC flap under ``continue``: SoCFlow's re-grouping
-    rebinds survivor parameter storage mid-run, which must invalidate
-    captured programs (fallback), never corrupt them."""
+    rolls the survivors back and re-forms the group list mid-run; the
+    replicas' bindings of the shared plans must come through intact."""
     schedule = FaultSchedule((SoCCrash(1, 2),
                               NicDegradation(1, 0, 0.25, recover_epoch=2)))
     faulted = dict(fault_schedule=schedule, fault_mode="continue",
@@ -187,6 +187,45 @@ def test_graph_runs_survive_faults_identically(tiny_task, method):
         base_config(tiny_task, graph=True, **faulted), method)
     assert_differential(ref, ref_metrics, graphed, graphed_metrics)
     assert graphed.extra.get("aborted", False) is False
+
+
+def test_socflow_compiles_per_batch_shape_not_per_group(tiny_task,
+                                                       monkeypatch):
+    """Four LGs, a crash and a recovery: the groups are structurally
+    identical replicas drawing on one plan cache, so each precision is
+    traced at most once per distinct batch shape it meets (2x leaves
+    room for a private plan) — not once per group, and not again after
+    ``reform_groups``."""
+    from repro.core.mixed_precision import GroupMixedTrainer
+
+    shapes = {"fp32": set(), "int8": set()}
+    train_batch = GroupMixedTrainer.train_batch
+
+    def recording(self, x, y):
+        cpu_n, npu_n = self.controller.split_batch(len(x))
+        shapes["fp32"].add(cpu_n)
+        shapes["int8"].add(npu_n)
+        return train_batch(self, x, y)
+
+    monkeypatch.setattr(GroupMixedTrainer, "train_batch", recording)
+    schedule = FaultSchedule((SoCCrash(1, 2),))
+    graphed, metrics = run(
+        base_config(tiny_task, graph=True, fault_schedule=schedule,
+                    fault_mode="continue", max_epochs=3), "socflow")
+    assert len(graphed.extra["recoveries"]) == 1
+    stats, plans = graphed.extra["graph_stats"], graphed.extra["graph_plans"]
+    for precision in ("fp32", "int8"):
+        distinct = len(shapes[precision] - {0})
+        assert 1 <= stats[precision]["captures"] <= 2 * distinct
+        assert stats[precision]["fallbacks"] == 0
+        assert plans[precision]["plans"] == stats[precision]["captures"]
+        assert plans[precision]["unshared_plans"] == 0
+        assert plans[precision]["binds"] >= 4          # every LG bound
+    series = {(r["name"], r["labels"].get("precision")): r["value"]
+              for r in metrics.collect() if r["name"].startswith("graph.")}
+    for precision, counters in plans.items():
+        for key in ("plans", "binds", "unshared_plans", "workspace_bytes"):
+            assert series[(f"graph.{key}", precision)] == counters[key]
 
 
 def test_tracing_does_not_perturb_graph_runs(references, tiny_task):

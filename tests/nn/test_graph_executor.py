@@ -165,18 +165,34 @@ def test_unsupported_op_falls_back_permanently(monkeypatch):
 
 
 def test_storage_rebinding_invalidates_programs():
-    """What ``reform_groups`` does: parameters get fresh storage, the
-    flat buffer is no longer intact, captured programs must die."""
+    """Parameters get fresh storage and the flat buffer is no longer
+    intact: the *binding* (closures over the old views) must die, the
+    *plan* must not.  The step re-fuses the storage, binds the cached
+    plan again and replays — a rebind used to cost an eager fallback
+    step plus a full re-trace of an unchanged step."""
+    eager_model, eager_opt, _ = make("lenet5")
     model, optimizer, executor = make("lenet5", graph=True)
-    for x, y in batches("lenet5", 2):
+    steps = list(batches("lenet5", 4))
+    for x, y in steps[:2]:
+        graph_mod._eager_step(eager_model, eager_opt, x, y)
         executor.step(optimizer, x, y)
     assert executor.stats["replays"] == 1
-    for param in model.parameters():
-        param.data = param.data.copy()       # rebind, values unchanged
-    (x, y), = batches("lenet5", 1)
-    executor.step(optimizer, x, y)
-    assert executor.stats["fallbacks"] >= 1
-    assert executor.program_stats() == []    # cache cleared
+    stale = executor._programs.copy()
+    for m in (eager_model, model):
+        for param in m.parameters():
+            param.data = param.data.copy()       # rebind, values unchanged
+    for x, y in steps[2:]:
+        assert (graph_mod._eager_step(eager_model, eager_opt, x, y)
+                == executor.step(optimizer, x, y))
+    assert executor.stats == {"captures": 1, "replays": 3,
+                              "eager_steps": 0, "fallbacks": 0}
+    assert executor.plans.snapshot()["fp32"]["plans"] == 1
+    assert executor.plans.snapshot()["fp32"]["binds"] == 2
+    (key, fresh), = executor._programs.items()
+    assert fresh is not stale[key] and fresh.plan is stale[key].plan
+    assert model._flat.is_intact()
+    assert_states_equal(eager_model.state_dict(), model.state_dict())
+    assert_states_equal(eager_opt.state_dict(), optimizer.state_dict())
 
 
 def test_attach_is_idempotent_and_detach_restores_eager():

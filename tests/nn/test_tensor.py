@@ -125,6 +125,19 @@ class TestReductionsAndShaping:
         out.sum().backward()
         np.testing.assert_allclose(a.grad, np.ones((1, 1, 3, 3)))
 
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_pad2d_matches_np_pad_bit_for_bit(self, fortran):
+        """``np.pad`` is the reference: same values, dtype and layout."""
+        x = np.random.default_rng(0).standard_normal(
+            (16, 38, 4, 4)).astype(np.float32)
+        if fortran:
+            x = np.asfortranarray(x)
+        for p in (1, 3):
+            want = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+            got = Tensor(x).pad2d(p).data
+            assert got.dtype == want.dtype and got.strides == want.strides
+            assert np.array_equal(got, want)
+
 
 class TestNonlinearities:
     def test_relu_masks_gradient(self):

@@ -295,6 +295,25 @@ class TestRenderers:
         assert "### per-window phase accounting" in text
         assert "| --- |" in text
 
+    def test_graph_line_reports_run_wide_plan_sharing(self):
+        """A SoCFlow ``graph_replay`` span carries the run's plan-cache
+        counters; single-model strategies' spans do not, and their line
+        stays as it was."""
+        counters = dict(captures=0, replays=11, eager_steps=0, fallbacks=0)
+        plain, shared = Tracer(), Tracer()
+        for tracer in (plain, shared):
+            _epoch(tracer, 0, 0.0)
+        plain.span("graph_replay", 9.5, 0.0, **counters)
+        shared.span("graph_replay", 9.5, 0.0, lg=3, precision="int8",
+                    **counters, plans=2, binds=15, unshared_plans=0,
+                    workspace_bytes=3 * 2**20)
+        line = "graph executor: on (11 replays, 0 captures, 0 eager)"
+        assert line + "\n" in render_report(
+            analyze_records(plain.records), "table") + "\n"
+        assert (line + "; all int8 replicas: plans 2 (unshared 0), "
+                "binds 15, workspace 3.0 MiB") in render_report(
+            analyze_records(shared.records), "table")
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unknown format"):
             render_report(self._report(), "csv")
