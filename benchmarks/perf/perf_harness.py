@@ -36,6 +36,12 @@ Sections
   step, plans compiled, bindings made, shared-workspace bytes (also
   at two replicas: it must not depend on the count) and resident-set
   growth.  Gated: compiled must not be slower than eager end to end.
+- ``replica_memory``: what a logical group costs in host memory —
+  ``tracemalloc`` live bytes after a few rounds at 2, 8 and 15 groups,
+  same two models, eager and compiled: bytes per added group (a mixed
+  group owns two weight and two momentum buffers; gradients and every
+  step scratch are the run's, in its step arena) and the per-run
+  constant.  Gated: at most 4.3 parameter-sized arrays per added group.
 - ``epoch``: one end-to-end SoCFlow epoch (real math + simulated
   clock) at quick scale, sequential and with ``--workers 2``.
 - ``serving_day``: a 24 h request-level serving day with a flash crowd
@@ -373,17 +379,12 @@ def _rss_mb() -> "float | None":
     return pages * resource.getpagesize() / 2**20
 
 
-def bench_graph_replicas(rounds: int, replicas: int = GRAPH_REPLICAS) -> dict:
-    """``replicas`` logical groups round-robin, eager vs compiled.
-
-    Each model's groups come from ``SoCFlow._build_groups`` (one plan
-    cache, common initial state) on the claims benchmark's ``train_*``
-    configuration, and every group takes one
-    mixed-precision ``train_batch`` per round.  Eager and compiled
-    rounds alternate so host noise lands on both; the first compiled
-    round (captures + binds) is reported apart.  After timing, every
-    compiled group is asserted **bit-identical** to its eager twin.
-    """
+def _replica_bench():
+    """The multi-replica sections' common ground: the claims benchmark's
+    ``train_*`` configuration per model, logical groups built the way a
+    run builds them (``SoCFlow._build_groups``: one step arena, common
+    initial state) and one mixed-precision ``train_batch`` per group
+    and round."""
     from dataclasses import replace
 
     from repro.core import SoCFlow, SoCFlowOptions
@@ -414,9 +415,24 @@ def bench_graph_replicas(rounds: int, replicas: int = GRAPH_REPLICAS) -> dict:
                               y_train[start:start + batch])
         return time.perf_counter() - t0
 
+    configs = {"vit_tiny": replace(base, model_name="vit_tiny", width=0.5),
+               "vgg11": base}
+    return configs, groups_for, one_round, batch
+
+
+def bench_graph_replicas(rounds: int, replicas: int = GRAPH_REPLICAS) -> dict:
+    """``replicas`` logical groups round-robin, eager vs compiled.
+
+    Groups and rounds as in :func:`_replica_bench`.  Eager and compiled
+    rounds alternate so host noise lands on both; the first compiled
+    round (captures + binds) is reported apart.  After timing, every
+    compiled group is asserted **bit-identical** to its eager twin.
+    """
+    from dataclasses import replace
+
+    configs, groups_for, one_round, batch = _replica_bench()
     out: dict = {"replicas": replicas, "rounds": rounds, "batch": batch}
-    for model, width in (("vit_tiny", 0.5), ("vgg11", base.width)):
-        config = replace(base, model_name=model, width=width)
+    for model, config in configs.items():
         # resident-set growth of building the groups and touching all
         # their state once (eager first: its freed temporaries stay
         # with the allocator, so the compiled figure is not charged them)
@@ -439,7 +455,7 @@ def bench_graph_replicas(rounds: int, replicas: int = GRAPH_REPLICAS) -> dict:
                     (model, key)
         eager_ms = sorted(eager_s)[len(eager_s) // 2] * 1e3 / replicas
         graph_ms = sorted(graph_s)[len(graph_s) // 2] * 1e3 / replicas
-        plans = graphed[0].plans.snapshot()
+        plans = graphed[0].arena.snapshot()
         pair = groups_for(replace(config, graph=True), 2)
         one_round(pair, 0)
         out[model] = {
@@ -452,10 +468,86 @@ def bench_graph_replicas(rounds: int, replicas: int = GRAPH_REPLICAS) -> dict:
                                    for p in plans.values()),
             "workspace_bytes_2_replicas": sum(
                 p["workspace_bytes"]
-                for p in pair[0].plans.snapshot().values()),
+                for p in pair[0].arena.snapshot().values()),
             "eager_rss_mb": None if rss0 is None else rss1 - rss0,
             "graph_rss_mb": None if rss0 is None else rss2 - rss1,
         }
+    return out
+
+
+#: group counts the replica-memory section measures at (the first and
+#: the last give the slope, the middle one checks it is a line)
+MEMORY_GROUP_COUNTS = (2, 8, GRAPH_REPLICAS)
+
+
+def bench_replica_memory(rounds: int = 2) -> dict:
+    """What a logical group costs in host memory: ``tracemalloc`` live
+    bytes after building ``n`` groups and stepping each ``rounds``
+    times, at :data:`MEMORY_GROUP_COUNTS`, vit_tiny and vgg11, eager
+    and compiled.
+
+    Reported per model and mode: bytes per added group (also in units
+    of one parameter-sized float32 array — a mixed group owns two
+    weight and two momentum buffers, so 4 plus small change), the
+    per-run constant left at each count once the groups' share is
+    taken out (arena, compiled workspace, op workspaces: it must not
+    depend on the count) and the step arena's own bytes.
+    """
+    import gc
+    import tracemalloc
+    from dataclasses import replace
+
+    configs, groups_for, one_round, _ = _replica_bench()
+    low, mid, high = MEMORY_GROUP_COUNTS
+    arena_bytes: dict = {}
+
+    def live_bytes(config, count):
+        F.clear_workspaces()
+        gc.collect()
+        tracemalloc.start()
+        groups = groups_for(config, count)
+        for index in range(rounds):
+            one_round(groups, index)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        arena_bytes[count] = sum(a.nbytes for a in groups[0].arena.buffers())
+        return live
+
+    out: dict = {"rounds": rounds, "group_counts": list(MEMORY_GROUP_COUNTS)}
+    for model, config in configs.items():
+        out[model] = {}
+        for mode in ("eager", "graph"):
+            mode_config = replace(config, graph=mode == "graph")
+            # one untraced pass first: whatever the process allocates
+            # once and keeps (import-time caches, interned layouts)
+            # must not be charged to the first traced count
+            warm = groups_for(mode_config, low)
+            one_round(warm, 0)
+            param_bytes = warm[0].fp32.flatten_parameters().grads.nbytes
+            del warm
+            live = {n: live_bytes(mode_config, n)
+                    for n in MEMORY_GROUP_COUNTS}
+            on_line = live[low] + (live[high] - live[low]) * (
+                mid - low) / (high - low)
+            if abs(live[mid] - on_line) > 0.005 * live[mid]:
+                # The interpreter now and then grows a block of its own
+                # inside a traced window (seen: one 1877 KiB block in
+                # about 1 window of 15), which only ever adds: the
+                # groups' bytes are the smaller of two readings.
+                live = {n: min(live[n], live_bytes(mode_config, n))
+                        for n in live}
+            per_group = (live[high] - live[low]) / (high - low)
+            out[model][mode] = {
+                "param_bytes": param_bytes,
+                "live_bytes": {str(n): live[n] for n in live},
+                "bytes_per_added_group": per_group,
+                "param_arrays_per_added_group": per_group / param_bytes,
+                "run_constant_bytes": {
+                    str(n): live[n] - n * per_group for n in live},
+                "arena_bytes": {str(n): arena_bytes[n]
+                                for n in MEMORY_GROUP_COUNTS},
+            }
     return out
 
 
@@ -540,6 +632,7 @@ def run_harness(mode: str = "smoke") -> dict:
         "step_time": bench_step_time(max(repeats, 15)),
         "int8_step_time": bench_int8_step_time(max(repeats, 15)),
         "graph_replicas": bench_graph_replicas(rounds=repeats + 1),
+        "replica_memory": bench_replica_memory(),
         "epoch": {
             "sequential": bench_epoch(1 if mode == "smoke" else repeats),
             "workers2": bench_epoch(1 if mode == "smoke" else repeats,
@@ -633,6 +726,13 @@ def main(argv=None) -> int:
               f"{row['graph_ms_per_step']:7.2f} ms  "
               f"{row['graph_vs_eager']:5.2f}x  workspace "
               f"{row['workspace_bytes'] / 2**20:6.1f} MiB")
+    for model in ("vit_tiny", "vgg11"):
+        for mode, row in report["replica_memory"][model].items():
+            constant = row["run_constant_bytes"][str(GRAPH_REPLICAS)]
+            print(f"mem {model:9s} {mode:5s} "
+                  f"{row['bytes_per_added_group'] / 2**20:6.2f} MiB/group = "
+                  f"{row['param_arrays_per_added_group']:4.2f} param arrays"
+                  f"  run constant {constant / 2**20:6.1f} MiB")
     print(f"epoch seq      "
           f"{report['epoch']['sequential']['median_s']:8.2f} s")
     print(f"epoch w=2      {report['epoch']['workers2']['median_s']:8.2f} s")

@@ -8,9 +8,11 @@ the committed ``baseline.json``: the fused-vs-per-key aggregation
 speedup, the per-tensor bucketed-averaging overhead, the compiled
 (graph-executor) FP32 and INT8 training-step speedups on lenet5 and
 vit_tiny, and the serving event core's host microseconds per request.
-One gate is absolute rather than relative: fifteen logical groups
+Two gates are absolute rather than relative: fifteen logical groups
 stepping round-robin must not be slower compiled than eager
-(``graph_replicas``), on the ViT *and* on BLAS-bound vgg11.
+(``graph_replicas``), on the ViT *and* on BLAS-bound vgg11; and an
+added logical group may cost at most 4.3 parameter-sized arrays of
+host memory (``replica_memory``).
 Regenerate the baseline with the harness's
 ``--update-baseline`` flag, never by hand (see DESIGN.md).
 
@@ -31,10 +33,11 @@ from pathlib import Path
 
 import pytest
 
-from perf_harness import (GRAPH_REPLICAS, bench_aggregation,
-                          bench_bucketed_aggregation, bench_graph_replicas,
-                          bench_int8_step_time, bench_serving_day,
-                          bench_step_time, run_harness, update_baseline)
+from perf_harness import (GRAPH_REPLICAS, MEMORY_GROUP_COUNTS,
+                          bench_aggregation, bench_bucketed_aggregation,
+                          bench_graph_replicas, bench_int8_step_time,
+                          bench_serving_day, bench_step_time, run_harness,
+                          update_baseline)
 
 _HERE = Path(__file__).resolve().parent
 
@@ -58,8 +61,8 @@ def baseline() -> dict:
 def test_report_has_all_sections(report):
     assert set(report) >= {"mode", "host", "conv", "aggregation",
                            "bucketed_aggregation", "step_time",
-                           "int8_step_time", "graph_replicas", "epoch",
-                           "serving_day"}
+                           "int8_step_time", "graph_replicas",
+                           "replica_memory", "epoch", "serving_day"}
     for section in ("forward", "forward_backward"):
         assert report["conv"][section]["median_s"] > 0
     for model in ("lenet5", "resnet18", "vit_tiny"):
@@ -247,6 +250,35 @@ def test_graph_replicas_share_one_plan_and_workspace(report):
             assert counters["plans"] == 1, (model, precision)
             assert counters["binds"] == GRAPH_REPLICAS, (model, precision)
             assert counters["unshared_plans"] == 0, (model, precision)
+
+
+def test_added_group_owns_weights_and_momentum_only(report):
+    """Host memory per logical group bounds how many groups a process
+    carries.  A mixed group keeps two weight and two momentum buffers;
+    gradients and all step scratch are the run's (its step arena), so
+    an added group may cost at most 4.3 parameter-sized arrays (it was
+    8) — compiled, that plus its bindings' closures.  The harness
+    already re-reads a ``tracemalloc`` window that is off the line, so
+    there is no retry here."""
+    for model in _REPLICA_MODELS:
+        eager = report["replica_memory"][model]["eager"]
+        graph = report["replica_memory"][model]["graph"]
+        assert eager["param_arrays_per_added_group"] <= 4.3, model
+        assert (graph["bytes_per_added_group"]
+                <= eager["bytes_per_added_group"] + 256 * 1024), model
+
+
+def test_run_constant_does_not_depend_on_group_count(report):
+    """What is not per group is per run: the arena is byte-for-byte the
+    same at 2, 8 and 15 groups, and the live bytes are a line in the
+    group count (the middle count sits on it within 1 %)."""
+    for model in _REPLICA_MODELS:
+        for mode, row in report["replica_memory"][model].items():
+            assert len(set(row["arena_bytes"].values())) == 1, (model, mode)
+            constants = [row["run_constant_bytes"][str(n)]
+                         for n in MEMORY_GROUP_COUNTS]
+            assert max(constants) - min(constants) <= 0.01 * max(
+                row["live_bytes"].values()), (model, mode)
 
 
 def test_serving_dispatch_not_regressed_vs_baseline(report, baseline):

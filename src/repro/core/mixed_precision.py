@@ -15,10 +15,12 @@ from collections import OrderedDict
 import numpy as np
 
 from ..distributed.base import RunConfig, fp32_train_step, make_model
+from ..nn.arena import StepArena
 from ..nn.optim import SGD
 from ..nn.tensor import Tensor, no_grad
 from ..quant.int8 import QuantConfig
-from ..quant.mixed import MixedPrecisionController, merge_weights
+from ..quant.mixed import (MixedPrecisionController, merge_weights,
+                           merge_weights_inplace)
 from ..quant.trainer import Int8Trainer
 from ..telemetry import NULL_TELEMETRY
 
@@ -28,45 +30,57 @@ __all__ = ["GroupMixedTrainer"]
 class GroupMixedTrainer:
     """FP32(CPU) + INT8(NPU) replica pair for one logical group.
 
-    ``plans`` is the run's compiled-plan cache (``config.graph`` only):
-    the logical groups of one run are structurally identical replicas
-    that step one after another, so whoever builds them hands all of
-    them the same cache and each precision is traced and compiled once
-    and computes in one workspace.  A trainer built without one keeps
-    its own; ``reform_groups`` passes it on to the members it adds.
+    ``arena`` is the run's :class:`~repro.nn.arena.StepArena`: the
+    logical groups of one run are structurally identical replicas that
+    step one after another, so whoever builds them hands all of them
+    the same arena and they share one gradient plane, one set of
+    optimiser and quantiser step scratch and (``config.graph``) one
+    compiled plan and workspace per precision.  A group keeps only
+    what is live between its steps: two weight buffers, two momentum
+    buffers, RNG and observer state.  A trainer built without an arena
+    makes the run's; ``reform_groups`` passes it on to the members it
+    adds.
+
+    ``init_weights=False`` is for a replica whose weights the caller
+    loads before its first step (every group but the first of a run,
+    every worker-process replica): its models are built without the
+    random initialisation nobody would see.
     """
 
     def __init__(self, config: RunConfig,
                  controller: MixedPrecisionController,
                  quant_config: QuantConfig, seed_offset: int = 0,
-                 mixed: bool = True, plans=None):
+                 mixed: bool = True, arena: "StepArena | None" = None,
+                 init_weights: bool = True):
         self.config = config
         self.controller = controller
         self.mixed = mixed
-        self.plans = plans
-        if config.graph and plans is None:
-            from ..nn.graph import PlanCache    # eager runs never load it
-            self.plans = PlanCache()
+        self.arena = arena if arena is not None else StepArena()
         self.telemetry = (config.telemetry if config.telemetry is not None
                           else NULL_TELEMETRY)
-        self.fp32 = make_model(config, seed_offset=seed_offset)
+        self.fp32 = make_model(config, seed_offset=seed_offset,
+                               init_weights=init_weights)
         self.fp32_opt = SGD(self.fp32.parameters(), lr=config.lr,
                             momentum=config.momentum,
                             weight_decay=config.weight_decay,
-                            flat=self.fp32.flatten_parameters())
+                            flat=self.fp32.flatten_parameters(self.arena))
         if config.graph:
             # Trace-once/replay-many FP32 step; replays are bit-identical,
             # so group results match the eager trainer exactly.
-            self.fp32.enable_graph_executor(plans=self.plans)
+            self.fp32.enable_graph_executor(arena=self.arena)
         self.int8: Int8Trainer | None = None
         if mixed:
-            int8_model = make_model(config, seed_offset=seed_offset)
-            int8_model.load_state_dict(self.fp32.state_dict())
+            # the twin starts from the FP32 weights, never from its own
+            int8_model = make_model(config, seed_offset=seed_offset,
+                                    init_weights=False)
             self.int8 = Int8Trainer(int8_model, lr=config.lr,
                                     config=quant_config,
                                     momentum=config.momentum,
                                     weight_decay=config.weight_decay,
-                                    seed=config.seed + seed_offset)
+                                    seed=config.seed + seed_offset,
+                                    arena=self.arena)
+            if init_weights:
+                int8_model.load_state_dict(self.fp32.state_dict())
             if config.graph:
                 # The INT8 replica honours the flag too: the whole
                 # quantised step (weight/input/gradient fake-quant and
@@ -74,7 +88,7 @@ class GroupMixedTrainer:
                 # to the same arena machinery.  Where capture cannot
                 # succeed the executor stays attached in fallback mode
                 # so ``graph.int8_fallbacks`` is reported, not dropped.
-                self.int8.enable_graph_executor(plans=self.plans)
+                self.int8.enable_graph_executor(arena=self.arena)
 
     # ------------------------------------------------------------------
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> None:
@@ -87,10 +101,16 @@ class GroupMixedTrainer:
             fp32_train_step(self.fp32, self.fp32_opt, x[:cpu_n], y[:cpu_n])
         if npu_n:
             self.int8.train_step(x[cpu_n:], y[cpu_n:])
-        merged = merge_weights(self.fp32.state_dict(),
-                               self.int8.model.state_dict(),
-                               self.controller.alpha)
-        self._load_both(merged)
+        fp32_flat, int8_flat = self.fp32._flat, self.int8.model._flat
+        if (fp32_flat is not None and int8_flat is not None
+                and fp32_flat.layout is int8_flat.layout
+                and fp32_flat.is_intact() and int8_flat.is_intact()):
+            merge_weights_inplace(fp32_flat.data, int8_flat.data,
+                                  self.controller.alpha)
+        else:
+            self._load_both(merge_weights(self.fp32.state_dict(),
+                                          self.int8.model.state_dict(),
+                                          self.controller.alpha))
         metrics = self.telemetry.metrics
         if metrics.enabled:
             # Real-execution (not simulated-scale) split accounting: how

@@ -43,7 +43,43 @@ from .mixed_precision import GroupMixedTrainer
 from .planning import CommunicationPlan
 from .scheduler import GlobalScheduler, PreemptionEvent
 
-__all__ = ["SoCFlowOptions", "SoCFlow", "build_socflow", "reform_groups"]
+__all__ = ["SoCFlowOptions", "SoCFlow", "build_socflow", "build_groups",
+           "reform_groups"]
+
+
+def _grow_groups(config: RunConfig, controller, quant,
+                 groups: "list[GroupMixedTrainer]", num_groups: int,
+                 int8_only: bool) -> "list[GroupMixedTrainer]":
+    """Append members up to ``num_groups`` at their seed offsets, on
+    ``groups[0]``'s step arena and without initial weights of their
+    own: the caller loads them."""
+    for g in range(len(groups), num_groups):
+        trainer = GroupMixedTrainer(config, controller, quant,
+                                    seed_offset=g, mixed=groups[0].mixed,
+                                    arena=groups[0].arena,
+                                    init_weights=False)
+        if int8_only:
+            trainer.train_batch = _int8_only_step(trainer)  # type: ignore
+        groups.append(trainer)
+    return groups
+
+
+def build_groups(config: RunConfig, controller, quant, num_groups: int,
+                 mixed: bool, int8_only: bool = False
+                 ) -> "list[GroupMixedTrainer]":
+    """The logical groups of a new run: group 0 draws the seeded
+    initial weights and makes the run's step arena; the others start
+    from group 0's weights."""
+    base = GroupMixedTrainer(config, controller, quant, seed_offset=0,
+                             mixed=mixed)
+    if int8_only:
+        base.train_batch = _int8_only_step(base)  # type: ignore
+    groups = _grow_groups(config, controller, quant, [base], num_groups,
+                          int8_only)
+    init_state = base.state_dict()
+    for group in groups[1:]:
+        group.load_state(init_state)
+    return groups
 
 
 def reform_groups(config: RunConfig, controller, quant,
@@ -55,21 +91,16 @@ def reform_groups(config: RunConfig, controller, quant,
     The shared rollback path of fault recovery and elastic resize:
     surviving trainers are reused so their warm runtime state
     (optimizer momentum, INT8 calibration RNG) carries across, new
-    members are built at their seed offsets, and every member loads
-    ``state`` — the last globally-merged checkpoint.
+    members are built at their seed offsets on the run's step arena,
+    and every member loads ``state`` — the last globally-merged
+    checkpoint.
     """
     if not groups:
         raise ValueError("need at least one warm trainer to reform from")
     if num_groups < 1:
         raise ValueError("num_groups must be >= 1")
-    groups = groups[:num_groups]
-    for g in range(len(groups), num_groups):
-        trainer = GroupMixedTrainer(config, controller, quant,
-                                    seed_offset=g, mixed=groups[0].mixed,
-                                    plans=groups[0].plans)
-        if int8_only:
-            trainer.train_batch = _int8_only_step(trainer)  # type: ignore
-        groups.append(trainer)
+    groups = _grow_groups(config, controller, quant, groups[:num_groups],
+                          num_groups, int8_only)
     for group in groups:
         group.load_state(state)
     return groups
@@ -277,6 +308,7 @@ class SoCFlow(Strategy):
         finally:
             if executor is not None:
                 executor.close()
+            groups[0].arena.release()
         extra = {
             "first_epoch_group_accuracy":
                 state.get("first_epoch_group_accuracy", 0.0),
@@ -298,6 +330,12 @@ class SoCFlow(Strategy):
             extra["dead_socs"] = sorted(current_dead)
             extra["network_retries"] = cost.fabric.total_retries
         extra["final_state"] = groups[0].state_dict()
+        evictions = groups[0].arena.workspace_evictions()
+        if evictions:
+            # the run cycled through more conv/pool scratch shapes than
+            # the op workspace cache holds and kept reallocating some
+            extra["workspace_evictions"] = evictions
+            telemetry.metrics.counter("nn.workspace_evictions").inc(evictions)
         self._flush_graph_stats(groups, plan, cost, telemetry, extra)
         return self._result(self.name, config, cost, history, state, extra)
 
@@ -331,7 +369,7 @@ class SoCFlow(Strategy):
                 for key, value in counters.items():
                     total[key] = total.get(key, 0) + value
         extra["graph_stats"] = totals
-        plans = extra["graph_plans"] = groups[0].plans.snapshot()
+        plans = extra["graph_plans"] = groups[0].arena.snapshot()
         metrics = telemetry.metrics
         if metrics.enabled:
             for precision, counters in totals.items():
@@ -392,22 +430,10 @@ class SoCFlow(Strategy):
                       controller: MixedPrecisionController,
                       mixed: bool) -> list[GroupMixedTrainer]:
         options = self.options
-        groups: list[GroupMixedTrainer] = []
-        base = GroupMixedTrainer(config, controller, options.quant,
-                                 seed_offset=0,
-                                 mixed=mixed or options.precision == "int8")
-        groups.append(base)
-        init_state = base.state_dict()
-        for g in range(1, mapping.num_groups):
-            trainer = GroupMixedTrainer(config, controller, options.quant,
-                                        seed_offset=g, mixed=base.mixed,
-                                        plans=base.plans)
-            trainer.load_state(init_state)
-            groups.append(trainer)
-        if options.precision == "int8":
-            for trainer in groups:
-                trainer.train_batch = _int8_only_step(trainer)  # type: ignore
-        return groups
+        return build_groups(config, controller, options.quant,
+                            mapping.num_groups,
+                            mixed=mixed or options.precision == "int8",
+                            int8_only=options.precision == "int8")
 
     @staticmethod
     def _profile_logits(group: GroupMixedTrainer,

@@ -134,8 +134,12 @@ class RunConfig:
         }
 
 
-def make_model(config: RunConfig, seed_offset: int = 0) -> Module:
-    model = build_model(config.model_name, **config.model_kwargs(seed_offset))
+def make_model(config: RunConfig, seed_offset: int = 0,
+               init_weights: bool = True) -> Module:
+    """The run's model.  ``init_weights=False`` is for a replica whose
+    caller overwrites every weight before use (see ``build_model``)."""
+    model = build_model(config.model_name, init_weights=init_weights,
+                        **config.model_kwargs(seed_offset))
     if config.init_state is not None:
         model.load_state_dict(config.init_state)
     if config.freeze_backbone:

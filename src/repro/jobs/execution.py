@@ -36,7 +36,7 @@ from ..core.mapping import MappingResult, integrity_greedy_mapping
 from ..core.mixed_precision import GroupMixedTrainer
 from ..core.planning import CommunicationPlan
 from ..core.scheduler import GlobalScheduler
-from ..core.socflow import reform_groups
+from ..core.socflow import build_groups, reform_groups
 from ..distributed.base import (OVERLAP_FRACTION, CostModel, RunConfig,
                                 evaluate_accuracy)
 from ..quant.int8 import QuantConfig
@@ -192,6 +192,8 @@ class JobExecution:
 
     def close(self) -> None:
         self._close_executor()
+        if self._groups:
+            self._groups[0].arena.release()
 
     def _close_executor(self) -> None:
         if self._executor is not None:
@@ -202,17 +204,8 @@ class JobExecution:
     # Training
     # ------------------------------------------------------------------
     def _build_groups(self, num_groups: int) -> list[GroupMixedTrainer]:
-        base = GroupMixedTrainer(self.config, self.controller, self.quant,
-                                 seed_offset=0, mixed=self.job.mixed)
-        groups = [base]
-        init_state = base.state_dict()
-        for g in range(1, num_groups):
-            trainer = GroupMixedTrainer(self.config, self.controller,
-                                        self.quant, seed_offset=g,
-                                        mixed=base.mixed, plans=base.plans)
-            trainer.load_state(init_state)
-            groups.append(trainer)
-        return groups
+        return build_groups(self.config, self.controller, self.quant,
+                            num_groups, mixed=self.job.mixed)
 
     def _executor_for_epoch(self):
         """A per-job LG worker pool when ``config.workers > 1``."""

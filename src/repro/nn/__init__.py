@@ -6,6 +6,7 @@ the ARM kernels.
 """
 
 from . import functional, init, models
+from .arena import StepArena
 from .flat import FlatLayout, FlatParamBuffer, FlatState
 from .modules import (AvgPool2d, BatchNorm1d, BatchNorm2d, Conv2d, Dropout,
                       Flatten, GlobalAvgPool2d, Identity, Linear, MaxPool2d,
@@ -19,5 +20,5 @@ __all__ = [
     "ReLU", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "Flatten", "Dropout",
     "Identity",
     "SGD", "StepLR", "CosineAnnealingLR", "ConstantLR",
-    "FlatLayout", "FlatParamBuffer", "FlatState",
+    "FlatLayout", "FlatParamBuffer", "FlatState", "StepArena",
 ]

@@ -20,12 +20,19 @@ to the numpy engine:
     operation.
 
 :class:`FlatParamBuffer`
-    Owns two contiguous arrays — ``data`` (parameters + buffers) and
-    ``grads`` (parameter gradients) — and rebinds a module's tensors to
-    views of them.  All fused fast paths are bit-identical to the
-    per-key loops they replace: they run the same elementwise
-    operations in the same dtype over the concatenation of the same
-    segments.
+    Owns one contiguous array — ``data`` (parameters + buffers) — and
+    rebinds a module's tensors to views of it; parameter gradients
+    land in ``grads``, the gradient plane of the module's
+    :class:`~repro.nn.arena.StepArena` (private to a module flattened
+    on its own, shared by the replicas of a run).  All fused fast paths
+    are bit-identical to the per-key loops they replace: they run the
+    same elementwise operations in the same dtype over the
+    concatenation of the same segments.
+
+:class:`PlaneParameter`
+    What a parameter becomes once its gradient lives in a plane: a
+    non-``None`` ``.grad`` is readable and writable only while the
+    parameter's replica holds the plane.
 """
 
 from __future__ import annotations
@@ -35,9 +42,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .arena import GradLease, StepArena
 from .tensor import Tensor
 
-__all__ = ["FlatLayout", "FlatState", "FlatParamBuffer"]
+__all__ = ["FlatLayout", "FlatState", "FlatParamBuffer", "PlaneParameter"]
 
 #: interned layouts keyed by their spec tuple
 _LAYOUT_CACHE: dict[tuple, "FlatLayout"] = {}
@@ -175,6 +183,37 @@ def common_flat_layout(states: Iterable[dict]) -> FlatLayout | None:
     return layout
 
 
+_GRAD_SLOT = Tensor.__dict__["grad"]
+
+
+class PlaneParameter(Tensor):
+    """A parameter whose gradient lives in a :class:`GradPlane`.
+
+    Replicas of one run share the plane, so a gradient is only
+    meaningful while its replica holds it (``GradLease``): touching a
+    non-``None`` ``.grad`` outside that window raises instead of
+    handing out — or accumulating into — another replica's gradient.
+    ``None`` (no gradient) needs no claim.  Same slots as
+    :class:`Tensor`; ``FlatParamBuffer`` retypes its parameters in
+    place.
+    """
+
+    __slots__ = ()
+
+    @property
+    def grad(self):
+        value = _GRAD_SLOT.__get__(self)
+        if value is not None:
+            self._grad_lease.check()
+        return value
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if value is not None:
+            self._grad_lease.check()
+        _GRAD_SLOT.__set__(self, value)
+
+
 class FlatParamBuffer:
     """Contiguous parameter/gradient storage bound to a live module.
 
@@ -188,9 +227,15 @@ class FlatParamBuffer:
 
     ``state_dict`` then costs one ``memcpy`` and SGD/aggregation can
     update the whole model with a handful of vectorised array ops.
+
+    :attr:`grads` is the gradient plane of ``arena`` for this layout.
+    Without an ``arena`` the buffer makes a private one and holds the
+    plane for good; replicas handed one arena share the plane and take
+    turns: :meth:`claim_grads` (every ``zero_grad`` calls it) starts a
+    replica's turn, :attr:`owns_grads` says whether it still lasts.
     """
 
-    def __init__(self, module):
+    def __init__(self, module, arena: "StepArena | None" = None):
         named_params = list(module.named_parameters())
         named_buffers = list(module.named_buffers())
         entries = [(name, tuple(p.data.shape)) for name, p in named_params]
@@ -203,19 +248,20 @@ class FlatParamBuffer:
             if np.asarray(buf).dtype != np.float32:
                 raise TypeError("flat buffers require float32 buffers")
         self.layout = FlatLayout.from_entries(entries, len(named_params))
+        self.arena = arena if arena is not None else StepArena()
 
         self.data = np.empty(self.layout.total, dtype=np.float32)
-        self.grads = np.zeros(self.layout.param_total, dtype=np.float32)
+        plane = self.arena.grad_plane(self.layout)
+        self._lease = GradLease(plane)
+        if plane.owner is None:
+            self._lease.claim()
+        self.grads = plane.array
 
         views = self.layout.views(self.data)
         self.param_tensors: list[Tensor] = [p for _, p in named_params]
         self.param_views: list[np.ndarray] = views[:len(named_params)]
         self.buffer_views: list[np.ndarray] = views[len(named_params):]
-        grad_offsets = self.layout.offsets[:len(named_params) + 1]
-        self.grad_views: list[np.ndarray] = [
-            self.grads[a:b].reshape(shape) for a, b, shape in
-            zip(grad_offsets[:-1], grad_offsets[1:],
-                self.layout.shapes[:len(named_params)])]
+        self.grad_views: list[np.ndarray] = plane.views
 
         # Move the live values into the fused storage and rebind.
         for param, view, gview in zip(self.param_tensors, self.param_views,
@@ -223,6 +269,8 @@ class FlatParamBuffer:
             view[...] = param.data
             param.data = view
             param._grad_buf = gview
+            param._grad_lease = self._lease
+            param.__class__ = PlaneParameter
         self._rebind_buffers(module, named_buffers)
 
     @property
@@ -258,11 +306,25 @@ class FlatParamBuffer:
                 return False
         return True
 
+    # -- gradient plane -------------------------------------------------
+    def claim_grads(self) -> None:
+        """Start this replica's turn on the gradient plane: whatever
+        another replica left there is void from here on."""
+        self._lease.claim()
+
+    @property
+    def owns_grads(self) -> bool:
+        """True while no other replica has claimed the plane since."""
+        return self._lease.held
+
     def grads_ready(self) -> bool:
-        """True when every parameter gradient *is* its flat view, i.e.
-        :attr:`grads` currently holds the complete fused gradient."""
+        """True when this replica holds the plane and every parameter
+        gradient *is* its flat view, i.e. :attr:`grads` currently holds
+        this replica's complete fused gradient."""
+        if not self._lease.held:
+            return False
         for param, gview in zip(self.param_tensors, self.grad_views):
-            if param.grad is not gview:
+            if _GRAD_SLOT.__get__(param) is not gview:
                 return False
         return True
 

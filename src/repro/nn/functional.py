@@ -14,7 +14,8 @@ from .tensor import Tensor
 __all__ = [
     "linear", "conv2d", "max_pool2d", "avg_pool2d", "global_avg_pool2d",
     "batch_norm", "log_softmax", "softmax", "cross_entropy", "dropout",
-    "im2col", "col2im", "clear_workspaces",
+    "im2col", "col2im", "clear_workspaces", "workspace_evictions",
+    "workspace_mark", "release_workspaces",
 ]
 
 # ---------------------------------------------------------------------------
@@ -31,6 +32,8 @@ __all__ = [
 
 _WORKSPACES: dict[tuple, np.ndarray] = {}
 _WORKSPACE_LIMIT = 64
+#: process-wide tallies: buffers ever created, buffers evicted at the limit
+_WORKSPACE_COUNTS = {"created": 0, "evicted": 0}
 
 
 def _workspace(tag: str, shape: tuple[int, ...], dtype=np.float32,
@@ -39,9 +42,14 @@ def _workspace(tag: str, shape: tuple[int, ...], dtype=np.float32,
     buf = _WORKSPACES.get(key)
     if buf is None:
         if len(_WORKSPACES) >= _WORKSPACE_LIMIT:
-            _WORKSPACES.clear()
+            # Full: drop the oldest buffer only (the dict keeps creation
+            # order).  Counted — a run cycling through more shapes than
+            # the limit reallocates every step and should say so.
+            del _WORKSPACES[next(iter(_WORKSPACES))]
+            _WORKSPACE_COUNTS["evicted"] += 1
         buf = np.empty(shape, dtype=dtype)
         _WORKSPACES[key] = buf
+        _WORKSPACE_COUNTS["created"] += 1
         if zero:
             buf[...] = 0
     elif zero:
@@ -52,6 +60,31 @@ def _workspace(tag: str, shape: tuple[int, ...], dtype=np.float32,
 def clear_workspaces() -> None:
     """Drop all cached scratch buffers (frees memory; safe any time)."""
     _WORKSPACES.clear()
+
+
+def workspace_mark() -> tuple[int, int, int]:
+    """A point in the cache's history — buffers created, evicted and
+    cached so far — for the two functions below."""
+    return (_WORKSPACE_COUNTS["created"], _WORKSPACE_COUNTS["evicted"],
+            len(_WORKSPACES))
+
+
+def workspace_evictions(mark: tuple[int, int, int]) -> int:
+    """Buffers created since ``mark`` that the full cache evicted again:
+    the working set since then does not fit.  Eviction is oldest-first,
+    so the first evictions after ``mark`` only clear out what was
+    cached before it and say nothing about the work since — which makes
+    the count independent of what the process ran earlier."""
+    _, evicted, cached = mark
+    return max(0, _WORKSPACE_COUNTS["evicted"] - evicted - cached)
+
+
+def release_workspaces(mark: tuple[int, int, int]) -> None:
+    """Drop the buffers created since ``mark`` (safe any time: a buffer
+    still wanted is simply allocated again)."""
+    fresh = min(len(_WORKSPACES), _WORKSPACE_COUNTS["created"] - mark[0])
+    for key in list(_WORKSPACES)[len(_WORKSPACES) - fresh:]:
+        del _WORKSPACES[key]
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int,

@@ -31,9 +31,10 @@ module removes that overhead:
     ``_Program``: a flat tuple of closures over the plan's workspace
     plus that replica's own storage.  Structurally identical replicas
     (the logical groups of one SoCFlow run) bind the same plan out of
-    a run-scoped :class:`PlanCache`; they step strictly one after
-    another and nothing in the workspace outlives a step except
-    replica-independent constants, so one workspace serves them all.
+    the run's :class:`~repro.nn.arena.StepArena`; they step strictly
+    one after another and nothing in the workspace outlives a step
+    except replica-independent constants, so one workspace serves them
+    all.
 
 ``GraphExecutor``
     owns per-input-shape bindings for one model and dispatches
@@ -62,11 +63,12 @@ import numpy as np
 
 from . import functional as F
 from . import tensor as tensor_mod
+from .arena import MISSING as _MISSING, StepArena
 from .tensor import Tensor
 
 __all__ = [
     "GraphCapture", "GraphExecutor", "GraphUnsupported",
-    "Int8GraphExecutor", "PlanCache", "attach_graph_executor",
+    "Int8GraphExecutor", "attach_graph_executor",
     "attach_int8_graph_executor", "detach_graph_executor",
     "compile_program",
 ]
@@ -1648,7 +1650,7 @@ def _resolve(v, replica=None, memo=None):
 
 
 # ---------------------------------------------------------------------------
-# Plan, binding, plan cache
+# Plan and binding (plans are cached in the run's StepArena)
 # ---------------------------------------------------------------------------
 
 class _Plan:
@@ -1694,7 +1696,7 @@ class _Plan:
             if isinstance(entry, tuple) else entry
             for entry in self.template)
         flat = replica.flat
-        return _Program(self, closures, replica.model, tuple(
+        return _Program(self, closures, replica.model, flat, tuple(
             (flat.param_tensors[i], flat.grad_views[i])
             for i in self.grad_params))
 
@@ -1702,13 +1704,14 @@ class _Plan:
 class _Program:
     """One replica's binding of a :class:`_Plan`: a replayable step."""
 
-    __slots__ = ("plan", "_closures", "_model", "_param_grads", "_x_buf",
-                 "_y_buf", "_loss")
+    __slots__ = ("plan", "_closures", "_model", "_flat", "_param_grads",
+                 "_x_buf", "_y_buf", "_loss")
 
-    def __init__(self, plan, closures, model, param_grads):
+    def __init__(self, plan, closures, model, flat, param_grads):
         self.plan = plan
         self._closures = closures
         self._model = model
+        self._flat = flat
         self._param_grads = param_grads
         self._x_buf = plan.x_buf
         self._y_buf = plan.y_buf
@@ -1718,6 +1721,7 @@ class _Program:
         guard = _enter(self.plan)
         try:
             self._model.train()
+            self._flat.claim_grads()    # a replay is a zero_grad + backward
             np.copyto(self._x_buf, x)
             np.copyto(self._y_buf, y)
             for run in self._closures:
@@ -1761,63 +1765,6 @@ def compile_program(capture: GraphCapture, loss: Tensor, replica: _Replica,
     return _Compiler(capture, loss_node, replica, fuse).build()
 
 
-_MISSING = object()
-
-
-class PlanCache:
-    """Run-scoped compiled plans, shared by structurally equal replicas.
-
-    One cache per training run (``SoCFlow.train``, a ``JobExecution``,
-    an ``LgExecutor`` worker) or, for a standalone executor, per
-    executor.  Keys carry the precision, the replica's
-    :attr:`_Replica.structure` and the batch signature, so a replica
-    that differs in anything a plan bakes in simply misses and compiles
-    its own.  Also pools the shape-independent INT8 stage scratch, so
-    changing the CPU/NPU batch split does not allocate another set.
-    """
-
-    def __init__(self):
-        self._plans: dict[tuple, object] = {}
-        self._scratch: dict[tuple, object] = {}
-        self._stats: dict[str, dict[str, int]] = {}
-
-    def counters(self, precision: str) -> dict[str, int]:
-        return self._stats.setdefault(precision, {
-            "plans": 0, "binds": 0, "unshared_plans": 0,
-            "workspace_bytes": 0})
-
-    def get(self, key: tuple):
-        """The shareable plan under ``key``, ``None`` when the step is
-        known not to compile, ``_MISSING`` when there is none."""
-        return self._plans.get(key, _MISSING)
-
-    def add(self, precision: str, key: tuple, plan) -> None:
-        """Record the outcome of one compilation under ``key``."""
-        if plan is None:
-            self._plans.setdefault(key, None)
-            return
-        counters = self.counters(precision)
-        counters["plans"] += 1
-        counters["workspace_bytes"] += plan.workspace_bytes
-        if not (plan.shared and self._plans.setdefault(key, plan) is plan):
-            # pinned to its replica, or refused by the plan already
-            # here: lives in that replica's binding only
-            counters["unshared_plans"] += 1
-
-    def scratch(self, precision: str, key: tuple, factory):
-        """A pooled scratch object, made by ``factory()`` on first use
-        (it reports its size as ``nbytes``)."""
-        item = self._scratch.get(key)
-        if item is None:
-            item = self._scratch[key] = factory()
-            self.counters(precision)["workspace_bytes"] += item.nbytes
-        return item
-
-    def snapshot(self) -> dict[str, dict[str, int]]:
-        return {precision: dict(counters)
-                for precision, counters in sorted(self._stats.items())}
-
-
 def _eager_step(model, optimizer, x, y) -> float:
     """The eager interpreter step (mirrors ``fp32_train_step``)."""
     model.train()
@@ -1842,11 +1789,10 @@ class _StepExecutor:
 
     precision = ""
 
-    def __init__(self, max_programs: int, fuse: bool,
-                 plans: "PlanCache | None"):
+    def __init__(self, max_programs: int, fuse: bool, arena: StepArena):
         self.max_programs = max_programs
         self.fuse = fuse
-        self.plans = plans if plans is not None else PlanCache()
+        self.arena = arena
         self.stats = {"captures": 0, "replays": 0, "eager_steps": 0,
                       "fallbacks": 0}
         self._programs: dict[tuple, object] = {}
@@ -1873,7 +1819,7 @@ class _StepExecutor:
                 return self._eager(x, y, *ctx)
             plan_key = (self.precision, self.fuse, key,
                         self._plan_key(replica))
-            plan = self.plans.get(plan_key)
+            plan = self.arena.get(plan_key)
             if plan is None:
                 self._programs[key] = None
                 self.stats["fallbacks"] += 1
@@ -1886,7 +1832,7 @@ class _StepExecutor:
                     pass        # refused: compile a private plan instead
             if prog is None:
                 loss, plan = self._capture(replica, x, y, *ctx)
-                self.plans.add(self.precision, plan_key, plan)
+                self.arena.add(self.precision, plan_key, plan)
                 self._programs[key] = (None if plan is None
                                        else self._bind(plan, replica))
                 self.stats["fallbacks" if plan is None else "captures"] += 1
@@ -1897,7 +1843,7 @@ class _StepExecutor:
 
     def _bind(self, plan, replica: _Replica):
         prog = plan.bind(replica)
-        self.plans.counters(self.precision)["binds"] += 1
+        self.arena.counters(self.precision)["binds"] += 1
         return prog
 
     def snapshot(self) -> dict[str, int]:
@@ -1921,11 +1867,12 @@ class GraphExecutor(_StepExecutor):
     precision = "fp32"
 
     def __init__(self, model, max_programs: int = 8, fuse: bool = True,
-                 plans: "PlanCache | None" = None):
+                 arena: "StepArena | None" = None):
         flat = model.flatten_parameters()
         if flat is None:
             raise GraphUnsupported("model has no fused flat parameter buffer")
-        super().__init__(max_programs, fuse, plans)
+        super().__init__(max_programs, fuse,
+                         arena if arena is not None else flat.arena)
         self.model = model
         self.flat = flat
 
@@ -1959,6 +1906,7 @@ class GraphExecutor(_StepExecutor):
         try:
             self.model.train()
             optimizer.zero_grad()
+            replica.flat.claim_grads()  # the optimiser may not be bound
             logits = self.model(x_t)
             loss = F.cross_entropy(logits, y)
             loss.backward()
@@ -1973,13 +1921,15 @@ class GraphExecutor(_StepExecutor):
 
 
 def attach_graph_executor(model, max_programs: int = 8, fuse: bool = True,
-                          plans: "PlanCache | None" = None
+                          arena: "StepArena | None" = None
                           ) -> GraphExecutor | None:
     """Attach a :class:`GraphExecutor` to ``model`` (idempotent).
 
-    ``fp32_train_step`` dispatches to it when present.  ``plans`` is the
-    run's :class:`PlanCache`; without one the executor keeps a private
-    cache.  Returns ``None`` (leaving the model eager) when the model
+    ``fp32_train_step`` dispatches to it when present.  ``arena`` is the
+    run's :class:`~repro.nn.arena.StepArena`, where the plans and their
+    workspace live; without one that is the arena the model was
+    flattened into (its own, unless ``flatten_parameters`` was given the
+    run's).  Returns ``None`` (leaving the model eager) when the model
     cannot flatten.
     """
     executor = getattr(model, "_graph_exec", None)
@@ -1987,7 +1937,7 @@ def attach_graph_executor(model, max_programs: int = 8, fuse: bool = True,
         return executor
     try:
         executor = GraphExecutor(model, max_programs=max_programs, fuse=fuse,
-                                 plans=plans)
+                                 arena=arena)
     except GraphUnsupported:
         return None
     model._graph_exec = executor
@@ -2037,61 +1987,6 @@ def _make_input_stage(x_buf, observer, config, absbuf=None, wide=None):
     return stage
 
 
-def _make_clip(flat_grads, layout, max_grad_norm, g64):
-    """Fused global-norm gradient clip over the flat gradient buffer.
-
-    Bit-identical to ``Int8Trainer._clip_gradients``: one float64
-    pairwise ``np.sum`` per parameter segment, accumulated in parameter
-    order (float addition order matters), then a single in-place
-    multiply of the whole buffer — elementwise identical to the eager
-    per-view loop because every parameter's gradient view tiles it.
-    ``g64`` is scratch as long as the largest segment.
-    """
-    n = layout.num_params
-    segs = tuple(
-        (flat_grads[off:off + size], g64[:size])
-        for off, size in zip(layout.offsets[:n], layout.sizes[:n]))
-
-    def run():
-        total = 0.0
-        for g32, gsq in segs:
-            np.copyto(gsq, g32)             # astype-exact float64 widen
-            np.square(gsq, out=gsq)         # ndarray ** 2 is np.square
-            total += float(np.sum(gsq))
-        norm = np.sqrt(total)
-        if norm > max_grad_norm:
-            np.multiply(flat_grads, max_grad_norm / norm, out=flat_grads)
-    return run
-
-
-class _Int8Scratch:
-    """The INT8 stages' batch-shape-independent scratch for one
-    (layout, config): master-weight snapshot, one segment quantiser
-    serving both the weight and the gradient stage (they never overlap)
-    and the clip's float64 segment.  Pooled per :class:`PlanCache`, so
-    every plan drawing on it shares its guard cell too."""
-
-    def __init__(self, layout, config):
-        from ..quant.int8 import SegmentQuantizer
-        n = layout.num_params
-        self.guard = [False]
-        self.masters = np.empty(layout.param_total, dtype=np.float32)
-        self.g64 = np.empty(max(layout.sizes[:n]), dtype=np.float64)
-        self.quant = None
-        if config.quantize_weights or config.quantize_gradients:
-            self.quant = SegmentQuantizer(
-                layout.offsets[:n], layout.sizes[:n], config,
-                stochastic=config.quantize_gradients)
-
-    def buffers(self) -> list[np.ndarray]:
-        return [self.masters, self.g64] + (
-            self.quant.buffers() if self.quant is not None else [])
-
-    @property
-    def nbytes(self) -> int:
-        return sum(b.nbytes for b in self.buffers())
-
-
 class _Int8Plan:
     """The INT8 step around a core :class:`_Plan`: the preallocated
     quantisation stages ``Int8Trainer.train_step`` runs around the
@@ -2105,12 +2000,11 @@ class _Int8Plan:
     3. the captured forward/backward closures,
     4. master restore, fused global-norm clip, and in-place
        stochastically-rounded gradient quantisation that advances the
-       trainer's RNG stream exactly like the eager
-       ``fake_quantize_segments`` call (one ``rng.random(out=)`` draw).
+       trainer's RNG stream exactly like the eager step (the same
+       pooled quantiser: one ``rng.random(out=)`` draw).
     """
 
-    def __init__(self, core: _Plan, scratch: _Int8Scratch, layout, config,
-                 max_grad_norm):
+    def __init__(self, core: _Plan, scratch, layout, config, max_grad_norm):
         self.core = core
         self.scratch = scratch
         self.layout = layout
@@ -2135,7 +2029,7 @@ class _Int8Plan:
     @property
     def workspace_bytes(self) -> int:
         """Bytes this plan allocated (pooled scratch is counted once,
-        by the cache)."""
+        by the arena)."""
         return self.core.workspace_bytes + sum(b.nbytes for b in self.stage)
 
     def bind(self, replica: _Replica) -> "_Int8Program":
@@ -2164,9 +2058,7 @@ class _Int8Program:
             core._x_buf,
             trainer._input_observer if config.quantize_activations else None,
             config, *plan.stage)
-        self._clip = (_make_clip(flat.grads, plan.layout, plan.max_grad_norm,
-                                 scratch.g64)
-                      if plan.max_grad_norm is not None else None)
+        self._clip = scratch.clip if plan.max_grad_norm is not None else None
         self._quant_grads = (scratch.quant if config.quantize_gradients
                              else None)
         self._stochastic = config.stochastic_rounding
@@ -2176,6 +2068,7 @@ class _Int8Program:
         guard = _enter(core.plan)
         try:
             trainer.model.train()
+            core._flat.claim_grads()
             np.copyto(self._masters, self._flat_params)
             if self._quant_weights is not None:
                 self._quant_weights(self._flat_params)
@@ -2185,7 +2078,7 @@ class _Int8Program:
                 run()
             np.copyto(self._flat_params, self._masters)
             if self._clip is not None:
-                self._clip()
+                self._clip(self._flat_grads, self.plan.max_grad_norm)
             if self._quant_grads is not None:
                 self._quant_grads(
                     self._flat_grads,
@@ -2219,8 +2112,11 @@ class Int8GraphExecutor(_StepExecutor):
     precision = "int8"
 
     def __init__(self, trainer, max_programs: int = 8, fuse: bool = True,
-                 plans: "PlanCache | None" = None):
-        super().__init__(max_programs, fuse, plans)
+                 arena: "StepArena | None" = None):
+        if arena is None:
+            flat = trainer.model._flat
+            arena = flat.arena if flat is not None else StepArena()
+        super().__init__(max_programs, fuse, arena)
         self.trainer = trainer
         self._sig = None
 
@@ -2282,16 +2178,15 @@ class Int8GraphExecutor(_StepExecutor):
                     "not every parameter received a gradient")
         except GraphUnsupported:
             return loss_val, None
-        scratch = self.plans.scratch(
-            self.precision, (flat.layout, t.config),
-            lambda: _Int8Scratch(flat.layout, t.config))
+        from ..quant.int8 import Int8StepScratch
+        scratch = Int8StepScratch.pooled(self.arena, flat.layout, t.config)
         return loss_val, _Int8Plan(core, scratch, flat.layout, t.config,
                                    t.max_grad_norm)
 
 
 def attach_int8_graph_executor(trainer, max_programs: int = 8,
                                fuse: bool = True,
-                               plans: "PlanCache | None" = None
+                               arena: "StepArena | None" = None
                                ) -> Int8GraphExecutor:
     """Attach an :class:`Int8GraphExecutor` to an ``Int8Trainer``
     (idempotent).  Always succeeds — a trainer whose model cannot
@@ -2301,6 +2196,6 @@ def attach_int8_graph_executor(trainer, max_programs: int = 8,
     if executor is not None:
         return executor
     executor = Int8GraphExecutor(trainer, max_programs=max_programs,
-                                 fuse=fuse, plans=plans)
+                                 fuse=fuse, arena=arena)
     trainer._graph_exec = executor
     return executor

@@ -2,11 +2,36 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "kaiming_normal", "xavier_uniform", "zeros", "ones"]
+__all__ = ["kaiming_uniform", "kaiming_normal", "xavier_uniform", "zeros",
+           "ones", "skip_draws"]
+
+_SKIP_DRAWS = False
+
+
+@contextlib.contextmanager
+def skip_draws():
+    """Inside the block the random initialisers return uninitialised
+    storage and leave ``rng`` untouched (like ``no_grad``, a process-
+    wide switch) — for building a model whose weights are loaded from
+    another right after, where the draws are most of the build time.
+    Only sound when nothing keeps ``rng`` and draws from it later;
+    ``build_model`` checks."""
+    global _SKIP_DRAWS
+    previous = _SKIP_DRAWS
+    _SKIP_DRAWS = True
+    try:
+        yield
+    finally:
+        _SKIP_DRAWS = previous
+
+
+def _bare(shape: tuple[int, ...]) -> np.ndarray:
+    return np.empty(shape, dtype=np.float32)
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -20,6 +45,8 @@ def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
 
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator,
                     gain: float = math.sqrt(2.0)) -> np.ndarray:
+    if _SKIP_DRAWS:
+        return _bare(shape)
     fan_in, _ = _fan_in_out(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
@@ -27,6 +54,8 @@ def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator,
 
 def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator,
                    gain: float = math.sqrt(2.0)) -> np.ndarray:
+    if _SKIP_DRAWS:
+        return _bare(shape)
     fan_in, _ = _fan_in_out(shape)
     std = gain / math.sqrt(fan_in)
     return (rng.standard_normal(shape) * std).astype(np.float32)
@@ -34,6 +63,8 @@ def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator,
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator,
                    gain: float = 1.0) -> np.ndarray:
+    if _SKIP_DRAWS:
+        return _bare(shape)
     fan_in, fan_out = _fan_in_out(shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)

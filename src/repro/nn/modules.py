@@ -88,9 +88,11 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
+        if self._flat is not None:
+            self._flat.claim_grads()
 
     # -- fused storage ---------------------------------------------------
-    def flatten_parameters(self):
+    def flatten_parameters(self, arena=None):
         """Pack parameters, buffers and gradients into contiguous arrays.
 
         Returns the module's :class:`~repro.nn.flat.FlatParamBuffer`,
@@ -99,31 +101,43 @@ class Module:
         :class:`~repro.nn.flat.FlatState` objects and SGD/aggregation
         take fused vectorised fast paths.  Idempotent; numerics are
         bit-identical to the unflattened module.
+
+        ``arena`` is the run's :class:`~repro.nn.arena.StepArena` when
+        the module is one replica of a run (its gradients then land in
+        the run's shared plane); without one the module gets a private
+        arena.  Re-fusing after a storage rebind stays in the arena —
+        and keeps the turn on its gradient plane — it already had.
         """
-        if self._flat is None or not self._flat.is_intact():
+        previous = self._flat
+        if previous is None or not previous.is_intact():
             from .flat import FlatParamBuffer
+            if arena is None and previous is not None:
+                arena = previous.arena
             try:
-                self._flat = FlatParamBuffer(self)
+                self._flat = FlatParamBuffer(self, arena)
             except TypeError:
                 # Non-float32 storage: leave the module unfused.
                 self._flat = None
+            else:
+                if previous is not None and previous.owns_grads:
+                    self._flat.claim_grads()
         return self._flat
 
     def enable_graph_executor(self, max_programs: int = 8,
-                              fuse: bool = True, plans=None):
+                              fuse: bool = True, arena=None):
         """Attach a trace-once/replay-many step executor (idempotent).
 
         Returns the :class:`~repro.nn.graph.GraphExecutor` now owned by
         the module, or ``None`` when the module cannot flatten (the
         training step stays eager).  ``fp32_train_step`` dispatches to
         the executor when present; replayed steps are bit-identical to
-        the eager interpreter.  ``plans`` is the run's
-        :class:`~repro.nn.graph.PlanCache`: structurally equal replicas
-        handed the same cache compile once and share one workspace.
+        the eager interpreter.  ``arena`` is the run's
+        :class:`~repro.nn.arena.StepArena`: structurally equal replicas
+        handed the same arena compile once and share one workspace.
         """
         from .graph import attach_graph_executor
         return attach_graph_executor(self, max_programs=max_programs,
-                                     fuse=fuse, plans=plans)
+                                     fuse=fuse, arena=arena)
 
     def disable_graph_executor(self) -> None:
         """Drop the attached executor; every step runs eager again."""

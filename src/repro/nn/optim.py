@@ -35,8 +35,6 @@ class SGD:
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
         self._flat = None
         self._flat_velocity: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
-        self._scratch2: np.ndarray | None = None
         if flat is not None:
             self.bind_flat(flat)
 
@@ -49,6 +47,9 @@ class SGD:
         ops with no per-step temporaries — bit-identical to the
         per-parameter loop, which remains as the fallback whenever a
         gradient is missing or was rebound away from the fused buffer.
+        The update's scratch comes from ``flat``'s arena (nothing in it
+        outlives a step, so the replicas of a run share it); only the
+        momentum is this optimiser's own.
         Returns True when the binding took effect.
         """
         if len(self.params) != len(flat.param_tensors):
@@ -74,12 +75,16 @@ class SGD:
     def zero_grad(self) -> None:
         for param in self.params:
             param.zero_grad()
+        if self._flat is not None:
+            self._flat.claim_grads()
 
     def step(self) -> None:
         flat = self._flat
         if flat is not None and flat.is_intact() and flat.grads_ready():
             self._fused_step(flat)
             return
+        # Reading ``.grad`` of a parameter whose gradient plane another
+        # replica has claimed since raises: nothing is applied.
         for i, param in enumerate(self.params):
             if param.grad is None:
                 continue
@@ -104,9 +109,7 @@ class SGD:
         """
         grads = flat.grads
         params = flat.params
-        if self._scratch is None:
-            self._scratch = np.empty_like(grads)
-        scratch = self._scratch
+        scratch = flat.arena.param_scratch(flat.layout)
         eff = grads
         if self.weight_decay:
             np.multiply(params, self.weight_decay, out=scratch)
@@ -117,18 +120,14 @@ class SGD:
             velocity *= self.momentum
             velocity += eff
             if self.nesterov:
-                if eff is scratch:
-                    if self._scratch2 is None:
-                        self._scratch2 = np.empty_like(grads)
-                    out = self._scratch2
-                else:
-                    out = scratch
+                out = (flat.arena.param_scratch(flat.layout, slot=1)
+                       if eff is scratch else scratch)
                 np.multiply(velocity, self.momentum, out=out)
                 out += eff
                 eff = out
             else:
                 eff = velocity
-        target = eff if (eff is scratch or eff is self._scratch2) else scratch
+        target = scratch if (eff is grads or eff is velocity) else eff
         np.multiply(eff, self.lr, out=target)
         params -= target
 

@@ -172,7 +172,7 @@ def _init_worker(config, quant, mixed, int8_only, t_cpu, t_npu,
                  metrics_enabled) -> None:
     _WORKER.update(config=config, quant=quant, mixed=mixed,
                    int8_only=int8_only, t_cpu=t_cpu, t_npu=t_npu,
-                   metrics=metrics_enabled, replicas={}, plans=None)
+                   metrics=metrics_enabled, replicas={}, arena=None)
 
 
 def _replica(seed_offset: int) -> GroupMixedTrainer:
@@ -184,10 +184,13 @@ def _replica(seed_offset: int) -> GroupMixedTrainer:
                                     _WORKER["quant"],
                                     seed_offset=seed_offset,
                                     mixed=_WORKER["mixed"],
-                                    plans=_WORKER["plans"])
-        # one compiled-plan cache per worker process (its replicas run
-        # one task at a time): the first replica's
-        _WORKER["plans"] = trainer.plans
+                                    arena=_WORKER["arena"],
+                                    init_weights=False)
+        # one step arena per worker process (its replicas run one task
+        # at a time): the first replica's.  Every task loads the
+        # group's full state before stepping, so no replica draws
+        # initial weights.
+        _WORKER["arena"] = trainer.arena
         if _WORKER["int8_only"]:
             from ..core.socflow import _int8_only_step
             trainer.train_batch = _int8_only_step(trainer)  # type: ignore

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["QuantConfig", "quantize", "dequantize", "fake_quantize",
-           "fake_quantize_segments", "SegmentQuantizer",
+           "fake_quantize_segments", "SegmentQuantizer", "Int8StepScratch",
            "quantization_error"]
 
 
@@ -136,10 +136,9 @@ class SegmentQuantizer:
     rounding buffers (gradient path); the weight path never draws.
 
     Nothing in the scratch outlives a call, so one instance serves any
-    number of arrays of that segmentation one after another — the
-    graph executor keeps a single one per run for the weight and the
-    gradient stage of every replica (:meth:`buffers` is what it counts
-    as workspace).
+    number of arrays of that segmentation one after another — a run
+    keeps a single one (in its :class:`Int8StepScratch`) for the weight
+    and the gradient stage of every replica, eager or compiled.
     """
 
     def __init__(self, starts: np.ndarray, sizes: np.ndarray,
@@ -208,6 +207,67 @@ class SegmentQuantizer:
         # a float32 product would double-round.
         np.multiply(scaled, self._rep64, out=self._out64)
         np.copyto(flat, self._out64)
+
+
+class Int8StepScratch:
+    """Everything one INT8 training step needs besides the replica's
+    own weights, momentum and RNG, for one (layout, config): the
+    master-weight snapshot, one :class:`SegmentQuantizer` serving both
+    the weight and the gradient stage (they never overlap) and the
+    clip's float64 buffer.  Nothing in it outlives a step, so a run
+    pools one in its arena for all replicas, eager and compiled alike;
+    ``guard`` is the re-entrancy cell the compiled plans drawing on it
+    share.
+    """
+
+    def __init__(self, layout, config: QuantConfig):
+        n = layout.num_params
+        self.guard = [False]
+        self.masters = np.empty(layout.param_total, dtype=np.float32)
+        self.quant: SegmentQuantizer | None = None
+        if config.quantize_weights or config.quantize_gradients:
+            self.quant = SegmentQuantizer(
+                layout.offsets[:n], layout.sizes[:n], config,
+                stochastic=config.quantize_gradients)
+        self._own = [self.masters]
+        # the clip squares in float64; the integer quantiser's float64
+        # product buffer is idle whenever the clip runs
+        if self.quant is not None and not config.float16:
+            self._sq = self.quant._out64
+        else:
+            self._sq = np.empty(layout.param_total, dtype=np.float64)
+            self._own.append(self._sq)
+        self._sq_segments = tuple(
+            self._sq[a:b] for a, b in zip(layout.offsets[:n],
+                                          layout.offsets[1:n + 1]))
+
+    @classmethod
+    def pooled(cls, arena, layout, config: QuantConfig) -> "Int8StepScratch":
+        """The one instance ``arena`` keeps for (layout, config)."""
+        return arena.pooled(("int8", layout, config),
+                            lambda: cls(layout, config))
+
+    def clip(self, grads: np.ndarray, max_norm: float) -> None:
+        """Global-norm clip of the fused gradient ``grads`` in place.
+
+        Bit-identical to ``Int8Trainer._clip_gradients``: squares in
+        float64, one pairwise ``np.sum`` per parameter segment
+        accumulated in parameter order (float addition order matters),
+        then a single multiply of the whole buffer — elementwise what
+        the per-view loop does, since the parameter views tile it.
+        """
+        np.copyto(self._sq, grads)              # astype-exact widening
+        np.square(self._sq, out=self._sq)       # ndarray ** 2 is np.square
+        total = 0.0
+        for segment in self._sq_segments:
+            total += float(np.sum(segment))
+        norm = np.sqrt(total)
+        if norm > max_norm:
+            np.multiply(grads, max_norm / norm, out=grads)
+
+    def buffers(self) -> list[np.ndarray]:
+        return self._own + (self.quant.buffers()
+                            if self.quant is not None else [])
 
 
 def quantization_error(x: np.ndarray, config: QuantConfig) -> float:

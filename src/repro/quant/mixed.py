@@ -23,7 +23,7 @@ import numpy as np
 from ..nn.flat import FlatState, common_flat_layout
 
 __all__ = ["compute_alpha", "compute_beta", "cpu_fraction", "merge_weights",
-           "MixedPrecisionController"]
+           "merge_weights_inplace", "MixedPrecisionController"]
 
 
 def compute_alpha(logits_fp32: np.ndarray, logits_int8: np.ndarray) -> float:
@@ -86,6 +86,23 @@ def merge_weights(w_fp32: "OrderedDict[str, np.ndarray]",
         merged[name] = (coeff * fp32_value
                         + (1.0 - coeff) * w_int8[name]).astype(np.float32)
     return merged
+
+
+def merge_weights_inplace(w_fp32: np.ndarray, w_int8: np.ndarray,
+                          alpha: float) -> None:
+    """Eq. 5 on the two live fused weight arrays of one logical group:
+    both end up holding the merge, nothing is allocated.
+
+    Bit-identical to :func:`merge_weights` on snapshots of the two:
+    the same two weak-typed float32 products and their (commutative)
+    sum per element — the operands are overwritten with the products
+    because neither outlives the merge.
+    """
+    coeff = math.exp(-alpha)
+    w_fp32 *= coeff
+    w_int8 *= 1.0 - coeff
+    w_fp32 += w_int8
+    w_int8[...] = w_fp32
 
 
 class MixedPrecisionController:

@@ -24,18 +24,28 @@ from ..nn.modules import Module
 from ..nn.optim import SGD
 from ..nn.tensor import Tensor, no_grad
 from ..nn import functional as F
-from .int8 import QuantConfig, fake_quantize, fake_quantize_segments
+from .int8 import Int8StepScratch, QuantConfig, fake_quantize
 from .observer import EmaObserver
 
 __all__ = ["Int8Trainer"]
 
 
 class Int8Trainer:
-    """Run SGD steps with INT8 fake-quantised weights/activations/grads."""
+    """Run SGD steps with INT8 fake-quantised weights/activations/grads.
+
+    On a flattened model the weight snapshot, both quantisation stages
+    and the clip run in place through the arena's pooled
+    :class:`~repro.quant.int8.Int8StepScratch` (``arena``: the run's
+    :class:`~repro.nn.arena.StepArena` when this trainer is one replica
+    of a run; the model's own otherwise), so a step allocates nothing
+    parameter-sized and the trainer keeps only weights, momentum, its
+    RNG and the observers.
+    """
 
     def __init__(self, model: Module, lr: float, config: QuantConfig,
                  momentum: float = 0.0, weight_decay: float = 0.0,
-                 seed: int = 0, max_grad_norm: float | None = 2.0):
+                 seed: int = 0, max_grad_norm: float | None = 2.0,
+                 arena=None):
         self.model = model
         self.config = config
         self.max_grad_norm = max_grad_norm
@@ -47,7 +57,7 @@ class Int8Trainer:
         if config.quantize_activations:
             from .ste import attach_activation_quant
             attach_activation_quant(model, config)
-        flat = model.flatten_parameters()
+        flat = model.flatten_parameters(arena)
         if flat is not None:
             self.optimizer.bind_flat(flat)
 
@@ -57,29 +67,25 @@ class Int8Trainer:
             return flat
         return None
 
-    @staticmethod
-    def _param_segments(flat):
-        layout = flat.layout
-        n = layout.num_params
-        return (np.asarray(layout.offsets[:n], dtype=np.intp),
-                np.asarray(layout.sizes[:n], dtype=np.intp))
+    def _scratch(self, flat) -> Int8StepScratch:
+        return Int8StepScratch.pooled(flat.arena, flat.layout, self.config)
 
     # ------------------------------------------------------------------
     def _quantized_weights(self):
         """Snap weights onto the INT8 grid, returning the FP32 masters.
 
-        On a flattened model this is one fused pass over the contiguous
-        parameter region (masters come back as a single array copy); the
+        On a flattened model this is one fused in-place pass over the
+        contiguous parameter region (the masters are the arena's pooled
+        snapshot, valid until the next replica's step); the
         per-parameter loop remains for unflattened models.
         """
         flat = self._flat()
         if flat is not None:
-            masters = flat.params.copy()
+            scratch = self._scratch(flat)
+            np.copyto(scratch.masters, flat.params)
             if self.config.quantize_weights:
-                starts, sizes = self._param_segments(flat)
-                flat.params[...] = fake_quantize_segments(
-                    flat.params, starts, sizes, self.config)
-            return masters
+                scratch.quant(flat.params)
+            return scratch.masters
         masters: list[np.ndarray] = []
         for param in self.model.parameters():
             masters.append(param.data)
@@ -124,17 +130,20 @@ class Int8Trainer:
         """Post-backward tail shared by the eager step and graph capture:
         master restore, clip, gradient quantisation, optimiser step."""
         self._restore_weights(masters)
+        flat = self._flat()
+        # Fused: clip and quantise this replica's complete gradient in
+        # place on the plane, so the fused SGD step stays armed.
+        scratch = (self._scratch(flat)
+                   if flat is not None and flat.grads_ready() else None)
         if self.max_grad_norm is not None:
-            self._clip_gradients()
+            if scratch is not None:
+                scratch.clip(flat.grads, self.max_grad_norm)
+            else:
+                self._clip_gradients()
         if self.config.quantize_gradients:
             rng = self.rng if self.config.stochastic_rounding else None
-            flat = self._flat()
-            if flat is not None and flat.grads_ready():
-                # Fused: quantise the whole gradient buffer in one pass,
-                # writing in place so the fused SGD step stays armed.
-                starts, sizes = self._param_segments(flat)
-                flat.grads[...] = fake_quantize_segments(
-                    flat.grads, starts, sizes, self.config, rng=rng)
+            if scratch is not None:
+                scratch.quant(flat.grads, rng=rng)
             else:
                 for param in self.model.parameters():
                     if param.grad is not None:
@@ -158,17 +167,17 @@ class Int8Trainer:
 
     # ------------------------------------------------------------------
     def enable_graph_executor(self, max_programs: int = 8,
-                              fuse: bool = True, plans=None):
+                              fuse: bool = True, arena=None):
         """Compile-and-replay the INT8 step via the graph executor.
 
         Mirrors ``Module.enable_graph_executor`` but wraps the *whole*
         trainer step (weight/input/gradient quantisation included), not
-        just forward/backward.  ``plans`` is the run's
-        :class:`~repro.nn.graph.PlanCache` (replicas of one run compile
+        just forward/backward.  ``arena`` is the run's
+        :class:`~repro.nn.arena.StepArena` (replicas of one run compile
         once and share a workspace).  Idempotent."""
         from ..nn.graph import attach_int8_graph_executor
         return attach_int8_graph_executor(self, max_programs=max_programs,
-                                          fuse=fuse, plans=plans)
+                                          fuse=fuse, arena=arena)
 
     def disable_graph_executor(self) -> None:
         self._graph_exec = None

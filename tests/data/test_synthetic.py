@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data import make_classification_images
+from repro.data.datasets import DATASET_REGISTRY, load_dataset
 from repro.nn import SGD, Tensor
 from repro.nn import functional as F
 from repro.nn.models import LeNet5
@@ -84,3 +85,54 @@ class TestDifficulty:
         task = make_classification_images(classes, classes * 4, classes * 2,
                                           image_size=10, seed=seed)
         assert set(np.unique(task.y_train)) <= set(range(classes))
+
+
+class TestGaussianMatchesScipy:
+    """``data/synthetic.py`` smooths with numpy so no process imports
+    ``scipy.ndimage``; scipy stays the reference it must equal byte for
+    byte."""
+
+    @staticmethod
+    def _scipy_smooth(raw, sigma):
+        from scipy import ndimage
+        return ndimage.gaussian_filter(raw, sigma=(0, sigma, sigma))
+
+    @pytest.mark.parametrize("size", [4, 5, 8, 12, 16, 17, 28, 32, 33])
+    @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0, 3.5, 4.0, 4.125, 8.0])
+    def test_filter_is_byte_identical(self, size, sigma):
+        from repro.data.synthetic import _gaussian_smooth
+        rng = np.random.default_rng(size * 1000 + int(sigma * 8))
+        for channels in (1, 3):
+            raw = rng.standard_normal((channels, size, size))
+            ours = np.ascontiguousarray(_gaussian_smooth(raw, sigma))
+            assert ours.tobytes() == self._scipy_smooth(raw, sigma).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(DATASET_REGISTRY))
+    @pytest.mark.parametrize("image_size", [None, 16])
+    def test_every_registry_dataset_is_byte_identical(self, name, image_size,
+                                                      monkeypatch):
+        from repro.data import synthetic
+        ours = load_dataset(name, scale=0.002, image_size=image_size, seed=3)
+        monkeypatch.setattr(synthetic, "_gaussian_smooth", self._scipy_smooth)
+        reference = load_dataset(name, scale=0.002, image_size=image_size,
+                                 seed=3)
+        for attr in ("x_train", "y_train", "x_test", "y_test"):
+            assert getattr(ours, attr).tobytes() == \
+                getattr(reference, attr).tobytes(), attr
+
+    def test_no_process_imports_scipy(self):
+        """The import must be gone, not deferred into a timed region."""
+        import subprocess
+        import sys
+        from pathlib import Path
+        from repro.data import synthetic
+        code = ("import sys; import repro.cli, repro.parallel, repro.jobs, "
+                "repro.serving; from repro.data import load_dataset; "
+                "load_dataset('cifar10', scale=0.001, image_size=8); "
+                "sys.exit(any(m.split('.')[0] == 'scipy' "
+                "for m in sys.modules))")
+        src = str(Path(synthetic.__file__).parents[2])
+        result = subprocess.run([sys.executable, "-c", code],
+                                env={"PYTHONPATH": src, "PATH": ""},
+                                timeout=120)
+        assert result.returncode == 0

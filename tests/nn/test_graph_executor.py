@@ -186,8 +186,8 @@ def test_storage_rebinding_invalidates_programs():
                 == executor.step(optimizer, x, y))
     assert executor.stats == {"captures": 1, "replays": 3,
                               "eager_steps": 0, "fallbacks": 0}
-    assert executor.plans.snapshot()["fp32"]["plans"] == 1
-    assert executor.plans.snapshot()["fp32"]["binds"] == 2
+    assert executor.arena.snapshot()["fp32"]["plans"] == 1
+    assert executor.arena.snapshot()["fp32"]["binds"] == 2
     (key, fresh), = executor._programs.items()
     assert fresh is not stale[key] and fresh.plan is stale[key].plan
     assert model._flat.is_intact()

@@ -30,7 +30,8 @@ from hypothesis import given, settings, strategies as st
 from repro.nn import Dropout, Flatten, Linear, ReLU, Sequential
 from repro.nn import functional as F
 from repro.nn import graph as graph_mod
-from repro.nn.graph import PlanCache, attach_graph_executor
+from repro.nn.arena import StepArena
+from repro.nn.graph import attach_graph_executor
 from repro.nn.models.registry import build_model
 from repro.nn.modules import Module
 from repro.nn.optim import SGD
@@ -61,15 +62,15 @@ def build(name: str, seed: int, **overrides) -> Module:
                        **kwargs)
 
 
-def make_replica(name, seed, plans=None, **executor_kwargs):
+def make_replica(name, seed, arena=None, **executor_kwargs):
     """(model, optimizer, step) — graphed through ``plans`` when given."""
     model = build(name, seed)
     optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9,
                     weight_decay=1e-4, flat=model.flatten_parameters())
-    if plans is None:
+    if arena is None:
         return model, optimizer, (
             lambda x, y: graph_mod._eager_step(model, optimizer, x, y))
-    executor = attach_graph_executor(model, plans=plans, **executor_kwargs)
+    executor = attach_graph_executor(model, arena=arena, **executor_kwargs)
     return model, optimizer, lambda x, y: executor.step(optimizer, x, y)
 
 
@@ -118,9 +119,9 @@ def poison(plan) -> None:
 def test_round_robin_replicas_match_eager_and_survive_poison(name):
     """(a) + (b): three replicas through one plan, the workspace
     poisoned between every two steps, against three eager replicas."""
-    plans = PlanCache()
+    arena = StepArena()
     eager = [make_replica(name, seed) for seed in range(3)]
-    graphed = [make_replica(name, seed, plans) for seed in range(3)]
+    graphed = [make_replica(name, seed, arena) for seed in range(3)]
     for step in range(4):
         for r in range(3):
             x, y = batch(name, 10 * step + r)
@@ -128,7 +129,7 @@ def test_round_robin_replicas_match_eager_and_survive_poison(name):
             poison(the_plan(graphed[0][0]))
     for pair in zip(eager, graphed):
         assert_replicas_identical(*pair)
-    counters = plans.snapshot()["fp32"]
+    counters = arena.snapshot()["fp32"]
     assert (counters["plans"], counters["binds"]) == (1, 3)
     assert counters["unshared_plans"] == 0
     assert len({id(the_plan(model)) for model, _, _ in graphed}) == 1
@@ -141,11 +142,11 @@ def test_round_robin_replicas_match_eager_and_survive_poison(name):
 def test_workspace_bytes_do_not_grow_with_replicas():
     sizes = {}
     for count in (1, 5):
-        plans = PlanCache()
+        arena = StepArena()
         for seed in range(count):
-            _, _, step = make_replica("lenet5", seed, plans)
+            _, _, step = make_replica("lenet5", seed, arena)
             step(*batch("lenet5", seed))
-        sizes[count] = plans.snapshot()["fp32"]["workspace_bytes"]
+        sizes[count] = arena.snapshot()["fp32"]["workspace_bytes"]
     assert sizes[1] == sizes[5] > 0
 
 
@@ -153,8 +154,8 @@ def test_persistent_regions_are_the_zero_initialised_buffers():
     """The persistent-constant rule: a dedicated buffer is persistent
     exactly when the compiler zero-initialised it (pad borders, the
     seed gradient); the arena never is."""
-    plans = PlanCache()
-    model, _, step = make_replica("resnet18", 0, plans)
+    arena = StepArena()
+    model, _, step = make_replica("resnet18", 0, arena)
     step(*batch("resnet18", 0))
     workspace = the_plan(model).workspace
     assert workspace[0][1] is False                    # the arena
@@ -176,9 +177,9 @@ def test_any_interleaving_with_shape_changes_matches_eager(ops, name):
     """(c): replicas in any order, three batch shapes against a
     two-binding ``max_programs`` (the third shape an executor meets
     trains eagerly for good) — every loss and the final state match."""
-    plans = PlanCache()
+    arena = StepArena()
     eager = [make_replica(name, seed) for seed in range(3)]
-    graphed = [make_replica(name, seed, plans, max_programs=2)
+    graphed = [make_replica(name, seed, arena, max_programs=2)
                for seed in range(3)]
     for i, (r, size) in enumerate(ops):
         x, y = batch(name, i, size)
@@ -191,7 +192,7 @@ def test_any_interleaving_with_shape_changes_matches_eager(ops, name):
         assert sum(stats.values()) == count
         assert stats["fallbacks"] == 0
         assert len(model._graph_exec.program_stats()) <= 2
-    counters = plans.snapshot().get("fp32", {"plans": 0})
+    counters = arena.snapshot().get("fp32", {"plans": 0})
     assert counters["plans"] <= len({size for _, size in ops})
     assert counters["plans"] == sum(
         model._graph_exec.stats["captures"] for model, _, _ in graphed)
@@ -202,22 +203,22 @@ def test_structurally_different_replicas_are_refused_not_misbound():
     """(d): frozen backbone, another width, another dropout rate — each
     misses the cache and compiles its own plan, and still trains
     bit-identically to its eager twin."""
-    plans = PlanCache()
+    arena = StepArena()
     base = build_model("resnet50", seed=0, **RESNET50)
-    attach_graph_executor(base, plans=plans).step(
+    attach_graph_executor(base, arena=arena).step(
         SGD(base.parameters(), lr=0.05, momentum=0.9),
         *batch("resnet18", 0, size=4))
 
     def pair(seed, tweak=lambda model: None, **overrides):
         twins = []
-        for cache in (None, plans):
+        for cache in (None, arena):
             model = build_model("resnet50", seed=seed,
                                 **dict(RESNET50, **overrides))
             tweak(model)
             optimizer = SGD([p for p in model.parameters()
                              if p.requires_grad], lr=0.05, momentum=0.9)
             if cache is not None:
-                attach_graph_executor(model, plans=cache)
+                attach_graph_executor(model, arena=cache)
             twins.append((model, optimizer))
         return twins
 
@@ -236,17 +237,17 @@ def test_structurally_different_replicas_are_refused_not_misbound():
     captures = {label: twins[1][0]._graph_exec.stats["captures"]
                 for label, twins in cases.items()}
     assert captures == {"frozen": 1, "wider": 1, "same": 0}
-    assert plans.snapshot()["fp32"]["plans"] == 3
+    assert arena.snapshot()["fp32"]["plans"] == 3
 
     # configuration baked into instructions (dropout p) is part of the
     # key too, though the layouts are equal
-    plans = PlanCache()
+    arena = StepArena()
     for p in (0.25, 0.5):
         model = build("mlp_dropout", 0, p=p)
         optimizer = SGD(model.parameters(), lr=0.05)
-        attach_graph_executor(model, plans=plans).step(
+        attach_graph_executor(model, arena=arena).step(
             optimizer, *batch("mlp_dropout", 0))
-    assert plans.snapshot()["fp32"]["plans"] == 2
+    assert arena.snapshot()["fp32"]["plans"] == 2
 
 
 class ExternalRngNet(Module):
@@ -266,20 +267,20 @@ def test_unlocatable_leaf_gets_a_private_counted_plan():
     """A leaf that maps to neither fused storage nor module state
     cannot be re-resolved for another replica: each such replica
     compiles its own plan through the same code, and the cache says so."""
-    plans = PlanCache()
+    arena = StepArena()
     twins = []
     for seed in range(2):
         eager = ExternalRngNet(seed, np.random.default_rng(7 + seed))
         model = ExternalRngNet(seed, np.random.default_rng(7 + seed))
         twins.append((eager, SGD(eager.parameters(), lr=0.05),
                       model, SGD(model.parameters(), lr=0.05)))
-        attach_graph_executor(model, plans=plans)
+        attach_graph_executor(model, arena=arena)
     for i in range(3):
         for eager, eager_opt, model, opt in twins:
             x, y = batch("mlp_dropout", i)
             assert (graph_mod._eager_step(eager, eager_opt, x, y)
                     == model._graph_exec.step(opt, x, y))
-    counters = plans.snapshot()["fp32"]
+    counters = arena.snapshot()["fp32"]
     assert (counters["plans"], counters["unshared_plans"]) == (2, 2)
     for _, _, model, _ in twins:
         assert model._graph_exec.stats == {
@@ -290,8 +291,8 @@ def test_unlocatable_leaf_gets_a_private_counted_plan():
 def test_replaying_a_running_plan_raises():
     """(e): the shared workspace rests on replicas stepping one at a
     time; a step started from inside another one must fail loudly."""
-    plans = PlanCache()
-    replicas = [make_replica("lenet5", seed, plans) for seed in range(2)]
+    arena = StepArena()
+    replicas = [make_replica("lenet5", seed, arena) for seed in range(2)]
     x, y = batch("lenet5", 0)
     for _, _, step in replicas:
         step(x, y)

@@ -217,7 +217,7 @@ def test_storage_rebinding_falls_back_then_recaptures():
     assert_trainers_identical(eager, graphed)
     assert graphed.graph_stats() == {"captures": 1, "replays": 5,
                                      "eager_steps": 0, "fallbacks": 0}
-    counters = graphed._graph_exec.plans.snapshot()["int8"]
+    counters = graphed._graph_exec.arena.snapshot()["int8"]
     assert (counters["plans"], counters["binds"]) == (1, 2)
     assert graphed.model._flat.is_intact()
 

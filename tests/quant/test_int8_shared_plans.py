@@ -22,7 +22,7 @@ from repro.core.socflow import reform_groups
 from repro.data import make_classification_images
 from repro.distributed import RunConfig
 from repro.nn import Dropout, Flatten, Linear, ReLU, Sequential
-from repro.nn.graph import PlanCache
+from repro.nn.arena import StepArena
 from repro.nn.models.registry import build_model
 from repro.quant import Int8Trainer, QuantConfig
 from repro.quant.mixed import MixedPrecisionController
@@ -55,11 +55,11 @@ def build(name, seed):
                        **SPECS[name])
 
 
-def make_trainer(name, seed, config, plans=None, **executor_kwargs):
+def make_trainer(name, seed, config, arena=None, **executor_kwargs):
     trainer = Int8Trainer(build(name, seed), lr=0.05, config=config,
                           momentum=0.9, seed=40 + seed)
-    if plans is not None:
-        trainer.enable_graph_executor(plans=plans, **executor_kwargs)
+    if arena is not None:
+        trainer.enable_graph_executor(arena=arena, **executor_kwargs)
     return trainer
 
 
@@ -108,9 +108,9 @@ CASES = [(name, "int8") for name in sorted(SPECS)] + [
 def test_round_robin_replicas_match_eager_and_survive_poison(name,
                                                              config_name):
     config = CONFIGS[config_name]
-    plans = PlanCache()
+    arena = StepArena()
     eager = [make_trainer(name, seed, config) for seed in range(3)]
-    graphed = [make_trainer(name, seed, config, plans) for seed in range(3)]
+    graphed = [make_trainer(name, seed, config, arena) for seed in range(3)]
     for step in range(3):
         for r in range(3):
             x, y = batch(name, 10 * step + r)
@@ -119,7 +119,7 @@ def test_round_robin_replicas_match_eager_and_survive_poison(name,
             poison(the_plan(graphed[0]))
     for pair in zip(eager, graphed):
         assert_trainers_identical(*pair)
-    counters = plans.snapshot()["int8"]
+    counters = arena.snapshot()["int8"]
     assert (counters["plans"], counters["binds"]) == (1, 3)
     assert counters["unshared_plans"] == 0
     assert len({id(the_plan(t)) for t in graphed}) == 1
@@ -132,15 +132,15 @@ def test_stage_scratch_is_pooled_across_batch_shapes():
     """The quantiser/master/clip scratch depends on the layout, not on
     the batch: a second batch shape compiles a second plan but draws on
     the same pooled set, so the workspace grows by less than a plan."""
-    plans = PlanCache()
-    trainers = [make_trainer("lenet5", seed, QuantConfig(), plans)
+    arena = StepArena()
+    trainers = [make_trainer("lenet5", seed, QuantConfig(), arena)
                 for seed in range(2)]
     for trainer in trainers:
         trainer.train_step(*batch("lenet5", 0, size=8))
-    one_shape = plans.snapshot()["int8"]["workspace_bytes"]
+    one_shape = arena.snapshot()["int8"]["workspace_bytes"]
     for trainer in trainers:
         trainer.train_step(*batch("lenet5", 1, size=4))
-    counters = plans.snapshot()["int8"]
+    counters = arena.snapshot()["int8"]
     assert counters["plans"] == 2 and counters["binds"] == 4
     plan_a, plan_b = (p.plan for p in
                       trainers[0]._graph_exec._programs.values())
@@ -152,7 +152,7 @@ def test_stage_scratch_is_pooled_across_batch_shapes():
 def test_different_quant_config_is_refused_not_misbound():
     """(d): same model, same cache, another ``QuantConfig`` or clip
     norm — a different plan key, so a new compile."""
-    plans = PlanCache()
+    arena = StepArena()
     variants = [dict(config=QuantConfig()),
                 dict(config=QuantConfig(bits=4)),
                 dict(config=QuantConfig(), max_grad_norm=None),
@@ -160,21 +160,21 @@ def test_different_quant_config_is_refused_not_misbound():
     for i, kwargs in enumerate(variants):
         eager = Int8Trainer(build("lenet5", i), lr=0.05, seed=i, **kwargs)
         graphed = Int8Trainer(build("lenet5", i), lr=0.05, seed=i, **kwargs)
-        graphed.enable_graph_executor(plans=plans)
+        graphed.enable_graph_executor(arena=arena)
         for step in range(3):
             x, y = batch("lenet5", step)
             assert eager.train_step(x, y) == graphed.train_step(x, y), i
         assert_trainers_identical(eager, graphed)
         assert graphed.graph_stats()["captures"] == (0 if i == 3 else 1)
-    assert plans.snapshot()["int8"]["plans"] == 3
+    assert arena.snapshot()["int8"]["plans"] == 3
 
 
 def test_replaying_a_running_plan_raises_across_pooled_shapes():
     """(e): INT8 plans of different batch shapes share the pooled stage
     scratch, hence one guard: a step of *either* shape started inside
     a replay must raise."""
-    plans = PlanCache()
-    first, second = (make_trainer("lenet5", seed, QuantConfig(), plans)
+    arena = StepArena()
+    first, second = (make_trainer("lenet5", seed, QuantConfig(), arena)
                      for seed in range(2))
     big, small = batch("lenet5", 0, size=8), batch("lenet5", 1, size=4)
     for trainer in (first, second):
@@ -211,7 +211,7 @@ def run_ops(ops, graph: bool):
     base = GroupMixedTrainer(config, controller, quant, seed_offset=0)
     groups = [base] + [
         GroupMixedTrainer(config, controller, quant, seed_offset=g,
-                          plans=base.plans) for g in (1, 2)]
+                          arena=base.arena) for g in (1, 2)]
     cursor = 0
     for op in ops:
         if op[0] == "step":
@@ -229,7 +229,7 @@ def run_ops(ops, graph: bool):
             state = groups[index].runtime_state()
             groups[index] = GroupMixedTrainer(
                 config, controller, quant, seed_offset=index,
-                plans=groups[0].plans)
+                arena=groups[0].arena)
             groups[index].load_runtime_state(state)
     return groups
 
@@ -258,7 +258,7 @@ def test_interleaved_steps_reforms_and_restarts_match_eager(ops):
     for group in graphed:
         shapes["fp32"] |= set(group.fp32._graph_exec._programs)
         shapes["int8"] |= set(group.int8._graph_exec._programs)
-    for precision, counters in graphed[0].plans.snapshot().items():
+    for precision, counters in graphed[0].arena.snapshot().items():
         assert counters["unshared_plans"] == 0
         assert counters["plans"] >= len(shapes[precision])
         assert counters["plans"] <= 6       # 2 batch sizes x 3 alphas

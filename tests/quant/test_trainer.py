@@ -103,3 +103,51 @@ class TestLrProperty:
         trainer.lr = 0.001
         assert trainer.lr == 0.001
         assert trainer.optimizer.lr == 0.001
+
+
+# ----------------------------------------------------------------------
+# The in-place fused step against the per-parameter reference
+# ----------------------------------------------------------------------
+def _trainer(name, config, fused, monkeypatch):
+    from repro.nn.models.registry import build_model
+    from repro.nn.modules import Module
+    model = build_model(name, seed=3, num_classes=10, image_size=16,
+                        in_channels=3, width=0.5)
+    with monkeypatch.context() as patch:
+        if not fused:       # never flattens: per-tensor quantise/clip/SGD
+            patch.setattr(Module, "flatten_parameters",
+                          lambda self, arena=None: None)
+        return Int8Trainer(model, lr=0.05, config=config, momentum=0.9,
+                           weight_decay=1e-4, seed=7, max_grad_norm=0.5)
+
+
+@pytest.mark.parametrize("config", [
+    QuantConfig(), QuantConfig(stochastic_rounding=False),
+    QuantConfig(float16=True), QuantConfig(bits=4),
+    QuantConfig(quantize_gradients=False, quantize_activations=False)],
+    ids=["int8", "int8_rint", "fp16", "int4", "weights_only"])
+@pytest.mark.parametrize("name", ["lenet5", "vit_tiny"])
+def test_inplace_fused_step_matches_per_parameter_reference(name, config,
+                                                           monkeypatch):
+    """Eager steps on a flattened model quantise weights and gradients
+    in place through the pooled ``SegmentQuantizer``, clip on the flat
+    gradient and update fused; the unflattened per-tensor path
+    (``fake_quantize`` / ``_clip_gradients`` / per-parameter SGD) is
+    the reference: same weights, momentum and RNG position."""
+    fused = _trainer(name, config, True, monkeypatch)
+    reference = _trainer(name, config, False, monkeypatch)
+    assert fused._flat() is not None and reference._flat() is None
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        x = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
+        y = rng.integers(0, 10, size=8)
+        assert fused.train_step(x, y) == reference.train_step(x, y)
+    state, expected = fused.model.state_dict(), reference.model.state_dict()
+    for key in expected:
+        assert np.array_equal(state[key], expected[key]), key
+    for ours, theirs in zip(fused.optimizer.state_dict()["velocity"],
+                            reference.optimizer.state_dict()["velocity"]):
+        assert np.array_equal(ours, theirs)
+    assert fused.rng.bit_generator.state == reference.rng.bit_generator.state
+    assert np.array_equal(fused.predict_logits(x),
+                          reference.predict_logits(x))
