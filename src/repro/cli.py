@@ -345,6 +345,10 @@ def _emit_telemetry(args, telemetry, out, method: str | None = None) -> None:
         telemetry.metrics.write_jsonl(path)
         print(f"metrics: {len(telemetry.metrics)} series -> {path}",
               file=out)
+        for row in telemetry.metrics.collect():
+            if row["name"] == "sync.fusion_clamped":
+                print(f"fusion: {int(row['value'])} bucketed step(s) clamped "
+                      "to the whole-model sync", file=out)
 
 
 def cmd_run(args, out) -> int:

@@ -49,22 +49,6 @@ class PhaseClock:
         """Phase → hidden seconds (the overlapped share of the totals)."""
         return dict(self.attributed_totals)
 
-    def merge(self, other: "PhaseClock") -> None:
-        """Fold another clock's elapsed time and phase totals into this
-        one.
-
-        Recovery steps (and any other sub-procedure priced on a scratch
-        clock) keep their own phase attribution and aggregate correctly:
-        the wall clock advances by the scratch clock's total and every
-        phase total adds through, instead of the sub-procedure's
-        breakdown being flattened into a single phase.
-        """
-        self.now += other.now
-        for phase, seconds in other.phase_totals.items():
-            self.phase_totals[phase] += seconds
-        for phase, seconds in other.attributed_totals.items():
-            self.attributed_totals[phase] += seconds
-
     def fraction(self, phase: str) -> float:
         return self.phase_totals.get(phase, 0.0) / self.now if self.now else 0.0
 

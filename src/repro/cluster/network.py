@@ -19,6 +19,7 @@ measured 20.6 s for 32 SoCs on VGG-11.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -78,6 +79,8 @@ class NetworkFabric:
         self._pcb_multipliers: dict[int, float] = {}
         #: cumulative timed-out attempts charged (observability/tests)
         self.total_retries = 0
+        #: the open :meth:`deferred` block's observations, else ``None``
+        self._deferred: "list | None" = None
 
     # ------------------------------------------------------------------
     # Link degradation (fault injection)
@@ -181,27 +184,20 @@ class NetworkFabric:
             retries = self.retry_policy.retries_for(worst_mult)
             if retries:
                 penalty = self.retry_policy.penalty_seconds(retries)
-                self.total_retries += retries
-        if self.telemetry.enabled:
-            self._emit_transfer_telemetry(flows, load, worst, penalty,
-                                          retries)
+        wait_span = (self._wait_span(flows, load, worst, penalty, retries)
+                     if self.telemetry.tracer.enabled else None)
+        if retries or wait_span is not None:
+            if self._deferred is None:
+                self._observe(retries, wait_span)
+            else:
+                self._deferred.append((retries, wait_span))
         return worst + penalty + self.topology.hop_latency_s
 
-    def _emit_transfer_telemetry(self, flows, load, worst: float,
-                                 penalty: float, retries: int) -> None:
-        """Emit ``nic_wait`` spans and retry metrics for one transfer.
-
-        The contention wait is the slowdown shared links impose beyond
-        the slowest flow running alone; the retry penalty is the
-        degraded-link backoff.  Spans are stamped at the current
-        simulated time, i.e. the start of the window the caller is
-        about to charge.
-        """
-        if retries:
-            self.telemetry.metrics.counter("net.retries").inc(retries)
-        tracer = self.telemetry.tracer
-        if not tracer.enabled:
-            return
+    def _wait_span(self, flows, load, worst: float, penalty: float,
+                   retries: int) -> "dict | None":
+        """The ``nic_wait`` span of one transfer (``None`` = no wait):
+        the slowdown shared links impose beyond the slowest flow running
+        alone, plus the degraded-link retry backoff."""
         bottleneck, bottleneck_bytes = max(
             load.items(), key=lambda kv: 8.0 * kv[1] / self._bandwidth(kv[0][0]))
         solo = max((max(8.0 * flow.nbytes / self._bandwidth(link)
@@ -209,13 +205,39 @@ class NetworkFabric:
                     for flow in flows if flow.nbytes > 0), default=0.0)
         wait = max(0.0, worst - solo) + penalty
         if wait <= 0.0:
-            return
+            return None
         link = bottleneck[0]
-        pcb = int(link[4:]) if link.startswith("pcb:") else None
-        soc = int(link[4:]) if link.startswith("soc:") else None
-        tracer.span("nic_wait", self.telemetry.now, wait, pcb=pcb, soc=soc,
-                    link=link, link_bytes=bottleneck_bytes, flows=len(flows),
-                    retries=retries, retry_penalty_s=penalty)
+        return dict(
+            dur_s=wait, link=link, link_bytes=bottleneck_bytes,
+            pcb=int(link[4:]) if link.startswith("pcb:") else None,
+            soc=int(link[4:]) if link.startswith("soc:") else None,
+            flows=len(flows), retries=retries, retry_penalty_s=penalty)
+
+    def _observe(self, retries: int, wait_span: "dict | None") -> None:
+        """Count a transfer's retries and stamp its ``nic_wait`` span at
+        the current simulated time: the window about to be charged."""
+        if retries:
+            self.total_retries += retries
+            self.telemetry.metrics.counter("net.retries").inc(retries)
+        if wait_span is not None:
+            self.telemetry.tracer.span("nic_wait", self.telemetry.now,
+                                       **wait_span)
+
+    @contextmanager
+    def deferred(self):
+        """Price transfers now, observe them later: queries inside the
+        block return their seconds as usual, but their retry counts and
+        ``nic_wait`` spans go to the yielded list for :meth:`commit` to
+        replay once the clock stands where they happen."""
+        self._deferred = observations = []
+        try:
+            yield observations
+        finally:
+            self._deferred = None
+
+    def commit(self, observations) -> None:
+        for retries, wait_span in observations:
+            self._observe(retries, wait_span)
 
     # ------------------------------------------------------------------
     # Collectives

@@ -31,10 +31,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..cluster.clock import PhaseClock
 from ..comm.buckets import bucketed_average_states
+from ..distributed import pricing
 from ..distributed.base import (CostModel, RunConfig, Strategy,
-                                StrategyResult, evaluate_accuracy)
+                                StrategyResult, evaluate_accuracy,
+                                record_epoch_telemetry)
 from ..quant.int8 import QuantConfig
 from ..quant.mixed import MixedPrecisionController
 from .grouping import survivor_group_count
@@ -239,9 +240,7 @@ class SoCFlow(Strategy):
         executor = self._make_executor(config, cost, mixed, telemetry)
         try:
             for epoch in range(start_epoch, config.max_epochs):
-                epoch_t0 = cost.clock.now
-                epoch_phases0 = cost.clock.breakdown()
-                epoch_hidden0 = cost.clock.attributed_breakdown()
+                epoch_start = cost.epoch_start()
                 scheduler.apply_underclocks(epoch)
                 dead = scheduler.apply_faults(epoch, cost.fabric)
                 if dead != current_dead:
@@ -268,9 +267,13 @@ class SoCFlow(Strategy):
 
                 self._run_real_epoch(config, active, epoch, rng, executor)
                 layout = active[0].fp32.flatten_parameters().layout
-                self._charge_epoch(config, cost, active_mapping, active_plan,
-                                   controller, scheduler, mixed, epoch,
-                                   layout=layout)
+                cpu_share = (controller.cpu_share if mixed else
+                             0.0 if options.precision == "int8" else 1.0)
+                pricing.apply(cost, pricing.price_epoch(
+                    cost, active_mapping, active_plan, cpu_share=cpu_share,
+                    slowdown=max(scheduler.group_slowdown(socs)
+                                 for socs in active_mapping.groups),
+                    planning=options.planning, layout=layout))
 
                 if epoch == 0:
                     # The group-size heuristic profiles *pre-merge* accuracy
@@ -288,8 +291,7 @@ class SoCFlow(Strategy):
                     group.load_state(merged)
                 last_good = (merged, epoch)
                 if mixed and options.fixed_alpha is None:
-                    controller.update_alpha(
-                        *self._profile_logits(active[0], val_x))
+                    active[0].update_alpha(val_x)
 
                 accuracy = evaluate_accuracy(active[0].fp32, config.task.x_test,
                                              config.task.y_test)
@@ -299,11 +301,10 @@ class SoCFlow(Strategy):
                     self._write_checkpoint(options.checkpoint_path, active[0],
                                            epoch, history, controller, cost,
                                            config)
-                if telemetry.enabled:
-                    self._record_epoch_telemetry(
-                        telemetry, cost, epoch, epoch_t0, epoch_phases0,
-                        accuracy, controller if mixed else None,
-                        active_mapping, hidden0=epoch_hidden0)
+                record_epoch_telemetry(
+                    cost, epoch_start, epoch, accuracy,
+                    controller=controller if mixed else None,
+                    num_groups=active_mapping.num_groups)
 
         finally:
             if executor is not None:
@@ -435,16 +436,6 @@ class SoCFlow(Strategy):
                             mixed=mixed or options.precision == "int8",
                             int8_only=options.precision == "int8")
 
-    @staticmethod
-    def _profile_logits(group: GroupMixedTrainer,
-                        val_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        from ..nn.tensor import Tensor, no_grad
-        group.fp32.eval()
-        with no_grad():
-            logits_fp32 = group.fp32(Tensor(val_x)).data
-        logits_int8 = group.int8.predict_logits(val_x)
-        return logits_fp32, logits_int8
-
     def _run_real_epoch(self, config: RunConfig,
                         groups: list[GroupMixedTrainer], epoch: int,
                         rng: np.random.Generator, executor=None) -> None:
@@ -467,262 +458,6 @@ class SoCFlow(Strategy):
                 idx = shard[step * group_batch:(step + 1) * group_batch]
                 group.train_batch(config.task.x_train[idx],
                                   config.task.y_train[idx])
-
-    def _charge_epoch(self, config: RunConfig, cost: CostModel,
-                      mapping: MappingResult, plan: CommunicationPlan,
-                      controller: MixedPrecisionController,
-                      scheduler: GlobalScheduler, mixed: bool,
-                      epoch: int = 0, layout=None) -> None:
-        """Advance the simulated clock for one full-scale epoch.
-
-        ``layout`` is the groups' shared flat parameter layout; with
-        bucketed fusion enabled it drives the per-bucket sync timeline
-        (each bucket runs the full CG schedule on its payload slice,
-        overlapping the backward pass of the step that produced it).
-        """
-        options = self.options
-        telemetry = cost.telemetry
-        n = mapping.num_groups
-        # SoCs actually hosting groups this epoch (survivors only, when
-        # faults shrank the cluster).
-        num_active_socs = sum(len(socs) for socs in mapping.groups)
-        # BS_g samples per group-step, spread over the group's M/N SoCs.
-        per_soc_samples = config.sim_global_batch * n / num_active_socs
-
-        if options.precision == "int8":
-            cpu_n, npu_n = 0.0, per_soc_samples
-        elif mixed:
-            share = controller.cpu_share
-            cpu_n = share * per_soc_samples
-            npu_n = per_soc_samples - cpu_n
-        else:
-            cpu_n, npu_n = per_soc_samples, 0.0
-        cpu_busy = cpu_n * cost.t_cpu_sample
-        npu_busy = npu_n * cost.t_npu_sample
-        slowdown = max((scheduler.group_slowdown(socs)
-                        for socs in mapping.groups), default=1.0)
-        compute_s = max(cpu_busy, npu_busy) * slowdown
-
-        from ..distributed.base import OVERLAP_FRACTION
-        payload = cost.grad_bytes
-
-        def branch_sync(nbytes: float, num_tensors: "float | None" = None):
-            """(raw, cg_times) of one sync at ``nbytes`` payload."""
-            if mapping.num_groups == 1:
-                t = cost.fabric.ring_allreduce_time(
-                    mapping.groups[0], nbytes, num_tensors=num_tensors)
-                return t, [t]
-            if options.planning:
-                times = plan.planned_sync_seconds(cost.fabric, nbytes,
-                                                  num_tensors=num_tensors)
-                return sum(times), times
-            return plan.unplanned_sync_seconds(
-                cost.fabric, nbytes, num_tensors=num_tensors), None
-
-        raw, cg_times = branch_sync(payload)
-        if mapping.num_groups > 1 and options.planning:
-            # Figure 7: the planned CG schedule interleaves each CG's sync
-            # with the other CG's compute, hiding up to a full compute
-            # window of synchronisation.
-            hidden = min(raw, compute_s)
-        else:
-            hidden = min(raw, OVERLAP_FRACTION * compute_s)
-
-        bucket_plan = cost.bucket_plan(layout)
-        bucket_schedule = None
-        if bucket_plan is not None:
-            # Bucket granularity: every gradient bucket runs the full CG
-            # sequence on its slice of the payload, starting as soon as
-            # backward emits it; the overlap timeline then decides how
-            # much of the epoch's sync hides under compute.
-            bucket_times = [
-                branch_sync(b_bytes, num_tensors=b_tensors)[0]
-                for b_bytes, b_tensors in zip(
-                    bucket_plan.sim_bytes(payload),
-                    bucket_plan.sim_tensors(cost.profile.num_tensors))]
-            sync_s, hidden, bucket_schedule = cost.overlapped_sync(
-                compute_s, bucket_plan, bucket_times, raw, hidden)
-            raw = sync_s + hidden
-        else:
-            sync_s = raw - hidden
-
-        update_s = cost.update_seconds()
-        # All N groups step in parallel: one parallel step consumes
-        # N * BS_g samples of the epoch.
-        steps = max(1, -(-config.sim_samples_per_epoch
-                         // (n * config.sim_global_batch)))
-        t0 = cost.clock.now
-        cost.clock.advance(steps * compute_s, "compute")
-        cost.clock.advance(steps * sync_s, "sync")
-        cost.clock.attribute(steps * hidden, "sync")
-        cost.clock.advance(steps * update_s, "update")
-        cost.energy.charge_mixed(steps * cpu_busy, steps * npu_busy,
-                                 steps * compute_s, num_active_socs)
-        cost.energy.charge_network(steps * sync_s, num_active_socs)
-        cost.energy.charge_network(steps * hidden, num_active_socs,
-                                   include_idle=False)
-        cost.energy.charge_compute(steps * update_s, num_active_socs, 1.0)
-
-        if telemetry.tracer.enabled:
-            self._emit_step_spans(telemetry.tracer, mapping, plan, t0, steps,
-                                  compute_s, sync_s, hidden, update_s, raw,
-                                  cg_times, slowdown, cpu_n, npu_n,
-                                  bucket_schedule=bucket_schedule)
-
-        # Epoch tail: one unhidden intra-group sync + the leader ring
-        # (delayed aggregation) — "the extra delay of SoCFlow is only one
-        # intra-group and inter-group synchronization time".
-        tail_t0 = cost.clock.now
-        tail = plan.planned_sync_seconds(cost.fabric, payload)
-        leaders = [socs[0] for socs in mapping.groups]
-        inter = (cost.fabric.ring_allreduce_time(leaders, payload)
-                 if len(leaders) > 1 else 0.0)
-        cost.charge_epoch_sync(sum(tail) + inter, num_active_socs)
-
-        if telemetry.tracer.enabled:
-            self._emit_tail_spans(telemetry.tracer, mapping, plan, tail_t0,
-                                  tail, inter, leaders)
-        if telemetry.metrics.enabled:
-            metrics = telemetry.metrics
-            # Exact NIC accounting: `steps` in-epoch intra-group syncs,
-            # one tail sync, one leader ring.  Bucketed syncs go through
-            # the conservation-checked path: the per-bucket loads must
-            # sum to the whole-model loads or the fabric raises.
-            if bucket_plan is not None:
-                intra = cost.fabric.bucketed_pcb_ring_bytes(
-                    mapping.groups, bucket_plan.sim_bytes(payload),
-                    total_bytes=payload)
-            else:
-                intra = cost.fabric.pcb_ring_bytes(mapping.groups, payload)
-            for pcb, nbytes in sorted(intra.items()):
-                metrics.counter("nic.bytes", pcb=pcb).inc(
-                    (steps + 1) * nbytes)
-            for pcb, nbytes in sorted(
-                    cost.fabric.pcb_ring_bytes([leaders], payload).items()):
-                metrics.counter("nic.bytes", pcb=pcb).inc(nbytes)
-            metrics.gauge("compute.slowdown").set(slowdown)
-            metrics.histogram("sync.hidden_fraction").observe(
-                hidden / raw if raw > 0 else 0.0)
-
-    # ------------------------------------------------------------------
-    # Telemetry emission (pure observation: no simulation state touched)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _emit_step_spans(tracer, mapping: MappingResult,
-                         plan: CommunicationPlan, t0: float, steps: int,
-                         compute_s: float, sync_s: float, hidden: float,
-                         update_s: float, raw: float,
-                         cg_times: "list[float] | None", slowdown: float,
-                         cpu_n: float, npu_n: float,
-                         bucket_schedule=None) -> None:
-        """Spans for the in-epoch step windows, per SoC with LG/CG tags.
-
-        The epoch's ``steps`` identical step windows are drawn as one
-        aggregated compute span and one sync span per SoC; the planned
-        CG schedule lays each CG's visible share out sequentially, the
-        unplanned fallback draws every ring concurrently.  ``args``
-        carry the raw (pre-hiding) and hidden seconds so the trace
-        accounts for overlapped communication too.  With bucketed
-        fusion, each bucket's collective additionally gets its own span
-        (scaled by ``steps``, like the windows it rides in), whose
-        ``hidden_s`` arg is the share that ran under backward.
-        """
-        compute_end = t0 + steps * compute_s
-        for lg, socs in enumerate(mapping.groups):
-            for soc in socs:
-                tracer.span("compute", t0, steps * compute_s, soc=soc,
-                            lg=lg, steps=steps, slowdown=slowdown,
-                            cpu_samples=cpu_n, npu_samples=npu_n)
-        if bucket_schedule:
-            for index, (start, end) in enumerate(bucket_schedule):
-                tracer.span(
-                    "bucket_sync", t0 + steps * start, steps * (end - start),
-                    bucket=index, steps=steps,
-                    hidden_s=steps * max(0.0, min(end, compute_s) - start))
-        visible = steps * sync_s
-        if cg_times is not None:
-            cursor = compute_end
-            for cg_idx, cg in enumerate(plan.cgs):
-                if cg_idx >= len(cg_times):
-                    break
-                share = (cg_times[cg_idx] / raw * visible if raw > 0
-                         else 0.0)
-                for lg in cg:
-                    for soc in mapping.groups[lg]:
-                        tracer.span("allreduce", cursor, share, soc=soc,
-                                    lg=lg, cg=cg_idx,
-                                    raw_s=steps * cg_times[cg_idx],
-                                    hidden_s=steps * hidden)
-                cursor += share
-        else:
-            for lg, socs in enumerate(mapping.groups):
-                for soc in socs:
-                    tracer.span("allreduce", compute_end, visible, soc=soc,
-                                lg=lg, raw_s=steps * raw,
-                                hidden_s=steps * hidden)
-        tracer.span("update", compute_end + visible, steps * update_s,
-                    steps=steps)
-
-    @staticmethod
-    def _emit_tail_spans(tracer, mapping: MappingResult,
-                         plan: CommunicationPlan, tail_t0: float,
-                         tail: list[float], inter: float,
-                         leaders: list[int]) -> None:
-        """The epoch tail: per-CG intra-group syncs, then the leader ring."""
-        cursor = tail_t0
-        for cg_idx, cg in enumerate(plan.cgs):
-            if cg_idx >= len(tail):
-                break
-            for lg in cg:
-                for soc in mapping.groups[lg]:
-                    tracer.span("allreduce", cursor, tail[cg_idx],
-                                name="allreduce:tail", soc=soc, lg=lg,
-                                cg=cg_idx)
-            cursor += tail[cg_idx]
-        if inter > 0:
-            for lg, leader in enumerate(leaders):
-                tracer.span("leader_sync", cursor, inter, soc=leader,
-                            lg=lg, num_leaders=len(leaders))
-
-    @staticmethod
-    def _record_epoch_telemetry(telemetry, cost: CostModel, epoch: int,
-                                epoch_t0: float, phases0: dict,
-                                accuracy: float, controller, mapping,
-                                hidden0: dict | None = None) -> None:
-        """Per-epoch report row, epoch span, and epoch-level metrics."""
-        phases1 = cost.clock.breakdown()
-        delta = {phase: phases1.get(phase, 0.0) - phases0.get(phase, 0.0)
-                 for phase in phases1}
-        seconds = cost.clock.now - epoch_t0
-        alpha = controller.alpha if controller is not None else None
-        hidden1 = cost.clock.attributed_breakdown()
-        hidden_s = (hidden1.get("sync", 0.0)
-                    - (hidden0 or {}).get("sync", 0.0))
-        telemetry.record_epoch(
-            epoch=epoch, seconds=seconds,
-            compute_s=delta.get("compute", 0.0),
-            sync_s=delta.get("sync", 0.0),
-            hidden_s=hidden_s,
-            update_s=delta.get("update", 0.0),
-            recovery_s=delta.get("recovery") or None,
-            accuracy=accuracy, alpha=alpha,
-            retries=cost.fabric.total_retries)
-        if telemetry.tracer.enabled:
-            telemetry.tracer.span(
-                "epoch", epoch_t0, seconds, name=f"epoch {epoch}",
-                epoch=epoch, accuracy=accuracy,
-                num_groups=mapping.num_groups,
-                **({"alpha": alpha} if alpha is not None else {}))
-        metrics = telemetry.metrics
-        if metrics.enabled:
-            metrics.counter("epochs").inc()
-            metrics.histogram("epoch.seconds").observe(seconds)
-            for phase, value in sorted(delta.items()):
-                metrics.counter("phase.seconds", phase=phase).inc(value)
-            if alpha is not None:
-                metrics.gauge("mixed.alpha").set(alpha)
-                metrics.gauge("mixed.beta").set(controller.beta)
-                metrics.gauge("mixed.cpu_share").set(controller.cpu_share)
 
     @staticmethod
     def _try_resume(path: str, groups: list[GroupMixedTrainer],
@@ -753,12 +488,8 @@ class SoCFlow(Strategy):
         checkpoint.save(path)
         # writing to UFS happens off the critical path on every SoC,
         # but the leader's write is charged once per epoch
-        write_t0 = cost.clock.now
-        write_s = checkpoint.write_seconds()
-        cost.clock.advance(write_s, "update")
-        if cost.telemetry.tracer.enabled:
-            cost.telemetry.tracer.span("checkpoint", write_t0, write_s,
-                                       name="checkpoint:epoch", epoch=epoch)
+        cost.charge_checkpoint(checkpoint.write_seconds(), "update",
+                               name="checkpoint:epoch", epoch=epoch)
 
     def _recover(self, config: RunConfig, controller,
                  groups: list[GroupMixedTrainer], dead: set[int],
@@ -788,13 +519,7 @@ class SoCFlow(Strategy):
         recovery_t0 = cost.clock.now
         recovery_s = scheduler.recovery_seconds(cost.grad_bytes, cost.fabric,
                                                 survivors)
-        # The recovery step is priced on a scratch clock under its own
-        # phase and merged in, so the per-epoch report can attribute it
-        # separately from ordinary synchronisation.
-        recovery_clock = PhaseClock()
-        recovery_clock.advance(recovery_s, "recovery")
-        cost.clock.merge(recovery_clock)
-        cost.energy.charge_network(recovery_s, len(survivors))
+        cost.charge_recovery(recovery_s, len(survivors))
         telemetry = cost.telemetry
         if telemetry.tracer.enabled:
             telemetry.tracer.span(
@@ -821,16 +546,12 @@ class SoCFlow(Strategy):
         """Terminate whole logical groups; checkpoint their models."""
         newly = min(event.num_groups, len(groups) - preempted - 1)
         if newly > 0:
-            checkpoint_t0 = cost.clock.now
-            checkpoint_s = GlobalScheduler.checkpoint_seconds(model_bytes)
-            cost.clock.advance(checkpoint_s, "sync")
             telemetry = cost.telemetry
-            if telemetry.tracer.enabled:
-                telemetry.tracer.event("preemption", checkpoint_t0,
-                                       epoch=event.epoch, num_groups=newly)
-                telemetry.tracer.span("checkpoint", checkpoint_t0,
-                                      checkpoint_s, name="checkpoint:preempt",
-                                      model_bytes=model_bytes)
+            telemetry.tracer.event("preemption", cost.clock.now,
+                                   epoch=event.epoch, num_groups=newly)
+            cost.charge_checkpoint(
+                GlobalScheduler.checkpoint_seconds(model_bytes), "sync",
+                name="checkpoint:preempt", model_bytes=model_bytes)
             telemetry.metrics.counter("preemptions.groups").inc(newly)
         return preempted + max(0, newly)
 

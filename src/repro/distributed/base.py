@@ -30,14 +30,12 @@ from ..nn.models import build_model
 from ..nn.optim import SGD
 from ..nn.tensor import Tensor, no_grad
 from ..telemetry import NULL_TELEMETRY, Telemetry
+from . import pricing
+from .pricing import OVERLAP_FRACTION, EpochCharge
 
 __all__ = ["RunConfig", "CostModel", "StrategyResult", "Strategy",
            "make_model", "evaluate_accuracy", "fp32_train_step",
            "record_epoch_telemetry"]
-
-#: fraction of a step's compute window that layer-by-layer
-#: computing/communication overlap (§4.1 optimisation 1) can hide.
-OVERLAP_FRACTION = 0.3
 
 
 @dataclass
@@ -216,23 +214,27 @@ def flush_graph_stats(model: Module, cost: "CostModel", extra: dict,
         telemetry.tracer.span("graph_replay", cost.clock.now, 0.0, **stats)
 
 
-def record_epoch_telemetry(telemetry, cost: "CostModel", epoch: int,
-                           epoch_t0: float, phases0: dict,
-                           hidden0: float, accuracy: float) -> None:
+def record_epoch_telemetry(cost: "CostModel", start: tuple, epoch: int,
+                           accuracy: float, controller=None,
+                           num_groups: "int | None" = None) -> None:
     """Per-epoch report row, ``epoch`` span, and epoch-level metrics.
 
-    The strategy-family sibling of SoCFlow's richer
-    ``_record_epoch_telemetry``: it marks the epoch window the analysis
-    engine (:mod:`repro.telemetry.analysis`) segments the timeline by,
-    and feeds the CLI per-epoch table for baseline runs.  ``phases0``
-    and ``hidden0`` are the clock breakdown / hidden-sync attribution
-    snapshots taken at the epoch's start.
+    Marks the epoch window the analysis engine
+    (:mod:`repro.telemetry.analysis`) segments the timeline by, and
+    feeds the CLI per-epoch table.  ``start`` is the epoch's
+    :meth:`CostModel.epoch_start` snapshot; SoCFlow adds its
+    mixed-precision ``controller`` and the epoch's group count.
     """
+    telemetry = cost.telemetry
+    if not telemetry.enabled:
+        return
+    epoch_t0, phases0, hidden0 = start
     phases1 = cost.clock.breakdown()
     delta = {phase: phases1.get(phase, 0.0) - phases0.get(phase, 0.0)
              for phase in phases1}
     seconds = cost.clock.now - epoch_t0
     hidden_s = cost.clock.attributed_breakdown().get("sync", 0.0) - hidden0
+    alpha = controller.alpha if controller is not None else None
     telemetry.record_epoch(
         epoch=epoch, seconds=seconds,
         compute_s=delta.get("compute", 0.0),
@@ -240,18 +242,26 @@ def record_epoch_telemetry(telemetry, cost: "CostModel", epoch: int,
         hidden_s=hidden_s,
         update_s=delta.get("update", 0.0),
         recovery_s=delta.get("recovery") or None,
-        accuracy=accuracy,
+        accuracy=accuracy, alpha=alpha,
         retries=cost.fabric.total_retries)
     if telemetry.tracer.enabled:
+        args = {"epoch": epoch, "accuracy": accuracy}
+        if num_groups is not None:
+            args["num_groups"] = num_groups
+        if alpha is not None:
+            args["alpha"] = alpha
         telemetry.tracer.span("epoch", epoch_t0, seconds,
-                              name=f"epoch {epoch}", epoch=epoch,
-                              accuracy=accuracy)
+                              name=f"epoch {epoch}", **args)
     metrics = telemetry.metrics
     if metrics.enabled:
         metrics.counter("epochs").inc()
         metrics.histogram("epoch.seconds").observe(seconds)
         for phase, value in sorted(delta.items()):
             metrics.counter("phase.seconds", phase=phase).inc(value)
+        if alpha is not None:
+            metrics.gauge("mixed.alpha").set(alpha)
+            metrics.gauge("mixed.beta").set(controller.beta)
+            metrics.gauge("mixed.cpu_share").set(controller.cpu_share)
 
 
 class CostModel:
@@ -329,39 +339,14 @@ class CostModel:
             self._bucket_plans[id(layout)] = plan
         return plan
 
-    def overlapped_sync(self, compute_s: float, plan,
-                        bucket_times: "Sequence[float]",
-                        whole_raw: float, baseline_hidden: float
-                        ) -> tuple[float, float, list[tuple[float, float]]]:
-        """Price one step's sync as per-bucket collectives overlapping
-        backward.
-
-        ``bucket_times[i]`` is bucket *i*'s collective duration (in the
-        plan's emission order); ``whole_raw``/``baseline_hidden`` are
-        what the sequential whole-model path would have charged.
-        Returns ``(visible, hidden, schedule)`` where ``visible`` is
-        the wall-clock sync seconds past the compute window and
-        ``hidden`` the network-busy share overlapped under compute
-        (``visible + hidden`` = total network-busy time).
-
-        Adaptive fusion: per-bucket collectives pay extra startup and
-        per-phase hop latency, so a plan can *lose* to whole-model sync
-        on shallow-compute steps.  A real runtime would fall back to
-        coarser fusion, so the visible time is clamped at the
-        sequential path's — bucketing never makes a step slower, and a
-        1-bucket plan reproduces the sequential charge exactly (the
-        returned visible time is the *same float expression* the
-        unbucketed path advances, never a re-rounding of it).
-        """
-        from ..cluster.network import overlap_timeline
-        ready = [fraction * compute_s for fraction in plan.ready_fractions()]
-        schedule, visible = overlap_timeline(compute_s, ready, bucket_times)
-        sequential_visible = max(0.0, whole_raw - baseline_hidden)
-        visible = min(visible, sequential_visible)
-        raw = sum(bucket_times)
-        return visible, max(0.0, raw - visible), schedule
-
     # -- per-phase charging ---------------------------------------------
+    def epoch_start(self) -> tuple:
+        """``(now, phase totals, hidden sync)`` for
+        :func:`record_epoch_telemetry` to diff against."""
+        clock = self.clock
+        return (clock.now, clock.breakdown(),
+                clock.attributed_breakdown().get("sync", 0.0))
+
     def compute_seconds(self, samples_per_soc: float,
                         processor: str = "cpu") -> float:
         per_sample = (self.t_cpu_sample if processor == "cpu"
@@ -374,56 +359,41 @@ class CostModel:
         return 16.0 * self.profile.params / self.topology.soc.mem_bps
 
     def charge_step(self, compute_s: float, sync_s: float,
-                    num_socs: int, cpu_fraction: float = 1.0,
-                    overlap: bool = True, hidden_s: float | None = None,
-                    bucket_schedule: "list[tuple[float, float]] | None" = None
-                    ) -> None:
-        """Advance the clock by one training step.
+                    num_socs: int, cpu_fraction: float = 1.0) -> None:
+        """Advance the clock by one flat-cluster training step.
 
         ``sync_s`` is reduced by the computing/communication overlap
-        optimisation when ``overlap`` (all strategies get it, §4.1).
-        With ``hidden_s`` the caller has already split the sync time:
-        ``sync_s`` is the *visible* share to advance the wall clock by
-        and ``hidden_s`` the share overlapped under compute (attributed
-        as busy network time only) — bucketed fusion computes the split
-        from its overlap timeline.  ``bucket_schedule`` optionally
-        carries the per-bucket ``(start, end)`` offsets for span
-        attribution.
+        optimisation (all strategies get it, §4.1).  The ``steps=1``
+        case of the charge SoCFlow and the job scheduler apply per
+        epoch (:mod:`.pricing`).
         """
-        if hidden_s is not None:
-            hidden = hidden_s
-        elif overlap:
-            hidden = min(sync_s, OVERLAP_FRACTION * compute_s)
-            sync_s -= hidden
-        else:
-            hidden = 0.0
-        update_s = self.update_seconds()
-        tracer = self.telemetry.tracer
-        if tracer.enabled:
-            t0 = self.clock.now
-            tracer.span("compute", t0, compute_s, num_socs=num_socs,
-                        cpu_fraction=cpu_fraction)
-            if bucket_schedule:
-                for index, (start, end) in enumerate(bucket_schedule):
-                    tracer.span("bucket_sync", t0 + start, end - start,
-                                bucket=index, num_socs=num_socs,
-                                hidden_s=max(0.0, min(end, compute_s) - start))
-            if sync_s > 0 or hidden > 0:
-                tracer.span("sync", t0 + compute_s, sync_s,
-                            hidden_s=hidden, num_socs=num_socs)
-            tracer.span("update", t0 + compute_s + sync_s, update_s)
-        self.clock.advance(compute_s, "compute")
-        self.clock.advance(sync_s, "sync")
-        self.clock.attribute(hidden, "sync")
-        self.clock.advance(update_s, "update")
-        self.energy.charge_compute(compute_s, num_socs, cpu_fraction)
-        self.energy.charge_network(sync_s, num_socs)
-        self.energy.charge_network(hidden, num_socs, include_idle=False)
-        self.energy.charge_compute(update_s, num_socs, 1.0)
+        hidden = min(sync_s, OVERLAP_FRACTION * compute_s)
+        pricing.apply(self, EpochCharge(
+            steps=1, compute_s=compute_s, sync_s=sync_s - hidden,
+            hidden_s=hidden, update_s=self.update_seconds(),
+            cpu_busy_s=compute_s * cpu_fraction,
+            npu_busy_s=compute_s * (1.0 - cpu_fraction),
+            num_socs=num_socs, cpu_fraction=cpu_fraction))
 
     def charge_epoch_sync(self, sync_s: float, num_socs: int) -> None:
         self.clock.advance(sync_s, "sync")
         self.energy.charge_network(sync_s, num_socs)
+
+    def charge_recovery(self, seconds: float, num_socs: int) -> None:
+        """A rollback/re-group step (fault recovery, elastic resize,
+        warm resume), under its own phase so the per-epoch report can
+        attribute it separately from ordinary synchronisation."""
+        self.clock.advance(seconds, "recovery")
+        self.energy.charge_network(seconds, num_socs)
+
+    def charge_checkpoint(self, seconds: float, phase: str,
+                          **span) -> None:
+        """One model checkpoint written to UFS, charged to ``phase``;
+        ``span`` are the ``checkpoint`` span's name and args."""
+        tracer = self.telemetry.tracer
+        if tracer.enabled:
+            tracer.span("checkpoint", self.clock.now, seconds, **span)
+        self.clock.advance(seconds, phase)
 
 
 @dataclass

@@ -84,10 +84,8 @@ class FedAvg(Strategy):
         state: dict = {}
         extra: dict = {}
         for epoch in range(config.max_epochs):
-            epoch_t0 = cost.clock.now
-            if telemetry.enabled:
-                phases0 = cost.clock.breakdown()
-                hidden0 = cost.clock.attributed_breakdown().get("sync", 0.0)
+            epoch_start = cost.epoch_start()
+            epoch_t0 = epoch_start[0]
             dead, abort = self._epoch_fault_state(config, epoch, cost)
             if abort:
                 extra.update(aborted=True, abort_epoch=epoch,
@@ -136,9 +134,7 @@ class FedAvg(Strategy):
                                          config.task.y_test)
             self._epoch_accuracy_bookkeeping(accuracy, epoch, config,
                                              history, state)
-            if telemetry.enabled:
-                record_epoch_telemetry(telemetry, cost, epoch, epoch_t0,
-                                       phases0, hidden0, accuracy)
+            record_epoch_telemetry(cost, epoch_start, epoch, accuracy)
         if config.fault_schedule is not None:
             extra.setdefault("aborted", False)
         return self._result(self.name, config, cost, history, state, extra)

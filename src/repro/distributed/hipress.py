@@ -38,17 +38,15 @@ class HiPress(SsgdStrategy):
             ratio = self.final_ratio
         self.compressor.ratio = ratio
 
-    def step_sync_seconds(self, cost: CostModel,
-                          nbytes: float | None = None,
+    def step_sync_seconds(self, cost: CostModel, nbytes: float,
                           num_tensors: float | None = None) -> float:
         socs = list(range(cost.topology.num_socs))
         # Steady-state wire size (warm-up epochs transfer more but are few).
-        payload = cost.grad_bytes if nbytes is None else nbytes
-        wire_bytes = payload * 2.0 * self.final_ratio
+        wire_bytes = nbytes * 2.0 * self.final_ratio
         transfer = cost.fabric.ring_allreduce_time(socs, wire_bytes,
                                                    num_tensors=num_tensors)
         # Top-k compression walks only the bucket's share of the elements.
-        scale = 1.0 if nbytes is None else nbytes / cost.grad_bytes
+        scale = nbytes / cost.grad_bytes
         compress = _COMPRESS_SECONDS_PER_ELEMENT * cost.profile.params * scale
         return transfer + compress
 

@@ -17,10 +17,8 @@ __all__ = ["ParameterServer"]
 class ParameterServer(SsgdStrategy):
     name = "ps"
 
-    def step_sync_seconds(self, cost: CostModel,
-                          nbytes: float | None = None,
+    def step_sync_seconds(self, cost: CostModel, nbytes: float,
                           num_tensors: float | None = None) -> float:
         socs = list(range(cost.topology.num_socs))
-        payload = cost.grad_bytes if nbytes is None else nbytes
-        return cost.fabric.parameter_server_time(socs, payload,
+        return cost.fabric.parameter_server_time(socs, nbytes,
                                                  num_tensors=num_tensors)

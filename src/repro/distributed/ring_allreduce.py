@@ -17,10 +17,8 @@ __all__ = ["RingAllReduce"]
 class RingAllReduce(SsgdStrategy):
     name = "ring"
 
-    def step_sync_seconds(self, cost: CostModel,
-                          nbytes: float | None = None,
+    def step_sync_seconds(self, cost: CostModel, nbytes: float,
                           num_tensors: float | None = None) -> float:
         socs = list(range(cost.topology.num_socs))
-        payload = cost.grad_bytes if nbytes is None else nbytes
-        return cost.fabric.ring_allreduce_time(socs, payload,
+        return cost.fabric.ring_allreduce_time(socs, nbytes,
                                                num_tensors=num_tensors)

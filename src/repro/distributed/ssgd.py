@@ -8,10 +8,13 @@ HiPress additionally transforms the gradients for real (DGC).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..data.loader import ArrayDataset, DataLoader
 from ..nn.optim import SGD
+from . import pricing
 from .base import (CostModel, RunConfig, Strategy, StrategyResult,
                    evaluate_accuracy, flush_graph_stats, fp32_train_step,
                    make_model, record_epoch_telemetry)
@@ -25,15 +28,13 @@ class SsgdStrategy(Strategy):
     name = "ssgd"
 
     # -- hooks ------------------------------------------------------------
-    def step_sync_seconds(self, cost: CostModel,
-                          nbytes: float | None = None,
+    def step_sync_seconds(self, cost: CostModel, nbytes: float,
                           num_tensors: float | None = None) -> float:
-        """Simulated synchronisation time of one training step.
+        """Simulated time of the strategy's collective over ``nbytes``.
 
-        With ``nbytes``/``num_tensors`` set, price the same collective
-        for one gradient *bucket* (a slice of the payload and of the
-        launch cost) instead of the whole model — bucketed fusion calls
-        the hook once per bucket.
+        Priced once for the whole gradient payload and, under bucketed
+        fusion, once per bucket — a slice of the payload and, through
+        ``num_tensors``, of the launch cost.
         """
         raise NotImplementedError
 
@@ -47,34 +48,16 @@ class SsgdStrategy(Strategy):
     def transform_gradients(self, model) -> None:
         """Hook for strategies that modify gradients (HiPress)."""
 
-    def extra_epoch_sync_seconds(self, cost: CostModel) -> float:
-        return 0.0
-
     def on_epoch_begin(self, epoch: int) -> None:
         """Hook for per-epoch schedules (HiPress's DGC warm-up)."""
 
-    # -- bucketed fusion ---------------------------------------------------
-    def bucketed_step_sync(self, cost: CostModel, layout, compute_s: float,
-                           whole_sync_s: float):
-        """Price one step's sync under bucketed gradient fusion.
-
-        Returns ``(sync_s, hidden_s, schedule)``; with fusion off (or no
-        flat layout) ``hidden_s`` is ``None`` and the caller falls back
-        to the generic :data:`~repro.distributed.base.OVERLAP_FRACTION`
-        rule, bit-identically to the pre-fusion code path.
-        """
-        plan = cost.bucket_plan(layout)
-        if plan is None:
-            return whole_sync_s, None, None
-        bucket_times = [
-            self.step_sync_seconds(cost, nbytes=nbytes, num_tensors=tensors)
-            for nbytes, tensors in zip(plan.sim_bytes(cost.grad_bytes),
-                                       plan.sim_tensors(
-                                           cost.profile.num_tensors))]
-        from .base import OVERLAP_FRACTION
-        baseline_hidden = min(whole_sync_s, OVERLAP_FRACTION * compute_s)
-        return cost.overlapped_sync(compute_s, plan, bucket_times,
-                                    whole_sync_s, baseline_hidden)
+    def _price_step(self, cost: CostModel, layout,
+                    num_socs: int) -> pricing.EpochCharge:
+        """One step's charge from the compute/sync hooks above."""
+        return pricing.price_epoch(
+            cost, layout=layout, num_socs=num_socs,
+            compute_s=self.step_compute_seconds(cost, num_socs),
+            collective=partial(self.step_sync_seconds, cost))
 
     # -- main loop ---------------------------------------------------------
     def train(self, config: RunConfig) -> StrategyResult:
@@ -97,18 +80,12 @@ class SsgdStrategy(Strategy):
             config.batch_size, shuffle=True, seed=config.seed)
 
         layout = flat.layout
-        compute_s = self.step_compute_seconds(cost)
-        sync_s, hidden_s, schedule = self.bucketed_step_sync(
-            cost, layout, compute_s, self.step_sync_seconds(cost))
-        telemetry = cost.telemetry
+        charge = self._price_step(cost, layout, cost.topology.num_socs)
         history: list[float] = []
         state: dict = {}
         extra: dict = {}
         for epoch in range(config.max_epochs):
-            epoch_t0 = cost.clock.now
-            if telemetry.enabled:
-                phases0 = cost.clock.breakdown()
-                hidden0 = cost.clock.attributed_breakdown().get("sync", 0.0)
+            epoch_start = cost.epoch_start()
             dead, abort = self._epoch_fault_state(config, epoch, cost)
             if abort:
                 # fail-stop: the synchronous ring/PS collective hangs on
@@ -120,9 +97,7 @@ class SsgdStrategy(Strategy):
             if dead or config.fault_schedule is not None:
                 # continue-with-survivors: the same global batch spreads
                 # over fewer chips and syncs over possibly degraded links.
-                compute_s = self.step_compute_seconds(cost, num_socs)
-                sync_s, hidden_s, schedule = self.bucketed_step_sync(
-                    cost, layout, compute_s, self.step_sync_seconds(cost))
+                charge = self._price_step(cost, layout, num_socs)
             self.on_epoch_begin(epoch)
             for x, y in loader:
                 if self._uses_gradient_hook():
@@ -130,19 +105,12 @@ class SsgdStrategy(Strategy):
                 else:
                     fp32_train_step(model, optimizer, x, y)
             for _ in range(cost.steps_per_epoch):
-                cost.charge_step(compute_s, sync_s, num_socs,
-                                 hidden_s=hidden_s,
-                                 bucket_schedule=schedule)
-            epoch_sync = self.extra_epoch_sync_seconds(cost)
-            if epoch_sync:
-                cost.charge_epoch_sync(epoch_sync, num_socs)
+                pricing.apply(cost, charge)
             accuracy = evaluate_accuracy(model, config.task.x_test,
                                          config.task.y_test)
             self._epoch_accuracy_bookkeeping(accuracy, epoch, config,
                                              history, state)
-            if telemetry.enabled:
-                record_epoch_telemetry(telemetry, cost, epoch, epoch_t0,
-                                       phases0, hidden0, accuracy)
+            record_epoch_telemetry(cost, epoch_start, epoch, accuracy)
         if config.fault_schedule is not None:
             extra.setdefault("aborted", False)
         flush_graph_stats(model, cost, extra, hook_fallback=hook_eager)

@@ -62,14 +62,10 @@ class StaleSynchronous(Strategy):
             list(range(config.topology.num_socs)), cost.grad_bytes)
 
         rng = np.random.default_rng(config.seed)
-        telemetry = cost.telemetry
         history: list[float] = []
         state: dict = {}
         for epoch in range(config.max_epochs):
-            epoch_t0 = cost.clock.now
-            if telemetry.enabled:
-                phases0 = cost.clock.breakdown()
-                hidden0 = cost.clock.attributed_breakdown().get("sync", 0.0)
+            epoch_start = cost.epoch_start()
             orders = [rng.permutation(len(shard)) for shard in shards]
             steps = min(len(o) for o in orders) // config.batch_size
             since_sync = 0
@@ -103,8 +99,6 @@ class StaleSynchronous(Strategy):
                 chain.load_state_dict(merged)
             self._epoch_accuracy_bookkeeping(accuracy, epoch, config,
                                              history, state)
-            if telemetry.enabled:
-                record_epoch_telemetry(telemetry, cost, epoch, epoch_t0,
-                                       phases0, hidden0, accuracy)
+            record_epoch_telemetry(cost, epoch_start, epoch, accuracy)
         return self._result(self.name, config, cost, history, state,
                             extra={"staleness": self.staleness})

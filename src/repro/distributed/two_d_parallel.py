@@ -51,8 +51,7 @@ class TwoDParallel(SsgdStrategy):
         act_seconds = 8.0 * act_bytes / cost.topology.soc.nic_bps
         return ideal * bubble + act_seconds
 
-    def step_sync_seconds(self, cost: CostModel,
-                          nbytes: float | None = None,
+    def step_sync_seconds(self, cost: CostModel, nbytes: float,
                           num_tensors: float | None = None) -> float:
         groups = self._groups(cost)
         group_size = len(groups[0])
@@ -62,6 +61,5 @@ class TwoDParallel(SsgdStrategy):
         # owning stage s form one ring.  All G rings run at once.
         rings = [[group[stage] for group in groups]
                  for stage in range(group_size)]
-        payload = cost.grad_bytes if nbytes is None else nbytes
         return cost.fabric.concurrent_ring_allreduce_time(
-            rings, payload / group_size, num_tensors=num_tensors)
+            rings, nbytes / group_size, num_tensors=num_tensors)

@@ -37,8 +37,8 @@ from ..core.mixed_precision import GroupMixedTrainer
 from ..core.planning import CommunicationPlan
 from ..core.scheduler import GlobalScheduler
 from ..core.socflow import build_groups, reform_groups
-from ..distributed.base import (OVERLAP_FRACTION, CostModel, RunConfig,
-                                evaluate_accuracy)
+from ..distributed import pricing
+from ..distributed.base import CostModel, RunConfig, evaluate_accuracy
 from ..quant.int8 import QuantConfig
 from ..quant.mixed import MixedPrecisionController
 from .spec import TrainingJob
@@ -144,7 +144,7 @@ class JobExecution:
         if resumed:
             seconds = self.scheduler.recovery_seconds(
                 self.model_bytes, self.cost.fabric, self.allocated)
-            self.cost.clock.advance(seconds, "recovery")
+            self.cost.charge_recovery(seconds, len(socs))
         else:
             data_bytes = (self.config.sim_samples_per_epoch
                           * float(np.prod(self.config.task.input_shape))
@@ -152,8 +152,7 @@ class JobExecution:
             seconds = self.scheduler.dispatch_seconds(
                 self.cost.fabric, self.model_bytes, data_bytes,
                 socs=self.allocated)
-            self.cost.clock.advance(seconds, "sync")
-        self.cost.energy.charge_network(seconds, len(socs))
+            self.cost.charge_epoch_sync(seconds, len(socs))
         return seconds
 
     def resize(self, socs: list[int]) -> float:
@@ -174,15 +173,14 @@ class JobExecution:
                                      state)
         seconds = self.scheduler.recovery_seconds(
             self.model_bytes, self.cost.fabric, self.allocated)
-        self.cost.clock.advance(seconds, "recovery")
-        self.cost.energy.charge_network(seconds, len(socs))
+        self.cost.charge_recovery(seconds, len(socs))
         self.resizes += 1
         return seconds
 
     def preempt(self) -> float:
         """Checkpoint and release every SoC; returns the charged seconds."""
         seconds = GlobalScheduler.checkpoint_seconds(self.model_bytes)
-        self.cost.clock.advance(seconds, "sync")
+        self.cost.charge_checkpoint(seconds, "sync")
         self.preemptions += 1
         self.allocated = []
         self.mapping = None
@@ -244,11 +242,19 @@ class JobExecution:
                 for group, shard in zip(groups, shards):
                     idx = shard[step * group_batch:(step + 1) * group_batch]
                     group.train_batch(task.x_train[idx], task.y_train[idx])
+        layout = groups[0].fp32.flatten_parameters().layout
         merged = bucketed_average_states(
-            [g.state_dict() for g in groups],
-            self.cost.bucket_plan(groups[0].fp32.flatten_parameters().layout))
+            [g.state_dict() for g in groups], self.cost.bucket_plan(layout))
         for group in groups:
             group.load_state(merged)
+        # Priced at the CPU share this epoch's batches were split by,
+        # i.e. before alpha is re-profiled for the next one.
+        cost = self.cost
+        epoch_t0 = cost.clock.now
+        pricing.apply(cost, pricing.price_epoch(
+            cost, self.mapping, self.plan, layout=layout,
+            cpu_share=self.controller.cpu_share if self.job.mixed else 1.0))
+        seconds = cost.clock.now - epoch_t0
         if self.job.mixed:
             groups[0].update_alpha(task.x_test[:128])
         accuracy = evaluate_accuracy(groups[0].fp32, task.x_test,
@@ -259,71 +265,4 @@ class JobExecution:
             state=merged, epoch=self.epochs_done,
             accuracy_history=tuple(self.history),
             alpha=self.controller.alpha)
-        return self._charge_epoch()
-
-    def _charge_epoch(self) -> float:
-        """Advance the job's simulated clock by one paper-scale epoch.
-
-        The same cost structure as SoCFlow's epoch charge: per-step
-        compute on the allocated SoCs, the planned CG sync schedule
-        hidden under compute, the optimizer update, then the epoch tail
-        (one unhidden intra-group sync + the leader ring).
-        """
-        config, cost = self.config, self.cost
-        mapping, plan = self.mapping, self.plan
-        n = mapping.num_groups
-        num_active = sum(len(socs) for socs in mapping.groups)
-        per_soc_samples = config.sim_global_batch * n / num_active
-        if self.job.mixed:
-            share = self.controller.cpu_share
-            cpu_n = share * per_soc_samples
-            npu_n = per_soc_samples - cpu_n
-        else:
-            cpu_n, npu_n = per_soc_samples, 0.0
-        compute_s = max(cpu_n * cost.t_cpu_sample,
-                        npu_n * cost.t_npu_sample)
-
-        payload = cost.grad_bytes
-        cg_times = plan.planned_sync_seconds(cost.fabric, payload)
-        raw = sum(cg_times)
-        hidden = min(raw, compute_s if n > 1
-                     else OVERLAP_FRACTION * compute_s)
-        bucket_plan = cost.bucket_plan(
-            self._groups[0].fp32.flatten_parameters().layout)
-        if bucket_plan is not None:
-            # Bucket-granular CG pipelining, same as SoCFlow's epoch
-            # charge: each bucket runs the CG sequence on its payload
-            # slice as backward emits it.
-            bucket_times = [
-                sum(plan.planned_sync_seconds(cost.fabric, b_bytes,
-                                              num_tensors=b_tensors))
-                for b_bytes, b_tensors in zip(
-                    bucket_plan.sim_bytes(payload),
-                    bucket_plan.sim_tensors(cost.profile.num_tensors))]
-            sync_s, hidden, _ = cost.overlapped_sync(
-                compute_s, bucket_plan, bucket_times, raw, hidden)
-        else:
-            sync_s = raw - hidden
-        update_s = cost.update_seconds()
-        steps = max(1, -(-config.sim_samples_per_epoch
-                         // (n * config.sim_global_batch)))
-
-        t0 = cost.clock.now
-        cost.clock.advance(steps * compute_s, "compute")
-        cost.clock.advance(steps * sync_s, "sync")
-        cost.clock.attribute(steps * hidden, "sync")
-        cost.clock.advance(steps * update_s, "update")
-        cost.energy.charge_mixed(steps * cpu_n * cost.t_cpu_sample,
-                                 steps * npu_n * cost.t_npu_sample,
-                                 steps * compute_s, num_active)
-        cost.energy.charge_network(steps * sync_s, num_active)
-        cost.energy.charge_network(steps * hidden, num_active,
-                                   include_idle=False)
-        cost.energy.charge_compute(steps * update_s, num_active, 1.0)
-
-        tail = plan.planned_sync_seconds(cost.fabric, payload)
-        leaders = [socs[0] for socs in mapping.groups]
-        inter = (cost.fabric.ring_allreduce_time(leaders, payload)
-                 if len(leaders) > 1 else 0.0)
-        cost.charge_epoch_sync(sum(tail) + inter, num_active)
-        return cost.clock.now - t0
+        return seconds

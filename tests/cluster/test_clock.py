@@ -44,22 +44,3 @@ class TestClock:
         clock.reset()
         assert clock.now == 0.0
         assert clock.breakdown() == {}
-
-    def test_merge_adds_time_and_phases(self):
-        clock = PhaseClock()
-        clock.advance(2.0, "compute")
-        scratch = PhaseClock()
-        scratch.advance(1.5, "recovery")
-        scratch.advance(0.5, "compute")
-        clock.merge(scratch)
-        assert clock.now == 4.0
-        assert clock.breakdown() == {"compute": 2.5, "recovery": 1.5}
-        # the source clock is untouched
-        assert scratch.now == 2.0
-
-    def test_merge_empty_is_noop(self):
-        clock = PhaseClock()
-        clock.advance(1.0, "sync")
-        clock.merge(PhaseClock())
-        assert clock.now == 1.0
-        assert clock.breakdown() == {"sync": 1.0}

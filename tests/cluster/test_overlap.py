@@ -24,6 +24,7 @@ from repro.cluster.network import (STARTUP_BASE_S, STARTUP_PER_TENSOR_S,
 from repro.cluster.spec import model_profile
 from repro.distributed import RunConfig
 from repro.distributed.base import OVERLAP_FRACTION, CostModel, make_model
+from repro.distributed.pricing import price_epoch
 
 MB = 1e6
 
@@ -177,27 +178,25 @@ def test_bucket_plan_cache_and_gating(quick_config, fused_config):
 def test_bucketed_sync_never_exceeds_sequential(quick_config, knobs):
     config = dataclasses.replace(quick_config, **knobs)
     cost = CostModel(config)
-    plan = cost.bucket_plan(layout_for(config))
+    layout = layout_for(config)
+    plan = cost.bucket_plan(layout)
     compute_s = 40.0
-    whole = cost.fabric.ring_allreduce_time(
-        list(range(8)), cost.grad_bytes)
-    bucket_times = [
-        cost.fabric.ring_allreduce_time(list(range(8)), nbytes,
-                                        num_tensors=tensors)
-        for nbytes, tensors in zip(plan.sim_bytes(cost.grad_bytes),
-                                   plan.sim_tensors(
-                                       cost.profile.num_tensors))]
+
+    def ring(nbytes, num_tensors):
+        return cost.fabric.ring_allreduce_time(list(range(8)), nbytes,
+                                               num_tensors=num_tensors)
+    whole = ring(cost.grad_bytes, None)
     baseline_hidden = min(whole, OVERLAP_FRACTION * compute_s)
-    visible, hidden, schedule = cost.overlapped_sync(
-        compute_s, plan, bucket_times, whole, baseline_hidden)
+    charge = price_epoch(cost, layout=layout, compute_s=compute_s,
+                         num_socs=8, collective=ring)
     sequential_visible = whole - baseline_hidden
-    assert visible <= sequential_visible
-    assert visible >= 0.0 and hidden >= 0.0
-    assert len(schedule) == plan.num_buckets
+    assert charge.sync_s <= sequential_visible
+    assert charge.sync_s >= 0.0 and charge.hidden_s >= 0.0
+    assert len(charge.bucket_schedule) == plan.num_buckets
     if plan.num_buckets == 1:
         # the adaptive clamp pins one-bucket plans to EXACT equality
-        assert visible == sequential_visible
-        assert hidden == baseline_hidden
+        assert charge.sync_s == sequential_visible
+        assert charge.hidden_s == baseline_hidden
 
 
 def test_zero_contention_equality(quick_config):
@@ -206,10 +205,12 @@ def test_zero_contention_equality(quick_config):
     visible time equals the serialized whole-model sync exactly."""
     config = dataclasses.replace(quick_config, fusion_max_ops=1)
     cost = CostModel(config)
-    plan = cost.bucket_plan(layout_for(config))
-    bucket_times = [1.0] * plan.num_buckets
-    whole = float(plan.num_buckets)
-    visible, hidden, _ = cost.overlapped_sync(0.0, plan, bucket_times,
-                                              whole, 0.0)
-    assert visible == whole
-    assert hidden == 0.0
+    layout = layout_for(config)
+    whole = float(cost.bucket_plan(layout).num_buckets)
+    charge = price_epoch(
+        cost, layout=layout, compute_s=0.0, num_socs=8,
+        collective=lambda nbytes, num_tensors:
+            whole if num_tensors is None else 1.0)   # 1 s per bucket
+    assert charge.sync_s == whole
+    assert charge.hidden_s == 0.0
+    assert not charge.clamped

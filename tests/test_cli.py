@@ -175,6 +175,21 @@ class TestTelemetryArgs:
                  for line in metrics.read_text().splitlines()}
         assert "epoch.seconds" in names and "run.sim_time_s" in names
 
+    def test_fusion_clamp_count_in_metrics_summary(self, tmp_path):
+        metrics = tmp_path / "metrics.jsonl"
+        code, output = run_cli([
+            "run", "--workload", "lenet5_fmnist", "--method", "socflow",
+            "--epochs", "1", "--socs", "16", "--fusion-max-ops", "2",
+            "--metrics", str(metrics)])
+        assert code == 0
+        import json
+        (clamped,) = [row for row in map(json.loads,
+                                         metrics.read_text().splitlines())
+                      if row["name"] == "sync.fusion_clamped"]
+        assert clamped["value"] > 0
+        assert (f"fusion: {int(clamped['value'])} bucketed step(s) clamped"
+                in output)
+
     def test_network_summary_always_printed(self):
         code, output = run_cli([
             "run", "--workload", "lenet5_fmnist", "--method", "socflow",
