@@ -404,7 +404,7 @@ def _replica_bench():
         controller = MixedPrecisionController(cost.t_cpu_sample,
                                               cost.t_npu_sample)
         return flow._build_groups(config, flow._build_mapping(config),
-                                  controller, mixed=True)
+                                  controller)
 
     def one_round(groups, index):
         t0 = time.perf_counter()

@@ -55,7 +55,7 @@ class CrossSiteSoCFlow:
         # A shared initial model: reuse SoCFlow's group builder once.
         template = GroupMixedTrainer(run_config, controller=None,
                                      quant_config=self.config.socflow.quant,
-                                     mixed=False)
+                                     precision="fp32")
         shared_state = template.state_dict()
 
         site_states = [dict(shared_state) for _ in sites]
@@ -87,7 +87,7 @@ class CrossSiteSoCFlow:
             total_time += round_time + self.fabric.sync_time(payload)
             probe = GroupMixedTrainer(run_config, controller=None,
                                       quant_config=self.config.socflow.quant,
-                                      mixed=False)
+                                      precision="fp32")
             probe.fp32.load_state_dict(merged)
             history.append(evaluate_accuracy(
                 probe.fp32, run_config.task.x_test, run_config.task.y_test))

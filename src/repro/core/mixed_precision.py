@@ -41,6 +41,11 @@ class GroupMixedTrainer:
     makes the run's; ``reform_groups`` passes it on to the members it
     adds.
 
+    ``precision`` is the Figure 14 mode: ``"mixed"`` splits every
+    batch by the controller and merges by Eq. 5, ``"fp32"`` trains on
+    the CPUs alone (no INT8 twin is built), ``"int8"`` on the NPUs
+    alone, the FP32 copy following the INT8 weights.
+
     ``init_weights=False`` is for a replica whose weights the caller
     loads before its first step (every group but the first of a run,
     every worker-process replica): its models are built without the
@@ -50,11 +55,14 @@ class GroupMixedTrainer:
     def __init__(self, config: RunConfig,
                  controller: MixedPrecisionController,
                  quant_config: QuantConfig, seed_offset: int = 0,
-                 mixed: bool = True, arena: "StepArena | None" = None,
+                 precision: str = "mixed",
+                 arena: "StepArena | None" = None,
                  init_weights: bool = True):
+        if precision not in ("mixed", "fp32", "int8"):
+            raise ValueError("precision must be mixed/fp32/int8")
         self.config = config
         self.controller = controller
-        self.mixed = mixed
+        self.precision = precision
         self.arena = arena if arena is not None else StepArena()
         self.telemetry = (config.telemetry if config.telemetry is not None
                           else NULL_TELEMETRY)
@@ -69,7 +77,7 @@ class GroupMixedTrainer:
             # so group results match the eager trainer exactly.
             self.fp32.enable_graph_executor(arena=self.arena)
         self.int8: Int8Trainer | None = None
-        if mixed:
+        if precision != "fp32":
             # the twin starts from the FP32 weights, never from its own
             int8_model = make_model(config, seed_offset=seed_offset,
                                     init_weights=False)
@@ -84,17 +92,19 @@ class GroupMixedTrainer:
             if config.graph:
                 # The INT8 replica honours the flag too: the whole
                 # quantised step (weight/input/gradient fake-quant and
-                # the stochastic-rounding RNG stream included) compiles
-                # to the same arena machinery.  Where capture cannot
-                # succeed the executor stays attached in fallback mode
-                # so ``graph.int8_fallbacks`` is reported, not dropped.
+                # the stochastic-rounding RNG stream included) replays
+                # through the same executor.
                 self.int8.enable_graph_executor(arena=self.arena)
 
     # ------------------------------------------------------------------
     def train_batch(self, x: np.ndarray, y: np.ndarray) -> None:
         """One group step: split, dual step, Eq. 5 merge."""
-        if not self.mixed or self.int8 is None:
+        if self.precision == "fp32":
             fp32_train_step(self.fp32, self.fp32_opt, x, y)
+            return
+        if self.precision == "int8":
+            self.int8.train_step(x, y)
+            self.fp32.load_state_dict(self.int8.model.state_dict())
             return
         cpu_n, npu_n = self.controller.split_batch(len(x))
         if cpu_n:
@@ -128,7 +138,7 @@ class GroupMixedTrainer:
     # ------------------------------------------------------------------
     def update_alpha(self, val_x: np.ndarray) -> float:
         """Profile FP32/INT8 logits on the validation set (per epoch)."""
-        if not self.mixed or self.int8 is None:
+        if self.precision != "mixed":
             return self.controller.alpha
         self.fp32.eval()
         with no_grad():

@@ -100,18 +100,3 @@ class CommunicationPlan:
         """All rings at once (what happens without planning)."""
         return fabric.concurrent_ring_allreduce_time(
             self.mapping.groups, nbytes, num_tensors=num_tensors)
-
-    def step_sync_seconds(self, fabric: NetworkFabric, nbytes: float,
-                          compute_seconds: float,
-                          planned: bool = True) -> float:
-        """Effective per-step sync cost after pipelining (Figure 7).
-
-        With planning, CG k's communication hides under CG k+1's compute;
-        the schedule's residual cost is whatever the compute window
-        cannot absorb.  Without planning, all rings contend and only the
-        generic overlap fraction applies (handled by the caller).
-        """
-        if not planned:
-            return self.unplanned_sync_seconds(fabric, nbytes)
-        total = sum(self.planned_sync_seconds(fabric, nbytes))
-        return max(0.0, total - compute_seconds)

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..distributed.base import RunConfig, make_model
+from ..distributed.base import RunConfig, fp32_train_step, make_model
 from ..nn.optim import SGD
-from ..nn import functional as F
-from ..nn.tensor import Tensor
 from ..quant.int8 import QuantConfig
 from ..quant.trainer import Int8Trainer
 
@@ -76,15 +74,8 @@ class ProcessorProfiler:
         model = make_model(self.config)
         optimizer = SGD(model.parameters(), lr=self.config.lr)
         x, y = self._batch()
-
-        def step() -> None:
-            model.train()
-            optimizer.zero_grad()
-            loss = F.cross_entropy(model(Tensor(x)), y)
-            loss.backward()
-            optimizer.step()
-
-        return self._time_steps(step)
+        return self._time_steps(
+            lambda: fp32_train_step(model, optimizer, x, y))
 
     def _time_int8(self) -> float:
         trainer = Int8Trainer(make_model(self.config), lr=self.config.lr,

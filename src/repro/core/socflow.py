@@ -49,34 +49,27 @@ __all__ = ["SoCFlowOptions", "SoCFlow", "build_socflow", "build_groups",
 
 
 def _grow_groups(config: RunConfig, controller, quant,
-                 groups: "list[GroupMixedTrainer]", num_groups: int,
-                 int8_only: bool) -> "list[GroupMixedTrainer]":
+                 groups: "list[GroupMixedTrainer]", num_groups: int
+                 ) -> "list[GroupMixedTrainer]":
     """Append members up to ``num_groups`` at their seed offsets, on
-    ``groups[0]``'s step arena and without initial weights of their
-    own: the caller loads them."""
+    ``groups[0]``'s step arena and in its precision mode, without
+    initial weights of their own: the caller loads them."""
     for g in range(len(groups), num_groups):
-        trainer = GroupMixedTrainer(config, controller, quant,
-                                    seed_offset=g, mixed=groups[0].mixed,
-                                    arena=groups[0].arena,
-                                    init_weights=False)
-        if int8_only:
-            trainer.train_batch = _int8_only_step(trainer)  # type: ignore
-        groups.append(trainer)
+        groups.append(GroupMixedTrainer(
+            config, controller, quant, seed_offset=g,
+            precision=groups[0].precision, arena=groups[0].arena,
+            init_weights=False))
     return groups
 
 
 def build_groups(config: RunConfig, controller, quant, num_groups: int,
-                 mixed: bool, int8_only: bool = False
-                 ) -> "list[GroupMixedTrainer]":
+                 precision: str = "mixed") -> "list[GroupMixedTrainer]":
     """The logical groups of a new run: group 0 draws the seeded
     initial weights and makes the run's step arena; the others start
     from group 0's weights."""
     base = GroupMixedTrainer(config, controller, quant, seed_offset=0,
-                             mixed=mixed)
-    if int8_only:
-        base.train_batch = _int8_only_step(base)  # type: ignore
-    groups = _grow_groups(config, controller, quant, [base], num_groups,
-                          int8_only)
+                             precision=precision)
+    groups = _grow_groups(config, controller, quant, [base], num_groups)
     init_state = base.state_dict()
     for group in groups[1:]:
         group.load_state(init_state)
@@ -85,8 +78,7 @@ def build_groups(config: RunConfig, controller, quant, num_groups: int,
 
 def reform_groups(config: RunConfig, controller, quant,
                   groups: "list[GroupMixedTrainer]", num_groups: int,
-                  state: dict, int8_only: bool = False
-                  ) -> "list[GroupMixedTrainer]":
+                  state: dict) -> "list[GroupMixedTrainer]":
     """Shrink or grow a warm trainer list to ``num_groups`` members.
 
     The shared rollback path of fault recovery and elastic resize:
@@ -101,7 +93,7 @@ def reform_groups(config: RunConfig, controller, quant,
     if num_groups < 1:
         raise ValueError("num_groups must be >= 1")
     groups = _grow_groups(config, controller, quant, groups[:num_groups],
-                          num_groups, int8_only)
+                          num_groups)
     for group in groups:
         group.load_state(state)
     return groups
@@ -138,6 +130,14 @@ class SoCFlowOptions:
             raise ValueError("mapping must be 'integrity' or 'naive'")
         if self.precision not in ("mixed", "fp32", "int8"):
             raise ValueError("precision must be mixed/fp32/int8")
+
+    @property
+    def group_precision(self) -> str:
+        """What the logical groups train in: :attr:`precision`, with
+        the Figure 13 ``mixed=False`` ablation reading as all-CPU."""
+        if self.precision == "mixed" and not self.mixed:
+            return "fp32"
+        return self.precision
 
 
 class SoCFlow(Strategy):
@@ -204,13 +204,13 @@ class SoCFlow(Strategy):
                                     fault_schedule=config.fault_schedule,
                                     telemetry=telemetry)
 
-        mixed = options.mixed and options.precision == "mixed"
+        mixed = options.group_precision == "mixed"
         controller = MixedPrecisionController(cost.t_cpu_sample,
                                               cost.t_npu_sample)
         if options.fixed_alpha is not None:
             controller.alpha = options.fixed_alpha
 
-        groups = self._build_groups(config, mapping, controller, mixed)
+        groups = self._build_groups(config, mapping, controller)
         val_x = config.task.x_test[:128]
         rng = np.random.default_rng(config.seed)
 
@@ -237,7 +237,7 @@ class SoCFlow(Strategy):
         last_good: tuple[dict, int] = (groups[0].state_dict(), -1)
         current_dead: set[int] = set()
         recoveries: list[dict] = []
-        executor = self._make_executor(config, cost, mixed, telemetry)
+        executor = self._make_executor(config, cost, telemetry)
         try:
             for epoch in range(start_epoch, config.max_epochs):
                 epoch_start = cost.epoch_start()
@@ -402,8 +402,7 @@ class SoCFlow(Strategy):
     # ------------------------------------------------------------------
     # Pieces
     # ------------------------------------------------------------------
-    def _make_executor(self, config: RunConfig, cost: CostModel,
-                       mixed: bool, telemetry):
+    def _make_executor(self, config: RunConfig, cost: CostModel, telemetry):
         """A worker pool for ``config.workers > 1``, else None.
 
         The executor replicates each logical group in a worker process
@@ -413,13 +412,9 @@ class SoCFlow(Strategy):
         if getattr(config, "workers", 1) <= 1:
             return None
         from ..parallel import LgExecutor
-        # Worker replicas mirror _build_groups: INT8-only mode also
-        # constructs the dual-model trainer, then swaps in the pure
-        # INT8 step.
         executor = LgExecutor(
             config, quant=self.options.quant,
-            mixed=mixed or self.options.precision == "int8",
-            int8_only=self.options.precision == "int8",
+            precision=self.options.group_precision,
             t_cpu=cost.t_cpu_sample, t_npu=cost.t_npu_sample,
             telemetry=telemetry, workers=config.workers)
         if not executor.parallel:                       # pragma: no cover
@@ -428,13 +423,11 @@ class SoCFlow(Strategy):
         return executor
 
     def _build_groups(self, config: RunConfig, mapping: MappingResult,
-                      controller: MixedPrecisionController,
-                      mixed: bool) -> list[GroupMixedTrainer]:
-        options = self.options
-        return build_groups(config, controller, options.quant,
+                      controller: MixedPrecisionController
+                      ) -> list[GroupMixedTrainer]:
+        return build_groups(config, controller, self.options.quant,
                             mapping.num_groups,
-                            mixed=mixed or options.precision == "int8",
-                            int8_only=options.precision == "int8")
+                            precision=self.options.group_precision)
 
     def _run_real_epoch(self, config: RunConfig,
                         groups: list[GroupMixedTrainer], epoch: int,
@@ -513,9 +506,8 @@ class SoCFlow(Strategy):
                                       num_groups=num_groups)
         plan = CommunicationPlan.from_mapping(mapping)
         rollback_state, rollback_epoch = last_good
-        groups = reform_groups(
-            config, controller, self.options.quant, groups, num_groups,
-            rollback_state, int8_only=self.options.precision == "int8")
+        groups = reform_groups(config, controller, self.options.quant,
+                               groups, num_groups, rollback_state)
         recovery_t0 = cost.clock.now
         recovery_s = scheduler.recovery_seconds(cost.grad_bytes, cost.fabric,
                                                 survivors)
@@ -554,15 +546,6 @@ class SoCFlow(Strategy):
                 name="checkpoint:preempt", model_bytes=model_bytes)
             telemetry.metrics.counter("preemptions.groups").inc(newly)
         return preempted + max(0, newly)
-
-
-def _int8_only_step(trainer: GroupMixedTrainer):
-    """Replace the mixed step with a pure INT8 step (Ours-INT8 mode)."""
-    def step(x, y):
-        trainer.int8.train_step(x, y)
-        state = trainer.int8.model.state_dict()
-        trainer.fp32.load_state_dict(state)
-    return step
 
 
 def build_socflow(**kwargs) -> SoCFlow:

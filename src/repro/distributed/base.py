@@ -24,10 +24,9 @@ from ..cluster.network import NetworkFabric
 from ..cluster.spec import ModelProfile, model_profile
 from ..cluster.topology import ClusterTopology
 from ..data.synthetic import SyntheticImageTask
-from ..nn import functional as F
+from ..nn.graph import train_step as fp32_train_step
 from ..nn.modules import Module
 from ..nn.models import build_model
-from ..nn.optim import SGD
 from ..nn.tensor import Tensor, no_grad
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from . import pricing
@@ -161,51 +160,20 @@ def evaluate_accuracy(model: Module, x: np.ndarray, y: np.ndarray,
     return correct / len(x)
 
 
-def fp32_train_step(model: Module, optimizer: SGD, x: np.ndarray,
-                    y: np.ndarray) -> float:
-    """One synchronous SGD step; returns the batch loss.
-
-    When a :class:`repro.nn.graph.GraphExecutor` is attached to the
-    model (``config.graph``), the step dispatches to it — a replayed
-    compiled program when one matches, the eager interpreter otherwise,
-    bit-identical either way.
-    """
-    executor = getattr(model, "_graph_exec", None)
-    if executor is not None:
-        return executor.step(optimizer, x, y)
-    model.train()
-    optimizer.zero_grad()
-    logits = model(Tensor(x))
-    loss = F.cross_entropy(logits, y)
-    loss.backward()
-    optimizer.step()
-    return loss.item()
-
-
-def flush_graph_stats(model: Module, cost: "CostModel", extra: dict,
-                      hook_fallback: bool = False) -> None:
+def flush_graph_stats(model: Module, cost: "CostModel", extra: dict) -> None:
     """Surface a model's graph-executor counters after a training run.
 
-    No-op without an attached executor — unless ``hook_fallback`` says
-    the strategy declined to attach one despite ``config.graph`` (e.g.
-    hipress's gradient hook, which capture does not support); then a
-    synthetic single-fallback stat block is reported so the flag is
-    visibly honoured rather than silently dropped.  With an executor,
-    the capture/replay counters land in ``extra["graph_stats"]``, the
-    metrics registry (``graph.captures`` / ``graph.replays`` /
-    ``graph.eager_steps`` / ``graph.fallbacks``) and a ``graph_replay``
-    summary span at the current simulated clock.  Numerics are
-    untouched, so traced and untraced runs stay bit-identical.
+    No-op without an attached executor.  With one, the capture/replay
+    counters land in ``extra["graph_stats"]``, the metrics registry
+    (``graph.captures`` / ``graph.replays`` / ``graph.eager_steps`` /
+    ``graph.fallbacks``) and a ``graph_replay`` summary span at the
+    current simulated clock.  Numerics are untouched, so traced and
+    untraced runs stay bit-identical.
     """
     executor = getattr(model, "_graph_exec", None)
     if executor is None:
-        if not hook_fallback:
-            return
-        stats = {"captures": 0, "replays": 0, "eager_steps": 0,
-                 "fallbacks": 1}
-    else:
-        stats = executor.snapshot()
-    extra["graph_stats"] = stats
+        return
+    stats = extra["graph_stats"] = executor.snapshot()
     telemetry = cost.telemetry
     if telemetry.metrics.enabled:
         for key, value in stats.items():

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
 from ..data.loader import ArrayDataset, DataLoader
 from ..nn.optim import SGD
 from . import pricing
@@ -45,8 +43,10 @@ class SsgdStrategy(Strategy):
         per_soc = cost.config.sim_global_batch / num_socs
         return cost.compute_seconds(per_soc, "cpu")
 
-    def transform_gradients(self, model) -> None:
-        """Hook for strategies that modify gradients (HiPress)."""
+    #: ``transform_gradients(model)``, for a strategy that rewrites the
+    #: gradients between backward and the update (HiPress); it is the
+    #: step's ``grad_hook``, eager and replayed alike
+    transform_gradients = None
 
     def on_epoch_begin(self, epoch: int) -> None:
         """Hook for per-epoch schedules (HiPress's DGC warm-up)."""
@@ -68,13 +68,8 @@ class SsgdStrategy(Strategy):
                         momentum=config.momentum,
                         weight_decay=config.weight_decay,
                         flat=flat)
-        hook_eager = config.graph and self._uses_gradient_hook()
-        if config.graph and not hook_eager:
+        if config.graph:
             model.enable_graph_executor()
-        # Gradient-hook strategies (HiPress DGC) mutate gradients
-        # between backward and step; the compiled program fuses those
-        # phases, so they stay on the eager interpreter — recorded as an
-        # explicit fallback at flush time rather than silently.
         loader = DataLoader(
             ArrayDataset(config.task.x_train, config.task.y_train),
             config.batch_size, shuffle=True, seed=config.seed)
@@ -100,10 +95,8 @@ class SsgdStrategy(Strategy):
                 charge = self._price_step(cost, layout, num_socs)
             self.on_epoch_begin(epoch)
             for x, y in loader:
-                if self._uses_gradient_hook():
-                    self._step_with_hook(model, optimizer, x, y)
-                else:
-                    fp32_train_step(model, optimizer, x, y)
+                fp32_train_step(model, optimizer, x, y,
+                                grad_hook=self.transform_gradients)
             for _ in range(cost.steps_per_epoch):
                 pricing.apply(cost, charge)
             accuracy = evaluate_accuracy(model, config.task.x_test,
@@ -113,22 +106,5 @@ class SsgdStrategy(Strategy):
             record_epoch_telemetry(cost, epoch_start, epoch, accuracy)
         if config.fault_schedule is not None:
             extra.setdefault("aborted", False)
-        flush_graph_stats(model, cost, extra, hook_fallback=hook_eager)
+        flush_graph_stats(model, cost, extra)
         return self._result(self.name, config, cost, history, state, extra)
-
-    # -- gradient-hook plumbing ---------------------------------------------
-    def _uses_gradient_hook(self) -> bool:
-        return type(self).transform_gradients is not SsgdStrategy.transform_gradients
-
-    def _step_with_hook(self, model, optimizer: SGD, x: np.ndarray,
-                        y: np.ndarray) -> float:
-        from ..nn import functional as F
-        from ..nn.tensor import Tensor
-        model.train()
-        optimizer.zero_grad()
-        logits = model(Tensor(x))
-        loss = F.cross_entropy(logits, y)
-        loss.backward()
-        self.transform_gradients(model)
-        optimizer.step()
-        return loss.item()

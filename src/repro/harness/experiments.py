@@ -15,10 +15,8 @@ import numpy as np
 from ..cluster.topology import ClusterTopology
 from ..data.datasets import DATASET_REGISTRY, load_dataset
 from ..data.synthetic import SyntheticImageTask
-from ..distributed.base import RunConfig, make_model
+from ..distributed.base import RunConfig, fp32_train_step, make_model
 from ..nn.optim import SGD
-from ..nn import functional as F
-from ..nn.tensor import Tensor
 
 __all__ = ["Workload", "ScalePreset", "WORKLOADS", "SCALE_PRESETS",
            "prepare_task", "make_run_config", "pretrain_for_transfer"]
@@ -150,11 +148,7 @@ def pretrain_for_transfer(config: RunConfig, workload: Workload,
         order = rng.permutation(len(source.x_train))
         for start in range(0, len(order), preset.batch_size):
             idx = order[start:start + preset.batch_size]
-            model.train()
-            optimizer.zero_grad()
-            loss = F.cross_entropy(model(Tensor(source.x_train[idx])),
-                                   source.y_train[idx])
-            loss.backward()
-            optimizer.step()
+            fp32_train_step(model, optimizer, source.x_train[idx],
+                            source.y_train[idx])
     return replace(config, init_state=model.state_dict(),
                    freeze_backbone=True)

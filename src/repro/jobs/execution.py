@@ -68,6 +68,8 @@ class JobExecution:
         self.job = job
         self.config = config
         self.quant = quant or QuantConfig()
+        #: the groups' precision mode: a job is mixed or all-CPU
+        self._precision = "mixed" if job.mixed else "fp32"
         self.cost = CostModel(config)
         self.controller = MixedPrecisionController(self.cost.t_cpu_sample,
                                                    self.cost.t_npu_sample)
@@ -203,7 +205,7 @@ class JobExecution:
     # ------------------------------------------------------------------
     def _build_groups(self, num_groups: int) -> list[GroupMixedTrainer]:
         return build_groups(self.config, self.controller, self.quant,
-                            num_groups, mixed=self.job.mixed)
+                            num_groups, precision=self._precision)
 
     def _executor_for_epoch(self):
         """A per-job LG worker pool when ``config.workers > 1``."""
@@ -212,10 +214,9 @@ class JobExecution:
         if self._executor is None:
             from ..parallel import LgExecutor
             executor = LgExecutor(
-                self.config, quant=self.quant, mixed=self.job.mixed,
-                int8_only=False, t_cpu=self.cost.t_cpu_sample,
-                t_npu=self.cost.t_npu_sample, telemetry=None,
-                workers=self.config.workers)
+                self.config, quant=self.quant, precision=self._precision,
+                t_cpu=self.cost.t_cpu_sample, t_npu=self.cost.t_npu_sample,
+                telemetry=None, workers=self.config.workers)
             if not executor.parallel:                   # pragma: no cover
                 executor.close()
                 return None

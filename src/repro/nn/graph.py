@@ -6,11 +6,18 @@ intermediate and gradient array on *every* step — pure interpreter
 overhead, since the SoCFlow training step is completely static.  This
 module removes that overhead:
 
+``train_step``
+    the training step, spelled once: ``train() → zero_grad →
+    [stages.before] → forward → cross_entropy → backward →
+    [stages.after] → [grad_hook] → optimizer.step()``.  FP32 replicas
+    pass no stages, ``Int8Trainer`` passes its quantisation stages,
+    HiPress its DGC hook; with an executor attached the same call
+    dispatches to it.
+
 ``GraphCapture``
-    records one eager training step (forward, loss, backward, fused
-    optimizer) into an op list.  Capture is observational: the recorded
-    step runs the normal eager code path and is bit-identical to an
-    uninstrumented step.
+    records the forward and loss ops of one ``train_step`` into an op
+    list.  Capture is observational: the recorded step runs the normal
+    eager code path and is bit-identical to an uninstrumented step.
 
 ``compile_program``
     turns a capture into a ``_Plan``: an instruction list over one
@@ -42,7 +49,10 @@ module removes that overhead:
     the hot loop) or falls back to the eager interpreter on
     ``max_programs`` overflow or unsupported ops.  Rebound parameter
     storage only drops the bindings; the next step binds the cached
-    plan again.
+    plan again.  A replay runs the step's *same* bound stage callables
+    around the compiled closures and the same ``grad_hook`` ahead of
+    ``optimizer.step()``, which stays outside the plan — precision is
+    data on the one executor, not a second one.
 
 Bit-identity ground rules used throughout: ``out=`` ufuncs run the same
 inner loops as their allocating forms; ``np.copyto`` casts exactly like
@@ -68,9 +78,8 @@ from .tensor import Tensor
 
 __all__ = [
     "GraphCapture", "GraphExecutor", "GraphUnsupported",
-    "Int8GraphExecutor", "attach_graph_executor",
-    "attach_int8_graph_executor", "detach_graph_executor",
-    "compile_program",
+    "attach_graph_executor", "detach_graph_executor", "compile_program",
+    "train_step",
 ]
 
 
@@ -145,28 +154,29 @@ class _Node:
 
 
 class GraphCapture:
-    """Records every op of one eager training step via ``Tensor._make``.
+    """Records every op of one :func:`train_step` via ``Tensor._make``.
 
-    Parameters
-    ----------
-    x_tensor:
-        The input tensor the executor fed to the model (the only leaf
-        treated as a per-replay input slot).
-    targets:
-        The integer target array passed to ``cross_entropy`` (matched by
-        identity at compile time; it becomes the second input slot).
-    params:
-        The model's parameter tensors (``FlatParamBuffer.param_tensors``).
+    ``params`` are the model's parameter tensors
+    (``FlatParamBuffer.param_tensors``).  The step itself names its
+    two per-replay input slots when it reaches the forward pass
+    (:meth:`begin`): ``x_tensor``, the tensor it feeds the model, and
+    ``targets``, the integer array it hands ``cross_entropy`` (matched
+    by identity at compile time).
     """
 
-    def __init__(self, x_tensor: Tensor, targets: np.ndarray, params):
-        self.x_tensor = x_tensor
-        self.targets = targets
+    def __init__(self, params):
+        self.x_tensor: Tensor | None = None
+        self.targets: np.ndarray | None = None
         self._param_ids = {id(p) for p in params}
         self.nodes: list[_Node] = []
         self.by_id: dict[int, _Node] = {}
         self._src_by_id: dict[int, _Src] = {}
         self.unsupported: str | None = None
+
+    def begin(self, x_tensor: Tensor, targets: np.ndarray) -> "GraphCapture":
+        self.x_tensor = x_tensor
+        self.targets = targets
+        return self
 
     def record(self, op, out, parents, ctx) -> None:
         if op not in _SUPPORTED:
@@ -322,10 +332,10 @@ class _Replica:
     their own copy of the same thing.
     """
 
-    def __init__(self, model, flat, trainer=None):
+    def __init__(self, model, flat, stages=None):
         self.model = model
         self.flat = flat
-        self.trainer = trainer      # the Int8Trainer, for INT8 plans
+        self.stages = stages        # the step's stages (see train_step)
         self.modules = list(model.modules())
         self._index: dict[int, tuple] | None = None
         self._structure: tuple | None = None
@@ -1658,14 +1668,19 @@ class _Plan:
 
     Owns the instruction ``template`` (ready closures for instructions
     over the workspace alone, symbolic ``(maker, args...)`` entries
-    for those touching a leaf), the single ``workspace`` every binding
-    computes in, and the re-entrancy flag that keeps the
-    sequential-replay invariant honest: bindings of one plan must
-    never run inside one another.
+    for those touching a leaf), the buffers every binding computes in,
+    and the re-entrancy flag that keeps the sequential-replay invariant
+    honest: bindings of one plan must never run inside one another.
+
+    The plan of a staged step (``train_step(stages=...)``) also names
+    what its stages compute in: ``scratch``, the arena's pooled stage
+    scratch — shared with every other plan of that run, hence one
+    ``guard`` for all of them — and ``stage_bufs``, the per-batch-shape
+    part this plan owns.
     """
 
     __slots__ = ("template", "x_buf", "y_buf", "loss", "grad_params",
-                 "workspace", "shared", "stats", "guard")
+                 "own", "shared", "stats", "guard", "scratch", "stage_bufs")
 
     def __init__(self, template, x_buf, y_buf, loss, grad_params, workspace,
                  shared, stats):
@@ -1674,15 +1689,33 @@ class _Plan:
         self.y_buf = y_buf
         self.loss = loss
         self.grad_params = grad_params      # indices into param_tensors
-        self.workspace = workspace          # [(array, persistent)]
+        self.own = workspace                # [(array, persistent)]
         self.shared = shared
         self.stats = stats
         #: [running]; a cell so plans that pool scratch share one flag
         self.guard = [False]
+        self.scratch = None
+        self.stage_bufs: tuple = ()
+
+    def stage(self, scratch) -> None:
+        """Add the scratch of the step's stages to this plan."""
+        self.scratch = scratch
+        self.guard = scratch.guard
+        self.stage_bufs = scratch.input_buffers(self.x_buf.shape)
+        self.own += [(buf, False) for buf in self.stage_bufs]
+
+    @property
+    def workspace(self) -> list[tuple[np.ndarray, bool]]:
+        """Everything a replay computes in: own plus pooled."""
+        if self.scratch is None:
+            return self.own
+        return self.own + [(b, False) for b in self.scratch.buffers()]
 
     @property
     def workspace_bytes(self) -> int:
-        return sum(array.nbytes for array, _ in self.workspace)
+        """Bytes this plan allocated (pooled scratch is counted once,
+        by the arena)."""
+        return sum(array.nbytes for array, _ in self.own)
 
     def bind(self, replica: _Replica) -> "_Program":
         """Closures over the shared workspace and ``replica``'s leaves.
@@ -1696,60 +1729,69 @@ class _Plan:
             if isinstance(entry, tuple) else entry
             for entry in self.template)
         flat = replica.flat
+        before = after = None
+        if replica.stages is not None:
+            before, after, _ = replica.stages.bind(flat)
         return _Program(self, closures, replica.model, flat, tuple(
             (flat.param_tensors[i], flat.grad_views[i])
-            for i in self.grad_params))
+            for i in self.grad_params), before, after)
 
 
 class _Program:
     """One replica's binding of a :class:`_Plan`: a replayable step."""
 
     __slots__ = ("plan", "_closures", "_model", "_flat", "_param_grads",
-                 "_x_buf", "_y_buf", "_loss")
+                 "_before", "_after", "_stage_args", "_y_buf", "_loss")
 
-    def __init__(self, plan, closures, model, flat, param_grads):
+    def __init__(self, plan, closures, model, flat, param_grads, before,
+                 after):
         self.plan = plan
         self._closures = closures
         self._model = model
         self._flat = flat
         self._param_grads = param_grads
-        self._x_buf = plan.x_buf
+        self._before = before
+        self._after = after
+        self._stage_args = (plan.x_buf, *plan.stage_bufs)
         self._y_buf = plan.y_buf
         self._loss = plan.loss
 
-    def replay(self, x, y, optimizer) -> float:
-        guard = _enter(self.plan)
+    def replay(self, x, y, optimizer, grad_hook=None) -> float:
+        """:func:`train_step`, with the compiled closures in place of
+        forward → loss → backward.  Replicas share the workspace on
+        the strength of stepping strictly one after another — a replay
+        started from inside another one would compute on a half-used
+        arena."""
+        guard = self.plan.guard
+        if guard[0]:
+            raise RuntimeError(
+                "graph plan replayed while it is already running: its "
+                "replicas share one workspace and must step one at a time")
+        guard[0] = True
         try:
             self._model.train()
             self._flat.claim_grads()    # a replay is a zero_grad + backward
-            np.copyto(self._x_buf, x)
+            if self._before is None:
+                np.copyto(self._stage_args[0], x)
+            else:
+                self._before(x, *self._stage_args)
             np.copyto(self._y_buf, y)
             for run in self._closures:
                 run()
+            if self._after is not None:
+                self._after()
             loss = float(self._loss)
         finally:
             guard[0] = False
         for param, gbuf in self._param_grads:
             param.grad = gbuf
+        if grad_hook is not None:
+            grad_hook(self._model)
         optimizer.step()
         return loss
 
 
-def _enter(plan: _Plan) -> list:
-    """Claim ``plan``'s workspace for one replay; returns the guard cell
-    to clear afterwards.  Replicas share the workspace on the strength
-    of stepping strictly one after another — a replay started from
-    inside another one would compute on a half-used arena."""
-    guard = plan.guard
-    if guard[0]:
-        raise RuntimeError(
-            "graph plan replayed while it is already running: its "
-            "replicas share one workspace and must step one at a time")
-    guard[0] = True
-    return guard
-
-
-def compile_program(capture: GraphCapture, loss: Tensor, replica: _Replica,
+def compile_program(capture: GraphCapture, replica: _Replica,
                     fuse: bool = True) -> _Plan:
     """Compile a :class:`GraphCapture` of ``replica``'s step into a
     :class:`_Plan` any structurally equal replica can bind.
@@ -1759,50 +1801,111 @@ def compile_program(capture: GraphCapture, loss: Tensor, replica: _Replica,
     """
     if capture.unsupported is not None:
         raise GraphUnsupported(f"unsupported op: {capture.unsupported}")
-    loss_node = capture.by_id.get(id(loss))
-    if loss_node is None:
-        raise GraphUnsupported("loss tensor was not produced by the capture")
-    return _Compiler(capture, loss_node, replica, fuse).build()
+    if not capture.nodes or capture.nodes[-1].op != "cross_entropy":
+        raise GraphUnsupported("the capture does not end in the step's loss")
+    plan = _Compiler(capture, capture.nodes[-1], replica, fuse).build()
+    if replica.stages is not None:
+        flat = replica.flat
+        if len(plan.grad_params) != flat.layout.num_params:
+            # The eager stages clip/quantise exactly the parameters
+            # that received gradients; the fused ones assume all.
+            raise GraphUnsupported("not every parameter received a gradient")
+        plan.stage(replica.stages.bind(flat)[2])
+    return plan
 
 
-def _eager_step(model, optimizer, x, y) -> float:
-    """The eager interpreter step (mirrors ``fp32_train_step``)."""
+# ---------------------------------------------------------------------------
+# The training step and its executor
+# ---------------------------------------------------------------------------
+
+def train_step(model, optimizer, x: np.ndarray, y: np.ndarray, stages=None,
+               grad_hook=None, capture=None) -> float:
+    """One synchronous SGD step; returns the batch loss.
+
+    The one spelling of the step, whatever runs around it:
+
+    ``stages``
+        what a precision does around forward/backward.  ``before(x)``
+        runs ahead of the forward pass and returns the array to feed
+        the model; ``after()`` runs between backward and the update.
+        FP32 passes none; ``Int8Trainer`` passes itself.
+    ``grad_hook``
+        ``grad_hook(model)`` may rewrite the published gradients ahead
+        of ``optimizer.step()`` (HiPress's DGC).
+
+    With a :class:`GraphExecutor` attached (to ``stages`` if given, to
+    ``model`` otherwise) the step dispatches to it — a replayed
+    compiled program when one matches, this interpreter otherwise,
+    bit-identical either way.  ``capture`` is the executor's own: when
+    it runs a step through here it passes the :class:`GraphCapture` to
+    trace the step into, or ``False`` for one that stays untraced.
+    """
+    if capture is None:
+        executor = getattr(model if stages is None else stages,
+                           "_graph_exec", None)
+        if executor is not None:
+            return executor.step(optimizer, x, y, grad_hook)
+    x, y = np.asarray(x, dtype=np.float32), np.asarray(y)
     model.train()
     optimizer.zero_grad()
-    logits = model(Tensor(x))
-    loss = F.cross_entropy(logits, y)
-    loss.backward()
+    x_t = Tensor(x if stages is None else stages.before(x))
+    tensor_mod._CAPTURE = capture.begin(x_t, y) if capture else None
+    try:
+        loss = F.cross_entropy(model(x_t), y)
+        loss.backward()
+    finally:
+        tensor_mod._CAPTURE = None
+    if stages is not None:
+        stages.after()
+    if grad_hook is not None:
+        grad_hook(model)
     optimizer.step()
     return loss.item()
 
 
-class _StepExecutor:
-    """Shape-keyed dispatch common to the FP32 and INT8 executors.
+class GraphExecutor:
+    """Trace-once/replay-many dispatcher for one replica's training step.
 
     ``_programs`` maps a batch signature to this replica's binding, or
     to ``None`` for a shape that trains eagerly for good.  A missing
-    key binds the cached plan (counted as a replay: nothing was
-    traced) or, when the run has none yet, captures one.  Subclasses
-    supply the step itself: ``_eager``, ``_capture``, ``_bind``, plus
-    ``_stale`` / ``_replica`` / ``_plan_key`` describing the replica.
+    key binds the run's cached plan (counted as a replay: nothing was
+    traced) or, when the run has none yet, captures one.  Per-step
+    validity is the flat buffer's intactness plus the stages'
+    ``signature()``: per-key state loads or re-grouping that rebind
+    parameter storage, and ``attach_activation_quant`` swapping the
+    observers, leave every bound view stale — the bindings are
+    dropped, the storage re-fused, and the step replays through a
+    fresh binding of the same plan.
+
+    ``stages`` (see :func:`train_step`) also names the ``precision``
+    label its plans are counted under and the ``plan_key`` they are
+    told apart by (another ``QuantConfig`` or clip norm compiles
+    afresh).
     """
 
-    precision = ""
-
-    def __init__(self, max_programs: int, fuse: bool, arena: StepArena):
+    def __init__(self, model, max_programs: int = 8, fuse: bool = True,
+                 arena: "StepArena | None" = None, stages=None):
+        flat = model.flatten_parameters()
+        if flat is None:
+            raise GraphUnsupported("model has no fused flat parameter buffer")
+        self.model = model
+        self.flat = flat
+        self.stages = stages
+        self.precision = "fp32" if stages is None else stages.precision
         self.max_programs = max_programs
         self.fuse = fuse
-        self.arena = arena
+        self.arena = arena if arena is not None else flat.arena
         self.stats = {"captures": 0, "replays": 0, "eager_steps": 0,
                       "fallbacks": 0}
-        self._programs: dict[tuple, object] = {}
+        self._programs: dict[tuple, "_Program | None"] = {}
+        self._sig = None
 
-    def _dispatch(self, x, y, *ctx) -> float:
+    def step(self, optimizer, x, y, grad_hook=None) -> float:
+        x, y = np.asarray(x, dtype=np.float32), np.asarray(y)
         key = (x.shape, y.shape, y.dtype.str)
         prog = self._programs.get(key, _MISSING)
         if prog is None:
-            self.stats["eager_steps"] += 1
-            return self._eager(x, y, *ctx)
+            return self._eager("eager_steps", optimizer, x, y, grad_hook)
         stale = prog is not _MISSING and self._stale()
         if stale or prog is _MISSING:
             if stale or (self._programs and self._stale()):
@@ -1810,20 +1913,19 @@ class _StepExecutor:
                 # binding aliases the old one, not just this shape's.
                 # The plans are untouched — bind again below.
                 self._programs.clear()
-            replica = self._replica(*ctx)
+            replica = self._replica(optimizer)
             if replica is None:
-                self.stats["fallbacks"] += 1
-                return self._eager(x, y, *ctx)
+                return self._eager("fallbacks", optimizer, x, y, grad_hook)
             if len(self._programs) >= self.max_programs:
-                self.stats["eager_steps"] += 1
-                return self._eager(x, y, *ctx)
-            plan_key = (self.precision, self.fuse, key,
-                        self._plan_key(replica))
+                return self._eager("eager_steps", optimizer, x, y, grad_hook)
+            structure = replica.structure
+            if self.stages is not None:
+                structure += self.stages.plan_key
+            plan_key = (self.precision, self.fuse, key, structure)
             plan = self.arena.get(plan_key)
             if plan is None:
                 self._programs[key] = None
-                self.stats["fallbacks"] += 1
-                return self._eager(x, y, *ctx)
+                return self._eager("fallbacks", optimizer, x, y, grad_hook)
             prog = None
             if plan is not _MISSING:
                 try:
@@ -1831,7 +1933,14 @@ class _StepExecutor:
                 except GraphUnsupported:
                     pass        # refused: compile a private plan instead
             if prog is None:
-                loss, plan = self._capture(replica, x, y, *ctx)
+                capture = GraphCapture(replica.flat.param_tensors)
+                replica.flat.claim_grads()  # the optimiser may not be bound
+                loss = train_step(self.model, optimizer, x, y, self.stages,
+                                  grad_hook, capture=capture)
+                try:
+                    plan = compile_program(capture, replica, fuse=self.fuse)
+                except GraphUnsupported:
+                    plan = None
                 self.arena.add(self.precision, plan_key, plan)
                 self._programs[key] = (None if plan is None
                                        else self._bind(plan, replica))
@@ -1839,10 +1948,31 @@ class _StepExecutor:
                 return loss
             self._programs[key] = prog
         self.stats["replays"] += 1
-        return prog.replay(x, y, *ctx)
+        return prog.replay(x, y, optimizer, grad_hook)
+
+    def _eager(self, counter: str, optimizer, x, y, grad_hook) -> float:
+        self.stats[counter] += 1
+        return train_step(self.model, optimizer, x, y, self.stages,
+                          grad_hook, capture=False)
+
+    def _stale(self) -> bool:
+        return not self.flat.is_intact() or (
+            self.stages is not None and self.stages.signature() != self._sig)
+
+    def _replica(self, optimizer) -> "_Replica | None":
+        flat = self.model.flatten_parameters()      # re-fuses if rebound
+        if flat is None:
+            return None
+        if flat is not self.flat:
+            self.flat = flat
+            if getattr(optimizer, "bind_flat", None) is not None:
+                optimizer.bind_flat(flat)
+        return _Replica(self.model, flat, self.stages)
 
     def _bind(self, plan, replica: _Replica):
         prog = plan.bind(replica)
+        if self.stages is not None:
+            self._sig = self.stages.signature()
         self.arena.counters(self.precision)["binds"] += 1
         return prog
 
@@ -1854,348 +1984,32 @@ class _StepExecutor:
                 if p is not None]
 
 
-class GraphExecutor(_StepExecutor):
-    """Trace-once/replay-many dispatcher for one model's training step.
-
-    Bindings are keyed by input shape/dtype; per-step validity is the
-    flat buffer's intactness (per-key state loads or re-grouping that
-    rebind parameter storage leave every bound view stale — the
-    bindings are dropped, the storage re-fused, and the step replays
-    through a fresh binding of the same plan).
-    """
-
-    precision = "fp32"
-
-    def __init__(self, model, max_programs: int = 8, fuse: bool = True,
-                 arena: "StepArena | None" = None):
-        flat = model.flatten_parameters()
-        if flat is None:
-            raise GraphUnsupported("model has no fused flat parameter buffer")
-        super().__init__(max_programs, fuse,
-                         arena if arena is not None else flat.arena)
-        self.model = model
-        self.flat = flat
-
-    def step(self, optimizer, x, y) -> float:
-        return self._dispatch(np.asarray(x, dtype=np.float32), np.asarray(y),
-                              optimizer)
-
-    def _eager(self, x, y, optimizer) -> float:
-        return _eager_step(self.model, optimizer, x, y)
-
-    def _stale(self) -> bool:
-        return not self.flat.is_intact()
-
-    def _replica(self, optimizer) -> "_Replica | None":
-        flat = self.model.flatten_parameters()      # re-fuses if rebound
-        if flat is None:
-            return None
-        if flat is not self.flat:
-            self.flat = flat
-            if getattr(optimizer, "bind_flat", None) is not None:
-                optimizer.bind_flat(flat)
-        return _Replica(self.model, flat)
-
-    def _plan_key(self, replica: _Replica) -> tuple:
-        return replica.structure
-
-    def _capture(self, replica, x, y, optimizer):
-        x_t = Tensor(x)
-        capture = GraphCapture(x_t, y, replica.flat.param_tensors)
-        tensor_mod._CAPTURE = capture
-        try:
-            self.model.train()
-            optimizer.zero_grad()
-            replica.flat.claim_grads()  # the optimiser may not be bound
-            logits = self.model(x_t)
-            loss = F.cross_entropy(logits, y)
-            loss.backward()
-            optimizer.step()
-        finally:
-            tensor_mod._CAPTURE = None
-        try:
-            plan = compile_program(capture, loss, replica, fuse=self.fuse)
-        except GraphUnsupported:
-            plan = None
-        return loss.item(), plan
-
-
 def attach_graph_executor(model, max_programs: int = 8, fuse: bool = True,
-                          arena: "StepArena | None" = None
+                          arena: "StepArena | None" = None, stages=None
                           ) -> GraphExecutor | None:
-    """Attach a :class:`GraphExecutor` to ``model`` (idempotent).
+    """Attach a :class:`GraphExecutor` for ``model``'s step (idempotent).
 
-    ``fp32_train_step`` dispatches to it when present.  ``arena`` is the
-    run's :class:`~repro.nn.arena.StepArena`, where the plans and their
-    workspace live; without one that is the arena the model was
-    flattened into (its own, unless ``flatten_parameters`` was given the
-    run's).  Returns ``None`` (leaving the model eager) when the model
-    cannot flatten.
+    It hangs on ``stages`` when the step has them (an ``Int8Trainer``),
+    on ``model`` otherwise; :func:`train_step` dispatches to it when
+    present.  ``arena`` is the run's :class:`~repro.nn.arena.StepArena`,
+    where the plans and their workspace live; without one that is the
+    arena the model was flattened into (its own, unless
+    ``flatten_parameters`` was given the run's).  Returns ``None``
+    (leaving the step eager) when the model cannot flatten.
     """
-    executor = getattr(model, "_graph_exec", None)
+    holder = model if stages is None else stages
+    executor = getattr(holder, "_graph_exec", None)
     if executor is not None:
         return executor
     try:
         executor = GraphExecutor(model, max_programs=max_programs, fuse=fuse,
-                                 arena=arena)
+                                 arena=arena, stages=stages)
     except GraphUnsupported:
         return None
-    model._graph_exec = executor
+    holder._graph_exec = executor
     return executor
 
 
 def detach_graph_executor(model) -> None:
     if getattr(model, "_graph_exec", None) is not None:
         model._graph_exec = None
-
-
-# ---------------------------------------------------------------------------
-# INT8 training-step plans (the Int8Trainer / NPU hot path)
-# ---------------------------------------------------------------------------
-
-def _make_input_stage(x_buf, observer, config, absbuf=None, wide=None):
-    """Closure quantising one raw input batch into the core plan's
-    input buffer, replicating ``Int8Trainer._quantize_input`` exactly.
-
-    ``observer`` is the trainer's live input :class:`EmaObserver` (or
-    ``None`` when activations are not quantised): its EMA advances on
-    every replay and its scale is re-read, so scale drift is program
-    *input*, not program *structure*.  ``absbuf`` / ``wide`` are the
-    plan's scratch (``wide`` is float16 or float64 by format).
-    """
-    if observer is None:
-        def stage(x):
-            np.copyto(x_buf, x)
-        return stage
-    if config.float16:
-        def stage(x):
-            observer.update(float(np.abs(x, out=absbuf).max()))
-            np.copyto(wide, x)
-            np.copyto(x_buf, wide)
-        return stage
-    qmax = config.qmax
-
-    def stage(x):
-        observer.update(float(np.abs(x, out=absbuf).max()))
-        scale = observer.scale
-        np.divide(x, scale, out=x_buf)
-        np.rint(x_buf, out=x_buf)
-        np.clip(x_buf, -qmax, qmax, out=x_buf)
-        np.copyto(wide, x_buf)
-        np.multiply(wide, scale, out=wide)
-        np.copyto(x_buf, wide)
-    return stage
-
-
-class _Int8Plan:
-    """The INT8 step around a core :class:`_Plan`: the preallocated
-    quantisation stages ``Int8Trainer.train_step`` runs around the
-    captured forward/backward, compiled once for every replica.
-
-    1. master-weight snapshot + in-place segment fake-quantisation of
-       the flat parameter buffer (scales are data-dependent and
-       recomputed every replay),
-    2. input observation + fake-quantisation straight into the core
-       plan's input buffer,
-    3. the captured forward/backward closures,
-    4. master restore, fused global-norm clip, and in-place
-       stochastically-rounded gradient quantisation that advances the
-       trainer's RNG stream exactly like the eager step (the same
-       pooled quantiser: one ``rng.random(out=)`` draw).
-    """
-
-    def __init__(self, core: _Plan, scratch, layout, config, max_grad_norm):
-        self.core = core
-        self.scratch = scratch
-        self.layout = layout
-        self.config = config
-        self.max_grad_norm = max_grad_norm
-        self.shared = core.shared
-        self.stats = core.stats
-        core.guard = scratch.guard
-        #: the input stage's |x| and widening (float16/float64) buffers
-        self.stage: tuple = ()
-        if config.quantize_activations:
-            shape = core.x_buf.shape
-            self.stage = (np.empty(shape, dtype=np.float32), np.empty(
-                shape, dtype=np.float16 if config.float16 else np.float64))
-
-    @property
-    def workspace(self) -> list[tuple[np.ndarray, bool]]:
-        """Own plus pooled scratch (the poison test's view)."""
-        return self.core.workspace + [
-            (b, False) for b in (*self.stage, *self.scratch.buffers())]
-
-    @property
-    def workspace_bytes(self) -> int:
-        """Bytes this plan allocated (pooled scratch is counted once,
-        by the arena)."""
-        return self.core.workspace_bytes + sum(b.nbytes for b in self.stage)
-
-    def bind(self, replica: _Replica) -> "_Int8Program":
-        return _Int8Program(self, self.core.bind(replica), replica.flat,
-                            replica.trainer)
-
-
-class _Int8Program:
-    """One ``Int8Trainer``'s binding of an :class:`_Int8Plan`."""
-
-    __slots__ = ("plan", "_core", "_trainer", "_flat_params", "_flat_grads",
-                 "_masters", "_quant_weights", "_input_stage", "_clip",
-                 "_quant_grads", "_stochastic")
-
-    def __init__(self, plan: _Int8Plan, core: _Program, flat, trainer):
-        config, scratch = plan.config, plan.scratch
-        self.plan = plan
-        self._core = core
-        self._trainer = trainer
-        self._flat_params = flat.params
-        self._flat_grads = flat.grads
-        self._masters = scratch.masters
-        self._quant_weights = (scratch.quant if config.quantize_weights
-                               else None)
-        self._input_stage = _make_input_stage(
-            core._x_buf,
-            trainer._input_observer if config.quantize_activations else None,
-            config, *plan.stage)
-        self._clip = scratch.clip if plan.max_grad_norm is not None else None
-        self._quant_grads = (scratch.quant if config.quantize_gradients
-                             else None)
-        self._stochastic = config.stochastic_rounding
-
-    def replay(self, x, y) -> float:
-        core, trainer = self._core, self._trainer
-        guard = _enter(core.plan)
-        try:
-            trainer.model.train()
-            core._flat.claim_grads()
-            np.copyto(self._masters, self._flat_params)
-            if self._quant_weights is not None:
-                self._quant_weights(self._flat_params)
-            self._input_stage(x)
-            np.copyto(core._y_buf, y)
-            for run in core._closures:
-                run()
-            np.copyto(self._flat_params, self._masters)
-            if self._clip is not None:
-                self._clip(self._flat_grads, self.plan.max_grad_norm)
-            if self._quant_grads is not None:
-                self._quant_grads(
-                    self._flat_grads,
-                    rng=trainer.rng if self._stochastic else None)
-            loss = float(core._loss)
-        finally:
-            guard[0] = False
-        for param, gbuf in core._param_grads:
-            param.grad = gbuf
-        trainer.optimizer.step()
-        return loss
-
-
-class Int8GraphExecutor(_StepExecutor):
-    """Trace-once/replay-many dispatcher for one ``Int8Trainer``.
-
-    Mirrors :class:`GraphExecutor` (shape-keyed bindings, permanently
-    eager keys on cache overflow, drop-and-rebind on flat-storage
-    rebinding) and adds the INT8-specific staleness edge: re-running
-    ``attach_activation_quant`` swaps the observer objects a binding
-    closes over, so the bindings are dropped and the same plan binds
-    the new observers; a changed ``QuantConfig`` or ``max_grad_norm``
-    is a different plan key and compiles afresh.
-
-    Unlike the FP32 executor it is attachable even when the model
-    cannot flatten: every step then falls back with the ``fallbacks``
-    counter ticking, so ``graph.int8_fallbacks`` always has a value to
-    report instead of the flag being silently dropped.
-    """
-
-    precision = "int8"
-
-    def __init__(self, trainer, max_programs: int = 8, fuse: bool = True,
-                 arena: "StepArena | None" = None):
-        if arena is None:
-            flat = trainer.model._flat
-            arena = flat.arena if flat is not None else StepArena()
-        super().__init__(max_programs, fuse, arena)
-        self.trainer = trainer
-        self._sig = None
-
-    def _signature(self):
-        t = self.trainer
-        return (id(t.model._flat), id(t._input_observer),
-                tuple(id(o) for o in t._activation_observers()),
-                t.config, t.max_grad_norm)
-
-    def step(self, x, y) -> float:
-        return self._dispatch(np.asarray(x, dtype=np.float32), np.asarray(y))
-
-    def _eager(self, x, y) -> float:
-        return self.trainer._eager_step(x, y)
-
-    def _stale(self) -> bool:
-        return (self.trainer._flat() is None
-                or self._signature() != self._sig)
-
-    def _replica(self) -> "_Replica | None":
-        t = self.trainer
-        flat = t.model.flatten_parameters()         # re-fuses if rebound
-        if flat is None:
-            return None
-        if t.optimizer._flat is not flat:
-            t.optimizer.bind_flat(flat)
-        return _Replica(t.model, flat, trainer=t)
-
-    def _plan_key(self, replica: _Replica) -> tuple:
-        t = self.trainer
-        return replica.structure + (t.config, t.max_grad_norm)
-
-    def _bind(self, plan, replica: _Replica):
-        self._sig = self._signature()
-        return super()._bind(plan, replica)
-
-    def _capture(self, replica, x, y):
-        t = self.trainer
-        flat = replica.flat
-        t.model.train()
-        t.optimizer.zero_grad()
-        masters = t._quantized_weights()
-        x_t = Tensor(t._quantize_input(x))
-        capture = GraphCapture(x_t, y, flat.param_tensors)
-        tensor_mod._CAPTURE = capture
-        try:
-            logits = t.model(x_t)
-            loss = F.cross_entropy(logits, y)
-            loss.backward()
-        finally:
-            tensor_mod._CAPTURE = None
-        loss_val = t._finish_step(loss, masters)
-        try:
-            core = compile_program(capture, loss, replica, fuse=self.fuse)
-            if len(core.grad_params) != flat.layout.num_params:
-                # The eager step clips/quantises exactly the parameters
-                # that received gradients; the fused stages assume all.
-                raise GraphUnsupported(
-                    "not every parameter received a gradient")
-        except GraphUnsupported:
-            return loss_val, None
-        from ..quant.int8 import Int8StepScratch
-        scratch = Int8StepScratch.pooled(self.arena, flat.layout, t.config)
-        return loss_val, _Int8Plan(core, scratch, flat.layout, t.config,
-                                   t.max_grad_norm)
-
-
-def attach_int8_graph_executor(trainer, max_programs: int = 8,
-                               fuse: bool = True,
-                               arena: "StepArena | None" = None
-                               ) -> Int8GraphExecutor:
-    """Attach an :class:`Int8GraphExecutor` to an ``Int8Trainer``
-    (idempotent).  Always succeeds — a trainer whose model cannot
-    flatten keeps the executor in permanent-fallback mode so the
-    ``graph.int8_fallbacks`` counter is still surfaced."""
-    executor = getattr(trainer, "_graph_exec", None)
-    if executor is not None:
-        return executor
-    executor = Int8GraphExecutor(trainer, max_programs=max_programs,
-                                 fuse=fuse, arena=arena)
-    trainer._graph_exec = executor
-    return executor

@@ -168,11 +168,11 @@ def _counter_deltas(registry: MetricsRegistry) -> list:
 _WORKER: dict = {}
 
 
-def _init_worker(config, quant, mixed, int8_only, t_cpu, t_npu,
+def _init_worker(config, quant, precision, t_cpu, t_npu,
                  metrics_enabled) -> None:
-    _WORKER.update(config=config, quant=quant, mixed=mixed,
-                   int8_only=int8_only, t_cpu=t_cpu, t_npu=t_npu,
-                   metrics=metrics_enabled, replicas={}, arena=None)
+    _WORKER.update(config=config, quant=quant, precision=precision,
+                   t_cpu=t_cpu, t_npu=t_npu, metrics=metrics_enabled,
+                   replicas={}, arena=None)
 
 
 def _replica(seed_offset: int) -> GroupMixedTrainer:
@@ -183,7 +183,7 @@ def _replica(seed_offset: int) -> GroupMixedTrainer:
         trainer = GroupMixedTrainer(_WORKER["config"], controller,
                                     _WORKER["quant"],
                                     seed_offset=seed_offset,
-                                    mixed=_WORKER["mixed"],
+                                    precision=_WORKER["precision"],
                                     arena=_WORKER["arena"],
                                     init_weights=False)
         # one step arena per worker process (its replicas run one task
@@ -191,9 +191,6 @@ def _replica(seed_offset: int) -> GroupMixedTrainer:
         # group's full state before stepping, so no replica draws
         # initial weights.
         _WORKER["arena"] = trainer.arena
-        if _WORKER["int8_only"]:
-            from ..core.socflow import _int8_only_step
-            trainer.train_batch = _int8_only_step(trainer)  # type: ignore
         _WORKER["replicas"][seed_offset] = trainer
     return trainer
 
@@ -252,7 +249,7 @@ class LgExecutor:
     the platform lacks fork-style multiprocessing.
     """
 
-    def __init__(self, config, quant, mixed: bool, int8_only: bool,
+    def __init__(self, config, quant, precision: str,
                  t_cpu: float, t_npu: float, telemetry=None,
                  workers: int = 1, use_shm: bool = True):
         self.workers = max(1, int(workers))
@@ -278,7 +275,7 @@ class LgExecutor:
                     pass
             self._pool = ctx.Pool(
                 self.workers, initializer=_init_worker,
-                initargs=(shipped, quant, mixed, int8_only, t_cpu, t_npu,
+                initargs=(shipped, quant, precision, t_cpu, t_npu,
                           self._telemetry.metrics.enabled))
 
     @property

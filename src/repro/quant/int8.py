@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["QuantConfig", "quantize", "dequantize", "fake_quantize",
-           "fake_quantize_segments", "SegmentQuantizer", "Int8StepScratch",
-           "quantization_error"]
+           "fake_quantize_observed", "fake_quantize_segments",
+           "SegmentQuantizer", "Int8StepScratch", "quantization_error"]
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,52 @@ def fake_quantize(x: np.ndarray, config: QuantConfig,
         scale = _scale_for(x, qmax)
     use_rng = rng if config.stochastic_rounding else None
     return dequantize(quantize(x, scale, qmax, rng=use_rng), scale)
+
+
+def _wide_dtype(config: QuantConfig):
+    """What :func:`fake_quantize_observed` widens through."""
+    return np.float16 if config.float16 else np.float64
+
+
+def fake_quantize_observed(x: np.ndarray, observer, config: QuantConfig,
+                           out: np.ndarray | None = None,
+                           wide: np.ndarray | None = None) -> np.ndarray:
+    """Observe one float32 input batch and fake-quantise it into ``out``.
+
+    The input stage of the INT8 step, eager and compiled alike:
+    bit-identical to ``observer.observe(x)`` followed by
+    ``fake_quantize(x, config, scale=observer.scale)``, without that
+    form's temporaries.  ``out`` is the compiled plan's input buffer
+    (fresh when omitted) and doubles as the scratch of the peak
+    reduction; ``wide`` is the float16 / float64 widening buffer of the
+    configured format (``Int8StepScratch.input_buffers``) — the
+    dequantisation multiplies by a float64 scale, and a float32 product
+    would double-round.  The EMA advances on every call and the scale
+    is re-read, so scale drift is an input of a compiled step, not
+    part of it.  ``observer=None`` means activations are not
+    quantised: ``x`` passes through (copied when ``out`` is given).
+    """
+    if observer is None:
+        if out is None:
+            return x
+        np.copyto(out, x)
+        return out
+    if out is None:
+        out = np.empty_like(x)
+    observer.update(float(np.abs(x, out=out).max()))
+    if wide is None:
+        wide = np.empty(x.shape, dtype=_wide_dtype(config))
+    if config.float16:
+        np.copyto(wide, x)          # copyto casts exactly like astype
+    else:
+        scale, qmax = observer.scale, config.qmax
+        np.divide(x, scale, out=out)
+        np.rint(out, out=out)
+        np.clip(out, -qmax, qmax, out=out)
+        np.copyto(wide, out)
+        np.multiply(wide, scale, out=wide)
+    np.copyto(out, wide)
+    return out
 
 
 def fake_quantize_segments(flat: np.ndarray, starts: np.ndarray,
@@ -222,6 +268,7 @@ class Int8StepScratch:
 
     def __init__(self, layout, config: QuantConfig):
         n = layout.num_params
+        self.config = config
         self.guard = [False]
         self.masters = np.empty(layout.param_total, dtype=np.float32)
         self.quant: SegmentQuantizer | None = None
@@ -250,7 +297,8 @@ class Int8StepScratch:
     def clip(self, grads: np.ndarray, max_norm: float) -> None:
         """Global-norm clip of the fused gradient ``grads`` in place.
 
-        Bit-identical to ``Int8Trainer._clip_gradients``: squares in
+        Bit-identical to the per-parameter clip of
+        ``Int8Trainer.after``: squares in
         float64, one pairwise ``np.sum`` per parameter segment
         accumulated in parameter order (float addition order matters),
         then a single multiply of the whole buffer — elementwise what
@@ -268,6 +316,14 @@ class Int8StepScratch:
     def buffers(self) -> list[np.ndarray]:
         return self._own + (self.quant.buffers()
                             if self.quant is not None else [])
+
+    def input_buffers(self, shape) -> tuple:
+        """Fresh :func:`fake_quantize_observed` scratch for one batch
+        shape (``wide``) — not pooled: the compiled plan of that shape
+        owns it."""
+        if not self.config.quantize_activations:
+            return ()
+        return (np.empty(shape, dtype=_wide_dtype(self.config)),)
 
 
 def quantization_error(x: np.ndarray, config: QuantConfig) -> float:

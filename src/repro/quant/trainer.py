@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn.graph import attach_graph_executor, train_step
 from ..nn.modules import Module
 from ..nn.optim import SGD
 from ..nn.tensor import Tensor, no_grad
-from ..nn import functional as F
-from .int8 import Int8StepScratch, QuantConfig, fake_quantize
+from .int8 import (Int8StepScratch, QuantConfig, fake_quantize,
+                   fake_quantize_observed)
 from .observer import EmaObserver
 
 __all__ = ["Int8Trainer"]
@@ -33,14 +34,20 @@ __all__ = ["Int8Trainer"]
 class Int8Trainer:
     """Run SGD steps with INT8 fake-quantised weights/activations/grads.
 
-    On a flattened model the weight snapshot, both quantisation stages
-    and the clip run in place through the arena's pooled
-    :class:`~repro.quant.int8.Int8StepScratch` (``arena``: the run's
-    :class:`~repro.nn.arena.StepArena` when this trainer is one replica
-    of a run; the model's own otherwise), so a step allocates nothing
-    parameter-sized and the trainer keeps only weights, momentum, its
-    RNG and the observers.
+    The step itself is :func:`repro.nn.graph.train_step`; the trainer
+    is its ``stages``: :meth:`before` (master snapshot, weights and
+    input onto the grid) and :meth:`after` (masters back, clip,
+    gradient quantisation) around the forward/backward every replica
+    shares.  On a flattened model both run in place through the
+    arena's pooled :class:`~repro.quant.int8.Int8StepScratch`
+    (``arena``: the run's :class:`~repro.nn.arena.StepArena` when this
+    trainer is one replica of a run; the model's own otherwise), so a
+    step allocates nothing parameter-sized and the trainer keeps only
+    weights, momentum, its RNG and the observers.
     """
+
+    #: arena/metrics label of this trainer's compiled steps
+    precision = "int8"
 
     def __init__(self, model: Module, lr: float, config: QuantConfig,
                  momentum: float = 0.0, weight_decay: float = 0.0,
@@ -54,6 +61,8 @@ class Int8Trainer:
         self.rng = np.random.default_rng(seed)
         self._graph_exec = None
         self._input_observer = EmaObserver(config.qmax)
+        self._bound: tuple | None = None    # (flat, before, after, scratch)
+        self._masters: list[np.ndarray] = []
         if config.quantize_activations:
             from .ste import attach_activation_quant
             attach_activation_quant(model, config)
@@ -67,117 +76,137 @@ class Int8Trainer:
             return flat
         return None
 
-    def _scratch(self, flat) -> Int8StepScratch:
-        return Int8StepScratch.pooled(flat.arena, flat.layout, self.config)
-
-    # ------------------------------------------------------------------
-    def _quantized_weights(self):
-        """Snap weights onto the INT8 grid, returning the FP32 masters.
-
-        On a flattened model this is one fused in-place pass over the
-        contiguous parameter region (the masters are the arena's pooled
-        snapshot, valid until the next replica's step); the
-        per-parameter loop remains for unflattened models.
-        """
-        flat = self._flat()
-        if flat is not None:
-            scratch = self._scratch(flat)
-            np.copyto(scratch.masters, flat.params)
-            if self.config.quantize_weights:
-                scratch.quant(flat.params)
-            return scratch.masters
-        masters: list[np.ndarray] = []
-        for param in self.model.parameters():
-            masters.append(param.data)
-            if self.config.quantize_weights:
-                param.data = fake_quantize(param.data, self.config)
-        return masters
-
-    def _restore_weights(self, masters) -> None:
-        if isinstance(masters, np.ndarray):       # fused snapshot
-            self.model._flat.params[...] = masters
-            return
-        for param, master in zip(self.model.parameters(), masters):
-            param.data = master
-
-    def _quantize_input(self, x: np.ndarray) -> np.ndarray:
-        if not self.config.quantize_activations:
-            return x
-        self._input_observer.observe(x)
-        return fake_quantize(x, self.config,
-                             scale=self._input_observer.scale)
-
     # ------------------------------------------------------------------
     def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
         """One SGD step on the INT8 path; returns the batch loss."""
-        if self._graph_exec is not None:
-            return self._graph_exec.step(inputs, targets)
-        return self._eager_step(np.asarray(inputs, dtype=np.float32),
-                                np.asarray(targets))
+        return train_step(self.model, self.optimizer, inputs, targets,
+                          stages=self)
 
-    def _eager_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
-        """The uncompiled step: build the autograd tape every time."""
-        self.model.train()
-        self.optimizer.zero_grad()
-        masters = self._quantized_weights()
-        x = Tensor(self._quantize_input(inputs))
-        logits = self.model(x)
-        loss = F.cross_entropy(logits, targets)
-        loss.backward()
-        return self._finish_step(loss, masters)
+    # -- the stages of the step ------------------------------------------
+    def bind(self, flat) -> tuple:
+        """``(before, after, scratch)``: the fused stages over
+        ``flat``'s storage and its arena's pooled scratch.
 
-    def _finish_step(self, loss, masters) -> float:
-        """Post-backward tail shared by the eager step and graph capture:
-        master restore, clip, gradient quantisation, optimiser step."""
-        self._restore_weights(masters)
+        Made once per storage and run by eager and compiled steps
+        alike — a replay calls them with no intactness check or arena
+        lookup of its own.  ``before(x, out, wide)`` fills a compiled
+        plan's input buffer; eagerly it allocates the result.
+        """
+        if self._bound is None or self._bound[0] is not flat:
+            config, max_norm = self.config, self.max_grad_norm
+            scratch = Int8StepScratch.pooled(flat.arena, flat.layout, config)
+            params, grads, masters = flat.params, flat.grads, scratch.masters
+            quant, clip = scratch.quant, scratch.clip
+            observer = (self._input_observer if config.quantize_activations
+                        else None)
+            rng = self.rng if config.stochastic_rounding else None
+
+            def before(x, out=None, wide=None):
+                # the masters are the arena's pooled snapshot, valid
+                # until the next replica's step
+                np.copyto(masters, params)
+                if config.quantize_weights:
+                    quant(params)
+                return fake_quantize_observed(x, observer, config, out,
+                                              wide)
+
+            def after():
+                np.copyto(params, masters)
+                if max_norm is not None:
+                    clip(grads, max_norm)
+                if config.quantize_gradients:
+                    quant(grads, rng=rng)
+
+            self._bound = (flat, before, after, scratch)
+        return self._bound[1:]
+
+    def before(self, x: np.ndarray) -> np.ndarray:
+        """Ahead of the forward pass: keep the FP32 masters, snap the
+        weights onto the grid; returns the observed, quantised input.
+
+        The per-parameter loop serves unflattened (or rebound) models
+        and is the reference the fused stages are tested against.
+        """
         flat = self._flat()
-        # Fused: clip and quantise this replica's complete gradient in
-        # place on the plane, so the fused SGD step stays armed.
-        scratch = (self._scratch(flat)
-                   if flat is not None and flat.grads_ready() else None)
-        if self.max_grad_norm is not None:
-            if scratch is not None:
-                scratch.clip(flat.grads, self.max_grad_norm)
-            else:
-                self._clip_gradients()
-        if self.config.quantize_gradients:
-            rng = self.rng if self.config.stochastic_rounding else None
-            if scratch is not None:
-                scratch.quant(flat.grads, rng=rng)
-            else:
-                for param in self.model.parameters():
-                    if param.grad is not None:
-                        param.grad = fake_quantize(param.grad, self.config,
-                                                   rng=rng)
-        self.optimizer.step()
-        return loss.item()
+        if flat is not None:
+            return self.bind(flat)[0](x)
+        config = self.config
+        self._masters = [param.data for param in self.model.parameters()]
+        if config.quantize_weights:
+            for param in self.model.parameters():
+                param.data = fake_quantize(param.data, config)
+        return fake_quantize_observed(
+            x, self._input_observer if config.quantize_activations else None,
+            config)
 
-    def _clip_gradients(self) -> None:
-        """Global-norm gradient clipping: integer-training schemes bound
-        the gradient scale so quantisation noise cannot self-amplify."""
-        total = 0.0
-        grads = [p.grad for p in self.model.parameters() if p.grad is not None]
-        for grad in grads:
-            total += float(np.sum(grad.astype(np.float64) ** 2))
-        norm = np.sqrt(total)
-        if norm > self.max_grad_norm:
-            scale = self.max_grad_norm / norm
+    def after(self) -> None:
+        """Between backward and the update: masters back, global-norm
+        clip, gradient quantisation.
+
+        Fused when this replica's complete gradient sits on the plane
+        (so the fused SGD step stays armed); per parameter otherwise —
+        an unflattened model, or one whose frozen backbone received no
+        gradient.
+        """
+        flat = self._flat()
+        if flat is not None and flat.grads_ready():
+            self.bind(flat)[1]()
+            return
+        self._restore(flat)
+        config = self.config
+        grads = [p.grad for p in self.model.parameters()
+                 if p.grad is not None]
+        if self.max_grad_norm is not None:
+            # integer-training schemes bound the gradient scale so
+            # quantisation noise cannot self-amplify
+            total = 0.0
             for grad in grads:
-                grad *= scale
+                total += float(np.sum(grad.astype(np.float64) ** 2))
+            norm = np.sqrt(total)
+            if norm > self.max_grad_norm:
+                scale = self.max_grad_norm / norm
+                for grad in grads:
+                    grad *= scale
+        if config.quantize_gradients:
+            rng = self.rng if config.stochastic_rounding else None
+            for param in self.model.parameters():
+                if param.grad is not None:
+                    param.grad = fake_quantize(param.grad, config, rng=rng)
+
+    def _restore(self, flat) -> None:
+        """Put back the masters :meth:`before` kept."""
+        if flat is not None:
+            flat.params[...] = self.bind(flat)[2].masters
+            return
+        for param, master in zip(self.model.parameters(), self._masters):
+            param.data = master
+
+    # -- what a compiled plan is keyed and invalidated by ----------------
+    @property
+    def plan_key(self) -> tuple:
+        """What the stages bake into a plan besides the model."""
+        return (self.config, self.max_grad_norm)
+
+    def signature(self) -> tuple:
+        """Identity of the observers a binding closes over:
+        re-running ``attach_activation_quant`` swaps them, and the
+        executor then binds the same plan to the new ones."""
+        return (id(self._input_observer),
+                *(id(o) for o in self._activation_observers()))
 
     # ------------------------------------------------------------------
     def enable_graph_executor(self, max_programs: int = 8,
                               fuse: bool = True, arena=None):
         """Compile-and-replay the INT8 step via the graph executor.
 
-        Mirrors ``Module.enable_graph_executor`` but wraps the *whole*
-        trainer step (weight/input/gradient quantisation included), not
-        just forward/backward.  ``arena`` is the run's
-        :class:`~repro.nn.arena.StepArena` (replicas of one run compile
-        once and share a workspace).  Idempotent."""
-        from ..nn.graph import attach_int8_graph_executor
-        return attach_int8_graph_executor(self, max_programs=max_programs,
-                                          fuse=fuse, arena=arena)
+        ``Module.enable_graph_executor`` with this trainer as the
+        step's stages: the *whole* step (weight/input/gradient
+        quantisation included) replays, not just forward/backward.
+        ``arena`` is the run's :class:`~repro.nn.arena.StepArena`
+        (replicas of one run compile once and share a workspace).
+        Idempotent."""
+        return attach_graph_executor(self.model, max_programs=max_programs,
+                                     fuse=fuse, arena=arena, stages=self)
 
     def disable_graph_executor(self) -> None:
         self._graph_exec = None
@@ -220,14 +249,12 @@ class Int8Trainer:
     def predict_logits(self, inputs: np.ndarray) -> np.ndarray:
         """Inference logits through the quantised model."""
         self.model.eval()
-        masters = self._quantized_weights()
+        x = self.before(np.asarray(inputs, dtype=np.float32))
         try:
             with no_grad():
-                x = Tensor(self._quantize_input(
-                    np.asarray(inputs, dtype=np.float32)))
-                return self.model(x).data
+                return self.model(Tensor(x)).data
         finally:
-            self._restore_weights(masters)
+            self._restore(self._flat())
 
     @property
     def lr(self) -> float:

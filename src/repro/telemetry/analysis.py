@@ -352,15 +352,22 @@ def _hidden_sync(records, start: float, end: float) -> float:
     SoCFlow's ``allreduce`` spans all repeat the *epoch* total (take
     the max).  The estimators agree where they coexist, so the window's
     hidden time is the largest of the three — never a double count.
+
+    A fully hidden sync is a zero-length span (it never advanced the
+    clock) that still carries its ``hidden_s``: it counts in the
+    half-open window holding its timestamp — once, never in two.
     """
     bucket = 0.0
     sync = 0.0
     allreduce = 0.0
     for record in records:
-        if record.ph != "X" or _overlap(record, start, end) <= 0:
-            continue
         hidden = record.args.get("hidden_s")
-        if hidden is None:
+        if hidden is None or record.ph != "X":
+            continue
+        if record.end_s > record.ts_s:
+            if _overlap(record, start, end) <= 0:
+                continue
+        elif not start <= record.ts_s < end:
             continue
         if record.kind == "bucket_sync":
             bucket += hidden
@@ -432,7 +439,7 @@ def analyze_records(records, *, monitor: "HealthMonitor | None" = None,
         window.path, window.phase_seconds, window.unattributed_s = \
             _extract_path(in_window, window.start_s, window.end_s)
         window.hidden_sync_s = _hidden_sync(
-            in_window, window.start_s, window.end_s)
+            records, window.start_s, window.end_s)
         busy: dict[int, float] = {}
         for record in in_window:
             if record.soc is not None and record.kind in _SOC_BUSY_KINDS:

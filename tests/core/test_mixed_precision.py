@@ -13,8 +13,9 @@ def make_trainer(quick_config, mixed=True):
     cost = CostModel(quick_config)
     controller = MixedPrecisionController(cost.t_cpu_sample,
                                           cost.t_npu_sample)
-    return GroupMixedTrainer(quick_config, controller, QuantConfig(),
-                             seed_offset=0, mixed=mixed), controller
+    return GroupMixedTrainer(
+        quick_config, controller, QuantConfig(), seed_offset=0,
+        precision="mixed" if mixed else "fp32"), controller
 
 
 class TestConstruction:

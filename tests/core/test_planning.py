@@ -7,6 +7,8 @@ from repro.cluster import ClusterTopology, NetworkFabric
 from repro.core import (CommunicationPlan, build_conflict_graph,
                         divide_into_cgs, integrity_greedy_mapping,
                         naive_mapping)
+from repro.distributed.base import CostModel
+from repro.distributed.pricing import OVERLAP_FRACTION, price_epoch
 
 MB = 1e6
 
@@ -93,32 +95,52 @@ class TestOddCycleFallback:
 
 
 class TestScheduleCosts:
-    def test_planned_sequence_no_worse_than_unplanned(self):
-        plan, fabric = plan_for(32, 8)
-        planned_total = sum(plan.planned_sync_seconds(fabric, 30 * MB))
-        unplanned = plan.unplanned_sync_seconds(fabric, 30 * MB)
+    """The Figure 7 hiding rule, through the one function that prices
+    it (``pricing.price_epoch``): with planning, CG k's communication
+    hides under CG k+1's compute and the residual is whatever the
+    compute window cannot absorb; without it all rings contend and only
+    the generic overlap fraction applies.  ``slowdown`` scales the
+    compute window."""
+
+    @staticmethod
+    def price(quick_config, **kwargs):
+        cost = CostModel(quick_config)
+        mapping = integrity_greedy_mapping(quick_config.topology,
+                                           quick_config.num_groups)
+        plan = CommunicationPlan.from_mapping(mapping)
+        return price_epoch(cost, mapping, plan, **kwargs), plan, cost
+
+    def test_planned_sequence_no_worse_than_unplanned(self, quick_config):
+        planned, plan, cost = self.price(quick_config)
+        unplanned, _, _ = self.price(quick_config, planning=False)
         # sequencing trades concurrency for contention-freedom; with the
-        # pipeline hiding (step_sync_seconds) it must not lose overall
-        residual_planned = plan.step_sync_seconds(
-            fabric, 30 * MB, compute_seconds=planned_total, planned=True)
-        assert residual_planned <= unplanned
+        # pipeline hiding it must not lose overall
+        assert planned.busy_s == pytest.approx(sum(
+            plan.planned_sync_seconds(cost.fabric, cost.grad_bytes)))
+        assert planned.sync_s <= unplanned.sync_s
+        assert planned.sync_s <= unplanned.busy_s
 
-    def test_full_hiding_when_compute_dominates(self):
-        plan, fabric = plan_for(32, 8)
-        assert plan.step_sync_seconds(fabric, 30 * MB,
-                                      compute_seconds=1e9) == 0.0
+    def test_full_hiding_when_compute_dominates(self, quick_config):
+        charge, _, _ = self.price(quick_config, slowdown=1e9)
+        assert charge.sync_s == 0.0
+        assert charge.hidden_s == charge.busy_s > 0
 
-    def test_no_hiding_without_compute(self):
-        plan, fabric = plan_for(32, 8)
-        total = sum(plan.planned_sync_seconds(fabric, 30 * MB))
-        assert plan.step_sync_seconds(fabric, 30 * MB, 0.0) == \
-            pytest.approx(total)
+    def test_no_hiding_without_compute(self, quick_config):
+        charge, plan, cost = self.price(quick_config, slowdown=0.0)
+        total = sum(plan.planned_sync_seconds(cost.fabric, cost.grad_bytes))
+        assert charge.compute_s == 0.0 and charge.hidden_s == 0.0
+        assert charge.sync_s == pytest.approx(total)
 
-    def test_unplanned_ignores_compute(self):
-        plan, fabric = plan_for(32, 8)
-        a = plan.step_sync_seconds(fabric, 30 * MB, 100.0, planned=False)
-        b = plan.unplanned_sync_seconds(fabric, 30 * MB)
-        assert a == pytest.approx(b)
+    def test_unplanned_ignores_compute(self, quick_config):
+        for slowdown in (0.0, 1.0, 100.0):
+            charge, plan, cost = self.price(quick_config, planning=False,
+                                            slowdown=slowdown)
+            assert charge.busy_s == pytest.approx(
+                plan.unplanned_sync_seconds(cost.fabric, cost.grad_bytes))
+            # no schedule to hide under: the generic overlap only
+            assert charge.hidden_s == pytest.approx(min(
+                charge.busy_s, OVERLAP_FRACTION * charge.compute_s))
+            assert charge.cg_times is None
 
     def test_num_cgs_property(self):
         plan, _ = plan_for(32, 8)

@@ -72,7 +72,8 @@ def private_group(config, controller, seed_offset, mixed, init_state=None):
     """One group the way every group was built before the arena: its
     own buffers, its own initial draws, then the common weights."""
     group = GroupMixedTrainer(config, controller, QuantConfig(),
-                              seed_offset=seed_offset, mixed=mixed)
+                              seed_offset=seed_offset,
+                              precision="mixed" if mixed else "fp32")
     if init_state is not None:
         group.load_state(init_state)
     return group
@@ -81,7 +82,8 @@ def private_group(config, controller, seed_offset, mixed, init_state=None):
 def make_groups(config, count, shared, mixed=True):
     controller = MixedPrecisionController(1.0, 0.5)
     if shared:
-        return build_groups(config, controller, QuantConfig(), count, mixed)
+        return build_groups(config, controller, QuantConfig(), count,
+                            "mixed" if mixed else "fp32")
     base = private_group(config, controller, 0, mixed)
     init_state = base.state_dict()
     return [base] + [private_group(config, controller, g, mixed, init_state)
@@ -229,7 +231,7 @@ def test_worker_processes_match_sequential_private_buffers():
     private = make_groups(config, 3, shared=False)
     shards = np.array_split(np.arange(len(config.task.x_train)), 3)
     steps, batch = 2, 16
-    with LgExecutor(config, quant=QuantConfig(), mixed=True, int8_only=False,
+    with LgExecutor(config, quant=QuantConfig(), precision="mixed",
                     t_cpu=1.0, t_npu=0.5, workers=2) as executor:
         assert executor.parallel
         for _ in range(2):

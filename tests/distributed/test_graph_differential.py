@@ -29,13 +29,10 @@ from repro.core import SoCFlow, SoCFlowOptions
 from repro.distributed import STRATEGY_REGISTRY, RunConfig, build_strategy
 from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 
+#: every one of them attaches the executor to a host-side model when
+#: ``graph=True`` — hipress included: its DGC gradient hook runs
+#: between a replay's gradient publication and ``optimizer.step()``
 METHODS = sorted(STRATEGY_REGISTRY) + ["socflow"]
-
-#: strategies that attach the executor to a host-side model when
-#: ``graph=True`` (hipress keeps its DGC gradient hook eager; every
-#: other method must still be bit-identical with the flag on, trivially)
-GRAPH_AWARE = {"local", "ps", "ring", "2d_paral", "fedavg", "t_fedavg",
-               "ssp", "socflow"}
 
 
 def base_config(tiny_task, **overrides):
@@ -96,7 +93,7 @@ def test_graph_run_is_differentially_identical(references, tiny_task,
     assert_differential(ref, ref_metrics, graphed, graphed_metrics)
 
 
-@pytest.mark.parametrize("method", ["local", "ring"])
+@pytest.mark.parametrize("method", ["local", "ring", "hipress"])
 def test_graph_stats_report_replays(tiny_task, method):
     """The per-run report proves the compiled path actually ran: one
     capture per shape, everything else replayed."""
@@ -112,23 +109,56 @@ def test_graph_stats_report_replays(tiny_task, method):
     assert counters["graph.captures"] == stats["captures"]
 
 
-def test_hipress_falls_back_to_eager_with_counter(references, tiny_task):
-    """DGC mutates gradients between backward and optimizer.step; the
-    compiled program fuses those phases, so hipress must stay eager —
-    and therefore be *exactly* the eager run — while recording an
-    explicit fallback (``graph.fallbacks`` = 1) instead of silently
-    dropping the flag."""
+def test_hipress_replays_with_its_gradient_hook(references, tiny_task):
+    """DGC rewrites the gradients between backward and
+    ``optimizer.step()``; the update sits outside the compiled plan, so
+    the hook runs after a replay exactly where it runs after an eager
+    backward.  The graphed run must *be* the eager run — weights,
+    metrics stream, simulated clock, hidden sync — and must actually
+    replay instead of falling back."""
     ref, ref_metrics = references["hipress"]
-    graphed, graphed_metrics = run(base_config(tiny_task, graph=True),
-                                   "hipress")
+    config = base_config(tiny_task, graph=True)
+    graphed, graphed_metrics = run(config, "hipress")
     assert_differential(ref, ref_metrics, graphed, graphed_metrics)
+    assert graphed.extra["sync_hidden_s"] == ref.extra["sync_hidden_s"]
     assert "graph_stats" not in ref.extra
-    assert graphed.extra["graph_stats"] == {
-        "captures": 0, "replays": 0, "eager_steps": 0, "fallbacks": 1}
+    stats = graphed.extra["graph_stats"]
+    assert stats["replays"] > 0
+    assert stats["fallbacks"] == stats["eager_steps"] == 0
     counters = {r["name"]: r["value"] for r in graphed_metrics.collect()
                 if r["name"].startswith("graph.")}
-    assert counters["graph.fallbacks"] == 1
-    assert counters["graph.replays"] == 0
+    assert counters["graph.fallbacks"] == 0
+    assert counters["graph.replays"] == stats["replays"]
+    # the weights themselves, step for step (the strategy keeps no
+    # final state): the strategy's own loop, hook and all
+    from repro.distributed.base import fp32_train_step, make_model
+    from repro.nn.optim import SGD
+    models = []
+    for graph in (False, True):
+        strategy = build_strategy("hipress")
+        strategy.on_epoch_begin(0)
+        model = make_model(config)
+        optimizer = SGD(model.parameters(), lr=config.lr,
+                        momentum=config.momentum,
+                        flat=model.flatten_parameters())
+        if graph:
+            model.enable_graph_executor()
+        losses = [fp32_train_step(
+            model, optimizer, tiny_task.x_train[i:i + 16],
+            tiny_task.y_train[i:i + 16],
+            grad_hook=strategy.transform_gradients)
+            for i in range(0, 96, 16)]
+        models.append((model, optimizer, losses))
+    (eager, eager_opt, eager_losses), (replayed, opt, losses) = models
+    assert losses == eager_losses
+    assert replayed._graph_exec.stats == {
+        "captures": 1, "replays": 5, "eager_steps": 0, "fallbacks": 0}
+    a, b = eager.state_dict(), replayed.state_dict()
+    for key in a:
+        assert np.array_equal(a[key], b[key]), key
+    for va, vb in zip(eager_opt.state_dict()["velocity"],
+                      opt.state_dict()["velocity"]):
+        assert np.array_equal(va, vb)
 
 
 @pytest.mark.parametrize("precision", ["mixed", "int8"])
@@ -173,7 +203,7 @@ def test_workers_remain_bit_identical_with_graph(references, tiny_task):
         assert np.array_equal(a[key], b[key]), key
 
 
-@pytest.mark.parametrize("method", ["ring", "socflow"])
+@pytest.mark.parametrize("method", ["ring", "hipress", "socflow"])
 def test_graph_runs_survive_faults_identically(tiny_task, method):
     """Crash + NIC flap under ``continue``: SoCFlow's re-grouping
     rolls the survivors back and re-forms the group list mid-run; the
@@ -231,15 +261,17 @@ def test_socflow_compiles_per_batch_shape_not_per_group(tiny_task,
 def test_tracing_does_not_perturb_graph_runs(references, tiny_task):
     """The tracer observes the executor without changing it, and a
     graphed run emits a ``graph_replay`` span carrying the stats."""
-    ref, _ = references["ring"]
-    config = base_config(tiny_task, graph=True)
-    traced_config = dataclasses.replace(
-        config, telemetry=Telemetry(tracer=Tracer(),
-                                    metrics=MetricsRegistry()))
-    traced = build_strategy("ring").train(traced_config)
-    assert traced.accuracy_history == ref.accuracy_history
-    assert traced.sim_time_s == ref.sim_time_s
-    spans = [r for r in traced_config.telemetry.tracer.records
-             if r.name == "graph_replay"]
-    assert len(spans) == 1
-    assert spans[0].args["replays"] == traced.extra["graph_stats"]["replays"]
+    for method in ("ring", "hipress"):
+        ref, _ = references[method]
+        config = base_config(tiny_task, graph=True)
+        traced_config = dataclasses.replace(
+            config, telemetry=Telemetry(tracer=Tracer(),
+                                        metrics=MetricsRegistry()))
+        traced = build_strategy(method).train(traced_config)
+        assert traced.accuracy_history == ref.accuracy_history
+        assert traced.sim_time_s == ref.sim_time_s
+        spans = [r for r in traced_config.telemetry.tracer.records
+                 if r.name == "graph_replay"]
+        assert len(spans) == 1
+        assert (spans[0].args["replays"]
+                == traced.extra["graph_stats"]["replays"] > 0)

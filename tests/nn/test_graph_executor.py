@@ -61,7 +61,7 @@ def train(name, steps=4, graph=False, batch=BATCH, **executor_kwargs):
         if executor is not None:
             losses.append(executor.step(optimizer, x, y))
         else:
-            losses.append(graph_mod._eager_step(model, optimizer, x, y))
+            losses.append(graph_mod.train_step(model, optimizer, x, y))
     return model, optimizer, executor, losses
 
 
@@ -144,9 +144,9 @@ def test_program_cache_overflow_falls_back_to_eager():
     # the overflow steps still trained: compare against an all-eager twin
     twin_model, twin_opt, _ = make("lenet5")
     for x, y in batches("lenet5", 2, batch=8):
-        graph_mod._eager_step(twin_model, twin_opt, x, y)
+        graph_mod.train_step(twin_model, twin_opt, x, y)
     for x, y in batches("lenet5", 3, batch=4):
-        graph_mod._eager_step(twin_model, twin_opt, x, y)
+        graph_mod.train_step(twin_model, twin_opt, x, y)
     assert_states_equal(twin_model.state_dict(), model.state_dict())
 
 
@@ -174,7 +174,7 @@ def test_storage_rebinding_invalidates_programs():
     model, optimizer, executor = make("lenet5", graph=True)
     steps = list(batches("lenet5", 4))
     for x, y in steps[:2]:
-        graph_mod._eager_step(eager_model, eager_opt, x, y)
+        graph_mod.train_step(eager_model, eager_opt, x, y)
         executor.step(optimizer, x, y)
     assert executor.stats["replays"] == 1
     stale = executor._programs.copy()
@@ -182,7 +182,7 @@ def test_storage_rebinding_invalidates_programs():
         for param in m.parameters():
             param.data = param.data.copy()       # rebind, values unchanged
     for x, y in steps[2:]:
-        assert (graph_mod._eager_step(eager_model, eager_opt, x, y)
+        assert (graph_mod.train_step(eager_model, eager_opt, x, y)
                 == executor.step(optimizer, x, y))
     assert executor.stats == {"captures": 1, "replays": 3,
                               "eager_steps": 0, "fallbacks": 0}

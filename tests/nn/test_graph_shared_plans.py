@@ -69,7 +69,7 @@ def make_replica(name, seed, arena=None, **executor_kwargs):
                     weight_decay=1e-4, flat=model.flatten_parameters())
     if arena is None:
         return model, optimizer, (
-            lambda x, y: graph_mod._eager_step(model, optimizer, x, y))
+            lambda x, y: graph_mod.train_step(model, optimizer, x, y))
     executor = attach_graph_executor(model, arena=arena, **executor_kwargs)
     return model, optimizer, lambda x, y: executor.step(optimizer, x, y)
 
@@ -230,7 +230,7 @@ def test_structurally_different_replicas_are_refused_not_misbound():
     for label, ((eager_model, eager_opt), (model, opt)) in cases.items():
         for i in range(2):
             x, y = batch("resnet18", 50 + i, size=4)
-            assert (graph_mod._eager_step(eager_model, eager_opt, x, y)
+            assert (graph_mod.train_step(eager_model, eager_opt, x, y)
                     == model._graph_exec.step(opt, x, y)), (label, i)
         sa, sb = eager_model.state_dict(), model.state_dict()
         assert all(np.array_equal(sa[k], sb[k]) for k in sa), label
@@ -278,7 +278,7 @@ def test_unlocatable_leaf_gets_a_private_counted_plan():
     for i in range(3):
         for eager, eager_opt, model, opt in twins:
             x, y = batch("mlp_dropout", i)
-            assert (graph_mod._eager_step(eager, eager_opt, x, y)
+            assert (graph_mod.train_step(eager, eager_opt, x, y)
                     == model._graph_exec.step(opt, x, y))
     counters = arena.snapshot()["fp32"]
     assert (counters["plans"], counters["unshared_plans"]) == (2, 2)

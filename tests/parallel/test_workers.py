@@ -69,7 +69,7 @@ def test_single_worker_executor_is_sequential():
     from repro.parallel import LgExecutor
     config = make_run_config("vgg11", "quick", num_socs=16, num_groups=4,
                              max_epochs=1, workers=1)
-    executor = LgExecutor(config, quant=None, mixed=False, int8_only=False,
+    executor = LgExecutor(config, quant=None, precision="fp32",
                           t_cpu=1.0, t_npu=0.5, workers=1)
     assert not executor.parallel
     executor.close()

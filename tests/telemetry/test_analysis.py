@@ -146,6 +146,50 @@ class TestHiddenSync:
         report = analyze_records(tracer.records)
         assert report.windows[0].hidden_fraction == pytest.approx(0.75)
 
+    def test_fully_hidden_sync_is_a_zero_length_span_counted_once(self):
+        """A compute-bound step's sync never advances the clock: the
+        span has no length but carries the step's hidden seconds.  One
+        sitting exactly on an epoch boundary belongs to the window
+        that starts there, not to both."""
+        tracer = Tracer()
+        for epoch, t0 in enumerate((0.0, 7.0)):
+            tracer.span("compute", t0, 6.0, soc=0)
+            tracer.span("sync", t0 + 6.0, 0.0, hidden_s=2.0 + epoch)
+            tracer.span("update", t0 + 6.0, 1.0)
+            tracer.span("epoch", t0, 7.0, name=f"epoch {epoch}", epoch=epoch)
+        tracer.span("sync", 7.0, 0.0, hidden_s=0.25)    # on the boundary
+        report = analyze_records(tracer.records)
+        assert [w.hidden_sync_s for w in report.windows] == \
+            pytest.approx([2.0, 3.25])
+        assert report.hidden_total_s == pytest.approx(5.25)
+
+    @pytest.mark.parametrize("method,overrides", [
+        ("socflow", {}), ("ring", {}),
+        ("socflow", {"fusion_max_ops": 4}), ("ring", {"fusion_max_ops": 4})],
+        ids=["socflow", "ring", "socflow-bucketed", "ring-bucketed"])
+    def test_report_matches_the_clock_on_compute_bound_runs(
+            self, tiny_task, method, overrides):
+        """Traced runs whose sync hides entirely under compute (every
+        ``allreduce`` / ``sync`` / last ``bucket_sync`` span has zero
+        length): the report's hidden seconds are the clock's."""
+        from repro.cluster import ClusterTopology
+        from repro.distributed import RunConfig, build_strategy
+        telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
+        config = RunConfig(
+            task=tiny_task, model_name="vgg11", width=0.15, batch_size=16,
+            lr=0.05, max_epochs=2, seed=0, num_groups=2,
+            topology=ClusterTopology(num_socs=4), sim_samples_per_epoch=2000,
+            sim_global_batch=64, telemetry=telemetry, **overrides)
+        strategy = (SoCFlow(SoCFlowOptions()) if method == "socflow"
+                    else build_strategy(method))
+        result = strategy.train(config)
+        records = telemetry.tracer.records
+        assert any(r.dur_s == 0 and r.args.get("hidden_s") for r in records)
+        report = analyze_records(records)
+        assert result.extra["sync_hidden_s"] > 0
+        assert report.hidden_total_s == pytest.approx(
+            result.extra["sync_hidden_s"])
+
 
 class TestStragglers:
     def test_slow_soc_flagged(self):
