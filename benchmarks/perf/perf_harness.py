@@ -251,7 +251,6 @@ def bench_step_time(repeats: int) -> dict:
     the exact same bits.  ``speedup`` is eager / replay median; the CI
     gate holds lenet5 and vit_tiny above their floors.
     """
-    import repro.core  # noqa: F401 -- resolves the core<->distributed cycle
     from repro.distributed.base import fp32_train_step
     from repro.nn.optim import SGD
 
@@ -316,7 +315,6 @@ def bench_int8_step_time(repeats: int) -> dict:
     eager twin's.  The CI gate holds lenet5 and vit_tiny above their
     floors (resnet18 is reported but BLAS-bound).
     """
-    import repro.core  # noqa: F401 -- resolves the core<->distributed cycle
     from repro.quant.int8 import QuantConfig
     from repro.quant.trainer import Int8Trainer
 

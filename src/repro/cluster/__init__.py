@@ -24,8 +24,8 @@ from .faults import (FaultInjector, FaultSchedule, FaultSpecError,
                      StragglerFault, parse_fault_spec)
 from .energy import EnergyModel, EnergyReport
 from .trace import TidalTrace, IdleWindow
-from .workload import (Session, SessionIndex, SessionSimulator,
-                       derive_training_events)
+from .workload import (PreemptionEvent, Session, SessionIndex,
+                       SessionSimulator, derive_training_events)
 from .multiserver import EdgeSite, WanFabric
 from .clock import PhaseClock
 
@@ -33,7 +33,8 @@ __all__ = [
     "ProcessorSpec", "SoCSpec", "GpuSpec", "ModelProfile", "model_profile",
     "SOC_REGISTRY", "GPU_REGISTRY", "ClusterTopology", "NetworkFabric",
     "Flow", "EnergyModel", "EnergyReport", "TidalTrace", "IdleWindow",
-    "Session", "SessionIndex", "SessionSimulator", "derive_training_events",
+    "PreemptionEvent", "Session", "SessionIndex", "SessionSimulator",
+    "derive_training_events",
     "EdgeSite", "WanFabric",
     "PhaseClock",
     "FaultInjector", "FaultSchedule", "FaultSpecError", "NicDegradation",

@@ -16,12 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.scheduler import PreemptionEvent
 from .topology import ClusterTopology
 from .trace import TidalTrace
 
-__all__ = ["Session", "SessionIndex", "SessionSimulator",
+__all__ = ["PreemptionEvent", "Session", "SessionIndex", "SessionSimulator",
            "derive_training_events"]
+
+
+@dataclass(frozen=True)
+class PreemptionEvent:
+    """User load returns at the start of ``epoch``: drop ``num_groups``."""
+
+    epoch: int
+    num_groups: int = 1
 
 
 @dataclass(frozen=True)

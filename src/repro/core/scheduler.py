@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from ..cluster.faults import FaultSchedule, event_summary
 from ..cluster.network import NetworkFabric
 from ..cluster.topology import ClusterTopology
+from ..cluster.workload import PreemptionEvent
 from ..telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["PreemptionEvent", "UnderclockEvent", "GlobalScheduler"]
@@ -35,14 +36,6 @@ _UFS_READ_BPS = 2e9
 #: control-board overhead to detect a dead SoC and re-plan the groups
 #: (health-check timeout + Eq. 1 / mapping / CG planning re-run)
 _REPLAN_S = 0.5
-
-
-@dataclass(frozen=True)
-class PreemptionEvent:
-    """User load returns at the start of ``epoch``: drop ``num_groups``."""
-
-    epoch: int
-    num_groups: int = 1
 
 
 @dataclass(frozen=True)

@@ -96,8 +96,7 @@ class RunConfig:
     #: trace-once/replay-many compiled graph executor for the host
     #: training hot path (see :mod:`repro.nn.graph`).  Replayed steps are
     #: bit-identical to the eager interpreter; eager remains the
-    #: automatic fallback on shape change, re-grouping, or unsupported
-    #: ops.
+    #: automatic fallback for a step whose capture is refused.
     graph: bool = False
 
     def __post_init__(self):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels as K
+from .kernels import col2im, im2col
 from .tensor import Tensor
 
 __all__ = [
@@ -36,8 +38,8 @@ _WORKSPACE_LIMIT = 64
 _WORKSPACE_COUNTS = {"created": 0, "evicted": 0}
 
 
-def _workspace(tag: str, shape: tuple[int, ...], dtype=np.float32,
-               zero: bool = False) -> np.ndarray:
+def _workspace(tag: str, shape: tuple[int, ...],
+               dtype=np.float32) -> np.ndarray:
     key = (tag, shape, np.dtype(dtype))
     buf = _WORKSPACES.get(key)
     if buf is None:
@@ -50,10 +52,6 @@ def _workspace(tag: str, shape: tuple[int, ...], dtype=np.float32,
         buf = np.empty(shape, dtype=dtype)
         _WORKSPACES[key] = buf
         _WORKSPACE_COUNTS["created"] += 1
-        if zero:
-            buf[...] = 0
-    elif zero:
-        buf[...] = 0
     return buf
 
 
@@ -87,74 +85,6 @@ def release_workspaces(mark: tuple[int, int, int]) -> None:
         del _WORKSPACES[key]
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """Unfold NCHW ``x`` into ``(N, C*k*k, L)`` patch columns.
-
-    ``x`` must already be padded.  Uses stride tricks: no data copy
-    until the final reshape.  ``out``, when given, must be a contiguous
-    ``(N, C*k*k, L)`` array that receives the columns (reusing a
-    workspace instead of allocating).
-    """
-    n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kernel, kernel, out_h, out_w),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
-    if out is None:
-        return windows.reshape(n, c * kernel * kernel, out_h * out_w)
-    np.copyto(out.reshape(n, c, kernel, kernel, out_h, out_w), windows)
-    return out
-
-
-def col2im(cols: np.ndarray, x_shape: tuple[int, ...], kernel: int,
-           stride: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Fold ``(N, C*k*k, L)`` columns back into NCHW, summing overlaps.
-
-    Non-overlapping strides take copy-only fast paths (no zero-init, no
-    accumulation); the generic overlapping case accumulates per kernel
-    offset.  ``out``, when given, is used as the (fully overwritten)
-    result buffer.
-    """
-    n, c, h, w = x_shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    cols = cols.reshape(n, c, kernel, kernel, out_h, out_w)
-    if (stride == kernel and h == out_h * kernel and w == out_w * kernel):
-        # Exact tiling (the pooling case): pure scatter-free transpose.
-        x = np.empty(x_shape, dtype=cols.dtype) if out is None else out
-        np.copyto(x.reshape(n, c, out_h, kernel, out_w, kernel),
-                  cols.transpose(0, 1, 4, 2, 5, 3))
-        return x
-    if stride >= kernel:
-        # Disjoint windows with possible gaps: assign, don't accumulate.
-        x = np.zeros(x_shape, dtype=cols.dtype) if out is None \
-            else _zeroed(out)
-        for ki in range(kernel):
-            h_end = ki + stride * out_h
-            for kj in range(kernel):
-                w_end = kj + stride * out_w
-                x[:, :, ki:h_end:stride, kj:w_end:stride] = cols[:, :, ki, kj]
-        return x
-    x = np.zeros(x_shape, dtype=cols.dtype) if out is None else _zeroed(out)
-    for ki in range(kernel):
-        h_end = ki + stride * out_h
-        for kj in range(kernel):
-            w_end = kj + stride * out_w
-            x[:, :, ki:h_end:stride, kj:w_end:stride] += cols[:, :, ki, kj]
-    return x
-
-
-def _zeroed(arr: np.ndarray) -> np.ndarray:
-    arr[...] = 0
-    return arr
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """``x @ weight.T + bias`` with ``weight`` shaped (out, in)."""
     out = x @ weight.transpose()
@@ -176,123 +106,113 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out_c, in_c_per_group, kernel, _ = weight.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
+    # The forward columns are captured by the backward closure, so they
+    # must NOT come from the reusable workspace (a same-shape sibling
+    # layer would overwrite them before backward runs).  einsum's
+    # optimized path returns a transposed-layout view: every call below
+    # writes into a C-contiguous ``out`` so that reshapes stay views and
+    # downstream reductions (batch-norm mean/var) see a canonical layout.
+    cols = im2col(x.data, kernel, stride)                   # (N, C*k*k, L)
 
     if groups == 1:
-        # The forward columns are captured by the backward closure, so
-        # they must NOT come from the reusable workspace (a same-shape
-        # sibling layer would overwrite them before backward runs).
-        cols = im2col(x.data, kernel, stride)              # (N, C*k*k, L)
         w_mat = weight.data.reshape(out_c, -1)              # (O, C*k*k)
-        out_data = np.matmul(w_mat[None, :, :], cols)
-        out_data = out_data.reshape(n, out_c, out_h, out_w)
+        out_data = K.matmul(w_mat[None, :, :], cols)
 
         def backward(grad: np.ndarray) -> None:
             grad_mat = grad.reshape(n, out_c, -1)           # (N, O, L)
             if weight.requires_grad:
-                grad_w = np.einsum("nol,nkl->ok", grad_mat, cols, optimize=True)
-                weight._accumulate(grad_w.reshape(weight.shape))
+                weight._accumulate(K.einsum(
+                    "nol,nkl->ok", grad_mat, cols,
+                    out=K.empty(w_mat.shape, np.float32)
+                ).reshape(weight.shape))
             if x.requires_grad:
-                grad_cols = np.matmul(
+                grad_cols = K.matmul(
                     w_mat.T[None, :, :], grad_mat,
                     out=_workspace("conv_gcols", cols.shape, grad_mat.dtype))
-                grad_x = col2im(grad_cols, x.shape, kernel, stride,
-                                out=_workspace("conv_gx", x.shape,
-                                               grad_cols.dtype))
-                x._accumulate(grad_x)
-
-        out = Tensor._make(out_data, (x, weight), backward, op="conv2d",
-                           ctx={"kernel": kernel, "stride": stride,
-                                "groups": 1})
+                x._accumulate(col2im(
+                    grad_cols, x.shape, kernel, stride,
+                    out=_workspace("conv_gx", x.shape, grad_cols.dtype)))
     else:
         # Grouped/depthwise: run each group through the same im2col path.
-        group_in = c // groups
         group_out = out_c // groups
-        cols = im2col(x.data, kernel, stride)
-        cols = cols.reshape(n, groups, group_in * kernel * kernel, -1)
+        cols = K.reshape(
+            cols, (n, groups, (c // groups) * kernel * kernel, -1))
         w_mat = weight.data.reshape(groups, group_out, -1)
-        # einsum's optimized path returns a transposed-layout view; write
-        # into a C-contiguous buffer so downstream reductions (batch-norm
-        # mean/var) see a canonical layout.
-        out_data = np.einsum(
-            "gok,ngkl->ngol", w_mat, cols, optimize=True,
-            out=np.empty((n, groups, group_out, cols.shape[-1]),
-                         dtype=np.float32))
-        out_data = out_data.reshape(n, out_c, out_h, out_w)
+        out_data = K.einsum(
+            "gok,ngkl->ngol", w_mat, cols,
+            out=K.empty((n, groups, group_out, cols.shape[-1]), np.float32))
 
         def backward(grad: np.ndarray) -> None:
             grad_mat = grad.reshape(n, groups, group_out, -1)
             if weight.requires_grad:
-                grad_w = np.einsum("ngol,ngkl->gok", grad_mat, cols, optimize=True)
-                weight._accumulate(grad_w.reshape(weight.shape))
+                weight._accumulate(K.einsum(
+                    "ngol,ngkl->gok", grad_mat, cols,
+                    out=K.empty(w_mat.shape, np.float32)
+                ).reshape(weight.shape))
             if x.requires_grad:
-                grad_cols = np.einsum("gok,ngol->ngkl", w_mat, grad_mat,
-                                      optimize=True)
-                grad_cols = grad_cols.reshape(n, c * kernel * kernel, -1)
-                x._accumulate(col2im(grad_cols, x.shape, kernel, stride))
+                grad_cols = K.einsum("gok,ngol->ngkl", w_mat, grad_mat,
+                                     out=K.empty(cols.shape, np.float32))
+                x._accumulate(col2im(
+                    grad_cols.reshape(n, c * kernel * kernel, -1), x.shape,
+                    kernel, stride))
 
-        out = Tensor._make(out_data, (x, weight), backward, op="conv2d",
-                           ctx={"kernel": kernel, "stride": stride,
-                                "groups": groups})
-
+    out = Tensor._make(out_data.reshape(n, out_c, out_h, out_w),
+                       (x, weight), backward)
     if bias is not None:
         out = out + bias.reshape(1, out_c, 1, 1)
     return out
 
 
-def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    stride = stride or kernel
+def _pool_cols(x: Tensor, kernel: int, stride: int):
+    """``x``'s pooling windows as ``(N*C, k*k, L)`` columns, and the
+    shape of the gradient columns / gradient image they fold back from.
+    Neither the columns nor the gradient columns outlive the op, so
+    both come from reusable workspaces (no per-step allocation)."""
     n, c, h, w = x.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
-    # Neither the columns nor the gradient columns outlive this op, so
-    # both come from reusable workspaces (no per-step allocation).
-    cols = im2col(x.data.reshape(n * c, 1, h, w), kernel, stride,
-                  out=_workspace("pool_cols",
-                                 (n * c, kernel * kernel, out_h * out_w),
-                                 x.data.dtype))
-    arg = cols.argmax(axis=1)                               # (N*C, L)
-    out_data = np.take_along_axis(cols, arg[:, None, :], axis=1)
-    out_data = out_data.reshape(n, c, out_h, out_w)
+    cols_shape = (n * c, kernel * kernel, out_h * out_w)
+    cols = im2col(K.reshape(x.data, (n * c, 1, h, w)), kernel, stride,
+                  out=_workspace("pool_cols", cols_shape, x.data.dtype))
+    return cols, cols_shape, (n, c, out_h, out_w)
+
+
+def _pool_backward(x: Tensor, grad_cols: np.ndarray, kernel: int,
+                   stride: int) -> None:
+    n, c, h, w = x.shape
+    grad_x = col2im(grad_cols, (n * c, 1, h, w), kernel, stride,
+                    out=_workspace("pool_gx", (n * c, 1, h, w), np.float32))
+    x._accumulate(grad_x.reshape(x.shape))
+
+
+def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
+    stride = stride or kernel
+    cols, cols_shape, out_shape = _pool_cols(x, kernel, stride)
+    arg = K.argmax(cols, axis=1)[:, None, :]                # (N*C, 1, L)
+    out_data = K.take_along(cols, arg, 1)
 
     def backward(grad: np.ndarray) -> None:
-        grad_cols = _workspace("pool_gcols",
-                               (n * c, kernel * kernel, out_h * out_w),
-                               np.float32, zero=True)
-        np.put_along_axis(grad_cols, arg[:, None, :],
-                          grad.reshape(n * c, 1, -1), axis=1)
-        grad_x = col2im(grad_cols, (n * c, 1, h, w), kernel, stride,
-                        out=_workspace("pool_gx", (n * c, 1, h, w),
-                                       np.float32))
-        x._accumulate(grad_x.reshape(x.shape))
+        grad_cols = K.put_along(
+            arg, grad.reshape(cols_shape[0], 1, -1), 1, cols_shape,
+            out=_workspace("pool_gcols", cols_shape, np.float32))
+        _pool_backward(x, grad_cols, kernel, stride)
 
-    return Tensor._make(out_data, (x,), backward, op="max_pool2d",
-                        ctx={"kernel": kernel, "stride": stride})
+    return Tensor._make(out_data.reshape(out_shape), (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     stride = stride or kernel
-    n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    cols = im2col(x.data.reshape(n * c, 1, h, w), kernel, stride,
-                  out=_workspace("pool_cols",
-                                 (n * c, kernel * kernel, out_h * out_w),
-                                 x.data.dtype))
-    out_data = cols.mean(axis=1).reshape(n, c, out_h, out_w)
+    cols, cols_shape, out_shape = _pool_cols(x, kernel, stride)
+    out_data = K.mean(cols, axis=1)
     scale = 1.0 / (kernel * kernel)
 
     def backward(grad: np.ndarray) -> None:
-        grad_cols = _workspace("pool_gcols",
-                               (n * c, kernel * kernel, out_h * out_w),
-                               np.float32)
-        np.multiply(grad.reshape(n * c, 1, -1), scale, out=grad_cols)
-        grad_x = col2im(grad_cols, (n * c, 1, h, w), kernel, stride,
-                        out=_workspace("pool_gx", (n * c, 1, h, w),
-                                       np.float32))
-        x._accumulate(grad_x.reshape(x.shape))
+        grad_cols = K.multiply(
+            grad.reshape(cols_shape[0], 1, -1), scale,
+            out=_workspace("pool_gcols", cols_shape, np.float32))
+        _pool_backward(x, grad_cols, kernel, stride)
 
-    return Tensor._make(out_data, (x,), backward, op="avg_pool2d",
-                        ctx={"kernel": kernel, "stride": stride})
+    return Tensor._make(out_data.reshape(out_shape), (x,), backward)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:
@@ -313,56 +233,68 @@ def batch_norm(x: Tensor, weight: Tensor, bias: Tensor,
     shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
 
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var
+        mean = K.mean(x.data, axis=axes)
+        var = K.var(x.data, axis=axes)
+        for running, batch in ((running_mean, mean), (running_var, var)):
+            K.multiply(running, 1.0 - momentum, out=running)
+            K.add(running, K.multiply(batch, momentum), out=running)
     else:
         mean, var = running_mean, running_var
 
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean.reshape(shape)) * inv_std.reshape(shape)
-    out_data = x_hat * weight.data.reshape(shape) + bias.data.reshape(shape)
+    inv_std = K.add(var, eps)
+    K.sqrt(inv_std, out=inv_std)
+    K.divide(1.0, inv_std, out=inv_std)
+    inv_std = inv_std.reshape(shape)
+    scale = weight.data.reshape(shape)
+    x_hat = K.subtract(x.data, mean.reshape(shape))
+    K.multiply(x_hat, inv_std, out=x_hat)
+    out_data = K.multiply(x_hat, scale)
+    K.add(out_data, bias.data.reshape(shape), out=out_data)
 
     count = x.data.size // x.shape[1 if x.ndim > 1 else 0]
 
     def backward(grad: np.ndarray) -> None:
         if bias.requires_grad:
-            bias._accumulate(grad.sum(axis=axes))
+            bias._accumulate(K.sum(grad, axis=axes))
         if weight.requires_grad:
-            weight._accumulate((grad * x_hat).sum(axis=axes))
+            weight._accumulate(K.sum(K.multiply(grad, x_hat), axis=axes))
         if x.requires_grad:
-            g = grad * weight.data.reshape(shape)
+            g = K.multiply(grad, scale)
             if training:
-                grad_sum = g.sum(axis=axes, keepdims=True)
-                grad_dot = (g * x_hat).sum(axis=axes, keepdims=True)
-                grad_x = (g - grad_sum / count
-                          - x_hat * grad_dot / count) * inv_std.reshape(shape)
-            else:
-                grad_x = g * inv_std.reshape(shape)
-            x._accumulate(grad_x.astype(np.float32))
+                # g - sum(g)/count - (x_hat * sum(g*x_hat))/count, with
+                # that association: dividing the dot first only matches
+                # bitwise when count is a power of two
+                grad_sum = K.sum(g, axis=axes, keepdims=True)
+                t = K.multiply(g, x_hat)
+                grad_dot = K.sum(t, axis=axes, keepdims=True)
+                K.divide(grad_sum, count, out=grad_sum)
+                K.subtract(g, grad_sum, out=g)
+                K.multiply(x_hat, grad_dot, out=t)
+                K.divide(t, count, out=t)
+                K.subtract(g, t, out=g)
+            x._accumulate(K.multiply(g, inv_std, out=g))
 
-    return Tensor._make(out_data, (x, weight, bias), backward,
-                        op="batch_norm",
-                        ctx={"running_mean": running_mean,
-                             "running_var": running_var,
-                             "training": training, "momentum": momentum,
-                             "eps": eps})
+    return Tensor._make(out_data, (x, weight, bias), backward)
+
+
+def _log_softmax(data: np.ndarray, axis: int):
+    """``(log_softmax(data), softmax(data))`` along ``axis``."""
+    shifted = K.subtract(data, K.amax(data, axis=axis, keepdims=True))
+    soft = K.exp(shifted)
+    log_z = K.sum(soft, axis=axis, keepdims=True)
+    K.log(log_z, out=log_z)
+    log_probs = K.subtract(shifted, log_z)
+    return log_probs, K.exp(log_probs, out=soft)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_z
-    soft = np.exp(out_data)
+    out_data, soft = _log_softmax(x.data, axis)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
+        t = K.multiply(soft, K.sum(grad, axis=axis, keepdims=True))
+        x._accumulate(K.subtract(grad, t, out=t))
 
-    return Tensor._make(out_data, (x,), backward, op="log_softmax",
-                        ctx={"axis": axis})
+    return Tensor._make(out_data, (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -380,27 +312,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     arithmetic operation-for-operation, so values are unchanged.
     """
     targets = np.asarray(targets)
-    n = logits.shape[0]
-    rows = np.arange(n)
-
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_z
-    soft = np.exp(log_probs)
-    picked = log_probs[rows, targets]
-    inv_n = np.float32(1.0 / float(n))
-    loss = -(picked.sum() * inv_n)
+    log_probs, soft = _log_softmax(logits.data, -1)
+    inv_n = np.float32(1.0 / float(logits.shape[0]))
 
     def backward(grad: np.ndarray) -> None:
-        upstream = (-grad) * inv_n           # d loss / d picked[i]
-        g = np.zeros_like(soft)
-        g[rows, targets] = upstream
-        g -= soft * upstream
-        logits._accumulate(g)
+        logits._accumulate(K.ce_grad(grad, soft, targets, inv_n))
 
-    return Tensor._make(np.asarray(loss, dtype=np.float32), (logits,),
-                        backward, op="cross_entropy",
-                        ctx={"targets": targets})
+    return Tensor._make(K.ce_loss(log_probs, targets, inv_n), (logits,),
+                        backward)
 
 
 def dropout(x: Tensor, p: float, training: bool,
@@ -410,16 +329,15 @@ def dropout(x: Tensor, p: float, training: bool,
     One ``rng.random`` draw per call keeps the generator stream aligned
     with the historical ``x * Tensor(mask)`` form, and the forward/
     backward arithmetic is operation-for-operation identical to it, so
-    values are unchanged.  Being one node (instead of a mul against an
-    anonymous constant tensor) is what lets the graph executor replay
-    dropout by re-drawing the mask from the captured generator.
+    values are unchanged.  The draw is a kernel taking the generator,
+    which is what lets a compiled step re-draw the mask on every replay.
     """
     if not training or p <= 0.0:
         return x
-    mask = (rng.random(x.shape) >= p).astype(np.float32) / (1.0 - p)
+    mask = K.copy(K.greater_equal(K.random(rng, x.shape), p))
+    K.divide(mask, 1.0 - p, out=mask)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask)
+        x._accumulate(K.multiply(grad, mask))
 
-    return Tensor._make(x.data * mask, (x,), backward, op="dropout",
-                        ctx={"p": p, "rng": rng})
+    return Tensor._make(K.multiply(x.data, mask), (x,), backward)

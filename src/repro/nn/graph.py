@@ -4,7 +4,10 @@ The eager engine (:mod:`repro.nn.tensor`) rebuilds the autograd tape,
 re-runs a Python DFS for the topological order, and reallocates every
 intermediate and gradient array on *every* step — pure interpreter
 overhead, since the SoCFlow training step is completely static.  This
-module removes that overhead:
+module removes that overhead without implementing a single op: every
+op is spelled with the array kernels of :mod:`repro.nn.kernels`, and a
+compiled step is the recorded stream of those kernel calls replayed
+with ``out=`` buffers.
 
 ``train_step``
     the training step, spelled once: ``train() → zero_grad →
@@ -15,21 +18,32 @@ module removes that overhead:
     dispatches to it.
 
 ``GraphCapture``
-    records the forward and loss ops of one ``train_step`` into an op
-    list.  Capture is observational: the recorded step runs the normal
-    eager code path and is bit-identical to an uninstrumented step.
+    the recorder of one ``train_step``: for the forward → loss →
+    backward stretch it is :data:`repro.nn.kernels.trace`, and every
+    kernel call lands in it as ``(kernel, arguments, result)``.  Each
+    array is classified on the spot by whose memory it is — the step's
+    input batch, the replica's fused storage or module state (a
+    ``_Leaf``), a temporary some recorded call produced (a ``_Buf``),
+    or a constant — and kept as ``(owner, byte offset, shape,
+    strides)``, so any view replays as the same view.  Capture is
+    observational: the recorded step runs the normal eager code path
+    and is bit-identical to an uninstrumented step.  A value neither
+    a kernel, the batch nor the replica accounts for refuses the
+    capture (:class:`GraphUnsupported`), and the shape trains eagerly.
 
 ``compile_program``
-    turns a capture into a ``_Plan``: an instruction list over one
-    preallocated workspace.  A tensor-lifetime planner packs all
-    float32 intermediates and gradients into a single arena buffer
-    (first-fit over [first-def, last-use] intervals), an elementwise
-    chain fuser rewrites single-consumer elementwise ops to compute in
-    place in their producer's buffer, and every kernel is an ``out=``
-    ufunc/matmul/einsum call replicating the eager arithmetic
-    operation-for-operation — replayed steps are bit-identical to eager
-    steps.  Everything a replica owns (parameters, gradients, BN
-    running statistics, dropout generators, range observers) enters
+    turns a capture into a ``_Plan``: one bound closure per recorded
+    call over one preallocated workspace.  Lifetimes come straight
+    from the recorded stream; a planner packs all temporaries into a
+    single arena buffer (first-fit over [first-def, last-use]
+    intervals).  Three passes keyed on kernel properties keep the plan
+    small: a ``constant`` kernel's buffer that nothing accumulates
+    into is computed once per plan (zeroed pad borders), an
+    ``elementwise`` kernel computes in place in an argument that dies
+    at the call, and a copy of a dying value is no copy at all — which
+    makes the first gradient written to a parameter land directly in
+    its fused slot.  Everything a replica owns (parameters, gradients,
+    BN running statistics, dropout generators, range observers) enters
     the plan as a ``_Leaf`` named by *where it lives*, so the plan
     itself is replica-independent.
 
@@ -45,34 +59,34 @@ module removes that overhead:
 
 ``GraphExecutor``
     owns per-input-shape bindings for one model and dispatches
-    ``step()`` to ``replay`` (zero tape construction, zero allocation in
-    the hot loop) or falls back to the eager interpreter on
-    ``max_programs`` overflow or unsupported ops.  Rebound parameter
-    storage only drops the bindings; the next step binds the cached
-    plan again.  A replay runs the step's *same* bound stage callables
-    around the compiled closures and the same ``grad_hook`` ahead of
-    ``optimizer.step()``, which stays outside the plan — precision is
-    data on the one executor, not a second one.
+    ``step()`` to ``replay`` (zero tape construction in the hot loop)
+    or falls back to the eager interpreter on ``max_programs`` overflow
+    or a refused capture.  Rebound parameter storage only drops the
+    bindings; the next step binds the cached plan again.  A replay
+    runs the step's *same* bound stage callables around the compiled
+    closures and the same ``grad_hook`` ahead of ``optimizer.step()``,
+    which stays outside the plan — precision is data on the one
+    executor, not a second one.
 
-Bit-identity ground rules used throughout: ``out=`` ufuncs run the same
-inner loops as their allocating forms; ``np.copyto`` casts exactly like
-``astype``; ``a[idx] = g`` on a zeroed buffer equals ``np.add.at`` for
-duplicate-free basic indices; sums with ``out=`` use the same pairwise
-reduction.  Anything that cannot be replicated exactly raises
-:class:`GraphUnsupported` at compile time and the executor stays eager.
+Replay is bit-identical to eager by construction — it *is* the eager
+call stream, each array rebuilt with the recorded strides (numpy's
+pairwise summation order depends on them) — as long as every kernel
+honours the table's convention: the same bits with ``out=`` as
+without.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import functools
 import heapq
-import math
-from typing import Callable
+import weakref
 
 import numpy as np
 
 from . import functional as F
-from . import tensor as tensor_mod
+from . import kernels as K
 from .arena import MISSING as _MISSING, StepArena
 from .tensor import Tensor
 
@@ -87,170 +101,61 @@ class GraphUnsupported(Exception):
     """The captured step cannot be compiled; the executor stays eager."""
 
 
-#: ops the compiler knows how to replay bit-identically
-_SUPPORTED = frozenset({
-    "add", "neg", "mul", "div", "pow", "matmul", "sum", "reshape",
-    "transpose", "getitem", "relu", "exp", "sqrt", "tanh", "sigmoid",
-    "pad2d", "conv2d", "max_pool2d", "avg_pool2d", "batch_norm",
-    "log_softmax", "cross_entropy", "dropout", "ste_quant", "ste_fp16",
-})
-
-#: elementwise ops whose output buffer may be the (dead) input buffer
-_ELEMENTWISE = frozenset({
-    "add", "neg", "mul", "div", "pow", "relu", "exp", "sqrt", "tanh",
-    "sigmoid", "dropout", "ste_quant", "ste_fp16",
-})
-
-
 # ---------------------------------------------------------------------------
-# Capture
-# ---------------------------------------------------------------------------
-
-class _Src:
-    """One op input: either a recorded node or a leaf tensor."""
-
-    __slots__ = ("node", "t", "kind", "val")
-
-    def __init__(self, node=None, t=None, kind="node"):
-        self.node = node            # producing _Node, or None for leaves
-        self.t = t                  # leaf Tensor (param / const / input)
-        self.kind = kind            # "node" | "input" | "param" | "const"
-        self.val = None             # compiler-assigned runtime value
-
-    @property
-    def requires_grad(self) -> bool:
-        if self.node is not None:
-            return self.node.rg
-        return self.t.requires_grad
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        if self.node is not None:
-            return self.node.shape
-        return self.t.data.shape
-
-
-class _Node:
-    """One recorded op application."""
-
-    __slots__ = ("idx", "op", "ctx", "t", "srcs", "val", "aux")
-
-    def __init__(self, idx, op, ctx, t, srcs):
-        self.idx = idx
-        self.op = op
-        self.ctx = ctx or {}
-        self.t = t                  # the eager output tensor (kept alive)
-        self.srcs = srcs
-        self.val = None             # compiler-assigned runtime value
-        self.aux = {}               # op-specific saved buffers
-
-    @property
-    def rg(self) -> bool:
-        return self.t.requires_grad
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.t.data.shape
-
-
-class GraphCapture:
-    """Records every op of one :func:`train_step` via ``Tensor._make``.
-
-    ``params`` are the model's parameter tensors
-    (``FlatParamBuffer.param_tensors``).  The step itself names its
-    two per-replay input slots when it reaches the forward pass
-    (:meth:`begin`): ``x_tensor``, the tensor it feeds the model, and
-    ``targets``, the integer array it hands ``cross_entropy`` (matched
-    by identity at compile time).
-    """
-
-    def __init__(self, params):
-        self.x_tensor: Tensor | None = None
-        self.targets: np.ndarray | None = None
-        self._param_ids = {id(p) for p in params}
-        self.nodes: list[_Node] = []
-        self.by_id: dict[int, _Node] = {}
-        self._src_by_id: dict[int, _Src] = {}
-        self.unsupported: str | None = None
-
-    def begin(self, x_tensor: Tensor, targets: np.ndarray) -> "GraphCapture":
-        self.x_tensor = x_tensor
-        self.targets = targets
-        return self
-
-    def record(self, op, out, parents, ctx) -> None:
-        if op not in _SUPPORTED:
-            self.unsupported = op or "<untagged>"
-            return
-        srcs = tuple(self._src(p) for p in parents)
-        node = _Node(len(self.nodes), op, ctx, out, srcs)
-        self.nodes.append(node)
-        self.by_id[id(out)] = node
-
-    def _src(self, t: Tensor) -> _Src:
-        node = self.by_id.get(id(t))
-        if node is not None:
-            return _Src(node=node)
-        src = self._src_by_id.get(id(t))
-        if src is None:
-            if t is self.x_tensor:
-                kind = "input"
-            elif id(t) in self._param_ids:
-                kind = "param"
-            else:
-                kind = "const"
-            src = _Src(t=t, kind=kind)
-            self._src_by_id[id(t)] = src
-        return src
-
-    def leaves(self):
-        return self._src_by_id.values()
-
-
-# ---------------------------------------------------------------------------
-# Runtime value model
+# Value model: whose memory an array is, and where in it
 # ---------------------------------------------------------------------------
 
 class _Buf:
-    """A float32 arena-managed buffer with a [start, end] instr lifetime."""
+    """The storage of one recorded temporary: ``nbytes`` live over the
+    instructions ``[start, end]``, read at ``reads`` and written at
+    ``writes``.
 
-    __slots__ = ("shape", "dtype", "start", "end", "offset", "array", "contig")
+    It ends up in one of three places: at ``offset`` of the arena
+    (``block``), in a ``block`` of its own (the batch buffers and what
+    is computed once per plan), or — ``home`` — at a byte offset of
+    other storage a pass found it can share.
+    """
 
-    def __init__(self, shape, dtype, start):
-        self.shape = tuple(shape)
-        self.dtype = np.dtype(dtype)
-        self.start = start
-        self.end = start
-        self.offset = -1
-        self.array: np.ndarray | None = None
-        self.contig = True
+    __slots__ = ("nbytes", "start", "end", "reads", "writes", "offset",
+                 "block", "home", "persistent")
+    leafy = property(lambda self: self.home is not None
+                     and self.home[0].leafy)
 
-    @property
-    def nbytes(self) -> int:
-        n = self.dtype.itemsize
-        for d in self.shape:
-            n *= d
-        return n
+    def __init__(self, nbytes: int, start: int, block=None):
+        self.nbytes = nbytes
+        self.start = self.end = start
+        self.reads: list[int] = []
+        self.writes: list[int] = []
+        self.offset = 0
+        self.block: np.ndarray | None = block
+        self.home: tuple | None = None      # (_Buf | _Leaf, byte offset)
+        self.persistent = False
+
+    def storage(self, replica) -> tuple[np.ndarray, int]:
+        if self.home is None:
+            return self.block, self.offset
+        block, offset = self.home[0].storage(replica)
+        return block, offset + self.home[1]
 
 
 class _Leaf:
-    """A value one replica owns — a parameter, gradient or buffer view,
-    a dropout generator, a range observer — named by where it lives
-    (``path``, see :class:`_Replica`) so every binding resolves its own.
+    """A value one replica owns — its fused parameter or gradient
+    storage, a module's array, a dropout generator, a range observer —
+    named by where it lives (``path``, see :class:`_Replica`) so every
+    binding resolves its own.
 
     ``path is None`` pins the compile-time object itself: the replica
     holds it somewhere a path cannot name, and the plan cannot be
     shared.
     """
 
-    __slots__ = ("path", "kind", "shape", "contig", "pinned")
+    __slots__ = ("path", "kind", "shape", "pinned")
+    leafy = True
 
     def __init__(self, path, obj):
         self.path = path
         self.kind = type(obj)
         self.shape = getattr(obj, "shape", None)
-        self.contig = (not isinstance(obj, np.ndarray)
-                       or obj.flags["C_CONTIGUOUS"])
         self.pinned = obj if path is None else None
 
     def fetch(self, replica: "_Replica"):
@@ -263,40 +168,125 @@ class _Leaf:
                 f"replica holds a different value at {self.path}")
         return obj
 
-
-class _View:
-    """A bind-time alias of another value (zero-copy at replay)."""
-
-    __slots__ = ("base", "fn", "contig", "arr", "leafy")
-
-    def __init__(self, base, fn: Callable[[np.ndarray], np.ndarray],
-                 contig: bool):
-        self.base = base
-        self.fn = fn
-        self.contig = contig
-        self.arr: np.ndarray | None = None
-        self.leafy = _is_leafy(base)    # aliases replica-owned storage
+    def storage(self, replica) -> tuple[np.ndarray, int]:
+        return self.fetch(replica), 0
 
 
-def _is_leafy(val) -> bool:
-    return isinstance(val, _Leaf) or (isinstance(val, _View) and val.leafy)
+class _Ref:
+    """An array as the capture saw it: a view of ``owner``'s memory,
+    rebuilt at bind time from byte offset, shape and strides."""
+
+    __slots__ = ("owner", "offset", "shape", "strides", "dtype", "view")
+    leafy = property(lambda self: self.owner.leafy)
+
+    def __init__(self, owner, offset: int, array: np.ndarray):
+        self.owner = owner
+        self.offset = offset
+        self.shape = array.shape
+        self.strides = array.strides
+        self.dtype = array.dtype
+        self.view: np.ndarray | None = None     # once built, if no leaf's
+
+    def same_layout(self, other: "_Ref") -> bool:
+        return (self.shape == other.shape and self.strides == other.strides
+                and self.dtype == other.dtype)
+
+    @property
+    def whole(self) -> bool:
+        """Covers all of a temporary, densely."""
+        nbytes = self.dtype.itemsize
+        for n in self.shape:
+            nbytes *= n
+        return (isinstance(self.owner, _Buf) and self.offset == 0
+                and nbytes == self.owner.nbytes)
+
+    def span(self) -> tuple:
+        """``(root storage, lo, hi)``: the bytes this view can touch."""
+        owner, start = self.owner, self.offset
+        while isinstance(owner, _Buf) and owner.home is not None:
+            owner, start = owner.home[0], start + owner.home[1]
+        return owner, *_extent(start, self.dtype.itemsize, self.shape,
+                               self.strides)
+
+    def resolve(self, replica=None) -> np.ndarray:
+        """The view itself; over the plan's workspace it is the same
+        array in every binding."""
+        if self.view is not None:
+            return self.view
+        block, offset = self.owner.storage(replica)
+        try:
+            view = np.ndarray(self.shape, self.dtype, block,
+                              offset + self.offset, self.strides)
+        except (TypeError, ValueError) as exc:
+            raise GraphUnsupported(
+                f"cannot rebuild a recorded layout: {exc}") from None
+        if not self.leafy:
+            self.view = view
+        return view
 
 
-def _root_buf(val):
-    while isinstance(val, _View):
-        val = val.base
-    return val if isinstance(val, _Buf) else None
+def _leafy(value) -> bool:
+    if isinstance(value, tuple):
+        return any(map(_leafy, value))
+    return isinstance(value, (_Ref, _Leaf)) and value.leafy
 
 
-def _is_contig(val) -> bool:
-    if isinstance(val, (_Buf, _View, _Leaf)):
-        return val.contig
-    if isinstance(val, np.ndarray):
-        return val.flags["C_CONTIGUOUS"]
-    return False
+def _resolve(value, replica=None):
+    """The runtime array (or state object) behind a recorded value."""
+    if isinstance(value, _Ref):
+        return value.resolve(replica)
+    if isinstance(value, _Leaf):
+        return value.fetch(replica)
+    if isinstance(value, tuple):
+        return tuple(_resolve(item, replica) for item in value)
+    return value
+
+
+def _values(instr) -> tuple:
+    """Every value ``[kernel, args, kwargs, out]`` touches."""
+    return (*instr[1], *instr[2].values(), instr[3])
+
+
+def _refs(values):
+    """Every :class:`_Ref` among ``values``, tuples included."""
+    for value in values:
+        if isinstance(value, _Ref):
+            yield value
+        elif isinstance(value, tuple):
+            yield from _refs(value)
+
+
+def _extent(start: int, itemsize: int, shape, strides) -> tuple[int, int]:
+    """``(lo, hi)``: the byte range a strided view starting at
+    ``start`` can touch."""
+    lo, hi = start, start + itemsize
+    for n, stride in zip(shape, strides):
+        if stride > 0:
+            hi += (n - 1) * stride
+        else:
+            lo += (n - 1) * stride
+    return lo, hi
+
+
+def _bounds(array: np.ndarray) -> tuple[int, int, int]:
+    """``(address, lo, hi)``: where ``array`` starts and the byte range
+    it can touch."""
+    address = array.__array_interface__["data"][0]
+    return address, *_extent(address, array.itemsize, array.shape,
+                             array.strides)
+
+
+def _root(array: np.ndarray) -> np.ndarray:
+    """The array whose allocation ``array`` views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
 
 
 _SCALARS = (bool, int, float, str, type(None))
+
+#: argument types a plan keeps as they are: configuration, not state
+_CONSTANTS = _SCALARS + (np.generic, np.dtype, type, slice, type(Ellipsis))
 
 
 def _public_config(obj, depth: int = 2) -> tuple:
@@ -324,12 +314,12 @@ def _public_config(obj, depth: int = 2) -> tuple:
 class _Replica:
     """One model's replica-owned state, addressable by position.
 
-    Fused storage is addressed by element offset — ``("data", offset,
-    shape)`` / ``("grads", offset, shape)`` into the
-    ``FlatParamBuffer`` arrays — and module state by ``("attr", module
-    index, attribute[, attribute])`` over ``model.modules()`` order.
-    Two replicas with equal :attr:`structure` resolve every path to
-    their own copy of the same thing.
+    Fused storage is ``("data",)`` / ``("grads",)`` — the
+    ``FlatParamBuffer`` arrays, every parameter, buffer and gradient a
+    view at a byte offset — and module state ``("attr", module index,
+    attribute[, attribute])`` over ``model.modules()`` order.  Two
+    replicas with equal :attr:`structure` resolve every path to their
+    own copy of the same thing.
     """
 
     def __init__(self, model, flat, stages=None):
@@ -354,15 +344,7 @@ class _Replica:
         return self._structure
 
     def locate(self, obj) -> tuple | None:
-        """The path of ``obj`` in this replica, or None."""
-        if isinstance(obj, np.ndarray) and obj.flags["C_CONTIGUOUS"]:
-            start = obj.__array_interface__["data"][0]
-            for name in ("data", "grads"):
-                storage = getattr(self.flat, name)
-                offset = start - storage.__array_interface__["data"][0]
-                if (obj.dtype == storage.dtype and 0 <= offset
-                        and offset + obj.nbytes <= storage.nbytes):
-                    return (name, offset // storage.itemsize, obj.shape)
+        """The path of module state ``obj`` in this replica, or None."""
         if self._index is None:
             self._index = index = {}
             for i, module in enumerate(self.modules):
@@ -380,198 +362,287 @@ class _Replica:
         return self._index.get(id(obj))
 
     def fetch(self, path: tuple):
-        if path[0] == "attr":
-            value = self.modules[path[1]]
-            for name in path[2:]:
-                value = getattr(value, name)
-            return value.data if isinstance(value, Tensor) else value
-        storage, offset, shape = getattr(self.flat, path[0]), path[1], path[2]
-        return storage[offset:offset + math.prod(shape)].reshape(shape)
+        if path[0] != "attr":
+            return getattr(self.flat, path[0])
+        value = self.modules[path[1]]
+        for name in path[2:]:
+            value = getattr(value, name)
+        return value.data if isinstance(value, Tensor) else value
 
 
 # ---------------------------------------------------------------------------
-# Kernels (closure factories; called at bind time with resolved arrays)
+# Capture
 # ---------------------------------------------------------------------------
 
-def _kuf1(uf, a, out):
-    def run():
-        uf(a, out=out)
-    return run
+class GraphCapture:
+    """The recorder of one :func:`train_step` of ``replica``.
 
+    The step installs it as :data:`repro.nn.kernels.trace` from the
+    forward pass to the end of backward (:meth:`begin` … :meth:`end`).
+    :meth:`record` turns each kernel call into an instruction
+    ``[kernel, args, kwargs, out]`` whose arrays are :class:`_Ref`\\ s;
+    :meth:`check` is the rule that keeps a replay honest — every
+    forward value and every gradient (``Tensor._make`` /
+    ``Tensor._accumulate`` call it) must be memory the capture can
+    account for.  The first thing it cannot account for sets
+    :attr:`refused`; the step itself carries on untouched.
 
-def _kuf2(uf, a, b, out):
-    def run():
-        uf(a, b, out=out)
-    return run
-
-
-def _kcopy(dst, src):
-    def run():
-        np.copyto(dst, src)
-    return run
-
-
-def _kiadd(dst, src):
-    def run():
-        np.add(dst, src, out=dst)
-    return run
-
-
-def _ksum(a, axis, keepdims, out):
-    def run():
-        np.sum(a, axis=axis, keepdims=keepdims, out=out)
-    return run
-
-
-def _kamax(a, axis, out):
-    def run():
-        np.max(a, axis=axis, keepdims=True, out=out)
-    return run
-
-
-def _kmean(a, axis, out):
-    def run():
-        np.mean(a, axis=axis, out=out)
-    return run
-
-
-def _kvar(a, axis, out):
-    def run():
-        np.var(a, axis=axis, out=out)
-    return run
-
-
-def _kmatmul(a, b, out):
-    def run():
-        np.matmul(a, b, out=out)
-    return run
-
-
-def _keinsum(spec, a, b, out):
-    def run():
-        np.einsum(spec, a, b, out=out, optimize=True)
-    return run
-
-
-def _kim2col(a, kernel, stride, out):
-    def run():
-        F.im2col(a, kernel, stride, out=out)
-    return run
-
-
-def _kcol2im(cols, x_shape, kernel, stride, out):
-    def run():
-        F.col2im(cols, x_shape, kernel, stride, out=out)
-    return run
-
-
-def _kargmax(a, out):
-    def run():
-        np.argmax(a, axis=1, out=out)
-    return run
-
-
-def _ktake(cols, arg, out):
-    def run():
-        np.copyto(out, np.take_along_axis(cols, arg, axis=1))
-    return run
-
-
-def _kput(gcols, arg, g, out_unused=None):
-    def run():
-        gcols[...] = 0
-        np.put_along_axis(gcols, arg, g, axis=1)
-    return run
-
-
-def _kfill(dst, a, index):
-    def run():
-        dst[index] = a
-    return run
-
-
-def _kfancy_get(out, a, index):
-    def run():
-        out[...] = a[index]
-    return run
-
-
-def _kscatter_add(full, index, g):
-    def run():
-        full[...] = 0
-        np.add.at(full, index, g)
-    return run
-
-
-def _kste_quant(observer, qmax, a, out, absbuf, tmp64):
-    """STE fake-quantise ``a`` into ``out`` with a live observer scale.
-
-    Replays ``observer.observe(a)`` followed by
-    ``dequantize(quantize(a, observer.scale, qmax), scale)`` without
-    allocating: the peak reduction runs in ``absbuf``, the EMA update
-    goes through ``EmaObserver.update`` (same arithmetic as
-    ``observe``), and the dequantisation multiply runs in the float64
-    scratch ``tmp64`` — the eager path multiplies int32 by a float64
-    scale, and a float32 product would double-round.  The int32 round
-    trip itself is skippable: post-clip values are integral and within
-    ±qmax, which float32 holds exactly.  ``out`` may alias ``a``; the
-    observation happens before the first in-place write.
+    Memory is known by address for as long as the array owning it
+    lives (a weak reference forgets it the moment it dies, so a later
+    allocation at the same address is a new temporary): the capture
+    keeps no array of the step alive, and a plan holds layouts only.
     """
-    def run():
-        observer.update(float(np.abs(a, out=absbuf).max()))
-        scale = observer.scale
-        np.divide(a, scale, out=out)
-        np.rint(out, out=out)
-        np.clip(out, -qmax, qmax, out=out)
-        np.copyto(tmp64, out)
-        np.multiply(tmp64, scale, out=tmp64)
-        np.copyto(out, tmp64)
-    return run
 
+    def __init__(self, replica: _Replica):
+        self.replica = replica
+        self.instrs: list[list | None] = []
+        self.bufs: list[_Buf] = []
+        self.refused: str | None = None
+        self.shared = True          # no leaf is pinned to this replica
+        self.loss: _Ref | None = None
+        self.grad_params: tuple[int, ...] = ()
+        self.x_buf = self.y_buf = None
+        self._starts: list[int] = []            # sorted extent starts
+        self._extents: dict[int, list] = {}     # start -> [end, owner]
+        self._leaves: dict[int, _Leaf] = {}     # by id of the live object
+        self._found: dict[int, tuple] = {}      # by id of the live array
+        for name in ("data", "grads"):
+            storage = getattr(replica.flat, name)
+            self._register(storage, _Leaf((name,), storage))
 
-def _kste_fp16(a, out, tmp16):
-    def run():
-        np.copyto(tmp16, a)     # copyto casts exactly like astype
-        np.copyto(out, tmp16)
-    return run
+    # -- the step's side -------------------------------------------------
+    def begin(self, x: np.ndarray, y: np.ndarray) -> "GraphCapture":
+        """``x``, ``y``: the arrays the step feeds the model and the
+        loss — the two per-replay inputs of the plan."""
+        for name, batch in (("x_buf", x), ("y_buf", y)):
+            if not batch.flags.c_contiguous:
+                self.refused = "the batch is not C-contiguous"
+            buf = _Buf(batch.nbytes, 0, np.empty(batch.shape, batch.dtype))
+            setattr(self, name, buf)
+            self._register(batch, buf)
+        return self
 
+    def end(self, loss: np.ndarray) -> None:
+        """Backward is done: ``loss`` is what the step returns, and the
+        parameters holding a gradient are the ones a replay publishes."""
+        if self.refused is not None:
+            return
+        found = self._owner(loss)
+        if found is None or loss.size != 1:
+            self.refused = "the loss is not a scalar the step computed"
+            return
+        self.loss = self._ref(loss, found, len(self.instrs), read=True)
+        flat, grads = self.replica.flat, []
+        for i, (param, view) in enumerate(zip(flat.param_tensors,
+                                              flat.grad_views)):
+            if param.grad is view:
+                grads.append(i)
+            elif param.grad is not None:
+                self.refused = "a parameter gradient left its fused view"
+        self.grad_params = tuple(grads)
 
-def _krng(rng, r):
-    def run():
-        rng.random(out=r)
-    return run
+    def check(self, array) -> None:
+        if (self.refused is None and (type(array) is not np.ndarray
+                                      or (array.size
+                                          and self._owner(array) is None))):
+            self.refused = ("an op produced a value outside the kernel "
+                            "table (raw numpy on step data)")
 
+    def record(self, kernel, args, kwargs, out, result):
+        if type(result) is not np.ndarray:
+            result = np.asarray(result)     # 0-d results come as scalars
+        if self.refused is None:
+            try:
+                self._record(kernel, args, kwargs, out is not None, result)
+            except GraphUnsupported as exc:
+                self.refused = str(exc)
+        return result
 
-def _krunning(stat, delta_tmp, batch_stat, momentum):
-    one_minus = 1.0 - momentum
+    # -- classification ----------------------------------------------------
+    def _register(self, array: np.ndarray, owner, bounds=None) -> list:
+        _, lo, hi = bounds or _bounds(array)
+        bisect.insort(self._starts, lo)
+        extent = self._extents[lo] = [
+            hi, owner, weakref.ref(array, lambda _: self._forget(lo))]
+        return extent
 
-    def run():
-        np.multiply(stat, one_minus, out=stat)
-        np.multiply(batch_stat, momentum, out=delta_tmp)
-        np.add(stat, delta_tmp, out=stat)
-    return run
+    def _forget(self, lo: int) -> None:
+        del self._extents[lo]
+        del self._starts[bisect.bisect_left(self._starts, lo)]
 
+    def _extent_at(self, lo: int, hi: int):
+        """``(start, extent)`` of the registered memory holding
+        ``[lo, hi)``, or None."""
+        at = bisect.bisect_right(self._starts, lo) - 1
+        if at >= 0:
+            start = self._starts[at]
+            if hi <= self._extents[start][0]:
+                return start, self._extents[start]
+        return None
 
-def _kce_loss(lp, rows, y, inv_n, loss):
-    def run():
-        picked = lp[rows, y]
-        loss[...] = -(picked.sum() * inv_n)
-    return run
+    def _owner(self, array: np.ndarray, bounds=None):
+        """``(address, (lo, hi), extent start, extent, weakref)`` of the
+        known memory ``array`` lies in, or None.  Remembered per array
+        object while it lives: most arrays pass through here several
+        times."""
+        found = self._found.get(id(array))
+        if found is not None and found[-1]() is array:
+            return found
+        address, lo, hi = bounds or _bounds(array)
+        held = self._extent_at(lo, hi)
+        if held is None:
+            root = _root(array)         # module state outside fused storage?
+            path = self.replica.locate(root)
+            if path is None:
+                return None
+            self._register(root, self._leaf(root, path))
+            held = self._extent_at(lo, hi)
+            if held is None:
+                return None
+        found = self._found[id(array)] = (address, (lo, hi), *held,
+                                          weakref.ref(array))
+        return found
 
+    def _leaf(self, obj, path) -> _Leaf:
+        leaf = self._leaves.get(id(obj))
+        if leaf is None:
+            if path is None:
+                self.shared = False
+            leaf = self._leaves[id(obj)] = _Leaf(path, obj)
+        return leaf
 
-def _kce_grad(lgrad, inv_n, gl, rows, y, soft, tmp):
-    def run():
-        upstream = (-lgrad) * inv_n
-        gl[...] = 0
-        gl[rows, y] = upstream
-        np.multiply(soft, upstream, out=tmp)
-        np.subtract(gl, tmp, out=gl)
-    return run
+    def _ref(self, array, found, at: int, read: bool) -> _Ref:
+        address, _, start, extent, _ = found
+        owner = extent[1]
+        if isinstance(owner, _Buf):
+            owner.end = at
+            (owner.reads if read else owner.writes).append(at)
+        return _Ref(owner, address - start, array)
+
+    def _arg(self, value, at: int):
+        if isinstance(value, np.ndarray):
+            found = self._owner(value) if value.size else None
+            if found is not None:
+                return self._ref(value, found, at, read=True)
+            if value.dtype.kind == "f" and value.size > 1:
+                raise GraphUnsupported(
+                    "a kernel read a float array neither a kernel, the "
+                    "batch nor the replica accounts for")
+            return value            # an index or scalar constant
+        if isinstance(value, tuple):
+            return tuple(self._arg(item, at) for item in value)
+        if isinstance(value, _CONSTANTS):
+            return value
+        return self._leaf(value, self.replica.locate(value))
+
+    def _record(self, kernel, args, kwargs, out_given, result) -> None:
+        at = len(self.instrs)
+        args = [self._arg(value, at) for value in args]
+        kwargs = {name: self._arg(value, at)
+                  for name, value in kwargs.items()}
+        bounds = _bounds(result)
+        found = self._owner(result, bounds) if result.size else None
+        if found is None:
+            # fresh storage (the result may view a hidden allocation)
+            root = _root(result)
+            buf = _Buf(0, at)
+            extent = self._register(root, buf,
+                                    bounds if root is result else None)
+            found = self._owner(result, bounds)
+            buf.nbytes = extent[0] - found[2]
+            self.bufs.append(buf)
+            if kernel is K.empty:
+                return              # storage, nothing to compute
+        elif not out_given:
+            return                  # a view of known memory: no work
+        else:
+            _, span, start, extent, _ = found
+            buf = extent[1]
+            if (isinstance(buf, _Buf) and (buf.reads or buf.writes)
+                    and span == (start, extent[0])
+                    and not any(ref.owner is buf
+                                for ref in _refs((*args, *kwargs.values())))):
+                # all of a used buffer overwritten without being read:
+                # a new value, with a lifetime of its own
+                extent[1] = _Buf(buf.nbytes, at)
+                self.bufs.append(extent[1])
+        out = self._ref(result, found, at, read=False)
+        self.instrs.append([kernel, args, kwargs, out])
 
 
 # ---------------------------------------------------------------------------
-# Arena packing
+# Compilation: three passes over the recorded stream, then the arena
 # ---------------------------------------------------------------------------
+
+def _hoist_constants(instrs) -> None:
+    """Compute once per plan what is the same in every step.
+
+    The result of a ``constant`` kernel depends on no array.  When
+    every later write into its buffer lands before the first read (a
+    zero-padded image: zeros, interior copy, then readers — never an
+    accumulation), each step leaves the buffer as it found it outside
+    the regions it overwrites anyway, so the kernel runs once, into a
+    persistent buffer of the plan's own.
+    """
+    for at, instr in enumerate(instrs):
+        kernel, args, kwargs, out = instr
+        buf = out.owner
+        if (kernel.constant and out.whole and buf.writes[0] == at
+                and (not buf.reads or buf.writes[-1] < buf.reads[0])):
+            buf.block = kernel.raw(*args, **kwargs)
+            buf.persistent = True
+            instrs[at] = None
+
+
+def _share_storage(instrs) -> int:
+    """Let a value be born in the storage of one that dies at the same
+    call; returns how many elementwise kernels now compute in place.
+
+    Where an ``elementwise`` kernel's result is a whole new buffer and
+    one of its arguments is a whole buffer of the same layout that
+    nothing reads afterwards, the result takes that buffer over
+    (ufuncs with ``out=`` aliasing a same-layout operand are exact),
+    collapsing an elementwise chain's intermediates into one buffer.
+    For :func:`repro.nn.kernels.copy` that leaves nothing to do and
+    the call is dropped; and a copy *into replica storage* — the first
+    gradient a parameter receives — is dropped the other way round,
+    by moving the dying temporary (and with it whatever kernel
+    produced it) into the slot.
+    """
+    fused = 0
+    hosts: set[int] = set()
+    for at, instr in enumerate(instrs):
+        if instr is None or not instr[0].elementwise:
+            continue
+        kernel, args, _, out = instr
+        new = out.owner
+        dying = [ref for ref in args if isinstance(ref, _Ref) and ref.whole
+                 and ref.owner.end == at and ref.owner.block is None
+                 and ref.owner is not new and ref.same_layout(out)]
+        if (isinstance(new, _Buf) and out.whole and new.writes[0] == at
+                and new.block is None):
+            for ref in dying:
+                if not ref.owner.leafy:
+                    new.home = (ref.owner, 0)
+                    hosts.add(id(ref.owner))
+                    if kernel is K.copy:
+                        instrs[at] = None
+                    else:
+                        fused += 1
+                    break
+        elif kernel is K.copy and isinstance(new, _Leaf) and dying:
+            old = dying[0].owner
+            _, lo, hi = out.span()
+            if (old.home is None and id(old) not in hosts
+                    and not any(
+                        owner is new and low < hi and lo < high
+                        for other in instrs[old.start:at] if other
+                        for owner, low, high in (
+                            ref.span() for ref in _refs(_values(other))))):
+                old.home = (new, out.offset)
+                instrs[at] = None
+    return fused
+
 
 _ALIGN = 64
 
@@ -583,13 +654,7 @@ def _pack_arena(bufs: list[_Buf]) -> int:
     high_water = 0
 
     def release(off, size):
-        lo, hi = 0, len(free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if free[mid][0] < off:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect.bisect_left(free, (off,))
         free.insert(lo, (off, size))
         if lo + 1 < len(free) and free[lo][0] + free[lo][1] == free[lo + 1][0]:
             off2, size2 = free.pop(lo + 1)
@@ -620,1043 +685,75 @@ def _pack_arena(bufs: list[_Buf]) -> int:
     return high_water
 
 
-# ---------------------------------------------------------------------------
-# Compiler
-# ---------------------------------------------------------------------------
-
-class _Compiler:
-    def __init__(self, capture: GraphCapture, loss_node: _Node,
-                 replica: _Replica, fuse: bool):
-        self.capture = capture
-        self.loss_node = loss_node
-        self.replica = replica
-        self.fuse = fuse
-        self._instrs: list[tuple] = []      # (maker, args...)
-        self._bufs: list[_Buf] = []
-        #: dedicated buffers as (array, persistent): a persistent one
-        #: carries replica-independent constants across steps (zeroed
-        #: pad borders), everything else is dead between steps
-        self._dedicated: list[tuple[np.ndarray, bool]] = []
-        self._leaves: dict[int, _Leaf] = {}     # by id of the live object
-        self.shared = True
-        self._gslot: dict[int, object] = {}   # id(node|src) -> value
-        self._gcount: dict[int, int] = {}
-        self._param_index = {id(p): i for i, p in
-                             enumerate(replica.flat.param_tensors)}
-        self._grad_params: list[int] = []
-        self._scratch_cache: dict[tuple, np.ndarray] = {}
-        self.fused_elementwise = 0
-
-        self.x_buf = self._ded(capture.x_tensor.data.shape)
-        y = np.asarray(capture.targets)
-        self.y_buf = self._ded(y.shape, y.dtype)
-
-        for src in capture.leaves():
-            if src.kind == "input":
-                src.val = self.x_buf
-            else:
-                src.val = self._leaf(src.t.data, const=src.kind == "const")
-        self._consumers = self._count_consumers()
-        self._saved = self._saved_values()
-
-    # -- analysis ------------------------------------------------------
-    def _count_consumers(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for node in self.capture.nodes:
-            for src in node.srcs:
-                if src.node is not None:
-                    counts[id(src.node)] = counts.get(id(src.node), 0) + 1
-        return counts
-
-    def _saved_values(self) -> set[int]:
-        """ids of nodes whose *forward value* some backward kernel reads."""
-        saved: set[int] = {id(self.loss_node)}
-
-        def mark(src):
-            if src.node is not None:
-                saved.add(id(src.node))
-
-        for node in self.capture.nodes:
-            if not node.rg:
-                continue
-            op, s = node.op, node.srcs
-            if op in ("mul", "matmul"):
-                if s[0].requires_grad:
-                    mark(s[1])
-                if s[1].requires_grad:
-                    mark(s[0])
-            elif op == "div":
-                if s[0].requires_grad:
-                    mark(s[1])
-                if s[1].requires_grad:
-                    mark(s[0])
-                    mark(s[1])
-            elif op == "pow":
-                mark(s[0])
-            elif op in ("exp", "sqrt", "tanh", "sigmoid"):
-                saved.add(id(node))
-        return saved
-
-    # -- emission helpers ----------------------------------------------
-    def _touch(self, val) -> None:
-        root = _root_buf(val)
-        if root is not None:
-            root.end = len(self._instrs)
-
-    def _emit(self, maker, *args) -> None:
-        for a in args:
-            self._touch(a)
-        self._instrs.append((maker,) + args)
-
-    def _buf(self, shape, dtype=np.float32) -> _Buf:
-        buf = _Buf(shape, dtype, len(self._instrs))
-        self._bufs.append(buf)
-        return buf
-
-    def _ded(self, shape, dtype=np.float32, zero=False) -> np.ndarray:
-        arr = (np.zeros if zero else np.empty)(shape, dtype=dtype)
-        self._dedicated.append((arr, zero))
-        return arr
-
-    def _leaf(self, obj, const: bool = False):
-        """The plan's name for a replica-owned ``obj``.
-
-        A tensor the traced forward built from module configuration
-        alone (``x * 0.5``) is neither fused storage nor module state:
-        it is the same in every step and every structurally equal
-        replica, and stays a plain constant of the plan.
-        """
-        leaf = self._leaves.get(id(obj))
-        if leaf is None:
-            path = self.replica.locate(obj)
-            if path is None:
-                if const:
-                    return obj
-                self.shared = False
-            leaf = self._leaves[id(obj)] = _Leaf(path, obj)
-        return leaf
-
-    def _scratch(self, shape, dtype) -> np.ndarray:
-        """A dedicated scratch buffer shared by every kernel needing
-        this (shape, dtype) — safe because replay is sequential and no
-        kernel's scratch outlives its own closure."""
-        key = (tuple(shape), np.dtype(dtype).str)
-        arr = self._scratch_cache.get(key)
-        if arr is None:
-            arr = self._ded(shape, dtype)
-            self._scratch_cache[key] = arr
-        return arr
-
-    def _value(self, src: _Src):
-        if src.node is not None:
-            return src.node.val
-        return src.val
-
-    # -- gradient accumulation -----------------------------------------
-    def _slot(self, tgt):
-        """(storage, first_write) for the grad of ``tgt`` or None to skip.
-
-        ``tgt`` is a _Node or a leaf _Src; replicates the eager
-        ``_accumulate`` copy-then-add discipline per target.
-        """
-        if isinstance(tgt, _Src):
-            if tgt.node is not None:
-                tgt = tgt.node
-            else:
-                if not tgt.t.requires_grad:
-                    return None
-                if tgt.kind != "param":
-                    raise GraphUnsupported(
-                        "gradient for a non-parameter leaf tensor")
-                gbuf = tgt.t._grad_buf
-                if gbuf is None or gbuf.shape != tgt.t.data.shape:
-                    raise GraphUnsupported("parameter lacks a fused grad view")
-                key = id(tgt)
-                count = self._gcount.get(key, 0)
-                self._gcount[key] = count + 1
-                if count == 0:
-                    index = self._param_index[id(tgt.t)]
-                    if index not in self._grad_params:
-                        self._grad_params.append(index)
-                    self._gslot[key] = self._leaf(gbuf)
-                return self._gslot[key], count == 0
-        if not tgt.rg:
-            return None
-        key = id(tgt)
-        count = self._gcount.get(key, 0)
-        self._gcount[key] = count + 1
-        if count == 0:
-            slot = self._buf(tgt.shape)
-            self._gslot[key] = slot
-        return self._gslot[key], count == 0
-
-    def _grad_of(self, node: _Node):
-        slot = self._gslot.get(id(node))
-        if slot is None:
-            raise GraphUnsupported(f"node {node.op} reached with no gradient")
-        return slot
-
-    def _acc(self, tgt, val) -> None:
-        """Accumulate an already-computed contribution (copy or +=)."""
-        s = self._slot(tgt)
-        if s is None:
-            return
-        slot, first = s
-        self._emit(_kcopy if first else _kiadd, slot, val)
-
-    def _acc_uf(self, tgt, uf, args, shape) -> None:
-        """Accumulate ``uf(*args)`` (result ``shape``), fusing the first
-        write directly into the slot when shapes line up."""
-        s = self._slot(tgt)
-        if s is None:
-            return
-        slot, first = s
-        maker = _kuf1 if len(args) == 1 else _kuf2
-        if first and tuple(slot.shape) == tuple(shape):
-            self._emit(maker, uf, *args, slot)
-        else:
-            tmp = self._buf(shape)
-            self._emit(maker, uf, *args, tmp)
-            self._emit(_kiadd, slot, tmp)
-
-    def _unbroadcast(self, val, vshape, tshape):
-        """Compile ``tensor._unbroadcast`` into sum/reshape instructions."""
-        vshape, tshape = tuple(vshape), tuple(tshape)
-        if vshape == tshape:
-            return val
-        if len(vshape) < len(tshape):
-            raise GraphUnsupported("gradient ndim below target ndim")
-        extra = len(vshape) - len(tshape)
-        if extra:
-            out = self._buf(vshape[extra:])
-            self._emit(_ksum, val, tuple(range(extra)), False, out)
-            val, vshape = out, vshape[extra:]
-        axes = tuple(i for i, n in enumerate(tshape)
-                     if n == 1 and vshape[i] != 1)
-        if axes:
-            kshape = tuple(1 if i in axes else n for i, n in enumerate(vshape))
-            out = self._buf(kshape)
-            self._emit(_ksum, val, axes, True, out)
-            val, vshape = out, kshape
-        if vshape != tshape:
-            val = _View(val, lambda b: b.reshape(tshape), _is_contig(val))
-        return val
-
-    # -- forward emission ----------------------------------------------
-    def _forward(self) -> None:
-        for node in self.capture.nodes:
-            getattr(self, "_fwd_" + node.op)(node)
-
-    def _ew_out(self, node: _Node) -> _Buf:
-        """Output buffer for an elementwise node.
-
-        The elementwise-chain fuser: when an input is a single-consumer
-        arena buffer of the same shape whose value no backward kernel
-        needs, compute in place into it (ufuncs with ``out=`` aliasing a
-        same-shape operand are exact), collapsing the chain's
-        intermediates into one buffer.
-        """
-        if self.fuse:
-            for src in node.srcs:
-                cand = src.node
-                if (cand is not None
-                        and id(cand) not in self._saved
-                        and self._consumers.get(id(cand), 0) == 1
-                        and isinstance(cand.val, _Buf)
-                        and cand.val.shape == node.shape
-                        and cand.val.dtype == np.float32):
-                    self.fused_elementwise += 1
-                    return cand.val
-        return self._buf(node.shape)
-
-    def _reshaped(self, val, old_shape, new_shape):
-        """A reshape of ``val``: a bind-time view when contiguous, else a
-        materialised per-replay copy (exactly where eager numpy copies)."""
-        if _is_contig(val):
-            return _View(val, lambda b, s=tuple(new_shape): b.reshape(s), True)
-        out = self._buf(new_shape)
-        back = _View(out, lambda b, s=tuple(old_shape): b.reshape(s), True)
-        self._emit(_kcopy, back, val)
-        return out
-
-    def _leaf_array(self, src: _Src):
-        v = self._value(src)
-        if src.node is not None or not _is_contig(v):
-            raise GraphUnsupported(f"{src.kind} operand is not a contiguous "
-                                   "leaf array")
-        return v
-
-    def _fwd_add(self, node):
-        a, b = (self._value(s) for s in node.srcs)
-        out = self._ew_out(node)
-        self._emit(_kuf2, np.add, a, b, out)
-        node.val = out
-
-    def _fwd_neg(self, node):
-        out = self._ew_out(node)
-        self._emit(_kuf1, np.negative, self._value(node.srcs[0]), out)
-        node.val = out
-
-    def _fwd_mul(self, node):
-        a, b = (self._value(s) for s in node.srcs)
-        out = self._ew_out(node)
-        self._emit(_kuf2, np.multiply, a, b, out)
-        node.val = out
-
-    def _fwd_div(self, node):
-        a, b = (self._value(s) for s in node.srcs)
-        out = self._ew_out(node)
-        self._emit(_kuf2, np.divide, a, b, out)
-        node.val = out
-
-    def _fwd_pow(self, node):
-        out = self._ew_out(node)
-        self._emit(_kuf2, np.power, self._value(node.srcs[0]),
-                   node.ctx["exponent"], out)
-        node.val = out
-
-    def _fwd_matmul(self, node):
-        a, b = (self._value(s) for s in node.srcs)
-        out = self._buf(node.shape)
-        self._emit(_kmatmul, a, b, out)
-        node.val = out
-
-    def _fwd_sum(self, node):
-        out = self._buf(node.shape)
-        self._emit(_ksum, self._value(node.srcs[0]), node.ctx["axis"],
-                   node.ctx["keepdims"], out)
-        node.val = out
-
-    def _fwd_reshape(self, node):
-        src = node.srcs[0]
-        node.val = self._reshaped(self._value(src), src.shape, node.shape)
-
-    def _fwd_transpose(self, node):
-        axes = tuple(node.ctx["axes"])
-        node.val = _View(self._value(node.srcs[0]),
-                         lambda b, ax=axes: b.transpose(ax), False)
-
-    def _fwd_getitem(self, node):
-        index = node.ctx["index"]
-        a = self._value(node.srcs[0])
-        if _basic_index(index):
-            node.val = _View(a, lambda b, i=index: b[i], False)
-        else:
-            out = self._buf(node.shape)
-            self._emit(_kfancy_get, out, a, index)
-            node.val = out
-
-    def _fwd_relu(self, node):
-        a = self._value(node.srcs[0])
-        mask = self._ded(node.shape, np.bool_)
-        out = self._ew_out(node)
-        self._emit(_kuf2, np.greater, a, 0, mask)
-        self._emit(_kuf2, np.multiply, a, mask, out)
-        node.aux["mask"] = mask
-        node.val = out
-
-    def _fwd_exp(self, node):
-        out = self._ew_out(node)
-        self._emit(_kuf1, np.exp, self._value(node.srcs[0]), out)
-        node.val = out
-
-    def _fwd_sqrt(self, node):
-        out = self._ew_out(node)
-        self._emit(_kuf1, np.sqrt, self._value(node.srcs[0]), out)
-        node.val = out
-
-    def _fwd_tanh(self, node):
-        out = self._ew_out(node)
-        self._emit(_kuf1, np.tanh, self._value(node.srcs[0]), out)
-        node.val = out
-
-    def _fwd_sigmoid(self, node):
-        a = self._value(node.srcs[0])
-        out = self._ew_out(node)
-        self._emit(_kuf1, np.negative, a, out)
-        self._emit(_kuf1, np.exp, out, out)
-        self._emit(_kuf2, np.add, out, 1.0, out)
-        self._emit(_kuf2, np.divide, 1.0, out, out)
-        node.val = out
-
-    def _fwd_ste_quant(self, node):
-        observer = node.ctx.get("observer")
-        if observer is None:
-            # A bare ste_quantize call has no observer to re-derive the
-            # scale from at replay time; the step stays eager.
-            raise GraphUnsupported("ste_quant without an observer scale")
-        a = self._value(node.srcs[0])
-        out = self._ew_out(node)
-        self._emit(_kste_quant, self._leaf(observer), node.ctx["qmax"], a, out,
-                   self._scratch(node.shape, np.float32),
-                   self._scratch(node.shape, np.float64))
-        node.val = out
-
-    def _fwd_ste_fp16(self, node):
-        a = self._value(node.srcs[0])
-        out = self._ew_out(node)
-        self._emit(_kste_fp16, a, out,
-                   self._scratch(node.shape, np.float16))
-        node.val = out
-
-    def _fwd_pad2d(self, node):
-        p = node.ctx["padding"]
-        out = self._ded(node.shape, np.float32, zero=True)
-        inner = out[..., p:-p, p:-p]
-        self._emit(_kcopy, inner, self._value(node.srcs[0]))
-        node.val = out
-
-    def _fwd_dropout(self, node):
-        p = node.ctx["p"]
-        rng = self._leaf(node.ctx["rng"])
-        a = self._value(node.srcs[0])
-        r = self._ded(node.shape, np.float64)
-        mbool = self._ded(node.shape, np.bool_)
-        mask = self._buf(node.shape)
-        self._emit(_krng, rng, r)
-        self._emit(_kuf2, np.greater_equal, r, p, mbool)
-        self._emit(_kcopy, mask, mbool)
-        self._emit(_kuf2, np.divide, mask, 1.0 - p, mask)
-        out = self._ew_out(node)
-        self._emit(_kuf2, np.multiply, a, mask, out)
-        node.aux["mask"] = mask
-        node.val = out
-
-    def _fwd_conv2d(self, node):
-        x_src, w_src = node.srcs
-        xv = self._value(x_src)
-        wv = self._leaf_array(w_src)
-        kernel = node.ctx["kernel"]
-        stride = node.ctx["stride"]
-        groups = node.ctx["groups"]
-        n, c, h, w = x_src.shape
-        out_c = node.shape[1]
-        length = node.shape[2] * node.shape[3]
-        cols = self._buf((n, c * kernel * kernel, length))
-        self._emit(_kim2col, xv, kernel, stride, cols)
-        aux = node.aux
-        aux.update(n=n, c=c, out_c=out_c, length=length, kernel=kernel,
-                   stride=stride, groups=groups, cols=cols,
-                   x_shape=tuple(x_src.shape))
-        if groups == 1:
-            w_mat = _View(wv, lambda b: b.reshape(out_c, -1), True)
-            out3 = self._buf((n, out_c, length))
-            self._emit(_kmatmul, _View(w_mat, lambda b: b[None, :, :], True),
-                       cols, out3)
-            aux["w_mat"] = w_mat
-            node.val = _View(out3,
-                             lambda b, s=node.shape: b.reshape(s), True)
-        else:
-            gi = c // groups
-            go = out_c // groups
-            cols4 = _View(cols,
-                          lambda b, s=(n, groups, gi * kernel * kernel,
-                                       length): b.reshape(s), True)
-            w3 = _View(wv, lambda b: b.reshape(groups, go, -1), True)
-            out4 = self._buf((n, groups, go, length))
-            self._emit(_keinsum, "gok,ngkl->ngol", w3, cols4, out4)
-            aux.update(gi=gi, go=go, cols4=cols4, w3=w3)
-            node.val = _View(out4,
-                             lambda b, s=node.shape: b.reshape(s), True)
-
-    def _fwd_max_pool2d(self, node):
-        kernel = node.ctx["kernel"]
-        stride = node.ctx["stride"]
-        x_src = node.srcs[0]
-        n, c, h, w = x_src.shape
-        length = node.shape[2] * node.shape[3]
-        xr = self._reshaped(self._value(x_src), x_src.shape, (n * c, 1, h, w))
-        cols = self._buf((n * c, kernel * kernel, length))
-        self._emit(_kim2col, xr, kernel, stride, cols)
-        arg = self._ded((n * c, length), np.intp)
-        self._emit(_kargmax, cols, arg)
-        argv = arg[:, None, :]
-        out = self._buf(node.shape)
-        outv = _View(out, lambda b, s=(n * c, 1, length): b.reshape(s), True)
-        self._emit(_ktake, cols, argv, outv)
-        node.aux.update(kernel=kernel, stride=stride, n=n, c=c, h=h, w=w,
-                        length=length, argv=argv)
-        node.val = out
-
-    def _fwd_avg_pool2d(self, node):
-        kernel = node.ctx["kernel"]
-        stride = node.ctx["stride"]
-        x_src = node.srcs[0]
-        n, c, h, w = x_src.shape
-        length = node.shape[2] * node.shape[3]
-        xr = self._reshaped(self._value(x_src), x_src.shape, (n * c, 1, h, w))
-        cols = self._buf((n * c, kernel * kernel, length))
-        self._emit(_kim2col, xr, kernel, stride, cols)
-        out = self._buf(node.shape)
-        outv = _View(out, lambda b, s=(n * c, length): b.reshape(s), True)
-        self._emit(_kmean, cols, 1, outv)
-        node.aux.update(kernel=kernel, stride=stride, n=n, c=c, h=h, w=w,
-                        length=length)
-        node.val = out
-
-    def _fwd_batch_norm(self, node):
-        if not node.ctx["training"]:
-            raise GraphUnsupported("batch_norm captured in eval mode")
-        x_src, w_src, b_src = node.srcs
-        xv = self._value(x_src)
-        wv = self._leaf_array(w_src)
-        bv = self._leaf_array(b_src)
-        ndim = len(x_src.shape)
-        axes = (0,) if ndim == 2 else (0, 2, 3)
-        ch = x_src.shape[1]
-        rshape = (1, ch) if ndim == 2 else (1, ch, 1, 1)
-        rm = self._leaf(node.ctx["running_mean"])
-        rv = self._leaf(node.ctx["running_var"])
-        momentum = node.ctx["momentum"]
-        eps = node.ctx["eps"]
-
-        meanb = self._buf((ch,))
-        self._emit(_kmean, xv, axes, meanb)
-        varb = self._buf((ch,))
-        self._emit(_kvar, xv, axes, varb)
-        tmpc = self._buf((ch,))
-        self._emit(_krunning, rm, tmpc, meanb, momentum)
-        self._emit(_krunning, rv, tmpc, varb, momentum)
-        invstd = self._buf((ch,))
-        self._emit(_kuf2, np.add, varb, eps, invstd)
-        self._emit(_kuf1, np.sqrt, invstd, invstd)
-        self._emit(_kuf2, np.divide, 1.0, invstd, invstd)
-        mean_r = _View(meanb, lambda b, s=rshape: b.reshape(s), True)
-        invstd_r = _View(invstd, lambda b, s=rshape: b.reshape(s), True)
-        xhat = self._buf(node.shape)
-        self._emit(_kuf2, np.subtract, xv, mean_r, xhat)
-        self._emit(_kuf2, np.multiply, xhat, invstd_r, xhat)
-        w_r = _View(wv, lambda b: b.reshape(rshape), True)
-        b_r = _View(bv, lambda b: b.reshape(rshape), True)
-        out = self._buf(node.shape)
-        self._emit(_kuf2, np.multiply, xhat, w_r, out)
-        self._emit(_kuf2, np.add, out, b_r, out)
-        count = int(np.prod(x_src.shape)) // x_src.shape[1 if ndim > 1 else 0]
-        node.aux.update(xhat=xhat, invstd_r=invstd_r, w_r=w_r, axes=axes,
-                        count=count,
-                        kshape=tuple(1 if i in axes else d
-                                     for i, d in enumerate(node.shape)))
-        node.val = out
-
-    def _fwd_log_softmax(self, node):
-        axis = node.ctx["axis"]
-        xv = self._value(node.srcs[0])
-        kshape = list(node.shape)
-        kshape[axis] = 1
-        kshape = tuple(kshape)
-        mx = self._buf(kshape)
-        self._emit(_kamax, xv, axis, mx)
-        sh = self._buf(node.shape)
-        self._emit(_kuf2, np.subtract, xv, mx, sh)
-        soft = self._buf(node.shape)
-        self._emit(_kuf1, np.exp, sh, soft)
-        sb = self._buf(kshape)
-        self._emit(_ksum, soft, axis, True, sb)
-        self._emit(_kuf1, np.log, sb, sb)
-        out = self._buf(node.shape)
-        self._emit(_kuf2, np.subtract, sh, sb, out)
-        self._emit(_kuf1, np.exp, out, soft)
-        node.aux.update(soft=soft, axis=axis, kshape=kshape)
-        node.val = out
-
-    def _fwd_cross_entropy(self, node):
-        if node.ctx["targets"] is not self.capture.targets:
-            raise GraphUnsupported("cross_entropy targets are not the step's "
-                                   "target batch")
-        logits_src = node.srcs[0]
-        if len(logits_src.shape) != 2:
-            raise GraphUnsupported("cross_entropy needs 2-d logits")
-        lv = self._value(logits_src)
-        n, num_classes = logits_src.shape
-        rows = np.arange(n)
-        mx = self._buf((n, 1))
-        self._emit(_kamax, lv, -1, mx)
-        sh = self._buf((n, num_classes))
-        self._emit(_kuf2, np.subtract, lv, mx, sh)
-        soft = self._buf((n, num_classes))
-        self._emit(_kuf1, np.exp, sh, soft)
-        sb = self._buf((n, 1))
-        self._emit(_ksum, soft, -1, True, sb)
-        self._emit(_kuf1, np.log, sb, sb)
-        lp = self._buf((n, num_classes))
-        self._emit(_kuf2, np.subtract, sh, sb, lp)
-        self._emit(_kuf1, np.exp, lp, soft)
-        loss = self._ded((), np.float32)
-        inv_n = np.float32(1.0 / float(n))
-        self._emit(_kce_loss, lp, rows, self.y_buf, inv_n, loss)
-        node.aux.update(soft=soft, rows=rows, inv_n=inv_n, n=n,
-                        num_classes=num_classes)
-        node.val = loss
-
-    # -- backward emission ---------------------------------------------
-    def _backward_order(self):
-        order = []
-        visited: set[int] = set()
-        stack: list[tuple[object, bool]] = [(self.loss_node, False)]
-        while stack:
-            unit, processed = stack.pop()
-            if processed:
-                order.append(unit)
-                continue
-            if id(unit) in visited:
-                continue
-            visited.add(id(unit))
-            stack.append((unit, True))
-            if isinstance(unit, _Node) and unit.rg:
-                for src in unit.srcs:
-                    child = src.node if src.node is not None else src
-                    if id(child) not in visited:
-                        stack.append((child, False))
-        return order
-
-    def _backward(self) -> None:
-        ones = self._ded((), zero=True)       # persistent: the seed gradient
-        ones[...] = 1.0
-        self._gslot[id(self.loss_node)] = ones
-        self._gcount[id(self.loss_node)] = 1
-        for unit in reversed(self._backward_order()):
-            if not isinstance(unit, _Node) or not unit.rg:
-                continue
-            getattr(self, "_bwd_" + unit.op)(unit, self._grad_of(unit))
-
-    def _acc_sum(self, tgt, val, axes, keepdims, shape) -> None:
-        s = self._slot(tgt)
-        if s is None:
-            return
-        slot, first = s
-        if first and tuple(slot.shape) == tuple(shape):
-            self._emit(_ksum, val, axes, keepdims, slot)
-        else:
-            tmp = self._buf(shape)
-            self._emit(_ksum, val, axes, keepdims, tmp)
-            self._emit(_kiadd, slot, tmp)
-
-    def _acc_mm(self, tgt, a, b, shape) -> None:
-        s = self._slot(tgt)
-        if s is None:
-            return
-        slot, first = s
-        if first and tuple(slot.shape) == tuple(shape):
-            self._emit(_kmatmul, a, b, slot)
-        else:
-            tmp = self._buf(shape)
-            self._emit(_kmatmul, a, b, tmp)
-            self._emit(_kiadd, slot, tmp)
-
-    def _bwd_add(self, node, g):
-        for src in node.srcs:
-            if src.requires_grad:
-                self._acc(src, self._unbroadcast(g, node.shape, src.shape))
-
-    def _bwd_neg(self, node, g):
-        src = node.srcs[0]
-        if src.requires_grad:
-            self._acc_uf(src, np.negative, (g,), node.shape)
-
-    def _contrib_mul(self, tgt, g, other, gshape) -> None:
-        if tuple(tgt.shape) == tuple(gshape):
-            self._acc_uf(tgt, np.multiply, (g, other), gshape)
-        else:
-            tmp = self._buf(gshape)
-            self._emit(_kuf2, np.multiply, g, other, tmp)
-            self._acc(tgt, self._unbroadcast(tmp, gshape, tgt.shape))
-
-    def _bwd_mul(self, node, g):
-        s0, s1 = node.srcs
-        if s0.requires_grad:
-            self._contrib_mul(s0, g, self._value(s1), node.shape)
-        if s1.requires_grad:
-            self._contrib_mul(s1, g, self._value(s0), node.shape)
-
-    def _bwd_div(self, node, g):
-        s0, s1 = node.srcs
-        if s0.requires_grad:
-            v1 = self._value(s1)
-            if tuple(s0.shape) == tuple(node.shape):
-                self._acc_uf(s0, np.divide, (g, v1), node.shape)
-            else:
-                tmp = self._buf(node.shape)
-                self._emit(_kuf2, np.divide, g, v1, tmp)
-                self._acc(s0, self._unbroadcast(tmp, node.shape, s0.shape))
-        if s1.requires_grad:
-            t = self._buf(node.shape)
-            self._emit(_kuf1, np.negative, g, t)
-            self._emit(_kuf2, np.multiply, t, self._value(s0), t)
-            t2 = self._buf(s1.shape)
-            self._emit(_kuf2, np.power, self._value(s1), 2, t2)
-            self._emit(_kuf2, np.divide, t, t2, t)
-            self._acc(s1, self._unbroadcast(t, node.shape, s1.shape))
-
-    def _bwd_pow(self, node, g):
-        src = node.srcs[0]
-        if not src.requires_grad:
-            return
-        e = node.ctx["exponent"]
-        t = self._buf(node.shape)
-        self._emit(_kuf2, np.multiply, g, e, t)
-        t2 = self._buf(node.shape)
-        self._emit(_kuf2, np.power, self._value(src), e - 1, t2)
-        self._emit(_kuf2, np.multiply, t, t2, t)
-        self._acc(src, t)
-
-    def _bwd_matmul(self, node, g):
-        s0, s1 = node.srcs
-        if len(s0.shape) < 2 or len(s1.shape) < 2:
-            raise GraphUnsupported("matmul backward needs >=2-d operands")
-        if s0.requires_grad:
-            sw = _View(self._value(s1),
-                       lambda b: np.swapaxes(b, -1, -2), False)
-            pshape = _matmul_shape(tuple(node.shape), _swap_shape(s1.shape))
-            if pshape == tuple(s0.shape):
-                self._acc_mm(s0, g, sw, pshape)
-            else:
-                tmp = self._buf(pshape)
-                self._emit(_kmatmul, g, sw, tmp)
-                self._acc(s0, self._unbroadcast(tmp, pshape, s0.shape))
-        if s1.requires_grad:
-            sw = _View(self._value(s0),
-                       lambda b: np.swapaxes(b, -1, -2), False)
-            pshape = _matmul_shape(_swap_shape(s0.shape), tuple(node.shape))
-            if pshape == tuple(s1.shape):
-                self._acc_mm(s1, sw, g, pshape)
-            else:
-                tmp = self._buf(pshape)
-                self._emit(_kmatmul, sw, g, tmp)
-                self._acc(s1, self._unbroadcast(tmp, pshape, s1.shape))
-
-    def _bwd_sum(self, node, g):
-        src = node.srcs[0]
-        if not src.requires_grad:
-            return
-        axis = node.ctx["axis"]
-        keepdims = node.ctx["keepdims"]
-        gv = g
-        if axis is not None and not keepdims:
-            gv = _View(g, lambda b, ax=axis: np.expand_dims(b, ax),
-                       _is_contig(g))
-        self._acc(src, gv)
-
-    def _bwd_reshape(self, node, g):
-        src = node.srcs[0]
-        if src.requires_grad:
-            gv = _View(g, lambda b, s=tuple(src.shape): b.reshape(s), True)
-            self._acc(src, gv)
-
-    def _bwd_transpose(self, node, g):
-        src = node.srcs[0]
-        if src.requires_grad:
-            inverse = node.ctx["inverse"]
-            gv = _View(g, lambda b, ax=inverse: b.transpose(ax), False)
-            self._acc(src, gv)
-
-    def _bwd_getitem(self, node, g):
-        src = node.srcs[0]
-        if not src.requires_grad:
-            return
-        index = node.ctx["index"]
-        full = self._ded(src.shape, np.float32, zero=True)
-        if _basic_index(index):
-            # static single-write region: assignment into the once-zeroed
-            # buffer equals np.add.at on fresh zeros
-            self._emit(_kfill, full, g, index)
-        else:
-            self._emit(_kscatter_add, full, index, g)
-        self._acc(src, full)
-
-    def _bwd_relu(self, node, g):
-        src = node.srcs[0]
-        if src.requires_grad:
-            self._acc_uf(src, np.multiply, (g, node.aux["mask"]), node.shape)
-
-    def _bwd_exp(self, node, g):
-        src = node.srcs[0]
-        if src.requires_grad:
-            self._acc_uf(src, np.multiply, (g, node.val), node.shape)
-
-    def _bwd_sqrt(self, node, g):
-        src = node.srcs[0]
-        if not src.requires_grad:
-            return
-        t = self._buf(node.shape)
-        self._emit(_kuf2, np.multiply, g, 0.5, t)
-        self._emit(_kuf2, np.divide, t, node.val, t)
-        self._acc(src, t)
-
-    def _bwd_tanh(self, node, g):
-        src = node.srcs[0]
-        if not src.requires_grad:
-            return
-        t = self._buf(node.shape)
-        self._emit(_kuf2, np.power, node.val, 2, t)
-        self._emit(_kuf2, np.subtract, 1.0, t, t)
-        self._emit(_kuf2, np.multiply, g, t, t)
-        self._acc(src, t)
-
-    def _bwd_sigmoid(self, node, g):
-        src = node.srcs[0]
-        if not src.requires_grad:
-            return
-        t1 = self._buf(node.shape)
-        self._emit(_kuf2, np.multiply, g, node.val, t1)
-        t2 = self._buf(node.shape)
-        self._emit(_kuf2, np.subtract, 1.0, node.val, t2)
-        self._emit(_kuf2, np.multiply, t1, t2, t1)
-        self._acc(src, t1)
-
-    def _bwd_ste_quant(self, node, g):
-        # Straight-through estimator: the gradient passes unchanged.
-        src = node.srcs[0]
-        if src.requires_grad:
-            self._acc(src, g)
-
-    def _bwd_ste_fp16(self, node, g):
-        src = node.srcs[0]
-        if src.requires_grad:
-            self._acc(src, g)
-
-    def _bwd_pad2d(self, node, g):
-        src = node.srcs[0]
-        if src.requires_grad:
-            p = node.ctx["padding"]
-            gv = _View(g, lambda b, q=p: b[..., q:-q, q:-q], False)
-            self._acc(src, gv)
-
-    def _bwd_dropout(self, node, g):
-        src = node.srcs[0]
-        if src.requires_grad:
-            self._acc_uf(src, np.multiply, (g, node.aux["mask"]), node.shape)
-
-    def _bwd_conv2d(self, node, g):
-        x_src, w_src = node.srcs
-        aux = node.aux
-        n = aux["n"]
-        length = aux["length"]
-        cols = aux["cols"]
-        if aux["groups"] == 1:
-            gmat = _View(g, lambda b, s=(n, aux["out_c"], length):
-                         b.reshape(s), True)
-            if w_src.requires_grad:
-                s = self._slot(w_src)
-                if s is not None:
-                    slot, first = s
-                    w2 = _View(slot, lambda b, s=(aux["out_c"], -1):
-                               b.reshape(s), True)
-                    if first:
-                        self._emit(_keinsum, "nol,nkl->ok", gmat, cols, w2)
-                    else:
-                        tmp = self._buf((aux["out_c"], cols.shape[1]))
-                        self._emit(_keinsum, "nol,nkl->ok", gmat, cols, tmp)
-                        self._emit(_kiadd, w2, tmp)
-            if x_src.requires_grad:
-                gcols = self._buf(cols.shape)
-                w_t3 = _View(aux["w_mat"], lambda b: b.T[None, :, :], False)
-                self._emit(_kmatmul, w_t3, gmat, gcols)
-                gx = self._buf(x_src.shape)
-                self._emit(_kcol2im, gcols, aux["x_shape"], aux["kernel"],
-                           aux["stride"], gx)
-                self._acc(x_src, gx)
-        else:
-            groups = aux["groups"]
-            go = aux["go"]
-            gik2 = aux["gi"] * aux["kernel"] * aux["kernel"]
-            gmat4 = _View(g, lambda b, s=(n, groups, go, length):
-                          b.reshape(s), True)
-            cols4 = aux["cols4"]
-            if w_src.requires_grad:
-                s = self._slot(w_src)
-                if s is not None:
-                    slot, first = s
-                    w3view = _View(slot, lambda b: b.reshape(groups, go, -1),
-                                   True)
-                    if first:
-                        self._emit(_keinsum, "ngol,ngkl->gok", gmat4, cols4,
-                                   w3view)
-                    else:
-                        tmp = self._buf((groups, go, gik2))
-                        self._emit(_keinsum, "ngol,ngkl->gok", gmat4, cols4,
-                                   tmp)
-                        self._emit(_kiadd, w3view, tmp)
-            if x_src.requires_grad:
-                gcols4 = self._buf((n, groups, gik2, length))
-                self._emit(_keinsum, "gok,ngol->ngkl", aux["w3"], gmat4,
-                           gcols4)
-                gflat = _View(gcols4, lambda b, s=(n, cols.shape[1], length):
-                              b.reshape(s), True)
-                gx = self._buf(x_src.shape)
-                self._emit(_kcol2im, gflat, aux["x_shape"], aux["kernel"],
-                           aux["stride"], gx)
-                self._acc(x_src, gx)
-
-    def _bwd_max_pool2d(self, node, g):
-        src = node.srcs[0]
-        if not src.requires_grad:
-            return
-        aux = node.aux
-        n, c, h, w = aux["n"], aux["c"], aux["h"], aux["w"]
-        k = aux["kernel"]
-        length = aux["length"]
-        gcols = self._buf((n * c, k * k, length))
-        gv = _View(g, lambda b, s=(n * c, 1, length): b.reshape(s), True)
-        self._emit(_kput, gcols, aux["argv"], gv)
-        gx = self._buf((n * c, 1, h, w))
-        self._emit(_kcol2im, gcols, (n * c, 1, h, w), k, aux["stride"], gx)
-        gxr = _View(gx, lambda b, s=tuple(src.shape): b.reshape(s), True)
-        self._acc(src, gxr)
-
-    def _bwd_avg_pool2d(self, node, g):
-        src = node.srcs[0]
-        if not src.requires_grad:
-            return
-        aux = node.aux
-        n, c, h, w = aux["n"], aux["c"], aux["h"], aux["w"]
-        k = aux["kernel"]
-        length = aux["length"]
-        scale = 1.0 / (k * k)
-        gcols = self._buf((n * c, k * k, length))
-        gv = _View(g, lambda b, s=(n * c, 1, length): b.reshape(s), True)
-        self._emit(_kuf2, np.multiply, gv, scale, gcols)
-        gx = self._buf((n * c, 1, h, w))
-        self._emit(_kcol2im, gcols, (n * c, 1, h, w), k, aux["stride"], gx)
-        gxr = _View(gx, lambda b, s=tuple(src.shape): b.reshape(s), True)
-        self._acc(src, gxr)
-
-    def _bwd_batch_norm(self, node, g):
-        x_src, w_src, b_src = node.srcs
-        aux = node.aux
-        axes = aux["axes"]
-        xhat = aux["xhat"]
-        kshape = aux["kshape"]
-        ch = node.shape[1]
-        if b_src.requires_grad:
-            self._acc_sum(b_src, g, axes, False, (ch,))
-        if w_src.requires_grad:
-            tb = self._buf(node.shape)
-            self._emit(_kuf2, np.multiply, g, xhat, tb)
-            self._acc_sum(w_src, tb, axes, False, (ch,))
-        if x_src.requires_grad:
-            count = aux["count"]
-            gx = self._buf(node.shape)
-            self._emit(_kuf2, np.multiply, g, aux["w_r"], gx)
-            gsum = self._buf(kshape)
-            self._emit(_ksum, gx, axes, True, gsum)
-            tb2 = self._buf(node.shape)
-            self._emit(_kuf2, np.multiply, gx, xhat, tb2)
-            gdot = self._buf(kshape)
-            self._emit(_ksum, tb2, axes, True, gdot)
-            self._emit(_kuf2, np.divide, gsum, count, gsum)
-            self._emit(_kuf2, np.subtract, gx, gsum, gx)
-            # eager computes ``x_hat * grad_dot / count`` which associates
-            # left-to-right as (x_hat * grad_dot) / count; dividing
-            # grad_dot first only matches bitwise when count is a power
-            # of two, so replicate the exact association.
-            self._emit(_kuf2, np.multiply, xhat, gdot, tb2)
-            self._emit(_kuf2, np.divide, tb2, count, tb2)
-            self._emit(_kuf2, np.subtract, gx, tb2, gx)
-            self._emit(_kuf2, np.multiply, gx, aux["invstd_r"], gx)
-            self._acc(x_src, gx)
-
-    def _bwd_log_softmax(self, node, g):
-        src = node.srcs[0]
-        if not src.requires_grad:
-            return
-        aux = node.aux
-        gs = self._buf(aux["kshape"])
-        self._emit(_ksum, g, aux["axis"], True, gs)
-        tb = self._buf(node.shape)
-        self._emit(_kuf2, np.multiply, aux["soft"], gs, tb)
-        self._emit(_kuf2, np.subtract, g, tb, tb)
-        self._acc(src, tb)
-
-    def _bwd_cross_entropy(self, node, g):
-        logits_src = node.srcs[0]
-        if not logits_src.requires_grad:
-            return
-        aux = node.aux
-        shape = (aux["n"], aux["num_classes"])
-        s = self._slot(logits_src)
-        if s is None:
-            return
-        slot, first = s
-        gl = slot if first else self._buf(shape)
-        tmp = self._buf(shape)
-        self._emit(_kce_grad, g, aux["inv_n"], gl, aux["rows"], self.y_buf,
-                   aux["soft"], tmp)
-        if not first:
-            self._emit(_kiadd, slot, gl)
-
-    # -- plan ----------------------------------------------------------
-    def build(self) -> "_Plan":
-        self._forward()
-        self._backward()
-        arena_bytes = _pack_arena(self._bufs)
-        arena = np.empty(max(arena_bytes // 4, 1), dtype=np.float32)
-        for buf in self._bufs:
-            start = buf.offset // 4
-            buf.array = arena[start:start + math.prod(buf.shape)].reshape(
-                buf.shape)
-        loss_val = self.loss_node.val
-        if _is_leafy(loss_val) or getattr(_resolve(loss_val), "size", 0) != 1:
-            raise GraphUnsupported("loss is not a scalar buffer")
-        # An instruction that touches no leaf is the same closure in
-        # every binding: make it once, here.
-        template = tuple(
-            entry if any(map(_is_leafy, entry[1:]))
-            else entry[0](*map(_resolve, entry[1:]))
-            for entry in self._instrs)
-        naive = sum(-(-b.nbytes // _ALIGN) * _ALIGN for b in self._bufs)
-        return _Plan(
-            template=template, x_buf=self.x_buf, y_buf=self.y_buf,
-            loss=_resolve(loss_val), grad_params=tuple(self._grad_params),
-            workspace=[(arena, False)] + self._dedicated, shared=self.shared,
-            stats={
-                "nodes": len(self.capture.nodes),
-                "instrs": len(template),
-                "arena_bytes": arena_bytes,
-                "naive_bytes": naive,
-                "dedicated_bytes": sum(a.nbytes for a, _ in self._dedicated),
-                "fused_elementwise": self.fused_elementwise,
-            })
-
-
-def _swap_shape(shape) -> tuple[int, ...]:
-    shape = tuple(shape)
-    return shape[:-2] + (shape[-1], shape[-2])
-
-
-def _matmul_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < 2 or len(b) < 2:
-        raise GraphUnsupported("matmul shape inference needs >=2-d")
-    return tuple(np.broadcast_shapes(a[:-2], b[:-2])) + (a[-2], b[-1])
-
-
-def _basic_index(index) -> bool:
-    items = index if isinstance(index, tuple) else (index,)
-    return all(
-        item is None or item is Ellipsis
-        or isinstance(item, (int, np.integer, slice))
-        for item in items)
-
-
-def _resolve(v, replica=None, memo=None):
-    """The runtime array (or state object) behind a compile-time value.
-
-    Workspace values resolve once per plan; anything leafy resolves
-    per binding, against ``replica``, memoised in ``memo``.
+def _bind(instr, replica=None):
+    """The replayable closure of one instruction."""
+    kernel, args, kwargs, out = instr
+    return functools.partial(
+        kernel.raw, *[_resolve(value, replica) for value in args],
+        out=out.resolve(replica),
+        **{name: _resolve(value, replica) for name, value in kwargs.items()})
+
+
+def compile_program(capture: GraphCapture, replica: _Replica) -> "_Plan":
+    """Compile a :class:`GraphCapture` of ``replica``'s step into a
+    :class:`_Plan` any structurally equal replica can bind.
+
+    Raises :class:`GraphUnsupported` when the step cannot be replayed
+    bit-identically.
     """
-    if isinstance(v, _Buf):
-        return v.array
-    if isinstance(v, _Leaf):
-        return v.fetch(replica)
-    if isinstance(v, _View):
-        if not v.leafy:
-            if v.arr is None:
-                v.arr = v.fn(_resolve(v.base))
-            return v.arr
-        arr = memo.get(id(v))
-        if arr is None:
-            arr = memo[id(v)] = v.fn(_resolve(v.base, replica, memo))
-        return arr
-    return v
+    if capture.refused is not None:
+        raise GraphUnsupported(capture.refused)
+    x_buf, y_buf, loss = capture.x_buf, capture.y_buf, capture.loss
+    if loss is None or loss.leafy or not (x_buf.reads and y_buf.reads):
+        raise GraphUnsupported("the capture is not a step on its batch: "
+                               "from x and y to a loss")
+    instrs = capture.instrs
+    calls = len(instrs)
+    _hoist_constants(instrs)
+    fused = _share_storage(instrs)
+
+    # a buffer hosting others lives as long as they do
+    for buf in capture.bufs:
+        host = buf
+        while host.home is not None and isinstance(host.home[0], _Buf):
+            host = host.home[0]
+            host.start = min(host.start, buf.start)
+            host.end = max(host.end, buf.end)
+    packed = [buf for buf in capture.bufs
+              if buf.home is None and buf.block is None]
+    arena_bytes = _pack_arena(packed)
+    arena = np.empty(max(arena_bytes // 4, 1), dtype=np.float32)
+    for buf in packed:
+        buf.block = arena
+    own = [(x_buf.block, False), (y_buf.block, False)] + [
+        (buf.block, True) for buf in capture.bufs if buf.persistent]
+
+    # An instruction that touches no leaf is the same closure in every
+    # binding: make it once, here.
+    template = tuple(
+        instr if _leafy(_values(instr)) else _bind(instr)
+        for instr in instrs if instr is not None)
+    plan = _Plan(
+        template=template, x_buf=x_buf.block, y_buf=y_buf.block,
+        loss=loss.resolve(), grad_params=capture.grad_params,
+        workspace=[(arena, False)] + own, shared=capture.shared,
+        stats={
+            "calls": calls,
+            "instrs": len(template),
+            "arena_bytes": arena_bytes,
+            "naive_bytes": sum(-(-b.nbytes // _ALIGN) * _ALIGN
+                               for b in packed),
+            "dedicated_bytes": sum(block.nbytes for block, _ in own),
+            "fused_elementwise": fused,
+        })
+    if replica.stages is not None:
+        flat = replica.flat
+        if len(plan.grad_params) != flat.layout.num_params:
+            # The eager stages clip/quantise exactly the parameters
+            # that received gradients; the fused ones assume all.
+            raise GraphUnsupported("not every parameter received a gradient")
+        plan.stage(replica.stages.bind(flat)[2])
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -1667,10 +764,11 @@ class _Plan:
     """A compiled training step, independent of any one replica.
 
     Owns the instruction ``template`` (ready closures for instructions
-    over the workspace alone, symbolic ``(maker, args...)`` entries
-    for those touching a leaf), the buffers every binding computes in,
-    and the re-entrancy flag that keeps the sequential-replay invariant
-    honest: bindings of one plan must never run inside one another.
+    over the workspace alone, recorded ``[kernel, args, kwargs, out]``
+    entries for those touching a leaf), the buffers every binding
+    computes in, and the re-entrancy flag that keeps the
+    sequential-replay invariant honest: bindings of one plan must
+    never run inside one another.
 
     The plan of a staged step (``train_step(stages=...)``) also names
     what its stages compute in: ``scratch``, the arena's pooled stage
@@ -1723,10 +821,8 @@ class _Plan:
         Raises :class:`GraphUnsupported` when a leaf does not resolve
         to the same kind of value the plan was compiled against.
         """
-        memo: dict[int, np.ndarray] = {}
         closures = tuple(
-            entry[0](*[_resolve(a, replica, memo) for a in entry[1:]])
-            if isinstance(entry, tuple) else entry
+            _bind(entry, replica) if isinstance(entry, list) else entry
             for entry in self.template)
         flat = replica.flat
         before = after = None
@@ -1791,29 +887,6 @@ class _Program:
         return loss
 
 
-def compile_program(capture: GraphCapture, replica: _Replica,
-                    fuse: bool = True) -> _Plan:
-    """Compile a :class:`GraphCapture` of ``replica``'s step into a
-    :class:`_Plan` any structurally equal replica can bind.
-
-    Raises :class:`GraphUnsupported` when the step cannot be replayed
-    bit-identically.
-    """
-    if capture.unsupported is not None:
-        raise GraphUnsupported(f"unsupported op: {capture.unsupported}")
-    if not capture.nodes or capture.nodes[-1].op != "cross_entropy":
-        raise GraphUnsupported("the capture does not end in the step's loss")
-    plan = _Compiler(capture, capture.nodes[-1], replica, fuse).build()
-    if replica.stages is not None:
-        flat = replica.flat
-        if len(plan.grad_params) != flat.layout.num_params:
-            # The eager stages clip/quantise exactly the parameters
-            # that received gradients; the fused ones assume all.
-            raise GraphUnsupported("not every parameter received a gradient")
-        plan.stage(replica.stages.bind(flat)[2])
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # The training step and its executor
 # ---------------------------------------------------------------------------
@@ -1849,12 +922,14 @@ def train_step(model, optimizer, x: np.ndarray, y: np.ndarray, stages=None,
     model.train()
     optimizer.zero_grad()
     x_t = Tensor(x if stages is None else stages.before(x))
-    tensor_mod._CAPTURE = capture.begin(x_t, y) if capture else None
+    K.trace = capture.begin(x_t.data, y) if capture else None
     try:
         loss = F.cross_entropy(model(x_t), y)
         loss.backward()
+        if capture:
+            capture.end(loss.data)
     finally:
-        tensor_mod._CAPTURE = None
+        K.trace = None
     if stages is not None:
         stages.after()
     if grad_hook is not None:
@@ -1883,7 +958,7 @@ class GraphExecutor:
     afresh).
     """
 
-    def __init__(self, model, max_programs: int = 8, fuse: bool = True,
+    def __init__(self, model, max_programs: int = 8,
                  arena: "StepArena | None" = None, stages=None):
         flat = model.flatten_parameters()
         if flat is None:
@@ -1893,7 +968,6 @@ class GraphExecutor:
         self.stages = stages
         self.precision = "fp32" if stages is None else stages.precision
         self.max_programs = max_programs
-        self.fuse = fuse
         self.arena = arena if arena is not None else flat.arena
         self.stats = {"captures": 0, "replays": 0, "eager_steps": 0,
                       "fallbacks": 0}
@@ -1921,7 +995,7 @@ class GraphExecutor:
             structure = replica.structure
             if self.stages is not None:
                 structure += self.stages.plan_key
-            plan_key = (self.precision, self.fuse, key, structure)
+            plan_key = (self.precision, key, structure)
             plan = self.arena.get(plan_key)
             if plan is None:
                 self._programs[key] = None
@@ -1933,17 +1007,17 @@ class GraphExecutor:
                 except GraphUnsupported:
                     pass        # refused: compile a private plan instead
             if prog is None:
-                capture = GraphCapture(replica.flat.param_tensors)
+                capture = GraphCapture(replica)
                 replica.flat.claim_grads()  # the optimiser may not be bound
                 loss = train_step(self.model, optimizer, x, y, self.stages,
                                   grad_hook, capture=capture)
                 try:
-                    plan = compile_program(capture, replica, fuse=self.fuse)
+                    plan = compile_program(capture, replica)
+                    prog = self._bind(plan, replica)
                 except GraphUnsupported:
                     plan = None
                 self.arena.add(self.precision, plan_key, plan)
-                self._programs[key] = (None if plan is None
-                                       else self._bind(plan, replica))
+                self._programs[key] = prog
                 self.stats["fallbacks" if plan is None else "captures"] += 1
                 return loss
             self._programs[key] = prog
@@ -1984,7 +1058,7 @@ class GraphExecutor:
                 if p is not None]
 
 
-def attach_graph_executor(model, max_programs: int = 8, fuse: bool = True,
+def attach_graph_executor(model, max_programs: int = 8,
                           arena: "StepArena | None" = None, stages=None
                           ) -> GraphExecutor | None:
     """Attach a :class:`GraphExecutor` for ``model``'s step (idempotent).
@@ -2002,7 +1076,7 @@ def attach_graph_executor(model, max_programs: int = 8, fuse: bool = True,
     if executor is not None:
         return executor
     try:
-        executor = GraphExecutor(model, max_programs=max_programs, fuse=fuse,
+        executor = GraphExecutor(model, max_programs=max_programs,
                                  arena=arena, stages=stages)
     except GraphUnsupported:
         return None

@@ -123,8 +123,7 @@ class Module:
                     self._flat.claim_grads()
         return self._flat
 
-    def enable_graph_executor(self, max_programs: int = 8,
-                              fuse: bool = True, arena=None):
+    def enable_graph_executor(self, max_programs: int = 8, arena=None):
         """Attach a trace-once/replay-many step executor (idempotent).
 
         Returns the :class:`~repro.nn.graph.GraphExecutor` now owned by
@@ -137,7 +136,7 @@ class Module:
         """
         from .graph import attach_graph_executor
         return attach_graph_executor(self, max_programs=max_programs,
-                                     fuse=fuse, arena=arena)
+                                     arena=arena)
 
     def disable_graph_executor(self) -> None:
         """Drop the attached executor; every step runs eager again."""

@@ -8,6 +8,11 @@ exactly the operations the SoCFlow model zoo needs (dense and
 convolutional nets with batch norm), but each op has a correct,
 broadcast-aware gradient and is covered by numerical gradient checks in
 the test suite.
+
+Every op does its array work through the kernel table
+(:mod:`repro.nn.kernels`); views and shape arithmetic are plain numpy.
+That is all the graph executor needs to replay a step: it records the
+kernel calls, not the ops.
 """
 
 from __future__ import annotations
@@ -17,15 +22,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import kernels as K
+
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 _GRAD_ENABLED = True
-
-#: active :class:`repro.nn.graph.GraphRecorder` (or ``None``).  When set,
-#: every op built through :meth:`Tensor._make` reports itself to the
-#: recorder *after* computing its eager result, so capturing a step is
-#: bit-identical to running it uninstrumented.
-_CAPTURE = None
 
 
 @contextlib.contextmanager
@@ -51,12 +52,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     # Sum over prepended axes.
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = K.sum(grad, axis=tuple(range(extra)))
     # Sum over axes that were broadcast from 1.
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = K.sum(grad, axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _basic_index(index) -> bool:
+    """True when ``array[index]`` is a view (no index arrays or masks)."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None or item is Ellipsis
+        or isinstance(item, (int, np.integer, slice))
+        for item in items)
 
 
 class Tensor:
@@ -139,45 +149,47 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
-              backward: Callable[[np.ndarray], None],
-              op: str = "", ctx: dict | None = None) -> "Tensor":
+              backward: Callable[[np.ndarray], None]) -> "Tensor":
+        """The result tensor of an op.  ``data`` comes out of the kernel
+        table (or is a view of something that did): a step being
+        captured checks that here, and in :meth:`_accumulate` for
+        gradients — the two places every value passes."""
+        if K.trace is not None:
+            K.trace.check(data)
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(parents)
             out._backward = backward
-        if _CAPTURE is not None:
-            _CAPTURE.record(op, out, parents, ctx)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
+        if K.trace is not None:
+            K.trace.check(grad)
         if self.grad is None:
             buf = self._grad_buf
             if buf is not None and buf.shape == grad.shape:
-                # np.copyto casts exactly like astype; writing into the
-                # fused buffer keeps the whole model gradient contiguous.
-                np.copyto(buf, grad)
-                self.grad = buf
+                # Writing into the fused buffer keeps the whole model
+                # gradient contiguous.
+                self.grad = K.copy(grad, out=buf)
             else:
                 # Keep the freshly allocated copy as this tensor's gradient
                 # buffer so the next step (same shape) reuses it instead of
-                # allocating again.  order="C" so a gradient arriving as a
+                # allocating again.  C-ordered, so a gradient arriving as a
                 # transposed/sliced view is stored canonically — downstream
                 # reductions must not depend on the producer's layout.
-                buf = grad.astype(np.float32, order="C", copy=True)
-                self.grad = buf
-                self._grad_buf = buf
+                self.grad = self._grad_buf = K.copy(grad)
         else:
-            self.grad += grad
+            K.add(self.grad, grad, out=self.grad)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate ``grad`` (default: ones) through the graph."""
         if grad is None:
             if self.size != 1:
                 raise ValueError("backward() without grad requires a scalar output")
-            grad = np.ones_like(self.data)
+            grad = K.ones(self.shape)
         grad = np.asarray(grad, dtype=np.float32)
 
         order: list[Tensor] = []
@@ -210,21 +222,23 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other._accumulate(_unbroadcast(grad, other.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad, self.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(grad, other.shape))
 
-        return self._make(out_data, (self, other), backward, op="add")
+        return self._make(K.add(self.data, other.data), (self, other),
+                          backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(K.negative(grad))
 
-        return self._make(-self.data, (self,), backward, op="neg")
+        return self._make(K.negative(self.data), (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
         return self + (-self._coerce(other))
@@ -234,67 +248,76 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.shape))
+            if self.requires_grad:
+                self._accumulate(
+                    _unbroadcast(K.multiply(grad, other.data), self.shape))
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(K.multiply(grad, self.data), other.shape))
 
-        return self._make(out_data, (self, other), backward, op="mul")
+        return self._make(K.multiply(self.data, other.data), (self, other),
+                          backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.shape))
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data ** 2), other.shape))
+            if self.requires_grad:
+                self._accumulate(
+                    _unbroadcast(K.divide(grad, other.data), self.shape))
+            if other.requires_grad:
+                # -grad * self / other**2, left to right
+                t = K.negative(grad)
+                K.multiply(t, self.data, out=t)
+                K.divide(t, K.square(other.data), out=t)
+                other._accumulate(_unbroadcast(t, other.shape))
 
-        return self._make(out_data, (self, other), backward, op="div")
+        return self._make(K.divide(self.data, other.data), (self, other),
+                          backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return self._coerce(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
-        out_data = self.data ** exponent
-
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            t = K.multiply(grad, exponent)
+            K.multiply(t, K.power(self.data, exponent - 1), out=t)
+            self._accumulate(t)
 
-        return self._make(out_data, (self,), backward, op="pow",
-                          ctx={"exponent": exponent})
+        return self._make(K.power(self.data, exponent), (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(
-                    _unbroadcast(grad @ np.swapaxes(other.data, -1, -2), self.shape))
+                self._accumulate(_unbroadcast(
+                    K.matmul(grad, np.swapaxes(other.data, -1, -2)),
+                    self.shape))
             if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(np.swapaxes(self.data, -1, -2) @ grad, other.shape))
+                other._accumulate(_unbroadcast(
+                    K.matmul(np.swapaxes(self.data, -1, -2), grad),
+                    other.shape))
 
-        return self._make(out_data, (self, other), backward, op="matmul")
+        return self._make(K.matmul(self.data, other.data), (self, other),
+                          backward)
 
     # ------------------------------------------------------------------
     # Reductions and shaping
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
         def backward(grad: np.ndarray) -> None:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape))
 
-        return self._make(out_data, (self,), backward, op="sum",
-                          ctx={"axis": axis, "keepdims": keepdims})
+        return self._make(K.sum(self.data, axis=axis, keepdims=keepdims),
+                          (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         count = self.size if axis is None else np.prod(
@@ -304,13 +327,12 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
         original = self.shape
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.reshape(original))
 
-        return self._make(out_data, (self,), backward, op="reshape")
+        return self._make(K.reshape(self.data, shape), (self,), backward)
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
@@ -322,80 +344,94 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.transpose(inverse))
 
-        return self._make(self.data.transpose(axes), (self,), backward,
-                          op="transpose", ctx={"axes": axes, "inverse": inverse})
+        return self._make(self.data.transpose(axes), (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
+        basic = _basic_index(index)
+        data = self.data[index] if basic else K.take(self.data, index)
+        if not isinstance(data, np.ndarray):    # one element: a copy too
+            basic, data = False, K.take(self.data, index)
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
+            if basic:
+                # each element is selected at most once: assignment into
+                # zeros equals the scatter-add
+                full = K.zeros(self.shape)
+                K.copy(grad, out=full[index])
+            else:
+                full = K.scatter_add(index, grad, self.shape)
             self._accumulate(full)
 
-        return self._make(out_data, (self,), backward, op="getitem",
-                          ctx={"index": index})
+        return self._make(data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Elementwise non-linearities
     # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
-        mask = self.data > 0
+        mask = K.greater(self.data, 0)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(K.multiply(grad, mask))
 
-        return self._make(self.data * mask, (self,), backward, op="relu")
+        return self._make(K.multiply(self.data, mask), (self,), backward)
 
     def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
+        out_data = K.exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
+            self._accumulate(K.multiply(grad, out_data))
 
-        return self._make(out_data, (self,), backward, op="exp")
+        return self._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(K.divide(grad, self.data))
 
-        return self._make(np.log(self.data), (self,), backward, op="log")
+        return self._make(K.log(self.data), (self,), backward)
 
     def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
+        out_data = K.sqrt(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * 0.5 / out_data)
+            t = K.multiply(grad, 0.5)
+            self._accumulate(K.divide(t, out_data, out=t))
 
-        return self._make(out_data, (self,), backward, op="sqrt")
+        return self._make(out_data, (self,), backward)
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
+        out_data = K.tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data ** 2))
+            t = K.square(out_data)
+            K.subtract(1.0, t, out=t)
+            self._accumulate(K.multiply(grad, t, out=t))
 
-        return self._make(out_data, (self,), backward, op="tanh")
+        return self._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        out_data = K.negative(self.data)
+        K.exp(out_data, out=out_data)
+        K.add(out_data, 1.0, out=out_data)
+        K.divide(1.0, out_data, out=out_data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
+            t = K.multiply(grad, out_data)
+            self._accumulate(
+                K.multiply(t, K.subtract(1.0, out_data), out=t))
 
-        return self._make(out_data, (self,), backward, op="sigmoid")
+        return self._make(out_data, (self,), backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
-        mask = (self.data >= low) & (self.data <= high)
+        mask = K.greater_equal(self.data, low)
+        K.logical_and(mask, K.less_equal(self.data, high), out=mask)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(K.multiply(grad, mask))
 
-        return self._make(np.clip(self.data, low, high), (self,), backward,
-                          op="clip")
+        return self._make(K.clip(self.data, low, high), (self,), backward)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
+        out_data = K.amax(self.data, axis=axis, keepdims=keepdims)
 
         def backward(grad: np.ndarray) -> None:
             g = grad
@@ -403,11 +439,11 @@ class Tensor:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
                 expanded = np.expand_dims(out_data, axis)
-            mask = (self.data == expanded).astype(np.float32)
-            mask /= mask.sum(axis=axis, keepdims=True)
-            self._accumulate(mask * g)
+            mask = K.copy(K.equal(self.data, expanded))
+            K.divide(mask, K.sum(mask, axis=axis, keepdims=True), out=mask)
+            self._accumulate(K.multiply(mask, g, out=mask))
 
-        return self._make(out_data, (self,), backward, op="max")
+        return self._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Structural ops used by conv nets
@@ -420,22 +456,21 @@ class Tensor:
         # zeros + interior assignment: np.pad's generic per-axis
         # machinery costs ~3x this for the same bits (and, like it,
         # keeps a Fortran-ordered input's layout)
-        out_data = np.zeros(self.shape[:-2] + (self.shape[-2] + 2 * p,
-                                               self.shape[-1] + 2 * p),
-                            dtype=self.data.dtype,
-                            order="F" if self.data.flags.fnc else "C")
-        out_data[..., p:-p, p:-p] = self.data
+        out_data = K.zeros(self.shape[:-2] + (self.shape[-2] + 2 * p,
+                                              self.shape[-1] + 2 * p),
+                           self.data.dtype,
+                           "F" if self.data.flags.fnc else "C")
+        K.copy(self.data, out=out_data[..., p:-p, p:-p])
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad[..., p:-p, p:-p])
 
-        return self._make(out_data, (self,), backward, op="pad2d",
-                          ctx={"padding": padding})
+        return self._make(out_data, (self,), backward)
 
     @staticmethod
     def concatenate(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
         tensors = list(tensors)
-        out_data = np.concatenate([t.data for t in tensors], axis=axis)
+        out_data = K.concatenate(axis, *[t.data for t in tensors])
         sizes = [t.shape[axis] for t in tensors]
         offsets = np.cumsum([0] + sizes)
 
@@ -445,4 +480,4 @@ class Tensor:
                 index[axis] = slice(start, stop)
                 tensor._accumulate(grad[tuple(index)])
 
-        return Tensor._make(out_data, tensors, backward, op="concatenate")
+        return Tensor._make(out_data, tensors, backward)

@@ -44,8 +44,8 @@ class EmaObserver:
         """Fold one batch peak into the EMA.
 
         Split out of :meth:`observe` so callers that already hold the
-        batch peak (the compiled graph executor computes it into a
-        preallocated scratch buffer) run the *same* EMA arithmetic —
+        batch peak (the ``ste_quant`` kernel and the INT8 input stage
+        reduce it in a scratch buffer) run the *same* EMA arithmetic —
         the scale trajectory is bit-identical either way.
         """
         if self._ema is None:

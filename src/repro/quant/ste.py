@@ -12,42 +12,42 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn import kernels as K
 from ..nn.modules import Conv2d, Linear, Module
 from ..nn.tensor import Tensor
-from .int8 import QuantConfig, dequantize, quantize
+from .int8 import QuantConfig
 from .observer import EmaObserver
 
 __all__ = ["ste_quantize", "ste_cast_fp16", "ActivationQuantizer",
            "attach_activation_quant", "detach_activation_quant"]
 
 
-def ste_quantize(x: Tensor, scale: float, qmax: int,
-                 observer: EmaObserver | None = None) -> Tensor:
+def ste_quantize(x: Tensor, scale, qmax: int) -> Tensor:
     """Forward: snap to the INT8 grid; backward: identity gradient.
 
-    ``observer`` is metadata for the graph executor: when the op is
-    captured, the compiled program re-reads ``observer.scale`` on every
-    replay (and performs the observation itself), so EMA scale drift
-    does not force a recapture.  It does not change the eager result —
-    ``scale`` is still the value used here.
+    ``scale`` is a fixed float, or a range observer
+    (:class:`~repro.quant.observer.EmaObserver`): the kernel then
+    observes ``x`` and quantises with the scale it reads back, on every
+    eager step and every replay of a compiled one alike, so EMA scale
+    drift does not force a recapture.
     """
-    out_data = dequantize(quantize(x.data, scale, qmax), scale)
+    data = x.data
+    out_data = K.ste_quant(data, scale, qmax,
+                           K.empty(data.shape, np.float32),
+                           K.empty(data.shape, np.float64))
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad)
 
-    return Tensor._make(out_data, (x,), backward, op="ste_quant",
-                        ctx={"qmax": qmax, "observer": observer})
+    return Tensor._make(out_data, (x,), backward)
 
 
 def ste_cast_fp16(x: Tensor) -> Tensor:
     """Forward: round-trip through IEEE float16; backward: identity."""
-    out_data = x.data.astype(np.float16).astype(np.float32)
-
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad)
 
-    return Tensor._make(out_data, (x,), backward, op="ste_fp16")
+    return Tensor._make(K.copy(K.copy(x.data, np.float16)), (x,), backward)
 
 
 class ActivationQuantizer:
@@ -60,9 +60,7 @@ class ActivationQuantizer:
     def __call__(self, out: Tensor) -> Tensor:
         if self.config.float16:
             return ste_cast_fp16(out)
-        self.observer.observe(out.data)
-        return ste_quantize(out, self.observer.scale, self.config.qmax,
-                            observer=self.observer)
+        return ste_quantize(out, self.observer, self.config.qmax)
 
 
 def attach_activation_quant(model: Module, config: QuantConfig) -> int:

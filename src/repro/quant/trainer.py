@@ -195,8 +195,7 @@ class Int8Trainer:
                 *(id(o) for o in self._activation_observers()))
 
     # ------------------------------------------------------------------
-    def enable_graph_executor(self, max_programs: int = 8,
-                              fuse: bool = True, arena=None):
+    def enable_graph_executor(self, max_programs: int = 8, arena=None):
         """Compile-and-replay the INT8 step via the graph executor.
 
         ``Module.enable_graph_executor`` with this trainer as the
@@ -206,7 +205,7 @@ class Int8Trainer:
         (replicas of one run compile once and share a workspace).
         Idempotent."""
         return attach_graph_executor(self.model, max_programs=max_programs,
-                                     fuse=fuse, arena=arena, stages=self)
+                                     arena=arena, stages=self)
 
     def disable_graph_executor(self) -> None:
         self._graph_exec = None
