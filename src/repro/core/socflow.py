@@ -45,7 +45,7 @@ from .planning import CommunicationPlan
 from .scheduler import GlobalScheduler, PreemptionEvent
 
 __all__ = ["SoCFlowOptions", "SoCFlow", "build_socflow", "build_groups",
-           "reform_groups"]
+           "reform_groups", "make_lg_executor", "run_group_epoch"]
 
 
 def _grow_groups(config: RunConfig, controller, quant,
@@ -97,6 +97,49 @@ def reform_groups(config: RunConfig, controller, quant,
     for group in groups:
         group.load_state(state)
     return groups
+
+
+def make_lg_executor(config: RunConfig, quant, precision: str,
+                     cost: CostModel, telemetry):
+    """A worker pool for ``config.workers > 1``, else None.
+
+    The executor replicates each logical group in a worker process
+    (same config, same seed offsets), so it needs exactly the inputs
+    ``build_groups`` consumed.
+    """
+    if getattr(config, "workers", 1) <= 1:
+        return None
+    from ..parallel import LgExecutor
+    executor = LgExecutor(
+        config, quant=quant, precision=precision, t_cpu=cost.t_cpu_sample,
+        t_npu=cost.t_npu_sample, telemetry=telemetry, workers=config.workers)
+    if not executor.parallel:                           # pragma: no cover
+        executor.close()
+        return None
+    return executor
+
+
+def run_group_epoch(config: RunConfig, groups: "list[GroupMixedTrainer]",
+                    rng: np.random.Generator, executor=None) -> None:
+    """One epoch of real math: cross-group shuffle (one draw from
+    ``rng``), then lock-step group batches."""
+    task = config.task
+    order = rng.permutation(len(task.x_train))
+    shards = np.array_split(order, len(groups))
+    # config.batch_size is BS_g: every group steps with a full batch
+    # (Table 1 — the paper's "global batch size 64" is per group).
+    group_batch = min(config.batch_size, min(len(s) for s in shards))
+    steps = max(1, min(len(s) for s in shards) // group_batch)
+    if executor is not None and len(groups) > 1:
+        # Group-major parallel schedule; bit-identical to the
+        # step-major loop below because groups are independent
+        # between sync points (see repro.parallel.pool).
+        executor.run_epoch(groups, shards, steps, group_batch)
+        return
+    for step in range(steps):
+        for group, shard in zip(groups, shards):
+            idx = shard[step * group_batch:(step + 1) * group_batch]
+            group.train_batch(task.x_train[idx], task.y_train[idx])
 
 
 @dataclass(frozen=True)
@@ -237,7 +280,8 @@ class SoCFlow(Strategy):
         last_good: tuple[dict, int] = (groups[0].state_dict(), -1)
         current_dead: set[int] = set()
         recoveries: list[dict] = []
-        executor = self._make_executor(config, cost, telemetry)
+        executor = make_lg_executor(config, options.quant,
+                                    options.group_precision, cost, telemetry)
         try:
             for epoch in range(start_epoch, config.max_epochs):
                 epoch_start = cost.epoch_start()
@@ -265,7 +309,7 @@ class SoCFlow(Strategy):
                     config.topology)
                 active_plan = CommunicationPlan.from_mapping(active_mapping)
 
-                self._run_real_epoch(config, active, epoch, rng, executor)
+                run_group_epoch(config, active, rng, executor)
                 layout = active[0].fp32.flatten_parameters().layout
                 cpu_share = (controller.cpu_share if mixed else
                              0.0 if options.precision == "int8" else 1.0)
@@ -402,55 +446,12 @@ class SoCFlow(Strategy):
     # ------------------------------------------------------------------
     # Pieces
     # ------------------------------------------------------------------
-    def _make_executor(self, config: RunConfig, cost: CostModel, telemetry):
-        """A worker pool for ``config.workers > 1``, else None.
-
-        The executor replicates each logical group in a worker process
-        (same config, same seed offsets), so it needs exactly the
-        inputs ``_build_groups`` consumed.
-        """
-        if getattr(config, "workers", 1) <= 1:
-            return None
-        from ..parallel import LgExecutor
-        executor = LgExecutor(
-            config, quant=self.options.quant,
-            precision=self.options.group_precision,
-            t_cpu=cost.t_cpu_sample, t_npu=cost.t_npu_sample,
-            telemetry=telemetry, workers=config.workers)
-        if not executor.parallel:                       # pragma: no cover
-            executor.close()
-            return None
-        return executor
-
     def _build_groups(self, config: RunConfig, mapping: MappingResult,
                       controller: MixedPrecisionController
                       ) -> list[GroupMixedTrainer]:
         return build_groups(config, controller, self.options.quant,
                             mapping.num_groups,
                             precision=self.options.group_precision)
-
-    def _run_real_epoch(self, config: RunConfig,
-                        groups: list[GroupMixedTrainer], epoch: int,
-                        rng: np.random.Generator, executor=None) -> None:
-        """Cross-group shuffle + lock-step group batches (real math)."""
-        n = len(groups)
-        order = rng.permutation(len(config.task.x_train))
-        shards = np.array_split(order, n)
-        # config.batch_size is BS_g: every group steps with a full batch
-        # (Table 1 — the paper's "global batch size 64" is per group).
-        group_batch = min(config.batch_size, min(len(s) for s in shards))
-        steps = max(1, min(len(s) for s in shards) // group_batch)
-        if executor is not None and executor.parallel and n > 1:
-            # Group-major parallel schedule; bit-identical to the
-            # step-major loop below because groups are independent
-            # between sync points (see repro.parallel.pool).
-            executor.run_epoch(groups, shards, steps, group_batch)
-            return
-        for step in range(steps):
-            for group, shard in zip(groups, shards):
-                idx = shard[step * group_batch:(step + 1) * group_batch]
-                group.train_batch(config.task.x_train[idx],
-                                  config.task.y_train[idx])
 
     @staticmethod
     def _try_resume(path: str, groups: list[GroupMixedTrainer],

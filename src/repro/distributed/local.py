@@ -6,6 +6,8 @@ training VGG-11 takes ~29 h on its CPU.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..cluster.topology import ClusterTopology
 from ..data.loader import ArrayDataset, DataLoader
 from ..nn.optim import SGD
@@ -30,7 +32,9 @@ class LocalSingleSoC(Strategy):
         single = ClusterTopology(
             num_socs=1, socs_per_pcb=config.topology.socs_per_pcb,
             soc=config.topology.soc)
-        local_config = RunConfig(**{**config.__dict__, "topology": single})
+        # the single-chip reference column never reads the cluster-wide
+        # fault schedule, whose SoC ids a one-SoC topology would reject
+        local_config = replace(config, topology=single, fault_schedule=None)
         cost = CostModel(local_config, telemetry=config.telemetry)
         model = make_model(config)
         optimizer = SGD(model.parameters(), lr=config.lr,

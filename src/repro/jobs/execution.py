@@ -36,7 +36,8 @@ from ..core.mapping import MappingResult, integrity_greedy_mapping
 from ..core.mixed_precision import GroupMixedTrainer
 from ..core.planning import CommunicationPlan
 from ..core.scheduler import GlobalScheduler
-from ..core.socflow import build_groups, reform_groups
+from ..core.socflow import (build_groups, make_lg_executor, reform_groups,
+                            run_group_epoch)
 from ..distributed import pricing
 from ..distributed.base import CostModel, RunConfig, evaluate_accuracy
 from ..quant.int8 import QuantConfig
@@ -207,42 +208,16 @@ class JobExecution:
         return build_groups(self.config, self.controller, self.quant,
                             num_groups, precision=self._precision)
 
-    def _executor_for_epoch(self):
-        """A per-job LG worker pool when ``config.workers > 1``."""
-        if getattr(self.config, "workers", 1) <= 1:
-            return None
-        if self._executor is None:
-            from ..parallel import LgExecutor
-            executor = LgExecutor(
-                self.config, quant=self.quant, precision=self._precision,
-                t_cpu=self.cost.t_cpu_sample, t_npu=self.cost.t_npu_sample,
-                telemetry=None, workers=self.config.workers)
-            if not executor.parallel:                   # pragma: no cover
-                executor.close()
-                return None
-            self._executor = executor
-        return self._executor
-
     def run_epoch(self) -> float:
         """One epoch of real math + simulated charge; returns seconds."""
         if not self._groups or self.mapping is None:
             raise RuntimeError(f"job {self.job.id!r} is not placed")
         groups = self._groups
         task = self.config.task
-        n = len(groups)
-        order = self._rng.permutation(len(task.x_train))
-        shards = np.array_split(order, n)
-        group_batch = min(self.config.batch_size,
-                          min(len(s) for s in shards))
-        steps = max(1, min(len(s) for s in shards) // group_batch)
-        executor = self._executor_for_epoch()
-        if executor is not None and n > 1:
-            executor.run_epoch(groups, shards, steps, group_batch)
-        else:
-            for step in range(steps):
-                for group, shard in zip(groups, shards):
-                    idx = shard[step * group_batch:(step + 1) * group_batch]
-                    group.train_batch(task.x_train[idx], task.y_train[idx])
+        if self._executor is None:      # a per-job pool when workers > 1
+            self._executor = make_lg_executor(
+                self.config, self.quant, self._precision, self.cost, None)
+        run_group_epoch(self.config, groups, self._rng, self._executor)
         layout = groups[0].fp32.flatten_parameters().layout
         merged = bucketed_average_states(
             [g.state_dict() for g in groups], self.cost.bucket_plan(layout))

@@ -272,6 +272,7 @@ class FlatParamBuffer:
             param._grad_lease = self._lease
             param.__class__ = PlaneParameter
         self._rebind_buffers(module, named_buffers)
+        self._trainable: tuple = (None, ())     # (flags, runs)
 
     @property
     def params(self) -> np.ndarray:
@@ -318,15 +319,34 @@ class FlatParamBuffer:
         return self._lease.held
 
     def grads_ready(self) -> bool:
-        """True when this replica holds the plane and every parameter
-        gradient *is* its flat view, i.e. :attr:`grads` currently holds
-        this replica's complete fused gradient."""
+        """True when this replica holds the plane and the gradient of
+        every parameter that trains *is* its flat view, i.e. over
+        :meth:`trainable_runs` :attr:`grads` currently holds this
+        replica's complete fused gradient."""
         if not self._lease.held:
             return False
         for param, gview in zip(self.param_tensors, self.grad_views):
-            if _GRAD_SLOT.__get__(param) is not gview:
+            if param.requires_grad and _GRAD_SLOT.__get__(param) is not gview:
                 return False
         return True
+
+    def trainable_runs(self) -> tuple:
+        """The ``(start, stop)`` ranges of :attr:`params` /
+        :attr:`grads` held by parameters with ``requires_grad``,
+        neighbours merged: one whole-plane run unless part of the
+        model is frozen (a fine-tuned backbone).  Whatever a step does
+        to gradients, it does over these."""
+        flags = tuple(p.requires_grad for p in self.param_tensors)
+        if flags != self._trainable[0]:
+            runs: list[tuple[int, int]] = []
+            bounds = zip(self.layout.offsets, self.layout.offsets[1:])
+            for trains, (start, stop) in zip(flags, bounds):
+                if trains and runs and runs[-1][1] == start:
+                    runs[-1] = (runs[-1][0], stop)
+                elif trains:
+                    runs.append((start, stop))
+            self._trainable = (flags, tuple(runs))
+        return self._trainable[1]
 
     # -- state ----------------------------------------------------------
     def state_dict(self) -> FlatState:

@@ -747,12 +747,7 @@ def compile_program(capture: GraphCapture, replica: _Replica) -> "_Plan":
             "fused_elementwise": fused,
         })
     if replica.stages is not None:
-        flat = replica.flat
-        if len(plan.grad_params) != flat.layout.num_params:
-            # The eager stages clip/quantise exactly the parameters
-            # that received gradients; the fused ones assume all.
-            raise GraphUnsupported("not every parameter received a gradient")
-        plan.stage(replica.stages.bind(flat)[2])
+        plan.stage(replica.stages.bind(replica.flat)[2])
     return plan
 
 
@@ -960,11 +955,8 @@ class GraphExecutor:
 
     def __init__(self, model, max_programs: int = 8,
                  arena: "StepArena | None" = None, stages=None):
-        flat = model.flatten_parameters()
-        if flat is None:
-            raise GraphUnsupported("model has no fused flat parameter buffer")
         self.model = model
-        self.flat = flat
+        self.flat = flat = model.flatten_parameters()
         self.stages = stages
         self.precision = "fp32" if stages is None else stages.precision
         self.max_programs = max_programs
@@ -988,8 +980,6 @@ class GraphExecutor:
                 # The plans are untouched — bind again below.
                 self._programs.clear()
             replica = self._replica(optimizer)
-            if replica is None:
-                return self._eager("fallbacks", optimizer, x, y, grad_hook)
             if len(self._programs) >= self.max_programs:
                 return self._eager("eager_steps", optimizer, x, y, grad_hook)
             structure = replica.structure
@@ -1033,10 +1023,8 @@ class GraphExecutor:
         return not self.flat.is_intact() or (
             self.stages is not None and self.stages.signature() != self._sig)
 
-    def _replica(self, optimizer) -> "_Replica | None":
+    def _replica(self, optimizer) -> _Replica:
         flat = self.model.flatten_parameters()      # re-fuses if rebound
-        if flat is None:
-            return None
         if flat is not self.flat:
             self.flat = flat
             if getattr(optimizer, "bind_flat", None) is not None:
@@ -1060,7 +1048,7 @@ class GraphExecutor:
 
 def attach_graph_executor(model, max_programs: int = 8,
                           arena: "StepArena | None" = None, stages=None
-                          ) -> GraphExecutor | None:
+                          ) -> GraphExecutor:
     """Attach a :class:`GraphExecutor` for ``model``'s step (idempotent).
 
     It hangs on ``stages`` when the step has them (an ``Int8Trainer``),
@@ -1068,19 +1056,13 @@ def attach_graph_executor(model, max_programs: int = 8,
     present.  ``arena`` is the run's :class:`~repro.nn.arena.StepArena`,
     where the plans and their workspace live; without one that is the
     arena the model was flattened into (its own, unless
-    ``flatten_parameters`` was given the run's).  Returns ``None``
-    (leaving the step eager) when the model cannot flatten.
+    ``flatten_parameters`` was given the run's).
     """
     holder = model if stages is None else stages
     executor = getattr(holder, "_graph_exec", None)
-    if executor is not None:
-        return executor
-    try:
-        executor = GraphExecutor(model, max_programs=max_programs,
-                                 arena=arena, stages=stages)
-    except GraphUnsupported:
-        return None
-    holder._graph_exec = executor
+    if executor is None:
+        executor = holder._graph_exec = GraphExecutor(
+            model, max_programs=max_programs, arena=arena, stages=stages)
     return executor
 
 

@@ -274,30 +274,76 @@ def col2im(cols, x_shape, kernel, stride, out=None):
 
 # -- quantisation and the loss ------------------------------------------------
 @_kernel(elementwise=True)
-def ste_quant(a, scale, qmax, scratch, wide, out=None):
-    """Fake-quantise ``a`` onto the symmetric integer grid ``±qmax``.
+def fake_quant(a, scale, qmax, scratch, wide, rng=None, mask=None, out=None):
+    """Fake-quantise float32 ``a`` onto the symmetric integer grid
+    ``±qmax`` — the one spelling of "round to the grid", bit-identical
+    to the int32 reference ``dequantize(quantize(a, scale, qmax, rng),
+    scale)`` of :mod:`repro.quant.int8`.
 
-    ``scale`` is a float, or a live range observer: then the kernel
-    first folds this batch's peak into it (``update``) and quantises
-    with the scale it reads back, so scale drift is an input of a
-    compiled step, not part of it.  Bit-identical to
-    ``dequantize(quantize(a, scale, qmax), scale)``: the peak reduction
-    runs in the float32 ``scratch``, and the dequantisation multiply in
-    the float64 ``wide`` — the reference multiplies int32 by a float64
-    scale, and a float32 product would double-round.  The int32 round
-    trip itself is skippable: post-clip values are integral and within
-    ±qmax, which float32 holds exactly.  ``out`` may be ``a`` or
-    ``scratch``; both are done with before the first write.
+    ``scale`` is a float; a live range observer (the kernel folds this
+    batch's peak into it and reads the scale back, so scale drift is an
+    input of a compiled step, not part of it); or a ``(float32,
+    float64)`` pair of per-element scale arrays (:func:`segment_scales`)
+    — the reference divides in float32 and multiplies int32 by a
+    float64 scale, where a float32 product would double-round.  Its
+    int32 round trip is skipped: float32 holds the post-clip integers
+    exactly for ``qmax < 2**24``, and ``QuantConfig`` allows 16 bits.
+    With ``rng`` rounding is stochastic, floor + (u < frac), ``u`` one
+    float64 draw into ``wide``: the stream of ``rng.random(a.shape)``.
+
+    ``scratch`` (float32), ``wide`` (float64) and, with ``rng``,
+    ``mask`` (bool) are working storage shaped like ``a``.  ``out`` may
+    be ``a`` or, without ``rng`` (which keeps the floors there),
+    ``scratch``: both are done with before the first write.
     """
     if hasattr(scale, "update"):
         scale.update(float(np.abs(a, out=scratch).max()))
         scale = scale.scale
-    out = np.divide(a, scale, out=out)
-    np.rint(out, out=out)
+    narrow, widened = scale if isinstance(scale, tuple) else (scale, scale)
+    out = np.divide(a, narrow, out=out)
+    if rng is None:
+        np.rint(out, out=out)
+    else:
+        np.floor(out, out=scratch)
+        np.subtract(out, scratch, out=out)      # the fractional part
+        rng.random(out=wide)
+        np.less(wide, out, out=mask)
+        np.add(scratch, mask, out=out)
     np.clip(out, -qmax, qmax, out=out)
     np.copyto(wide, out)
-    np.multiply(wide, scale, out=wide)
+    np.multiply(wide, widened, out=wide)
     np.copyto(out, wide)
+    return out
+
+
+def segment_scales(a, starts, qmax, scratch, narrow, widened) -> None:
+    """Fill ``narrow`` (float32) and ``widened`` (float64) with each
+    element's per-tensor scale: segment ``i`` of the 1-D float32 ``a``
+    runs from ``starts[i]`` to the next start (the last to the end) and
+    gets ``max|a| / qmax``, or 1 when it is all zero — the float32 peak
+    widened *then* divided (the other order rounds differently), and
+    its float32 rounding, which is what a float32 array divided by that
+    Python float is divided by.  ``scratch`` is float32 like ``a``.
+    """
+    np.abs(a, out=scratch)
+    maxima = np.maximum.reduceat(scratch, starts)
+    scales = maxima.astype(np.float64)
+    scales /= qmax
+    scales[maxima == 0.0] = 1.0
+    bounds = [*starts.tolist(), a.size]
+    for start, stop, scale in zip(bounds, bounds[1:], scales.tolist()):
+        narrow[start:stop] = scale
+        widened[start:stop] = scale
+
+
+@_kernel(elementwise=True)
+def fp16_round_trip(a, half, out=None):
+    """``a`` rounded to IEEE float16 and widened back; ``half`` is the
+    float16 working storage shaped like ``a``."""
+    np.copyto(half, a)              # copyto casts exactly like astype
+    if out is None:
+        return half.astype(np.float32)
+    np.copyto(out, half)
     return out
 
 

@@ -100,7 +100,8 @@ class Module:
         ``state_dict`` snapshots are single-memcpy
         :class:`~repro.nn.flat.FlatState` objects and SGD/aggregation
         take fused vectorised fast paths.  Idempotent; numerics are
-        bit-identical to the unflattened module.
+        bit-identical to the unflattened module.  Non-float32 storage
+        raises ``TypeError``: there is no unfused training step.
 
         ``arena`` is the run's :class:`~repro.nn.arena.StepArena` when
         the module is one replica of a run (its gradients then land in
@@ -113,24 +114,18 @@ class Module:
             from .flat import FlatParamBuffer
             if arena is None and previous is not None:
                 arena = previous.arena
-            try:
-                self._flat = FlatParamBuffer(self, arena)
-            except TypeError:
-                # Non-float32 storage: leave the module unfused.
-                self._flat = None
-            else:
-                if previous is not None and previous.owns_grads:
-                    self._flat.claim_grads()
+            self._flat = FlatParamBuffer(self, arena)
+            if previous is not None and previous.owns_grads:
+                self._flat.claim_grads()
         return self._flat
 
     def enable_graph_executor(self, max_programs: int = 8, arena=None):
         """Attach a trace-once/replay-many step executor (idempotent).
 
         Returns the :class:`~repro.nn.graph.GraphExecutor` now owned by
-        the module, or ``None`` when the module cannot flatten (the
-        training step stays eager).  ``fp32_train_step`` dispatches to
-        the executor when present; replayed steps are bit-identical to
-        the eager interpreter.  ``arena`` is the run's
+        the module.  ``fp32_train_step`` dispatches to the executor
+        when present; replayed steps are bit-identical to the eager
+        interpreter.  ``arena`` is the run's
         :class:`~repro.nn.arena.StepArena`: structurally equal replicas
         handed the same arena compile once and share one workspace.
         """

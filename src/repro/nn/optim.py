@@ -46,12 +46,15 @@ class SGD:
         ``flat``, ``step`` collapses to a handful of whole-model array
         ops with no per-step temporaries — bit-identical to the
         per-parameter loop, which remains as the fallback whenever a
-        gradient is missing or was rebound away from the fused buffer.
+        trainable parameter's gradient is missing or was rebound away
+        from the fused buffer.
         The update's scratch comes from ``flat``'s arena (nothing in it
         outlives a step, so the replicas of a run share it); only the
         momentum is this optimiser's own.
-        Returns True when the binding took effect.
+        Returns True when the binding took effect (or already had).
         """
+        if flat is self._flat:
+            return True
         if len(self.params) != len(flat.param_tensors):
             return False
         for mine, theirs in zip(self.params, flat.param_tensors):
@@ -101,35 +104,39 @@ class SGD:
             param.data -= self.lr * grad
 
     def _fused_step(self, flat) -> None:
-        """Whole-model update on the fused buffers.
+        """The update on the fused buffers, over ``flat``'s trainable
+        runs (a frozen parameter's weights and momentum are left alone,
+        as the per-parameter loop leaves them).
 
-        Runs the exact elementwise operations of the per-parameter loop
-        over the concatenated storage (scalar factors stay weak-typed
-        float32 under NEP 50), so results match bit for bit.
+        Runs the exact elementwise operations of that loop over the
+        concatenated storage (scalar factors stay weak-typed float32
+        under NEP 50), so results match bit for bit.
         """
-        grads = flat.grads
-        params = flat.params
-        scratch = flat.arena.param_scratch(flat.layout)
-        eff = grads
-        if self.weight_decay:
-            np.multiply(params, self.weight_decay, out=scratch)
-            scratch += grads
-            eff = scratch
-        if self.momentum:
-            velocity = self._flat_velocity
-            velocity *= self.momentum
-            velocity += eff
-            if self.nesterov:
-                out = (flat.arena.param_scratch(flat.layout, slot=1)
-                       if eff is scratch else scratch)
-                np.multiply(velocity, self.momentum, out=out)
-                out += eff
-                eff = out
-            else:
-                eff = velocity
-        target = scratch if (eff is grads or eff is velocity) else eff
-        np.multiply(eff, self.lr, out=target)
-        params -= target
+        arena, layout = flat.arena, flat.layout
+        for start, stop in flat.trainable_runs():
+            grads = flat.grads[start:stop]
+            params = flat.params[start:stop]
+            scratch = arena.param_scratch(layout)[start:stop]
+            eff, spare = grads, scratch     # spare: scratch ``eff`` is not in
+            if self.weight_decay:
+                np.multiply(params, self.weight_decay, out=scratch)
+                scratch += grads
+                eff, spare = scratch, None
+            if self.momentum:
+                velocity = self._flat_velocity[start:stop]
+                velocity *= self.momentum
+                velocity += eff
+                if self.nesterov:
+                    if spare is None:
+                        spare = arena.param_scratch(layout, slot=1)[start:stop]
+                    np.multiply(velocity, self.momentum, out=spare)
+                    spare += eff
+                    eff, spare = spare, None
+                else:
+                    eff, spare = velocity, scratch
+            step = np.multiply(eff, self.lr, out=eff if spare is None
+                               else spare)
+            params -= step
 
     def state_dict(self) -> dict:
         return {

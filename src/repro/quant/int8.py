@@ -1,18 +1,25 @@
 """Symmetric INT8 quantisation primitives.
 
 All quantisers are symmetric around zero (the format mobile NPUs such
-as the Hexagon DSP support natively) with a per-tensor scale.
+as the Hexagon DSP support natively) with a per-tensor scale.  Rounding
+to the grid is one kernel, :func:`repro.nn.kernels.fake_quant`; this
+module decides what it runs on and in which storage — except
+:func:`quantize` / :func:`dequantize`, the independent int32 reference
+the kernel is tested against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..nn import kernels as K
+
 __all__ = ["QuantConfig", "quantize", "dequantize", "fake_quantize",
-           "fake_quantize_observed", "fake_quantize_segments",
-           "SegmentQuantizer", "Int8StepScratch", "quantization_error"]
+           "fake_quantize_segments", "SegmentQuantizer", "Int8StepScratch",
+           "quantization_error"]
 
 
 @dataclass(frozen=True)
@@ -22,8 +29,9 @@ class QuantConfig:
     Attributes
     ----------
     bits:
-        Bit width (8 for the Hexagon NPU; other widths let the harness
-        explore the future-work formats the paper's §5 mentions).
+        Bit width, 2 to 16 (8 for the Hexagon NPU; other widths let the
+        harness explore the future-work formats the paper's §5
+        mentions: INT4, INT16).
     stochastic_rounding:
         NITI-style stochastic rounding of gradients; reduces bias at the
         cost of variance.
@@ -39,6 +47,14 @@ class QuantConfig:
     #: use IEEE float16 instead of the integer grid — one of the newer
     #: NPU formats the paper's §5 anticipates (INT4/INT8/INT16/FP16)
     float16: bool = False
+
+    def __post_init__(self):
+        if not 2 <= self.bits <= 16:
+            raise ValueError(
+                f"bits must be between 2 and 16 (the NPU formats are INT4, "
+                f"INT8, INT16; float16=True selects FP16), got {self.bits}: "
+                f"one bit leaves no grid, and float32 stops holding a wide "
+                f"one exactly")
 
     @property
     def qmax(self) -> int:
@@ -76,183 +92,93 @@ def dequantize(q: np.ndarray, scale: float) -> np.ndarray:
 def fake_quantize(x: np.ndarray, config: QuantConfig,
                   rng: np.random.Generator | None = None,
                   scale: float | None = None) -> np.ndarray:
-    """Round-trip ``x`` through the configured low-precision format."""
+    """Round-trip ``x`` through the configured low-precision format
+    (a new float32 array; the per-tensor scale unless one is given)."""
+    x = np.asarray(x, dtype=np.float32)
     if config.float16:
-        return x.astype(np.float16).astype(np.float32)
-    qmax = config.qmax
+        return K.fp16_round_trip(x, np.empty(x.shape, np.float16))
     if scale is None:
-        scale = _scale_for(x, qmax)
-    use_rng = rng if config.stochastic_rounding else None
-    return dequantize(quantize(x, scale, qmax, rng=use_rng), scale)
-
-
-def _wide_dtype(config: QuantConfig):
-    """What :func:`fake_quantize_observed` widens through."""
-    return np.float16 if config.float16 else np.float64
-
-
-def fake_quantize_observed(x: np.ndarray, observer, config: QuantConfig,
-                           out: np.ndarray | None = None,
-                           wide: np.ndarray | None = None) -> np.ndarray:
-    """Observe one float32 input batch and fake-quantise it into ``out``.
-
-    The input stage of the INT8 step, eager and compiled alike:
-    bit-identical to ``observer.observe(x)`` followed by
-    ``fake_quantize(x, config, scale=observer.scale)``, without that
-    form's temporaries.  ``out`` is the compiled plan's input buffer
-    (fresh when omitted) and doubles as the scratch of the peak
-    reduction; ``wide`` is the float16 / float64 widening buffer of the
-    configured format (``Int8StepScratch.input_buffers``) — the
-    dequantisation multiplies by a float64 scale, and a float32 product
-    would double-round.  The EMA advances on every call and the scale
-    is re-read, so scale drift is an input of a compiled step, not
-    part of it.  ``observer=None`` means activations are not
-    quantised: ``x`` passes through (copied when ``out`` is given).
-    """
-    if observer is None:
-        if out is None:
-            return x
-        np.copyto(out, x)
-        return out
-    if out is None:
-        out = np.empty_like(x)
-    observer.update(float(np.abs(x, out=out).max()))
-    if wide is None:
-        wide = np.empty(x.shape, dtype=_wide_dtype(config))
-    if config.float16:
-        np.copyto(wide, x)          # copyto casts exactly like astype
+        scale = _scale_for(x, config.qmax)
+    if rng is None or not config.stochastic_rounding:
+        rng = mask = None
     else:
-        scale, qmax = observer.scale, config.qmax
-        np.divide(x, scale, out=out)
-        np.rint(out, out=out)
-        np.clip(out, -qmax, qmax, out=out)
-        np.copyto(wide, out)
-        np.multiply(wide, scale, out=wide)
-    np.copyto(out, wide)
-    return out
+        mask = np.empty(x.shape, np.bool_)
+    return K.fake_quant(x, scale, config.qmax, np.empty_like(x),
+                        np.empty(x.shape, np.float64), rng, mask)
 
 
 def fake_quantize_segments(flat: np.ndarray, starts: np.ndarray,
                            sizes: np.ndarray, config: QuantConfig,
                            rng: np.random.Generator | None = None
                            ) -> np.ndarray:
-    """Fused :func:`fake_quantize` over contiguous segments of one array.
-
-    ``flat`` is a 1-D float32 array; segment ``i`` spans
-    ``flat[starts[i]:starts[i]+sizes[i]]`` and gets its own per-tensor
-    scale, exactly as if :func:`fake_quantize` had been called on each
-    segment in order — bit for bit, including the stochastic-rounding
-    random stream: one ``rng.random(flat.size)`` draw consumes the PCG64
-    stream identically to per-segment draws.
+    """:func:`fake_quantize` of each contiguous segment
+    ``flat[starts[i]:starts[i]+sizes[i]]`` of a 1-D float32 array, in
+    order — bit for bit, the stochastic-rounding stream included: one
+    draw of ``flat.size`` consumes PCG64 like per-segment draws.
+    Returns a new array; a step quantises in place
+    (:class:`SegmentQuantizer`).
     """
-    if config.float16:
-        return flat.astype(np.float16).astype(np.float32)
-    qmax = config.qmax
-    maxima = np.maximum.reduceat(np.abs(flat), starts)
-    # Per-tensor path computes the scale as a float64 python scalar but
-    # divides weak-typed, i.e. in float32; mirror both dtypes exactly.
-    scales = np.where(maxima == 0.0, 1.0, maxima.astype(np.float64) / qmax)
-    scaled = flat / np.repeat(scales.astype(np.float32), sizes)
-    if rng is not None and config.stochastic_rounding:
-        floor = np.floor(scaled)
-        frac = scaled - floor
-        scaled = floor + (rng.random(flat.size) < frac)
-    else:
-        scaled = np.rint(scaled)
-    q = np.clip(scaled, -qmax, qmax).astype(np.int32)
-    # Dequantise: int32 * float64 scale, then one cast to float32 — the
-    # same promotion ``(q * scale).astype(float32)`` performs per tensor.
-    return (q * np.repeat(scales, sizes)).astype(np.float32)
+    out = flat.copy()
+    SegmentQuantizer(starts, sizes, config, stochastic=rng is not None)(
+        out, rng)
+    return out
 
 
 class SegmentQuantizer:
-    """Preallocated, in-place twin of :func:`fake_quantize_segments`.
-
-    The functional form allocates roughly eight arrays per call; inside
-    the compiled graph executor's replay loop that allocation churn is
-    the dominant cost of the weight/gradient quantisation stages.  This
-    class owns every scratch buffer up front and quantises ``flat``
-    *in place*, producing bit-identical results — including the
-    stochastic-rounding random stream: the single ``rng.random(out=)``
-    draw consumes the PCG64 stream exactly like ``rng.random(n)``.
-
-    One instance is bound to one ``(starts, sizes)`` segmentation (a
+    """The working storage of in-place per-segment quantisation for one
+    ``(starts, sizes)`` segmentation (a
     :class:`repro.nn.flat.FlatLayout`'s parameter regions) and one
-    :class:`QuantConfig`.  Pass ``stochastic=True`` to allocate the
-    rounding buffers (gradient path); the weight path never draws.
+    :class:`QuantConfig`: scratch and the two per-element scale planes
+    :func:`repro.nn.kernels.fake_quant` computes in, no arithmetic.
+    ``stochastic=True`` adds the rounding mask (gradient path); the
+    weight path never draws.
 
-    Nothing in the scratch outlives a call, so one instance serves any
-    number of arrays of that segmentation one after another — a run
-    keeps a single one (in its :class:`Int8StepScratch`) for the weight
-    and the gradient stage of every replica, eager or compiled.
+    Nothing in it outlives a call, so a run keeps a single one (in its
+    :class:`Int8StepScratch`) for the weight and the gradient stage of
+    every replica, eager or compiled.
     """
 
     def __init__(self, starts: np.ndarray, sizes: np.ndarray,
                  config: QuantConfig, stochastic: bool = False):
         self.config = config
         self.starts = np.asarray(starts, dtype=np.intp)
-        self.sizes = np.asarray(sizes, dtype=np.intp)
-        n = int(self.sizes.sum())
-        self.total = n
+        n = self.total = int(np.sum(sizes))
         if config.float16:
-            self._h16 = np.empty(n, dtype=np.float16)
+            self._planes = [np.empty(n, dtype=np.float16)]
             return
-        k = len(self.starts)
-        self._abs = np.empty(n, dtype=np.float32)
-        self._maxima = np.empty(k, dtype=np.float32)
-        self._scales64 = np.empty(k, dtype=np.float64)
-        self._scales32 = np.empty(k, dtype=np.float32)
-        self._rep32 = np.empty(n, dtype=np.float32)
-        self._rep64 = np.empty(n, dtype=np.float64)
-        self._scaled = np.empty(n, dtype=np.float32)
-        self._out64 = np.empty(n, dtype=np.float64)
+        # scratch and narrow scales; wide scales and products (where a
+        # stochastic draw lands first); the rounding mask
+        dtypes = [np.float32, np.float32, np.float64, np.float64]
         if stochastic and config.stochastic_rounding:
-            self._floor = np.empty(n, dtype=np.float32)
-            self._r64 = np.empty(n, dtype=np.float64)
-            self._lt = np.empty(n, dtype=np.bool_)
+            dtypes.append(np.bool_)
+        self._planes = [np.empty(n, dtype=dtype) for dtype in dtypes]
+        self.wide = self._planes[3]
 
     def buffers(self) -> list[np.ndarray]:
-        """Every scratch array this instance owns (the private ones)."""
-        return [v for k, v in vars(self).items() if k.startswith("_")]
+        """Every scratch array this instance owns."""
+        return list(self._planes)
 
     def __call__(self, flat: np.ndarray,
-                 rng: np.random.Generator | None = None) -> None:
-        """Quantise ``flat`` in place (1-D float32, length ``total``)."""
-        config = self.config
-        if config.float16:
-            np.copyto(self._h16, flat)      # casts exactly like astype
-            np.copyto(flat, self._h16)
-            return
-        qmax = config.qmax
-        np.abs(flat, out=self._abs)
-        np.maximum.reduceat(self._abs, self.starts, out=self._maxima)
-        # astype-to-float64 *then* divide, exactly like the functional
-        # form (a float32 divide widened afterwards rounds differently).
-        np.copyto(self._scales64, self._maxima)
-        self._scales64 /= qmax
-        self._scales64[self._maxima == 0.0] = 1.0
-        np.copyto(self._scales32, self._scales64)
-        for i, (start, size) in enumerate(zip(self.starts, self.sizes)):
-            self._rep32[start:start + size] = self._scales32[i]
-            self._rep64[start:start + size] = self._scales64[i]
-        scaled = self._scaled
-        np.divide(flat, self._rep32, out=scaled)
-        if rng is not None and config.stochastic_rounding:
-            np.floor(scaled, out=self._floor)
-            np.subtract(scaled, self._floor, out=scaled)      # frac
-            rng.random(out=self._r64)
-            np.less(self._r64, scaled, out=self._lt)
-            np.add(self._floor, self._lt, out=scaled)
-        else:
-            np.rint(scaled, out=scaled)
-        np.clip(scaled, -qmax, qmax, out=scaled)
-        # The functional form casts to int32 here; the values are
-        # already integral and within ±qmax, so float32 holds them
-        # exactly and the int32 round trip is skippable.  The float64
-        # dequantisation multiply is NOT: int32 * float64 promotes, and
-        # a float32 product would double-round.
-        np.multiply(scaled, self._rep64, out=self._out64)
-        np.copyto(flat, self._out64)
+                 rng: np.random.Generator | None = None,
+                 runs=None) -> None:
+        """Quantise ``flat`` in place (1-D float32, length ``total``):
+        all of it, or its ``(start, stop)`` ``runs`` of whole segments
+        (``FlatParamBuffer.trainable_runs``) one after another — the
+        generator then draws for those elements only, in order."""
+        qmax = self.config.qmax
+        if not self.config.stochastic_rounding:
+            rng = None
+        for start, stop in ((0, self.total),) if runs is None else runs:
+            part, *work = (a[start:stop] for a in (flat, *self._planes))
+            if self.config.float16:
+                K.fp16_round_trip(part, *work, out=part)
+                continue
+            scratch, narrow, widened, wide, *mask = work
+            lo, hi = np.searchsorted(self.starts, (start, stop))
+            K.segment_scales(part, self.starts[lo:hi] - start, qmax, scratch,
+                             narrow, widened)
+            K.fake_quant(part, (narrow, widened), qmax, scratch, wide, rng,
+                         *mask, out=part)
 
 
 class Int8StepScratch:
@@ -271,22 +197,23 @@ class Int8StepScratch:
         self.config = config
         self.guard = [False]
         self.masters = np.empty(layout.param_total, dtype=np.float32)
+        self._own = [self.masters]
         self.quant: SegmentQuantizer | None = None
         if config.quantize_weights or config.quantize_gradients:
             self.quant = SegmentQuantizer(
                 layout.offsets[:n], layout.sizes[:n], config,
                 stochastic=config.quantize_gradients)
-        self._own = [self.masters]
+            self._own += self.quant.buffers()
         # the clip squares in float64; the integer quantiser's float64
         # product buffer is idle whenever the clip runs
         if self.quant is not None and not config.float16:
-            self._sq = self.quant._out64
+            self._sq = self.quant.wide
         else:
             self._sq = np.empty(layout.param_total, dtype=np.float64)
             self._own.append(self._sq)
-        self._sq_segments = tuple(
-            self._sq[a:b] for a, b in zip(layout.offsets[:n],
-                                          layout.offsets[1:n + 1]))
+        self._offsets = layout.offsets
+        self._sq_segments = tuple(self._sq[a:b] for a, b in zip(
+            layout.offsets[:n], layout.offsets[1:n + 1]))
 
     @classmethod
     def pooled(cls, arena, layout, config: QuantConfig) -> "Int8StepScratch":
@@ -294,36 +221,43 @@ class Int8StepScratch:
         return arena.pooled(("int8", layout, config),
                             lambda: cls(layout, config))
 
-    def clip(self, grads: np.ndarray, max_norm: float) -> None:
-        """Global-norm clip of the fused gradient ``grads`` in place.
+    def clip(self, grads: np.ndarray, max_norm: float, runs) -> None:
+        """Global-norm clip, in place, of the fused gradient ``grads``
+        over its ``(start, stop)`` ``runs`` (integer-training schemes
+        bound the gradient scale so quantisation noise cannot
+        self-amplify).
 
-        Bit-identical to the per-parameter clip of
-        ``Int8Trainer.after``: squares in
-        float64, one pairwise ``np.sum`` per parameter segment
-        accumulated in parameter order (float addition order matters),
-        then a single multiply of the whole buffer — elementwise what
-        the per-view loop does, since the parameter views tile it.
+        Bit-identical to clipping parameter by parameter: squares in
+        float64, one pairwise ``np.sum`` per parameter accumulated in
+        parameter order (float addition order matters), then a single
+        multiply per run — elementwise what a per-view loop does.
         """
-        np.copyto(self._sq, grads)              # astype-exact widening
-        np.square(self._sq, out=self._sq)       # ndarray ** 2 is np.square
         total = 0.0
-        for segment in self._sq_segments:
-            total += float(np.sum(segment))
+        for start, stop in runs:
+            squares = self._sq[start:stop]
+            np.copyto(squares, grads[start:stop])   # astype-exact widening
+            np.square(squares, out=squares)     # ndarray ** 2 is np.square
+            for segment in self._sq_segments[
+                    bisect_left(self._offsets, start):
+                    bisect_left(self._offsets, stop)]:
+                total += float(np.sum(segment))
         norm = np.sqrt(total)
         if norm > max_norm:
-            np.multiply(grads, max_norm / norm, out=grads)
+            for start, stop in runs:
+                part = grads[start:stop]
+                np.multiply(part, max_norm / norm, out=part)
 
     def buffers(self) -> list[np.ndarray]:
-        return self._own + (self.quant.buffers()
-                            if self.quant is not None else [])
+        return self._own
 
     def input_buffers(self, shape) -> tuple:
-        """Fresh :func:`fake_quantize_observed` scratch for one batch
-        shape (``wide``) — not pooled: the compiled plan of that shape
-        owns it."""
+        """Fresh working storage of the input stage for one batch
+        shape (the float16 / float64 widening buffer) — not pooled: the
+        compiled plan of that shape owns it."""
         if not self.config.quantize_activations:
             return ()
-        return (np.empty(shape, dtype=_wide_dtype(self.config)),)
+        return (np.empty(shape, dtype=(np.float16 if self.config.float16
+                                       else np.float64)),)
 
 
 def quantization_error(x: np.ndarray, config: QuantConfig) -> float:

@@ -68,35 +68,32 @@ def cpu_fraction(alpha: float, beta: float) -> float:
 def merge_weights(w_fp32: "OrderedDict[str, np.ndarray]",
                   w_int8: "OrderedDict[str, np.ndarray]",
                   alpha: float) -> "OrderedDict[str, np.ndarray]":
-    """On-chip weight aggregation (Eq. 5).
-
-    When both states are intact :class:`~repro.nn.flat.FlatState`
-    snapshots sharing a layout, the merge is one fused vectorised
-    expression over the whole model (bit-identical to the per-key loop:
-    same weak-typed float32 elementwise ops over the same segments).
-    """
-    coeff = math.exp(-alpha)
+    """On-chip weight aggregation (Eq. 5) of two state snapshots: a new
+    state, :func:`merge_weights_inplace` applied to copies — of the two
+    fused arrays when both are intact ``FlatState`` snapshots sharing a
+    layout, key by key for any other pair of dicts."""
     layout = common_flat_layout((w_fp32, w_int8))
     if layout is not None:
-        merged_flat = (coeff * w_fp32.flat
-                       + (1.0 - coeff) * w_int8.flat).astype(np.float32)
+        merged_flat = w_fp32.flat.copy()
+        merge_weights_inplace(merged_flat, w_int8.flat.copy(), alpha)
         return FlatState(layout, merged_flat)
     merged: OrderedDict[str, np.ndarray] = OrderedDict()
     for name, fp32_value in w_fp32.items():
-        merged[name] = (coeff * fp32_value
-                        + (1.0 - coeff) * w_int8[name]).astype(np.float32)
+        merged[name] = np.array(fp32_value, dtype=np.float32)
+        merge_weights_inplace(merged[name],
+                              np.array(w_int8[name], dtype=np.float32), alpha)
     return merged
 
 
 def merge_weights_inplace(w_fp32: np.ndarray, w_int8: np.ndarray,
                           alpha: float) -> None:
-    """Eq. 5 on the two live fused weight arrays of one logical group:
+    """Eq. 5, ``w = e^-alpha * w_fp32 + (1 - e^-alpha) * w_int8``, on
+    two float32 arrays — the live fused weights of one logical group:
     both end up holding the merge, nothing is allocated.
 
-    Bit-identical to :func:`merge_weights` on snapshots of the two:
-    the same two weak-typed float32 products and their (commutative)
-    sum per element — the operands are overwritten with the products
-    because neither outlives the merge.
+    Two weak-typed float32 products and their sum per element; the
+    operands are overwritten with the products because neither
+    outlives the merge.
     """
     coeff = math.exp(-alpha)
     w_fp32 *= coeff

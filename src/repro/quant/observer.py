@@ -43,10 +43,9 @@ class EmaObserver:
     def update(self, peak: float) -> None:
         """Fold one batch peak into the EMA.
 
-        Split out of :meth:`observe` so callers that already hold the
-        batch peak (the ``ste_quant`` kernel and the INT8 input stage
-        reduce it in a scratch buffer) run the *same* EMA arithmetic —
-        the scale trajectory is bit-identical either way.
+        Split out of :meth:`observe` so a caller that already holds
+        the batch peak (the ``fake_quant`` kernel reduces it in a
+        scratch buffer) runs the *same* EMA arithmetic.
         """
         if self._ema is None:
             self._ema = peak

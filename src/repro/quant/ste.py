@@ -22,6 +22,14 @@ __all__ = ["ste_quantize", "ste_cast_fp16", "ActivationQuantizer",
            "attach_activation_quant", "detach_activation_quant"]
 
 
+def _straight_through(x: Tensor, data: np.ndarray) -> Tensor:
+    """``data`` as an op result whose gradient passes to ``x`` as is."""
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(grad)
+
+    return Tensor._make(data, (x,), backward)
+
+
 def ste_quantize(x: Tensor, scale, qmax: int) -> Tensor:
     """Forward: snap to the INT8 grid; backward: identity gradient.
 
@@ -32,22 +40,16 @@ def ste_quantize(x: Tensor, scale, qmax: int) -> Tensor:
     drift does not force a recapture.
     """
     data = x.data
-    out_data = K.ste_quant(data, scale, qmax,
-                           K.empty(data.shape, np.float32),
-                           K.empty(data.shape, np.float64))
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad)
-
-    return Tensor._make(out_data, (x,), backward)
+    return _straight_through(x, K.fake_quant(
+        data, scale, qmax, K.empty(data.shape, np.float32),
+        K.empty(data.shape, np.float64)))
 
 
 def ste_cast_fp16(x: Tensor) -> Tensor:
     """Forward: round-trip through IEEE float16; backward: identity."""
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad)
-
-    return Tensor._make(K.copy(K.copy(x.data, np.float16)), (x,), backward)
+    data = x.data
+    return _straight_through(x, K.fp16_round_trip(
+        data, K.empty(data.shape, np.float16)))
 
 
 class ActivationQuantizer:

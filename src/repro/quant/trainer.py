@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..nn import kernels as K
 from ..nn.graph import attach_graph_executor, train_step
 from ..nn.modules import Module
 from ..nn.optim import SGD
 from ..nn.tensor import Tensor, no_grad
-from .int8 import (Int8StepScratch, QuantConfig, fake_quantize,
-                   fake_quantize_observed)
+from .int8 import Int8StepScratch, QuantConfig
 from .observer import EmaObserver
 
 __all__ = ["Int8Trainer"]
@@ -38,8 +38,8 @@ class Int8Trainer:
     is its ``stages``: :meth:`before` (master snapshot, weights and
     input onto the grid) and :meth:`after` (masters back, clip,
     gradient quantisation) around the forward/backward every replica
-    shares.  On a flattened model both run in place through the
-    arena's pooled :class:`~repro.quant.int8.Int8StepScratch`
+    shares.  Both run in place on the model's fused storage through
+    the arena's pooled :class:`~repro.quant.int8.Int8StepScratch`
     (``arena``: the run's :class:`~repro.nn.arena.StepArena` when this
     trainer is one replica of a run; the model's own otherwise), so a
     step allocates nothing parameter-sized and the trainer keeps only
@@ -62,19 +62,10 @@ class Int8Trainer:
         self._graph_exec = None
         self._input_observer = EmaObserver(config.qmax)
         self._bound: tuple | None = None    # (flat, before, after, scratch)
-        self._masters: list[np.ndarray] = []
         if config.quantize_activations:
             from .ste import attach_activation_quant
             attach_activation_quant(model, config)
-        flat = model.flatten_parameters(arena)
-        if flat is not None:
-            self.optimizer.bind_flat(flat)
-
-    def _flat(self):
-        flat = self.model._flat
-        if flat is not None and flat.is_intact():
-            return flat
-        return None
+        self.optimizer.bind_flat(model.flatten_parameters(arena))
 
     # ------------------------------------------------------------------
     def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -84,19 +75,22 @@ class Int8Trainer:
 
     # -- the stages of the step ------------------------------------------
     def bind(self, flat) -> tuple:
-        """``(before, after, scratch)``: the fused stages over
-        ``flat``'s storage and its arena's pooled scratch.
+        """``(before, after, scratch)``: the stages over ``flat``'s
+        storage and its arena's pooled scratch.
 
         Made once per storage and run by eager and compiled steps
         alike — a replay calls them with no intactness check or arena
         lookup of its own.  ``before(x, out, wide)`` fills a compiled
-        plan's input buffer; eagerly it allocates the result.
+        plan's input buffer; eagerly it allocates the result.  Weights
+        are snapped whole; the clip and the gradient quantisation (its
+        RNG draw included) cover ``flat``'s trainable runs, so a frozen
+        backbone is the same step on fewer elements.
         """
         if self._bound is None or self._bound[0] is not flat:
             config, max_norm = self.config, self.max_grad_norm
             scratch = Int8StepScratch.pooled(flat.arena, flat.layout, config)
             params, grads, masters = flat.params, flat.grads, scratch.masters
-            quant, clip = scratch.quant, scratch.clip
+            quant, clip, qmax = scratch.quant, scratch.clip, config.qmax
             observer = (self._input_observer if config.quantize_activations
                         else None)
             rng = self.rng if config.stochastic_rounding else None
@@ -107,79 +101,46 @@ class Int8Trainer:
                 np.copyto(masters, params)
                 if config.quantize_weights:
                     quant(params)
-                return fake_quantize_observed(x, observer, config, out,
-                                              wide)
+                if observer is None:        # activations stay FP32
+                    return x if out is None else K.copy(x, out=out)
+                if out is None:
+                    out, (wide,) = np.empty_like(x), scratch.input_buffers(
+                        x.shape)
+                # The EMA advances on every call and the scale is read
+                # back, so scale drift is an input of a compiled step.
+                if config.float16:
+                    observer.update(float(np.abs(x, out=out).max()))
+                    return K.fp16_round_trip(x, wide, out=out)
+                return K.fake_quant(x, observer, qmax, out, wide, out=out)
 
             def after():
                 np.copyto(params, masters)
+                runs = flat.trainable_runs()
                 if max_norm is not None:
-                    clip(grads, max_norm)
+                    clip(grads, max_norm, runs)
                 if config.quantize_gradients:
-                    quant(grads, rng=rng)
+                    quant(grads, rng, runs)
 
+            self.optimizer.bind_flat(flat)  # anew if storage was re-fused
             self._bound = (flat, before, after, scratch)
         return self._bound[1:]
 
     def before(self, x: np.ndarray) -> np.ndarray:
         """Ahead of the forward pass: keep the FP32 masters, snap the
-        weights onto the grid; returns the observed, quantised input.
-
-        The per-parameter loop serves unflattened (or rebound) models
-        and is the reference the fused stages are tested against.
-        """
-        flat = self._flat()
-        if flat is not None:
-            return self.bind(flat)[0](x)
-        config = self.config
-        self._masters = [param.data for param in self.model.parameters()]
-        if config.quantize_weights:
-            for param in self.model.parameters():
-                param.data = fake_quantize(param.data, config)
-        return fake_quantize_observed(
-            x, self._input_observer if config.quantize_activations else None,
-            config)
+        weights onto the grid; returns the observed, quantised input."""
+        return self.bind(self.model.flatten_parameters())[0](x)
 
     def after(self) -> None:
         """Between backward and the update: masters back, global-norm
-        clip, gradient quantisation.
-
-        Fused when this replica's complete gradient sits on the plane
-        (so the fused SGD step stays armed); per parameter otherwise —
-        an unflattened model, or one whose frozen backbone received no
-        gradient.
-        """
-        flat = self._flat()
-        if flat is not None and flat.grads_ready():
-            self.bind(flat)[1]()
-            return
-        self._restore(flat)
-        config = self.config
-        grads = [p.grad for p in self.model.parameters()
-                 if p.grad is not None]
-        if self.max_grad_norm is not None:
-            # integer-training schemes bound the gradient scale so
-            # quantisation noise cannot self-amplify
-            total = 0.0
-            for grad in grads:
-                total += float(np.sum(grad.astype(np.float64) ** 2))
-            norm = np.sqrt(total)
-            if norm > self.max_grad_norm:
-                scale = self.max_grad_norm / norm
-                for grad in grads:
-                    grad *= scale
-        if config.quantize_gradients:
-            rng = self.rng if config.stochastic_rounding else None
-            for param in self.model.parameters():
-                if param.grad is not None:
-                    param.grad = fake_quantize(param.grad, config, rng=rng)
-
-    def _restore(self, flat) -> None:
-        """Put back the masters :meth:`before` kept."""
-        if flat is not None:
-            flat.params[...] = self.bind(flat)[2].masters
-            return
-        for param, master in zip(self.model.parameters(), self._masters):
-            param.data = master
+        clip, gradient quantisation — of this replica's gradient, so
+        the plane must still hold it, whole."""
+        flat = self.model.flatten_parameters()
+        if not flat.grads_ready():
+            raise RuntimeError(
+                "the gradient plane does not hold this replica's gradient: "
+                "it was claimed by another replica since zero_grad(), or a "
+                "trainable parameter received no gradient")
+        self.bind(flat)[1]()
 
     # -- what a compiled plan is keyed and invalidated by ----------------
     @property
@@ -248,12 +209,14 @@ class Int8Trainer:
     def predict_logits(self, inputs: np.ndarray) -> np.ndarray:
         """Inference logits through the quantised model."""
         self.model.eval()
-        x = self.before(np.asarray(inputs, dtype=np.float32))
+        flat = self.model.flatten_parameters()
+        before, _, scratch = self.bind(flat)
+        x = before(np.asarray(inputs, dtype=np.float32))
         try:
             with no_grad():
                 return self.model(Tensor(x)).data
         finally:
-            self._restore(self._flat())
+            np.copyto(flat.params, scratch.masters)
 
     @property
     def lr(self) -> float:

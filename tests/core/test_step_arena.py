@@ -328,6 +328,12 @@ def test_stale_int8_trainer_step_raises():
     first, second = trainers
     backward(first.model, first.optimizer)
     second.train_step(x, y)
+    plane = second.model._flat.grads.copy()
+    position = first.rng.bit_generator.state
+    with pytest.raises(RuntimeError, match="claimed by another replica"):
+        first.after()               # would clip and quantise B's gradient
+    assert np.array_equal(second.model._flat.grads, plane)
+    assert first.rng.bit_generator.state == position
     with pytest.raises(RuntimeError, match="claimed by another replica"):
         first.optimizer.step()
 

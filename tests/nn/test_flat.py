@@ -151,3 +151,28 @@ class TestGradients:
         for param in model.parameters():
             assert param.grad is not None
             assert param.grad.base is buf.grads
+
+    def test_trainable_runs_follow_requires_grad(self):
+        """Merged ranges of the parameters that train, recomputed when
+        a flag flips; ``grads_ready`` asks only those for a gradient."""
+        rng = np.random.default_rng(0)
+        model = Sequential(Linear(4, 8, rng), ReLU(), Linear(8, 3, rng))
+        buf = model.flatten_parameters()
+        offsets = buf.layout.offsets
+        assert buf.trainable_runs() == ((0, buf.layout.param_total),)
+        weight0, bias0, weight1, bias1 = model.parameters()
+        bias0.requires_grad = False
+        assert buf.trainable_runs() == ((0, offsets[1]),
+                                        (offsets[2], offsets[4]))
+        weight0.requires_grad = False       # a frozen "backbone"
+        assert buf.trainable_runs() == ((offsets[2], offsets[4]),)
+        model.zero_grad()
+        x = rng.standard_normal((2, 4)).astype(np.float32)
+        F.cross_entropy(model(Tensor(x)), np.array([1, 2])).backward()
+        assert weight0.grad is None and bias0.grad is None
+        assert buf.grads_ready()
+        weight1.grad = weight1.grad.copy()  # left its fused view
+        assert not buf.grads_ready()
+        for param in model.parameters():
+            param.requires_grad = False
+        assert buf.trainable_runs() == ()

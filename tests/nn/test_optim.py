@@ -77,6 +77,47 @@ class TestSgd:
         np.testing.assert_allclose(p.data, after_two)
 
 
+@pytest.mark.parametrize("frozen", [(), (2, 3)], ids=["full", "split"])
+@pytest.mark.parametrize("momentum,nesterov", [(0.0, False), (0.9, False),
+                                               (0.9, True)])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+def test_fused_update_matches_the_per_parameter_loop(weight_decay, momentum,
+                                                     nesterov, frozen):
+    """``SGD(flat=…)`` runs the loop's arithmetic over the fused
+    storage — every combination of its options (weight decay without
+    momentum used to crash the fused form), and over the trainable
+    runs only when parameters in the middle are frozen."""
+    from repro.nn.graph import train_step
+    from repro.nn.models.registry import build_model
+
+    def make(fused):
+        model = build_model("lenet5", seed=1, num_classes=10, in_channels=1,
+                            image_size=16, width=0.5)
+        for index in frozen:
+            model.parameters()[index].requires_grad = False
+        return model, SGD(model.parameters(), lr=0.05, momentum=momentum,
+                          nesterov=nesterov, weight_decay=weight_decay,
+                          flat=model.flatten_parameters() if fused else None)
+
+    (fused, fused_opt), (loop, loop_opt) = make(True), make(False)
+    flat = fused.flatten_parameters()
+    assert len(flat.trainable_runs()) == 1 + bool(frozen)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        x = rng.standard_normal((4, 1, 16, 16)).astype(np.float32)
+        y = rng.integers(0, 10, size=4)
+        assert (train_step(fused, fused_opt, x, y)
+                == train_step(loop, loop_opt, x, y))
+        assert flat.grads_ready()
+    for a, b in zip(fused.parameters(), loop.parameters()):
+        assert np.array_equal(a.data, b.data)
+    for ours, theirs in zip(fused_opt.state_dict()["velocity"],
+                            loop_opt.state_dict()["velocity"]):
+        if ours is not None:
+            assert not ours.any() if theirs is None \
+                else np.array_equal(ours, theirs)
+
+
 class TestAdam:
     def test_first_step_is_lr_sized(self):
         """Bias correction makes step one move by ~lr regardless of

@@ -191,12 +191,11 @@ def test_replay_applies_the_same_hook_as_eager():
         assert np.array_equal(va, vb)
 
 
-def test_frozen_parameters_keep_the_int8_step_eager_and_counted():
-    """The fused stages clip and quantise the whole gradient plane; a
-    replica whose frozen backbone receives no gradient runs the
-    per-parameter tail instead, so its step does not compile — one
-    counted fallback, then eager for good, bit-identical to a trainer
-    that never asked for the executor."""
+def test_frozen_parameters_replay_the_int8_step():
+    """What the stages do to gradients they do over the trainable runs
+    of the fused plane, so a replica with frozen parameters is the one
+    step on fewer elements: it compiles and replays like any other,
+    bit-identical to a trainer that never asked for the executor."""
     def trainer(graph):
         model = build_model("lenet5", seed=3, num_classes=10, in_channels=1,
                             image_size=16, width=0.5)
@@ -211,26 +210,27 @@ def test_frozen_parameters_keep_the_int8_step_eager_and_counted():
     for step in range(3):
         x, y = batch(step)
         assert eager.train_step(x, y) == graphed.train_step(x, y)
-    assert graphed.graph_stats() == {"captures": 0, "replays": 0,
-                                     "eager_steps": 2, "fallbacks": 1}
+    assert graphed.graph_stats() == {"captures": 1, "replays": 2,
+                                     "eager_steps": 0, "fallbacks": 0}
     for a, b in zip(eager.model.parameters(), graphed.model.parameters()):
         assert np.array_equal(a.data, b.data)
     assert eager.rng.bit_generator.state == graphed.rng.bit_generator.state
 
 
-def test_int8_executor_needs_a_model_that_flattens(monkeypatch):
-    """No permanent-fallback mode: like ``Module.enable_graph_executor``
-    the trainer stays eager (``None``) when the model cannot flatten."""
-    from repro.nn.modules import Module
-    monkeypatch.setattr(Module, "flatten_parameters",
-                        lambda self, arena=None: None)
+def test_int8_executor_needs_a_model_that_flattens():
+    """No unfused mode: every step runs on fused float32 storage, so a
+    model that cannot flatten is refused where it is wrapped — not
+    trained through a second, per-tensor path."""
     model = build_model("lenet5", seed=3, num_classes=10, in_channels=1,
                         image_size=16, width=0.5)
-    trainer = Int8Trainer(model, lr=0.05, config=QuantConfig(), seed=5)
-    assert trainer.enable_graph_executor() is None
-    assert trainer.graph_stats() is None
-    x, y = batch(0)
-    assert np.isfinite(trainer.train_step(x, y))
+    weight = model.parameters()[0]
+    weight.data = weight.data.astype(np.float64)
+    with pytest.raises(TypeError, match="float32"):
+        model.flatten_parameters()
+    with pytest.raises(TypeError, match="float32"):
+        Int8Trainer(model, lr=0.05, config=QuantConfig(), seed=5)
+    with pytest.raises(TypeError, match="float32"):
+        attach_graph_executor(model)
 
 
 @pytest.mark.parametrize("config", [
@@ -238,25 +238,36 @@ def test_int8_executor_needs_a_model_that_flattens(monkeypatch):
     QuantConfig(quantize_activations=False)],
     ids=["int8", "fp16", "int4", "no_activations"])
 def test_input_stage_matches_the_functional_form(config):
-    """``fake_quantize_observed`` — fresh buffers (eager) or a plan's
-    (compiled) — is ``observe`` + ``fake_quantize`` bit for bit."""
-    from repro.quant.int8 import fake_quantize, fake_quantize_observed
+    """The input stage — fresh buffers (eager) or a plan's (compiled) —
+    is ``observe`` + the int32 reference round trip bit for bit."""
+    from repro.quant import dequantize, quantize
     from repro.quant.observer import EmaObserver
-    reference, eager, planned = (EmaObserver(config.qmax) for _ in range(3))
+
+    def stage():
+        model = build_model("lenet5", seed=3, num_classes=10, in_channels=1,
+                            image_size=16, width=0.5)
+        trainer = Int8Trainer(model, lr=0.05, config=config, seed=5)
+        return trainer, trainer.bind(model.flatten_parameters())[0]
+
+    reference = EmaObserver(config.qmax)
+    (eager, eager_before), (planned, planned_before) = stage(), stage()
     out = np.empty((8, 1, 16, 16), dtype=np.float32)
     wide = np.empty(out.shape, np.float16 if config.float16 else np.float64)
     for step in range(4):
         x, _ = batch(step)
         x *= np.float32(1 + step)
-        if config.quantize_activations:
+        if not config.quantize_activations:
+            expected = x
+        elif config.float16:
             reference.observe(x)
-            expected = fake_quantize(x, config, scale=reference.scale)
-            observers = (eager, planned)
+            expected = x.astype(np.float16).astype(np.float32)
         else:
-            expected, observers = x, (None, None)
-        got = fake_quantize_observed(x, observers[0], config)
-        assert np.array_equal(got, expected)
-        assert fake_quantize_observed(x, observers[1], config, out,
-                                      wide) is out
+            reference.observe(x)
+            expected = dequantize(quantize(x, reference.scale, config.qmax),
+                                  reference.scale)
+        assert np.array_equal(eager_before(x), expected)
+        assert planned_before(x, out, wide) is out
         assert np.array_equal(out, expected)
-        assert eager._ema == planned._ema == reference._ema
+        if config.quantize_activations:
+            assert (eager._input_observer._ema
+                    == planned._input_observer._ema == reference._ema)

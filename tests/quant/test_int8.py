@@ -19,6 +19,23 @@ class TestConfig:
         with pytest.raises(Exception):
             QuantConfig().bits = 4
 
+    @pytest.mark.parametrize("bits", [-8, 0, 1, 17, 32])
+    def test_widths_the_kernel_cannot_honour_are_rejected(self, bits):
+        """One bit has no grid (``qmax == 0`` divided by inside the
+        step); past 16 float32 no longer holds ±qmax exactly and the
+        int32 reference overflows (32 bits flipped signs)."""
+        with pytest.raises(ValueError, match="between 2 and 16"):
+            QuantConfig(bits=bits)
+
+    @pytest.mark.parametrize("bits", [2, 16])
+    def test_both_ends_of_the_supported_range_round_trip(self, bits):
+        config = QuantConfig(bits=bits, stochastic_rounding=False)
+        x = np.array([1.0, -0.5, 0.25, 0.0], dtype=np.float32)
+        out = fake_quantize(x, config)
+        assert np.array_equal(out, dequantize(
+            quantize(x, 1.0 / config.qmax, config.qmax), 1.0 / config.qmax))
+        assert np.array_equal(np.sign(out), np.sign(np.rint(x * config.qmax)))
+
 
 class TestQuantizeDequantize:
     def test_grid_values_exact(self):

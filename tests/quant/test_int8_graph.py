@@ -262,3 +262,75 @@ def test_group_mixed_trainer_attaches_int8_executor(quick_config):
                                     MixedPrecisionController(1.0, 0.5),
                                     QuantConfig())
     assert eager_group.graph_stats() is None
+
+
+# ----------------------------------------------------------------------
+# A frozen backbone (Table 3's ResNet50-Finetune row) is the same step
+# on fewer elements, not a second path
+# ----------------------------------------------------------------------
+def frozen_resnet50():
+    from ..test_quant_golden import make_model
+    return make_model("resnet50_frozen")
+
+
+def image_batches():
+    from ..test_quant_golden import batches
+    return list(batches())
+
+
+def test_frozen_backbone_compiles_and_replays_bit_identically():
+    """The stages cover the trainable runs of the gradient plane, so
+    the compiler has no frozen-parameter refusal left: one capture,
+    then replays, equal to eager down to the RNG position."""
+    def trainer(graph):
+        built = Int8Trainer(frozen_resnet50(), lr=0.05, config=QuantConfig(),
+                            momentum=0.9, weight_decay=1e-4, seed=7,
+                            max_grad_norm=0.5)
+        if graph:
+            built.enable_graph_executor()
+        return built
+
+    eager, graphed = trainer(False), trainer(True)
+    for x, y in image_batches():
+        assert eager.train_step(x, y) == graphed.train_step(x, y)
+    assert graphed.graph_stats() == {"captures": 1, "replays": 3,
+                                     "eager_steps": 0, "fallbacks": 0}
+    assert_trainers_identical(eager, graphed)
+    for ours, theirs in zip(graphed.optimizer.state_dict()["velocity"],
+                            eager.optimizer.state_dict()["velocity"]):
+        assert np.array_equal(ours, theirs)
+    assert np.array_equal(eager.predict_logits(x), graphed.predict_logits(x))
+
+
+def test_frozen_backbone_takes_the_fused_fp32_update():
+    """``grads_ready()`` asks only the parameters that train, so the
+    FP32 twin's ``SGD(flat=…)`` stays on the fused update — over the
+    trainable runs, equal to the per-tensor loop that skips a
+    parameter without a gradient (weight decay and momentum included)."""
+    from repro.nn.graph import train_step
+    from repro.nn.optim import SGD
+
+    def make(fused):
+        model = frozen_resnet50()
+        return model, SGD(model.parameters(), lr=0.05, momentum=0.9,
+                          weight_decay=1e-2,
+                          flat=model.flatten_parameters() if fused else None)
+
+    (fused, fused_opt), (loop, loop_opt) = make(True), make(False)
+    flat = fused.flatten_parameters()
+    assert loop._flat is None
+    assert len(flat.trainable_runs()) == 1
+    calls = []
+    fused_step = fused_opt._fused_step
+    fused_opt._fused_step = lambda flat: (calls.append(1), fused_step(flat))
+    for x, y in image_batches():
+        assert (train_step(fused, fused_opt, x, y)
+                == train_step(loop, loop_opt, x, y))
+        assert flat.grads_ready()
+    assert len(calls) == 4
+    for a, b in zip(fused.parameters(), loop.parameters()):
+        assert np.array_equal(a.data, b.data)
+    for ours, theirs in zip(fused_opt.state_dict()["velocity"],
+                            loop_opt.state_dict()["velocity"]):
+        assert not ours.any() if theirs is None \
+            else np.array_equal(ours, theirs)

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.nn.graph import train_step
 from repro.nn.models import LeNet5
-from repro.quant import Int8Trainer, QuantConfig
+from repro.nn.optim import SGD
+from repro.nn.tensor import Tensor, no_grad
+from repro.quant import Int8Trainer, QuantConfig, attach_activation_quant
+from repro.quant.observer import EmaObserver
+
+from ..test_quant_golden import make_model
+from .test_fused_quant import reference
 
 
 def tiny_model():
@@ -108,17 +115,81 @@ class TestLrProperty:
 # ----------------------------------------------------------------------
 # The in-place fused step against the per-parameter reference
 # ----------------------------------------------------------------------
-def _trainer(name, config, fused, monkeypatch):
-    from repro.nn.models.registry import build_model
-    from repro.nn.modules import Module
-    model = build_model(name, seed=3, num_classes=10, image_size=16,
-                        in_channels=3, width=0.5)
-    with monkeypatch.context() as patch:
-        if not fused:       # never flattens: per-tensor quantise/clip/SGD
-            patch.setattr(Module, "flatten_parameters",
-                          lambda self, arena=None: None)
-        return Int8Trainer(model, lr=0.05, config=config, momentum=0.9,
-                           weight_decay=1e-4, seed=7, max_grad_norm=0.5)
+class PerParameterInt8:
+    """The INT8 step tensor by tensor on an *unflattened* model — what
+    ``Int8Trainer.before``/``after`` were before the fused stages
+    became the only ones, kept here as their reference: every tensor
+    through the int32 ``quantize``/``dequantize`` pair, the clip a
+    loop over ``.grad``, the update SGD's per-tensor loop."""
+
+    def __init__(self, model, lr, config, momentum, weight_decay, seed,
+                 max_grad_norm):
+        self.model, self.config = model, config
+        self.max_grad_norm = max_grad_norm
+        self.optimizer = SGD(model.parameters(), lr=lr, momentum=momentum,
+                             weight_decay=weight_decay)
+        self.rng = np.random.default_rng(seed)
+        self._input_observer = EmaObserver(config.qmax)
+        if config.quantize_activations:
+            attach_activation_quant(model, config)
+
+    def fake_quantize(self, x, rng=None, scale=None):
+        return reference(x, self.config, rng, scale)
+
+    def train_step(self, x, y):
+        return train_step(self.model, self.optimizer, x, y, stages=self)
+
+    def before(self, x):
+        config = self.config
+        self._masters = [p.data for p in self.model.parameters()]
+        if config.quantize_weights:
+            for param in self.model.parameters():
+                param.data = self.fake_quantize(param.data)
+        if not config.quantize_activations:
+            return x
+        self._input_observer.observe(x)
+        return self.fake_quantize(x, scale=self._input_observer.scale)
+
+    def restore(self):
+        for param, master in zip(self.model.parameters(), self._masters):
+            param.data = master
+
+    def after(self):
+        self.restore()
+        grads = [p.grad for p in self.model.parameters()
+                 if p.grad is not None]
+        if self.max_grad_norm is not None:
+            total = 0.0
+            for grad in grads:
+                total += float(np.sum(grad.astype(np.float64) ** 2))
+            norm = np.sqrt(total)
+            if norm > self.max_grad_norm:
+                for grad in grads:
+                    grad *= self.max_grad_norm / norm
+        if self.config.quantize_gradients:
+            for param in self.model.parameters():
+                if param.grad is not None:
+                    param.grad = self.fake_quantize(param.grad, rng=self.rng)
+
+    def predict_logits(self, x):
+        self.model.eval()
+        x = self.before(np.asarray(x, dtype=np.float32))
+        with no_grad():
+            logits = self.model(Tensor(x)).data
+        self.restore()
+        return logits
+
+
+def _model(name):
+    model = make_model(name.removesuffix("_split"))
+    if name.endswith("_split"):         # frozen middle: several runs
+        for param in model.parameters()[2:4]:
+            param.requires_grad = False
+    return model
+
+
+KWARGS = dict(lr=0.05, momentum=0.9, weight_decay=1e-4, seed=7,
+              max_grad_norm=0.5)
 
 
 @pytest.mark.parametrize("config", [
@@ -126,17 +197,19 @@ def _trainer(name, config, fused, monkeypatch):
     QuantConfig(float16=True), QuantConfig(bits=4),
     QuantConfig(quantize_gradients=False, quantize_activations=False)],
     ids=["int8", "int8_rint", "fp16", "int4", "weights_only"])
-@pytest.mark.parametrize("name", ["lenet5", "vit_tiny"])
-def test_inplace_fused_step_matches_per_parameter_reference(name, config,
-                                                           monkeypatch):
-    """Eager steps on a flattened model quantise weights and gradients
-    in place through the pooled ``SegmentQuantizer``, clip on the flat
-    gradient and update fused; the unflattened per-tensor path
-    (``fake_quantize`` / ``_clip_gradients`` / per-parameter SGD) is
-    the reference: same weights, momentum and RNG position."""
-    fused = _trainer(name, config, True, monkeypatch)
-    reference = _trainer(name, config, False, monkeypatch)
-    assert fused._flat() is not None and reference._flat() is None
+@pytest.mark.parametrize("name", ["lenet5", "vit_tiny", "lenet5_split",
+                                  "resnet50_frozen"])
+def test_inplace_fused_step_matches_per_parameter_reference(name, config):
+    """Steps quantise weights and gradients in place through the
+    pooled ``SegmentQuantizer``, clip on the flat gradient and update
+    fused — over the trainable runs when part of the model is frozen;
+    the per-tensor path is the reference: same losses, weights,
+    momentum, RNG position and logits."""
+    fused = Int8Trainer(_model(name), config=config, **KWARGS)
+    reference = PerParameterInt8(_model(name), config=config, **KWARGS)
+    assert reference.model._flat is None
+    runs = fused.model.flatten_parameters().trainable_runs()
+    assert len(runs) == (2 if name == "lenet5_split" else 1)
     rng = np.random.default_rng(0)
     for _ in range(4):
         x = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
@@ -147,7 +220,10 @@ def test_inplace_fused_step_matches_per_parameter_reference(name, config,
         assert np.array_equal(state[key], expected[key]), key
     for ours, theirs in zip(fused.optimizer.state_dict()["velocity"],
                             reference.optimizer.state_dict()["velocity"]):
-        assert np.array_equal(ours, theirs)
+        if theirs is None:              # frozen: never moved
+            assert not ours.any()
+        else:
+            assert np.array_equal(ours, theirs)
     assert fused.rng.bit_generator.state == reference.rng.bit_generator.state
     assert np.array_equal(fused.predict_logits(x),
                           reference.predict_logits(x))

@@ -111,6 +111,21 @@ class TestFaultArgs:
         assert code == 0
         assert "ABORTED" not in output
 
+    def test_local_reference_ignores_the_cluster_fault_schedule(self):
+        """``local`` trains on a one-SoC topology; the cluster-wide
+        schedule (SoC 7 of 8) must not be re-validated against it, nor
+        take the other columns of a ``compare`` down with it."""
+        faults = ["--preset", "quick", "--socs", "8", "--epochs", "1",
+                  "--faults", "crash:epoch=1,soc=7"]
+        code, output = run_cli(["run", "--workload", "lenet5_fmnist",
+                                "--method", "local", *faults])
+        assert code == 0
+        assert "local" in output
+        code, output = run_cli(["compare", "--workload", "lenet5_fmnist",
+                                "--methods", "local,ring", *faults])
+        assert code == 0
+        assert "local" in output and "ring" in output
+
     @pytest.mark.parametrize("bad", [
         "bogus",
         "crash:epoch=1",
