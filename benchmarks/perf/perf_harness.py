@@ -11,6 +11,12 @@ Sections
 --------
 - ``conv``: forward and forward+backward of a representative conv
   stack (the VGG11 trunk at quick scale).
+- ``conv_layout``: the K-major conv/pool kernels against the N-major
+  spellings they replaced (``tests/nn/conv_reference.py``), per product
+  — forward, weight gradient, input gradient, pool forward/backward —
+  at the eight conv and four pool shapes of vgg11 at the bench preset
+  and lenet5's two and two, paired call by call in one process with a
+  bit-equality assert first.  Gated: ≥ 1.15x in aggregate.
 - ``aggregation``: ``average_states`` over 8 model replicas — the
   fused whole-model path (shared :class:`~repro.nn.flat.FlatState`
   layout, float32 sum-then-scale) against the pre-fusion per-key
@@ -46,8 +52,10 @@ Sections
   clock) at quick scale, sequential and with ``--workers 2``.
 - ``serving_day``: a 24 h request-level serving day with a flash crowd
   on a 16-SoC pool, no training tenants — seconds to generate the
-  arrival stream and host microseconds of ``ServingPlane.advance`` per
-  request (the serving event core's gated number).
+  arrival stream, host microseconds of ``ServingPlane.advance`` per
+  request, and the quotient of the two taken alternately
+  (``dispatch_vs_generation``: the serving event core's gated number —
+  microseconds per request move with the host, the quotient does not).
 
 Usage::
 
@@ -64,8 +72,10 @@ see DESIGN.md's baseline-regeneration workflow.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import platform
+import statistics
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -81,6 +91,16 @@ from repro.nn.tensor import Tensor
 NUM_REPLICAS = 8
 
 
+def _summary(samples: list) -> dict:
+    samples.sort()
+    return {
+        "median_s": samples[len(samples) // 2],
+        "min_s": samples[0],
+        "max_s": samples[-1],
+        "repeats": len(samples),
+    }
+
+
 def _time(fn, repeats: int, warmup: int = 1) -> dict:
     """Median/min wall seconds of ``fn()`` over ``repeats`` runs."""
     for _ in range(warmup):
@@ -90,13 +110,27 @@ def _time(fn, repeats: int, warmup: int = 1) -> dict:
         t0 = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - t0)
-    samples.sort()
-    return {
-        "median_s": samples[len(samples) // 2],
-        "min_s": samples[0],
-        "max_s": samples[-1],
-        "repeats": repeats,
-    }
+    return _summary(samples)
+
+
+def _time_paired(first, second, repeats: int, warmup: int = 1, setup=None):
+    """``(timing of first, timing of second, ratio)`` with the two
+    called alternately, so a load change on the host lands on both:
+    ``ratio`` is the median over the pairs of ``first / second``, which
+    is what a gate should read — the quotient of two medians taken
+    minutes apart moves with the host.  ``setup`` runs, untimed, ahead
+    of every pair."""
+    samples: tuple[list, list] = ([], [])
+    for index in range(warmup + repeats):
+        if setup is not None:
+            setup()
+        for fn, into in zip((first, second), samples):
+            t0 = time.perf_counter()
+            fn()
+            if index >= warmup:
+                into.append(time.perf_counter() - t0)
+    ratio = statistics.median(a / b for a, b in zip(*samples))
+    return _summary(samples[0]), _summary(samples[1]), ratio
 
 
 # ----------------------------------------------------------------------
@@ -126,6 +160,133 @@ def bench_conv(repeats: int, batch: int = 32) -> dict:
         "forward": _time(forward, repeats),
         "forward_backward": _time(forward_backward, repeats),
     }
+
+
+# ----------------------------------------------------------------------
+#: (name, in channels, map side, out channels, kernel, padding) of every
+#: conv layer of vgg11 at the bench preset (16x16 images, width 0.25)
+#: and of lenet5 (width 1.0); one group's batch of 16
+CONV_LAYOUT_SHAPES = (
+    ("vgg11.conv1", 3, 16, 16, 3, 1), ("vgg11.conv2", 16, 8, 32, 3, 1),
+    ("vgg11.conv3", 32, 4, 64, 3, 1), ("vgg11.conv4", 64, 4, 64, 3, 1),
+    ("vgg11.conv5", 64, 2, 128, 3, 1), ("vgg11.conv6", 128, 2, 128, 3, 1),
+    ("vgg11.conv7", 128, 1, 128, 3, 1), ("vgg11.conv8", 128, 1, 128, 3, 1),
+    ("lenet5.conv1", 1, 16, 6, 5, 2), ("lenet5.conv2", 6, 8, 16, 5, 0),
+)
+#: (name, channels, map side) of their 2x2 max-pools
+POOL_LAYOUT_SHAPES = (
+    ("vgg11.pool1", 16, 16), ("vgg11.pool2", 32, 8), ("vgg11.pool3", 64, 4),
+    ("vgg11.pool4", 128, 2), ("lenet5.pool1", 6, 16), ("lenet5.pool2", 16, 4),
+)
+CONV_LAYOUT_BATCH = 16
+
+
+def _conv_reference():
+    """``tests/nn/conv_reference.py``, by path: the harness runs as a
+    script and ``tests`` is not a package on its path."""
+    path = (Path(__file__).resolve().parents[2] / "tests" / "nn"
+            / "conv_reference.py")
+    spec = importlib.util.spec_from_file_location("conv_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_conv_layout(repeats: int) -> dict:
+    """Each conv/pool product at each bench layer shape, the N-major
+    reference against the K-major kernels, paired call by call.
+
+    A backward product is timed as ``out.backward(grad)`` on a fresh
+    (untimed) forward with only the weight, or only the input, asking
+    for a gradient.  The reference reuses its gradient buffers across
+    calls as the product's workspace cache did.  ``speedup`` rows are
+    medians of per-pair ratios; ``aggregate`` is total reference time
+    over total kernel time, the number the CI gate reads.
+    """
+    reference = _conv_reference()
+    buffers: dict = {}
+
+    def workspace(tag, shape):
+        if (tag, shape) not in buffers:
+            buffers[tag, shape] = np.empty(shape, np.float32)
+        return buffers[tag, shape]
+
+    rng = np.random.default_rng(5)
+    out: dict = {"batch": CONV_LAYOUT_BATCH, "layers": {}}
+    totals = {"reference": 0.0, "kernels": 0.0}
+
+    def compare(row, product, ops, arrays, grad=None, needs=()):
+        """Time ``product`` of the ``(reference, kernels)`` pair
+        ``ops`` on ``arrays``: the forward, or — with ``grad`` — the
+        backward of a forward rebuilt (untimed) ahead of every pair,
+        with a gradient asked of the inputs at ``needs`` only, so one
+        conv product is timed at a time."""
+        if grad is None:
+            timed = [lambda op=op: op(*map(Tensor, arrays)) for op in ops]
+            setup = None
+        else:
+            outs = [None, None]
+
+            def setup():
+                outs[:] = [op(*[Tensor(a, requires_grad=i in needs)
+                                for i, a in enumerate(arrays)])
+                           for op in ops]
+
+            timed = [lambda i=i: outs[i].backward(grad) for i in (0, 1)]
+        old_t, new_t, ratio = _time_paired(*timed, repeats, warmup=2,
+                                           setup=setup)
+        row[product] = {"reference_us": old_t["median_s"] * 1e6,
+                        "kernels_us": new_t["median_s"] * 1e6,
+                        "speedup": ratio}
+        totals["reference"] += old_t["median_s"]
+        totals["kernels"] += new_t["median_s"]
+
+    def assert_same(ops, arrays, grad, name):
+        results = []
+        for op in ops:
+            tensors = [Tensor(a, requires_grad=True) for a in arrays]
+            y = op(*tensors)
+            y.backward(grad)
+            results.append([y.data.copy()] + [t.grad.copy()
+                                              for t in tensors])
+        for old_value, new_value in zip(*results):
+            assert np.array_equal(old_value, new_value), name
+
+    for name, c, side, out_c, kernel, padding in CONV_LAYOUT_SHAPES:
+        x = rng.standard_normal(
+            (CONV_LAYOUT_BATCH, c, side, side)).astype(np.float32)
+        w = rng.standard_normal((out_c, c, kernel, kernel)).astype(np.float32)
+        out_side = side + 2 * padding - kernel + 1
+        grad = rng.standard_normal(
+            (CONV_LAYOUT_BATCH, out_c, out_side, out_side)).astype(np.float32)
+
+        ops = (lambda xt, wt: reference.conv2d(
+                   xt, wt, padding=padding, workspace=workspace),
+               lambda xt, wt: F.conv2d(xt, wt, padding=padding))
+        assert_same(ops, (x, w), grad, name)
+        row = out["layers"][name] = {}
+        compare(row, "forward", ops, (x, w))
+        compare(row, "weight_grad", ops, (x, w), grad, needs={1})
+        compare(row, "input_grad", ops, (x, w), grad, needs={0})
+
+    for name, c, side in POOL_LAYOUT_SHAPES:
+        x = rng.standard_normal(
+            (CONV_LAYOUT_BATCH, c, side, side)).astype(np.float32)
+        x *= x > 0                      # what a ReLU feeds it: signed zeros
+        grad = rng.standard_normal(
+            (CONV_LAYOUT_BATCH, c, side // 2, side // 2)).astype(np.float32)
+
+        ops = (lambda xt: reference.max_pool2d(xt, 2, workspace=workspace),
+               lambda xt: F.max_pool2d(xt, 2))
+        assert_same(ops, (x,), grad, name)
+        row = out["layers"][name] = {}
+        compare(row, "forward", ops, (x,))
+        compare(row, "backward", ops, (x,), grad, needs={0})
+
+    out["reference_us"] = totals["reference"] * 1e6
+    out["kernels_us"] = totals["kernels"] * 1e6
+    out["aggregate"] = totals["reference"] / totals["kernels"]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -248,8 +409,10 @@ def bench_step_time(repeats: int) -> dict:
     graph executor.  Before timing, three verification steps run on both
     and the resulting weights are asserted **bit-identical** — the
     speedup below is only meaningful because the replayed step computes
-    the exact same bits.  ``speedup`` is eager / replay median; the CI
-    gate holds lenet5 and vit_tiny above their floors.
+    the exact same bits.  ``speedup`` is the median of eager / replay
+    over steps taken alternately (a paired ratio: a load change on the
+    host lands on both sides); the CI gate holds lenet5 and vit_tiny
+    above their floors.
     """
     from repro.distributed.base import fp32_train_step
     from repro.nn.optim import SGD
@@ -284,10 +447,8 @@ def bench_step_time(repeats: int) -> dict:
             assert np.array_equal(eager_state[key], graph_state[key]), \
                 (name, key)
 
-        eager = _time(
-            lambda: fp32_train_step(eager_model, eager_opt, x, y), repeats,
-            warmup=5)
-        replay = _time(
+        eager, replay, speedup = _time_paired(
+            lambda: fp32_train_step(eager_model, eager_opt, x, y),
             lambda: fp32_train_step(graph_model, graph_opt, x, y), repeats,
             warmup=5)
         executor = graph_model._graph_exec
@@ -296,7 +457,7 @@ def bench_step_time(repeats: int) -> dict:
             "batch": batch,
             "eager": eager,
             "replay": replay,
-            "speedup": eager["median_s"] / replay["median_s"],
+            "speedup": speedup,
             "program": program,
         }
     return out
@@ -347,15 +508,15 @@ def bench_int8_step_time(repeats: int) -> dict:
                 == graphed.rng.bit_generator.state), name
         assert graphed.graph_stats()["fallbacks"] == 0, name
 
-        eager_t = _time(lambda: eager.train_step(x, y), repeats, warmup=5)
-        replay_t = _time(lambda: graphed.train_step(x, y), repeats,
-                         warmup=5)
+        eager_t, replay_t, speedup = _time_paired(
+            lambda: eager.train_step(x, y),
+            lambda: graphed.train_step(x, y), repeats, warmup=5)
         program = graphed._graph_exec.program_stats()[0]
         out[name] = {
             "batch": batch,
             "eager": eager_t,
             "replay": replay_t,
-            "speedup": eager_t["median_s"] / replay_t["median_s"],
+            "speedup": speedup,
             "program": program,
         }
     return out
@@ -599,8 +760,10 @@ def bench_serving_day(size: str, repeats: int) -> dict:
             plane.advance(window * 0.25, claimable=free)
         day["plane"] = plane
 
-    generated = _time(generate, repeats, warmup=0)
-    served = _time(serve, repeats, warmup=0)
+    # generated and served alternately: their quotient is the gated
+    # number, and it should not move with the host
+    generated, served, inverse = _time_paired(generate, serve, repeats,
+                                              warmup=0)
     plane = day["plane"]
     assert plane.total_requests == plane.total_served \
         + plane.total_dropped + plane.queue_depth
@@ -611,6 +774,7 @@ def bench_serving_day(size: str, repeats: int) -> dict:
         "dispatch_s": served["median_s"],
         "dispatch_us_per_request":
             served["median_s"] * 1e6 / plane.total_requests,
+        "dispatch_vs_generation": 1.0 / inverse,
     }
 
 
@@ -625,6 +789,7 @@ def run_harness(mode: str = "smoke") -> dict:
             "numpy": np.__version__,
         },
         "conv": bench_conv(repeats),
+        "conv_layout": bench_conv_layout(max(repeats, 15)),
         "aggregation": bench_aggregation(max(repeats, 20)),
         "bucketed_aggregation": bench_bucketed_aggregation(max(repeats, 20)),
         "step_time": bench_step_time(max(repeats, 15)),
@@ -675,6 +840,8 @@ def update_baseline(report: dict, path=BASELINE_PATH) -> dict:
             for model in ("lenet5", "vit_tiny")}
     serving = report["serving_day"]["smoke"]
     baseline["serving_day"] = {
+        "dispatch_vs_generation": round(
+            serving["dispatch_vs_generation"], 3),
         "dispatch_us_per_request": round(
             serving["dispatch_us_per_request"], 3),
         "arrivals_gen_s": round(serving["arrivals_gen_s"], 4),
@@ -703,6 +870,10 @@ def main(argv=None) -> int:
     print(f"conv fwd       {report['conv']['forward']['median_s']*1e3:8.2f} ms")
     print(f"conv fwd+bwd   "
           f"{report['conv']['forward_backward']['median_s']*1e3:8.2f} ms")
+    layout = report["conv_layout"]
+    print(f"conv layout    {layout['reference_us']:8.0f} us N-major  "
+          f"{layout['kernels_us']:8.0f} us K-major  "
+          f"{layout['aggregate']:5.2f}x")
     print(f"agg fused      {agg['fused']['median_s']*1e6:8.1f} us")
     print(f"agg per-key    {agg['per_key']['median_s']*1e6:8.1f} us")
     print(f"agg speedup    {agg['speedup']:8.2f}x")
@@ -737,6 +908,7 @@ def main(argv=None) -> int:
     for size, day in report["serving_day"].items():
         print(f"serve {size:5s}    gen {day['arrivals_gen_s']:6.3f} s  "
               f"dispatch {day['dispatch_us_per_request']:6.3f} us/request "
+              f"= {day['dispatch_vs_generation']:5.2f}x gen "
               f"({day['requests']} requests)")
     print(f"wrote {args.out}")
     if args.update_baseline:

@@ -7,7 +7,11 @@ fails when a gated microbenchmark regresses more than 25% relative to
 the committed ``baseline.json``: the fused-vs-per-key aggregation
 speedup, the per-tensor bucketed-averaging overhead, the compiled
 (graph-executor) FP32 and INT8 training-step speedups on lenet5 and
-vit_tiny, and the serving event core's host microseconds per request.
+vit_tiny, the serving event core's host time per request relative to
+generating the request stream, and the K-major conv/pool kernels
+against their N-major reference (>= 1.15x, absolute).  The step-time,
+serving and conv-layout gates read the median ratio of two things
+timed alternately in one process, so they hold on a loaded runner.
 Two gates are absolute rather than relative: fifteen logical groups
 stepping round-robin must not be slower compiled than eager
 (``graph_replicas``), on the ViT *and* on BLAS-bound vgg11; and an
@@ -35,9 +39,9 @@ import pytest
 
 from perf_harness import (GRAPH_REPLICAS, MEMORY_GROUP_COUNTS,
                           bench_aggregation, bench_bucketed_aggregation,
-                          bench_graph_replicas, bench_int8_step_time,
-                          bench_serving_day, bench_step_time, run_harness,
-                          update_baseline)
+                          bench_conv_layout, bench_graph_replicas,
+                          bench_int8_step_time, bench_serving_day,
+                          bench_step_time, run_harness, update_baseline)
 
 _HERE = Path(__file__).resolve().parent
 
@@ -59,7 +63,8 @@ def baseline() -> dict:
 
 
 def test_report_has_all_sections(report):
-    assert set(report) >= {"mode", "host", "conv", "aggregation",
+    assert set(report) >= {"mode", "host", "conv", "conv_layout",
+                           "aggregation",
                            "bucketed_aggregation", "step_time",
                            "int8_step_time", "graph_replicas",
                            "replica_memory", "epoch", "serving_day"}
@@ -77,6 +82,23 @@ def test_report_has_all_sections(report):
     day = report["serving_day"]["smoke"]
     assert day["requests"] > 0 and day["arrivals_gen_s"] > 0
     assert day["dispatch_us_per_request"] > 0
+
+
+def test_conv_layout_beats_the_n_major_reference(report):
+    """The K-major conv/pool kernels against the N-major spellings they
+    replaced (bit-equality asserted inside the harness), every product
+    at every bench layer shape, paired call by call: at least 1.15x in
+    aggregate (1.35x when it was written; the 1x1 maps, whose
+    per-sample panels are strided vectors, give some back)."""
+    layout = report["conv_layout"]
+    assert set(layout["layers"]) >= {"vgg11.conv1", "vgg11.conv8",
+                                     "lenet5.conv2", "vgg11.pool1"}
+    aggregate = layout["aggregate"]
+    if aggregate < 1.15:                                # noisy runner: retry
+        aggregate = bench_conv_layout(repeats=40)["aggregate"]
+    assert aggregate >= 1.15, (
+        f"K-major conv/pool kernels only {aggregate:.2f}x over the "
+        f"N-major reference (need >= 1.15x)")
 
 
 def test_bucketed_aggregation_geometries(report):
@@ -283,20 +305,22 @@ def test_run_constant_does_not_depend_on_group_count(report):
 
 def test_serving_dispatch_not_regressed_vs_baseline(report, baseline):
     """CI gate: fail when the serving event core spends >25% more host
-    time per request than the committed baseline (an absolute host
-    number, so the baseline is only meaningful on the reference
-    runner; the request count is exact by seed everywhere)."""
+    time per request *relative to generating those requests* than the
+    committed baseline.  The two are timed alternately, so the quotient
+    holds on a loaded runner where the absolute microseconds per
+    request (still reported) read anywhere from 0.56 to 0.89 on an
+    unchanged tree; the request count is exact by seed everywhere."""
     day = report["serving_day"]["smoke"]
     assert day["requests"] == baseline["serving_day"]["requests"]
-    ceiling = 1.25 * baseline["serving_day"]["dispatch_us_per_request"]
-    cost = day["dispatch_us_per_request"]
+    ceiling = 1.25 * baseline["serving_day"]["dispatch_vs_generation"]
+    cost = day["dispatch_vs_generation"]
     if cost > ceiling:                                  # noisy runner: retry
-        cost = bench_serving_day("smoke", repeats=9)["dispatch_us_per_request"]
+        cost = bench_serving_day("smoke", repeats=9)["dispatch_vs_generation"]
     assert cost <= ceiling, (
-        f"serving dispatch costs {cost:.3f} us/request, above 125% of the "
-        f"committed baseline "
-        f"({baseline['serving_day']['dispatch_us_per_request']:.3f} us; "
-        f"gate at {ceiling:.3f} us) — the event core regressed")
+        f"serving dispatch costs {cost:.2f}x generating its requests, "
+        f"above 125% of the committed baseline "
+        f"({baseline['serving_day']['dispatch_vs_generation']:.2f}x; gate "
+        f"at {ceiling:.2f}x) — the event core regressed")
 
 
 def test_update_baseline_rewrites_gated_quantities(report, baseline,
@@ -312,9 +336,9 @@ def test_update_baseline_rewrites_gated_quantities(report, baseline,
     assert set(on_disk) == {"comment", "aggregation",
                             "bucketed_aggregation", "step_time",
                             "int8_step_time", "serving_day"}
-    assert on_disk["serving_day"]["dispatch_us_per_request"] == \
+    assert on_disk["serving_day"]["dispatch_vs_generation"] == \
         pytest.approx(report["serving_day"]["smoke"]
-                      ["dispatch_us_per_request"], abs=0.001)
+                      ["dispatch_vs_generation"], abs=0.001)
     for section in ("step_time", "int8_step_time"):
         for model in _GATED_STEP_MODELS:
             assert on_disk[section][model]["speedup"] == pytest.approx(

@@ -141,6 +141,11 @@ class GroupMixedTrainer:
     def state_dict(self) -> "OrderedDict[str, np.ndarray]":
         return self.fp32.state_dict()
 
+    def live_state(self) -> "OrderedDict[str, np.ndarray]":
+        """:meth:`state_dict` without the copy — the FP32 replica's
+        fused storage itself, valid until the next step or load."""
+        return self.fp32.flatten_parameters().live_state()
+
     def load_state(self, state: "OrderedDict[str, np.ndarray]") -> None:
         self.fp32.load_state_dict(state)
         if self.int8 is not None:

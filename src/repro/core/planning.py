@@ -17,25 +17,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..cluster.network import NetworkFabric
 from .mapping import MappingResult
 
 __all__ = ["build_conflict_graph", "divide_into_cgs", "CommunicationPlan"]
 
 
-def build_conflict_graph(mapping: MappingResult) -> nx.Graph:
-    """Vertices = logical groups; edge = the two groups share a PCB NIC."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(mapping.num_groups))
+def _conflicts(mapping: MappingResult) -> list[tuple[int, int]]:
+    """Pairs of logical groups that share a PCB NIC, in group order."""
     split = sorted(mapping.split_groups)
     pcbs_of = {g: {mapping.topology.pcb_of(s) for s in mapping.groups[g]}
                for g in split}
-    for i, g in enumerate(split):
-        for h in split[i + 1:]:
-            if pcbs_of[g] & pcbs_of[h]:
-                graph.add_edge(g, h)
+    return [(g, h) for i, g in enumerate(split) for h in split[i + 1:]
+            if pcbs_of[g] & pcbs_of[h]]
+
+
+def build_conflict_graph(mapping: MappingResult) -> "networkx.Graph":
+    """Vertices = logical groups; edge = the two groups share a PCB NIC."""
+    # networkx costs a tenth of a second to import and every run plans:
+    # only a caller that wants the graph object (or an odd cycle below)
+    # pays for it
+    import networkx as nx
+    graph = nx.Graph()
+    graph.add_nodes_from(range(mapping.num_groups))
+    graph.add_edges_from(_conflicts(mapping))
     return graph
 
 
@@ -45,22 +50,46 @@ def divide_into_cgs(mapping: MappingResult) -> list[list[int]]:
     Non-split groups never contend, so they join the first CG.  With an
     integrity-greedy mapping the result has at most two CGs.
     """
-    graph = build_conflict_graph(mapping)
+    neighbours: dict[int, list[int]] = {
+        group: [] for group in range(mapping.num_groups)}
+    for g, h in _conflicts(mapping):
+        neighbours[g].append(h)
+        neighbours[h].append(g)
     colors: dict[int, int] = {}
-    # DFS 2-colouring on each component; greedy fallback on odd cycles.
-    for component in nx.connected_components(graph):
+    # 2-colouring of each component, as networkx's ``bipartite.color``
+    # of its subgraph assigns it: a group nobody contends with gets 0,
+    # and of a component the first vertex *that walk meets* gets 1 —
+    # the lowest group, or, where the component is less than half the
+    # graph, the first of the vertex ``set`` the subgraph view iterates
+    # instead.  Greedy fallback on odd cycles.
+    for root in neighbours:
+        if root in colors:
+            continue
+        colors[root] = 0
+        component, bipartite = [root], True
+        for group in component:             # grows while it is walked
+            for other in neighbours[group]:
+                if other not in colors:
+                    colors[other] = 1 - colors[group]
+                    component.append(other)
+                elif colors[other] == colors[group]:
+                    bipartite = False
         nodes = sorted(component)
-        try:
-            two_color = nx.algorithms.bipartite.color(graph.subgraph(nodes))
-            colors.update(two_color)
-        except nx.NetworkXError:
-            greedy = nx.coloring.greedy_color(graph.subgraph(nodes),
-                                              strategy="DSATUR")
-            colors.update(greedy)
+        if not bipartite:
+            import networkx as nx
+            colors.update(nx.coloring.greedy_color(
+                build_conflict_graph(mapping).subgraph(nodes),
+                strategy="DSATUR"))
+        elif len(nodes) > 1:
+            first = (next(iter(set(nodes)))
+                     if 2 * len(nodes) < len(neighbours) else nodes[0])
+            if colors[first] == 0:
+                for group in nodes:
+                    colors[group] = 1 - colors[group]
     num_colors = max(colors.values(), default=0) + 1
     cgs: list[list[int]] = [[] for _ in range(num_colors)]
     for group in range(mapping.num_groups):
-        cgs[colors.get(group, 0)].append(group)
+        cgs[colors[group]].append(group)
     return [cg for cg in cgs if cg]
 
 

@@ -329,7 +329,7 @@ class SoCFlow(Strategy):
                 # bucket boundaries aggregate the real weights, bit-
                 # identically to the whole-model fused path.
                 merged = bucketed_average_states(
-                    [g.state_dict() for g in active],
+                    [g.live_state() for g in active],
                     cost.bucket_plan(layout), metrics=telemetry.metrics)
                 for group in active:
                     group.load_state(merged)

@@ -220,7 +220,7 @@ class JobExecution:
         run_group_epoch(self.config, groups, self._rng, self._executor)
         layout = groups[0].fp32.flatten_parameters().layout
         merged = bucketed_average_states(
-            [g.state_dict() for g in groups], self.cost.bucket_plan(layout))
+            [g.live_state() for g in groups], self.cost.bucket_plan(layout))
         for group in groups:
             group.load_state(merged)
         # Priced at the CPU share this epoch's batches were split by,

@@ -358,6 +358,12 @@ class FlatParamBuffer:
         """
         return FlatState(self.layout, self.data.copy())
 
+    def live_state(self) -> FlatState:
+        """The same state over the live storage, no copy: for a reader
+        that is done before the next step writes it (an epoch's
+        aggregation).  Anything kept is a :meth:`state_dict`."""
+        return FlatState(self.layout, self.data)
+
     def load_flat(self, state: FlatState) -> None:
         self.data[...] = state.flat
 

@@ -55,6 +55,27 @@ def _workspace(tag: str, shape: tuple[int, ...],
     return buf
 
 
+def _scratch(shape: tuple[int, ...]) -> np.ndarray:
+    """Float32 working storage that is dead again when the kernel call
+    it is handed to returns.  Nothing is carried between calls, so
+    callers share buffers by size class (the next power of two) instead
+    of holding one per shape."""
+    size = int(np.prod(shape))
+    return _workspace("scratch", (1 << size.bit_length(),))[:size].reshape(
+        shape)
+
+
+def _fold(grad_cols: np.ndarray, x_shape: tuple, kernel: int, stride: int,
+          tag: str) -> np.ndarray:
+    """``col2im`` of gradient columns into the reusable ``tag`` buffer,
+    with the scratch its wide-row path wants."""
+    wide = K.wide_shape(x_shape, kernel, stride)
+    if wide is not None:
+        wide = K.empty(wide, np.float32, out=_scratch(wide))
+    return col2im(grad_cols, x_shape, kernel, stride, wide,
+                  out=_workspace(tag, x_shape))
+
+
 def clear_workspaces() -> None:
     """Drop all cached scratch buffers (frees memory; safe any time)."""
     _WORKSPACES.clear()
@@ -99,6 +120,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     ``weight`` is shaped ``(out_channels, in_channels // groups, k, k)``.
     ``groups=in_channels`` gives the depthwise convolution MobileNet needs.
+
+    With ``groups == 1`` every product is a ``matmul`` on the K-major
+    columns of :func:`repro.nn.kernels.im2col`: per sample on
+    ``(C*k*k, L)`` panels forward and for the input gradient, and one
+    ``(C*k*k, N*L) @ (N*L, O)`` GEMM on a *view* of the columns for the
+    weight gradient.
     """
     if padding:
         x = x.pad2d(padding)
@@ -106,37 +133,51 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out_c, in_c_per_group, kernel, _ = weight.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
+
     # The forward columns are captured by the backward closure, so they
     # must NOT come from the reusable workspace (a same-shape sibling
-    # layer would overwrite them before backward runs).  einsum's
-    # optimized path returns a transposed-layout view: every call below
-    # writes into a C-contiguous ``out`` so that reshapes stay views and
-    # downstream reductions (batch-norm mean/var) see a canonical layout.
-    cols = im2col(x.data, kernel, stride)                   # (N, C*k*k, L)
-
+    # layer would overwrite them before backward runs).
     if groups == 1:
+        cols = im2col(x.data, kernel, stride)               # (C*k*k, N, L)
         w_mat = weight.data.reshape(out_c, -1)              # (O, C*k*k)
-        out_data = K.matmul(w_mat[None, :, :], cols)
+        out_data = K.matmul(w_mat[None, :, :], cols.transpose(1, 0, 2))
 
         def backward(grad: np.ndarray) -> None:
             grad_mat = grad.reshape(n, out_c, -1)           # (N, O, L)
-            if weight.requires_grad:
-                weight._accumulate(K.einsum(
-                    "nol,nkl->ok", grad_mat, cols,
-                    out=K.empty(w_mat.shape, np.float32)
-                ).reshape(weight.shape))
+            if weight.requires_grad and grad_mat.size == out_c:
+                # One column is no GEMM: einsum spelled its gradient as
+                # the outer product of both operands summed over their
+                # singleton axes, where a zero loses its sign (a GEMM
+                # adds the signed products to +0.0 instead).
+                weight._accumulate(K.multiply(
+                    K.add(K.reshape(cols, (1, -1)), 0.0),
+                    K.add(grad_mat[0], 0.0)).reshape(weight.shape))
+            elif weight.requires_grad:
+                grad_rows = K.reshape(grad_mat.transpose(0, 2, 1),
+                                      (-1, out_c))          # (N*L, O)
+                weight._accumulate(K.matmul(
+                    K.reshape(cols, (len(cols), -1)), grad_rows,
+                ).T.reshape(weight.shape))
             if x.requires_grad:
-                grad_cols = K.matmul(
-                    w_mat.T[None, :, :], grad_mat,
-                    out=_workspace("conv_gcols", cols.shape, grad_mat.dtype))
-                x._accumulate(col2im(
-                    grad_cols, x.shape, kernel, stride,
-                    out=_workspace("conv_gx", x.shape, grad_cols.dtype)))
+                grad_cols = _workspace("conv_gcols", cols.shape)
+                K.matmul(w_mat.T[None, :, :], grad_mat,
+                         out=grad_cols.transpose(1, 0, 2))
+                x._accumulate(_fold(grad_cols, x.shape, kernel, stride,
+                                    "conv_gx"))
     else:
-        # Grouped/depthwise: run each group through the same im2col path.
+        # Grouped/depthwise: three einsums, batched over the group
+        # axis.  numpy lowers each to a batched matmul whose operand
+        # order and BLAS variant follow the strides it is handed, so
+        # these columns stay N-major, (N, C*k*k, L): the same kernels
+        # fill and fold them through a transposed view.
+        def k_major(columns: np.ndarray) -> np.ndarray:
+            return columns.reshape(n, c, kernel, kernel, out_h, out_w
+                                   ).transpose(1, 2, 3, 0, 4, 5)
+
         group_out = out_c // groups
-        cols = K.reshape(
-            cols, (n, groups, (c // groups) * kernel * kernel, -1))
+        cols = K.empty((n, groups, in_c_per_group * kernel * kernel,
+                        out_h * out_w), np.float32)
+        im2col(x.data, kernel, stride, out=k_major(cols))
         w_mat = weight.data.reshape(groups, group_out, -1)
         out_data = K.einsum(
             "gok,ngkl->ngol", w_mat, cols,
@@ -152,9 +193,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             if x.requires_grad:
                 grad_cols = K.einsum("gok,ngol->ngkl", w_mat, grad_mat,
                                      out=K.empty(cols.shape, np.float32))
-                x._accumulate(col2im(
-                    grad_cols.reshape(n, c * kernel * kernel, -1), x.shape,
-                    kernel, stride))
+                x._accumulate(_fold(k_major(grad_cols), x.shape, kernel,
+                                    stride, "conv_gx"))
 
     out = Tensor._make(out_data.reshape(n, out_c, out_h, out_w),
                        (x, weight), backward)
@@ -164,37 +204,38 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def _pool_cols(x: Tensor, kernel: int, stride: int):
-    """``x``'s pooling windows as ``(N*C, k*k, L)`` columns, and the
-    shape of the gradient columns / gradient image they fold back from.
+    """``x``'s pooling windows as ``(k*k, N*C, L)`` columns — one
+    contiguous slab per window position — and the shape of the output.
     Neither the columns nor the gradient columns outlive the op, so
     both come from reusable workspaces (no per-step allocation)."""
     n, c, h, w = x.shape
     out_h = (h - kernel) // stride + 1
     out_w = (w - kernel) // stride + 1
-    cols_shape = (n * c, kernel * kernel, out_h * out_w)
+    cols_shape = (kernel * kernel, n * c, out_h * out_w)
     cols = im2col(K.reshape(x.data, (n * c, 1, h, w)), kernel, stride,
                   out=_workspace("pool_cols", cols_shape, x.data.dtype))
-    return cols, cols_shape, (n, c, out_h, out_w)
+    return cols, (n, c, out_h, out_w)
 
 
 def _pool_backward(x: Tensor, grad_cols: np.ndarray, kernel: int,
                    stride: int) -> None:
     n, c, h, w = x.shape
-    grad_x = col2im(grad_cols, (n * c, 1, h, w), kernel, stride,
-                    out=_workspace("pool_gx", (n * c, 1, h, w), np.float32))
+    grad_x = _fold(grad_cols, (n * c, 1, h, w), kernel, stride, "pool_gx")
     x._accumulate(grad_x.reshape(x.shape))
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     stride = stride or kernel
-    cols, cols_shape, out_shape = _pool_cols(x, kernel, stride)
-    arg = K.argmax(cols, axis=1)[:, None, :]                # (N*C, 1, L)
-    out_data = K.take_along(cols, arg, 1)
+    cols, out_shape = _pool_cols(x, kernel, stride)
+    cols_shape = cols.shape
+    slabs, slab = cols_shape[0], cols_shape[1:]
+    arg = K.empty(slab, np.int8 if slabs < 128 else np.intp)
+    out_data = K.window_max(cols, arg)
 
     def backward(grad: np.ndarray) -> None:
-        grad_cols = K.put_along(
-            arg, grad.reshape(cols_shape[0], 1, -1), 1, cols_shape,
-            out=_workspace("pool_gcols", cols_shape, np.float32))
+        grad_cols = K.window_scatter(
+            arg, K.reshape(grad, slab), slabs,
+            out=_workspace("pool_gcols", cols_shape))
         _pool_backward(x, grad_cols, kernel, stride)
 
     return Tensor._make(out_data.reshape(out_shape), (x,), backward)
@@ -202,14 +243,15 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     stride = stride or kernel
-    cols, cols_shape, out_shape = _pool_cols(x, kernel, stride)
-    out_data = K.mean(cols, axis=1)
+    cols, out_shape = _pool_cols(x, kernel, stride)
+    out_data = K.mean(cols, axis=0)
+    cols_shape = cols.shape
     scale = 1.0 / (kernel * kernel)
 
     def backward(grad: np.ndarray) -> None:
         grad_cols = K.multiply(
-            grad.reshape(cols_shape[0], 1, -1), scale,
-            out=_workspace("pool_gcols", cols_shape, np.float32))
+            K.reshape(grad, (1, *cols_shape[1:])), scale,
+            out=_workspace("pool_gcols", cols_shape))
         _pool_backward(x, grad_cols, kernel, stride)
 
     return Tensor._make(out_data.reshape(out_shape), (x,), backward)

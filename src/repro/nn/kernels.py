@@ -102,7 +102,6 @@ equal = _kernel(np.equal)
 logical_and = _kernel(np.logical_and, elementwise=True)
 mean = _kernel(np.mean)
 var = _kernel(np.var)
-argmax = _kernel(np.argmax)
 matmul = _kernel(np.matmul)
 
 
@@ -158,11 +157,24 @@ def copy(a, dtype=np.float32, out=None):
     return out
 
 
+#: ``ndarray.reshape(copy=False)`` (numpy 2.1) refuses where it would
+#: have to copy; older numpy is asked after the fact, which costs a
+#: discarded copy on the copying case
+_RESHAPE_REFUSES = np.lib.NumpyVersion(np.__version__) >= "2.1.0"
+
+
 def reshape(a: np.ndarray, shape) -> np.ndarray:
     """``a.reshape(shape)``.  Not a kernel: a view where numpy makes
     one, and where it has to copy the copy is :func:`copy`'s."""
+    if a.flags.c_contiguous:
+        return a.reshape(shape)
+    if _RESHAPE_REFUSES:
+        try:
+            return a.reshape(shape, copy=False)
+        except ValueError:
+            return copy(a, a.dtype).reshape(shape)
     view = a.reshape(shape)
-    if a.flags.c_contiguous or np.may_share_memory(view, a):
+    if np.may_share_memory(view, a):
         return view
     return copy(a, a.dtype).reshape(shape)
 
@@ -191,23 +203,6 @@ def scatter_add(index, values, shape, out=None):
 
 
 @_kernel
-def take_along(a, index, axis, out=None):
-    picked = np.take_along_axis(a, index, axis)
-    if out is None:
-        return picked
-    np.copyto(out, picked)
-    return out
-
-
-@_kernel
-def put_along(index, values, axis, shape, out=None):
-    """Zeros of ``shape`` with ``values`` put at ``index`` along ``axis``."""
-    out = np.zeros(shape, values.dtype) if out is None else _zeroed(out)
-    np.put_along_axis(out, index, values, axis)
-    return out
-
-
-@_kernel
 def random(rng, shape, out=None):
     """One uniform float64 draw from ``rng`` (the same stream position
     either way)."""
@@ -215,61 +210,213 @@ def random(rng, shape, out=None):
 
 
 # -- convolution layout ------------------------------------------------------
+# Patch columns are K-major: ``(C*k*k, N, L)`` with ``L = out_h*out_w``.
+# One sample's columns are the ``(C*k*k, L)`` panel ``cols[:, n]`` with
+# row pitch ``N*L`` (a leading dimension to BLAS: a per-sample ``matmul``
+# reads and writes it in place), and all samples together are the
+# ``(C*k*k, N*L)`` matrix of the weight-gradient GEMM — as a view, where
+# the N-major layout has that GEMM transpose-copy the layer's largest
+# tensor first.  Pooling windows are the ``C = 1`` case over ``N*C``
+# images: one contiguous slab per window position.
+
+#: maps this wide are gathered through one flat index instead of copied
+#: window by window: that copy's inner runs are ``out_w`` long, and at 2
+#: its per-run overhead costs 3-4x the gather (at 4 the two are within
+#: 1.1-1.8x for an index four times the size; at 1 the windows are
+#: whole images and the copy is a plain transpose)
+_GATHER_WIDTH = 2
+
+#: ... and only while the index (as long as the columns, kept per shape)
+#: stays small: training batches, not a 256-image evaluation batch
+_GATHER_MAX_SIZE = 1 << 17
+
+#: overlapping windows are folded as whole-image runs while the padded
+#: image is at most this many times the size of the map (a 1x1 map
+#: under a 3x3 kernel is 9 times: nine tenths of each run would be
+#: filler)
+_WIDE_MAX_BLOWUP = 4
+
+
+def _windows(h: int, w: int, kernel: int, stride: int) -> tuple[int, int]:
+    return (h - kernel) // stride + 1, (w - kernel) // stride + 1
+
+
+@functools.lru_cache(maxsize=32)
+def _gather_index(x_shape: tuple, kernel: int, stride: int) -> np.ndarray:
+    """Where in a flat ``x`` each element of its K-major columns sits
+    (int32: the index is as long as the columns, and kept)."""
+    at = np.arange(int(np.prod(x_shape)), dtype=np.int32).reshape(x_shape)
+    index = np.lib.stride_tricks.sliding_window_view(
+        at, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    index = np.ascontiguousarray(index.transpose(1, 4, 5, 0, 2, 3)).reshape(-1)
+    index.flags.writeable = False       # one array, handed to every caller
+    return index
+
+
+def _six(cols, x_shape, kernel, stride):
+    """``cols`` as the view ``(C, k, k, N, out_h, out_w)``: it is that
+    already, or K-major ``(C*k*k, N, L)``."""
+    if cols.ndim == 6:
+        return cols
+    n, c, h, w = x_shape
+    return cols.reshape(c, kernel, kernel, n, *_windows(h, w, kernel, stride))
+
+
 @_kernel
 def im2col(x, kernel, stride, out=None):
-    """Unfold NCHW ``x`` into ``(N, C*k*k, L)`` patch columns.
+    """Unfold NCHW ``x`` into K-major ``(C*k*k, N, L)`` patch columns.
 
-    ``x`` must already be padded.  Uses stride tricks: no data copy
-    until the final reshape (none at all for a 1x1 kernel at stride 1,
-    where the columns are a view of ``x``).  ``out``, when given, must
-    be a contiguous ``(N, C*k*k, L)`` array.
+    ``x`` must already be padded.  A 1x1 kernel at stride 1 needs no
+    copy (the columns are a view of ``x``); a training batch of maps
+    two pixels wide is gathered through a flat index kept per shape;
+    anything else is one strided copy.  ``out``, when given, is a
+    contiguous ``(C*k*k, N, L)`` array or any ``(C, k, k, N, out_h,
+    out_w)`` view — a transposed one receives the same columns in
+    another memory order.
     """
     n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kernel, kernel, out_h, out_w),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
+    out_h, out_w = _windows(h, w, kernel, stride)
+    if kernel == 1 and stride == 1 and out is None:
+        return x.reshape(n, c, h * w).transpose(1, 0, 2)
     if out is None:
-        return windows.reshape(n, c * kernel * kernel, out_h * out_w)
-    np.copyto(out.reshape(n, c, kernel, kernel, out_h, out_w), windows)
+        out = np.empty((c * kernel * kernel, n, out_h * out_w), x.dtype)
+    if (out.ndim == 3 and out_w == _GATHER_WIDTH
+            and out.size <= _GATHER_MAX_SIZE):
+        np.take(x.reshape(-1), _gather_index(x.shape, kernel, stride),
+                out=out.reshape(-1), mode="clip")
+        return out
+    s0, s1, s2, s3 = x.strides
+    np.copyto(_six(out, x.shape, kernel, stride),
+              np.lib.stride_tricks.as_strided(
+                  x, shape=(c, kernel, kernel, n, out_h, out_w),
+                  strides=(s1, s2, s3, s0, s2 * stride, s3 * stride),
+                  writeable=False))
+    return out
+
+
+def wide_shape(x_shape, kernel: int, stride: int) -> tuple | None:
+    """The shape of the working storage :func:`col2im` folds these
+    windows through, or None when it takes a path that needs none."""
+    n, c, h, w = x_shape
+    out_h, out_w = _windows(h, w, kernel, stride)
+    if stride != 1 or kernel == 1 or h * w > _WIDE_MAX_BLOWUP * out_h * out_w:
+        return None
+    return (kernel, n, c, h, w)
+
+
+@_kernel
+def col2im(cols, x_shape, kernel, stride, wide=None, out=None):
+    """Fold K-major ``(C*k*k, N, L)`` columns (or any ``(C, k, k, N,
+    out_h, out_w)`` view) back into NCHW, summing overlaps per kernel
+    offset ``(ki, kj)``, in that order.
+
+    Non-overlapping strides take copy-only paths (no accumulation).
+    Overlapping windows at stride 1 are folded through ``wide`` (float32
+    working storage of :func:`wide_shape`, allocated when absent), one
+    kernel row of offsets at a time: the columns of each offset are
+    scattered once into a zeroed image of their own, rows at the image's
+    pitch, which makes the window of offset ``(ki, kj)`` over *all*
+    images the one contiguous run of the flat output that starts at
+    ``ki*w + kj``.  The ``+0.0`` filler between the rows lands on pixels of other windows and changes none
+    of them: the accumulator starts at ``+0.0``, a float sum is ``-0.0``
+    only when both terms are, so it never is, and ``a + +0.0`` is ``a``
+    bit for bit for every other ``a``, NaN payloads included.
+    """
+    n, c, h, w = x_shape
+    out_h, out_w = _windows(h, w, kernel, stride)
+    cols = _six(cols, x_shape, kernel, stride)
+    if stride == kernel and h == out_h * kernel and w == out_w * kernel:
+        # Exact tiling (the pooling case): pure scatter-free transpose.
+        x = np.empty(x_shape, dtype=cols.dtype) if out is None else out
+        np.copyto(x.reshape(n, c, out_h, kernel, out_w, kernel),
+                  cols.transpose(3, 0, 4, 1, 5, 2))
+        return x
+    x = np.zeros(x_shape, dtype=cols.dtype) if out is None else _zeroed(out)
+    shape = wide_shape(x_shape, kernel, stride)
+    if shape is not None:
+        wide = np.empty(shape, cols.dtype) if wide is None else wide
+        flat = x.reshape(-1)
+        for ki in range(kernel):        # one kernel row of offsets at a time
+            wide[...] = 0
+            wide[..., :out_h, :out_w] = cols[:, ki].transpose(1, 2, 0, 3, 4)
+            for kj in range(kernel):
+                run = flat[ki * w + kj:]
+                np.add(run, wide[kj].reshape(-1)[:run.size], out=run)
+        return x
+    for ki in range(kernel):
+        for kj in range(kernel):
+            window = x[:, :, ki:ki + stride * out_h:stride,
+                       kj:kj + stride * out_w:stride]
+            offset = cols[:, ki, kj].transpose(1, 0, 2, 3)
+            if stride >= kernel:
+                # Disjoint windows with possible gaps: assign.
+                window[...] = offset
+            else:
+                window += offset
+    return x
+
+
+def _select_mask(picked: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``mask`` (unsigned, the width of the floats it will select) set
+    to all ones where the boolean ``picked`` is true, zero elsewhere."""
+    np.copyto(mask, picked)
+    return np.negative(mask, out=mask)
+
+
+@_kernel
+def window_max(cols, index, out=None):
+    """The maximum of each pooling window — ``cols`` is ``(k*k, M, L)``,
+    one slab per window position — and, in ``index`` (integer storage
+    shaped like a slab), which slab it came from.
+
+    It is the *first* maximum, as ``np.argmax`` picks it: a tie,
+    ``-0.0 == +0.0`` included, keeps the earlier slab, and a window
+    holding NaNs yields its first.  Values are selected as bit patterns
+    (a sign of zero or a NaN payload is the chosen slab's own), slab by
+    slab over whole contiguous slabs, where ``argmax`` walks a strided
+    axis element by element.
+    """
+    if out is None:
+        out = np.empty(cols.shape[1:], cols.dtype)
+    unsigned = np.dtype(f"u{cols.itemsize}")
+    best, slabs = out.view(unsigned), cols.view(unsigned)
+    np.copyto(out, cols[0])
+    index[...] = 0
+    ahead, ordered = np.empty((2, *out.shape), bool)
+    step = np.empty_like(index)
+    mask, swap = np.empty((2, *out.shape), unsigned)
+    for slab in range(1, len(cols)):
+        # ahead: larger than the best so far, or the first NaN
+        np.less_equal(cols[slab], out, out=ahead)
+        np.logical_not(ahead, out=ahead)
+        np.equal(out, out, out=ordered)
+        np.logical_and(ahead, ordered, out=ahead)
+        # slabs only go up: index = max(index, slab where ahead)
+        np.multiply(ahead, index.dtype.type(slab), out=step)
+        np.maximum(index, step, out=index)
+        # best ^= (best ^ slab) & mask: the slab's bits where ahead
+        np.bitwise_xor(best, slabs[slab], out=swap)
+        np.bitwise_and(swap, _select_mask(ahead, mask), out=swap)
+        np.bitwise_xor(best, swap, out=best)
     return out
 
 
 @_kernel
-def col2im(cols, x_shape, kernel, stride, out=None):
-    """Fold ``(N, C*k*k, L)`` columns back into NCHW, summing overlaps.
-
-    Non-overlapping strides take copy-only fast paths (no zero-init, no
-    accumulation); the generic overlapping case accumulates per kernel
-    offset.
-    """
-    n, c, h, w = x_shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    cols = cols.reshape(n, c, kernel, kernel, out_h, out_w)
-    if (stride == kernel and h == out_h * kernel and w == out_w * kernel):
-        # Exact tiling (the pooling case): pure scatter-free transpose.
-        x = np.empty(x_shape, dtype=cols.dtype) if out is None else out
-        np.copyto(x.reshape(n, c, out_h, kernel, out_w, kernel),
-                  cols.transpose(0, 1, 4, 2, 5, 3))
-        return x
-    x = np.zeros(x_shape, dtype=cols.dtype) if out is None else _zeroed(out)
-    for ki in range(kernel):
-        h_end = ki + stride * out_h
-        for kj in range(kernel):
-            w_end = kj + stride * out_w
-            window = x[:, :, ki:h_end:stride, kj:w_end:stride]
-            if stride >= kernel:
-                # Disjoint windows with possible gaps: assign.
-                window[...] = cols[:, :, ki, kj]
-            else:
-                window += cols[:, :, ki, kj]
-    return x
+def window_scatter(index, values, slabs, out=None):
+    """Zeros of ``(slabs, *values.shape)`` with each value in the slab
+    ``index`` names — the gradient columns of :func:`window_max` — also
+    as bit patterns: a routed value is exact whatever it is, and the
+    rest is ``+0.0``."""
+    if out is None:
+        out = np.empty((slabs, *values.shape), values.dtype)
+    unsigned = np.dtype(f"u{values.itemsize}")
+    bits, planes = values.view(unsigned), out.view(unsigned)
+    hit = np.empty(values.shape, bool)
+    mask = np.empty(values.shape, unsigned)
+    for slab in range(slabs):
+        np.equal(index, slab, out=hit)
+        np.bitwise_and(bits, _select_mask(hit, mask), out=planes[slab])
+    return out
 
 
 # -- quantisation and the loss ------------------------------------------------
@@ -283,8 +430,8 @@ def fake_quant(a, scale, qmax, scratch, wide, rng=None, mask=None, out=None):
     ``scale`` is a float; a live range observer (the kernel folds this
     batch's peak into it and reads the scale back, so scale drift is an
     input of a compiled step, not part of it); or a ``(float32,
-    float64)`` pair of per-element scale arrays (:func:`segment_scales`)
-    — the reference divides in float32 and multiplies int32 by a
+    float64)`` pair of per-element scale arrays (each segment's
+    :func:`segment_scales` value over its elements) — the reference divides in float32 and multiplies int32 by a
     float64 scale, where a float32 product would double-round.  Its
     int32 round trip is skipped: float32 holds the post-clip integers
     exactly for ``qmax < 2**24``, and ``QuantConfig`` allows 16 bits.
@@ -310,30 +457,26 @@ def fake_quant(a, scale, qmax, scratch, wide, rng=None, mask=None, out=None):
         np.less(wide, out, out=mask)
         np.add(scratch, mask, out=out)
     np.clip(out, -qmax, qmax, out=out)
-    np.copyto(wide, out)
-    np.multiply(wide, widened, out=wide)
+    np.multiply(out, widened, out=wide, dtype=np.float64)
     np.copyto(out, wide)
     return out
 
 
-def segment_scales(a, starts, qmax, scratch, narrow, widened) -> None:
-    """Fill ``narrow`` (float32) and ``widened`` (float64) with each
-    element's per-tensor scale: segment ``i`` of the 1-D float32 ``a``
-    runs from ``starts[i]`` to the next start (the last to the end) and
-    gets ``max|a| / qmax``, or 1 when it is all zero — the float32 peak
-    widened *then* divided (the other order rounds differently), and
-    its float32 rounding, which is what a float32 array divided by that
-    Python float is divided by.  ``scratch`` is float32 like ``a``.
+def segment_scales(a, starts, qmax) -> np.ndarray:
+    """The per-tensor scale of each segment of the 1-D float32 ``a``,
+    as float64: segment ``i`` runs from ``starts[i]`` to the next start
+    (the last to the end) and gets ``max|a| / qmax``, or 1 when it is
+    all zero — the float32 peak widened *then* divided (the other order
+    rounds differently).  The peak is ``max(max a, -min a)``, which
+    needs no ``|a|`` the size of ``a``.
     """
-    np.abs(a, out=scratch)
-    maxima = np.maximum.reduceat(scratch, starts)
-    scales = maxima.astype(np.float64)
+    peaks = np.minimum.reduceat(a, starts)
+    np.negative(peaks, out=peaks)
+    np.maximum(peaks, np.maximum.reduceat(a, starts), out=peaks)
+    scales = peaks.astype(np.float64)
     scales /= qmax
-    scales[maxima == 0.0] = 1.0
-    bounds = [*starts.tolist(), a.size]
-    for start, stop, scale in zip(bounds, bounds[1:], scales.tolist()):
-        narrow[start:stop] = scale
-        widened[start:stop] = scale
+    scales[peaks == 0.0] = 1.0
+    return scales
 
 
 @_kernel(elementwise=True)

@@ -10,7 +10,7 @@ the kernel is tested against.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,14 +124,19 @@ def fake_quantize_segments(flat: np.ndarray, starts: np.ndarray,
     return out
 
 
+#: elements quantised per pass: the scale, product and mask planes of
+#: one block stay in cache from the divide to the narrowing copy
+_BLOCK = 1 << 15
+
+
 class SegmentQuantizer:
     """The working storage of in-place per-segment quantisation for one
     ``(starts, sizes)`` segmentation (a
     :class:`repro.nn.flat.FlatLayout`'s parameter regions) and one
-    :class:`QuantConfig`: scratch and the two per-element scale planes
-    :func:`repro.nn.kernels.fake_quant` computes in, no arithmetic.
-    ``stochastic=True`` adds the rounding mask (gradient path); the
-    weight path never draws.
+    :class:`QuantConfig`: one block of scratch and of the two
+    per-element scale planes :func:`repro.nn.kernels.fake_quant`
+    computes in, no arithmetic.  ``stochastic=True`` adds the rounding
+    mask (gradient path); the weight path never draws.
 
     Nothing in it outlives a call, so a run keeps a single one (in its
     :class:`Int8StepScratch`) for the weight and the gradient stage of
@@ -142,17 +147,17 @@ class SegmentQuantizer:
                  config: QuantConfig, stochastic: bool = False):
         self.config = config
         self.starts = np.asarray(starts, dtype=np.intp)
-        n = self.total = int(np.sum(sizes))
+        self.total = int(np.sum(sizes))
         if config.float16:
-            self._planes = [np.empty(n, dtype=np.float16)]
-            return
-        # scratch and narrow scales; wide scales and products (where a
-        # stochastic draw lands first); the rounding mask
-        dtypes = [np.float32, np.float32, np.float64, np.float64]
-        if stochastic and config.stochastic_rounding:
-            dtypes.append(np.bool_)
-        self._planes = [np.empty(n, dtype=dtype) for dtype in dtypes]
-        self.wide = self._planes[3]
+            dtypes = [np.float16]
+        else:
+            # scratch and narrow scales; wide scales and products (where
+            # a stochastic draw lands first); the rounding mask
+            dtypes = [np.float32, np.float32, np.float64, np.float64]
+            if stochastic and config.stochastic_rounding:
+                dtypes.append(np.bool_)
+        block = max(1, min(self.total, _BLOCK))
+        self._planes = [np.empty(block, dtype=dtype) for dtype in dtypes]
 
     def buffers(self) -> list[np.ndarray]:
         """Every scratch array this instance owns."""
@@ -164,21 +169,39 @@ class SegmentQuantizer:
         """Quantise ``flat`` in place (1-D float32, length ``total``):
         all of it, or its ``(start, stop)`` ``runs`` of whole segments
         (``FlatParamBuffer.trainable_runs``) one after another — the
-        generator then draws for those elements only, in order."""
+        generator then draws for those elements only, in order.
+
+        Each run goes block by block: the per-segment scales first (two
+        reductions over the run), then every block through the kernel
+        with its scale planes filled from them; a block-wise draw is
+        the same stream as one draw of the run.
+        """
         qmax = self.config.qmax
         if not self.config.stochastic_rounding:
             rng = None
+        block = len(self._planes[0])
         for start, stop in ((0, self.total),) if runs is None else runs:
-            part, *work = (a[start:stop] for a in (flat, *self._planes))
-            if self.config.float16:
-                K.fp16_round_trip(part, *work, out=part)
-                continue
-            scratch, narrow, widened, wide, *mask = work
-            lo, hi = np.searchsorted(self.starts, (start, stop))
-            K.segment_scales(part, self.starts[lo:hi] - start, qmax, scratch,
-                             narrow, widened)
-            K.fake_quant(part, (narrow, widened), qmax, scratch, wide, rng,
-                         *mask, out=part)
+            if not self.config.float16:
+                lo, hi = np.searchsorted(self.starts, (start, stop))
+                bounds = [*self.starts[lo:hi].tolist(), stop]
+                scales = K.segment_scales(
+                    flat[start:stop], self.starts[lo:hi] - start,
+                    qmax).tolist()
+            for at in range(start, stop, block):
+                part = flat[at:min(at + block, stop)]
+                work = [plane[:len(part)] for plane in self._planes]
+                if self.config.float16:
+                    K.fp16_round_trip(part, *work, out=part)
+                    continue
+                scratch, narrow, widened, wide, *mask = work
+                segment = bisect_right(bounds, at) - 1
+                while bounds[segment] < at + len(part):
+                    piece = slice(max(bounds[segment] - at, 0),
+                                  bounds[segment + 1] - at)
+                    narrow[piece] = widened[piece] = scales[segment]
+                    segment += 1
+                K.fake_quant(part, (narrow, widened), qmax, scratch, wide,
+                             rng, *mask, out=part)
 
 
 class Int8StepScratch:
@@ -186,10 +209,10 @@ class Int8StepScratch:
     own weights, momentum and RNG, for one (layout, config): the
     master-weight snapshot, one :class:`SegmentQuantizer` serving both
     the weight and the gradient stage (they never overlap) and the
-    clip's float64 buffer.  Nothing in it outlives a step, so a run
-    pools one in its arena for all replicas, eager and compiled alike;
-    ``guard`` is the re-entrancy cell the compiled plans drawing on it
-    share.
+    clip's float64 buffer, as long as the largest parameter.  Nothing
+    in it outlives a step, so a run pools one in its arena for all
+    replicas, eager and compiled alike; ``guard`` is the re-entrancy
+    cell the compiled plans drawing on it share.
     """
 
     def __init__(self, layout, config: QuantConfig):
@@ -204,16 +227,12 @@ class Int8StepScratch:
                 layout.offsets[:n], layout.sizes[:n], config,
                 stochastic=config.quantize_gradients)
             self._own += self.quant.buffers()
-        # the clip squares in float64; the integer quantiser's float64
-        # product buffer is idle whenever the clip runs
-        if self.quant is not None and not config.float16:
-            self._sq = self.quant.wide
-        else:
-            self._sq = np.empty(layout.param_total, dtype=np.float64)
-            self._own.append(self._sq)
+        # the clip squares in float64, one parameter at a time: its
+        # pairwise sums need whole segments, not blocks
+        self._sq = np.empty(int(np.max(layout.sizes[:n], initial=0)),
+                            dtype=np.float64)
+        self._own.append(self._sq)
         self._offsets = layout.offsets
-        self._sq_segments = tuple(self._sq[a:b] for a, b in zip(
-            layout.offsets[:n], layout.offsets[1:n + 1]))
 
     @classmethod
     def pooled(cls, arena, layout, config: QuantConfig) -> "Int8StepScratch":
@@ -234,13 +253,14 @@ class Int8StepScratch:
         """
         total = 0.0
         for start, stop in runs:
-            squares = self._sq[start:stop]
-            np.copyto(squares, grads[start:stop])   # astype-exact widening
-            np.square(squares, out=squares)     # ndarray ** 2 is np.square
-            for segment in self._sq_segments[
-                    bisect_left(self._offsets, start):
-                    bisect_left(self._offsets, stop)]:
-                total += float(np.sum(segment))
+            first = bisect_left(self._offsets, start)
+            for lo, hi in zip(
+                    self._offsets[first:bisect_left(self._offsets, stop)],
+                    self._offsets[first + 1:]):
+                # widened exactly, then squared: astype(float64) ** 2
+                squares = np.square(grads[lo:hi], dtype=np.float64,
+                                    out=self._sq[:hi - lo])
+                total += float(np.sum(squares))
         norm = np.sqrt(total)
         if norm > max_norm:
             for start, stop in runs:

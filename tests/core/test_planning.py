@@ -13,6 +13,44 @@ from repro.distributed.pricing import OVERLAP_FRACTION, price_epoch
 MB = 1e6
 
 
+def networkx_cgs(mapping):
+    """``divide_into_cgs`` as networkx coloured it before the planner
+    stopped importing it: ``bipartite.color`` per component, DSATUR on
+    an odd cycle."""
+    import networkx as nx
+    graph = build_conflict_graph(mapping)
+    colors = {}
+    for component in nx.connected_components(graph):
+        nodes = sorted(component)
+        try:
+            colors.update(nx.algorithms.bipartite.color(
+                graph.subgraph(nodes)))
+        except nx.NetworkXError:
+            colors.update(nx.coloring.greedy_color(graph.subgraph(nodes),
+                                                   strategy="DSATUR"))
+    cgs = [[] for _ in range(max(colors.values(), default=0) + 1)]
+    for group in range(mapping.num_groups):
+        cgs[colors.get(group, 0)].append(group)
+    return [cg for cg in cgs if cg]
+
+
+@pytest.fixture(autouse=True)
+def every_plan_is_the_networkx_plan(monkeypatch):
+    """Whatever mapping a test of this module plans, directly or
+    through ``CommunicationPlan.from_mapping``, gets the CGs networkx
+    would have given it."""
+    from repro.core import planning
+    local = planning.divide_into_cgs
+
+    def checked(mapping):
+        cgs = local(mapping)
+        assert cgs == networkx_cgs(mapping)
+        return cgs
+
+    monkeypatch.setattr(planning, "divide_into_cgs", checked)
+    monkeypatch.setitem(globals(), "divide_into_cgs", checked)
+
+
 def plan_for(num_socs, num_groups, builder=integrity_greedy_mapping):
     topo = ClusterTopology(num_socs=num_socs)
     mapping = builder(topo, num_groups)

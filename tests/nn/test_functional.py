@@ -20,7 +20,7 @@ class TestIm2Col:
     def test_shapes(self):
         x = np.zeros((2, 3, 8, 8), dtype=np.float32)
         cols = im2col(x, kernel=3, stride=2)
-        assert cols.shape == (2, 27, 9)
+        assert cols.shape == (27, 2, 9)         # K-major: (C*k*k, N, L)
 
 
 class TestConvForward:

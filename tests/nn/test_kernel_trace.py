@@ -88,8 +88,9 @@ FREE = {"expand_dims", "swapaxes", "broadcast_to", "asarray", "argsort",
 #: array methods that compute, copy or write
 COMPUTING = {"sum", "mean", "var", "max", "min", "argmax", "astype", "copy",
              "fill", "dot", "clip", "cumsum", "take", "put"}
-#: not ops: construction, conversion and the workspace allocator
-NOT_OPS = {"__init__", "copy", "item", "detach", "numpy", "_workspace"}
+#: not ops: construction, conversion and the workspace allocators
+NOT_OPS = {"__init__", "copy", "item", "detach", "numpy", "_workspace",
+           "_scratch"}
 
 
 def is_array(node) -> bool:

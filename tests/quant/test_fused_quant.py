@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from repro.nn import kernels as K
-from repro.quant.int8 import (QuantConfig, SegmentQuantizer, dequantize,
-                              fake_quantize, fake_quantize_segments, quantize)
+from repro.quant.int8 import (QuantConfig, SegmentQuantizer, _scale_for,
+                              dequantize, fake_quantize,
+                              fake_quantize_segments, quantize)
 from repro.quant.observer import EmaObserver
 
 
@@ -165,10 +166,12 @@ def test_kernel_segment_scales_match_reference():
     flat[16:32] = 0.0               # a zero segment: unit scale
     flat[32:37] *= 1e-60            # a tiny one next to a huge one
     work, wide = scratch(flat)
-    narrow, widened = np.empty_like(flat), np.empty_like(wide)
-    K.segment_scales(flat, starts, config.qmax, work, narrow, widened)
-    assert np.all(widened[16:32] == 1.0)
-    assert np.array_equal(narrow, widened.astype(np.float32))
+    scales = K.segment_scales(flat, starts, config.qmax)
+    assert scales.dtype == np.float64 and scales[1] == 1.0
+    assert np.array_equal(scales, [
+        _scale_for(flat[a:a + n], config.qmax) for a, n in zip(starts, sizes)])
+    widened = np.repeat(scales, sizes)
+    narrow = widened.astype(np.float32)
     got = K.fake_quant(flat, (narrow, widened), config.qmax, work, wide)
     assert np.array_equal(got, perkey_reference(flat, starts, sizes, config))
 
@@ -276,3 +279,42 @@ def test_prealloc_quantizer_reusable_across_calls():
         expected = perkey_reference(flat, starts, sizes, config)
         quantizer(flat)
         assert np.array_equal(flat, expected)
+
+
+@pytest.mark.parametrize("config", PREALLOC_CONFIGS,
+                         ids=lambda c: c.format_name +
+                         ("_sr" if c.stochastic_rounding else ""))
+@pytest.mark.parametrize("block", [1, 7, 64, 100, 10_000])
+def test_blocks_are_invisible(monkeypatch, config, block):
+    """The quantiser runs block by block with block-sized planes; where
+    the blocks fall against the segments — inside one, across several,
+    on a boundary — changes neither a bit nor the generator's state."""
+    import repro.quant.int8 as int8
+    monkeypatch.setattr(int8, "_BLOCK", block)
+    flat, starts, sizes = segmented_array(SIZES, seed=21)
+    flat[starts[2]:starts[2] + sizes[2]] = 0.0       # a unit-scale segment
+    stochastic = config.stochastic_rounding
+    rng_reference, rng = (np.random.default_rng(5) if stochastic else None
+                          for _ in range(2))
+    expected = perkey_reference(flat, starts, sizes, config,
+                                rng=rng_reference)
+    quantizer = SegmentQuantizer(starts, sizes, config,
+                                 stochastic=stochastic)
+    assert all(len(plane) == min(block, flat.size)
+               for plane in quantizer.buffers())
+    quantizer(flat, rng)
+    assert np.array_equal(flat, expected)
+    if stochastic:
+        assert rng.bit_generator.state == rng_reference.bit_generator.state
+    # and over runs that start and stop mid-array
+    flat, starts, sizes = segmented_array(SIZES, seed=22)
+    runs = ((int(starts[1]), int(starts[2])),
+            (int(starts[3]), int(starts[4] + sizes[4])))
+    expected = flat.copy()
+    rng_reference, rng = (np.random.default_rng(6) if stochastic else None
+                          for _ in range(2))
+    for i in (1, 3, 4):
+        seg = slice(starts[i], starts[i] + sizes[i])
+        expected[seg] = reference(flat[seg], config, rng_reference)
+    quantizer(flat, rng, runs)
+    assert np.array_equal(flat, expected)

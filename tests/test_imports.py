@@ -37,6 +37,27 @@ def test_subpackage_imports_first(name):
     assert done.returncode == 0, done.stderr
 
 
+def test_planning_does_not_import_networkx_or_yaml():
+    """``import repro`` paid 0.10 s of its 0.25 s for networkx, which
+    only 2-coloured a conflict graph of at most 15 vertices; it is
+    imported where somebody asks for the graph object (or an odd cycle
+    needs DSATUR), as yaml is where a job file is read."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    program = (
+        "import sys, repro.core\n"
+        "from repro.cluster import ClusterTopology\n"
+        "from repro.core import CommunicationPlan, integrity_greedy_mapping\n"
+        "plan = CommunicationPlan.from_mapping(\n"
+        "    integrity_greedy_mapping(ClusterTopology(num_socs=27), 9))\n"
+        "assert plan.num_cgs == 2, plan.cgs\n"
+        "print(sorted({'networkx', 'yaml'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", program],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_preemption_event_resolves_from_both_packages():
     from repro.cluster import PreemptionEvent
     from repro.core import scheduler
