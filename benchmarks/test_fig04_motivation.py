@@ -79,7 +79,7 @@ def test_fig04b_communication_latency(benchmark):
 def test_fig04c_int8_accuracy_degradation(benchmark, suite):
     def compute():
         fp32 = suite.run("vgg11", "socflow", max_epochs=5,
-                         precision="fp32", mixed=False)
+                         precision="fp32")
         int8 = suite.run("vgg11", "socflow", max_epochs=5,
                          precision="int8")
         return fp32, int8

@@ -22,8 +22,7 @@ def test_fig06_accuracy_vs_group_count(benchmark, suite):
                                   preset="bench")
             from dataclasses import replace
             config = replace(config, num_groups=n)
-            result = SoCFlow(SoCFlowOptions(precision="fp32",
-                                            mixed=False)).train(config)
+            result = SoCFlow(SoCFlowOptions(precision="fp32")).train(config)
             rows[n] = (result.extra["first_epoch_group_accuracy"],
                        result.best_accuracy)
         return rows

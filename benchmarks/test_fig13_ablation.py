@@ -13,13 +13,13 @@ from repro.harness import format_table
 STEPS = [
     ("RING", None),
     ("+Group", SoCFlowOptions(mapping="naive", planning=False,
-                              precision="fp32", mixed=False)),
+                              precision="fp32")),
     ("+Mapping", SoCFlowOptions(mapping="integrity", planning=False,
-                                precision="fp32", mixed=False)),
+                                precision="fp32")),
     ("+Plan", SoCFlowOptions(mapping="integrity", planning=True,
-                             precision="fp32", mixed=False)),
+                             precision="fp32")),
     ("+Mixed", SoCFlowOptions(mapping="integrity", planning=True,
-                              precision="mixed", mixed=True)),
+                              precision="mixed")),
 ]
 
 

@@ -11,7 +11,7 @@ from conftest import print_block
 from repro.harness import format_table
 
 MODES = {
-    "Ours-FP32": dict(precision="fp32", mixed=False),
+    "Ours-FP32": dict(precision="fp32"),
     "Ours-Mixed": dict(),
     "Ours-Half": dict(fixed_alpha=0.7),
     "Ours-INT8": dict(precision="int8"),

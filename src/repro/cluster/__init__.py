@@ -6,7 +6,8 @@ one 1 Gbps NIC towards a 20 Gbps switch.  This package reproduces that
 machine as a calibrated performance model:
 
 - :mod:`spec` — processors, SoCs, GPUs, per-model compute profiles.
-- :mod:`topology` — the PCB/SoC physical layout.
+- :mod:`topology` — the PCB/SoC physical layout; edge sites behind WAN
+  uplinks.
 - :mod:`network` — link-level transfer times with NIC contention.
 - :mod:`energy` — busy/idle power accounting.
 - :mod:`trace` — diurnal (tidal) utilisation traces and idle windows.
@@ -17,7 +18,7 @@ machine as a calibrated performance model:
 
 from .spec import (GPU_REGISTRY, SOC_REGISTRY, GpuSpec, ModelProfile,
                    ProcessorSpec, SoCSpec, model_profile)
-from .topology import ClusterTopology
+from .topology import ClusterTopology, EdgeSite, WanFabric
 from .network import Flow, NetworkFabric
 from .faults import (FaultInjector, FaultSchedule, FaultSpecError,
                      NicDegradation, PreemptionStorm, SoCCrash,
@@ -26,7 +27,6 @@ from .energy import EnergyModel, EnergyReport
 from .trace import TidalTrace, IdleWindow
 from .workload import (PreemptionEvent, Session, SessionIndex,
                        SessionSimulator, derive_training_events)
-from .multiserver import EdgeSite, WanFabric
 from .clock import PhaseClock
 
 __all__ = [

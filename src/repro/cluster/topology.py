@@ -4,6 +4,14 @@ SoCs are numbered 0..M-1 and grouped into PCBs of ``socs_per_pcb``
 (5 on the commercial server).  Every PCB shares one NIC toward the
 central switch; all cross-PCB traffic serialises through the two PCB
 NICs involved — the root cause of the paper's Observation #2.
+
+One level up (the LAN–WAN extension): the paper deploys tens of
+thousands of these servers across edge sites, and its related work
+points at LAN-WAN orchestration (Yuan et al.) for aggregating across
+them.  :class:`EdgeSite` wraps one server with a WAN uplink;
+:class:`WanFabric` prices cross-site collectives the way
+:class:`~repro.cluster.network.NetworkFabric` prices intra-server ones —
+uplinks are the scarce resource (tens of Mbps, not Gbps).
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .spec import SOC_REGISTRY, SoCSpec
 
-__all__ = ["ClusterTopology"]
+__all__ = ["ClusterTopology", "EdgeSite", "WanFabric"]
 
 
 @dataclass(frozen=True)
@@ -68,3 +76,59 @@ class ClusterTopology:
             pcb_nic_bps=self.pcb_nic_bps, switch_bps=self.switch_bps,
             hop_latency_s=self.hop_latency_s,
             startup_per_soc_s=self.startup_per_soc_s)
+
+
+@dataclass(frozen=True)
+class EdgeSite:
+    """One SoC-Cluster server behind a WAN uplink."""
+
+    name: str
+    topology: ClusterTopology = field(
+        default_factory=lambda: ClusterTopology(num_socs=60))
+    #: uplink/downlink toward the aggregation point, bits/s
+    wan_bps: float = 100e6
+    #: one-way WAN latency, seconds
+    wan_latency_s: float = 0.02
+
+    def __post_init__(self):
+        if self.wan_bps <= 0:
+            raise ValueError("wan_bps must be positive")
+
+
+class WanFabric:
+    """Cross-site transfer times (star topology to an aggregator)."""
+
+    def __init__(self, sites: list[EdgeSite],
+                 aggregator_bps: float = 1e9):
+        if not sites:
+            raise ValueError("need at least one site")
+        names = [s.name for s in sites]
+        if len(set(names)) != len(names):
+            raise ValueError("site names must be unique")
+        self.sites = list(sites)
+        self.aggregator_bps = aggregator_bps
+
+    def sync_time(self, nbytes: float) -> float:
+        """All sites upload then download one payload via the aggregator.
+
+        Uplinks run in parallel (each site is limited by its own WAN
+        link); the aggregator's link carries every site's payload in
+        each direction.
+        """
+        if nbytes < 0:
+            raise ValueError("payload must be non-negative")
+        slowest_uplink = max(8.0 * nbytes / site.wan_bps
+                             for site in self.sites)
+        aggregator = 8.0 * nbytes * len(self.sites) / self.aggregator_bps
+        one_way = max(slowest_uplink, aggregator) + max(
+            site.wan_latency_s for site in self.sites)
+        return 2.0 * one_way
+
+    def per_site_epoch_ratio(self, epoch_seconds: float, nbytes: float,
+                             sync_every_epochs: int = 1) -> float:
+        """Overhead factor the WAN sync adds to a site's epoch time
+        (uniform over sites in the star model)."""
+        if sync_every_epochs < 1:
+            raise ValueError("sync_every_epochs must be >= 1")
+        extra = self.sync_time(nbytes) / sync_every_epochs
+        return (epoch_seconds + extra) / epoch_seconds

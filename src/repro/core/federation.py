@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..cluster.multiserver import EdgeSite, WanFabric
+from ..cluster.spec import model_profile
+from ..cluster.topology import EdgeSite, WanFabric
 from ..comm.primitives import average_states
 from ..data.loader import iid_partition
 from ..distributed.base import (RunConfig, StrategyResult,
-                                evaluate_accuracy)
-from .mixed_precision import GroupMixedTrainer
+                                evaluate_accuracy, make_model)
 from .socflow import SoCFlow, SoCFlowOptions
 
 __all__ = ["CrossSiteConfig", "CrossSiteSoCFlow"]
@@ -52,11 +52,10 @@ class CrossSiteSoCFlow:
         shards = iid_partition(run_config.task.x_train,
                                run_config.task.y_train, len(sites),
                                seed=run_config.seed)
-        # A shared initial model: reuse SoCFlow's group builder once.
-        template = GroupMixedTrainer(run_config, controller=None,
-                                     quant_config=self.config.socflow.quant,
-                                     precision="fp32")
-        shared_state = template.state_dict()
+        # the shared initial model, and the one every round is scored on
+        model = make_model(run_config)
+        shared_state = model.state_dict()
+        payload = model_profile(run_config.model_name).payload_bytes()
 
         site_states = [dict(shared_state) for _ in sites]
         history: list[float] = []
@@ -82,15 +81,10 @@ class CrossSiteSoCFlow:
                           else energy + result.energy)
             merged = average_states(round_states)
             site_states = [dict(merged) for _ in sites]
-            from ..cluster.spec import model_profile
-            payload = model_profile(run_config.model_name).payload_bytes()
             total_time += round_time + self.fabric.sync_time(payload)
-            probe = GroupMixedTrainer(run_config, controller=None,
-                                      quant_config=self.config.socflow.quant,
-                                      precision="fp32")
-            probe.fp32.load_state_dict(merged)
+            model.load_state_dict(merged)
             history.append(evaluate_accuracy(
-                probe.fp32, run_config.task.x_test, run_config.task.y_test))
+                model, run_config.task.x_test, run_config.task.y_test))
 
         return StrategyResult(
             strategy="cross_site_socflow",

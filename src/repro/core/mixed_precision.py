@@ -14,9 +14,9 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..distributed.base import RunConfig, fp32_train_step, make_model
+from ..distributed.base import (RunConfig, fp32_train_step, make_model,
+                                make_replica)
 from ..nn.arena import StepArena
-from ..nn.optim import SGD
 from ..nn.tensor import Tensor, no_grad
 from ..quant.int8 import QuantConfig
 # ``merge_weights`` is unused here: the claims benchmark's tracer
@@ -68,16 +68,9 @@ class GroupMixedTrainer:
         self.arena = arena if arena is not None else StepArena()
         self.telemetry = (config.telemetry if config.telemetry is not None
                           else NULL_TELEMETRY)
-        self.fp32 = make_model(config, seed_offset=seed_offset,
-                               init_weights=init_weights)
-        self.fp32_opt = SGD(self.fp32.parameters(), lr=config.lr,
-                            momentum=config.momentum,
-                            weight_decay=config.weight_decay,
-                            flat=self.fp32.flatten_parameters(self.arena))
-        if config.graph:
-            # Trace-once/replay-many FP32 step; replays are bit-identical,
-            # so group results match the eager trainer exactly.
-            self.fp32.enable_graph_executor(arena=self.arena)
+        self.fp32, self.fp32_opt = make_replica(
+            config, arena=self.arena, seed_offset=seed_offset,
+            init_weights=init_weights)
         self.int8: Int8Trainer | None = None
         if precision != "fp32":
             # the twin starts from the FP32 weights, never from its own

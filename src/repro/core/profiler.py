@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..distributed.base import RunConfig, fp32_train_step, make_model
-from ..nn.optim import SGD
+from ..distributed.base import (RunConfig, fp32_train_step, make_model,
+                                make_replica)
 from ..quant.int8 import QuantConfig
 from ..quant.trainer import Int8Trainer
 
@@ -71,8 +71,7 @@ class ProcessorProfiler:
                 task.y_train[:self.batch_size])
 
     def _time_fp32(self) -> float:
-        model = make_model(self.config)
-        optimizer = SGD(model.parameters(), lr=self.config.lr)
+        model, optimizer = make_replica(self.config)
         x, y = self._batch()
         return self._time_steps(
             lambda: fp32_train_step(model, optimizer, x, y))

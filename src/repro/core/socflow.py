@@ -12,7 +12,7 @@ set.
 Every sub-technique is individually switchable for the Figure 13
 ablation: ``grouping`` (vs one flat ring), ``mapping``
 (integrity-greedy vs naive), ``planning`` (CG schedule vs concurrent),
-``mixed`` (CPU+NPU vs CPU only).
+``precision`` (CPU+NPU mixed vs CPU only).
 
 Resilience: when the run config carries a
 :class:`~repro.cluster.faults.FaultSchedule`, the scheduler surfaces
@@ -149,11 +149,12 @@ class SoCFlowOptions:
     grouping: bool = True
     mapping: str = "integrity"          # "integrity" | "naive"
     planning: bool = True
-    mixed: bool = True
     #: None = dynamic alpha (profiled per epoch); a float pins it
     #: (Figure 14's "Ours-Half" uses fixed alpha = 0.7)
     fixed_alpha: float | None = None
-    #: "mixed" | "fp32" | "int8" — the Figure 14 precision modes
+    #: "mixed" | "fp32" | "int8" — what the logical groups train in:
+    #: the Figure 14 precision modes ("fp32" is Figure 13's CPU-only
+    #: ablation)
     precision: str = "mixed"
     quant: QuantConfig = field(default_factory=QuantConfig)
     rebalance: bool = True
@@ -173,14 +174,6 @@ class SoCFlowOptions:
             raise ValueError("mapping must be 'integrity' or 'naive'")
         if self.precision not in ("mixed", "fp32", "int8"):
             raise ValueError("precision must be mixed/fp32/int8")
-
-    @property
-    def group_precision(self) -> str:
-        """What the logical groups train in: :attr:`precision`, with
-        the Figure 13 ``mixed=False`` ablation reading as all-CPU."""
-        if self.precision == "mixed" and not self.mixed:
-            return "fp32"
-        return self.precision
 
 
 class SoCFlow(Strategy):
@@ -247,7 +240,7 @@ class SoCFlow(Strategy):
                                     fault_schedule=config.fault_schedule,
                                     telemetry=telemetry)
 
-        mixed = options.group_precision == "mixed"
+        mixed = options.precision == "mixed"
         controller = MixedPrecisionController(cost.t_cpu_sample,
                                               cost.t_npu_sample)
         if options.fixed_alpha is not None:
@@ -280,8 +273,8 @@ class SoCFlow(Strategy):
         last_good: tuple[dict, int] = (groups[0].state_dict(), -1)
         current_dead: set[int] = set()
         recoveries: list[dict] = []
-        executor = make_lg_executor(config, options.quant,
-                                    options.group_precision, cost, telemetry)
+        executor = make_lg_executor(config, options.quant, options.precision,
+                                    cost, telemetry)
         try:
             for epoch in range(start_epoch, config.max_epochs):
                 epoch_start = cost.epoch_start()
@@ -451,7 +444,7 @@ class SoCFlow(Strategy):
                       ) -> list[GroupMixedTrainer]:
         return build_groups(config, controller, self.options.quant,
                             mapping.num_groups,
-                            precision=self.options.group_precision)
+                            precision=self.options.precision)
 
     @staticmethod
     def _try_resume(path: str, groups: list[GroupMixedTrainer],

@@ -11,7 +11,6 @@ SoC count).
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass, field
 
@@ -27,14 +26,15 @@ from ..data.synthetic import SyntheticImageTask
 from ..nn.graph import train_step as fp32_train_step
 from ..nn.modules import Module
 from ..nn.models import build_model
+from ..nn.optim import SGD
 from ..nn.tensor import Tensor, no_grad
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from . import pricing
 from .pricing import OVERLAP_FRACTION, EpochCharge
 
 __all__ = ["RunConfig", "CostModel", "StrategyResult", "Strategy",
-           "make_model", "evaluate_accuracy", "fp32_train_step",
-           "record_epoch_telemetry"]
+           "make_model", "make_replica", "evaluate_accuracy",
+           "fp32_train_step", "record_epoch_telemetry"]
 
 
 @dataclass
@@ -146,6 +146,28 @@ def make_model(config: RunConfig, seed_offset: int = 0,
     return model
 
 
+def make_replica(config: RunConfig, *, arena=None, seed_offset: int = 0,
+                 init_weights: bool = True) -> "tuple[Module, SGD]":
+    """One FP32 training replica of the run: the model on its fused
+    storage, its SGD and (``config.graph``) its step executor.
+
+    ``arena`` is the run's :class:`~repro.nn.arena.StepArena` when the
+    replica is one of several structurally equal ones that step one
+    after another (SoCFlow's groups, SSP's chains): they then share one
+    gradient plane, one update scratch and one compiled plan.  Without
+    one the replica gets a private arena.
+    """
+    model = make_model(config, seed_offset, init_weights)
+    optimizer = SGD(model.parameters(), lr=config.lr,
+                    momentum=config.momentum,
+                    weight_decay=config.weight_decay,
+                    flat=model.flatten_parameters(arena))
+    if config.graph:
+        # Trace-once/replay-many step; replays are bit-identical.
+        model.enable_graph_executor(arena=arena)
+    return model, optimizer
+
+
 def evaluate_accuracy(model: Module, x: np.ndarray, y: np.ndarray,
                       batch_size: int = 256) -> float:
     """Top-1 accuracy of ``model`` on ``(x, y)``."""
@@ -159,20 +181,25 @@ def evaluate_accuracy(model: Module, x: np.ndarray, y: np.ndarray,
     return correct / len(x)
 
 
-def flush_graph_stats(model: Module, cost: "CostModel", extra: dict) -> None:
-    """Surface a model's graph-executor counters after a training run.
+def flush_graph_stats(replicas: "list[Module]", cost: "CostModel",
+                      extra: dict) -> None:
+    """Surface a run's graph-executor counters after training.
 
-    No-op without an attached executor.  With one, the capture/replay
-    counters land in ``extra["graph_stats"]``, the metrics registry
-    (``graph.captures`` / ``graph.replays`` / ``graph.eager_steps`` /
-    ``graph.fallbacks``) and a ``graph_replay`` summary span at the
-    current simulated clock.  Numerics are untouched, so traced and
-    untraced runs stay bit-identical.
+    No-op when no replica has an executor.  Otherwise the
+    capture/replay counters, summed over the replicas, land in
+    ``extra["graph_stats"]``, the metrics registry (``graph.captures``
+    / ``graph.replays`` / ``graph.eager_steps`` / ``graph.fallbacks``)
+    and a ``graph_replay`` summary span at the current simulated clock.
+    Numerics are untouched, so traced and untraced runs stay
+    bit-identical.
     """
-    executor = getattr(model, "_graph_exec", None)
-    if executor is None:
+    snapshots = [model._graph_exec.snapshot() for model in replicas
+                 if getattr(model, "_graph_exec", None) is not None]
+    if not snapshots:
         return
-    stats = extra["graph_stats"] = executor.snapshot()
+    stats = extra["graph_stats"] = {
+        key: sum(snapshot[key] for snapshot in snapshots)
+        for key in snapshots[0]}
     telemetry = cost.telemetry
     if telemetry.metrics.enabled:
         for key, value in stats.items():
@@ -325,9 +352,9 @@ class CostModel:
         write weight+momentum -> ~16 bytes/parameter over LPDDR5)."""
         return 16.0 * self.profile.params / self.topology.soc.mem_bps
 
-    def charge_step(self, compute_s: float, sync_s: float,
-                    num_socs: int, cpu_fraction: float = 1.0) -> None:
-        """Advance the clock by one flat-cluster training step.
+    def step_charge(self, compute_s: float, sync_s: float, num_socs: int,
+                    cpu_fraction: float = 1.0) -> EpochCharge:
+        """One flat-cluster training step as a charge.
 
         ``sync_s`` is reduced by the computing/communication overlap
         optimisation (all strategies get it, §4.1).  The ``steps=1``
@@ -335,12 +362,18 @@ class CostModel:
         epoch (:mod:`.pricing`).
         """
         hidden = min(sync_s, OVERLAP_FRACTION * compute_s)
-        pricing.apply(self, EpochCharge(
+        return EpochCharge(
             steps=1, compute_s=compute_s, sync_s=sync_s - hidden,
             hidden_s=hidden, update_s=self.update_seconds(),
             cpu_busy_s=compute_s * cpu_fraction,
             npu_busy_s=compute_s * (1.0 - cpu_fraction),
-            num_socs=num_socs, cpu_fraction=cpu_fraction))
+            num_socs=num_socs, cpu_fraction=cpu_fraction)
+
+    def charge_step(self, compute_s: float, sync_s: float,
+                    num_socs: int, cpu_fraction: float = 1.0) -> None:
+        """Advance the clock by one flat-cluster training step."""
+        pricing.apply(self, self.step_charge(compute_s, sync_s, num_socs,
+                                             cpu_fraction))
 
     def charge_epoch_sync(self, sync_s: float, num_socs: int) -> None:
         self.clock.advance(sync_s, "sync")
@@ -407,35 +440,82 @@ class StrategyResult:
         return self.sim_time_s * self.epochs_to_target / self.epochs_run
 
 
-class Strategy(abc.ABC):
-    """A distributed training method: real math + simulated clock."""
+class Strategy:
+    """A distributed training method: real math + simulated clock.
+
+    A strategy is two hooks around the one epoch loop of :meth:`train`.
+    ``setup(config, cost)`` builds what the run keeps between epochs
+    (replicas, data order, the priced step) and returns it as ``run``:
+    ``run.replicas`` lists the models that take steps (their graph
+    counters are summed into the result) and ``run.extra``, if set,
+    seeds the result's ``extra``.  ``run_epoch(run, cost, epoch, dead)``
+    trains one epoch for real on the SoCs not in ``dead``, charges it
+    to ``cost`` and returns the model the epoch is scored on.  Fault
+    state, scoring, bookkeeping, epoch telemetry and the result are the
+    loop's, once.
+    """
 
     name: str = "strategy"
 
-    @abc.abstractmethod
+    def cost_model(self, config: RunConfig) -> "CostModel":
+        """The run's clock; its ``config`` is what the run trains under."""
+        return CostModel(config, telemetry=config.telemetry)
+
+    def setup(self, config: RunConfig, cost: "CostModel"):
+        raise NotImplementedError
+
+    def run_epoch(self, run, cost: "CostModel", epoch: int,
+                  dead: "set[int]") -> Module:
+        raise NotImplementedError
+
     def train(self, config: RunConfig) -> StrategyResult:
         """Run to ``config.max_epochs`` (or target accuracy) and report."""
+        cost = self.cost_model(config)
+        config = cost.config
+        run = self.setup(config, cost)
+        history: list[float] = []
+        state: dict = {}
+        extra: dict = dict(getattr(run, "extra", ()))
+        for epoch in range(config.max_epochs):
+            epoch_start = cost.epoch_start()
+            dead, abort = self._epoch_fault_state(config, epoch, cost, extra)
+            if abort:
+                break
+            model = self.run_epoch(run, cost, epoch, dead)
+            accuracy = evaluate_accuracy(model, config.task.x_test,
+                                         config.task.y_test)
+            self._epoch_accuracy_bookkeeping(accuracy, epoch, config,
+                                             history, state)
+            record_epoch_telemetry(cost, epoch_start, epoch, accuracy)
+        if config.fault_schedule is not None:
+            extra.setdefault("aborted", False)
+        flush_graph_stats(run.replicas, cost, extra)
+        return self._result(self.name, config, cost, history, state, extra)
 
     # -- helpers shared by subclasses -----------------------------------
     @staticmethod
-    def _epoch_fault_state(config: RunConfig, epoch: int,
-                           cost: "CostModel | None" = None
-                           ) -> tuple[set[int], bool]:
+    def _epoch_fault_state(config: RunConfig, epoch: int, cost: "CostModel",
+                           extra: dict) -> tuple[set[int], bool]:
         """Baseline degraded-mode: (dead SoCs this epoch, abort?).
 
         ``abort`` is True exactly when SoCs are down and the config asks
-        for fail-stop.  When a cost model is given, the epoch's NIC
-        degradations are pushed into its fabric either way, so even a
-        continuing baseline pays for flapping links.
+        for fail-stop — a synchronous collective hangs on the dead
+        member and the job dies with it — and is then written into
+        ``extra``.  The epoch's NIC degradations are pushed into the
+        fabric either way, so even a continuing baseline pays for
+        flapping links.
         """
         schedule = config.fault_schedule
         if schedule is None:
             return set(), False
-        if cost is not None:
-            cost.fabric.apply_pcb_multipliers(schedule.nic_multipliers(epoch))
+        cost.fabric.apply_pcb_multipliers(schedule.nic_multipliers(epoch))
         dead = {s for s in schedule.dead_socs(epoch)
                 if 0 <= s < config.topology.num_socs}
-        return dead, bool(dead) and config.fault_mode == "fail-stop"
+        abort = bool(dead) and config.fault_mode == "fail-stop"
+        if abort:
+            extra.update(aborted=True, abort_epoch=epoch,
+                         dead_socs=sorted(dead))
+        return dead, abort
 
     @staticmethod
     def _epoch_accuracy_bookkeeping(

@@ -12,13 +12,12 @@ training below, not from hard-coding.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 from ..comm.primitives import average_states
 from ..data.loader import DataLoader, iid_partition
-from ..nn.optim import SGD
-from .base import (CostModel, RunConfig, Strategy, StrategyResult,
-                   evaluate_accuracy, fp32_train_step, make_model,
-                   record_epoch_telemetry)
+from .base import (CostModel, RunConfig, Strategy, fp32_train_step,
+                   make_model, make_replica)
 
 __all__ = ["FedAvg"]
 
@@ -56,85 +55,67 @@ class FedAvg(Strategy):
         """Local batch small enough for several local steps per round."""
         return max(4, min(config.batch_size, shard_size // 4 or 1))
 
-    def train(self, config: RunConfig) -> StrategyResult:
-        cost = CostModel(config, telemetry=config.telemetry)
-        num_clients = self.num_clients(config)
-        global_model = make_model(config)
-        shards = self._partition(config, num_clients)
-        client_model = make_model(config)  # reused buffer for local runs
+    def setup(self, config: RunConfig, cost: CostModel):
         # Fused data plane: flattening both replicas makes every local
         # SGD step, the round average and the state loads whole-model
         # array ops (bit-identical to the per-key paths).
+        global_model = make_model(config)
         global_model.flatten_parameters()
-        client_flat = client_model.flatten_parameters()
-        if config.graph:
-            # One executor serves every client round: load_state_dict
-            # writes weights in place, so the flat storage stays intact
-            # and captured programs remain valid across rounds.
-            client_model.enable_graph_executor()
+        shards = self._partition(config, self.num_clients(config))
+        # One replica is the buffer every client's local run reuses
+        # (and one executor serves every round: load_state_dict writes
+        # weights in place, so captured programs stay valid).
+        client_model, optimizer = make_replica(config)
+        return SimpleNamespace(
+            replicas=[client_model], global_model=global_model,
+            shards=shards, optimizer=optimizer,
+            # each client starts its round without momentum
+            fresh_optimizer=optimizer.state_dict(), sync_s=None)
+
+    def run_epoch(self, run, cost: CostModel, epoch: int, dead):
+        config = cost.config
+        if run.sync_s is None or config.fault_schedule is not None:
+            # under a fault schedule every round is re-priced on the
+            # fabric's current degradations
+            run.sync_s = self.round_sync_seconds(cost)
+        epoch_t0 = cost.clock.now
+        global_model, (client_model,) = run.global_model, run.replicas
+        global_state = global_model.state_dict()
+        client_states = []
+        for index, shard in enumerate(run.shards):
+            if index in dead:
+                continue        # the client's SoC is down this round
+            client_model.load_state_dict(global_state)
+            run.optimizer.load_state_dict(run.fresh_optimizer)
+            loader = DataLoader(
+                shard, self._local_batch(config, len(shard)),
+                shuffle=True, seed=config.seed * 1000 + epoch * 64 + index)
+            for _ in range(self.local_epochs):
+                for x, y in loader:
+                    fp32_train_step(client_model, run.optimizer, x, y)
+            client_states.append(client_model.state_dict())
+        if client_states:
+            global_model.load_state_dict(average_states(
+                client_states, metrics=cost.telemetry.metrics))
 
         # Simulated per-round cost: every client trains its full-scale
         # shard locally (all clients in parallel), then one aggregation.
-        sim_shard = cost.config.sim_samples_per_epoch / num_clients
+        num_clients = len(run.shards)
+        sim_shard = config.sim_samples_per_epoch / num_clients
         compute_s = cost.compute_seconds(sim_shard, "cpu") * self.local_epochs
-        sync_s = self.round_sync_seconds(cost)
-
-        telemetry = cost.telemetry
-        history: list[float] = []
-        state: dict = {}
-        extra: dict = {}
-        for epoch in range(config.max_epochs):
-            epoch_start = cost.epoch_start()
-            epoch_t0 = epoch_start[0]
-            dead, abort = self._epoch_fault_state(config, epoch, cost)
-            if abort:
-                extra.update(aborted=True, abort_epoch=epoch,
-                             dead_socs=sorted(dead))
-                break
-            global_state = global_model.state_dict()
-            client_states = []
-            for index, shard in enumerate(shards):
-                if index in dead:
-                    continue        # the client's SoC is down this round
-                client_model.load_state_dict(global_state)
-                optimizer = SGD(client_model.parameters(), lr=config.lr,
-                                momentum=config.momentum,
-                                weight_decay=config.weight_decay,
-                                flat=client_flat)
-                loader = DataLoader(
-                    shard, self._local_batch(config, len(shard)),
-                    shuffle=True, seed=config.seed * 1000 + epoch * 64 + index)
-                for _ in range(self.local_epochs):
-                    for x, y in loader:
-                        fp32_train_step(client_model, optimizer, x, y)
-                client_states.append(client_model.state_dict())
-            if client_states:
-                global_model.load_state_dict(average_states(
-                    client_states, metrics=cost.telemetry.metrics))
-
-            update_s = cost.update_seconds() * math.ceil(
-                sim_shard / config.sim_global_batch)
-            if telemetry.tracer.enabled:
-                # one round = local passes in lock-step, then the
-                # weight exchange through the server
-                telemetry.tracer.span("compute", epoch_t0, compute_s,
-                                      num_socs=num_clients)
-                telemetry.tracer.span("update", epoch_t0 + compute_s,
-                                      update_s)
-                telemetry.tracer.span("sync",
-                                      epoch_t0 + compute_s + update_s,
-                                      sync_s, num_socs=num_clients)
-            cost.clock.advance(compute_s, "compute")
-            cost.energy.charge_compute(compute_s, num_clients, 1.0)
-            cost.clock.advance(update_s, "update")
-            cost.energy.charge_compute(update_s, num_clients, 1.0)
-            cost.charge_epoch_sync(sync_s, num_clients)
-
-            accuracy = evaluate_accuracy(global_model, config.task.x_test,
-                                         config.task.y_test)
-            self._epoch_accuracy_bookkeeping(accuracy, epoch, config,
-                                             history, state)
-            record_epoch_telemetry(cost, epoch_start, epoch, accuracy)
-        if config.fault_schedule is not None:
-            extra.setdefault("aborted", False)
-        return self._result(self.name, config, cost, history, state, extra)
+        update_s = cost.update_seconds() * math.ceil(
+            sim_shard / config.sim_global_batch)
+        tracer = cost.telemetry.tracer
+        if tracer.enabled:
+            # one round = local passes in lock-step, then the
+            # weight exchange through the server
+            tracer.span("compute", epoch_t0, compute_s, num_socs=num_clients)
+            tracer.span("update", epoch_t0 + compute_s, update_s)
+            tracer.span("sync", epoch_t0 + compute_s + update_s,
+                        run.sync_s, num_socs=num_clients)
+        cost.clock.advance(compute_s, "compute")
+        cost.energy.charge_compute(compute_s, num_clients, 1.0)
+        cost.clock.advance(update_s, "update")
+        cost.energy.charge_compute(update_s, num_clients, 1.0)
+        cost.charge_epoch_sync(run.sync_s, num_clients)
+        return global_model

@@ -9,17 +9,16 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..cluster.topology import ClusterTopology
-from ..data.loader import ArrayDataset, DataLoader
-from ..nn.optim import SGD
-from .base import (CostModel, RunConfig, Strategy, StrategyResult,
-                   evaluate_accuracy, flush_graph_stats, fp32_train_step,
-                   make_model)
+from .base import CostModel, RunConfig
+from .pricing import EpochCharge
+from .ssgd import SsgdStrategy
 
 __all__ = ["LocalSingleSoC"]
 
 
-class LocalSingleSoC(Strategy):
-    """Plain SGD on one SoC's CPU (or NPU via :class:`~repro.core`)."""
+class LocalSingleSoC(SsgdStrategy):
+    """Plain SGD on one SoC's CPU (or NPU via :class:`~repro.core`):
+    synchronous SGD with nobody to synchronise with."""
 
     name = "local"
 
@@ -28,39 +27,19 @@ class LocalSingleSoC(Strategy):
             raise ValueError("processor must be 'cpu' or 'npu'")
         self.processor = processor
 
-    def train(self, config: RunConfig) -> StrategyResult:
+    def cost_model(self, config: RunConfig) -> CostModel:
         single = ClusterTopology(
             num_socs=1, socs_per_pcb=config.topology.socs_per_pcb,
             soc=config.topology.soc)
         # the single-chip reference column never reads the cluster-wide
         # fault schedule, whose SoC ids a one-SoC topology would reject
-        local_config = replace(config, topology=single, fault_schedule=None)
-        cost = CostModel(local_config, telemetry=config.telemetry)
-        model = make_model(config)
-        optimizer = SGD(model.parameters(), lr=config.lr,
-                        momentum=config.momentum,
-                        weight_decay=config.weight_decay,
-                        flat=model.flatten_parameters())
-        if config.graph:
-            model.enable_graph_executor()
-        loader = DataLoader(
-            ArrayDataset(config.task.x_train, config.task.y_train),
-            config.batch_size, shuffle=True, seed=config.seed)
+        return CostModel(replace(config, topology=single,
+                                 fault_schedule=None),
+                         telemetry=config.telemetry)
 
-        compute_s = cost.compute_seconds(config.sim_global_batch,
-                                         self.processor)
-        cpu_fraction = 1.0 if self.processor == "cpu" else 0.0
-        history: list[float] = []
-        state: dict = {}
-        extra: dict = {}
-        for epoch in range(config.max_epochs):
-            for x, y in loader:
-                fp32_train_step(model, optimizer, x, y)
-            for _ in range(cost.steps_per_epoch):
-                cost.charge_step(compute_s, 0.0, 1, cpu_fraction)
-            accuracy = evaluate_accuracy(model, config.task.x_test,
-                                         config.task.y_test)
-            self._epoch_accuracy_bookkeeping(accuracy, epoch, config,
-                                             history, state)
-        flush_graph_stats(model, cost, extra)
-        return self._result(self.name, config, cost, history, state, extra)
+    def _price_step(self, cost: CostModel, layout,
+                    num_socs: int) -> EpochCharge:
+        return cost.step_charge(
+            cost.compute_seconds(cost.config.sim_global_batch,
+                                 self.processor),
+            0.0, num_socs, 1.0 if self.processor == "cpu" else 0.0)

@@ -9,13 +9,12 @@ HiPress additionally transforms the gradients for real (DGC).
 from __future__ import annotations
 
 from functools import partial
+from types import SimpleNamespace
 
 from ..data.loader import ArrayDataset, DataLoader
-from ..nn.optim import SGD
 from . import pricing
-from .base import (CostModel, RunConfig, Strategy, StrategyResult,
-                   evaluate_accuracy, flush_graph_stats, fp32_train_step,
-                   make_model, record_epoch_telemetry)
+from .base import (CostModel, RunConfig, Strategy, fp32_train_step,
+                   make_replica)
 
 __all__ = ["SsgdStrategy"]
 
@@ -59,52 +58,29 @@ class SsgdStrategy(Strategy):
             compute_s=self.step_compute_seconds(cost, num_socs),
             collective=partial(self.step_sync_seconds, cost))
 
-    # -- main loop ---------------------------------------------------------
-    def train(self, config: RunConfig) -> StrategyResult:
-        cost = CostModel(config, telemetry=config.telemetry)
-        model = make_model(config)
-        flat = model.flatten_parameters()
-        optimizer = SGD(model.parameters(), lr=config.lr,
-                        momentum=config.momentum,
-                        weight_decay=config.weight_decay,
-                        flat=flat)
-        if config.graph:
-            model.enable_graph_executor()
+    # -- the strategy's part of the epoch loop ----------------------------
+    def setup(self, config: RunConfig, cost: CostModel):
+        model, optimizer = make_replica(config)
         loader = DataLoader(
             ArrayDataset(config.task.x_train, config.task.y_train),
             config.batch_size, shuffle=True, seed=config.seed)
+        layout = model.flatten_parameters().layout
+        return SimpleNamespace(
+            replicas=[model], optimizer=optimizer, loader=loader,
+            layout=layout,
+            charge=self._price_step(cost, layout, cost.topology.num_socs))
 
-        layout = flat.layout
-        charge = self._price_step(cost, layout, cost.topology.num_socs)
-        history: list[float] = []
-        state: dict = {}
-        extra: dict = {}
-        for epoch in range(config.max_epochs):
-            epoch_start = cost.epoch_start()
-            dead, abort = self._epoch_fault_state(config, epoch, cost)
-            if abort:
-                # fail-stop: the synchronous ring/PS collective hangs on
-                # the dead member and the job dies with it.
-                extra.update(aborted=True, abort_epoch=epoch,
-                             dead_socs=sorted(dead))
-                break
-            num_socs = cost.topology.num_socs - len(dead)
-            if dead or config.fault_schedule is not None:
-                # continue-with-survivors: the same global batch spreads
-                # over fewer chips and syncs over possibly degraded links.
-                charge = self._price_step(cost, layout, num_socs)
-            self.on_epoch_begin(epoch)
-            for x, y in loader:
-                fp32_train_step(model, optimizer, x, y,
-                                grad_hook=self.transform_gradients)
-            for _ in range(cost.steps_per_epoch):
-                pricing.apply(cost, charge)
-            accuracy = evaluate_accuracy(model, config.task.x_test,
-                                         config.task.y_test)
-            self._epoch_accuracy_bookkeeping(accuracy, epoch, config,
-                                             history, state)
-            record_epoch_telemetry(cost, epoch_start, epoch, accuracy)
-        if config.fault_schedule is not None:
-            extra.setdefault("aborted", False)
-        flush_graph_stats(model, cost, extra)
-        return self._result(self.name, config, cost, history, state, extra)
+    def run_epoch(self, run, cost: CostModel, epoch: int, dead):
+        if cost.config.fault_schedule is not None:
+            # continue-with-survivors: the same global batch spreads
+            # over fewer chips and syncs over possibly degraded links.
+            run.charge = self._price_step(
+                cost, run.layout, cost.topology.num_socs - len(dead))
+        self.on_epoch_begin(epoch)
+        model, = run.replicas
+        for x, y in run.loader:
+            fp32_train_step(model, run.optimizer, x, y,
+                            grad_hook=self.transform_gradients)
+        for _ in range(cost.steps_per_epoch):
+            pricing.apply(cost, run.charge)
+        return model

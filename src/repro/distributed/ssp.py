@@ -14,14 +14,15 @@ between PS (staleness=1) and FedAvg (staleness=steps-per-epoch).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from ..comm.primitives import average_states
 from ..data.loader import iid_partition
-from ..nn.optim import SGD
-from .base import (CostModel, RunConfig, Strategy, StrategyResult,
-                   evaluate_accuracy, fp32_train_step, make_model,
-                   record_epoch_telemetry)
+from ..nn.arena import StepArena
+from .base import (CostModel, RunConfig, Strategy, fp32_train_step,
+                   make_replica)
 
 __all__ = ["StaleSynchronous"]
 
@@ -37,68 +38,62 @@ class StaleSynchronous(Strategy):
             raise ValueError("staleness must be >= 1")
         self.staleness = staleness
 
-    def train(self, config: RunConfig) -> StrategyResult:
-        cost = CostModel(config, telemetry=config.telemetry)
-        chains = [make_model(config) for _ in range(_NUM_CHAINS)]
+    def setup(self, config: RunConfig, cost: CostModel):
+        # The chains are structurally equal replicas that step one
+        # after another: one arena, one gradient plane, one plan.
+        arena = StepArena()
+        chains, optimizers = zip(*(
+            make_replica(config, arena=arena, init_weights=not index)
+            for index in range(_NUM_CHAINS)))
         shared = chains[0].state_dict()
-        for chain in chains:
+        for chain in chains[1:]:
             chain.load_state_dict(shared)
-        optimizers = [SGD(chain.parameters(), lr=config.lr,
-                          momentum=config.momentum,
-                          weight_decay=config.weight_decay,
-                          flat=chain.flatten_parameters())
-                      for chain in chains]
-        if config.graph:
-            for chain in chains:
-                chain.enable_graph_executor()
-        shards = iid_partition(config.task.x_train, config.task.y_train,
-                               _NUM_CHAINS, seed=config.seed)
+        return SimpleNamespace(
+            replicas=list(chains), optimizers=optimizers,
+            shards=iid_partition(config.task.x_train, config.task.y_train,
+                                 _NUM_CHAINS, seed=config.seed),
+            rng=np.random.default_rng(config.seed), step=None,
+            extra={"staleness": self.staleness})
 
-        # Simulated cost: every SoC computes its slice per step; one PS
-        # sync every `staleness` steps.
-        per_soc = config.sim_global_batch / config.topology.num_socs
-        compute_s = cost.compute_seconds(per_soc, "cpu")
-        sync_s = cost.fabric.parameter_server_time(
-            list(range(config.topology.num_socs)), cost.grad_bytes)
+    def run_epoch(self, run, cost: CostModel, epoch: int, dead):
+        config = cost.config
+        socs = [s for s in range(config.topology.num_socs) if s not in dead]
+        if run.step is None or config.fault_schedule is not None:
+            # (compute, PS sync) seconds of one step: every SoC computes
+            # its slice of the global batch.  Under a fault schedule
+            # every epoch is re-priced over the survivors and the
+            # fabric's current degradations.
+            run.step = (
+                cost.compute_seconds(config.sim_global_batch / len(socs),
+                                     "cpu"),
+                cost.fabric.parameter_server_time(socs, cost.grad_bytes))
+        chains = run.replicas
 
-        rng = np.random.default_rng(config.seed)
-        history: list[float] = []
-        state: dict = {}
-        for epoch in range(config.max_epochs):
-            epoch_start = cost.epoch_start()
-            orders = [rng.permutation(len(shard)) for shard in shards]
-            steps = min(len(o) for o in orders) // config.batch_size
-            since_sync = 0
-            for step in range(steps):
-                for chain, optimizer, shard, order in zip(
-                        chains, optimizers, shards, orders):
-                    idx = order[step * config.batch_size:
-                                (step + 1) * config.batch_size]
-                    fp32_train_step(chain, optimizer, shard.x[idx],
-                                    shard.y[idx])
-                since_sync += 1
-                if since_sync >= self.staleness:
-                    merged = average_states([c.state_dict()
-                                             for c in chains])
-                    for chain in chains:
-                        chain.load_state_dict(merged)
-                    since_sync = 0
-            # cost model at paper scale
-            sim_steps = cost.steps_per_epoch
-            sim_syncs = sim_steps // self.staleness
-            for _ in range(sim_steps):
-                cost.charge_step(compute_s, 0.0, config.topology.num_socs)
-            cost.charge_epoch_sync(sim_syncs * sync_s,
-                                   config.topology.num_socs)
-
+        def merge():
             merged = average_states([c.state_dict() for c in chains])
-            chains[0].load_state_dict(merged)
-            accuracy = evaluate_accuracy(chains[0], config.task.x_test,
-                                         config.task.y_test)
-            for chain in chains[1:]:
+            for chain in chains:
                 chain.load_state_dict(merged)
-            self._epoch_accuracy_bookkeeping(accuracy, epoch, config,
-                                             history, state)
-            record_epoch_telemetry(cost, epoch_start, epoch, accuracy)
-        return self._result(self.name, config, cost, history, state,
-                            extra={"staleness": self.staleness})
+
+        orders = [run.rng.permutation(len(shard)) for shard in run.shards]
+        steps = min(len(o) for o in orders) // config.batch_size
+        since_sync = 0
+        for step in range(steps):
+            for chain, optimizer, shard, order in zip(
+                    chains, run.optimizers, run.shards, orders):
+                idx = order[step * config.batch_size:
+                            (step + 1) * config.batch_size]
+                fp32_train_step(chain, optimizer, shard.x[idx], shard.y[idx])
+            since_sync += 1
+            if since_sync >= self.staleness:
+                merge()
+                since_sync = 0
+        # Simulated cost at paper scale: one PS sync every `staleness`
+        # steps.
+        compute_s, sync_s = run.step
+        sim_steps = cost.steps_per_epoch
+        for _ in range(sim_steps):
+            cost.charge_step(compute_s, 0.0, len(socs))
+        cost.charge_epoch_sync(sim_steps // self.staleness * sync_s,
+                               len(socs))
+        merge()
+        return chains[0]

@@ -47,10 +47,8 @@ class TestWanFabric:
 
     def test_epoch_ratio(self):
         fabric = WanFabric(list(two_sites()))
-        site = fabric.sites[0]
-        tight = fabric.per_site_epoch_ratio(site, 100.0, 1e7,
-                                            sync_every_epochs=1)
-        relaxed = fabric.per_site_epoch_ratio(site, 100.0, 1e7,
+        tight = fabric.per_site_epoch_ratio(100.0, 1e7, sync_every_epochs=1)
+        relaxed = fabric.per_site_epoch_ratio(100.0, 1e7,
                                               sync_every_epochs=10)
         assert tight > relaxed > 1.0
 
@@ -63,7 +61,7 @@ class TestWanFabric:
         with pytest.raises(ValueError):
             fabric.sync_time(-1)
         with pytest.raises(ValueError):
-            fabric.per_site_epoch_ratio(fabric.sites[0], 1.0, 1.0, 0)
+            fabric.per_site_epoch_ratio(1.0, 1.0, 0)
 
 
 class TestCrossSiteTraining:

@@ -56,7 +56,7 @@ class TestAblationSwitches:
 
     def test_mixed_faster_than_fp32(self, quick_config):
         mixed = run(quick_config)
-        fp32 = run(quick_config, precision="fp32", mixed=False)
+        fp32 = run(quick_config, precision="fp32")
         assert mixed.sim_time_s < fp32.sim_time_s
 
     def test_int8_fastest(self, quick_config):
@@ -66,7 +66,7 @@ class TestAblationSwitches:
 
     def test_int8_cheapest_energy(self, quick_config):
         int8 = run(quick_config, precision="int8")
-        fp32 = run(quick_config, precision="fp32", mixed=False)
+        fp32 = run(quick_config, precision="fp32")
         assert int8.energy.total_j < fp32.energy.total_j
 
     def test_fixed_alpha_pins_controller(self, quick_config):

@@ -1,9 +1,13 @@
 """Baseline strategies: learning behaviour and cost orderings."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.distributed import (STRATEGY_REGISTRY, FedAvg, HiPress,
                                LocalSingleSoC, ParameterServer,
@@ -155,3 +159,117 @@ class TestTwoDInternals:
         # pipeline splits the model across 4 SoCs; even with the bubble
         # and activation traffic it beats one SoC doing the whole model
         assert two_d < flat * 4
+
+
+FAULTS = "crash:epoch=1,soc=3;flap:epoch=1,pcb=0,mult=0.2,until=2"
+
+
+class TestFedAvgUnderFaults:
+    @pytest.mark.parametrize("method", ["fedavg", "t_fedavg"])
+    def test_a_flapping_nic_costs_the_round_sync(self, quick_config, method):
+        """The round is re-priced on the epoch's fabric, not once before
+        any degradation exists."""
+        from repro.cluster.faults import parse_fault_spec
+        config = replace(quick_config, max_epochs=3)
+        clean = build_strategy(method).train(config)
+        result = build_strategy(method).train(replace(
+            config, fault_mode="continue",
+            fault_schedule=parse_fault_spec(FAULTS, config.topology)))
+        assert result.epochs_run == 3
+        assert result.extra["network_retries"] > 0
+        assert result.sim_time_s > clean.sim_time_s
+        assert result.breakdown["compute"] == clean.breakdown["compute"]
+
+
+class TestLoopTelemetry:
+    """What the one loop reports, it reports for every strategy."""
+
+    @staticmethod
+    def traced(config, method):
+        from repro.telemetry import Telemetry
+        config = replace(config, max_epochs=2, telemetry=Telemetry.active())
+        return build_strategy(method).train(config), config.telemetry
+
+    @pytest.mark.parametrize("method", sorted(STRATEGY_REGISTRY))
+    def test_epoch_rows_and_spans(self, quick_config, method):
+        _, telemetry = self.traced(quick_config, method)
+        assert [row["epoch"] for row in telemetry.epoch_rows] == [0, 1]
+        spans = [r for r in telemetry.tracer.records
+                 if r.kind == "epoch"]
+        assert len(spans) == 2
+
+    @pytest.mark.parametrize("method", sorted(STRATEGY_REGISTRY))
+    def test_graph_counters_published(self, quick_config, method):
+        result, telemetry = self.traced(replace(quick_config, graph=True),
+                                        method)
+        stats = result.extra["graph_stats"]
+        assert stats["replays"] > 0 and stats["fallbacks"] == 0
+        series = {r["name"]: r["value"]
+                  for r in telemetry.metrics.collect()
+                  if r["name"].startswith("graph.")}
+        assert series == {f"graph.{key}": value
+                          for key, value in stats.items()}
+        replay = [r for r in telemetry.tracer.records
+                  if r.kind == "graph_replay"]
+        assert len(replay) == 1
+
+
+# ----------------------------------------------------------------------
+# Structure: one epoch loop, one replica builder
+# ----------------------------------------------------------------------
+SRC = Path(repro.__file__).parent
+
+
+def files_where(found) -> "set[str]":
+    """Source files (relative to ``src/repro``) with a node ``found``
+    accepts."""
+    return {path.relative_to(SRC).as_posix()
+            for path in sorted(SRC.rglob("*.py"))
+            if any(found(node)
+                   for node in ast.walk(ast.parse(path.read_text())))}
+
+
+def calls(name: str):
+    return lambda node: (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        == name)
+
+
+def is_epoch_loop(node) -> bool:
+    """``for … in range(…config.max_epochs)``."""
+    return (isinstance(node, ast.For) and calls("range")(node.iter)
+            and any(isinstance(arg, ast.Attribute)
+                    and arg.attr == "max_epochs"
+                    for arg in node.iter.args))
+
+
+def test_one_epoch_loop_beside_socflows():
+    assert files_where(is_epoch_loop) == {"distributed/base.py",
+                                          "core/socflow.py"}
+    loops = [node for node in ast.walk(ast.parse(
+        (SRC / "distributed/base.py").read_text())) if is_epoch_loop(node)]
+    assert len(loops) == 1
+
+
+def test_train_is_defined_in_three_places():
+    defines_train = lambda node: (isinstance(node, ast.FunctionDef)
+                                  and node.name == "train")
+    assert files_where(defines_train) == {
+        "distributed/base.py",      # the loop
+        "core/socflow.py",          # recovery instead of abort
+        "core/federation.py",       # drives SoCFlow per site
+        "nn/modules.py",            # Module.train(mode): not a run
+    }
+
+
+def test_one_replica_builder():
+    assert files_where(calls("SGD")) == {
+        "distributed/base.py",      # make_replica
+        "quant/trainer.py",         # the INT8 step's own
+        "harness/experiments.py",   # transfer pretraining's own
+    }
+    assert files_where(calls("enable_graph_executor")) == {
+        "distributed/base.py",      # make_replica
+        "core/mixed_precision.py",  # the INT8 twin
+    }

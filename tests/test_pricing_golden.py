@@ -140,7 +140,9 @@ CASES = {
 # (bucket_sync spans clipped to the charged window with hidden shares
 # that sum to the charge's, per-CG allreduce shares normalised by the
 # whole-model CG times) and job/mixed by pricing the epoch at the CPU
-# share its batches used; every other digest is the parent's.
+# share its batches used; ssp/continue by the one epoch loop (SSP reads
+# the fault schedule now: survivors share the batch, the PS sync is
+# re-priced on the degraded fabric); every other digest is the parent's.
 GOLDEN_PATH = Path(__file__).with_name("pricing_golden.json")
 
 

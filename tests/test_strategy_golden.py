@@ -37,6 +37,13 @@ FAULTS = "crash:epoch=1,soc=3;flap:epoch=1,pcb=0,mult=0.2,until=2"
 FAULT_MODES = ("clean", "fail-stop", "continue")
 SEEDS = (0, 1)
 
+# Re-recorded by the one-epoch-loop refactor, 38 of 96 (58 are the
+# parent's): ``ssp`` fail-stop and continue (it reads the fault
+# schedule now) and ``fedavg``/``t_fedavg`` continue (the round sync is
+# re-priced on the degraded fabric) — all three digests; trace + metrics
+# only for ``ssp``/``fedavg``/``t_fedavg`` clean and fail-stop under
+# ``graph`` (they publish ``graph.*`` and the ``graph_replay`` span now)
+# and for every ``local`` run (epoch rows, ``epoch`` spans and series).
 GOLDEN_PATH = Path(__file__).with_name("strategy_golden.json")
 
 
