@@ -18,7 +18,8 @@ faults: semicolon-separated clauses like
 ``straggler:epoch=1,soc=7,factor=0.5``, ``storm:epoch=3,groups=2`` or
 ``random:seed=7,epochs=8,crashes=4,flaps=1``.  ``--fault-mode``
 selects how *baselines* react (``fail-stop`` aborts, ``continue``
-keeps the survivors); SoCFlow always recovers.
+keeps the survivors); SoCFlow always recovers.  ``jobs --faults``
+takes ``crash`` clauses only: the job scheduler prices nothing else.
 
 Telemetry: ``--trace PATH`` records every simulated span (compute,
 allreduce, leader sync, NIC waits, recovery, ...) and writes a Chrome
@@ -50,8 +51,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cluster import (ClusterTopology, FaultSpecError, TidalTrace,
+from .cluster import (ClusterTopology, FaultSpecError, SoCCrash, TidalTrace,
                       parse_fault_spec)
+from .cluster.faults import event_summary
 from .core import SoCFlow, SoCFlowOptions
 from .distributed import STRATEGY_REGISTRY, build_strategy
 from .harness import SCALE_PRESETS, WORKLOADS, format_table, make_run_config
@@ -443,6 +445,14 @@ def cmd_jobs(args, out) -> int:
     try:
         fault_schedule = (None if args.faults is None
                           else parse_fault_spec(args.faults, topology))
+        unpriced = sorted({event_summary(event)["fault"]
+                           for event in fault_schedule or ()
+                           if not isinstance(event, SoCCrash)})
+        if unpriced:
+            raise FaultSpecError(
+                "the job scheduler honours SoC crashes only (a crashed "
+                "SoC leaves the idle pool); "
+                f"{', '.join(unpriced)} would never be priced")
     except FaultSpecError as err:
         print(f"bad --faults spec: {err}", file=sys.stderr)
         return 2

@@ -196,9 +196,31 @@ class FaultSchedule:
                 if isinstance(e, PreemptionStorm) and e.epoch == epoch]
 
     def events_at(self, epoch: int) -> tuple:
-        """Every event whose onset is exactly ``epoch`` (telemetry hook:
-        the scheduler emits one ``fault`` trace event per onset)."""
+        """Every event whose onset is exactly ``epoch``."""
         return tuple(e for e in self.events if e.epoch == epoch)
+
+    def enter_epoch(self, epoch: int, fabric) -> set[int]:
+        """Bring a run on ``fabric`` to ``epoch``; return the dead set.
+
+        The one per-epoch reader of the schedule, shared by SoCFlow's
+        control board and the baselines' epoch loop: the epoch's NIC
+        multipliers replace the fabric's, so every later transfer sees
+        the degraded links, and each onset becomes one ``fault`` trace
+        event plus a ``faults.injected`` count on the fabric's
+        telemetry.  Stragglers and storms are the caller's to read.
+        """
+        fabric.apply_pcb_multipliers(self.nic_multipliers(epoch))
+        tel = fabric.telemetry
+        if tel.tracer.enabled or tel.metrics.enabled:
+            for event in self.events_at(epoch):
+                args = event_summary(event)
+                kind = args.pop("fault")
+                tel.tracer.event("fault", tel.now, name=f"fault:{kind}",
+                                 soc=args.pop("soc", None),
+                                 pcb=args.pop("pcb", None), fault=kind,
+                                 **args)
+                tel.metrics.counter("faults.injected", kind=kind).inc()
+        return self.dead_socs(epoch)
 
     @property
     def max_epoch(self) -> int:

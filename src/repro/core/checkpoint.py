@@ -4,7 +4,10 @@ SoCFlow checkpoints models on the SoCs' UFS storage so a user-load
 surge can preempt training at any epoch and the job resumes in the next
 idle window (§3).  :class:`TrainingCheckpoint` captures everything a
 resume needs — model state, epoch cursor, accuracy history, controller
-state — and round-trips through a single ``.npz`` file.
+state — and round-trips through a single ``.npz`` file.  Its UFS write
+is priced by the control board at paper scale
+(:meth:`~repro.core.scheduler.GlobalScheduler.checkpoint`), not from
+this host-scale state.
 """
 
 from __future__ import annotations
@@ -66,15 +69,3 @@ class TrainingCheckpoint:
                    accuracy_history=meta["accuracy_history"],
                    alpha=meta["alpha"], rng_seed=meta["rng_seed"],
                    meta=meta["meta"])
-
-    # ------------------------------------------------------------------
-    @property
-    def nbytes(self) -> int:
-        """In-memory payload size (drives the UFS write-time estimate)."""
-        return int(sum(np.asarray(v).nbytes
-                       for v in self.model_state.values()))
-
-    def write_seconds(self) -> float:
-        """Estimated UFS write time on the SoC (see GlobalScheduler)."""
-        from .scheduler import GlobalScheduler
-        return GlobalScheduler.checkpoint_seconds(self.nbytes)

@@ -15,17 +15,23 @@ Responsibilities reproduced here:
   stragglers, preemption storms) into the epoch loop; the scheduler
   tracks the dead set, pushes NIC multipliers into the network fabric,
   and prices the rollback/re-group recovery step.
+
+Every control-plane event — dispatch, recovery, checkpoint — is priced
+*and* charged here, at paper scale (the cost model's ``grad_bytes``),
+with its span and metrics: :meth:`GlobalScheduler.dispatch`,
+:meth:`~GlobalScheduler.recover` and :meth:`~GlobalScheduler.checkpoint`
+are what SoCFlow and the job scheduler's executions call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from ..cluster.faults import FaultSchedule, event_summary
-from ..cluster.network import NetworkFabric
+from ..cluster.faults import FaultSchedule
+from ..cluster.network import CONTROL_BOARD, Flow, NetworkFabric
 from ..cluster.topology import ClusterTopology
 from ..cluster.workload import PreemptionEvent
-from ..telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["PreemptionEvent", "UnderclockEvent", "GlobalScheduler"]
 
@@ -53,19 +59,25 @@ class UnderclockEvent:
 
 @dataclass
 class GlobalScheduler:
-    """Event bookkeeping + cost formulas for the control-board logic."""
+    """Event bookkeeping, and the one pricer of control-plane events.
+
+    :meth:`dispatch`, :meth:`recover` and :meth:`checkpoint` take the
+    run's :class:`~repro.distributed.base.CostModel`, charge it and
+    return the seconds charged.
+    """
 
     topology: ClusterTopology
     rebalance: bool = True
     events: list = field(default_factory=list)
     fault_schedule: FaultSchedule | None = None
-    telemetry: Telemetry = field(default_factory=lambda: NULL_TELEMETRY)
     _clock_factors: dict[int, float] = field(default_factory=dict)
 
-    # -- dispatch -------------------------------------------------------
-    def dispatch_seconds(self, fabric: NetworkFabric, model_bytes: float,
-                         data_bytes_per_soc: float,
-                         socs: "list[int] | None" = None) -> float:
+    def __post_init__(self):
+        if self.fault_schedule is not None:
+            self.fault_schedule.validate_for(self.topology)
+
+    # -- dispatch / recovery / checkpoint ---------------------------------
+    def dispatch(self, cost, socs: "list[int] | None" = None) -> float:
         """Broadcast the model and per-SoC data shards from the control
         board at the start of a job.
 
@@ -73,21 +85,52 @@ class GlobalScheduler:
         (multi-tenant schedules dispatch each admitted job only to the
         SoCs it was gang-placed on); the default is the whole cluster.
         """
-        from ..cluster.network import CONTROL_BOARD
-        if socs is None:
-            socs = list(range(self.topology.num_socs))
-        else:
-            socs = sorted(socs)
-        per_soc = model_bytes + data_bytes_per_soc
-        return fabric.transfer_time(
-            [_flow(CONTROL_BOARD, s, per_soc) for s in socs])
+        socs = (list(range(self.topology.num_socs)) if socs is None
+                else sorted(socs))
+        config = cost.config
+        model_bytes = cost.grad_bytes
+        data_bytes = (config.sim_samples_per_epoch
+                      * math.prod(config.task.input_shape) / len(socs))
+        t0 = cost.clock.now
+        seconds = _broadcast(cost.fabric, socs, model_bytes + data_bytes)
+        cost.charge_epoch_sync(seconds, len(socs))
+        cost.telemetry.tracer.span("dispatch", t0, seconds,
+                                   model_bytes=model_bytes,
+                                   num_socs=len(socs))
+        return seconds
 
-    # -- checkpoint / preemption ----------------------------------------
-    @staticmethod
-    def checkpoint_seconds(model_bytes: float) -> float:
-        """Write one model checkpoint to the SoC's UFS storage."""
-        return model_bytes / _UFS_WRITE_BPS
+    def recover(self, cost, survivors: "list[int]", **span) -> float:
+        """One rollback/re-group step onto ``survivors`` (fault recovery,
+        elastic resize, warm resume).
 
+        Survivors read the last checkpoint back from UFS (in parallel),
+        the control board re-runs group sizing/mapping/CG planning, and
+        one broadcast re-seeds any member whose checkpoint is stale.
+        ``span`` are the ``recovery`` span's name and args.
+        """
+        model_bytes = cost.grad_bytes
+        t0 = cost.clock.now
+        seconds = (_REPLAN_S + model_bytes / _UFS_READ_BPS
+                   + _broadcast(cost.fabric, survivors, model_bytes))
+        cost.charge_epoch_sync(seconds, len(survivors), phase="recovery")
+        telemetry = cost.telemetry
+        telemetry.tracer.span("recovery", t0, seconds,
+                              survivors=len(survivors), **span)
+        telemetry.metrics.counter("recovery.count").inc()
+        telemetry.metrics.histogram("recovery.seconds").observe(seconds)
+        return seconds
+
+    def checkpoint(self, cost, phase: str, **span) -> float:
+        """Write one model checkpoint to a SoC's UFS storage, charged to
+        ``phase``; ``span`` are the ``checkpoint`` span's name and args."""
+        model_bytes = cost.grad_bytes
+        seconds = model_bytes / _UFS_WRITE_BPS
+        cost.telemetry.tracer.span("checkpoint", cost.clock.now, seconds,
+                                   model_bytes=model_bytes, **span)
+        cost.charge_checkpoint(seconds, phase)
+        return seconds
+
+    # -- preemption -------------------------------------------------------
     def preemptions_at(self, epoch: int) -> list[PreemptionEvent]:
         """Planned preemptions at ``epoch``, plus any fault-schedule storms."""
         planned = [e for e in self.events
@@ -129,62 +172,23 @@ class GlobalScheduler:
         return 1.0 / min(factors)
 
     # -- unplanned faults -------------------------------------------------
-    def apply_faults(self, epoch: int,
-                     fabric: NetworkFabric | None = None) -> set[int]:
+    def apply_faults(self, epoch: int, fabric: NetworkFabric) -> set[int]:
         """Bring the fault state up to ``epoch``; return the dead set.
 
         Straggler factors fold into the same clock-factor table the
-        underclock events use (both are persistent DVFS effects), and
-        NIC multipliers are pushed into ``fabric`` so every subsequent
-        transfer-time query sees the degraded links.
+        underclock events use (both are persistent DVFS effects); the
+        rest is :meth:`FaultSchedule.enter_epoch` on ``fabric``.
         """
         if self.fault_schedule is None:
             return set()
         for soc, factor in self.fault_schedule.straggler_factors(epoch).items():
             self._clock_factors[soc] = min(
                 self._clock_factors.get(soc, 1.0), factor)
-        if fabric is not None:
-            fabric.apply_pcb_multipliers(
-                self.fault_schedule.nic_multipliers(epoch))
-        tel = self.telemetry
-        if tel.tracer.enabled or tel.metrics.enabled:
-            for event in self.fault_schedule.events_at(epoch):
-                args = event_summary(event)
-                kind = args.pop("fault")
-                tel.tracer.event("fault", tel.now, name=f"fault:{kind}",
-                                 soc=args.pop("soc", None),
-                                 pcb=args.pop("pcb", None), fault=kind,
-                                 **args)
-                tel.metrics.counter("faults.injected", kind=kind).inc()
-        return self.dead_socs_at(epoch)
-
-    def dead_socs_at(self, epoch: int) -> set[int]:
-        if self.fault_schedule is None:
-            return set()
-        return {s for s in self.fault_schedule.dead_socs(epoch)
-                if 0 <= s < self.topology.num_socs}
-
-    def alive_socs_at(self, epoch: int) -> list[int]:
-        dead = self.dead_socs_at(epoch)
-        return [s for s in range(self.topology.num_socs) if s not in dead]
-
-    def recovery_seconds(self, model_bytes: float, fabric: NetworkFabric,
-                         survivors: list[int]) -> float:
-        """Price one rollback/re-group step after detecting dead SoCs.
-
-        Survivors read the last checkpoint back from UFS (in parallel),
-        the control board re-runs group sizing/mapping/CG planning, and
-        one broadcast re-seeds any member whose checkpoint is stale.
-        """
-        read_s = model_bytes / _UFS_READ_BPS
-        redispatch_s = 0.0
-        if survivors:
-            from ..cluster.network import CONTROL_BOARD
-            redispatch_s = fabric.transfer_time(
-                [_flow(CONTROL_BOARD, s, model_bytes) for s in survivors])
-        return _REPLAN_S + read_s + redispatch_s
+        return self.fault_schedule.enter_epoch(epoch, fabric)
 
 
-def _flow(src: int, dst: int, nbytes: float):
-    from ..cluster.network import Flow
-    return Flow(src, dst, nbytes)
+def _broadcast(fabric: NetworkFabric, socs: "list[int]",
+               nbytes: float) -> float:
+    """Seconds for the control board to send ``nbytes`` to every SoC."""
+    return fabric.transfer_time([Flow(CONTROL_BOARD, s, nbytes)
+                                 for s in socs])

@@ -237,8 +237,7 @@ class SoCFlow(Strategy):
         scheduler = GlobalScheduler(config.topology,
                                     rebalance=options.rebalance,
                                     events=list(options.events),
-                                    fault_schedule=config.fault_schedule,
-                                    telemetry=telemetry)
+                                    fault_schedule=config.fault_schedule)
 
         mixed = options.precision == "mixed"
         controller = MixedPrecisionController(cost.t_cpu_sample,
@@ -250,17 +249,7 @@ class SoCFlow(Strategy):
         val_x = config.task.x_test[:128]
         rng = np.random.default_rng(config.seed)
 
-        model_bytes = cost.grad_bytes
-        dispatch_t0 = cost.clock.now
-        dispatch_s = scheduler.dispatch_seconds(
-            cost.fabric, model_bytes,
-            data_bytes_per_soc=config.sim_samples_per_epoch
-            * np.prod(config.task.input_shape) / config.topology.num_socs)
-        cost.charge_epoch_sync(dispatch_s, config.topology.num_socs)
-        if telemetry.tracer.enabled:
-            telemetry.tracer.span("dispatch", dispatch_t0, dispatch_s,
-                                  model_bytes=model_bytes,
-                                  num_socs=config.topology.num_socs)
+        scheduler.dispatch(cost)
 
         history: list[float] = []
         state: dict = {}
@@ -293,7 +282,7 @@ class SoCFlow(Strategy):
                     current_dead = dead
                 for event in scheduler.preemptions_at(epoch):
                     preempted = self._handle_preemption(
-                        event, groups, preempted, cost, model_bytes)
+                        event, groups, preempted, cost, scheduler)
                 active = groups[:len(groups) - preempted] if preempted else groups
                 if not active:
                     break
@@ -336,8 +325,12 @@ class SoCFlow(Strategy):
                                                  history, state)
                 if options.checkpoint_path is not None:
                     self._write_checkpoint(options.checkpoint_path, active[0],
-                                           epoch, history, controller, cost,
-                                           config)
+                                           epoch, history, controller, config)
+                    # writing to UFS happens off the critical path on
+                    # every SoC, but the leader's write is charged once
+                    # per epoch
+                    scheduler.checkpoint(cost, "update",
+                                         name="checkpoint:epoch", epoch=epoch)
                 record_epoch_telemetry(
                     cost, epoch_start, epoch, accuracy,
                     controller=controller if mixed else None,
@@ -466,17 +459,13 @@ class SoCFlow(Strategy):
     def _write_checkpoint(path: str, group: GroupMixedTrainer, epoch: int,
                           history: list[float],
                           controller: MixedPrecisionController,
-                          cost: CostModel, config: RunConfig) -> None:
+                          config: RunConfig) -> None:
         from .checkpoint import TrainingCheckpoint
-        checkpoint = TrainingCheckpoint(
+        TrainingCheckpoint(
             model_state=group.state_dict(), epoch=epoch,
             accuracy_history=list(history), alpha=controller.alpha,
-            rng_seed=config.seed, meta={"model": config.model_name})
-        checkpoint.save(path)
-        # writing to UFS happens off the critical path on every SoC,
-        # but the leader's write is charged once per epoch
-        cost.charge_checkpoint(checkpoint.write_seconds(), "update",
-                               name="checkpoint:epoch", epoch=epoch)
+            rng_seed=config.seed, meta={"model": config.model_name}
+        ).save(path)
 
     def _recover(self, config: RunConfig, controller,
                  groups: list[GroupMixedTrainer], dead: set[int],
@@ -502,21 +491,10 @@ class SoCFlow(Strategy):
         rollback_state, rollback_epoch = last_good
         groups = reform_groups(config, controller, self.options.quant,
                                groups, num_groups, rollback_state)
-        recovery_t0 = cost.clock.now
-        recovery_s = scheduler.recovery_seconds(cost.grad_bytes, cost.fabric,
-                                                survivors)
-        cost.charge_recovery(recovery_s, len(survivors))
-        telemetry = cost.telemetry
-        if telemetry.tracer.enabled:
-            telemetry.tracer.span(
-                "recovery", recovery_t0, recovery_s,
-                name=f"recovery@{epoch}", dead_socs=sorted(dead),
-                survivors=len(survivors), num_groups=mapping.num_groups,
-                rolled_back_to=rollback_epoch)
-        if telemetry.metrics.enabled:
-            telemetry.metrics.counter("recovery.count").inc()
-            telemetry.metrics.histogram("recovery.seconds").observe(
-                recovery_s)
+        recovery_s = scheduler.recover(
+            cost, survivors, name=f"recovery@{epoch}",
+            dead_socs=sorted(dead), num_groups=mapping.num_groups,
+            rolled_back_to=rollback_epoch)
         recoveries.append({
             "epoch": epoch,
             "dead_socs": sorted(dead),
@@ -526,18 +504,17 @@ class SoCFlow(Strategy):
         })
         return mapping, plan, groups
 
-    def _handle_preemption(self, event: PreemptionEvent,
+    @staticmethod
+    def _handle_preemption(event: PreemptionEvent,
                            groups: list[GroupMixedTrainer], preempted: int,
-                           cost: CostModel, model_bytes: float) -> int:
+                           cost: CostModel, scheduler: GlobalScheduler) -> int:
         """Terminate whole logical groups; checkpoint their models."""
         newly = min(event.num_groups, len(groups) - preempted - 1)
         if newly > 0:
             telemetry = cost.telemetry
             telemetry.tracer.event("preemption", cost.clock.now,
                                    epoch=event.epoch, num_groups=newly)
-            cost.charge_checkpoint(
-                GlobalScheduler.checkpoint_seconds(model_bytes), "sync",
-                name="checkpoint:preempt", model_bytes=model_bytes)
+            scheduler.checkpoint(cost, "sync", name="checkpoint:preempt")
             telemetry.metrics.counter("preemptions.groups").inc(newly)
         return preempted + max(0, newly)
 

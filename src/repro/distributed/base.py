@@ -375,24 +375,16 @@ class CostModel:
         pricing.apply(self, self.step_charge(compute_s, sync_s, num_socs,
                                              cpu_fraction))
 
-    def charge_epoch_sync(self, sync_s: float, num_socs: int) -> None:
-        self.clock.advance(sync_s, "sync")
+    def charge_epoch_sync(self, sync_s: float, num_socs: int,
+                          phase: str = "sync") -> None:
+        """Network time with ``num_socs`` NICs busy; a rollback/re-group
+        step charges it to ``"recovery"`` so the per-epoch report can
+        attribute it separately from ordinary synchronisation."""
+        self.clock.advance(sync_s, phase)
         self.energy.charge_network(sync_s, num_socs)
 
-    def charge_recovery(self, seconds: float, num_socs: int) -> None:
-        """A rollback/re-group step (fault recovery, elastic resize,
-        warm resume), under its own phase so the per-epoch report can
-        attribute it separately from ordinary synchronisation."""
-        self.clock.advance(seconds, "recovery")
-        self.energy.charge_network(seconds, num_socs)
-
-    def charge_checkpoint(self, seconds: float, phase: str,
-                          **span) -> None:
-        """One model checkpoint written to UFS, charged to ``phase``;
-        ``span`` are the ``checkpoint`` span's name and args."""
-        tracer = self.telemetry.tracer
-        if tracer.enabled:
-            tracer.span("checkpoint", self.clock.now, seconds, **span)
+    def charge_checkpoint(self, seconds: float, phase: str) -> None:
+        """One model checkpoint written to UFS, charged to ``phase``."""
         self.clock.advance(seconds, phase)
 
 
@@ -476,10 +468,16 @@ class Strategy:
         history: list[float] = []
         state: dict = {}
         extra: dict = dict(getattr(run, "extra", ()))
+        schedule = config.fault_schedule
         for epoch in range(config.max_epochs):
             epoch_start = cost.epoch_start()
-            dead, abort = self._epoch_fault_state(config, epoch, cost, extra)
-            if abort:
+            dead = (set() if schedule is None
+                    else schedule.enter_epoch(epoch, cost.fabric))
+            if dead and config.fault_mode == "fail-stop":
+                # a synchronous collective hangs on the dead member and
+                # the job dies with it
+                extra.update(aborted=True, abort_epoch=epoch,
+                             dead_socs=sorted(dead))
                 break
             model = self.run_epoch(run, cost, epoch, dead)
             accuracy = evaluate_accuracy(model, config.task.x_test,
@@ -487,36 +485,12 @@ class Strategy:
             self._epoch_accuracy_bookkeeping(accuracy, epoch, config,
                                              history, state)
             record_epoch_telemetry(cost, epoch_start, epoch, accuracy)
-        if config.fault_schedule is not None:
+        if schedule is not None:
             extra.setdefault("aborted", False)
         flush_graph_stats(run.replicas, cost, extra)
         return self._result(self.name, config, cost, history, state, extra)
 
     # -- helpers shared by subclasses -----------------------------------
-    @staticmethod
-    def _epoch_fault_state(config: RunConfig, epoch: int, cost: "CostModel",
-                           extra: dict) -> tuple[set[int], bool]:
-        """Baseline degraded-mode: (dead SoCs this epoch, abort?).
-
-        ``abort`` is True exactly when SoCs are down and the config asks
-        for fail-stop — a synchronous collective hangs on the dead
-        member and the job dies with it — and is then written into
-        ``extra``.  The epoch's NIC degradations are pushed into the
-        fabric either way, so even a continuing baseline pays for
-        flapping links.
-        """
-        schedule = config.fault_schedule
-        if schedule is None:
-            return set(), False
-        cost.fabric.apply_pcb_multipliers(schedule.nic_multipliers(epoch))
-        dead = {s for s in schedule.dead_socs(epoch)
-                if 0 <= s < config.topology.num_socs}
-        abort = bool(dead) and config.fault_mode == "fail-stop"
-        if abort:
-            extra.update(aborted=True, abort_epoch=epoch,
-                         dead_socs=sorted(dead))
-        return dead, abort
-
     @staticmethod
     def _epoch_accuracy_bookkeeping(
             accuracy: float, epoch: int, config: RunConfig,

@@ -101,10 +101,6 @@ class JobExecution:
         return self.mapping.num_groups if self.mapping is not None else 0
 
     @property
-    def model_bytes(self) -> float:
-        return self.cost.grad_bytes
-
-    @property
     def final_accuracy(self) -> float:
         return self.history[-1] if self.history else 0.0
 
@@ -145,18 +141,8 @@ class JobExecution:
                 for group in self._groups:
                     group.load_state(self.last_checkpoint.state)
         if resumed:
-            seconds = self.scheduler.recovery_seconds(
-                self.model_bytes, self.cost.fabric, self.allocated)
-            self.cost.charge_recovery(seconds, len(socs))
-        else:
-            data_bytes = (self.config.sim_samples_per_epoch
-                          * float(np.prod(self.config.task.input_shape))
-                          / len(socs))
-            seconds = self.scheduler.dispatch_seconds(
-                self.cost.fabric, self.model_bytes, data_bytes,
-                socs=self.allocated)
-            self.cost.charge_epoch_sync(seconds, len(socs))
-        return seconds
+            return self.scheduler.recover(self.cost, self.allocated)
+        return self.scheduler.dispatch(self.cost, self.allocated)
 
     def resize(self, socs: list[int]) -> float:
         """Elastically grow/shrink to ``socs``; returns recovery seconds.
@@ -174,16 +160,12 @@ class JobExecution:
         self._groups = reform_groups(self.config, self.controller,
                                      self.quant, self._groups, num_groups,
                                      state)
-        seconds = self.scheduler.recovery_seconds(
-            self.model_bytes, self.cost.fabric, self.allocated)
-        self.cost.charge_recovery(seconds, len(socs))
         self.resizes += 1
-        return seconds
+        return self.scheduler.recover(self.cost, self.allocated)
 
     def preempt(self) -> float:
         """Checkpoint and release every SoC; returns the charged seconds."""
-        seconds = GlobalScheduler.checkpoint_seconds(self.model_bytes)
-        self.cost.charge_checkpoint(seconds, "sync")
+        seconds = self.scheduler.checkpoint(self.cost, "sync")
         self.preemptions += 1
         self.allocated = []
         self.mapping = None

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..cluster.clock import PhaseClock
+from ..cluster.faults import FaultSchedule
 from ..cluster.topology import ClusterTopology
 from ..cluster.workload import Session, SessionIndex
 from ..telemetry import NULL_TELEMETRY, Telemetry
@@ -163,7 +164,9 @@ class ElasticScheduler:
         self.start_hour = start_hour
         self.elastic = elastic
         self.window = window
-        self.fault_schedule = fault_schedule
+        #: only its crashes are read: a dead SoC leaves the idle pool
+        self.fault_schedule = (FaultSchedule() if fault_schedule is None
+                               else fault_schedule.validate_for(topology))
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.workers = workers
         self.fusion_threshold_mb = fusion_threshold_mb
@@ -200,16 +203,10 @@ class ElasticScheduler:
         start, duration = self.window
         return ((hour - start) % 24.0) < duration
 
-    def _dead_socs(self, round_index: int) -> set:
-        if self.fault_schedule is None:
-            return set()
-        return {s for s in self.fault_schedule.dead_socs(round_index)
-                if 0 <= s < self.topology.num_socs}
-
     def _idle_socs(self, hour: float, round_index: int) -> list:
         """SoCs free of sessions and faults, in id order (deterministic)."""
         busy = self._session_index.busy_socs_at(hour % 24.0)
-        dead = self._dead_socs(round_index)
+        dead = self.fault_schedule.dead_socs(round_index)
         return [s for s in range(self.topology.num_socs)
                 if s not in busy and s not in dead]
 

@@ -18,10 +18,9 @@ optional completion deadline.  Job files are YAML or JSON documents::
         submit_hour: 22.5
         deadline_hours: 10
 
-YAML parsing uses PyYAML when it is installed and otherwise falls back
-to :func:`parse_simple_yaml`, a small built-in parser for the
-indentation/list/scalar subset the job files need — the dependency is
-gated, never required.
+YAML job files are read by :func:`parse_simple_yaml`, a small built-in
+parser for the indentation/list/scalar subset the job files need, so
+one parser — never an optional dependency — decides what a file means.
 """
 
 from __future__ import annotations
@@ -30,12 +29,7 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-try:                                                    # pragma: no cover
-    import yaml as _yaml
-except ImportError:                                     # pragma: no cover
-    _yaml = None
-
-__all__ = ["JobSpecError", "TrainingJob", "parse_job_specs",
+__all__ = ["JobSpecError", "TrainingJob", "CLUSTER_KEYS", "parse_job_specs",
            "load_job_file", "parse_simple_yaml"]
 
 
@@ -96,6 +90,14 @@ class TrainingJob:
 
 _JOB_FIELDS = {f.name for f in fields(TrainingJob)}
 
+#: every key a job file's ``cluster:`` section may set (each one a
+#: ``repro jobs`` flag's default)
+CLUSTER_KEYS = frozenset({
+    "socs", "seed", "peak_sessions_per_hour", "horizon_hours", "start_hour",
+    "quantum_hours", "fusion_threshold_mb", "fusion_max_ops", "graph",
+    "flash_crowds", "serve_model", "peak_rps", "max_replicas", "slo_ms",
+    "min_replicas"})
+
 
 def _build_job(entry: dict, index: int) -> TrainingJob:
     if not isinstance(entry, dict):
@@ -134,6 +136,10 @@ def parse_job_specs(payload) -> tuple[list[TrainingJob], dict]:
         raise JobSpecError("'jobs' must be a non-empty list")
     if not isinstance(cluster, dict):
         raise JobSpecError("'cluster' must be a mapping")
+    unknown = sorted(set(cluster) - CLUSTER_KEYS)
+    if unknown:
+        raise JobSpecError(f"unknown cluster key(s) {', '.join(unknown)}; "
+                           f"expected {', '.join(sorted(CLUSTER_KEYS))}")
     jobs = [_build_job(entry, i) for i, entry in enumerate(entries)]
     seen: set[str] = set()
     for job in jobs:
@@ -152,18 +158,13 @@ def load_job_file(path) -> tuple[list[TrainingJob], dict]:
             payload = json.loads(text)
         except json.JSONDecodeError as err:
             raise JobSpecError(f"{path}: invalid JSON ({err})") from None
-    elif _yaml is not None:
-        try:
-            payload = _yaml.safe_load(text)
-        except _yaml.YAMLError as err:
-            raise JobSpecError(f"{path}: invalid YAML ({err})") from None
     else:
         payload = parse_simple_yaml(text)
     return parse_job_specs(payload)
 
 
 # ----------------------------------------------------------------------
-# Built-in YAML-subset parser (used when PyYAML is absent)
+# Built-in YAML-subset parser
 # ----------------------------------------------------------------------
 def _parse_scalar(token: str):
     token = token.strip()
@@ -206,15 +207,25 @@ def _parse_block(lines, i: int, indent: int):
     return _parse_map(lines, i, indent)
 
 
+def _split_key(content: str) -> "tuple[str, str] | None":
+    """``(key, value text)`` of a mapping entry, else None: as in YAML,
+    only ``": "`` or a line-ending ``":"`` separates a key, so a plain
+    scalar such as ``20:30:2`` stays one string."""
+    if content.endswith(":"):
+        return content[:-1].strip(), ""
+    key, sep, rest = content.partition(": ")
+    return (key.strip(), rest.strip()) if sep else None
+
+
 def _parse_map(lines, i: int, indent: int):
     out: dict = {}
     while i < len(lines) and lines[i][0] == indent \
             and not lines[i][1].startswith("- "):
         content = lines[i][1]
-        if ":" not in content:
+        entry = _split_key(content)
+        if entry is None:
             raise JobSpecError(f"expected 'key: value', got {content!r}")
-        key, _, rest = content.partition(":")
-        key, rest = key.strip(), rest.strip()
+        key, rest = entry
         if rest:
             out[key] = _parse_scalar(rest)
             i += 1
@@ -232,9 +243,10 @@ def _parse_list(lines, i: int, indent: int):
     while i < len(lines) and lines[i][0] == indent \
             and lines[i][1].startswith("- "):
         content = lines[i][1][2:].strip()
-        if ":" in content:
-            key, _, rest = content.partition(":")
-            item = {key.strip(): _parse_scalar(rest.strip())}
+        entry = _split_key(content)
+        if entry is not None:
+            key, rest = entry
+            item = {key: _parse_scalar(rest)}
             i += 1
             if i < len(lines) and lines[i][0] > indent:
                 more, i = _parse_map(lines, i, lines[i][0])
@@ -251,7 +263,7 @@ def parse_simple_yaml(text: str):
 
     Supports nested block mappings, block lists (``- `` items, with
     inline first key), ``#`` comments and plain/quoted scalars — enough
-    for :mod:`repro.jobs` spec files without requiring PyYAML.
+    for :mod:`repro.jobs` spec files.
     """
     lines = _content_lines(text)
     if not lines:

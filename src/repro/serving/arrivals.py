@@ -58,7 +58,7 @@ class FlashCrowd:
     @classmethod
     def parse(cls, spec: str) -> "FlashCrowd":
         """``START:DUR:MULT`` (hours, hours, factor) -> crowd."""
-        parts = spec.split(":")
+        parts = spec.split(":") if isinstance(spec, str) else ()
         if len(parts) != 3:
             raise ValueError(
                 f"bad flash-crowd spec {spec!r}; expected START:DUR:MULT")

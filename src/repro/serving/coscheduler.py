@@ -62,7 +62,7 @@ class ServingCoScheduler(ElasticScheduler):
 
     def _free_pool(self, round_index: int) -> "list[int]":
         """SoCs nobody holds: not dead, not serving, not training."""
-        dead = self._dead_socs(round_index)
+        dead = self.fault_schedule.dead_socs(round_index)
         held = self.plane.held_socs
         training = self._training_held()
         return [s for s in range(self.topology.num_socs)
@@ -79,7 +79,7 @@ class ServingCoScheduler(ElasticScheduler):
         plane.advance(hour, claimable=free)
         if plane.pending_deficit > 0:
             # idle pool exhausted: preempt training, highest ids first
-            dead = self._dead_socs(round_index)
+            dead = self.fault_schedule.dead_socs(round_index)
             victims = sorted(
                 (s for s in self._training_held() if s not in dead),
                 reverse=True)[:plane.pending_deficit]
@@ -92,7 +92,7 @@ class ServingCoScheduler(ElasticScheduler):
     def _idle_socs(self, hour: float, round_index: int) -> list:
         """Training-available SoCs: alive, un-served, session-free."""
         busy = self._session_index.busy_socs_at(hour % 24.0)
-        dead = self._dead_socs(round_index)
+        dead = self.fault_schedule.dead_socs(round_index)
         held = self.plane.held_socs
         return [s for s in range(self.topology.num_socs)
                 if s not in busy and s not in dead and s not in held]

@@ -224,6 +224,8 @@ class TraceReport:
     pcb_health: "dict[int, dict]"
     faults: "list[dict]"
     jobs: "dict[str, dict]"
+    #: precision -> graph-executor counters summed over the run's
+    #: ``graph_replay`` spans, ``None`` without ``--graph``
     graph_stats: "dict | None" = None
     #: serving-plane rollup (``serve``/``scale`` spans), ``None`` when
     #: the trace has no serving side
@@ -499,22 +501,44 @@ def analyze_records(records, *, monitor: "HealthMonitor | None" = None,
         elif record.kind == "resize":
             stats["resizes"] += 1
 
-    graph_stats = None
-    for record in records:
-        if record.kind == "graph_replay":
-            graph_stats = dict(record.args)
-
     serving = _serving_summary(records)
 
     report = TraceReport(windows=windows, num_records=len(records),
                          kind_counts=kind_counts, pcb_health=pcb_health,
-                         faults=faults, jobs=jobs, graph_stats=graph_stats,
-                         serving=serving)
+                         faults=faults, jobs=jobs,
+                         graph_stats=_graph_stats(records), serving=serving)
     monitor = monitor if monitor is not None else HealthMonitor()
     report.anomalies = monitor.check(report)
     if metrics is not None and getattr(metrics, "enabled", False):
         monitor.emit(report.anomalies, metrics)
     return report
+
+
+#: per-replica executor counters: one ``graph_replay`` span each
+_GRAPH_COUNTERS = ("captures", "replays", "eager_steps", "fallbacks")
+#: run-wide plan-cache fields: every span of a precision repeats them
+_GRAPH_PLAN_FIELDS = ("plans", "binds", "unshared_plans", "workspace_bytes")
+
+
+def _graph_stats(records) -> "dict | None":
+    """``precision -> counters`` over every ``graph_replay`` span.
+
+    Counters sum over the spans (SoCFlow draws one per group and
+    precision); the plan fields are taken once.  A span without a
+    precision is FP32 — the baselines' single span.
+    """
+    stats: dict[str, dict] = {}
+    for record in records:
+        if record.kind != "graph_replay":
+            continue
+        args = record.args
+        total = stats.setdefault(args.get("precision", "fp32"), {})
+        for key in _GRAPH_COUNTERS:
+            total[key] = total.get(key, 0) + args.get(key, 0)
+        for key in _GRAPH_PLAN_FIELDS:
+            if key in args:
+                total[key] = args[key]
+    return dict(sorted(stats.items())) or None
 
 
 def _serving_summary(records) -> "dict | None":
@@ -799,10 +823,13 @@ def diff_reports(a: TraceReport, b: TraceReport,
     if set(epochs_a) != set(epochs_b):
         diff.notes.append(
             f"epoch count differs: {len(epochs_a)} vs {len(epochs_b)}")
-    if a.graph_stats != b.graph_stats:
-        diff.notes.append(
-            f"graph executor: A={_graph_note(a.graph_stats)} "
-            f"B={_graph_note(b.graph_stats)}")
+    graph_a, graph_b = a.graph_stats or {}, b.graph_stats or {}
+    for precision in sorted(set(graph_a) | set(graph_b)):
+        stats_a, stats_b = graph_a.get(precision), graph_b.get(precision)
+        if stats_a != stats_b:
+            diff.notes.append(
+                f"graph executor: A={_graph_note(precision, stats_a)} "
+                f"B={_graph_note(precision, stats_b)}")
     retries_a = sum(s["retries"] for s in a.pcb_health.values())
     retries_b = sum(s["retries"] for s in b.pcb_health.values())
     if retries_a != retries_b:
@@ -822,16 +849,15 @@ def diff_reports(a: TraceReport, b: TraceReport,
     return diff
 
 
-def _graph_note(stats: "dict | None") -> str:
+def _graph_note(precision: str, stats: "dict | None") -> str:
+    """One precision's executor counters (``_graph_stats``)."""
     if not stats:
         return "off"
-    note = (f"on ({stats.get('replays', 0)} replays, "
-            f"{stats.get('captures', 0)} captures, "
-            f"{stats.get('eager_steps', 0)} eager)")
+    note = (f"on ({stats['replays']} replays, {stats['captures']} captures, "
+            f"{stats['eager_steps']} eager)")
     if "plans" in stats:
-        # run-wide, for the span's precision: replicas share plans
-        note += (f"; all {stats.get('precision', '')} replicas: "
-                 f"plans {stats['plans']} "
+        # run-wide: the precision's replicas share plans
+        note += (f"; all {precision} replicas: plans {stats['plans']} "
                  f"(unshared {stats.get('unshared_plans', 0)}), "
                  f"binds {stats.get('binds', 0)}, workspace "
                  f"{stats.get('workspace_bytes', 0) / 2**20:.1f} MiB")
@@ -966,8 +992,8 @@ def render_report(report: TraceReport, fmt: str = "table",
                        ["windows", "requests", "served", "dropped",
                         "replicas", "max_p99_ms", "slo_ms", "violations",
                         "scale_events"], rows))
-    if report.graph_stats:
-        blocks.append("graph executor: " + _graph_note(report.graph_stats))
+    for precision, stats in (report.graph_stats or {}).items():
+        blocks.append("graph executor: " + _graph_note(precision, stats))
     if report.anomalies:
         rows = [[a.kind, a.where, a.value, a.detail]
                 for a in report.anomalies]

@@ -6,7 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import SoCFlow, SoCFlowOptions, TrainingCheckpoint
+from repro.core import (GlobalScheduler, SoCFlow, SoCFlowOptions,
+                        TrainingCheckpoint)
+from repro.distributed import CostModel
+from repro.harness import SCALE_PRESETS
+from repro.telemetry import Telemetry
 
 
 def sample_state():
@@ -57,13 +61,22 @@ class TestRoundTrip:
 
 
 class TestCosts:
-    def test_nbytes_counts_payload(self):
-        checkpoint = TrainingCheckpoint(model_state=sample_state(), epoch=0)
-        assert checkpoint.nbytes == (12 + 4) * 4
-
-    def test_write_seconds_positive(self):
-        checkpoint = TrainingCheckpoint(model_state=sample_state(), epoch=0)
-        assert checkpoint.write_seconds() > 0
+    @pytest.mark.parametrize("preset", ["quick", "bench"])
+    def test_epoch_checkpoint_is_priced_at_paper_scale(self, quick_config,
+                                                       tmp_path, preset):
+        """The per-epoch UFS write costs the paper-scale model's bytes,
+        whatever width the host model trains at."""
+        config = replace(quick_config, max_epochs=1,
+                         width=SCALE_PRESETS[preset].width,
+                         telemetry=Telemetry.active())
+        SoCFlow(SoCFlowOptions(checkpoint_path=str(tmp_path / "c.npz"))
+                ).train(config)
+        (span,) = [r for r in config.telemetry.tracer.records
+                   if r.name == "checkpoint:epoch"]
+        board = GlobalScheduler(config.topology)
+        cost = CostModel(config)
+        assert span.dur_s == board.checkpoint(cost, "update") > 0
+        assert span.args["model_bytes"] == cost.grad_bytes
 
 
 class TestSoCFlowResume:

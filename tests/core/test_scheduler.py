@@ -1,11 +1,20 @@
-"""Global scheduler: events, rebalancing, checkpoint costs, faults."""
+"""Global scheduler: events, rebalancing, control-plane costs, faults."""
+
+import ast
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cluster import (ClusterTopology, FaultSchedule, NetworkFabric,
                            NicDegradation, PreemptionStorm, SoCCrash,
                            StragglerFault)
-from repro.core import GlobalScheduler, PreemptionEvent, UnderclockEvent
+from repro.core import (GlobalScheduler, PreemptionEvent, TrainingCheckpoint,
+                        UnderclockEvent)
+from repro.distributed import CostModel, RunConfig, Strategy
+from repro.jobs import ElasticScheduler
+from repro.telemetry import Telemetry
 
 
 def scheduler(rebalance=True, events=(), fault_schedule=None):
@@ -103,27 +112,29 @@ class TestUnderclockingAcrossResume:
 class TestFaults:
     def test_no_schedule_is_a_noop(self):
         sched = scheduler()
-        assert sched.apply_faults(0) == set()
-        assert sched.alive_socs_at(0) == list(range(20))
+        fabric = NetworkFabric(sched.topology)
+        assert sched.apply_faults(0, fabric) == set()
+        assert fabric.degraded_pcbs == {}
 
     def test_dead_socs_tracked_with_recovery(self):
         sched = scheduler(fault_schedule=FaultSchedule(
             (SoCCrash(1, 3), SoCCrash(2, 5, recover_epoch=4))))
-        assert sched.dead_socs_at(0) == set()
-        assert sched.dead_socs_at(2) == {3, 5}
-        assert sched.dead_socs_at(4) == {3}
-        assert 5 in sched.alive_socs_at(4)
+        fabric = NetworkFabric(sched.topology)
+        assert sched.apply_faults(0, fabric) == set()
+        assert sched.apply_faults(2, fabric) == {3, 5}
+        assert sched.apply_faults(4, fabric) == {3}
 
-    def test_out_of_range_crashes_are_ignored(self):
-        sched = scheduler(fault_schedule=FaultSchedule((SoCCrash(0, 99),)))
-        assert sched.dead_socs_at(0) == set()
+    def test_out_of_range_crashes_are_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            scheduler(fault_schedule=FaultSchedule((SoCCrash(0, 99),)))
 
     def test_stragglers_fold_into_clock_factors(self):
         sched = scheduler(fault_schedule=FaultSchedule(
             (StragglerFault(1, 0, 0.5),)))
-        sched.apply_faults(0)
+        fabric = NetworkFabric(sched.topology)
+        sched.apply_faults(0, fabric)
         assert sched.group_slowdown([0, 1]) == 1.0
-        sched.apply_faults(1)
+        sched.apply_faults(1, fabric)
         assert sched.group_slowdown([0, 1]) == pytest.approx(2 / 1.5)
 
     def test_nic_multipliers_pushed_into_fabric(self):
@@ -143,23 +154,112 @@ class TestFaults:
         assert len(preemptions) == 2
         assert sum(p.num_groups for p in preemptions) == 4
 
-    def test_recovery_seconds_positive_and_scales(self):
+    def test_recovery_positive_scales_and_is_charged(self, tiny_task):
         sched = scheduler()
-        fabric = NetworkFabric(sched.topology)
-        small = sched.recovery_seconds(1e6, fabric, list(range(10)))
-        large = sched.recovery_seconds(1e8, fabric, list(range(10)))
-        assert 0 < small < large
+        small, large = cost_model(tiny_task, "lenet5"), \
+            cost_model(tiny_task, "vgg11")
+        survivors = list(range(10))
+        small_s = sched.recover(small, survivors)
+        large_s = sched.recover(large, survivors)
+        assert 0 < small_s < large_s
+        # charged to its own phase, with the survivors' NICs busy
+        assert small.clock.breakdown() == {"recovery": small_s}
+        assert small.energy.report.network_j > 0
+
+
+def cost_model(task, model_name="lenet5", telemetry=None) -> CostModel:
+    """A paper-scale clock on the 20-SoC cluster of :func:`scheduler`."""
+    return CostModel(RunConfig(task=task, model_name=model_name,
+                               topology=ClusterTopology(num_socs=20)),
+                     telemetry=telemetry)
 
 
 class TestCosts:
-    def test_checkpoint_time_scales_with_model(self):
-        small = GlobalScheduler.checkpoint_seconds(1e6)
-        large = GlobalScheduler.checkpoint_seconds(1e8)
-        assert large == pytest.approx(100 * small)
+    def test_checkpoint_time_scales_with_model(self, tiny_task):
+        small, large = cost_model(tiny_task, "lenet5"), \
+            cost_model(tiny_task, "vgg11")
+        small_s = scheduler().checkpoint(small, "sync")
+        large_s = scheduler().checkpoint(large, "update")
+        assert large_s / small_s == pytest.approx(
+            large.grad_bytes / small.grad_bytes)
+        assert small.clock.breakdown() == {"sync": small_s}
+        assert large.clock.breakdown() == {"update": large_s}
 
-    def test_dispatch_covers_all_socs(self):
+    def test_dispatch_covers_all_socs(self, tiny_task):
         sched = scheduler()
-        fabric = NetworkFabric(sched.topology)
-        t = sched.dispatch_seconds(fabric, model_bytes=1e7,
-                                   data_bytes_per_soc=1e7)
+        everyone = cost_model(tiny_task)
+        t = sched.dispatch(everyone)
         assert t > 0
+        assert everyone.clock.breakdown() == {"sync": t}
+        # a job's subset: the data shards spread over its SoCs only
+        subset = cost_model(tiny_task)
+        assert sched.dispatch(subset, socs=[1, 0]) == subset.clock.now > 0
+
+    def test_spans_and_metrics_are_drawn_once(self, tiny_task):
+        telemetry = Telemetry.active()
+        cost = cost_model(tiny_task, telemetry=telemetry)
+        sched = scheduler()
+        dispatch_s = sched.dispatch(cost)
+        recover_s = sched.recover(cost, [0, 1, 2], name="recovery@1")
+        checkpoint_s = sched.checkpoint(cost, "update", epoch=1)
+        spans = [(r.kind, r.name, r.dur_s) for r in telemetry.tracer.records
+                 if r.kind != "nic_wait"]
+        assert spans == [("dispatch", "dispatch", dispatch_s),
+                         ("recovery", "recovery@1", recover_s),
+                         ("checkpoint", "checkpoint", checkpoint_s)]
+        assert cost.clock.now == dispatch_s + recover_s + checkpoint_s
+        rows = {row["name"]: row for row in telemetry.metrics.collect()}
+        assert rows["recovery.count"]["value"] == 1
+
+
+class TestOneControlBoard:
+    """Control-plane events are priced in one place and the fault
+    schedule is read through one epoch entry."""
+
+    SRC = Path(repro.__file__).parent
+
+    def sources(self):
+        return {path.relative_to(self.SRC).as_posix(): path.read_text()
+                for path in sorted(self.SRC.rglob("*.py"))}
+
+    def test_the_copies_are_gone(self):
+        for owner, name in [
+                (TrainingCheckpoint, "write_seconds"),
+                (TrainingCheckpoint, "nbytes"),
+                (GlobalScheduler, "alive_socs_at"),
+                (GlobalScheduler, "dead_socs_at"),
+                (GlobalScheduler, "dispatch_seconds"),
+                (GlobalScheduler, "recovery_seconds"),
+                (GlobalScheduler, "checkpoint_seconds"),
+                (CostModel, "charge_recovery"),
+                (Strategy, "_epoch_fault_state"),
+                (ElasticScheduler, "_dead_socs")]:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+        # (a recovery record's "recovery_seconds" key is a result field)
+        pattern = re.compile(r"(\bdef |\.)(write_seconds|alive_socs_at|"
+                             r"charge_recovery|dispatch_seconds|"
+                             r"recovery_seconds)\b")
+        assert {rel: pattern.findall(text)
+                for rel, text in self.sources().items()
+                if pattern.search(text)} == {}
+
+    def test_no_dead_soc_filter_remains(self):
+        # the schedules are validated against the topology once, when
+        # each consumer is built, so no reader re-filters the dead set
+        pattern = re.compile(r"\bif 0 <= \w+ < [\w.]*num_socs")
+        assert {rel for rel, text in self.sources().items()
+                if pattern.search(text)} == set()
+
+    def test_nic_multipliers_read_only_by_the_epoch_entry(self):
+        callers = []
+        for rel, text in self.sources().items():
+            tree = ast.parse(text)
+            for func in ast.walk(tree):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "nic_multipliers"):
+                        callers.append((rel, func.name))
+        assert callers == [("cluster/faults.py", "enter_epoch")]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Session
+from repro.cluster import ClusterTopology, FaultSchedule, Session, SoCCrash
 from repro.jobs import ElasticScheduler, JobAdmissionError
 from repro.telemetry import Telemetry, write_trace
 
@@ -21,6 +21,14 @@ def record_allocations(monkeypatch):
 
     monkeypatch.setattr(ElasticScheduler, "_apply_allocation", spy)
     return seen
+
+
+def test_schedule_naming_a_missing_soc_is_rejected(config_factory):
+    """Validated against the topology once, when the scheduler is
+    built, instead of silently dropping the SoC every round."""
+    with pytest.raises(ValueError, match="out of range"):
+        make_scheduler(ClusterTopology(num_socs=16), config_factory,
+                       fault_schedule=FaultSchedule((SoCCrash(1, 99),)))
 
 
 class TestConcurrentJobs:

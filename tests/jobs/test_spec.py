@@ -7,7 +7,8 @@ import pytest
 
 from repro.jobs import (JobSpecError, TrainingJob, load_job_file,
                         parse_job_specs, parse_simple_yaml)
-from repro.jobs import spec as spec_module
+from repro.jobs.spec import CLUSTER_KEYS
+from repro.serving import FlashCrowd
 
 EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "jobs.yaml"
 
@@ -71,6 +72,13 @@ class TestParseJobSpecs:
             parse_job_specs([{"id": "a", "workload": "vgg11",
                               "gpus": 4}])
 
+    def test_unknown_cluster_key_rejected(self):
+        with pytest.raises(JobSpecError, match="fusion_treshold_mb") as err:
+            parse_job_specs({"cluster": {"fusion_treshold_mb": 4},
+                             "jobs": [{"id": "a", "workload": "vgg11"}]})
+        # the message names what is accepted
+        assert all(key in str(err.value) for key in CLUSTER_KEYS)
+
     def test_unknown_top_level_section_rejected(self):
         with pytest.raises(JobSpecError, match="top-level"):
             parse_job_specs({"jobs": [{"id": "a", "workload": "v"}],
@@ -114,11 +122,23 @@ class TestSimpleYaml:
         assert len(jobs) >= 3
         assert cluster["socs"] == 32
 
-    def test_matches_pyyaml_when_available(self):
-        yaml = pytest.importorskip("yaml")
-        assert (parse_simple_yaml(EXAMPLE.read_text())
-                == yaml.safe_load(EXAMPLE.read_text()))
-        assert parse_simple_yaml(YAML_DOC) == yaml.safe_load(YAML_DOC)
+    def test_keys_split_only_at_colon_space(self):
+        payload = parse_simple_yaml(
+            "cluster:\n  flash_crowds:\n    - 20:30:2\n    - '20:30:2'\n"
+            "  serve_model: resnet18\n")
+        assert payload == {"cluster": {"flash_crowds": ["20:30:2", "20:30:2"],
+                                       "serve_model": "resnet18"}}
+        with pytest.raises(JobSpecError, match="key: value"):
+            parse_simple_yaml("socs:32\n")
+
+    def test_quoted_and_unquoted_crowds_are_one_crowd(self, tmp_path):
+        path = tmp_path / "jobs.yaml"
+        path.write_text("cluster:\n  flash_crowds:\n    - 20:30:2\n"
+                        "    - \"20:30:2\"\n"
+                        "jobs:\n  - id: a\n    workload: vgg11\n")
+        _, cluster = load_job_file(path)
+        plain, quoted = map(FlashCrowd.parse, cluster["flash_crowds"])
+        assert plain == quoted == FlashCrowd(20.0, 30.0, 2.0)
 
 
 class TestLoadJobFile:
@@ -135,8 +155,7 @@ class TestLoadJobFile:
         with pytest.raises(JobSpecError, match="jobs.json"):
             load_job_file(path)
 
-    def test_yaml_without_pyyaml_uses_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(spec_module, "_yaml", None)
+    def test_yaml_without_pyyaml_uses_fallback(self, tmp_path):
         path = tmp_path / "jobs.yaml"
         path.write_text(YAML_DOC)
         jobs, cluster = load_job_file(path)

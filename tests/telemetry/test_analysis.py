@@ -14,6 +14,7 @@ import pytest
 
 from repro.cluster import FaultSchedule, NicDegradation, SoCCrash
 from repro.core import SoCFlow, SoCFlowOptions
+from repro.distributed import build_strategy
 from repro.harness import make_run_config
 from repro.telemetry import (HealthMonitor, MetricsRegistry, Telemetry,
                              Tracer, analyze_records, diff_reports,
@@ -421,6 +422,51 @@ class TestEndToEnd:
         before = [r.to_dict() for r in socflow_traced.tracer.records]
         analyze_records(socflow_traced.tracer.records)
         assert [r.to_dict() for r in socflow_traced.tracer.records] == before
+
+
+class TestRunWideCounters:
+    @pytest.mark.parametrize("method", ["ring", "ssp", "fedavg"])
+    def test_baseline_fault_report_lists_the_crash(self, method):
+        """Baselines read the schedule through the same epoch entry as
+        SoCFlow, so their traces carry the same fault onsets."""
+        telemetry = Telemetry.active()
+        config = make_run_config(
+            "lenet5_fmnist", "quick", num_socs=16, max_epochs=2,
+            telemetry=telemetry, fault_mode="continue",
+            fault_schedule=FaultSchedule(
+                (SoCCrash(1, 3), NicDegradation(1, 0, 0.2, recover_epoch=2))))
+        build_strategy(method).train(config)
+        faults = analyze_records(telemetry.tracer.records).faults
+        assert sorted((f["fault"], f.get("soc")) for f in faults) \
+            == [("crash", 3), ("nic_degradation", None)]
+
+    def test_graph_counters_are_the_runs(self):
+        """One ``graph_replay`` span per group and precision: the report
+        sums them instead of keeping the last group's."""
+        telemetry = Telemetry.active()
+        config = make_run_config("lenet5_fmnist", "quick", num_socs=16,
+                                 max_epochs=2, graph=True,
+                                 telemetry=telemetry)
+        result = SoCFlow(SoCFlowOptions()).train(config)
+        report = analyze_records(telemetry.tracer.records)
+        counters = {precision: {key: stats[key] for key in
+                                result.extra["graph_stats"][precision]}
+                    for precision, stats in report.graph_stats.items()}
+        assert counters == result.extra["graph_stats"]
+        for precision, plans in result.extra["graph_plans"].items():
+            assert plans.items() <= report.graph_stats[precision].items()
+        lines = [line for line in render_report(report).splitlines()
+                 if line.startswith("graph executor:")]
+        assert len(lines) == len(counters) == 2
+
+    def test_graph_counters_without_precision_are_fp32(self):
+        tracer = Tracer()
+        _epoch(tracer, 0, 0.0)
+        for replays in (4, 7):
+            tracer.span("graph_replay", 9.5, 0.0, captures=1,
+                        replays=replays, eager_steps=0, fallbacks=0)
+        assert analyze_records(tracer.records).graph_stats == {
+            "fp32": dict(captures=2, replays=11, eager_steps=0, fallbacks=0)}
 
 
 class TestLoaderRoundTrip:

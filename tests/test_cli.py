@@ -323,6 +323,26 @@ jobs:
         assert code == 2
         assert "bad job file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("typo", ["fusion_treshold_mb: 4", "graf: true"])
+    def test_unknown_cluster_key_exits_2(self, tmp_path, capsys, typo):
+        spec = self.SPEC.replace("  seed: 0\n", f"  seed: 0\n  {typo}\n")
+        code, _ = run_cli(["jobs", "--spec", self.write_spec(tmp_path, spec)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad job file" in err and typo.split(":")[0] in err
+        assert "fusion_threshold_mb" in err           # the accepted keys
+
+    @pytest.mark.parametrize("faults", [
+        "flap:epoch=1,pcb=0,mult=0.2,until=2",
+        "crash:epoch=1,soc=3;straggler:epoch=1,soc=2,factor=0.5",
+        "storm:epoch=2"])
+    def test_faults_it_does_not_price_exit_2(self, tmp_path, capsys, faults):
+        code, _ = run_cli(["jobs", "--spec", self.write_spec(tmp_path),
+                           "--faults", faults])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad --faults spec" in err and "crashes only" in err
+
     def test_unadmittable_job_rejected(self, tmp_path, capsys):
         spec = ("jobs:\n  - id: giant\n    workload: lenet5_fmnist\n"
                 "    min_socs: 64\n    max_socs: 64\n")
@@ -382,6 +402,15 @@ class TestServeMode:
                                           "--flash-crowd", "20:1"))
         assert code == 2
         assert "flash-crowd" in capsys.readouterr().err
+
+    def test_non_string_crowd_in_job_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "crowd.yaml"
+        path.write_text(self.SPEC.replace(
+            "  seed: 0\n", "  seed: 0\n  flash_crowds:\n    - 20\n"))
+        code, _ = run_cli(["jobs", "--spec", str(path), "--serve",
+                           "--horizon", "2", "--peak-rps", "5"])
+        assert code == 2
+        assert "bad --flash-crowd spec" in capsys.readouterr().err
 
     def test_unknown_serve_model_exits_2(self, tmp_path, capsys):
         code, _ = run_cli(self.serve_args(tmp_path, "--serve-model",

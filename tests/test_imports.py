@@ -41,7 +41,8 @@ def test_planning_does_not_import_networkx_or_yaml():
     """``import repro`` paid 0.10 s of its 0.25 s for networkx, which
     only 2-coloured a conflict graph of at most 15 vertices; it is
     imported where somebody asks for the graph object (or an odd cycle
-    needs DSATUR), as yaml is where a job file is read."""
+    needs DSATUR); yaml is never imported (job files are read by the
+    built-in parser)."""
     src = str(Path(repro.__file__).resolve().parents[1])
     program = (
         "import sys, repro.core\n"

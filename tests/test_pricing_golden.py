@@ -142,7 +142,13 @@ CASES = {
 # whole-model CG times) and job/mixed by pricing the epoch at the CPU
 # share its batches used; ssp/continue by the one epoch loop (SSP reads
 # the fault schedule now: survivors share the batch, the PS sync is
-# re-priced on the degraded fabric); every other digest is the parent's.
+# re-priced on the degraded fabric).  The one control board re-recorded
+# socflow/checkpoint/* (the epoch checkpoint is priced at paper scale,
+# not from the host model's bytes), the baselines' continue traces (they
+# draw the fault onset events SoCFlow draws) and the other socflow
+# result digests by type only: SoCFlow's dispatch payload used to be a
+# numpy float64, so its whole clock ran in np.float64; the same values
+# are Python floats now.  Every other digest is the parent's.
 GOLDEN_PATH = Path(__file__).with_name("pricing_golden.json")
 
 

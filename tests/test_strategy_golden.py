@@ -44,6 +44,9 @@ SEEDS = (0, 1)
 # only for ``ssp``/``fedavg``/``t_fedavg`` clean and fail-stop under
 # ``graph`` (they publish ``graph.*`` and the ``graph_replay`` span now)
 # and for every ``local`` run (epoch rows, ``epoch`` spans and series).
+# The one fault reader then moved trace + metrics (never the result) of
+# the 56 fail-stop/continue runs of the seven cluster strategies: they
+# draw the ``fault`` onset events and ``faults.injected`` counts.
 GOLDEN_PATH = Path(__file__).with_name("strategy_golden.json")
 
 
