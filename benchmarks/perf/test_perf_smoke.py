@@ -75,7 +75,7 @@ def test_report_has_all_sections(report):
         assert report["step_time"][model]["replay"]["median_s"] > 0
         assert report["int8_step_time"][model]["eager"]["median_s"] > 0
         assert report["int8_step_time"][model]["replay"]["median_s"] > 0
-    for path in ("fused", "per_key", "per_key_fallback"):
+    for path in ("fused", "per_key"):
         assert report["aggregation"][path]["median_s"] > 0
     for variant in ("sequential", "workers2"):
         assert report["epoch"][variant]["median_s"] > 0

@@ -5,14 +5,12 @@ package holds the *data* side: state averaging used by every strategy,
 and the deep-gradient-compression (DGC) sparsifier HiPress builds on.
 """
 
-from .primitives import (RetryPolicy, average_states,
-                         weighted_average_states, state_l2_distance,
-                         zeros_like_state)
+from .primitives import RetryPolicy, average_states, weighted_average_states
 from .compression import DgcCompressor, SparseGradient
 from .buckets import (BACKWARD_START_FRACTION, BucketPlan, GradientBucket,
                       bucketed_average_states)
 
 __all__ = ["RetryPolicy", "average_states", "weighted_average_states",
-           "state_l2_distance", "zeros_like_state", "DgcCompressor",
+           "DgcCompressor",
            "SparseGradient", "BucketPlan", "GradientBucket",
            "bucketed_average_states", "BACKWARD_START_FRACTION"]

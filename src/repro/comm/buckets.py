@@ -215,33 +215,32 @@ class BucketPlan:
         return out
 
 
-def bucketed_average_states(states: Sequence[dict],
+def bucketed_average_states(states: Sequence[FlatState],
                             plan: BucketPlan | None,
-                            metrics=None) -> "dict":
-    """Uniform average, fused per bucket over the shared flat storage.
+                            metrics=None) -> FlatState:
+    """Uniform average of :class:`~repro.nn.flat.FlatState` snapshots,
+    fused per bucket of ``plan`` over the shared flat storage (no plan:
+    one whole-model segment).
 
-    Falls back to :func:`~repro.comm.primitives.average_states` when the
-    states don't share ``plan``'s layout (or there is no plan).  The
-    bucketed result is bit-identical to the whole-model fused path: the
-    same elementwise kernel runs over the same storage, merely sliced at
-    bucket boundaries, and every element's value is independent of the
-    slicing.
+    Bit-identical to :func:`~repro.comm.primitives.average_states`:
+    the same elementwise kernel runs over the same storage, merely
+    sliced at bucket boundaries, and every element's value is
+    independent of the slicing.
     """
-    from .primitives import _average_arrays_f32, average_states
-    if not states:
-        raise ValueError("need at least one state")
+    from .primitives import _average_arrays_f32, count_merge
     layout = common_flat_layout(states)
-    if plan is None or layout is None or plan.layout is not layout:
-        return average_states(states, metrics=metrics)
+    if plan is None:
+        segments = [(0, layout.total)]
+    elif plan.layout is layout:
+        segments = plan.segments(include_buffers=True)
+    else:
+        raise ValueError("the bucket plan is for another layout")
     scales = [np.float32(1.0 / len(states))] * len(states)
     out = np.empty(layout.total, dtype=np.float32)
     flats = [state.flat for state in states]
-    for start, stop in plan.segments(include_buffers=True):
+    for start, stop in segments:
         _average_arrays_f32([flat[start:stop] for flat in flats], scales,
                             out=out[start:stop])
     result = FlatState(layout, out)
-    if metrics is not None and metrics.enabled:
-        metrics.counter("comm.merges").inc()
-        metrics.counter("comm.merged_bytes").inc(
-            result.flat.nbytes * len(states))
+    count_merge(metrics, result, len(states))
     return result

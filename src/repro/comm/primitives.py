@@ -4,7 +4,6 @@ timeout/retry policy collectives apply over degraded links."""
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -12,10 +11,7 @@ import numpy as np
 
 from ..nn.flat import FlatState, common_flat_layout
 
-StateDict = "OrderedDict[str, np.ndarray]"
-
-__all__ = ["RetryPolicy", "average_states", "weighted_average_states",
-           "state_l2_distance", "zeros_like_state"]
+__all__ = ["RetryPolicy", "average_states", "weighted_average_states"]
 
 
 @dataclass(frozen=True)
@@ -65,8 +61,8 @@ class RetryPolicy:
         return retries * self.timeout_s + backoff
 
 
-def average_states(states: Sequence[dict], metrics=None
-                   ) -> "OrderedDict[str, np.ndarray]":
+def average_states(states: Sequence[FlatState], metrics=None
+                   ) -> FlatState:
     """Uniform element-wise average of model state dicts."""
     if not states:
         raise ValueError("need at least one state")
@@ -83,12 +79,10 @@ _AVG_BLOCK = 1 << 16
 def _average_arrays_f32(arrays: Sequence[np.ndarray],
                         scales: Sequence[np.float32],
                         out: np.ndarray | None = None) -> np.ndarray:
-    """Weighted sum of float32 arrays — the one true op sequence.
+    """Weighted sum of float32 arrays — the one averaging kernel.
 
-    Both the fused whole-model path and the per-key fallback funnel
-    through this helper, so their outputs are bit-for-bit identical by
-    construction (identical elementwise ops in identical order; every
-    element is independent of array shape and block boundaries).
+    Every element is independent of array shape and block boundaries,
+    so the whole-model and the bucketed averages agree bit for bit.
 
     Uniform weights take a sum-then-scale form — ``k-1`` in-place adds
     and one multiply, the cheapest exact formulation (and one rounding
@@ -129,19 +123,20 @@ def _average_arrays_f32(arrays: Sequence[np.ndarray],
     return out
 
 
-def weighted_average_states(states: Sequence[dict],
+def weighted_average_states(states: Sequence[FlatState],
                             weights: Sequence[float],
                             metrics=None
-                            ) -> "OrderedDict[str, np.ndarray]":
-    """Weighted element-wise average (weights are normalised).
+                            ) -> FlatState:
+    """Weighted element-wise average (weights are normalised) of
+    :class:`~repro.nn.flat.FlatState` snapshots of one layout, in one
+    pass over the fused storage.
 
-    float32 tensors average in single precision (sum-then-scale for
+    The average is taken in single precision (sum-then-scale for
     uniform weights): for the k <= 32 replicas a merge ever sees the
     elementwise error is bounded by ~k ulp, invisible next to the
     inter-replica divergence being averaged, and it halves the memory
-    traffic of the old float64 accumulation (``benchmarks/perf``
-    measures the win against that reference).  Non-float32 tensors in
-    per-key dicts keep the float64 accumulate + cast-back path.
+    traffic of a float64 accumulation (``benchmarks/perf`` measures
+    the win against that reference).
 
     ``metrics`` optionally takes a telemetry
     :class:`~repro.telemetry.MetricsRegistry`; each call then counts one
@@ -156,47 +151,15 @@ def weighted_average_states(states: Sequence[dict],
     if total <= 0 or not math.isfinite(total):
         raise ValueError("weights must sum to a positive finite value")
     scales = [np.float32(weight / total) for weight in weights]
-    layout = common_flat_layout(states)
-    if layout is not None:
-        # Fused path: every state shares one flat layout, so the whole
-        # model averages in one pass over the concatenated storage.
-        out = FlatState(layout, _average_arrays_f32(
-            [state.flat for state in states], scales))
-        if metrics is not None and metrics.enabled:
-            metrics.counter("comm.merges").inc()
-            metrics.counter("comm.merged_bytes").inc(
-                out.flat.nbytes * len(states))
-        return out
-    keys = list(states[0].keys())
-    for state in states[1:]:
-        if list(state.keys()) != keys:
-            raise ValueError("state dicts have mismatched keys")
-    out: OrderedDict[str, np.ndarray] = OrderedDict()
-    for key in keys:
-        first = np.asarray(states[0][key])
-        if first.dtype == np.float32:
-            out[key] = _average_arrays_f32(
-                [np.asarray(state[key]) for state in states], scales)
-            continue
-        acc = np.zeros_like(np.asarray(first, dtype=np.float64))
-        for state, weight in zip(states, weights):
-            acc += (weight / total) * state[key]
-        out[key] = acc.astype(first.dtype)
-    if metrics is not None and metrics.enabled:
-        nbytes = sum(np.asarray(v).nbytes for v in out.values())
-        metrics.counter("comm.merges").inc()
-        metrics.counter("comm.merged_bytes").inc(nbytes * len(states))
+    out = FlatState(common_flat_layout(states), _average_arrays_f32(
+        [state.flat for state in states], scales))
+    count_merge(metrics, out, len(states))
     return out
 
 
-def state_l2_distance(a: dict, b: dict) -> float:
-    """L2 distance between two state dicts (divergence diagnostics)."""
-    total = 0.0
-    for key in a:
-        diff = np.asarray(a[key], dtype=np.float64) - b[key]
-        total += float(np.sum(diff * diff))
-    return math.sqrt(total)
-
-
-def zeros_like_state(state: dict) -> "OrderedDict[str, np.ndarray]":
-    return OrderedDict((k, np.zeros_like(v)) for k, v in state.items())
+def count_merge(metrics, out: FlatState, num_states: int) -> None:
+    """``comm.merges`` and ``comm.merged_bytes`` of one average."""
+    if metrics is not None and metrics.enabled:
+        metrics.counter("comm.merges").inc()
+        metrics.counter("comm.merged_bytes").inc(
+            out.flat.nbytes * num_states)

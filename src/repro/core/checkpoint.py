@@ -7,12 +7,16 @@ resume needs — model state, epoch cursor, accuracy history, controller
 state — and round-trips through a single ``.npz`` file.  Its UFS write
 is priced by the control board at paper scale
 (:meth:`~repro.core.scheduler.GlobalScheduler.checkpoint`), not from
-this host-scale state.
+this host-scale state.  A loaded ``model_state`` is a plain mapping;
+``Module.load_state_dict`` checks it key for key and shape for shape
+(``FlatState.from_mapping``) before anything is written.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,12 +63,16 @@ class TrainingCheckpoint:
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"no checkpoint at {path}")
-        with np.load(path) as archive:
-            if _META_KEY not in archive:
-                raise ValueError(f"{path} is not a SoCFlow checkpoint")
-            meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
-            state = {key: archive[f"tensor_{i}"]
-                     for i, key in enumerate(meta["keys"])}
+        try:
+            with np.load(path) as archive:
+                if _META_KEY not in archive:
+                    raise ValueError(f"{path} is not a SoCFlow checkpoint")
+                meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
+                state = {key: archive[f"tensor_{i}"]
+                         for i, key in enumerate(meta["keys"])}
+        except (zipfile.BadZipFile, zlib.error, EOFError, KeyError) as exc:
+            raise ValueError(f"{path} is not a readable checkpoint: "
+                             f"{exc}") from exc
         return cls(model_state=state, epoch=meta["epoch"],
                    accuracy_history=meta["accuracy_history"],
                    alpha=meta["alpha"], rng_seed=meta["rng_seed"],

@@ -57,7 +57,7 @@ class CrossSiteSoCFlow:
         shared_state = model.state_dict()
         payload = model_profile(run_config.model_name).payload_bytes()
 
-        site_states = [dict(shared_state) for _ in sites]
+        site_states = [shared_state.copy() for _ in sites]
         history: list[float] = []
         total_time = 0.0
         energy = None
@@ -80,7 +80,7 @@ class CrossSiteSoCFlow:
                 energy = (result.energy if energy is None
                           else energy + result.energy)
             merged = average_states(round_states)
-            site_states = [dict(merged) for _ in sites]
+            site_states = [merged.copy() for _ in sites]
             total_time += round_time + self.fabric.sync_time(payload)
             model.load_state_dict(merged)
             history.append(evaluate_accuracy(

@@ -75,7 +75,7 @@ class GroupMixedTrainer:
         if precision != "fp32":
             # the twin starts from the FP32 weights, never from its own
             int8_model = make_model(config, seed_offset=seed_offset,
-                                    init_weights=False)
+                                    init_weights=False, arena=self.arena)
             self.int8 = Int8Trainer(int8_model, lr=config.lr,
                                     config=quant_config,
                                     momentum=config.momentum,
@@ -159,8 +159,9 @@ class GroupMixedTrainer:
             module.rng.bit_generator.state = rng_state
 
     def runtime_state(self) -> dict:
-        """Every mutable input of ``train_batch``, picklable, so a worker
-        process can resume this group bit-identically mid-run.
+        """Every mutable input of ``train_batch``, picklable, so another
+        replica (in another process, too) can resume this group
+        bit-identically mid-run.
 
         The controller is deliberately excluded: within an epoch it is
         read-only (alpha/beta update only at epoch boundaries), so the

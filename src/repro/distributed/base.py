@@ -131,11 +131,15 @@ class RunConfig:
 
 
 def make_model(config: RunConfig, seed_offset: int = 0,
-               init_weights: bool = True) -> Module:
-    """The run's model.  ``init_weights=False`` is for a replica whose
-    caller overwrites every weight before use (see ``build_model``)."""
+               init_weights: bool = True, arena=None) -> Module:
+    """The run's model, on its fused storage from the start: flattened
+    into ``arena`` (the run's :class:`~repro.nn.arena.StepArena`; a
+    private one without).  ``init_weights=False`` is for a replica
+    whose caller overwrites every weight before use (see
+    ``build_model``).  ``config.init_state`` must match the model key
+    for key and shape for shape."""
     model = build_model(config.model_name, init_weights=init_weights,
-                        **config.model_kwargs(seed_offset))
+                        arena=arena, **config.model_kwargs(seed_offset))
     if config.init_state is not None:
         model.load_state_dict(config.init_state)
     if config.freeze_backbone:
@@ -157,11 +161,10 @@ def make_replica(config: RunConfig, *, arena=None, seed_offset: int = 0,
     gradient plane, one update scratch and one compiled plan.  Without
     one the replica gets a private arena.
     """
-    model = make_model(config, seed_offset, init_weights)
+    model = make_model(config, seed_offset, init_weights, arena)
     optimizer = SGD(model.parameters(), lr=config.lr,
                     momentum=config.momentum,
-                    weight_decay=config.weight_decay,
-                    flat=model.flatten_parameters(arena))
+                    weight_decay=config.weight_decay)
     if config.graph:
         # Trace-once/replay-many step; replays are bit-identical.
         model.enable_graph_executor(arena=arena)

@@ -56,11 +56,7 @@ class FedAvg(Strategy):
         return max(4, min(config.batch_size, shard_size // 4 or 1))
 
     def setup(self, config: RunConfig, cost: CostModel):
-        # Fused data plane: flattening both replicas makes every local
-        # SGD step, the round average and the state loads whole-model
-        # array ops (bit-identical to the per-key paths).
         global_model = make_model(config)
-        global_model.flatten_parameters()
         shards = self._partition(config, self.num_clients(config))
         # One replica is the buffer every client's local run reuses
         # (and one executor serves every round: load_state_dict writes

@@ -51,7 +51,9 @@ class HiPress(SsgdStrategy):
         return transfer + compress
 
     def transform_gradients(self, model) -> None:
+        """DGC in place: each gradient's plane view becomes its
+        compressed, densified form, so the fused update applies it."""
         for name, param in model.named_parameters():
             if param.grad is not None:
                 sparse = self.compressor.compress(name, param.grad)
-                param.grad = sparse.densify()
+                param.grad[...] = sparse.densify()

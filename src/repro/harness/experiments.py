@@ -15,8 +15,7 @@ import numpy as np
 from ..cluster.topology import ClusterTopology
 from ..data.datasets import DATASET_REGISTRY, load_dataset
 from ..data.synthetic import SyntheticImageTask
-from ..distributed.base import RunConfig, fp32_train_step, make_model
-from ..nn.optim import SGD
+from ..distributed.base import RunConfig, fp32_train_step, make_replica
 
 __all__ = ["Workload", "ScalePreset", "WORKLOADS", "SCALE_PRESETS",
            "prepare_task", "make_run_config", "pretrain_for_transfer"]
@@ -140,9 +139,9 @@ def pretrain_for_transfer(config: RunConfig, workload: Workload,
                           image_size=preset.image_size, seed=seed + 7)
     pretrain_config = replace(config, task=source, init_state=None,
                               freeze_backbone=False)
-    model = make_model(pretrain_config)
-    optimizer = SGD(model.parameters(), lr=workload.lr,
-                    momentum=workload.momentum)
+    model, optimizer = make_replica(replace(
+        pretrain_config, lr=workload.lr, momentum=workload.momentum,
+        weight_decay=0.0, graph=False))
     rng = np.random.default_rng(seed)
     for _ in range(2):
         order = rng.permutation(len(source.x_train))

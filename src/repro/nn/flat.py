@@ -13,30 +13,31 @@ to the numpy engine:
     layout equality is an ``is`` check.
 
 :class:`FlatState`
-    An ``OrderedDict[str, np.ndarray]`` state dict whose values are
-    zero-copy views into a single contiguous ``.flat`` array.  It is a
-    drop-in replacement for the dicts ``Module.state_dict`` returns;
-    aggregation primitives detect it and reduce the fused array in one
-    operation.
+    The one representation of model state: an ``OrderedDict[str,
+    np.ndarray]`` whose values are zero-copy views into a single
+    contiguous ``.flat`` array.  ``Module.state_dict`` returns one and
+    every aggregation, merge and transport reduces the fused array in
+    one operation.  A mapping from outside (a checkpoint file, an
+    initial state) becomes one in :meth:`FlatState.from_mapping`, which
+    checks its keys and shapes.
 
 :class:`FlatParamBuffer`
     Owns one contiguous array — ``data`` (parameters + buffers) — and
     rebinds a module's tensors to views of it; parameter gradients
     land in ``grads``, the gradient plane of the module's
     :class:`~repro.nn.arena.StepArena` (private to a module flattened
-    on its own, shared by the replicas of a run).  All fused fast paths
-    are bit-identical to the per-key loops they replace: they run the
-    same elementwise operations in the same dtype over the
-    concatenation of the same segments.
+    on its own, shared by the replicas of a run).
 
 :class:`PlaneParameter`
-    What a parameter becomes once its gradient lives in a plane: a
-    non-``None`` ``.grad`` is readable and writable only while the
-    parameter's replica holds the plane.
+    What a parameter becomes once its storage lives in a buffer: its
+    ``.data`` cannot leave the buffer, and a non-``None`` ``.grad`` is
+    readable and writable only while the parameter's replica holds the
+    gradient plane.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from typing import Iterable, Sequence
 
@@ -62,9 +63,8 @@ def _intern_layout(spec: tuple) -> "FlatLayout":
 class FlatLayout:
     """Packing table: key order, shapes and offsets into the flat array.
 
-    Keys are ordered parameters-first then buffers, which is exactly the
-    order ``Module.state_dict`` emits, so a flat snapshot and a per-key
-    snapshot enumerate identically.
+    Keys are ordered parameters-first then buffers, the order of
+    ``Module.named_parameters`` followed by ``Module.named_buffers``.
     """
 
     __slots__ = ("spec", "keys", "shapes", "sizes", "offsets", "total",
@@ -121,11 +121,12 @@ def _rebuild_flat_state(layout: FlatLayout, flat: np.ndarray) -> "FlatState":
 class FlatState(OrderedDict):
     """State dict backed by one contiguous array.
 
-    Behaves exactly like the plain ``OrderedDict[str, np.ndarray]``
-    state dicts used everywhere (iteration order, keys, values are
-    real ndarrays), but also exposes ``.flat`` and ``.layout`` so the
-    fused aggregation/merge paths can operate on the whole model at
-    once.
+    Behaves like the ``OrderedDict[str, np.ndarray]`` state dicts used
+    everywhere (iteration order, keys, values are real ndarrays), but
+    also exposes ``.flat`` and ``.layout`` so aggregation and merges
+    operate on the whole model at once.  The keys are the layout's and
+    every value stays a view of ``.flat``: assigning to a key writes
+    through (same shape only), and removing one is refused.
     """
 
     def __init__(self, layout: FlatLayout, flat: np.ndarray):
@@ -136,30 +137,50 @@ class FlatState(OrderedDict):
         flat = np.ascontiguousarray(flat, dtype=np.float32)
         if flat.ndim != 1:
             flat = flat.reshape(-1)
-        super().__init__(zip(layout.keys, layout.views(flat)))
+        for key, view in zip(layout.keys, layout.views(flat)):
+            OrderedDict.__setitem__(self, key, view)
         self.layout = layout
         self.flat = flat
-        # numpy collapses view chains, so a view of a view of X reports
-        # ``.base is X`` — intactness must compare against the storage
-        # owner, not against ``flat`` (itself possibly a view).
-        owner = flat
-        while isinstance(owner.base, np.ndarray):
-            owner = owner.base
-        self._owner = owner
 
-    def is_intact(self) -> bool:
-        """True while every value is still a view of ``.flat``.
+    @classmethod
+    def from_mapping(cls, layout: FlatLayout, state) -> "FlatState":
+        """``state`` on ``layout``: the one place a mapping from outside
+        (a checkpoint file, ``RunConfig.init_state``) becomes model
+        state.  Its keys must be the layout's and every value must have
+        exactly its key's shape; anything else raises ``ValueError``
+        naming the keys or the key and both shapes.  A ``FlatState`` on
+        ``layout`` already is one and comes back as is."""
+        if isinstance(state, FlatState) and state.layout is layout:
+            return state
+        missing = [key for key in layout.keys if key not in state]
+        known = set(layout.keys)
+        unexpected = [key for key in state if key not in known]
+        if missing or unexpected:
+            raise ValueError(
+                f"state dict does not match the model: missing keys "
+                f"{missing}, unexpected keys {unexpected}")
+        out = cls(layout, np.empty(layout.total, dtype=np.float32))
+        for key, shape in zip(layout.keys, layout.shapes):
+            value = np.asarray(state[key])
+            if value.shape != shape:
+                raise ValueError(
+                    f"state dict key {key!r} has shape {value.shape}, "
+                    f"the model's is {shape}")
+            out[key][...] = value
+        return out
 
-        Key reassignment (``state[k] = other_array``) desynchronises the
-        dict from the fused array; fused consumers check this and fall
-        back to the per-key path when it fails.
-        """
-        if len(self) != len(self.layout):
-            return False
-        for value in self.values():
-            if getattr(value, "base", None) is not self._owner:
-                return False
-        return True
+    def __setitem__(self, key, value) -> None:
+        view = self[key]
+        value = np.asarray(value)
+        if value.shape != view.shape:
+            raise ValueError(f"{key!r} has shape {view.shape}, got "
+                             f"{value.shape}")
+        view[...] = value
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a FlatState's keys are its layout's")
+
+    __delitem__ = pop = popitem = clear = setdefault = _refuse
 
     def copy(self) -> "FlatState":
         return FlatState(self.layout, self.flat.copy())
@@ -168,37 +189,60 @@ class FlatState(OrderedDict):
         return (_rebuild_flat_state, (self.layout, self.flat))
 
 
-def common_flat_layout(states: Iterable[dict]) -> FlatLayout | None:
-    """The shared layout if every state is an intact FlatState, else None."""
+def common_flat_layout(states: Iterable[dict]) -> FlatLayout:
+    """The one layout every state is a :class:`FlatState` of; anything
+    else is an error naming the first state that differs."""
     layout = None
-    for state in states:
+    for index, state in enumerate(states):
         if not isinstance(state, FlatState):
-            return None
+            raise TypeError(f"state {index} is a {type(state).__name__}, "
+                            "not a FlatState")
         if layout is None:
             layout = state.layout
         elif state.layout is not layout:
-            return None
-        if not state.is_intact():
-            return None
+            raise ValueError(
+                f"state {index} has another layout than state 0 "
+                f"({len(state.layout)} keys, {state.layout.total} "
+                f"elements vs {len(layout)} keys, {layout.total} elements)")
+    if layout is None:
+        raise ValueError("need at least one state")
     return layout
 
 
 _GRAD_SLOT = Tensor.__dict__["grad"]
+_DATA_SLOT = Tensor.__dict__["data"]
 
 
 class PlaneParameter(Tensor):
-    """A parameter whose gradient lives in a :class:`GradPlane`.
+    """A parameter whose storage lives in a :class:`FlatParamBuffer`.
 
-    Replicas of one run share the plane, so a gradient is only
-    meaningful while its replica holds it (``GradLease``): touching a
-    non-``None`` ``.grad`` outside that window raises instead of
-    handing out — or accumulating into — another replica's gradient.
-    ``None`` (no gradient) needs no claim.  Same slots as
-    :class:`Tensor`; ``FlatParamBuffer`` retypes its parameters in
-    place.
+    ``.data`` is its view of the buffer for good: assigning to it
+    writes through (same shape only), so the buffer always holds the
+    parameter.  Replicas of one run share the gradient plane, so a
+    gradient is only meaningful while its replica holds it
+    (``GradLease``): touching a non-``None`` ``.grad`` outside that
+    window raises instead of handing out — or accumulating into —
+    another replica's gradient.  ``None`` (no gradient) needs no
+    claim.  Same slots as :class:`Tensor`; ``FlatParamBuffer`` retypes
+    its parameters in place.
     """
 
     __slots__ = ()
+
+    @property
+    def data(self):
+        return _DATA_SLOT.__get__(self)
+
+    @data.setter
+    def data(self, value) -> None:
+        view = _DATA_SLOT.__get__(self)
+        if value is view:
+            return
+        value = np.asarray(value)
+        if value.shape != view.shape:
+            raise ValueError(f"parameter {self.name!r} has shape "
+                             f"{view.shape}, got {value.shape}")
+        view[...] = value
 
     @property
     def grad(self):
@@ -219,14 +263,15 @@ class FlatParamBuffer:
 
     After ``FlatParamBuffer(module)``:
 
-    - every parameter's ``.data`` is a view into :attr:`data`,
+    - every parameter's ``.data`` is a view into :attr:`data`, for good
+      (a parameter belongs to at most one buffer),
     - every registered buffer is a view into :attr:`data` (after the
       parameter region), and
     - every parameter's gradient, once produced by ``backward``, lands
       in a view of :attr:`grads` (via ``Tensor._grad_buf``).
 
-    ``state_dict`` then costs one ``memcpy`` and SGD/aggregation can
-    update the whole model with a handful of vectorised array ops.
+    ``state_dict`` then costs one ``memcpy`` and SGD/aggregation update
+    the whole model with a handful of vectorised array ops.
 
     :attr:`grads` is the gradient plane of ``arena`` for this layout.
     Without an ``arena`` the buffer makes a private one and holds the
@@ -241,7 +286,10 @@ class FlatParamBuffer:
         entries = [(name, tuple(p.data.shape)) for name, p in named_params]
         entries += [(name, tuple(np.asarray(b).shape))
                     for name, b in named_buffers]
-        for _, param in named_params:
+        for name, param in named_params:
+            if isinstance(param, PlaneParameter):
+                raise ValueError(f"parameter {name!r} already belongs to "
+                                 "a flat buffer")
             if param.data.dtype != np.float32:
                 raise TypeError("flat buffers require float32 parameters")
         for _, buf in named_buffers:
@@ -263,13 +311,17 @@ class FlatParamBuffer:
         self.buffer_views: list[np.ndarray] = views[len(named_params):]
         self.grad_views: list[np.ndarray] = plane.views
 
-        # Move the live values into the fused storage and rebind.
+        # Move the live values into the fused storage and rebind.  A
+        # parameter names its buffer weakly (for ``SGD`` to find it), so
+        # a dropped model is freed by reference counting.
+        owner = weakref.ref(self)
         for param, view, gview in zip(self.param_tensors, self.param_views,
                                       self.grad_views):
             view[...] = param.data
             param.data = view
             param._grad_buf = gview
             param._grad_lease = self._lease
+            param._flat = owner
             param.__class__ = PlaneParameter
         self._rebind_buffers(module, named_buffers)
         self._trainable: tuple = (None, ())     # (flags, runs)
@@ -294,19 +346,6 @@ class FlatParamBuffer:
                 if isinstance(value, np.ndarray) and id(value) in replacements:
                     object.__setattr__(sub, name, replacements[id(value)])
 
-    # -- integrity ------------------------------------------------------
-    def is_intact(self) -> bool:
-        """True while every parameter's ``.data`` is still its view.
-
-        Code that rebinds ``param.data`` (rather than writing through
-        it) silently detaches the tensor from the fused storage; callers
-        check this before taking a fused fast path.
-        """
-        for param, view in zip(self.param_tensors, self.param_views):
-            if param.data is not view:
-                return False
-        return True
-
     # -- gradient plane -------------------------------------------------
     def claim_grads(self) -> None:
         """Start this replica's turn on the gradient plane: whatever
@@ -323,12 +362,15 @@ class FlatParamBuffer:
         every parameter that trains *is* its flat view, i.e. over
         :meth:`trainable_runs` :attr:`grads` currently holds this
         replica's complete fused gradient."""
-        if not self._lease.held:
-            return False
-        for param, gview in zip(self.param_tensors, self.grad_views):
-            if param.requires_grad and _GRAD_SLOT.__get__(param) is not gview:
-                return False
-        return True
+        return self._lease.held and not self.missing_grads()
+
+    def missing_grads(self) -> list[str]:
+        """Keys of the parameters that train but whose gradient is not
+        their plane view: none arrived, or it was rebound."""
+        return [key for key, param, gview in zip(
+                    self.layout.keys, self.param_tensors, self.grad_views)
+                if param.requires_grad
+                and _GRAD_SLOT.__get__(param) is not gview]
 
     def trainable_runs(self) -> tuple:
         """The ``(start, stop)`` ranges of :attr:`params` /
@@ -353,8 +395,7 @@ class FlatParamBuffer:
         """Snapshot the full (param + buffer) state as a FlatState.
 
         One contiguous copy; per-key values are views into the copy so
-        the result is independent of future training steps, exactly like
-        the per-key ``Module.state_dict``.
+        the result is independent of future training steps.
         """
         return FlatState(self.layout, self.data.copy())
 

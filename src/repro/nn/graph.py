@@ -61,7 +61,7 @@ with ``out=`` buffers.
     owns per-input-shape bindings for one model and dispatches
     ``step()`` to ``replay`` (zero tape construction in the hot loop)
     or falls back to the eager interpreter on ``max_programs`` overflow
-    or a refused capture.  Rebound parameter storage only drops the
+    or a refused capture.  Swapped activation observers only drop the
     bindings; the next step binds the cached plan again.  A replay
     runs the step's *same* bound stage callables around the compiled
     closures and the same ``grad_hook`` ahead of ``optimizer.step()``,
@@ -939,12 +939,11 @@ class GraphExecutor:
     ``_programs`` maps a batch signature to this replica's binding, or
     to ``None`` for a shape that trains eagerly for good.  A missing
     key binds the run's cached plan (counted as a replay: nothing was
-    traced) or, when the run has none yet, captures one.  Per-step
-    validity is the flat buffer's intactness plus the stages'
-    ``signature()``: per-key state loads or re-grouping that rebind
-    parameter storage, and ``attach_activation_quant`` swapping the
-    observers, leave every bound view stale — the bindings are
-    dropped, the storage re-fused, and the step replays through a
+    traced) or, when the run has none yet, captures one.  Parameter
+    storage never moves (a :class:`~repro.nn.flat.PlaneParameter`
+    writes through), so a binding stays valid as long as the stages'
+    ``signature()``: ``attach_activation_quant`` swapping the
+    observers drops every binding, and the step replays through a
     fresh binding of the same plan.
 
     ``stages`` (see :func:`train_step`) also names the ``precision``
@@ -975,11 +974,11 @@ class GraphExecutor:
         stale = prog is not _MISSING and self._stale()
         if stale or prog is _MISSING:
             if stale or (self._programs and self._stale()):
-                # Storage (or an observer) was swapped under us: every
-                # binding aliases the old one, not just this shape's.
-                # The plans are untouched — bind again below.
+                # An observer was swapped under us: every binding
+                # aliases the old one, not just this shape's.  The
+                # plans are untouched — bind again below.
                 self._programs.clear()
-            replica = self._replica(optimizer)
+            replica = _Replica(self.model, self.flat, self.stages)
             if len(self._programs) >= self.max_programs:
                 return self._eager("eager_steps", optimizer, x, y, grad_hook)
             structure = replica.structure
@@ -998,7 +997,7 @@ class GraphExecutor:
                     pass        # refused: compile a private plan instead
             if prog is None:
                 capture = GraphCapture(replica)
-                replica.flat.claim_grads()  # the optimiser may not be bound
+                replica.flat.claim_grads()  # not every optimiser claims it
                 loss = train_step(self.model, optimizer, x, y, self.stages,
                                   grad_hook, capture=capture)
                 try:
@@ -1020,16 +1019,8 @@ class GraphExecutor:
                           grad_hook, capture=False)
 
     def _stale(self) -> bool:
-        return not self.flat.is_intact() or (
-            self.stages is not None and self.stages.signature() != self._sig)
-
-    def _replica(self, optimizer) -> _Replica:
-        flat = self.model.flatten_parameters()      # re-fuses if rebound
-        if flat is not self.flat:
-            self.flat = flat
-            if getattr(optimizer, "bind_flat", None) is not None:
-                optimizer.bind_flat(flat)
-        return _Replica(self.model, flat, self.stages)
+        return (self.stages is not None
+                and self.stages.signature() != self._sig)
 
     def _bind(self, plan, replica: _Replica):
         prog = plan.bind(replica)

@@ -24,8 +24,11 @@ MODEL_REGISTRY: dict[str, Callable[..., Module]] = {
 }
 
 
-def build_model(name: str, init_weights: bool = True, **kwargs) -> Module:
-    """Construct a zoo model by name (``lenet5``, ``vgg11``, ...).
+def build_model(name: str, init_weights: bool = True, arena=None,
+                **kwargs) -> Module:
+    """Construct a zoo model by name (``lenet5``, ``vgg11``, ...), on
+    its fused storage: flattened into ``arena`` (a run's
+    :class:`~repro.nn.arena.StepArena`; a private one without).
 
     ``init_weights=False`` says the caller loads every weight before
     using the model (a replica of an existing one): the random
@@ -40,11 +43,15 @@ def build_model(name: str, init_weights: bool = True, **kwargs) -> Module:
     except KeyError:
         known = ", ".join(sorted(MODEL_REGISTRY))
         raise ValueError(f"unknown model {name!r}; known models: {known}") from None
+    model = None
     if not init_weights:
         with init.skip_draws():
             model = factory(**kwargs)
-        if not any(isinstance(value, np.random.Generator)
-                   for module in model.modules()
-                   for value in vars(module).values()):
-            return model
-    return factory(**kwargs)
+        if any(isinstance(value, np.random.Generator)
+               for module in model.modules()
+               for value in vars(module).values()):
+            model = None
+    if model is None:
+        model = factory(**kwargs)
+    model.flatten_parameters(arena)
+    return model

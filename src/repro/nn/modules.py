@@ -15,6 +15,7 @@ import numpy as np
 
 from . import functional as F
 from . import init
+from .flat import FlatParamBuffer, FlatState
 from .tensor import Tensor
 
 __all__ = [
@@ -93,31 +94,25 @@ class Module:
 
     # -- fused storage ---------------------------------------------------
     def flatten_parameters(self, arena=None):
-        """Pack parameters, buffers and gradients into contiguous arrays.
-
-        Returns the module's :class:`~repro.nn.flat.FlatParamBuffer`,
-        creating and binding it on first call.  After flattening,
-        ``state_dict`` snapshots are single-memcpy
-        :class:`~repro.nn.flat.FlatState` objects and SGD/aggregation
-        take fused vectorised fast paths.  Idempotent; numerics are
-        bit-identical to the unflattened module.  Non-float32 storage
-        raises ``TypeError``: there is no unfused training step.
+        """The module's :class:`~repro.nn.flat.FlatParamBuffer`: its
+        parameters, buffers and gradients packed into contiguous arrays,
+        on first call (``make_model`` does it where a run's model is
+        built); the same buffer after.  Non-float32 storage raises
+        ``TypeError``: there is no unfused training step.
 
         ``arena`` is the run's :class:`~repro.nn.arena.StepArena` when
         the module is one replica of a run (its gradients then land in
         the run's shared plane); without one the module gets a private
-        arena.  Re-fusing after a storage rebind stays in the arena —
-        and keeps the turn on its gradient plane — it already had.
+        arena.  A module is flattened into one arena for good: naming
+        another one later raises ``ValueError``.
         """
-        previous = self._flat
-        if previous is None or not previous.is_intact():
-            from .flat import FlatParamBuffer
-            if arena is None and previous is not None:
-                arena = previous.arena
-            self._flat = FlatParamBuffer(self, arena)
-            if previous is not None and previous.owns_grads:
-                self._flat.claim_grads()
-        return self._flat
+        flat = self._flat
+        if flat is None:
+            flat = self._flat = FlatParamBuffer(self, arena)
+        elif arena is not None and arena is not flat.arena:
+            raise ValueError("module is already flattened into another "
+                             "step arena")
+        return flat
 
     def enable_graph_executor(self, max_programs: int = 8, arena=None):
         """Attach a trace-once/replay-many step executor (idempotent).
@@ -139,37 +134,17 @@ class Module:
         detach_graph_executor(self)
 
     # -- state ----------------------------------------------------------
-    def state_dict(self) -> "OrderedDict[str, np.ndarray]":
-        flat = self._flat
-        if flat is not None and flat.is_intact():
-            return flat.state_dict()
-        state: OrderedDict[str, np.ndarray] = OrderedDict()
-        for name, param in self.named_parameters():
-            state[name] = param.data.copy()
-        for name, buf in self.named_buffers():
-            state[name] = buf.copy()
-        return state
+    def state_dict(self) -> FlatState:
+        """A :class:`~repro.nn.flat.FlatState` snapshot of every
+        parameter and buffer: one copy of the fused storage."""
+        return self.flatten_parameters().state_dict()
 
     def load_state_dict(self, state: dict) -> None:
-        flat = self._flat
-        if (flat is not None and flat.is_intact()
-                and getattr(state, "layout", None) is flat.layout
-                and state.is_intact()):
-            flat.load_flat(state)
-            return
-        params = dict(self.named_parameters())
-        buffers = dict(self.named_buffers())
-        missing = set(params) | set(buffers)
-        for name, value in state.items():
-            if name in params:
-                params[name].data[...] = value
-            elif name in buffers:
-                buffers[name][...] = value
-            else:
-                raise KeyError(f"unexpected key in state dict: {name}")
-            missing.discard(name)
-        if missing:
-            raise KeyError(f"missing keys in state dict: {sorted(missing)}")
+        """Copy ``state`` into the module.  A ``FlatState`` of this
+        layout is one copy; any other mapping must hold exactly this
+        module's keys and shapes (``ValueError`` otherwise)."""
+        flat = self.flatten_parameters()
+        flat.load_flat(FlatState.from_mapping(flat.layout, state))
 
     # -- call -----------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:

@@ -12,13 +12,23 @@ from typing import Sequence
 
 import numpy as np
 
+from .flat import PlaneParameter
 from .tensor import Tensor
 
 __all__ = ["SGD", "Adam", "StepLR", "CosineAnnealingLR", "ConstantLR"]
 
 
 class SGD:
-    """Stochastic gradient descent with momentum and weight decay."""
+    """Stochastic gradient descent with momentum and weight decay, as
+    a handful of whole-model array ops on one module's fused storage.
+
+    ``params`` are the parameters of one flattened module, all of them
+    and in order; ``flat`` is its
+    :class:`~repro.nn.flat.FlatParamBuffer`, found from the parameters
+    when not given.  The update's scratch comes from ``flat``'s arena
+    (nothing in it outlives a step, so the replicas of a run share
+    it); only the momentum is this optimiser's own.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  momentum: float = 0.0, weight_decay: float = 0.0,
@@ -28,90 +38,46 @@ class SGD:
         if nesterov and momentum == 0.0:
             raise ValueError("nesterov momentum requires momentum > 0")
         self.params = list(params)
+        if flat is None and self.params and isinstance(self.params[0],
+                                                       PlaneParameter):
+            flat = self.params[0]._flat()
+        if flat is None or list(map(id, flat.param_tensors)) != list(
+                map(id, self.params)):
+            raise ValueError(
+                "SGD updates every parameter of one flattened module, in "
+                "order: pass module.parameters() of a module built by "
+                "make_model or flattened with flatten_parameters()")
+        self._flat = flat
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.nesterov = nesterov
-        self._velocity: list[np.ndarray | None] = [None] * len(self.params)
-        self._flat = None
-        self._flat_velocity: np.ndarray | None = None
-        if flat is not None:
-            self.bind_flat(flat)
-
-    def bind_flat(self, flat) -> bool:
-        """Bind a :class:`~repro.nn.flat.FlatParamBuffer` for fused
-        in-place updates.
-
-        When every optimised parameter is (in order) a tensor of
-        ``flat``, ``step`` collapses to a handful of whole-model array
-        ops with no per-step temporaries — bit-identical to the
-        per-parameter loop, which remains as the fallback whenever a
-        trainable parameter's gradient is missing or was rebound away
-        from the fused buffer.
-        The update's scratch comes from ``flat``'s arena (nothing in it
-        outlives a step, so the replicas of a run share it); only the
-        momentum is this optimiser's own.
-        Returns True when the binding took effect (or already had).
-        """
-        if flat is self._flat:
-            return True
-        if len(self.params) != len(flat.param_tensors):
-            return False
-        for mine, theirs in zip(self.params, flat.param_tensors):
-            if mine is not theirs:
-                return False
-        self._flat = flat
-        if self.momentum:
-            previous = self._velocity
-            self._flat_velocity = np.zeros(flat.layout.param_total,
-                                           dtype=np.float32)
-            # The slow path mutates these views, so both paths always
-            # share one coherent velocity state.
-            self._velocity = flat.layout.param_views(self._flat_velocity)
-            # Re-binding (the module re-fused its storage mid-run)
-            # carries the momentum accumulated so far.
-            for view, value in zip(self._velocity, previous):
-                if value is not None:
-                    view[...] = value
-        return True
+        self._velocity = (np.zeros(flat.layout.param_total, dtype=np.float32)
+                          if momentum else None)
 
     def zero_grad(self) -> None:
         for param in self.params:
             param.zero_grad()
-        if self._flat is not None:
-            self._flat.claim_grads()
+        self._flat.claim_grads()
 
     def step(self) -> None:
-        flat = self._flat
-        if flat is not None and flat.is_intact() and flat.grads_ready():
-            self._fused_step(flat)
-            return
-        # Reading ``.grad`` of a parameter whose gradient plane another
-        # replica has claimed since raises: nothing is applied.
-        for i, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                if self._velocity[i] is None:
-                    self._velocity[i] = np.zeros_like(param.data)
-                velocity = self._velocity[i]
-                velocity *= self.momentum
-                velocity += grad
-                grad = grad + self.momentum * velocity if self.nesterov else velocity
-            param.data -= self.lr * grad
+        """The update over ``flat``'s trainable runs (a frozen
+        parameter's weights and momentum are left alone).  Every
+        parameter that trains must hold its gradient in the plane:
+        one claimed by another replica since ``zero_grad``, or missing,
+        raises and nothing is applied.
 
-    def _fused_step(self, flat) -> None:
-        """The update on the fused buffers, over ``flat``'s trainable
-        runs (a frozen parameter's weights and momentum are left alone,
-        as the per-parameter loop leaves them).
-
-        Runs the exact elementwise operations of that loop over the
-        concatenated storage (scalar factors stay weak-typed float32
-        under NEP 50), so results match bit for bit.
+        Scalar factors stay weak-typed float32 under NEP 50, so the
+        whole-model ops round exactly as a loop over the parameters
+        would.
         """
+        flat = self._flat
+        flat._lease.check()
+        missing = flat.missing_grads()
+        if missing:
+            raise RuntimeError(
+                f"no gradient in the plane for trainable parameters "
+                f"{missing}: backward() reached none, or it was rebound")
         arena, layout = flat.arena, flat.layout
         for start, stop in flat.trainable_runs():
             grads = flat.grads[start:stop]
@@ -123,7 +89,7 @@ class SGD:
                 scratch += grads
                 eff, spare = scratch, None
             if self.momentum:
-                velocity = self._flat_velocity[start:stop]
+                velocity = self._velocity[start:stop]
                 velocity *= self.momentum
                 velocity += eff
                 if self.nesterov:
@@ -139,19 +105,20 @@ class SGD:
             params -= step
 
     def state_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "velocity": [None if v is None else v.copy() for v in self._velocity],
-        }
+        """The learning rate and one momentum array per parameter
+        (``None`` each without momentum)."""
+        if self._velocity is None:
+            return {"lr": self.lr, "velocity": [None] * len(self.params)}
+        return {"lr": self.lr, "velocity": [
+            v.copy() for v in self._flat.layout.param_views(self._velocity)]}
 
     def load_state_dict(self, state: dict) -> None:
         self.lr = state["lr"]
-        if self._flat_velocity is not None:
-            for view, value in zip(self._velocity, state["velocity"]):
+        if self._velocity is not None:
+            for view, value in zip(
+                    self._flat.layout.param_views(self._velocity),
+                    state["velocity"]):
                 view[...] = 0.0 if value is None else value
-        else:
-            self._velocity = [None if v is None else v.copy()
-                              for v in state["velocity"]]
 
 
 class Adam:

@@ -82,7 +82,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "name", "_grad_buf", "_grad_lease")
+                 "name", "_grad_buf", "_grad_lease", "_flat")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         if isinstance(data, Tensor):
@@ -97,8 +97,8 @@ class Tensor:
         #: when the owning module has been flattened); ``_accumulate``
         #: writes the first gradient here instead of allocating
         self._grad_buf: np.ndarray | None = None
-        # ``_grad_lease`` stays unset: only a parameter bound to fused
-        # storage carries one (see ``repro.nn.flat.PlaneParameter``)
+        # ``_grad_lease`` and ``_flat`` stay unset: only a parameter bound
+        # to fused storage carries them (see ``repro.nn.flat.PlaneParameter``)
 
     # ------------------------------------------------------------------
     # Basic protocol

@@ -13,9 +13,7 @@ Transport: the large state (the model's fused flat buffer and the
 optimiser's flat velocity, see :class:`~repro.nn.flat.FlatParamBuffer`)
 moves through POSIX shared memory — one persistent segment per group,
 written in place by both sides — while the small state (RNG streams,
-EMA observers, learning rates) rides the task pickle.  Models that
-cannot flatten fall back to pickling the whole
-``GroupMixedTrainer.runtime_state()``.
+EMA observers, learning rates) rides the task pickle.
 
 Workers keep a replica cache keyed by ``seed_offset``: the model is
 built once per (worker, group) and every epoch only overwrites its
@@ -52,81 +50,53 @@ __all__ = ["LgExecutor"]
 
 
 # ----------------------------------------------------------------------
-# Runtime-state packing: (small picklable dict, list of float32 arrays)
+# Runtime-state packing: live float32 arrays + a small picklable dict
 # ----------------------------------------------------------------------
-def _flat_mode_ok(trainer: GroupMixedTrainer) -> bool:
-    """True when every big array of ``trainer`` lives in a fused buffer."""
-    flat = trainer.fp32._flat
-    if flat is None or not flat.is_intact():
-        return False
-    if trainer.fp32_opt.momentum and trainer.fp32_opt._flat_velocity is None:
-        return False
+def _arrays(trainer: GroupMixedTrainer) -> "list[np.ndarray]":
+    """The group's large state, in transport order: each replica's
+    fused weights, then its momentum (when it has any)."""
+    pairs = [(trainer.fp32, trainer.fp32_opt)]
     if trainer.int8 is not None:
-        int8_flat = trainer.int8.model._flat
-        if int8_flat is None or not int8_flat.is_intact():
-            return False
-        opt = trainer.int8.optimizer
-        if opt.momentum and opt._flat_velocity is None:
-            return False
-    return True
+        pairs.append((trainer.int8.model, trainer.int8.optimizer))
+    arrays = []
+    for model, optimizer in pairs:
+        arrays.append(model.flatten_parameters().data)
+        if optimizer._velocity is not None:
+            arrays.append(optimizer._velocity)
+    return arrays
 
 
-def _pack_group(trainer: GroupMixedTrainer, force_pickle: bool = False):
-    """Split a group's runtime state into (small dict, flat arrays).
-
-    Flat mode externalises the contiguous buffers (model flats and
-    optimiser velocities) so they can travel through shared memory;
-    everything RNG/EMA-sized stays in the dict.  ``force_pickle`` makes
-    a worker answer in the same mode the main process asked in.
-    """
-    if force_pickle or not _flat_mode_ok(trainer):
-        return {"mode": "pickle", "state": trainer.runtime_state()}, []
-    arrays = [trainer.fp32._flat.data]
+def _pack_small(trainer: GroupMixedTrainer) -> dict:
+    """Everything RNG/EMA-sized: learning rates, generator states and
+    the INT8 observers."""
     small = {
-        "mode": "flat",
-        "fp32_vel": trainer.fp32_opt._flat_velocity is not None,
         "fp32_lr": trainer.fp32_opt.lr,
         "fp32_rngs": GroupMixedTrainer._module_rng_states(trainer.fp32),
         "int8": None,
     }
-    if small["fp32_vel"]:
-        arrays.append(trainer.fp32_opt._flat_velocity)
     int8 = trainer.int8
     if int8 is not None:
         small["int8"] = {
-            "vel": int8.optimizer._flat_velocity is not None,
             "lr": int8.optimizer.lr,
             "rng": int8.rng.bit_generator.state,
             "input_ema": int8._input_observer._ema,
             "activation_emas": [o._ema for o in int8._activation_observers()],
             "rngs": GroupMixedTrainer._module_rng_states(int8.model),
         }
-        arrays.append(int8.model._flat.data)
-        if small["int8"]["vel"]:
-            arrays.append(int8.optimizer._flat_velocity)
-    return small, arrays
+    return small
 
 
-def _apply_group(trainer: GroupMixedTrainer, small: dict, arrays) -> None:
-    """Inverse of :func:`_pack_group`: copy the state into ``trainer``."""
-    if small["mode"] == "pickle":
-        trainer.load_runtime_state(small["state"])
-        return
-    if not _flat_mode_ok(trainer):
-        raise RuntimeError("flat-mode state for an unflattened trainer")
-    arrays = list(arrays)
-    trainer.fp32._flat.data[...] = arrays.pop(0)
-    if small["fp32_vel"]:
-        trainer.fp32_opt._flat_velocity[...] = arrays.pop(0)
+def _load_group(trainer: GroupMixedTrainer, small: dict, views) -> None:
+    """Inverse of :func:`_arrays` + :func:`_pack_small`: copy the
+    state into ``trainer``."""
+    for array, view in zip(_arrays(trainer), views):
+        array[...] = view
     trainer.fp32_opt.lr = small["fp32_lr"]
     GroupMixedTrainer._load_module_rng_states(trainer.fp32,
                                               small["fp32_rngs"])
     int8_small = small["int8"]
     if trainer.int8 is not None and int8_small is not None:
         int8 = trainer.int8
-        int8.model._flat.data[...] = arrays.pop(0)
-        if int8_small["vel"]:
-            int8.optimizer._flat_velocity[...] = arrays.pop(0)
         int8.optimizer.lr = int8_small["lr"]
         int8.rng.bit_generator.state = int8_small["rng"]
         int8._input_observer._ema = int8_small["input_ema"]
@@ -135,6 +105,12 @@ def _apply_group(trainer: GroupMixedTrainer, small: dict, arrays) -> None:
             observer._ema = ema
         GroupMixedTrainer._load_module_rng_states(int8.model,
                                                   int8_small["rngs"])
+
+
+def _store_group(trainer: GroupMixedTrainer, views) -> None:
+    """Copy the group's large state out into ``views``."""
+    for view, array in zip(views, _arrays(trainer)):
+        view[...] = array
 
 
 def _segments(buf, sizes):
@@ -197,8 +173,8 @@ def _replica(seed_offset: int) -> GroupMixedTrainer:
 
 def _run_task(task):
     """Run one group's whole epoch inside a worker process."""
-    (seed_offset, small, payload, shm_name, sizes, idx, steps,
-     group_batch, alpha) = task
+    (seed_offset, small, shm_name, sizes, idx, steps, group_batch,
+     alpha) = task
     trainer = _replica(seed_offset)
     trainer.controller.alpha = alpha
     registry = None
@@ -207,35 +183,23 @@ def _run_task(task):
         trainer.telemetry = Telemetry(metrics=registry)
     else:
         trainer.telemetry = NULL_TELEMETRY
-    shm = views = None
+    # Attaching by name does not register with the resource tracker
+    # (only create=True does), so the parent stays the sole owner of
+    # the unlink.
+    shm = _shared_memory.SharedMemory(name=shm_name)
+    views = _segments(shm.buf, sizes)
     try:
-        if shm_name is not None:
-            # Attaching by name does not register with the resource
-            # tracker (only create=True does), so the parent stays the
-            # sole owner of the unlink.
-            shm = _shared_memory.SharedMemory(name=shm_name)
-            views = _segments(shm.buf, sizes)
-            _apply_group(trainer, small, views)
-        else:
-            _apply_group(trainer, small, payload or [])
+        _load_group(trainer, small, views)
         data = _WORKER["config"].task
         for step in range(steps):
             sl = idx[step * group_batch:(step + 1) * group_batch]
             trainer.train_batch(data.x_train[sl], data.y_train[sl])
-        small_out, arrays_out = _pack_group(
-            trainer, force_pickle=small["mode"] == "pickle")
-        if shm is not None:
-            for view, array in zip(views, arrays_out):
-                view[...] = array
-            payload_out = None
-        else:
-            payload_out = [a.copy() for a in arrays_out]
+        _store_group(trainer, views)
         deltas = _counter_deltas(registry) if registry is not None else []
-        return small_out, payload_out, deltas
+        return _pack_small(trainer), deltas
     finally:
-        if shm is not None:
-            views = None        # drop buffer exports before close()
-            shm.close()
+        views = None            # drop buffer exports before close()
+        shm.close()
 
 
 # ----------------------------------------------------------------------
@@ -246,33 +210,32 @@ class LgExecutor:
 
     Falls back to reporting ``parallel == False`` (callers then keep
     the sequential loop) when fewer than two workers are requested or
-    the platform lacks fork-style multiprocessing.
+    the platform lacks fork-style multiprocessing or POSIX shared
+    memory.
     """
 
     def __init__(self, config, quant, precision: str,
                  t_cpu: float, t_npu: float, telemetry=None,
-                 workers: int = 1, use_shm: bool = True):
+                 workers: int = 1):
         self.workers = max(1, int(workers))
         self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._pool = None
         self._slots: dict[int, object] = {}
-        self._use_shm = bool(use_shm) and _shared_memory is not None
-        if self.workers > 1:
+        if self.workers > 1 and _shared_memory is not None:
             shipped = replace(config, telemetry=None)
             try:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:                          # pragma: no cover
                 return
-            if self._use_shm:
-                # Start the resource tracker *before* forking so every
-                # worker inherits it: a worker that lazily spawned its
-                # own tracker would try to clean up (unlink) segments
-                # the parent still owns when the pool shuts down.
-                try:
-                    from multiprocessing import resource_tracker
-                    resource_tracker.ensure_running()
-                except Exception:                       # pragma: no cover
-                    pass
+            # Start the resource tracker *before* forking so every
+            # worker inherits it: a worker that lazily spawned its own
+            # tracker would try to clean up (unlink) segments the
+            # parent still owns when the pool shuts down.
+            try:
+                from multiprocessing import resource_tracker
+                resource_tracker.ensure_running()
+            except Exception:                           # pragma: no cover
+                pass
             self._pool = ctx.Pool(
                 self.workers, initializer=_init_worker,
                 initargs=(shipped, quant, precision, t_cpu, t_npu,
@@ -305,35 +268,18 @@ class LgExecutor:
         """
         tasks = []
         for g, (trainer, shard) in enumerate(zip(groups, shards)):
-            small, arrays = _pack_group(trainer)
-            sizes = [int(a.size) for a in arrays]
-            shm_name = payload = None
-            if self._use_shm and arrays:
-                try:
-                    slot = self._slot(g, sum(sizes))
-                except OSError:                         # pragma: no cover
-                    self._use_shm = False
-            if self._use_shm and arrays:
-                views = _segments(slot.buf, sizes)
-                for view, array in zip(views, arrays):
-                    view[...] = array
-                views = None
-                shm_name = slot.name
-            elif arrays:
-                payload = [a.copy() for a in arrays]
-            tasks.append((g, small, payload, shm_name, sizes,
+            sizes = [int(a.size) for a in _arrays(trainer)]
+            slot = self._slot(g, sum(sizes))
+            _store_group(trainer, _segments(slot.buf, sizes))
+            tasks.append((g, _pack_small(trainer), slot.name, sizes,
                           np.ascontiguousarray(shard), steps, group_batch,
                           trainer.controller.alpha))
         results = self._pool.map(_run_task, tasks, chunksize=1)
         metrics = self._telemetry.metrics
-        for task, trainer, result in zip(tasks, groups, results):
-            small_out, payload_out, deltas = result
-            if task[3] is not None and payload_out is None:
-                views = _segments(self._slots[task[0]].buf, task[4])
-                _apply_group(trainer, small_out, views)
-                views = None
-            else:
-                _apply_group(trainer, small_out, payload_out or [])
+        for task, trainer, (small_out, deltas) in zip(tasks, groups,
+                                                      results):
+            _load_group(trainer, small_out,
+                        _segments(self._slots[task[0]].buf, task[3]))
             if metrics.enabled:
                 for name, labels, value in deltas:
                     metrics.counter(name, **dict(labels)).inc(value)

@@ -16,7 +16,6 @@ merge on-chip as ``w = e^-alpha * w_fp32 + (1 - e^-alpha) * w_int8``
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 
@@ -65,24 +64,15 @@ def cpu_fraction(alpha: float, beta: float) -> float:
     return min(1.0, max(math.exp(-alpha), 1.0 - beta))
 
 
-def merge_weights(w_fp32: "OrderedDict[str, np.ndarray]",
-                  w_int8: "OrderedDict[str, np.ndarray]",
-                  alpha: float) -> "OrderedDict[str, np.ndarray]":
-    """On-chip weight aggregation (Eq. 5) of two state snapshots: a new
-    state, :func:`merge_weights_inplace` applied to copies — of the two
-    fused arrays when both are intact ``FlatState`` snapshots sharing a
-    layout, key by key for any other pair of dicts."""
+def merge_weights(w_fp32: FlatState, w_int8: FlatState,
+                  alpha: float) -> FlatState:
+    """On-chip weight aggregation (Eq. 5) of two ``FlatState``
+    snapshots of one layout: a new state, :func:`merge_weights_inplace`
+    applied to copies of the two fused arrays."""
     layout = common_flat_layout((w_fp32, w_int8))
-    if layout is not None:
-        merged_flat = w_fp32.flat.copy()
-        merge_weights_inplace(merged_flat, w_int8.flat.copy(), alpha)
-        return FlatState(layout, merged_flat)
-    merged: OrderedDict[str, np.ndarray] = OrderedDict()
-    for name, fp32_value in w_fp32.items():
-        merged[name] = np.array(fp32_value, dtype=np.float32)
-        merge_weights_inplace(merged[name],
-                              np.array(w_int8[name], dtype=np.float32), alpha)
-    return merged
+    merged_flat = w_fp32.flat.copy()
+    merge_weights_inplace(merged_flat, w_int8.flat.copy(), alpha)
+    return FlatState(layout, merged_flat)
 
 
 def merge_weights_inplace(w_fp32: np.ndarray, w_int8: np.ndarray,

@@ -57,7 +57,8 @@ class Int8Trainer:
         self.config = config
         self.max_grad_norm = max_grad_norm
         self.optimizer = SGD(model.parameters(), lr=lr, momentum=momentum,
-                             weight_decay=weight_decay)
+                             weight_decay=weight_decay,
+                             flat=model.flatten_parameters(arena))
         self.rng = np.random.default_rng(seed)
         self._graph_exec = None
         self._input_observer = EmaObserver(config.qmax)
@@ -65,7 +66,6 @@ class Int8Trainer:
         if config.quantize_activations:
             from .ste import attach_activation_quant
             attach_activation_quant(model, config)
-        self.optimizer.bind_flat(model.flatten_parameters(arena))
 
     # ------------------------------------------------------------------
     def train_step(self, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -79,9 +79,9 @@ class Int8Trainer:
         storage and its arena's pooled scratch.
 
         Made once per storage and run by eager and compiled steps
-        alike — a replay calls them with no intactness check or arena
-        lookup of its own.  ``before(x, out, wide)`` fills a compiled
-        plan's input buffer; eagerly it allocates the result.  Weights
+        alike — a replay calls them with no arena lookup of its own.
+        ``before(x, out, wide)`` fills a compiled plan's input buffer;
+        eagerly it allocates the result.  Weights
         are snapped whole; the clip and the gradient quantisation (its
         RNG draw included) cover ``flat``'s trainable runs, so a frozen
         backbone is the same step on fewer elements.
@@ -121,7 +121,6 @@ class Int8Trainer:
                 if config.quantize_gradients:
                     quant(grads, rng, runs)
 
-            self.optimizer.bind_flat(flat)  # anew if storage was re-fused
             self._bound = (flat, before, after, scratch)
         return self._bound[1:]
 

@@ -202,19 +202,18 @@ def test_bucketed_average_metrics_match_fused_path():
     assert ref == bkt
 
 
-def test_bucketed_average_falls_back_without_shared_layout():
+def test_bucketed_average_without_plan_or_with_foreign_layout():
     states = replica_states()
     plan = sweep_plans(states[0].layout)["half"]
     reference = average_states(states)
-    # no plan -> fallback
+    # no plan -> one whole-model segment
     no_plan = bucketed_average_states(states, None)
+    for key in reference:
+        assert np.array_equal(reference[key], no_plan[key]), key
     # foreign layout (different width => different interned FlatLayout)
     other = make_layout(width=0.25)
     assert other is not states[0].layout
-    foreign = bucketed_average_states(
-        states, BucketPlan.from_layout(other))
-    for merged in (no_plan, foreign):
-        for key in reference:
-            assert np.array_equal(reference[key], merged[key]), key
+    with pytest.raises(ValueError, match="another layout"):
+        bucketed_average_states(states, BucketPlan.from_layout(other))
     with pytest.raises(ValueError):
         bucketed_average_states([], plan)

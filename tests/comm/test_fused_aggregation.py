@@ -1,20 +1,20 @@
-"""Fused (flat) aggregation must match per-key aggregation bit for bit.
+"""The fused whole-model average must match the per-key average bit
+for bit.
 
-The fused whole-model path and the per-key dict fallback of
-``average_states``/``weighted_average_states`` funnel through one
-elementwise kernel, so their outputs are identical to the last bit —
-the invariant every strategy's exchange round relies on when mixing
-flat and unflattened replicas.
+Aggregation runs on :class:`~repro.nn.flat.FlatState` snapshots only;
+its per-key twin (``tests/flat_reference.py``) walks the same
+elementwise kernel key by key, so the two agree to the last bit — every
+element's value is independent of how the storage is segmented.
 """
-
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from repro.comm import average_states, weighted_average_states
-from repro.nn.flat import common_flat_layout
+from repro.comm import (average_states, bucketed_average_states,
+                        weighted_average_states)
 from repro.nn.models.registry import build_model
+
+from ..flat_reference import per_key_average
 
 MODELS = {
     "lenet5": dict(num_classes=10, in_channels=1, image_size=28),
@@ -25,19 +25,16 @@ MODELS = {
 
 
 def replica_states(name, num=4, seed=0):
-    """``num`` perturbed flat snapshots plus detached per-key copies."""
+    """``num`` perturbed flat snapshots of one model."""
     model = build_model(name, seed=seed, **MODELS[name])
-    model.flatten_parameters()
     rng = np.random.default_rng(seed + 1)
-    flat_states, dict_states = [], []
+    states = []
     for _ in range(num):
         state = model.state_dict()
         state.flat += rng.standard_normal(
             state.flat.shape).astype(np.float32) * 0.01
-        flat_states.append(state)
-        dict_states.append(OrderedDict((k, v.copy())
-                                       for k, v in state.items()))
-    return flat_states, dict_states
+        states.append(state)
+    return states
 
 
 def assert_bitwise_equal(a, b):
@@ -48,56 +45,41 @@ def assert_bitwise_equal(a, b):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_uniform_average_fused_equals_perkey(name):
-    flat_states, dict_states = replica_states(name)
-    assert common_flat_layout(flat_states) is not None  # fused path taken
-    assert common_flat_layout(dict_states) is None      # per-key fallback
-    assert_bitwise_equal(average_states(flat_states),
-                         average_states(dict_states))
+    states = replica_states(name)
+    assert_bitwise_equal(average_states(states), per_key_average(states))
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_weighted_average_fused_equals_perkey(name):
-    flat_states, dict_states = replica_states(name)
+    states = replica_states(name)
     weights = [0.3, 1.7, 0.5, 2.0]
-    assert_bitwise_equal(weighted_average_states(flat_states, weights),
-                         weighted_average_states(dict_states, weights))
+    assert_bitwise_equal(weighted_average_states(states, weights),
+                         per_key_average(states, weights))
 
 
-def test_mixed_flat_and_dict_states_fall_back_consistently():
-    flat_states, dict_states = replica_states("lenet5")
-    mixed = [flat_states[0], dict_states[1], flat_states[2], dict_states[3]]
-    assert common_flat_layout(mixed) is None
-    assert_bitwise_equal(average_states(mixed), average_states(dict_states))
-
-
-def test_desynchronised_flat_state_falls_back_bitwise():
-    flat_states, dict_states = replica_states("lenet5")
-    key = next(iter(flat_states[0]))
-    flat_states[0][key] = flat_states[0][key].copy()  # detach one view
-    assert common_flat_layout(flat_states) is None
-    assert_bitwise_equal(average_states(flat_states),
-                         average_states(dict_states))
+def test_without_a_plan_bucketed_average_is_one_segment():
+    states = replica_states("lenet5")
+    assert_bitwise_equal(bucketed_average_states(states, None),
+                         average_states(states))
 
 
 def test_single_state_average_is_exact_identity():
-    flat_states, _ = replica_states("lenet5", num=1)
-    out = average_states(flat_states)
-    assert_bitwise_equal(out, flat_states[0])
+    states = replica_states("lenet5", num=1)
+    assert_bitwise_equal(average_states(states), states[0])
 
 
 def test_fused_average_crosses_block_boundaries_consistently():
     # model larger than one kernel block: block boundaries must not
     # change any bit vs the (differently-blocked) per-key walk
-    flat_states, dict_states = replica_states("vgg11", num=8)
-    assert flat_states[0].flat.size > (1 << 16)
-    assert_bitwise_equal(average_states(flat_states),
-                         average_states(dict_states))
+    states = replica_states("vgg11", num=8)
+    assert states[0].flat.size > (1 << 16)
+    assert_bitwise_equal(average_states(states), per_key_average(states))
 
 
 def test_merge_counters_identical_between_paths():
     from repro.telemetry import MetricsRegistry
-    flat_states, dict_states = replica_states("lenet5")
-    reg_fused, reg_perkey = MetricsRegistry(), MetricsRegistry()
-    average_states(flat_states, metrics=reg_fused)
-    average_states(dict_states, metrics=reg_perkey)
-    assert reg_fused.to_jsonl() == reg_perkey.to_jsonl()
+    states = replica_states("lenet5")
+    reg_whole, reg_bucketed = MetricsRegistry(), MetricsRegistry()
+    average_states(states, metrics=reg_whole)
+    bucketed_average_states(states, None, metrics=reg_bucketed)
+    assert reg_whole.to_jsonl() == reg_bucketed.to_jsonl()

@@ -1,17 +1,16 @@
 """State-dict averaging arithmetic."""
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm import (average_states, state_l2_distance,
-                        weighted_average_states, zeros_like_state)
+from repro.comm import average_states, weighted_average_states
+
+from ..flat_reference import flat_state
 
 
 def state(*values):
-    return OrderedDict(w=np.array(values, dtype=np.float32))
+    return flat_state(w=np.array(values, dtype=np.float32))
 
 
 class TestAverage:
@@ -51,9 +50,14 @@ class TestAverage:
         np.testing.assert_allclose(out["w"], [2.0])
 
     def test_mismatched_keys_raise(self):
-        bad = OrderedDict(v=np.zeros(1, dtype=np.float32))
-        with pytest.raises(ValueError, match="mismatched"):
+        bad = flat_state(v=np.zeros(1, dtype=np.float32))
+        with pytest.raises(ValueError, match="state 1 has another layout"):
             average_states([state(1.0), bad])
+
+    def test_plain_dict_raises(self):
+        plain = {"w": np.zeros(1, dtype=np.float32)}
+        with pytest.raises(TypeError, match="state 1 is a dict"):
+            average_states([state(1.0), plain])
 
     def test_weight_count_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -73,17 +77,3 @@ class TestAverage:
         states = [state(v) for v in values]
         out = average_states(states)
         assert min(values) - 1e-3 <= out["w"][0] <= max(values) + 1e-3
-
-
-class TestDistanceAndZeros:
-    def test_l2_distance(self):
-        assert state_l2_distance(state(0.0, 0.0), state(3.0, 4.0)) == \
-            pytest.approx(5.0)
-
-    def test_distance_zero_for_identical(self):
-        s = state(1.0, 2.0)
-        assert state_l2_distance(s, s) == 0.0
-
-    def test_zeros_like(self):
-        out = zeros_like_state(state(1.0, 2.0))
-        np.testing.assert_array_equal(out["w"], [0.0, 0.0])

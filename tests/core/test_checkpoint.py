@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.cluster.topology import ClusterTopology
 from repro.core import (GlobalScheduler, SoCFlow, SoCFlowOptions,
                         TrainingCheckpoint)
 from repro.distributed import CostModel
@@ -106,3 +107,74 @@ class TestSoCFlowResume:
         # history carries over; no extra epochs were executed
         assert resumed.epochs_run == quick_config.max_epochs
         assert resumed.sim_time_s < 1e4  # only dispatch cost accrued
+
+
+class TestMismatchedState:
+    """A state from outside — a checkpoint file, ``RunConfig.init_state``
+    — enters a model through one boundary that checks every key and
+    exact shape before anything is written; it used to broadcast a
+    wrong-shaped tensor into the model silently."""
+
+    @pytest.fixture()
+    def lenet(self, tiny_task):
+        from repro.distributed import RunConfig
+        return RunConfig(task=tiny_task, model_name="lenet5",
+                         topology=ClusterTopology(num_socs=4), num_groups=1)
+
+    def saved(self, tmp_path, config, edit):
+        from repro.distributed import make_model
+        state = dict(make_model(config).state_dict())
+        edit(state)
+        path = TrainingCheckpoint(model_state=state, epoch=0).save(
+            tmp_path / "ckpt.npz")
+        return TrainingCheckpoint.load(path).model_state
+
+    CASES = {
+        "wrong_shape": (
+            lambda s: s.update({"features.0.weight": np.ones(1, np.float32)}),
+            r"'features\.0\.weight' has shape \(1,\), the model's is "
+            r"\(\d+, 3, 5, 5\)"),
+        "missing_key": (lambda s: s.pop("features.0.bias"),
+                        r"missing keys \['features\.0\.bias'\]"),
+        "extra_key": (lambda s: s.update(extra=np.zeros(2, np.float32)),
+                      r"unexpected keys \['extra'\]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_checkpoint_load_refuses(self, case, lenet, tmp_path):
+        from repro.distributed import make_model
+        edit, message = self.CASES[case]
+        state = self.saved(tmp_path, lenet, edit)
+        model = make_model(lenet)
+        before = model.state_dict()
+        with pytest.raises(ValueError, match=message):
+            model.load_state_dict(state)
+        assert np.array_equal(model.state_dict().flat, before.flat)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_init_state_refuses(self, case, lenet, tmp_path):
+        from repro.distributed import make_model
+        edit, message = self.CASES[case]
+        state = self.saved(tmp_path, lenet, edit)
+        with pytest.raises(ValueError, match=message):
+            make_model(replace(lenet, init_state=state))
+
+    def test_matching_checkpoint_loads_exactly(self, lenet, tmp_path):
+        from repro.distributed import make_model
+        source = make_model(replace(lenet, seed=5))
+        state = self.saved(tmp_path, replace(lenet, seed=5), lambda s: None)
+        model = make_model(lenet)
+        model.load_state_dict(state)
+        assert np.array_equal(model.state_dict().flat,
+                              source.state_dict().flat)
+        resumed = make_model(replace(lenet, init_state=state))
+        assert np.array_equal(resumed.state_dict().flat,
+                              source.state_dict().flat)
+
+    def test_truncated_file_is_refused(self, lenet, tmp_path):
+        self.saved(tmp_path, lenet, lambda s: None)
+        path = tmp_path / "ckpt.npz"
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        with pytest.raises(ValueError, match="not a readable checkpoint"):
+            TrainingCheckpoint.load(path)

@@ -269,9 +269,9 @@ def replica_pair():
     pair = []
     for seed in (0, 1):
         model = build_model("lenet5", seed=seed, num_classes=4,
-                            in_channels=1, image_size=16, width=0.5)
-        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9,
-                        flat=model.flatten_parameters(arena))
+                            in_channels=1, image_size=16, width=0.5,
+                            arena=arena)
+        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
         pair.append((model, optimizer))
     return pair
 
@@ -319,7 +319,7 @@ def test_stale_int8_trainer_step_raises():
     arena = StepArena()
     trainers = [Int8Trainer(
         build_model("lenet5", seed=seed, num_classes=4, in_channels=1,
-                    image_size=16, width=0.5),
+                    image_size=16, width=0.5, arena=arena),
         lr=0.05, config=QuantConfig(), momentum=0.9, seed=seed, arena=arena)
         for seed in (0, 1)]
     x, y = rows(0, 8, run_config("lenet5"))
@@ -340,8 +340,9 @@ def test_stale_int8_trainer_step_raises():
 
 def test_standalone_model_is_unaffected():
     """No arena given: a private plane held from construction on, so
-    backward without ``zero_grad``, reading ``.grad`` after the step
-    and re-fusing after a storage rebind all work as they always did."""
+    backward without ``zero_grad`` and reading ``.grad`` after the step
+    work as they always did; rebinding a parameter's storage writes
+    through and the module keeps its one buffer."""
     model = build_model("lenet5", seed=0, num_classes=4, in_channels=1,
                         image_size=16, width=0.5)
     other = build_model("lenet5", seed=1, num_classes=4, in_channels=1,
@@ -357,10 +358,11 @@ def test_standalone_model_is_unaffected():
     optimizer.step()
     assert model.parameters()[0].grad is flat.grad_views[0]
     param = model.parameters()[0]
-    param.data = param.data.copy()                      # rebind storage
-    refused = model.flatten_parameters()
-    assert refused is not flat and refused.arena is flat.arena
-    assert refused.grads is flat.grads and refused.grads_ready()
+    view = param.data
+    param.data = view * np.float32(2.0)                 # written through
+    assert param.data is view and model.flatten_parameters() is flat
+    assert np.array_equal(flat.params[:view.size], view.reshape(-1))
+    assert flat.grads_ready()
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from repro.data import make_classification_images
 from repro.data.datasets import DATASET_REGISTRY, load_dataset
 from repro.nn import SGD, Tensor
 from repro.nn import functional as F
-from repro.nn.models import LeNet5
+from repro.nn.models import build_model
 
 
 class TestShapes:
@@ -49,9 +49,10 @@ class TestDeterminism:
 class TestDifficulty:
     def _linear_probe_accuracy(self, task, epochs=30):
         """A trained LeNet separates easy tasks better than hard ones."""
-        model = LeNet5(num_classes=task.num_classes,
-                       in_channels=task.input_shape[0],
-                       image_size=task.input_shape[1], width=0.5, seed=0)
+        model = build_model("lenet5", num_classes=task.num_classes,
+                            in_channels=task.input_shape[0],
+                            image_size=task.input_shape[1], width=0.5,
+                            seed=0)
         opt = SGD(model.parameters(), lr=0.05, momentum=0.9)
         for _ in range(epochs):
             model.train()

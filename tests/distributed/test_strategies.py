@@ -139,6 +139,36 @@ class TestHiPressInternals:
         result = strategy.train(replace(quick_config, max_epochs=1))
         assert result.epochs_run == 1
 
+    def test_dgc_lands_in_the_plane_and_takes_the_fused_update(
+            self, quick_config):
+        """The DGC hook writes each compressed gradient into its plane
+        view, so the plane holds the whole sparse gradient after it
+        (``grads_ready()``) and SGD's fused update applies exactly that
+        gradient — it used to rebind ``.grad`` and send HiPress down a
+        per-parameter loop."""
+        from repro.distributed.base import fp32_train_step, make_replica
+        config = replace(quick_config, momentum=0.0, weight_decay=0.0)
+        model, optimizer = make_replica(config)
+        flat = model.flatten_parameters()
+        strategy = HiPress(compression_ratio=0.01)
+        strategy.on_epoch_begin(10)
+        seen = {}
+
+        def hook(hooked):
+            strategy.transform_gradients(hooked)
+            seen.update(ready=flat.grads_ready(), grads=flat.grads.copy(),
+                        params=flat.params.copy())
+
+        task = config.task
+        fp32_train_step(model, optimizer, task.x_train[:16],
+                        task.y_train[:16], grad_hook=hook)
+        assert seen["ready"]
+        grads = seen["grads"]
+        kept = np.count_nonzero(grads)
+        assert 0 < kept <= 0.01 * grads.size + len(flat.param_tensors)
+        assert np.array_equal(flat.params,
+                              seen["params"] - grads * config.lr)
+
 
 class TestTwoDInternals:
     def test_groups_partition(self, quick_config):
@@ -267,7 +297,6 @@ def test_one_replica_builder():
     assert files_where(calls("SGD")) == {
         "distributed/base.py",      # make_replica
         "quant/trainer.py",         # the INT8 step's own
-        "harness/experiments.py",   # transfer pretraining's own
     }
     assert files_where(calls("enable_graph_executor")) == {
         "distributed/base.py",      # make_replica

@@ -1,7 +1,6 @@
 """Flat parameter buffer: pack/unpack round-trips and integrity."""
 
 import pickle
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -10,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from repro.nn import (FlatState, Linear, ReLU, Sequential, Tensor)
 from repro.nn import functional as F
 from repro.nn.flat import common_flat_layout
-from repro.nn.models.registry import build_model
+from repro.nn.models.registry import MODEL_REGISTRY, build_model
+
+from ..flat_reference import per_key_state
 
 
 def small_model(seed=0):
@@ -20,10 +21,10 @@ def small_model(seed=0):
 
 class TestRoundTrip:
     def test_flatten_preserves_values_bitwise(self):
-        reference = small_model(seed=3)
+        reference = MODEL_REGISTRY["lenet5"](num_classes=10, in_channels=1,
+                                             image_size=28, seed=3)
         flattened = small_model(seed=3)
-        flattened.flatten_parameters()
-        ref_state = reference.state_dict()
+        ref_state = per_key_state(reference)
         flat_state = flattened.state_dict()
         assert list(ref_state) == list(flat_state)
         for key in ref_state:
@@ -73,8 +74,7 @@ class TestRoundTrip:
         for param in model.parameters():
             param.data[...] = rng.standard_normal(
                 param.data.shape).astype(np.float32)
-        expected = OrderedDict((k, v.copy())
-                               for k, v in model.state_dict().items())
+        expected = per_key_state(model)
         model.flatten_parameters()
         state = model.state_dict()
         assert list(state) == list(expected)
@@ -116,22 +116,32 @@ class TestFlatState:
         assert clone.layout is state.layout
         assert np.array_equal(clone.flat, state.flat)
 
-    def test_reassignment_breaks_intactness(self):
-        model = small_model()
-        model.flatten_parameters()
-        state = model.state_dict()
-        assert state.is_intact()
+    def test_key_assignment_writes_through(self):
+        """A key is never rebound: assigning writes into ``.flat``, and
+        a key's shape and the key set are fixed."""
+        state = small_model().state_dict()
         key = next(iter(state))
-        state[key] = np.zeros_like(state[key])
-        assert not state.is_intact()
-        assert common_flat_layout([state]) is None
+        view = state[key]
+        state[key] = np.zeros_like(view)
+        assert state[key] is view and not view.any()
+        assert not state.flat[:view.size].any()
+        with pytest.raises(ValueError, match="shape"):
+            state[key] = np.zeros(1, dtype=np.float32)
+        with pytest.raises(KeyError):
+            state["no.such.key"] = np.zeros(1, dtype=np.float32)
+        for remove in (lambda: state.pop(key), lambda: state.__delitem__(key),
+                       state.popitem, state.clear):
+            with pytest.raises(TypeError):
+                remove()
+        assert list(state) == list(state.layout.keys)
 
     def test_common_layout_requires_same_architecture(self):
         a = small_model()
-        a.flatten_parameters()
         b = Sequential(Linear(2, 2, np.random.default_rng(0)))
-        b.flatten_parameters()
-        assert common_flat_layout([a.state_dict(), b.state_dict()]) is None
+        with pytest.raises(ValueError, match="state 1 has another layout"):
+            common_flat_layout([a.state_dict(), b.state_dict()])
+        with pytest.raises(TypeError, match="state 0 is a dict"):
+            common_flat_layout([dict(a.state_dict())])
         assert common_flat_layout(
             [a.state_dict(), a.state_dict()]) is a.state_dict().layout
 
@@ -176,3 +186,52 @@ class TestGradients:
         for param in model.parameters():
             param.requires_grad = False
         assert buf.trainable_runs() == ()
+
+
+class TestOneRepresentation:
+    def test_registry_models_are_flat_from_construction(self):
+        from repro.nn.arena import StepArena
+        from repro.nn.flat import PlaneParameter
+        arena = StepArena()
+        model = build_model("lenet5", num_classes=10, in_channels=1,
+                            image_size=28, arena=arena)
+        assert model._flat is not None and model._flat.arena is arena
+        assert all(isinstance(p, PlaneParameter) for p in model.parameters())
+        assert model.flatten_parameters(arena) is model._flat
+        with pytest.raises(ValueError, match="another step arena"):
+            model.flatten_parameters(StepArena())
+
+    def test_parameter_data_assignment_writes_through(self):
+        model = small_model()
+        buf = model.flatten_parameters()
+        weight = model.parameters()[0]
+        view = weight.data
+        weight.data = np.full(view.shape, 2.0, dtype=np.float64)
+        assert weight.data is view and view.dtype == np.float32
+        assert np.all(buf.data[:view.size] == 2.0)
+        with pytest.raises(ValueError, match="shape"):
+            weight.data = np.zeros(view.size + 1, dtype=np.float32)
+
+    def test_a_parameter_belongs_to_at_most_one_buffer(self):
+        inner = small_model()
+        with pytest.raises(ValueError, match="already belongs"):
+            Sequential(inner, ReLU()).flatten_parameters()
+
+    def test_from_mapping_checks_keys_and_exact_shapes(self):
+        model = small_model()
+        layout = model.flatten_parameters().layout
+        state = model.state_dict()
+        assert FlatState.from_mapping(layout, state) is state
+        plain = {key: value.copy() for key, value in state.items()}
+        converted = FlatState.from_mapping(layout, plain)
+        assert converted.layout is layout
+        assert np.array_equal(converted.flat, state.flat)
+        key = next(iter(plain))
+        broadcastable = dict(plain, **{key: np.ones(1, dtype=np.float32)})
+        with pytest.raises(ValueError, match=f"{key!r} has shape \\(1,\\)"):
+            FlatState.from_mapping(layout, broadcastable)
+        with pytest.raises(ValueError, match="missing keys"):
+            FlatState.from_mapping(layout, {k: v for k, v in plain.items()
+                                            if k != key})
+        with pytest.raises(ValueError, match=r"unexpected keys \['x'\]"):
+            FlatState.from_mapping(layout, dict(plain, x=np.zeros(1)))

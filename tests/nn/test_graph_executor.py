@@ -5,8 +5,8 @@ The executor's contract is absolute: a replayed step computes the
 same weights, same optimizer momentum — or it does not run at all
 (automatic fallback to eager).  These tests pin the contract on every
 registry model and exercise each fallback edge: shape changes,
-program-cache overflow, refused captures, and storage rebinding
-(what ``reform_groups`` does to a survivor model mid-run).
+program-cache overflow and refused captures — and pin that rebinding
+parameter storage, which writes through, leaves every binding valid.
 """
 
 from __future__ import annotations
@@ -158,8 +158,10 @@ def test_unsupported_op_falls_back_permanently():
     kernel produced — is refused, never replayed wrong: the shape is
     marked permanently eager and training is unaffected."""
     def run(graph):
-        model = build_model("lenet5", seed=3, num_classes=10,
-                            **SPECS["lenet5"])
+        # the registry's factory, unflattened: the wrapper owns the
+        # storage (a parameter belongs to at most one flat buffer)
+        model = MODEL_REGISTRY["lenet5"](seed=3, num_classes=10,
+                                         **SPECS["lenet5"])
         model = Sequential(model, RawNumpyScale())
         optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9,
                         flat=model.flatten_parameters())
@@ -186,8 +188,8 @@ def test_raw_numpy_gradient_is_refused_too():
             return Tensor._make(K.multiply(x.data, np.float32(2.0)), (x,),
                                 backward)
 
-    model = Sequential(build_model("lenet5", seed=3, num_classes=10,
-                                   **SPECS["lenet5"]), RawBackward())
+    model = Sequential(MODEL_REGISTRY["lenet5"](
+        seed=3, num_classes=10, **SPECS["lenet5"]), RawBackward())
     optimizer = SGD(model.parameters(), lr=0.05,
                     flat=model.flatten_parameters())
     executor = attach_graph_executor(model)
@@ -197,12 +199,12 @@ def test_raw_numpy_gradient_is_refused_too():
                               "eager_steps": 1, "fallbacks": 1}
 
 
-def test_storage_rebinding_invalidates_programs():
-    """Parameters get fresh storage and the flat buffer is no longer
-    intact: the *binding* (closures over the old views) must die, the
-    *plan* must not.  The step re-fuses the storage, binds the cached
-    plan again and replays — a rebind used to cost an eager fallback
-    step plus a full re-trace of an unchanged step."""
+def test_storage_rebinding_writes_through_and_keeps_programs():
+    """Assigning a parameter's ``.data`` writes into its view of the
+    flat buffer — the storage never moves — so the binding (closures
+    over those views) stays valid: replays continue on the new values
+    with no re-bind, no re-trace and no eager step.  A different shape
+    is refused."""
     eager_model, eager_opt, _ = make("lenet5")
     model, optimizer, executor = make("lenet5", graph=True)
     steps = list(batches("lenet5", 4))
@@ -210,20 +212,21 @@ def test_storage_rebinding_invalidates_programs():
         graph_mod.train_step(eager_model, eager_opt, x, y)
         executor.step(optimizer, x, y)
     assert executor.stats["replays"] == 1
-    stale = executor._programs.copy()
+    bound = executor._programs.copy()
     for m in (eager_model, model):
         for param in m.parameters():
-            param.data = param.data.copy()       # rebind, values unchanged
+            view = param.data
+            param.data = view * np.float32(0.5)     # written through
+            assert param.data is view
+    with pytest.raises(ValueError, match="shape"):
+        model.parameters()[0].data = np.zeros(3, dtype=np.float32)
     for x, y in steps[2:]:
         assert (graph_mod.train_step(eager_model, eager_opt, x, y)
                 == executor.step(optimizer, x, y))
     assert executor.stats == {"captures": 1, "replays": 3,
                               "eager_steps": 0, "fallbacks": 0}
-    assert executor.arena.snapshot()["fp32"]["plans"] == 1
-    assert executor.arena.snapshot()["fp32"]["binds"] == 2
-    (key, fresh), = executor._programs.items()
-    assert fresh is not stale[key] and fresh.plan is stale[key].plan
-    assert model._flat.is_intact()
+    assert executor.arena.snapshot()["fp32"]["binds"] == 1
+    assert executor._programs == bound
     assert_states_equal(eager_model.state_dict(), model.state_dict())
     assert_states_equal(eager_opt.state_dict(), optimizer.state_dict())
 

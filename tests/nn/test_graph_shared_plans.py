@@ -54,10 +54,12 @@ def build(name: str, seed: int, **overrides) -> Module:
     kwargs = dict(SPECS[name], **overrides)
     if name == "mlp_dropout":
         rng = np.random.default_rng(seed)
-        return Sequential(
+        model = Sequential(
             Flatten(), Linear(IMAGE * IMAGE, 24, rng), ReLU(),
             Dropout(kwargs.get("p", 0.25), np.random.default_rng(100 + seed)),
             Linear(24, 10, rng))
+        model.flatten_parameters()
+        return model
     return build_model(name, seed=seed, num_classes=10, image_size=IMAGE,
                        **kwargs)
 
@@ -215,8 +217,7 @@ def test_structurally_different_replicas_are_refused_not_misbound():
             model = build_model("resnet50", seed=seed,
                                 **dict(RESNET50, **overrides))
             tweak(model)
-            optimizer = SGD([p for p in model.parameters()
-                             if p.requires_grad], lr=0.05, momentum=0.9)
+            optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
             if cache is not None:
                 attach_graph_executor(model, arena=cache)
             twins.append((model, optimizer))
@@ -258,6 +259,7 @@ class ExternalRngNet(Module):
         self.body = Sequential(Flatten(), Linear(IMAGE * IMAGE, 10,
                                                  np.random.default_rng(seed)))
         self._external = lambda: rng
+        self.flatten_parameters()
 
     def forward(self, x):
         return F.dropout(self.body(x), 0.25, self.training, self._external())

@@ -12,6 +12,7 @@ RNG = np.random.default_rng(0)
 
 
 def one_step(model, x, y, lr=0.05):
+    model.flatten_parameters()      # built by its class, not build_model
     model.train()
     logits = model(Tensor(x))
     loss = F.cross_entropy(logits, y)

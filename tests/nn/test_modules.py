@@ -79,16 +79,17 @@ class TestStateDict:
 
     def test_unexpected_key_raises(self):
         net = small_net()
-        state = net.state_dict()
+        state = dict(net.state_dict())
         state["nonsense"] = np.zeros(1)
-        with pytest.raises(KeyError, match="unexpected"):
+        with pytest.raises(ValueError, match=r"unexpected keys \['nonsense'\]"):
             net.load_state_dict(state)
 
     def test_missing_key_raises(self):
         net = small_net()
-        state = net.state_dict()
-        state.popitem()
-        with pytest.raises(KeyError, match="missing"):
+        state = dict(net.state_dict())
+        key = list(state)[-1]
+        del state[key]
+        with pytest.raises(ValueError, match=f"missing keys \\['{key}'\\]"):
             net.load_state_dict(state)
 
 

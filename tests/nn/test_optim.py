@@ -5,11 +5,30 @@ import math
 import numpy as np
 import pytest
 
-from repro.nn import SGD, ConstantLR, CosineAnnealingLR, StepLR, Tensor
+from repro.nn import SGD, ConstantLR, CosineAnnealingLR, Module, StepLR, Tensor
 from repro.nn.optim import Adam
 
+from ..flat_reference import LoopSgd
 
-def param_with_grad(value, grad):
+
+class OneParam(Module):
+    """A flattened module with one one-element parameter ``p``."""
+
+    def __init__(self, value, grad=None):
+        super().__init__()
+        self.p = self.register_parameter(
+            "w", Tensor(np.array([value], dtype=np.float32)))
+        self.flatten_parameters()
+        if grad is not None:
+            self.set_grad(grad)
+
+    def set_grad(self, grad):
+        """A gradient as backward leaves it: in the plane view."""
+        self.p.grad = self.p._grad_buf
+        self.p.grad[...] = grad
+
+
+def tensor_with_grad(value, grad):
     p = Tensor(np.array([value], dtype=np.float32), requires_grad=True)
     p.grad = np.array([grad], dtype=np.float32)
     return p
@@ -17,41 +36,59 @@ def param_with_grad(value, grad):
 
 class TestSgd:
     def test_vanilla_update(self):
-        p = param_with_grad(1.0, 0.5)
-        SGD([p], lr=0.1).step()
-        assert p.data[0] == pytest.approx(1.0 - 0.1 * 0.5)
+        m = OneParam(1.0, 0.5)
+        SGD([m.p], lr=0.1).step()
+        assert m.p.data[0] == pytest.approx(1.0 - 0.1 * 0.5)
 
     def test_weight_decay(self):
-        p = param_with_grad(2.0, 0.0)
-        SGD([p], lr=0.1, weight_decay=0.01).step()
-        assert p.data[0] == pytest.approx(2.0 - 0.1 * 0.01 * 2.0)
+        m = OneParam(2.0, 0.0)
+        SGD([m.p], lr=0.1, weight_decay=0.01).step()
+        assert m.p.data[0] == pytest.approx(2.0 - 0.1 * 0.01 * 2.0)
 
     def test_momentum_accumulates(self):
-        p = param_with_grad(0.0, 1.0)
-        opt = SGD([p], lr=1.0, momentum=0.9)
+        m = OneParam(0.0, 1.0)
+        opt = SGD([m.p], lr=1.0, momentum=0.9)
         opt.step()                       # v=1, p=-1
-        p.grad = np.array([1.0], dtype=np.float32)
+        m.set_grad(1.0)
         opt.step()                       # v=1.9, p=-2.9
-        assert p.data[0] == pytest.approx(-2.9)
+        assert m.p.data[0] == pytest.approx(-2.9)
 
     def test_nesterov_differs_from_plain(self):
-        p1 = param_with_grad(0.0, 1.0)
-        p2 = param_with_grad(0.0, 1.0)
-        SGD([p1], lr=1.0, momentum=0.9).step()
-        SGD([p2], lr=1.0, momentum=0.9, nesterov=True).step()
-        assert p2.data[0] == pytest.approx(-1.9)
-        assert p1.data[0] == pytest.approx(-1.0)
+        m1, m2 = OneParam(0.0, 1.0), OneParam(0.0, 1.0)
+        SGD([m1.p], lr=1.0, momentum=0.9).step()
+        SGD([m2.p], lr=1.0, momentum=0.9, nesterov=True).step()
+        assert m2.p.data[0] == pytest.approx(-1.9)
+        assert m1.p.data[0] == pytest.approx(-1.0)
+
+    def test_trainable_param_without_grad_raises(self):
+        m = OneParam(1.0)
+        with pytest.raises(RuntimeError, match="no gradient"):
+            SGD([m.p], lr=0.1).step()
+        assert m.p.data[0] == 1.0
+
+    def test_rebound_grad_raises(self):
+        m = OneParam(1.0, 0.5)
+        m.p.grad = np.array([0.5], dtype=np.float32)   # left its view
+        with pytest.raises(RuntimeError, match="rebound"):
+            SGD([m.p], lr=0.1).step()
 
     def test_skips_params_without_grad(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        SGD([p], lr=0.1).step()
-        assert p.data[0] == 1.0
+        """A frozen parameter has no gradient and is left alone; one
+        that trains must have one (above)."""
+        m = OneParam(1.0)
+        m.p.requires_grad = False
+        SGD(m.parameters(), lr=0.1).step()
+        assert m.p.data[0] == 1.0
+
+    def test_params_of_no_flat_buffer_are_refused(self):
+        with pytest.raises(ValueError, match="flattened module"):
+            SGD([tensor_with_grad(1.0, 0.5)], lr=0.1)
 
     def test_zero_grad(self):
-        p = param_with_grad(1.0, 1.0)
-        opt = SGD([p], lr=0.1)
+        m = OneParam(1.0, 1.0)
+        opt = SGD([m.p], lr=0.1)
         opt.zero_grad()
-        assert p.grad is None
+        assert m.p.grad is None
 
     def test_invalid_lr_raises(self):
         with pytest.raises(ValueError):
@@ -62,19 +99,19 @@ class TestSgd:
             SGD([], lr=0.1, nesterov=True)
 
     def test_state_dict_roundtrip(self):
-        p = param_with_grad(0.0, 1.0)
-        opt = SGD([p], lr=0.5, momentum=0.9)
+        m = OneParam(0.0, 1.0)
+        opt = SGD([m.p], lr=0.5, momentum=0.9)
         opt.step()
         saved = opt.state_dict()
-        p.grad = np.array([1.0], dtype=np.float32)
+        m.set_grad(1.0)
         opt.step()
-        after_two = p.data.copy()
+        after_two = m.p.data.copy()
         # rewind and replay
-        p.data[...] = -0.5
+        m.p.data[...] = -0.5
         opt.load_state_dict(saved)
-        p.grad = np.array([1.0], dtype=np.float32)
+        m.set_grad(1.0)
         opt.step()
-        np.testing.assert_allclose(p.data, after_two)
+        np.testing.assert_allclose(m.p.data, after_two)
 
 
 @pytest.mark.parametrize("frozen", [(), (2, 3)], ids=["full", "split"])
@@ -83,10 +120,10 @@ class TestSgd:
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
 def test_fused_update_matches_the_per_parameter_loop(weight_decay, momentum,
                                                      nesterov, frozen):
-    """``SGD(flat=…)`` runs the loop's arithmetic over the fused
-    storage — every combination of its options (weight decay without
-    momentum used to crash the fused form), and over the trainable
-    runs only when parameters in the middle are frozen."""
+    """``SGD`` runs the per-parameter loop's arithmetic (its twin in
+    ``tests/flat_reference.py``) over the fused storage — every
+    combination of its options, and over the trainable runs only when
+    parameters in the middle are frozen."""
     from repro.nn.graph import train_step
     from repro.nn.models.registry import build_model
 
@@ -95,9 +132,10 @@ def test_fused_update_matches_the_per_parameter_loop(weight_decay, momentum,
                             image_size=16, width=0.5)
         for index in frozen:
             model.parameters()[index].requires_grad = False
-        return model, SGD(model.parameters(), lr=0.05, momentum=momentum,
-                          nesterov=nesterov, weight_decay=weight_decay,
-                          flat=model.flatten_parameters() if fused else None)
+        optimizer = SGD if fused else LoopSgd
+        return model, optimizer(model.parameters(), lr=0.05,
+                                momentum=momentum, nesterov=nesterov,
+                                weight_decay=weight_decay)
 
     (fused, fused_opt), (loop, loop_opt) = make(True), make(False)
     flat = fused.flatten_parameters()
@@ -112,7 +150,7 @@ def test_fused_update_matches_the_per_parameter_loop(weight_decay, momentum,
     for a, b in zip(fused.parameters(), loop.parameters()):
         assert np.array_equal(a.data, b.data)
     for ours, theirs in zip(fused_opt.state_dict()["velocity"],
-                            loop_opt.state_dict()["velocity"]):
+                            loop_opt.velocity):
         if ours is not None:
             assert not ours.any() if theirs is None \
                 else np.array_equal(ours, theirs)
@@ -122,19 +160,19 @@ class TestAdam:
     def test_first_step_is_lr_sized(self):
         """Bias correction makes step one move by ~lr regardless of
         gradient magnitude."""
-        p = param_with_grad(0.0, 10.0)
+        p = tensor_with_grad(0.0, 10.0)
         Adam([p], lr=0.1).step()
         assert p.data[0] == pytest.approx(-0.1, rel=1e-3)
 
     def test_adapts_to_gradient_scale(self):
-        big = param_with_grad(0.0, 100.0)
-        small = param_with_grad(0.0, 0.01)
+        big = tensor_with_grad(0.0, 100.0)
+        small = tensor_with_grad(0.0, 0.01)
         Adam([big], lr=0.1).step()
         Adam([small], lr=0.1).step()
         assert big.data[0] == pytest.approx(small.data[0], rel=1e-2)
 
     def test_weight_decay_pulls_to_zero(self):
-        p = param_with_grad(5.0, 0.0)
+        p = tensor_with_grad(5.0, 0.0)
         Adam([p], lr=0.1, weight_decay=0.1).step()
         assert p.data[0] < 5.0
 
@@ -160,8 +198,8 @@ class TestAdam:
 
 class TestSchedules:
     def make(self, schedule_cls, **kw):
-        p = param_with_grad(0.0, 0.0)
-        opt = SGD([p], lr=1.0)
+        module = OneParam(0.0)
+        opt = SGD(module.parameters(), lr=1.0)
         return opt, schedule_cls(opt, **kw)
 
     def test_constant(self):

@@ -22,7 +22,7 @@ from repro.distributed.ssgd import SsgdStrategy
 from repro.core.planning import CommunicationPlan
 from repro.nn import graph as graph_mod
 from repro.nn.graph import attach_graph_executor, train_step
-from repro.nn.models.registry import build_model
+from repro.nn.models.registry import MODEL_REGISTRY, build_model
 from repro.nn.optim import SGD
 from repro.quant import Int8Trainer, QuantConfig
 
@@ -131,7 +131,7 @@ class Recorder:
 
 def double_gradients(model):
     for param in model.parameters():
-        param.grad = param.grad * np.float32(2.0)
+        param.grad *= np.float32(2.0)
 
 
 def lenet(seed=3):
@@ -168,13 +168,13 @@ def test_stages_and_hook_run_where_the_step_says():
 
 
 def test_replay_applies_the_same_hook_as_eager():
-    """A hook that rebinds ``param.grad`` (DGC densifies into fresh
-    arrays) drops the fused update to the per-parameter path in both
-    modes; replayed steps stay bit-identical and keep replaying."""
+    """A hook rewrites the gradients in their plane views (as DGC's
+    densified top-k does), so both modes take the fused update;
+    replayed steps stay bit-identical and keep replaying."""
     def hook(model):
         for param in model.parameters():
-            param.grad = np.where(np.abs(param.grad) > 1e-3, param.grad,
-                                  np.float32(0.0))
+            param.grad[...] = np.where(np.abs(param.grad) > 1e-3,
+                                       param.grad, np.float32(0.0))
 
     (eager, eager_opt), (graphed, graphed_opt) = lenet(), lenet()
     executor = attach_graph_executor(graphed)
@@ -221,8 +221,8 @@ def test_int8_executor_needs_a_model_that_flattens():
     """No unfused mode: every step runs on fused float32 storage, so a
     model that cannot flatten is refused where it is wrapped — not
     trained through a second, per-tensor path."""
-    model = build_model("lenet5", seed=3, num_classes=10, in_channels=1,
-                        image_size=16, width=0.5)
+    model = MODEL_REGISTRY["lenet5"](seed=3, num_classes=10, in_channels=1,
+                                     image_size=16, width=0.5)
     weight = model.parameters()[0]
     weight.data = weight.data.astype(np.float64)
     with pytest.raises(TypeError, match="float32"):

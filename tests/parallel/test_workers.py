@@ -4,8 +4,8 @@ Logical groups are independent between sync points (DESIGN.md decision
 2), so the parallel group-major schedule is a pure reordering of the
 sequential step-major one.  These tests pin the strong form of that
 claim: byte-identical final weights, metrics JSONL and simulated clock,
-with and without a fault schedule, over shared-memory and pickle
-transports.
+with and without a fault schedule.  Group state travels through POSIX
+shared memory only; without it the run stays sequential.
 """
 
 import numpy as np
@@ -56,13 +56,17 @@ def test_workers4_bit_identical_under_fault_schedule():
     assert_identical(*seq, *par)
 
 
-def test_workers2_pickle_transport_bit_identical(monkeypatch):
-    # force the pickle fallback (hosts without POSIX shared memory)
-    from repro.parallel import pool
+def test_workers2_without_shared_memory_runs_sequentially(monkeypatch):
+    # a host without POSIX shared memory: no second transport, no pool
+    from repro.parallel import LgExecutor, pool
     monkeypatch.setattr(pool, "_shared_memory", None)
-    seq = train(workers=1)
-    par = train(workers=2)
-    assert_identical(*seq, *par)
+    config = make_run_config("vgg11", "quick", num_socs=16, num_groups=4,
+                             max_epochs=1, workers=2)
+    executor = LgExecutor(config, quant=None, precision="fp32",
+                          t_cpu=1.0, t_npu=0.5, workers=2)
+    assert not executor.parallel
+    executor.close()
+    assert_identical(*train(workers=1, epochs=1), *train(workers=2, epochs=1))
 
 
 def test_single_worker_executor_is_sequential():

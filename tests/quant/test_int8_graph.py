@@ -196,14 +196,11 @@ def test_reform_groups_recovery_is_deterministic():
     assert stats["int8"]["replays"] > 0
 
 
-def test_storage_rebinding_falls_back_then_recaptures():
-    """Rebinding one parameter's storage breaks the flat buffer; the
-    executor must never replay the stale *binding*, but the compiled
-    plan is still exact for this trainer, so the next step re-fuses
-    the storage, binds the plan again and replays.  (The name records
-    the old contract — eager fallback, then a re-trace that never came
-    because nothing re-fused the model; neither was needed, since
-    storage is a leaf of the plan, not part of it.)"""
+def test_storage_rebinding_writes_through_and_keeps_the_binding():
+    """Assigning a parameter's ``.data`` writes into its view of the
+    flat buffer, so the storage the plan is bound to never moves: the
+    same binding keeps replaying, on the new values, and the step
+    stays bit-identical to eager."""
     eager, graphed = make_trainer(), make_trainer(graph=True)
     steps = batches(6)
     for x, y in steps[:3]:
@@ -211,15 +208,16 @@ def test_storage_rebinding_falls_back_then_recaptures():
 
     for trainer in (eager, graphed):
         param = trainer.model.parameters()[0]
-        param.data = param.data.copy()   # storage rebound, values equal
+        view = param.data
+        param.data = view * np.float32(0.5)     # written through
+        assert param.data is view
     for x, y in steps[3:]:
         assert eager.train_step(x, y) == graphed.train_step(x, y)
     assert_trainers_identical(eager, graphed)
     assert graphed.graph_stats() == {"captures": 1, "replays": 5,
                                      "eager_steps": 0, "fallbacks": 0}
     counters = graphed._graph_exec.arena.snapshot()["int8"]
-    assert (counters["plans"], counters["binds"]) == (1, 2)
-    assert graphed.model._flat.is_intact()
+    assert (counters["plans"], counters["binds"]) == (1, 1)
 
 
 def test_observer_reconfiguration_invalidates_programs():
@@ -304,33 +302,30 @@ def test_frozen_backbone_compiles_and_replays_bit_identically():
 
 def test_frozen_backbone_takes_the_fused_fp32_update():
     """``grads_ready()`` asks only the parameters that train, so the
-    FP32 twin's ``SGD(flat=…)`` stays on the fused update — over the
-    trainable runs, equal to the per-tensor loop that skips a
-    parameter without a gradient (weight decay and momentum included)."""
+    FP32 twin's ``SGD`` takes the fused update over the trainable runs
+    — equal to the per-tensor loop (``tests/flat_reference.py``) that
+    skips a parameter without a gradient (weight decay and momentum
+    included)."""
     from repro.nn.graph import train_step
     from repro.nn.optim import SGD
 
-    def make(fused):
-        model = frozen_resnet50()
-        return model, SGD(model.parameters(), lr=0.05, momentum=0.9,
-                          weight_decay=1e-2,
-                          flat=model.flatten_parameters() if fused else None)
+    from ..flat_reference import LoopSgd
 
-    (fused, fused_opt), (loop, loop_opt) = make(True), make(False)
+    def make(optimizer):
+        model = frozen_resnet50()
+        return model, optimizer(model.parameters(), lr=0.05, momentum=0.9,
+                                weight_decay=1e-2)
+
+    (fused, fused_opt), (loop, loop_opt) = make(SGD), make(LoopSgd)
     flat = fused.flatten_parameters()
-    assert loop._flat is None
     assert len(flat.trainable_runs()) == 1
-    calls = []
-    fused_step = fused_opt._fused_step
-    fused_opt._fused_step = lambda flat: (calls.append(1), fused_step(flat))
     for x, y in image_batches():
         assert (train_step(fused, fused_opt, x, y)
                 == train_step(loop, loop_opt, x, y))
         assert flat.grads_ready()
-    assert len(calls) == 4
     for a, b in zip(fused.parameters(), loop.parameters()):
         assert np.array_equal(a.data, b.data)
     for ours, theirs in zip(fused_opt.state_dict()["velocity"],
-                            loop_opt.state_dict()["velocity"]):
+                            loop_opt.velocity):
         assert not ours.any() if theirs is None \
             else np.array_equal(ours, theirs)

@@ -1,14 +1,16 @@
 """Alpha/beta metrics and the Eq. 5 weight merge."""
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.nn.models.registry import build_model
 from repro.quant import (MixedPrecisionController, compute_alpha,
                          compute_beta, cpu_fraction, merge_weights)
+
+from ..flat_reference import flat_state, per_key_merge
 
 
 class TestAlpha:
@@ -73,23 +75,44 @@ class TestCpuFraction:
 
 class TestMergeWeights:
     def test_eq5_coefficients(self):
-        w_fp = OrderedDict(w=np.array([1.0], dtype=np.float32))
-        w_i8 = OrderedDict(w=np.array([3.0], dtype=np.float32))
+        w_fp = flat_state(w=np.array([1.0], dtype=np.float32))
+        w_i8 = flat_state(w=np.array([3.0], dtype=np.float32))
         merged = merge_weights(w_fp, w_i8, alpha=0.0)  # e^0 = 1 -> all fp32
         np.testing.assert_allclose(merged["w"], [1.0])
 
     def test_alpha_one_favours_int8(self):
-        w_fp = OrderedDict(w=np.array([0.0], dtype=np.float32))
-        w_i8 = OrderedDict(w=np.array([1.0], dtype=np.float32))
+        w_fp = flat_state(w=np.array([0.0], dtype=np.float32))
+        w_i8 = flat_state(w=np.array([1.0], dtype=np.float32))
         merged = merge_weights(w_fp, w_i8, alpha=1.0)
         np.testing.assert_allclose(merged["w"], [1.0 - math.exp(-1.0)],
                                    rtol=1e-6)
 
     def test_merge_identical_states_is_identity(self):
-        state = OrderedDict(a=np.random.default_rng(0).standard_normal(5)
-                            .astype(np.float32))
+        state = flat_state(a=np.random.default_rng(0).standard_normal(5)
+                           .astype(np.float32))
         merged = merge_weights(state, state, alpha=0.5)
         np.testing.assert_allclose(merged["a"], state["a"], rtol=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.37, 1.0])
+    def test_fused_merge_equals_per_key_merge(self, alpha):
+        """The whole-model merge against its per-key twin
+        (``tests/flat_reference.py``), bit for bit; inputs untouched."""
+        kwargs = dict(num_classes=10, in_channels=1, image_size=16)
+        w_fp = build_model("lenet5", seed=0, **kwargs).state_dict()
+        w_i8 = build_model("lenet5", seed=1, **kwargs).state_dict()
+        before = w_fp.flat.copy(), w_i8.flat.copy()
+        merged = merge_weights(w_fp, w_i8, alpha)
+        expected = per_key_merge(w_fp, w_i8, alpha)
+        assert list(merged) == list(expected)
+        for key in expected:
+            assert np.array_equal(merged[key], expected[key]), key
+        assert np.array_equal(w_fp.flat, before[0])
+        assert np.array_equal(w_i8.flat, before[1])
+
+    def test_plain_dicts_are_refused(self):
+        w = {"w": np.array([1.0], dtype=np.float32)}
+        with pytest.raises(TypeError, match="not a FlatState"):
+            merge_weights(w, w, alpha=0.5)
 
 
 class TestController:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.nn.graph import train_step
-from repro.nn.models import LeNet5
+from repro.nn.models import MODEL_REGISTRY, LeNet5
 from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor, no_grad
 from repro.quant import Int8Trainer, QuantConfig, attach_activation_quant
 from repro.quant.observer import EmaObserver
 
-from ..test_quant_golden import make_model
+from ..flat_reference import LoopSgd
+from ..test_quant_golden import IMAGE, MODELS, make_model
 from .test_fused_quant import reference
 
 
@@ -120,14 +121,15 @@ class PerParameterInt8:
     ``Int8Trainer.before``/``after`` were before the fused stages
     became the only ones, kept here as their reference: every tensor
     through the int32 ``quantize``/``dequantize`` pair, the clip a
-    loop over ``.grad``, the update SGD's per-tensor loop."""
+    loop over ``.grad``, the update SGD's per-tensor loop (its twin in
+    ``tests/flat_reference.py``)."""
 
     def __init__(self, model, lr, config, momentum, weight_decay, seed,
                  max_grad_norm):
         self.model, self.config = model, config
         self.max_grad_norm = max_grad_norm
-        self.optimizer = SGD(model.parameters(), lr=lr, momentum=momentum,
-                             weight_decay=weight_decay)
+        self.optimizer = LoopSgd(model.parameters(), lr=lr,
+                                 momentum=momentum, weight_decay=weight_decay)
         self.rng = np.random.default_rng(seed)
         self._input_observer = EmaObserver(config.qmax)
         if config.quantize_activations:
@@ -180,8 +182,16 @@ class PerParameterInt8:
         return logits
 
 
-def _model(name):
-    model = make_model(name.removesuffix("_split"))
+def _model(name, flat=True):
+    key = name.removesuffix("_split")
+    if flat:
+        model = make_model(key)
+    else:       # the registry's factory: a model that was never flattened
+        arch, width, frozen = MODELS[key]
+        model = MODEL_REGISTRY[arch](seed=3, num_classes=10, in_channels=3,
+                                     image_size=IMAGE, width=width)
+        if frozen:
+            model.freeze_backbone()
     if name.endswith("_split"):         # frozen middle: several runs
         for param in model.parameters()[2:4]:
             param.requires_grad = False
@@ -206,7 +216,8 @@ def test_inplace_fused_step_matches_per_parameter_reference(name, config):
     the per-tensor path is the reference: same losses, weights,
     momentum, RNG position and logits."""
     fused = Int8Trainer(_model(name), config=config, **KWARGS)
-    reference = PerParameterInt8(_model(name), config=config, **KWARGS)
+    reference = PerParameterInt8(_model(name, flat=False), config=config,
+                                 **KWARGS)
     assert reference.model._flat is None
     runs = fused.model.flatten_parameters().trainable_runs()
     assert len(runs) == (2 if name == "lenet5_split" else 1)
@@ -215,11 +226,8 @@ def test_inplace_fused_step_matches_per_parameter_reference(name, config):
         x = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
         y = rng.integers(0, 10, size=8)
         assert fused.train_step(x, y) == reference.train_step(x, y)
-    state, expected = fused.model.state_dict(), reference.model.state_dict()
-    for key in expected:
-        assert np.array_equal(state[key], expected[key]), key
     for ours, theirs in zip(fused.optimizer.state_dict()["velocity"],
-                            reference.optimizer.state_dict()["velocity"]):
+                            reference.optimizer.velocity):
         if theirs is None:              # frozen: never moved
             assert not ours.any()
         else:
@@ -227,3 +235,7 @@ def test_inplace_fused_step_matches_per_parameter_reference(name, config):
     assert fused.rng.bit_generator.state == reference.rng.bit_generator.state
     assert np.array_equal(fused.predict_logits(x),
                           reference.predict_logits(x))
+    # (flattens the reference: its step swaps ``.data``, so last)
+    state, expected = fused.model.state_dict(), reference.model.state_dict()
+    for key in expected:
+        assert np.array_equal(state[key], expected[key]), key
