@@ -20,12 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import ClusterTopology
+from repro.cluster import ClusterTopology, FaultSchedule, Session, SoCCrash
 from repro.cluster.faults import parse_fault_spec
 from repro.core import (PreemptionEvent, SoCFlow, SoCFlowOptions,
                         UnderclockEvent)
 from repro.distributed import RunConfig, build_strategy
-from repro.jobs import TrainingJob
+from repro.jobs import ElasticScheduler, TrainingJob
 from repro.jobs.execution import JobExecution
 from repro.telemetry import Telemetry
 from repro.telemetry.export import to_jsonl
@@ -101,6 +101,17 @@ def socflow_digests(task, variant: str, fusion: str) -> dict:
         return run_digests(SoCFlow(SoCFlowOptions(**options)), config)
 
 
+def socflow_resume_digests(task) -> dict:
+    """A run stopped after epoch 0, then resumed from its epoch
+    checkpoint for epochs 1 and 2."""
+    with tempfile.TemporaryDirectory() as scratch:
+        options = SoCFlowOptions(checkpoint_path=f"{scratch}/epoch.npz",
+                                 resume=True)
+        SoCFlow(options).train(make_config(task, max_epochs=1,
+                                           telemetry=None))
+        return run_digests(SoCFlow(options), make_config(task, max_epochs=3))
+
+
 def baseline_digests(task, method: str, variant: str) -> dict:
     config = make_config(task, **BASELINE_VARIANTS[variant])
     return run_digests(build_strategy(method), config)
@@ -126,6 +137,34 @@ def job_digest(task, mixed: bool) -> str:
                 list(execution.controller.history)))
 
 
+def jobs_day_digest(task) -> str:
+    """An elastic scheduling day on 12 SoCs: a crash shrinks the running
+    job, a second tenant's arrival resizes it, a session burst preempts
+    both and they resume when it ends; both complete."""
+    jobs = [TrainingJob("a", "tiny", priority=1, min_socs=4, max_socs=12,
+                        epochs=6, target_group_size=3, mixed=True),
+            TrainingJob("b", "tiny", priority=2, min_socs=4, max_socs=8,
+                        epochs=3, target_group_size=2, mixed=False,
+                        submit_hour=0.75, seed=1)]
+    sessions = [Session(s, 1.25, 0.5) for s in range(12)]
+
+    def config_for(job):
+        return replace(make_config(task), telemetry=None,
+                       max_epochs=job.epochs, seed=job.seed)
+
+    scheduler = ElasticScheduler(
+        TOPOLOGY, sessions, quantum_hours=0.25, horizon_hours=4.0,
+        fault_schedule=FaultSchedule((SoCCrash(2, 5),)),
+        config_factory=config_for)
+    for job in jobs:
+        scheduler.submit(job)
+    report = scheduler.run()
+    executions = [scheduler._execs[job.id] for job in jobs]
+    return sha((report.to_dict(),
+                [(ex.cost.clock.now, ex.cost.clock.breakdown(),
+                  ex.cost.energy.report, ex.history) for ex in executions]))
+
+
 #: every pinned case: key -> (digest function, its arguments)
 CASES = {
     **{f"socflow/{variant}/{fusion}": (socflow_digests, variant, fusion)
@@ -134,6 +173,8 @@ CASES = {
        for method in BASELINES for variant in BASELINE_VARIANTS},
     "job/fp32": (job_digest, False),
     "job/mixed": (job_digest, True),
+    "jobs/day": (jobs_day_digest,),
+    "socflow/resume": (socflow_resume_digests,),
 }
 
 # Bucketed traces were re-recorded by the one-charge refactor
@@ -149,6 +190,8 @@ CASES = {
 # result digests by type only: SoCFlow's dispatch payload used to be a
 # numpy float64, so its whole clock ran in np.float64; the same values
 # are Python floats now.  Every other digest is the parent's.
+# jobs/day and socflow/resume were recorded before SoCFlow and the job
+# scheduler shared one group-wise run, to hold across that refactor.
 GOLDEN_PATH = Path(__file__).with_name("pricing_golden.json")
 
 
