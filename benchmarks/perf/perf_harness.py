@@ -544,12 +544,13 @@ def _rss_mb() -> "float | None":
 def _replica_bench():
     """The multi-replica sections' common ground: the claims benchmark's
     ``train_*`` configuration per model, logical groups built the way a
-    run builds them (``SoCFlow._build_groups``: one step arena, common
+    run builds them (``GroupRun``: one step arena, common
     initial state) and one mixed-precision ``train_batch`` per group
     and round."""
     from dataclasses import replace
 
-    from repro.core import SoCFlow, SoCFlowOptions
+    from repro.core import SoCFlowOptions
+    from repro.core.socflow import GroupRun
     from repro.distributed.base import CostModel
     from repro.harness import make_run_config
     from repro.quant.mixed import MixedPrecisionController
@@ -558,15 +559,14 @@ def _replica_bench():
                            num_groups=GRAPH_REPLICAS, max_epochs=1)
     x_train, y_train = base.task.x_train, base.task.y_train
     batch = base.batch_size
-    flow = SoCFlow(SoCFlowOptions())
 
     def groups_for(config, count):
         config = replace(config, num_groups=count)
         cost = CostModel(config)
         controller = MixedPrecisionController(cost.t_cpu_sample,
                                               cost.t_npu_sample)
-        return flow._build_groups(config, flow._build_mapping(config),
-                                  controller)
+        return GroupRun(config, SoCFlowOptions(), cost, controller,
+                        count).groups
 
     def one_round(groups, index):
         t0 = time.perf_counter()

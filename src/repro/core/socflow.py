@@ -23,6 +23,11 @@ the logical groups, and keeps training — paying a priced recovery step
 instead of aborting.  NIC degradations flow into the network fabric
 (ring all-reduces slow down and pay timeout/retry backoff) and
 persistent stragglers fold into the underclock rebalancing.
+
+:class:`GroupRun` is the group-wise run itself — groups, mapping, CG
+plan, clock, controller and rollback anchor, one epoch body and one
+regroup path; :class:`SoCFlow` drives it over the epochs, and the job
+scheduler drives one per job (:mod:`repro.jobs.execution`).
 """
 
 from __future__ import annotations
@@ -38,14 +43,16 @@ from ..distributed.base import (CostModel, RunConfig, Strategy,
                                 record_epoch_telemetry)
 from ..quant.int8 import QuantConfig
 from ..quant.mixed import MixedPrecisionController
+from .checkpoint import TrainingCheckpoint
 from .grouping import survivor_group_count
 from .mapping import MappingResult, integrity_greedy_mapping, naive_mapping
 from .mixed_precision import GroupMixedTrainer
 from .planning import CommunicationPlan
 from .scheduler import GlobalScheduler, PreemptionEvent
 
-__all__ = ["SoCFlowOptions", "SoCFlow", "build_socflow", "build_groups",
-           "reform_groups", "make_lg_executor", "run_group_epoch"]
+__all__ = ["SoCFlowOptions", "SoCFlow", "GroupRun", "build_socflow",
+           "build_groups", "reform_groups", "make_lg_executor",
+           "run_group_epoch"]
 
 
 def _grow_groups(config: RunConfig, controller, quant,
@@ -107,7 +114,7 @@ def make_lg_executor(config: RunConfig, quant, precision: str,
     (same config, same seed offsets), so it needs exactly the inputs
     ``build_groups`` consumed.
     """
-    if getattr(config, "workers", 1) <= 1:
+    if config.workers <= 1:
         return None
     from ..parallel import LgExecutor
     executor = LgExecutor(
@@ -176,6 +183,134 @@ class SoCFlowOptions:
             raise ValueError("precision must be mixed/fp32/int8")
 
 
+class GroupRun:
+    """One group-wise run: what SoCFlow and a scheduled job keep between
+    epochs.
+
+    It holds the logical groups (warm trainers on one step arena), their
+    mapping onto SoCs and its CG plan, the priced
+    :class:`~repro.distributed.base.CostModel`, the mixed-precision
+    controller, the control board (:class:`GlobalScheduler`), the
+    cross-group shuffle RNG, the lazily opened LG executor, the accuracy
+    history and the rollback anchor: a :class:`TrainingCheckpoint` of the
+    last merged state, the initial weights at epoch -1 until the first
+    merge.  ``options`` supply the mapping kind, precision mode, CG
+    planning, fixed alpha and control-board rebalancing.  The caller
+    charges the dispatch: ``run.scheduler.dispatch(cost, socs)``.
+    """
+
+    def __init__(self, config: RunConfig, options: SoCFlowOptions,
+                 cost: CostModel, controller: MixedPrecisionController,
+                 num_groups: int, socs: "list[int] | None" = None):
+        self.config, self.options = config, options
+        self.cost, self.controller = cost, controller
+        self.scheduler = GlobalScheduler(config.topology,
+                                         rebalance=options.rebalance,
+                                         events=list(options.events),
+                                         fault_schedule=config.fault_schedule)
+        self.rng = np.random.default_rng(config.seed)
+        self._map(num_groups, socs)
+        self.groups = build_groups(config, controller, options.quant,
+                                   self.mapping.num_groups,
+                                   precision=options.precision)
+        self.history: list[float] = []
+        self.anchor = TrainingCheckpoint(self.groups[0].state_dict(),
+                                         epoch=-1, alpha=controller.alpha)
+        self._executor = None
+
+    def _map(self, num_groups: int, socs: "list[int] | None") -> None:
+        """Place ``num_groups`` groups (at most one per SoC) on ``socs``,
+        the whole cluster when None, and plan their CGs."""
+        topology = self.config.topology
+        alive = None if socs is None else set(socs)
+        available = topology.num_socs if alive is None else len(alive)
+        mapper = (integrity_greedy_mapping
+                  if self.options.mapping == "integrity" else naive_mapping)
+        self.mapping = mapper(topology, max(1, min(num_groups, available)),
+                              alive=alive)
+        self.plan = CommunicationPlan.from_mapping(self.mapping)
+
+    def regroup(self, count: int, socs: "list[int]", **span) -> float:
+        """Roll back to the anchor in ``count`` groups on ``socs``;
+        returns the priced recovery seconds (``span``: the recovery
+        span's name and args).
+
+        The one path of fault recovery, an elastic resize and a resume
+        after preemption: the mapping and CG planning re-run on ``socs``
+        (the caller re-ran Eq. 1 sizing), and only the *weights* roll
+        back.  Surviving trainers are reused so their warm runtime state
+        (optimizer momentum, INT8 calibration RNG) carries across instead
+        of resetting — rebuilding from scratch measurably stalls the
+        mixed-precision path.
+        """
+        self._map(count, socs)
+        self.groups = reform_groups(self.config, self.controller,
+                                    self.options.quant, self.groups,
+                                    self.mapping.num_groups,
+                                    self.anchor.model_state)
+        return self.scheduler.recover(self.cost, socs, **span)
+
+    def run_epoch(self, active: "int | None" = None, pre_merge=None) -> float:
+        """One epoch of the first ``active`` groups (all by default; the
+        rest sit out preempted); returns its charged seconds.
+
+        Real math, then the epoch charge at the CPU share the batches
+        were split by (alpha is re-profiled after it, for the next
+        epoch), then delayed aggregation.  ``pre_merge(group)`` sees the
+        lead group's own model before the merge.  The merged model's
+        accuracy joins ``history`` and the merged state becomes the
+        anchor.
+        """
+        config, cost, options = self.config, self.cost, self.options
+        groups = self.groups[:active]
+        mapping, plan = self.mapping, self.plan
+        if len(groups) < len(self.groups):
+            mapping = MappingResult(mapping.groups[:len(groups)],
+                                    config.topology)
+            plan = CommunicationPlan.from_mapping(mapping)
+        if self._executor is None:
+            self._executor = make_lg_executor(
+                config, options.quant, options.precision, cost,
+                cost.telemetry)
+        run_group_epoch(config, groups, self.rng, self._executor)
+        layout = groups[0].fp32.flatten_parameters().layout
+        mixed = options.precision == "mixed"
+        epoch_t0 = cost.clock.now
+        pricing.apply(cost, pricing.price_epoch(
+            cost, mapping, plan, layout=layout, planning=options.planning,
+            cpu_share=(self.controller.cpu_share if mixed else
+                       0.0 if options.precision == "int8" else 1.0),
+            slowdown=max(self.scheduler.group_slowdown(socs)
+                         for socs in mapping.groups)))
+        seconds = cost.clock.now - epoch_t0
+        if pre_merge is not None:
+            pre_merge(groups[0])
+        # Host data plane mirrors the fusion plan: the same bucket
+        # boundaries aggregate the real weights, bit-identically to the
+        # whole-model fused path.
+        merged = bucketed_average_states(
+            [g.live_state() for g in groups], cost.bucket_plan(layout),
+            metrics=cost.telemetry.metrics)
+        for group in groups:
+            group.load_state(merged)
+        if mixed and options.fixed_alpha is None:
+            groups[0].update_alpha(config.task.x_test[:128])
+        self.history.append(evaluate_accuracy(
+            groups[0].fp32, config.task.x_test, config.task.y_test))
+        self.anchor = TrainingCheckpoint(
+            merged, epoch=len(self.history) - 1,
+            accuracy_history=list(self.history), alpha=self.controller.alpha)
+        return seconds
+
+    def close(self) -> None:
+        """Close the LG executor and drop the op workspaces the run
+        pinned; the warm groups stay (a preempted job resumes on them)."""
+        if self._executor is not None:
+            self._executor.close()
+            self._executor = None
+        self.groups[0].arena.release()
+
+
 class SoCFlow(Strategy):
     """Group-wise parallelism + delayed aggregation + mixed precision."""
 
@@ -184,21 +319,6 @@ class SoCFlow(Strategy):
     def __init__(self, options: SoCFlowOptions | None = None):
         self.options = options or SoCFlowOptions()
 
-    # ------------------------------------------------------------------
-    # Topology decisions
-    # ------------------------------------------------------------------
-    def _build_mapping(self, config: RunConfig,
-                       alive: "set[int] | None" = None,
-                       num_groups: int | None = None) -> MappingResult:
-        available = (config.topology.num_socs if alive is None
-                     else len(alive))
-        if num_groups is None:
-            num_groups = config.num_groups if self.options.grouping else 1
-        num_groups = max(1, min(num_groups, available))
-        if self.options.mapping == "integrity":
-            return integrity_greedy_mapping(config.topology, num_groups,
-                                            alive=alive)
-        return naive_mapping(config.topology, num_groups, alive=alive)
 
     # ------------------------------------------------------------------
     def select_group_size(self, config: RunConfig) -> tuple[int, dict]:
@@ -232,38 +352,32 @@ class SoCFlow(Strategy):
             config = replace(config, num_groups=chosen)
         cost = CostModel(config, telemetry=config.telemetry)
         telemetry = cost.telemetry
-        mapping = self._build_mapping(config)
-        plan = CommunicationPlan.from_mapping(mapping)
-        scheduler = GlobalScheduler(config.topology,
-                                    rebalance=options.rebalance,
-                                    events=list(options.events),
-                                    fault_schedule=config.fault_schedule)
-
         mixed = options.precision == "mixed"
         controller = MixedPrecisionController(cost.t_cpu_sample,
                                               cost.t_npu_sample)
         if options.fixed_alpha is not None:
             controller.alpha = options.fixed_alpha
-
-        groups = self._build_groups(config, mapping, controller)
-        val_x = config.task.x_test[:128]
-        rng = np.random.default_rng(config.seed)
-
+        base_groups = config.num_groups if options.grouping else 1
+        run = GroupRun(config, options, cost, controller, base_groups)
+        scheduler = run.scheduler
         scheduler.dispatch(cost)
 
-        history: list[float] = []
         state: dict = {}
         preempted = 0
         start_epoch = 0
         if options.resume and options.checkpoint_path is not None:
-            start_epoch = self._try_resume(options.checkpoint_path, groups,
-                                           controller, history, config)
-        #: rollback anchor: the last globally-merged state (and its epoch)
-        last_good: tuple[dict, int] = (groups[0].state_dict(), -1)
+            start_epoch = self._try_resume(options.checkpoint_path, run,
+                                           config)
         current_dead: set[int] = set()
         recoveries: list[dict] = []
-        executor = make_lg_executor(config, options.quant, options.precision,
-                                    cost, telemetry)
+        task = config.task
+
+        def probe(group: GroupMixedTrainer) -> None:
+            # The group-size heuristic profiles *pre-merge* accuracy
+            # during the first epoch (§3.1) — one group's own model.
+            state["first_epoch_group_accuracy"] = evaluate_accuracy(
+                group.fp32, task.x_test, task.y_test)
+
         try:
             for epoch in range(start_epoch, config.max_epochs):
                 epoch_start = cost.epoch_start()
@@ -275,57 +389,34 @@ class SoCFlow(Strategy):
                     if not survivors:
                         state["all_dead_epoch"] = epoch
                         break
-                    mapping, plan, groups = self._recover(
-                        config, controller, groups, dead, survivors, last_good,
-                        cost, scheduler, recoveries, epoch)
-                    preempted = min(preempted, len(groups) - 1)
+                    # Eq. 1 sizing re-runs on the survivors; the weights
+                    # roll back to the last merged state
+                    num_groups = survivor_group_count(
+                        len(survivors), base_groups, config.topology.num_socs)
+                    rolled_back_to = run.anchor.epoch
+                    recovery_s = run.regroup(
+                        num_groups, survivors, name=f"recovery@{epoch}",
+                        dead_socs=sorted(dead), num_groups=num_groups,
+                        rolled_back_to=rolled_back_to)
+                    recoveries.append({
+                        "epoch": epoch, "dead_socs": sorted(dead),
+                        "num_groups": num_groups,
+                        "rolled_back_to": rolled_back_to,
+                        "recovery_seconds": recovery_s,
+                    })
+                    preempted = min(preempted, len(run.groups) - 1)
                     current_dead = dead
                 for event in scheduler.preemptions_at(epoch):
                     preempted = self._handle_preemption(
-                        event, groups, preempted, cost, scheduler)
-                active = groups[:len(groups) - preempted] if preempted else groups
-                if not active:
-                    break
-                active_mapping = MappingResult(
-                    [mapping.groups[i] for i in range(len(active))],
-                    config.topology)
-                active_plan = CommunicationPlan.from_mapping(active_mapping)
-
-                run_group_epoch(config, active, rng, executor)
-                layout = active[0].fp32.flatten_parameters().layout
-                cpu_share = (controller.cpu_share if mixed else
-                             0.0 if options.precision == "int8" else 1.0)
-                pricing.apply(cost, pricing.price_epoch(
-                    cost, active_mapping, active_plan, cpu_share=cpu_share,
-                    slowdown=max(scheduler.group_slowdown(socs)
-                                 for socs in active_mapping.groups),
-                    planning=options.planning, layout=layout))
-
-                if epoch == 0:
-                    # The group-size heuristic profiles *pre-merge* accuracy
-                    # during the first epoch (§3.1) — one group's own model.
-                    state["first_epoch_group_accuracy"] = evaluate_accuracy(
-                        active[0].fp32, config.task.x_test, config.task.y_test)
-
-                # Host data plane mirrors the fusion plan: the same
-                # bucket boundaries aggregate the real weights, bit-
-                # identically to the whole-model fused path.
-                merged = bucketed_average_states(
-                    [g.live_state() for g in active],
-                    cost.bucket_plan(layout), metrics=telemetry.metrics)
-                for group in active:
-                    group.load_state(merged)
-                last_good = (merged, epoch)
-                if mixed and options.fixed_alpha is None:
-                    active[0].update_alpha(val_x)
-
-                accuracy = evaluate_accuracy(active[0].fp32, config.task.x_test,
-                                             config.task.y_test)
-                self._epoch_accuracy_bookkeeping(accuracy, epoch, config,
-                                                 history, state)
+                        event, run.groups, preempted, cost, scheduler)
+                active = len(run.groups) - preempted
+                run.run_epoch(active, pre_merge=probe if epoch == 0 else None)
+                accuracy = run.history[-1]
+                self._note_target(accuracy, epoch, config, state)
                 if options.checkpoint_path is not None:
-                    self._write_checkpoint(options.checkpoint_path, active[0],
-                                           epoch, history, controller, config)
+                    replace(run.anchor, rng_seed=config.seed,
+                            meta={"model": config.model_name}
+                            ).save(options.checkpoint_path)
                     # writing to UFS happens off the critical path on
                     # every SoC, but the leader's write is charged once
                     # per epoch
@@ -334,12 +425,10 @@ class SoCFlow(Strategy):
                 record_epoch_telemetry(
                     cost, epoch_start, epoch, accuracy,
                     controller=controller if mixed else None,
-                    num_groups=active_mapping.num_groups)
-
+                    num_groups=active)
         finally:
-            if executor is not None:
-                executor.close()
-            groups[0].arena.release()
+            run.close()
+        groups, mapping, plan = run.groups, run.mapping, run.plan
         extra = {
             "first_epoch_group_accuracy":
                 state.get("first_epoch_group_accuracy", 0.0),
@@ -368,7 +457,8 @@ class SoCFlow(Strategy):
             extra["workspace_evictions"] = evictions
             telemetry.metrics.counter("nn.workspace_evictions").inc(evictions)
         self._flush_graph_stats(groups, plan, cost, telemetry, extra)
-        return self._result(self.name, config, cost, history, state, extra)
+        return self._result(self.name, config, cost, run.history, state,
+                            extra)
 
     @staticmethod
     def _flush_graph_stats(groups, plan, cost, telemetry, extra) -> None:
@@ -432,77 +522,20 @@ class SoCFlow(Strategy):
     # ------------------------------------------------------------------
     # Pieces
     # ------------------------------------------------------------------
-    def _build_groups(self, config: RunConfig, mapping: MappingResult,
-                      controller: MixedPrecisionController
-                      ) -> list[GroupMixedTrainer]:
-        return build_groups(config, controller, self.options.quant,
-                            mapping.num_groups,
-                            precision=self.options.precision)
-
     @staticmethod
-    def _try_resume(path: str, groups: list[GroupMixedTrainer],
-                    controller: MixedPrecisionController,
-                    history: list[float], config: RunConfig) -> int:
-        """Restore a prior run's state; returns the epoch to resume at."""
-        from .checkpoint import TrainingCheckpoint
+    def _try_resume(path: str, run: GroupRun, config: RunConfig) -> int:
+        """Restore a prior run's state into ``run`` (it becomes the
+        rollback anchor); returns the epoch to resume at."""
         try:
             checkpoint = TrainingCheckpoint.load(path)
         except FileNotFoundError:
             return 0
-        for group in groups:
+        for group in run.groups:
             group.load_state(checkpoint.model_state)
-        controller.alpha = checkpoint.alpha
-        history.extend(checkpoint.accuracy_history)
+        run.controller.alpha = checkpoint.alpha
+        run.history.extend(checkpoint.accuracy_history)
+        run.anchor = checkpoint
         return min(checkpoint.epoch + 1, config.max_epochs)
-
-    @staticmethod
-    def _write_checkpoint(path: str, group: GroupMixedTrainer, epoch: int,
-                          history: list[float],
-                          controller: MixedPrecisionController,
-                          config: RunConfig) -> None:
-        from .checkpoint import TrainingCheckpoint
-        TrainingCheckpoint(
-            model_state=group.state_dict(), epoch=epoch,
-            accuracy_history=list(history), alpha=controller.alpha,
-            rng_seed=config.seed, meta={"model": config.model_name}
-        ).save(path)
-
-    def _recover(self, config: RunConfig, controller,
-                 groups: list[GroupMixedTrainer], dead: set[int],
-                 survivors: list[int], last_good: tuple[dict, int],
-                 cost: CostModel, scheduler: GlobalScheduler,
-                 recoveries: list[dict], epoch: int):
-        """Roll back and re-form groups after the dead set changes.
-
-        Eq. 1 group sizing and the mapping/CG planning re-run on the
-        shrunken (or re-grown) survivor set, and the recovery step is
-        charged to the clock.  Only the *weights* roll back to the last
-        merged checkpoint: the surviving trainers are reused so their
-        warm runtime state (optimizer momentum, INT8 calibration RNG)
-        carries across the recovery instead of resetting — rebuilding
-        from scratch measurably stalls the mixed-precision path.
-        """
-        base_groups = config.num_groups if self.options.grouping else 1
-        num_groups = survivor_group_count(
-            len(survivors), base_groups, config.topology.num_socs)
-        mapping = self._build_mapping(config, alive=set(survivors),
-                                      num_groups=num_groups)
-        plan = CommunicationPlan.from_mapping(mapping)
-        rollback_state, rollback_epoch = last_good
-        groups = reform_groups(config, controller, self.options.quant,
-                               groups, num_groups, rollback_state)
-        recovery_s = scheduler.recover(
-            cost, survivors, name=f"recovery@{epoch}",
-            dead_socs=sorted(dead), num_groups=mapping.num_groups,
-            rolled_back_to=rollback_epoch)
-        recoveries.append({
-            "epoch": epoch,
-            "dead_socs": sorted(dead),
-            "num_groups": mapping.num_groups,
-            "rolled_back_to": rollback_epoch,
-            "recovery_seconds": recovery_s,
-        })
-        return mapping, plan, groups
 
     @staticmethod
     def _handle_preemption(event: PreemptionEvent,

@@ -485,8 +485,8 @@ class Strategy:
             model = self.run_epoch(run, cost, epoch, dead)
             accuracy = evaluate_accuracy(model, config.task.x_test,
                                          config.task.y_test)
-            self._epoch_accuracy_bookkeeping(accuracy, epoch, config,
-                                             history, state)
+            history.append(accuracy)
+            self._note_target(accuracy, epoch, config, state)
             record_epoch_telemetry(cost, epoch_start, epoch, accuracy)
         if schedule is not None:
             extra.setdefault("aborted", False)
@@ -495,16 +495,13 @@ class Strategy:
 
     # -- helpers shared by subclasses -----------------------------------
     @staticmethod
-    def _epoch_accuracy_bookkeeping(
-            accuracy: float, epoch: int, config: RunConfig,
-            history: list[float], state: dict) -> bool:
-        """Track accuracy history / target; returns True when done early."""
-        history.append(accuracy)
+    def _note_target(accuracy: float, epoch: int, config: RunConfig,
+                     state: dict) -> None:
+        """Record the first epoch that reached the target accuracy."""
         target = config.target_accuracy
         if (target is not None and accuracy >= target
                 and state.get("epochs_to_target") is None):
             state["epochs_to_target"] = epoch + 1
-        return False
 
     @staticmethod
     def _result(name: str, config: RunConfig, cost: CostModel,

@@ -15,7 +15,7 @@ over the existing SoCFlow machinery:
   with priority preemption, elastic grow/shrink as users come and go.
 """
 
-from .execution import JobCheckpoint, JobExecution
+from .execution import JobExecution
 from .queue import JobAdmissionError, JobQueue, QueueEntry
 from .scheduler import ElasticScheduler, JobRecord, ScheduleReport
 from .spec import (JobSpecError, TrainingJob, load_job_file, parse_job_specs,
@@ -25,6 +25,6 @@ __all__ = [
     "TrainingJob", "JobSpecError", "parse_job_specs", "load_job_file",
     "parse_simple_yaml",
     "JobQueue", "QueueEntry", "JobAdmissionError",
-    "JobExecution", "JobCheckpoint",
+    "JobExecution",
     "ElasticScheduler", "JobRecord", "ScheduleReport",
 ]

@@ -488,7 +488,6 @@ class ElasticScheduler:
         missed = (job.deadline_hours is not None
                   and elapsed > job.deadline_hours)
         record.status = "missed" if missed else "completed"
-        ex.allocated = []
         ex.close()
         metrics = self.telemetry.metrics
         metrics.counter("jobs.missed" if missed else "jobs.completed").inc()

@@ -302,3 +302,39 @@ def test_one_replica_builder():
         "distributed/base.py",      # make_replica
         "core/mixed_precision.py",  # the INT8 twin
     }
+
+
+# ----------------------------------------------------------------------
+# Structure: one group-wise run for SoCFlow and the job scheduler
+# ----------------------------------------------------------------------
+def call_sites(name: str) -> "list[str]":
+    """``file:line`` of every call of ``name`` under ``src/repro``."""
+    return [f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+            for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if calls(name)(node)]
+
+
+def defined_names(tree) -> "set[str]":
+    return {getattr(node, "name", None) or getattr(node, "id", None)
+            or getattr(node, "attr", None) for node in ast.walk(tree)}
+
+
+def test_one_group_wise_run():
+    """``GroupRun`` holds the one epoch body and the one regroup path:
+    every piece of a group-wise epoch, recovery or resize is called from
+    exactly one place, and the job adapter's copies stay deleted."""
+    for name in ("run_group_epoch", "bucketed_average_states",
+                 "reform_groups", "build_groups", "make_lg_executor"):
+        sites = call_sites(name)
+        assert len(sites) == 1, (name, sites)
+        assert sites[0].startswith("core/socflow.py:"), (name, sites)
+    assert files_where(calls("price_epoch")) == {
+        "core/socflow.py",          # GroupRun.run_epoch
+        "distributed/ssgd.py",      # the data-parallel baselines
+    }
+    names = set().union(*(defined_names(ast.parse(path.read_text()))
+                          for path in SRC.rglob("*.py")))
+    deleted = {"JobCheckpoint", "_plan_for", "_build_groups",
+               "_close_executor", "_recover", "last_checkpoint"}
+    assert not deleted & names

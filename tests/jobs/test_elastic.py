@@ -1,9 +1,11 @@
 """Elastic scheduling invariants: determinism, floors, warm resume."""
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterTopology, FaultSchedule, Session, SoCCrash
-from repro.jobs import ElasticScheduler, JobAdmissionError
+from repro.core import GlobalScheduler
+from repro.jobs import ElasticScheduler, JobAdmissionError, JobExecution
 from repro.telemetry import Telemetry, write_trace
 
 from .conftest import busy_all, make_job, make_scheduler
@@ -156,11 +158,40 @@ class TestPreemptionAndResume:
         assert record.status == "completed"
         assert record.epochs_done == 5
         # resumed from the *latest* checkpoint: every epoch ran exactly
-        # once, and the final checkpoint is the final epoch
+        # once, and the run's rollback anchor is the final (0-based
+        # fourth) epoch
         assert len(execution.history) == 5
-        assert execution.last_checkpoint.epoch == 5
-        assert execution.last_checkpoint.accuracy_history == \
-            tuple(execution.history)
+        assert execution.run.anchor.epoch == 4
+        assert execution.run.anchor.accuracy_history == execution.history
+
+    def test_preempted_before_first_epoch_resumes_initial_weights(
+            self, config_factory, monkeypatch):
+        """A job preempted before its first merged epoch has warm groups
+        but nothing merged yet: its next placement reloads the initial
+        weights and is charged as a resume."""
+        charged = []
+        for name in ("dispatch", "recover"):
+            original = getattr(GlobalScheduler, name)
+            monkeypatch.setattr(
+                GlobalScheduler, name,
+                lambda self, *args, _f=original, _n=name, **kwargs:
+                charged.append(_n) or _f(self, *args, **kwargs))
+        job = make_job("early")
+        execution = JobExecution(job, config_factory(job))
+        try:
+            execution.place([0, 1, 2, 3])
+            initial = execution.run.groups[0].state_dict().flat.copy()
+            execution.preempt()
+            assert not execution.running and execution.plan is None
+            execution.place([4, 5, 6, 7])
+            assert charged == ["dispatch", "recover"]
+            assert execution.run.anchor.epoch == -1
+            for group in execution.run.groups:
+                assert np.array_equal(group.state_dict().flat, initial)
+            execution.run_epoch()
+        finally:
+            execution.close()
+        assert execution.epochs_done == 1
 
     def test_higher_priority_preempts_running_job(self, jobs_topology,
                                                   config_factory):
