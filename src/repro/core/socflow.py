@@ -293,13 +293,15 @@ class GroupRun:
             metrics=cost.telemetry.metrics)
         for group in groups:
             group.load_state(merged)
+        # the merge is the rollback point from here on; the last one is
+        # dropped before profiling and evaluation allocate
+        self.anchor = TrainingCheckpoint(merged, epoch=len(self.history))
         if mixed and options.fixed_alpha is None:
             groups[0].update_alpha(config.task.x_test[:128])
         self.history.append(evaluate_accuracy(
             groups[0].fp32, config.task.x_test, config.task.y_test))
-        self.anchor = TrainingCheckpoint(
-            merged, epoch=len(self.history) - 1,
-            accuracy_history=list(self.history), alpha=self.controller.alpha)
+        self.anchor.accuracy_history = list(self.history)
+        self.anchor.alpha = self.controller.alpha
         return seconds
 
     def close(self) -> None:
