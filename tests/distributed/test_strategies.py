@@ -336,5 +336,6 @@ def test_one_group_wise_run():
     names = set().union(*(defined_names(ast.parse(path.read_text()))
                           for path in SRC.rglob("*.py")))
     deleted = {"JobCheckpoint", "_plan_for", "_build_groups",
-               "_close_executor", "_recover", "last_checkpoint"}
+               "_build_mapping", "_close_executor", "_recover",
+               "_write_checkpoint", "last_checkpoint"}
     assert not deleted & names
