@@ -9,21 +9,23 @@
 
 from conftest import print_block
 
-from repro.core import (PreemptionEvent, SoCFlow, SoCFlowOptions,
-                        UnderclockEvent)
+from repro.cluster import FaultSchedule, PreemptionStorm, StragglerFault
+from repro.core import SoCFlow, SoCFlowOptions
 from repro.harness import format_table
 
 
 def test_underclocking_rebalancing(benchmark, suite):
     def compute():
         config = suite.config("vgg11", num_socs=32, max_epochs=3)
-        events = tuple(UnderclockEvent(epoch=0, soc=s, factor=0.5)
-                       for s in (0, 9))
+        underclocked = suite.config(
+            "vgg11", num_socs=32, max_epochs=3,
+            fault_schedule=FaultSchedule(tuple(
+                StragglerFault(epoch=0, soc=s, factor=0.5) for s in (0, 9))))
         baseline = SoCFlow(SoCFlowOptions()).train(config)
         straggler = SoCFlow(SoCFlowOptions(
-            events=events, rebalance=False)).train(config)
+            rebalance=False)).train(underclocked)
         rebalanced = SoCFlow(SoCFlowOptions(
-            events=events, rebalance=True)).train(config)
+            rebalance=True)).train(underclocked)
         return baseline, straggler, rebalanced
 
     baseline, straggler, rebalanced = benchmark.pedantic(compute, rounds=1,
@@ -48,8 +50,9 @@ def test_preemption_graceful_degradation(benchmark, suite):
     def compute():
         config = suite.config("vgg11", num_socs=32, max_epochs=4)
         normal = SoCFlow(SoCFlowOptions()).train(config)
-        preempted = SoCFlow(SoCFlowOptions(
-            events=(PreemptionEvent(epoch=2, num_groups=4),))).train(config)
+        preempted = SoCFlow(SoCFlowOptions()).train(suite.config(
+            "vgg11", num_socs=32, max_epochs=4, fault_schedule=FaultSchedule(
+                (PreemptionStorm(epoch=2, num_groups=4),))))
         return normal, preempted
 
     normal, preempted = benchmark.pedantic(compute, rounds=1, iterations=1)

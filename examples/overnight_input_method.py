@@ -10,8 +10,9 @@ preemption enabled in case users come back early.
 Run:  python examples/overnight_input_method.py
 """
 
-from repro.cluster import ClusterTopology, TidalTrace
-from repro.core import PreemptionEvent, SoCFlow, SoCFlowOptions
+from repro.cluster import (ClusterTopology, FaultSchedule, PreemptionStorm,
+                           TidalTrace)
+from repro.core import SoCFlow
 from repro.data import load_dataset
 from repro.distributed import RunConfig
 
@@ -41,14 +42,14 @@ def main() -> None:
         sim_samples_per_epoch=112_800,
         sim_global_batch=64,
         num_groups=4,
+        # At epoch 6 one logical group is preempted by returning user
+        # load; SoCFlow checkpoints it and continues with the rest.
+        fault_schedule=FaultSchedule((PreemptionStorm(epoch=6,
+                                                      num_groups=1),)),
     )
 
     # --- 3. Train, tolerating an early-morning user surge ------------
-    # At epoch 6 one logical group is preempted by returning user load;
-    # SoCFlow checkpoints it and continues with the remaining groups.
-    options = SoCFlowOptions(events=(PreemptionEvent(epoch=6,
-                                                     num_groups=1),))
-    result = SoCFlow(options).train(config)
+    result = SoCFlow().train(config)
 
     print("\n=== overnight training run ===")
     print(f"final accuracy   : {result.final_accuracy:.1%}")

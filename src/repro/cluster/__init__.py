@@ -12,8 +12,8 @@ machine as a calibrated performance model:
 - :mod:`energy` — busy/idle power accounting.
 - :mod:`trace` — diurnal (tidal) utilisation traces and idle windows.
 - :mod:`clock` — simulated wall clock with per-phase accounting.
-- :mod:`faults` — seeded unplanned-fault injection (crashes, NIC
-  flaps, stragglers, preemption storms).
+- :mod:`faults` — the event timeline: crashes, NIC flaps, DVFS
+  underclocks (stragglers) and preemptions (storms), planned or seeded.
 """
 
 from .spec import (GPU_REGISTRY, SOC_REGISTRY, GpuSpec, ModelProfile,
@@ -25,15 +25,15 @@ from .faults import (FaultInjector, FaultSchedule, FaultSpecError,
                      StragglerFault, parse_fault_spec)
 from .energy import EnergyModel, EnergyReport
 from .trace import TidalTrace, IdleWindow
-from .workload import (PreemptionEvent, Session, SessionIndex,
-                       SessionSimulator, derive_training_events)
+from .workload import (Session, SessionIndex, SessionSimulator,
+                       derive_training_events)
 from .clock import PhaseClock
 
 __all__ = [
     "ProcessorSpec", "SoCSpec", "GpuSpec", "ModelProfile", "model_profile",
     "SOC_REGISTRY", "GPU_REGISTRY", "ClusterTopology", "NetworkFabric",
     "Flow", "EnergyModel", "EnergyReport", "TidalTrace", "IdleWindow",
-    "PreemptionEvent", "Session", "SessionIndex", "SessionSimulator",
+    "Session", "SessionIndex", "SessionSimulator",
     "derive_training_events",
     "EdgeSite", "WanFabric",
     "PhaseClock",

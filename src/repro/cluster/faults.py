@@ -1,12 +1,12 @@
-"""Seeded fault injection for the SoC-Cluster (the unplanned-failure story).
+"""The event timeline of a run on the SoC-Cluster: planned and unplanned.
 
-The paper handles *planned* preemption — user load returns, the
-scheduler drops whole logical groups at an epoch boundary (§3).  A
+The paper handles *planned* events — user load returns and the
+scheduler drops whole logical groups at an epoch boundary (§3); DVFS
+slows a SoC and the control board rebalances its group (§4.1).  A
 production cluster also sees *unplanned* faults: SoCs crash and reboot,
-the shared 1 Gbps PCB NICs degrade or flap, individual chips become
-persistent stragglers, and user-load spikes preempt several groups at
-once.  This module expresses all four as typed events on an epoch
-timeline:
+the shared 1 Gbps PCB NICs degrade or flap.  This module expresses all
+of them as typed events on one epoch timeline; a planned event is an
+ordinary scheduled event, not a separate type:
 
 - :class:`SoCCrash` — a chip dies at an epoch boundary and (optionally)
   rejoins later;
@@ -14,16 +14,22 @@ timeline:
   bandwidth, optionally recovering (a *flap* is a degradation with a
   recovery epoch);
 - :class:`StragglerFault` — DVFS pins a SoC at a fraction of nominal
-  speed from some epoch onward;
-- :class:`PreemptionStorm` — user load claims several logical groups at
-  once.
+  speed from some epoch onward (a planned underclock, or a persistent
+  straggler);
+- :class:`PreemptionStorm` — user load claims one or more logical
+  groups at an epoch boundary.
 
 A :class:`FaultSchedule` bundles events and answers point-in-time
-queries (``dead_socs``, ``nic_multipliers``, ...).  Schedules come from
-three places: hand-built event lists, the seeded :class:`FaultInjector`
-(rate- or count-based sampling), and the CLI's ``--faults`` spec string
-via :func:`parse_fault_spec`.  Everything is deterministic given the
-seed, which is what makes recovery regression-testable.
+queries (``dead_socs``, ``nic_multipliers``, ...); SoCFlow's control
+board reads it once per epoch
+(:meth:`~repro.core.scheduler.GlobalScheduler.enter_epoch`).  Schedules
+come from three places: hand-built event lists (the planned
+preemptions of
+:func:`~repro.cluster.workload.derive_training_events` among them), the
+seeded :class:`FaultInjector` (count-based sampling), and the CLI's
+``--faults`` spec string via :func:`parse_fault_spec`.  Everything is
+deterministic given the seed, which is what makes recovery
+regression-testable.
 """
 
 from __future__ import annotations
@@ -207,7 +213,8 @@ class FaultSchedule:
         multipliers replace the fabric's, so every later transfer sees
         the degraded links, and each onset becomes one ``fault`` trace
         event plus a ``faults.injected`` count on the fabric's
-        telemetry.  Stragglers and storms are the caller's to read.
+        telemetry.  Stragglers and storms are SoCFlow's control board's
+        to read (:meth:`~repro.core.scheduler.GlobalScheduler.enter_epoch`).
         """
         fabric.apply_pcb_multipliers(self.nic_multipliers(epoch))
         tel = fabric.telemetry
@@ -241,58 +248,18 @@ class FaultSchedule:
 
 @dataclass
 class FaultInjector:
-    """Deterministic fault sampling over a topology.
-
-    Rates are per-epoch probabilities: each epoch every live SoC crashes
-    with ``crash_rate``, every PCB NIC flaps with ``flap_rate``, and so
-    on.  Two injectors with the same seed and parameters generate the
-    same schedule.
-    """
+    """Deterministic fault sampling over a topology: two injectors with
+    the same seed and parameters sample the same schedule."""
 
     topology: ClusterTopology
     seed: int = 0
-    crash_rate: float = 0.0
-    crash_outage_epochs: int | None = None     # None = permanent
-    flap_rate: float = 0.0
     flap_multiplier: float = 0.25
     flap_outage_epochs: int = 2
-    straggler_rate: float = 0.0
     straggler_factor: float = 0.5
-    storm_rate: float = 0.0
-    storm_groups: int = 1
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
         self._rng = np.random.default_rng(self.seed)
-
-    def generate(self, max_epochs: int) -> FaultSchedule:
-        """Sample a schedule over ``[1, max_epochs)`` (epoch 0 stays clean
-        so every run gets at least one fault-free epoch to roll back to).
-        """
-        events: list = []
-        dead: set[int] = set()
-        for epoch in range(1, max_epochs):
-            for soc in range(self.topology.num_socs):
-                if soc in dead:
-                    continue
-                if self._rng.random() < self.crash_rate:
-                    recover = (None if self.crash_outage_epochs is None
-                               else epoch + self.crash_outage_epochs)
-                    events.append(SoCCrash(epoch, soc, recover))
-                    if recover is None:
-                        dead.add(soc)
-            for pcb in range(self.topology.num_pcbs):
-                if self._rng.random() < self.flap_rate:
-                    events.append(NicDegradation(
-                        epoch, pcb, self.flap_multiplier,
-                        epoch + self.flap_outage_epochs))
-            for soc in range(self.topology.num_socs):
-                if soc not in dead and self._rng.random() < self.straggler_rate:
-                    events.append(StragglerFault(epoch, soc,
-                                                 self.straggler_factor))
-            if self._rng.random() < self.storm_rate:
-                events.append(PreemptionStorm(epoch, self.storm_groups))
-        return FaultSchedule(tuple(events))
 
     def sample(self, max_epochs: int, num_crashes: int = 0,
                num_flaps: int = 0, num_stragglers: int = 0) -> FaultSchedule:

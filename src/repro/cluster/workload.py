@@ -5,9 +5,10 @@ gaming, live streaming).  :class:`SessionSimulator` generates session
 arrivals from a non-homogeneous Poisson process whose rate follows the
 tidal trace, assigns sessions to SoCs, and exposes the resulting busy
 timeline.  :func:`derive_training_events` converts a planned overnight
-training window into the preemption events SoCFlow must absorb when
-users show up early — closing the loop between the trace model, the
-scheduler and the training engine.
+training window into the preemptions SoCFlow must absorb when users
+show up early — :class:`~repro.cluster.faults.PreemptionStorm` events
+for the run's fault schedule, closing the loop between the trace
+model, the scheduler and the training engine.
 """
 
 from __future__ import annotations
@@ -16,19 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .faults import PreemptionStorm
 from .topology import ClusterTopology
 from .trace import TidalTrace
 
-__all__ = ["PreemptionEvent", "Session", "SessionIndex", "SessionSimulator",
+__all__ = ["Session", "SessionIndex", "SessionSimulator",
            "derive_training_events"]
-
-
-@dataclass(frozen=True)
-class PreemptionEvent:
-    """User load returns at the start of ``epoch``: drop ``num_groups``."""
-
-    epoch: int
-    num_groups: int = 1
 
 
 @dataclass(frozen=True)
@@ -211,7 +205,7 @@ def derive_training_events(sessions: list[Session],
                            epoch_hours: float,
                            max_epochs: int,
                            socs_per_group: int,
-                           idle_socs: int) -> list[PreemptionEvent]:
+                           idle_socs: int) -> list[PreemptionStorm]:
     """Plan preemptions for a training job inside an idle window.
 
     The job starts at ``window_start_hour`` with ``idle_socs`` chips.
@@ -231,7 +225,7 @@ def derive_training_events(sessions: list[Session],
         raise ValueError("idle_socs must be non-negative")
     if idle_socs < socs_per_group:
         return []
-    events: list[PreemptionEvent] = []
+    events: list[PreemptionStorm] = []
     index = SessionIndex(sessions)
     baseline = index.busy_count_at(window_start_hour)
     claimed_groups = 0
@@ -242,7 +236,7 @@ def derive_training_events(sessions: list[Session],
         groups_needed = min(surge // socs_per_group,
                             idle_socs // socs_per_group - claimed_groups)
         if groups_needed > claimed_groups:
-            events.append(PreemptionEvent(
+            events.append(PreemptionStorm(
                 epoch=epoch + 1,
                 num_groups=groups_needed - claimed_groups))
             claimed_groups = groups_needed

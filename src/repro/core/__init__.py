@@ -8,8 +8,9 @@
   and the pipelined sync schedule (Figure 7).
 - :mod:`mixed_precision` — per-group CPU(FP32)+NPU(INT8) execution with
   the alpha/beta-controlled batch split (§3.2).
-- :mod:`scheduler` — global scheduler: checkpointing, preemption by
-  user workloads, underclocking-aware rebalancing (§4.1).
+- :mod:`scheduler` — global scheduler: checkpointing, the per-epoch
+  read of the event timeline (preemption by user workloads, DVFS
+  underclocks, faults), underclocking-aware rebalancing (§4.1).
 - :mod:`socflow` — the end-to-end training strategy with ablation
   switches (Figure 13).
 """
@@ -24,7 +25,7 @@ from .checkpoint import TrainingCheckpoint
 from .mixed_precision import GroupMixedTrainer
 from .federation import CrossSiteConfig, CrossSiteSoCFlow
 from .profiler import ProcessorProfiler, ProfileResult
-from .scheduler import GlobalScheduler, PreemptionEvent, UnderclockEvent
+from .scheduler import GlobalScheduler
 from .socflow import SoCFlow, SoCFlowOptions, build_socflow, reform_groups
 
 __all__ = [
@@ -35,6 +36,6 @@ __all__ = [
     "CommunicationPlan", "build_conflict_graph", "divide_into_cgs",
     "TrainingCheckpoint", "ProcessorProfiler", "ProfileResult",
     "CrossSiteConfig", "CrossSiteSoCFlow",
-    "GroupMixedTrainer", "GlobalScheduler", "PreemptionEvent",
-    "UnderclockEvent", "SoCFlow", "SoCFlowOptions", "build_socflow",
+    "GroupMixedTrainer", "GlobalScheduler", "SoCFlow", "SoCFlowOptions",
+    "build_socflow",
 ]

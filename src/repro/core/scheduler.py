@@ -5,16 +5,18 @@ Responsibilities reproduced here:
 - *dispatch*: model/data broadcast cost before training starts;
 - *checkpointing*: models checkpoint to UFS so user workloads can
   preempt training at any time without losing progress;
-- *preemption*: a sudden user-load event terminates whole logical
-  groups (the flexible group structure means only those groups stop);
+- *the event timeline*: the run's
+  :class:`~repro.cluster.faults.FaultSchedule` holds every event, planned
+  or not, and :meth:`GlobalScheduler.enter_epoch` reads it once per
+  epoch: NIC multipliers go into the network fabric, the dead set and
+  the epoch's preemptions (:class:`~repro.cluster.faults.PreemptionStorm`
+  — user load returning terminates whole logical groups) go back to the
+  caller, and the clock factors of the DVFS underclocks begun by then
+  (:class:`~repro.cluster.faults.StragglerFault`) are recomputed;
 - *underclocking-aware rebalancing* (§4.1 optimisation 2): when DVFS
   slows a SoC, its group's batch shares are rebalanced so the slow chip
   stops being a straggler;
-- *fault handling*: an attached :class:`~repro.cluster.faults.FaultSchedule`
-  feeds unplanned faults (SoC crashes, NIC degradation, persistent
-  stragglers, preemption storms) into the epoch loop; the scheduler
-  tracks the dead set, pushes NIC multipliers into the network fabric,
-  and prices the rollback/re-group recovery step.
+- *recovery*: pricing the rollback/re-group step onto the survivors.
 
 Every control-plane event — dispatch, recovery, checkpoint — is priced
 *and* charged here, at paper scale (the cost model's ``grad_bytes``),
@@ -28,12 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..cluster.faults import FaultSchedule
+from ..cluster.faults import FaultSchedule, PreemptionStorm
 from ..cluster.network import CONTROL_BOARD, Flow, NetworkFabric
 from ..cluster.topology import ClusterTopology
-from ..cluster.workload import PreemptionEvent
 
-__all__ = ["PreemptionEvent", "UnderclockEvent", "GlobalScheduler"]
+__all__ = ["GlobalScheduler"]
 
 #: sustained UFS 3.1 sequential write bandwidth, bytes/s
 _UFS_WRITE_BPS = 500e6
@@ -42,19 +43,6 @@ _UFS_READ_BPS = 2e9
 #: control-board overhead to detect a dead SoC and re-plan the groups
 #: (health-check timeout + Eq. 1 / mapping / CG planning re-run)
 _REPLAN_S = 0.5
-
-
-@dataclass(frozen=True)
-class UnderclockEvent:
-    """DVFS slows ``soc`` to ``factor`` of nominal speed from ``epoch``."""
-
-    epoch: int
-    soc: int
-    factor: float
-
-    def __post_init__(self):
-        if not 0.0 < self.factor <= 1.0:
-            raise ValueError("factor must be in (0, 1]")
 
 
 @dataclass
@@ -68,13 +56,11 @@ class GlobalScheduler:
 
     topology: ClusterTopology
     rebalance: bool = True
-    events: list = field(default_factory=list)
-    fault_schedule: FaultSchedule | None = None
+    fault_schedule: FaultSchedule = field(default_factory=FaultSchedule)
     _clock_factors: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.fault_schedule is not None:
-            self.fault_schedule.validate_for(self.topology)
+        self.fault_schedule.validate_for(self.topology)
 
     # -- dispatch / recovery / checkpoint ---------------------------------
     def dispatch(self, cost, socs: "list[int] | None" = None) -> float:
@@ -130,31 +116,21 @@ class GlobalScheduler:
         cost.charge_checkpoint(seconds, phase)
         return seconds
 
-    # -- preemption -------------------------------------------------------
-    def preemptions_at(self, epoch: int) -> list[PreemptionEvent]:
-        """Planned preemptions at ``epoch``, plus any fault-schedule storms."""
-        planned = [e for e in self.events
-                   if isinstance(e, PreemptionEvent) and e.epoch == epoch]
-        if self.fault_schedule is not None:
-            planned.extend(PreemptionEvent(storm.epoch, storm.num_groups)
-                           for storm in self.fault_schedule.storms_at(epoch))
-        return planned
+    # -- the event timeline -----------------------------------------------
+    def enter_epoch(self, epoch: int, fabric: NetworkFabric
+                    ) -> "tuple[set[int], list[PreemptionStorm]]":
+        """Bring the run to ``epoch``: return its dead set and the
+        preemptions that land at it.
 
-    # -- underclocking ----------------------------------------------------
-    def apply_underclocks(self, epoch: int) -> None:
-        """Apply every underclock that has begun by ``epoch``.
-
-        Matching ``<= epoch`` (not ``== epoch``) keeps the schedule
-        correct when a run resumes from a checkpoint *past* an event's
-        epoch: the DVFS state is persistent, so an event that landed on
-        or before the restored epoch must still be in force.
+        :meth:`FaultSchedule.enter_epoch` degrades ``fabric`` and traces
+        the onsets; the clock-factor table becomes the underclocks begun
+        by ``epoch``, the worst one per SoC.  It is recomputed, not
+        accumulated, so a run resumed past an underclock's epoch still
+        sees it and the schedule's order does not matter.
         """
-        begun = sorted((e for e in self.events
-                        if isinstance(e, UnderclockEvent)
-                        and e.epoch <= epoch),
-                       key=lambda e: e.epoch)
-        for event in begun:
-            self._clock_factors[event.soc] = event.factor
+        schedule = self.fault_schedule
+        self._clock_factors = schedule.straggler_factors(epoch)
+        return schedule.enter_epoch(epoch, fabric), schedule.storms_at(epoch)
 
     def group_slowdown(self, group_socs: list[int]) -> float:
         """Wall-time multiplier for one group's compute.
@@ -170,21 +146,6 @@ class GlobalScheduler:
         if self.rebalance:
             return len(factors) / sum(factors)
         return 1.0 / min(factors)
-
-    # -- unplanned faults -------------------------------------------------
-    def apply_faults(self, epoch: int, fabric: NetworkFabric) -> set[int]:
-        """Bring the fault state up to ``epoch``; return the dead set.
-
-        Straggler factors fold into the same clock-factor table the
-        underclock events use (both are persistent DVFS effects); the
-        rest is :meth:`FaultSchedule.enter_epoch` on ``fabric``.
-        """
-        if self.fault_schedule is None:
-            return set()
-        for soc, factor in self.fault_schedule.straggler_factors(epoch).items():
-            self._clock_factors[soc] = min(
-                self._clock_factors.get(soc, 1.0), factor)
-        return self.fault_schedule.enter_epoch(epoch, fabric)
 
 
 def _broadcast(fabric: NetworkFabric, socs: "list[int]",

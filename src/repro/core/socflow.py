@@ -21,8 +21,10 @@ the last merged checkpoint, re-runs Eq. 1 group sizing, the
 integrity-greedy mapping and CG planning over the survivors, rebuilds
 the logical groups, and keeps training — paying a priced recovery step
 instead of aborting.  NIC degradations flow into the network fabric
-(ring all-reduces slow down and pay timeout/retry backoff) and
-persistent stragglers fold into the underclock rebalancing.
+(ring all-reduces slow down and pay timeout/retry backoff), DVFS
+underclocks (stragglers) drive the rebalancing, and preemptions
+(storms) terminate whole groups: one timeline, read once per epoch by
+:meth:`GlobalScheduler.enter_epoch`.
 
 :class:`GroupRun` is the group-wise run itself — groups, mapping, CG
 plan, clock, controller and rollback anchor, one epoch body and one
@@ -37,6 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..comm.buckets import bucketed_average_states
+from ..cluster.faults import FaultSchedule, PreemptionStorm
 from ..distributed import pricing
 from ..distributed.base import (CostModel, RunConfig, Strategy,
                                 StrategyResult, evaluate_accuracy,
@@ -48,7 +51,7 @@ from .grouping import survivor_group_count
 from .mapping import MappingResult, integrity_greedy_mapping, naive_mapping
 from .mixed_precision import GroupMixedTrainer
 from .planning import CommunicationPlan
-from .scheduler import GlobalScheduler, PreemptionEvent
+from .scheduler import GlobalScheduler
 
 __all__ = ["SoCFlowOptions", "SoCFlow", "GroupRun", "build_socflow",
            "build_groups", "reform_groups", "make_lg_executor",
@@ -165,7 +168,6 @@ class SoCFlowOptions:
     precision: str = "mixed"
     quant: QuantConfig = field(default_factory=QuantConfig)
     rebalance: bool = True
-    events: tuple = ()
     #: write a resumable checkpoint here after every epoch
     checkpoint_path: str | None = None
     #: resume from ``checkpoint_path`` when it exists
@@ -204,10 +206,9 @@ class GroupRun:
                  num_groups: int, socs: "list[int] | None" = None):
         self.config, self.options = config, options
         self.cost, self.controller = cost, controller
-        self.scheduler = GlobalScheduler(config.topology,
-                                         rebalance=options.rebalance,
-                                         events=list(options.events),
-                                         fault_schedule=config.fault_schedule)
+        self.scheduler = GlobalScheduler(
+            config.topology, rebalance=options.rebalance,
+            fault_schedule=config.fault_schedule or FaultSchedule())
         self.rng = np.random.default_rng(config.seed)
         self._map(num_groups, socs)
         self.groups = build_groups(config, controller, options.quant,
@@ -383,8 +384,7 @@ class SoCFlow(Strategy):
         try:
             for epoch in range(start_epoch, config.max_epochs):
                 epoch_start = cost.epoch_start()
-                scheduler.apply_underclocks(epoch)
-                dead = scheduler.apply_faults(epoch, cost.fabric)
+                dead, storms = scheduler.enter_epoch(epoch, cost.fabric)
                 if dead != current_dead:
                     survivors = [s for s in range(config.topology.num_socs)
                                  if s not in dead]
@@ -408,9 +408,9 @@ class SoCFlow(Strategy):
                     })
                     preempted = min(preempted, len(run.groups) - 1)
                     current_dead = dead
-                for event in scheduler.preemptions_at(epoch):
+                for storm in storms:
                     preempted = self._handle_preemption(
-                        event, run.groups, preempted, cost, scheduler)
+                        storm, run.groups, preempted, cost, scheduler)
                 active = len(run.groups) - preempted
                 run.run_epoch(active, pre_merge=probe if epoch == 0 else None)
                 accuracy = run.history[-1]
@@ -540,7 +540,7 @@ class SoCFlow(Strategy):
         return min(checkpoint.epoch + 1, config.max_epochs)
 
     @staticmethod
-    def _handle_preemption(event: PreemptionEvent,
+    def _handle_preemption(event: PreemptionStorm,
                            groups: list[GroupMixedTrainer], preempted: int,
                            cost: CostModel, scheduler: GlobalScheduler) -> int:
         """Terminate whole logical groups; checkpoint their models."""

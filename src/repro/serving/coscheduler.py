@@ -44,6 +44,8 @@ class ServingCoScheduler(ElasticScheduler):
                  *, sessions=None, **kwargs):
         super().__init__(topology, sessions or [], **kwargs)
         self.plane = plane
+        #: the dead set of the latest round (the end-of-run flush's too)
+        self._dead: "set[int]" = set()
         # one timeline: plane spans must land on the scheduler's clock
         plane.sim_zero_hour = self.start_hour
         if plane.arrivals.start_hour > self.start_hour + 1e-9 or \
@@ -60,33 +62,35 @@ class ServingCoScheduler(ElasticScheduler):
                 held.update(ex.allocated)
         return held
 
-    def _free_pool(self, round_index: int) -> "list[int]":
+    def _free_pool(self) -> "list[int]":
         """SoCs nobody holds: not dead, not serving, not training."""
-        dead = self.fault_schedule.dead_socs(round_index)
         held = self.plane.held_socs
         training = self._training_held()
         return [s for s in range(self.topology.num_socs)
-                if s not in dead and s not in held and s not in training]
+                if s not in self._dead and s not in held
+                and s not in training]
 
     # ------------------------------------------------------------------
     # Round hooks
     # ------------------------------------------------------------------
     def _begin_round(self, hour: float, round_index: int) -> None:
         plane = self.plane
-        free = self._free_pool(round_index)
+        self._dead = self.fault_schedule.dead_socs(round_index)
+        free = self._free_pool()
         if round_index == 0 and plane.autoscale and not plane.replicas:
             plane.bootstrap(free, hour)
         plane.advance(hour, claimable=free)
+        # the windows up to ``hour`` ran before this round's crashes
+        plane.evict(self._dead, hour)
         if plane.pending_deficit > 0:
             # idle pool exhausted: preempt training, highest ids first
-            dead = self.fault_schedule.dead_socs(round_index)
             victims = sorted(
-                (s for s in self._training_held() if s not in dead),
+                (s for s in self._training_held() if s not in self._dead),
                 reverse=True)[:plane.pending_deficit]
             plane.grant(victims, hour)
 
     def _end_run(self, hour: float) -> None:
-        self.plane.advance(hour, claimable=self._free_pool(0), flush=True)
+        self.plane.advance(hour, claimable=self._free_pool(), flush=True)
 
     # ------------------------------------------------------------------
     def _idle_socs(self, hour: float, round_index: int) -> list:

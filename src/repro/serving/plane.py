@@ -229,6 +229,20 @@ class ServingPlane:
         self.provision(claims, hour, warm=True)
         self.pending_deficit = target - len(claims)
 
+    def evict(self, socs: "set[int]", hour: float) -> None:
+        """Drop the replicas on ``socs``, whose crash begins at ``hour``.
+
+        A batch one of them started earlier still completes (its
+        requests were served at dispatch); no later batch lands on it.
+        """
+        lost = sorted(socs & self.replicas.keys())
+        if not lost:
+            return
+        for soc in lost:
+            del self.replicas[soc]
+        self._rebuild_heap()
+        self._scale_event("scale-down:crash", hour, len(lost))
+
     def _forecast_need(self, hour: float) -> int:
         """Replicas covering the next window's arrival rate at
         ``target_utilisation`` (the stream is pre-generated)."""

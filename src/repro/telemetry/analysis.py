@@ -472,8 +472,9 @@ def analyze_records(records, *, monitor: "HealthMonitor | None" = None,
         if record.pcb is not None:
             fault["pcb"] = record.pcb
         faults.append(fault)
-        # a flapping NIC degrades its PCB even before retries appear
-        if record.pcb is not None:
+        # a flapping NIC degrades its PCB even before retries appear; a
+        # SoC's fault carries its PCB too, but leaves the NIC alone
+        if record.pcb is not None and record.soc is None:
             stats = pcb_health.setdefault(
                 record.pcb, {"wait_s": 0.0, "retries": 0, "degraded": False})
             stats["degraded"] = True

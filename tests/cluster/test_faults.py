@@ -86,26 +86,27 @@ class TestFaultSchedule:
 
 
 class TestFaultInjector:
+    COUNTS = dict(num_crashes=4, num_flaps=2, num_stragglers=3)
+
     def test_same_seed_same_schedule(self):
         topo = ClusterTopology(num_socs=32)
-        a = FaultInjector(topo, seed=7, crash_rate=0.05, flap_rate=0.1,
-                          straggler_rate=0.05, storm_rate=0.1).generate(10)
-        b = FaultInjector(topo, seed=7, crash_rate=0.05, flap_rate=0.1,
-                          straggler_rate=0.05, storm_rate=0.1).generate(10)
+        a = FaultInjector(topo, seed=7).sample(10, **self.COUNTS)
+        b = FaultInjector(topo, seed=7).sample(10, **self.COUNTS)
         assert a.events == b.events
 
     def test_different_seed_different_schedule(self):
         topo = ClusterTopology(num_socs=32)
-        kwargs = dict(crash_rate=0.1, flap_rate=0.2, straggler_rate=0.1)
-        a = FaultInjector(topo, seed=1, **kwargs).generate(12)
-        b = FaultInjector(topo, seed=2, **kwargs).generate(12)
+        a = FaultInjector(topo, seed=1).sample(12, **self.COUNTS)
+        b = FaultInjector(topo, seed=2).sample(12, **self.COUNTS)
         assert a.events != b.events
 
     def test_epoch_zero_stays_clean(self):
         topo = ClusterTopology(num_socs=16)
-        schedule = FaultInjector(topo, seed=0, crash_rate=0.5,
-                                 flap_rate=0.5).generate(8)
-        assert all(e.epoch >= 1 for e in schedule)
+        for seed in range(8):
+            schedule = FaultInjector(topo, seed=seed).sample(
+                3, num_crashes=8, num_flaps=3, num_stragglers=8)
+            assert len(schedule) == 19
+            assert all(e.epoch >= 1 for e in schedule)
 
     def test_sample_exact_counts(self):
         topo = ClusterTopology(num_socs=32)

@@ -199,12 +199,15 @@ class TestIdleSocsAt:
 
     def test_events_feed_socflow(self, quick_config):
         """End to end: derived events drive a real training run."""
-        from repro.core import SoCFlow, SoCFlowOptions
+        from dataclasses import replace
+
+        from repro.cluster import FaultSchedule
+        from repro.core import SoCFlow
         sessions = simulator().simulate_day()
         events = derive_training_events(sessions, window_start_hour=5.0,
                                         epoch_hours=0.5,
                                         max_epochs=quick_config.max_epochs,
                                         socs_per_group=4, idle_socs=32)
-        result = SoCFlow(SoCFlowOptions(events=tuple(events))).train(
-            quick_config)
+        result = SoCFlow().train(replace(
+            quick_config, fault_schedule=FaultSchedule(tuple(events))))
         assert result.epochs_run == quick_config.max_epochs

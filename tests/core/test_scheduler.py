@@ -1,6 +1,7 @@
 """Global scheduler: events, rebalancing, control-plane costs, faults."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -10,149 +11,154 @@ import repro
 from repro.cluster import (ClusterTopology, FaultSchedule, NetworkFabric,
                            NicDegradation, PreemptionStorm, SoCCrash,
                            StragglerFault)
-from repro.core import (GlobalScheduler, PreemptionEvent, TrainingCheckpoint,
-                        UnderclockEvent)
+from repro.core import GlobalScheduler, SoCFlowOptions, TrainingCheckpoint
 from repro.distributed import CostModel, RunConfig, Strategy
 from repro.jobs import ElasticScheduler
 from repro.telemetry import Telemetry
 
 
-def scheduler(rebalance=True, events=(), fault_schedule=None):
+def scheduler(*events, rebalance=True):
     return GlobalScheduler(ClusterTopology(num_socs=20),
-                           rebalance=rebalance, events=list(events),
-                           fault_schedule=fault_schedule)
+                           rebalance=rebalance,
+                           fault_schedule=FaultSchedule(events))
+
+
+def enter(sched, epoch, fabric=None):
+    """``sched.enter_epoch`` on a fresh fabric unless one is given."""
+    return sched.enter_epoch(epoch, fabric or NetworkFabric(sched.topology))
 
 
 class TestEvents:
     def test_preemptions_filtered_by_epoch(self):
-        sched = scheduler(events=[PreemptionEvent(epoch=2),
-                                  PreemptionEvent(epoch=5, num_groups=2)])
-        assert len(sched.preemptions_at(2)) == 1
-        assert sched.preemptions_at(3) == []
-        assert sched.preemptions_at(5)[0].num_groups == 2
+        sched = scheduler(PreemptionStorm(epoch=2),
+                          PreemptionStorm(epoch=5, num_groups=2))
+        assert len(enter(sched, 2)[1]) == 1
+        assert enter(sched, 3)[1] == []
+        assert enter(sched, 5)[1][0].num_groups == 2
 
     def test_underclock_validation(self):
         with pytest.raises(ValueError):
-            UnderclockEvent(epoch=0, soc=1, factor=0.0)
+            StragglerFault(epoch=0, soc=1, factor=0.0)
         with pytest.raises(ValueError):
-            UnderclockEvent(epoch=0, soc=1, factor=1.5)
+            StragglerFault(epoch=0, soc=1, factor=1.5)
 
 
 class TestUnderclocking:
     def test_no_events_no_slowdown(self):
-        assert scheduler().group_slowdown([0, 1, 2]) == 1.0
+        sched = scheduler()
+        enter(sched, 0)
+        assert sched.group_slowdown([0, 1, 2]) == 1.0
 
     def test_rebalanced_slowdown_is_harmonic(self):
-        sched = scheduler(events=[UnderclockEvent(0, soc=0, factor=0.5)])
-        sched.apply_underclocks(0)
+        sched = scheduler(StragglerFault(0, soc=0, factor=0.5))
+        enter(sched, 0)
         # factors [0.5, 1, 1, 1] -> 4 / 3.5
         assert sched.group_slowdown([0, 1, 2, 3]) == pytest.approx(4 / 3.5)
 
     def test_straggler_without_rebalancing(self):
-        sched = scheduler(rebalance=False,
-                          events=[UnderclockEvent(0, soc=0, factor=0.5)])
-        sched.apply_underclocks(0)
+        sched = scheduler(StragglerFault(0, soc=0, factor=0.5),
+                          rebalance=False)
+        enter(sched, 0)
         assert sched.group_slowdown([0, 1, 2, 3]) == pytest.approx(2.0)
 
     def test_rebalancing_always_at_least_as_fast(self):
-        events = [UnderclockEvent(0, soc=0, factor=0.25)]
-        with_rb = scheduler(rebalance=True, events=list(events))
-        without = scheduler(rebalance=False, events=list(events))
-        with_rb.apply_underclocks(0)
-        without.apply_underclocks(0)
+        event = StragglerFault(0, soc=0, factor=0.25)
+        with_rb = scheduler(event, rebalance=True)
+        without = scheduler(event, rebalance=False)
+        enter(with_rb, 0)
+        enter(without, 0)
         group = [0, 1, 2, 3, 4]
         assert with_rb.group_slowdown(group) <= without.group_slowdown(group)
 
     def test_event_applies_only_from_its_epoch(self):
-        sched = scheduler(events=[UnderclockEvent(3, soc=0, factor=0.5)])
-        sched.apply_underclocks(1)
+        sched = scheduler(StragglerFault(3, soc=0, factor=0.5))
+        enter(sched, 1)
         assert sched.group_slowdown([0, 1]) == 1.0
-        sched.apply_underclocks(3)
+        enter(sched, 3)
         assert sched.group_slowdown([0, 1]) > 1.0
 
     def test_slowdown_is_direct_product_of_clock_factors(self):
         # direct unit coverage: two slowed SoCs in one group, rebalanced
-        sched = scheduler(events=[UnderclockEvent(0, soc=0, factor=0.5),
-                                  UnderclockEvent(0, soc=1, factor=0.25)])
-        sched.apply_underclocks(0)
+        sched = scheduler(StragglerFault(0, soc=0, factor=0.5),
+                          StragglerFault(0, soc=1, factor=0.25))
+        enter(sched, 0)
         # factors [0.5, 0.25, 1, 1] -> 4 / 2.75
         assert sched.group_slowdown([0, 1, 2, 3]) == pytest.approx(4 / 2.75)
 
     def test_slowdown_ignores_socs_outside_group(self):
-        sched = scheduler(events=[UnderclockEvent(0, soc=19, factor=0.5)])
-        sched.apply_underclocks(0)
+        sched = scheduler(StragglerFault(0, soc=19, factor=0.5))
+        enter(sched, 0)
         assert sched.group_slowdown([0, 1, 2]) == 1.0
 
 
 class TestUnderclockingAcrossResume:
     """The checkpoint-restore off-by-one: DVFS state is persistent, so an
-    event that landed on or before the epoch a checkpoint restores into
-    must still be in force when ``apply_underclocks`` first runs."""
+    underclock that landed on or before the epoch a checkpoint restores
+    into must be in force when ``enter_epoch`` first runs — the clock
+    factors are recomputed from the schedule at every epoch."""
 
     def test_event_before_resume_epoch_still_applies(self):
-        sched = scheduler(events=[UnderclockEvent(2, soc=0, factor=0.5)])
-        sched.apply_underclocks(4)      # first call after resuming at 4
+        sched = scheduler(StragglerFault(2, soc=0, factor=0.5))
+        enter(sched, 4)                 # first call after resuming at 4
         assert sched.group_slowdown([0, 1]) == pytest.approx(2 / 1.5)
 
     def test_event_on_resume_epoch_applies(self):
-        # an UnderclockEvent landing exactly on the epoch the checkpoint
+        # an underclock landing exactly on the epoch the checkpoint
         # restores into used to be skipped when epochs advanced past it
-        sched = scheduler(events=[UnderclockEvent(3, soc=1, factor=0.25)])
-        sched.apply_underclocks(3)
+        sched = scheduler(StragglerFault(3, soc=1, factor=0.25))
+        enter(sched, 3)
         assert sched.group_slowdown([1, 2, 3, 4]) == pytest.approx(4 / 3.25)
 
     def test_events_apply_in_epoch_order_not_list_order(self):
-        sched = scheduler(events=[UnderclockEvent(3, soc=0, factor=0.75),
-                                  UnderclockEvent(1, soc=0, factor=0.25)])
-        sched.apply_underclocks(5)
-        # the epoch-3 event supersedes the epoch-1 one
-        assert sched.group_slowdown([0, 1]) == pytest.approx(2 / 1.75)
+        sched = scheduler(StragglerFault(3, soc=0, factor=0.75),
+                          StragglerFault(1, soc=0, factor=0.25))
+        enter(sched, 5)
+        # two underclocks on one SoC: the worst begun by then wins,
+        # whatever order the schedule lists them in
+        assert sched.group_slowdown([0, 1]) == pytest.approx(2 / 1.25)
 
 
 class TestFaults:
     def test_no_schedule_is_a_noop(self):
         sched = scheduler()
         fabric = NetworkFabric(sched.topology)
-        assert sched.apply_faults(0, fabric) == set()
+        assert enter(sched, 0, fabric) == (set(), [])
         assert fabric.degraded_pcbs == {}
 
     def test_dead_socs_tracked_with_recovery(self):
-        sched = scheduler(fault_schedule=FaultSchedule(
-            (SoCCrash(1, 3), SoCCrash(2, 5, recover_epoch=4))))
+        sched = scheduler(SoCCrash(1, 3), SoCCrash(2, 5, recover_epoch=4))
         fabric = NetworkFabric(sched.topology)
-        assert sched.apply_faults(0, fabric) == set()
-        assert sched.apply_faults(2, fabric) == {3, 5}
-        assert sched.apply_faults(4, fabric) == {3}
+        assert enter(sched, 0, fabric)[0] == set()
+        assert enter(sched, 2, fabric)[0] == {3, 5}
+        assert enter(sched, 4, fabric)[0] == {3}
 
     def test_out_of_range_crashes_are_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            scheduler(fault_schedule=FaultSchedule((SoCCrash(0, 99),)))
+            scheduler(SoCCrash(0, 99))
 
     def test_stragglers_fold_into_clock_factors(self):
-        sched = scheduler(fault_schedule=FaultSchedule(
-            (StragglerFault(1, 0, 0.5),)))
+        sched = scheduler(StragglerFault(1, 0, 0.5))
         fabric = NetworkFabric(sched.topology)
-        sched.apply_faults(0, fabric)
+        enter(sched, 0, fabric)
         assert sched.group_slowdown([0, 1]) == 1.0
-        sched.apply_faults(1, fabric)
+        enter(sched, 1, fabric)
         assert sched.group_slowdown([0, 1]) == pytest.approx(2 / 1.5)
 
     def test_nic_multipliers_pushed_into_fabric(self):
-        sched = scheduler(fault_schedule=FaultSchedule(
-            (NicDegradation(1, 0, 0.25, recover_epoch=3),)))
+        sched = scheduler(NicDegradation(1, 0, 0.25, recover_epoch=3))
         fabric = NetworkFabric(sched.topology)
-        sched.apply_faults(1, fabric)
+        enter(sched, 1, fabric)
         assert fabric.pcb_multiplier(0) == 0.25
-        sched.apply_faults(3, fabric)
+        enter(sched, 3, fabric)
         assert fabric.pcb_multiplier(0) == 1.0
 
     def test_storms_surface_as_preemptions(self):
-        sched = scheduler(events=[PreemptionEvent(2)],
-                          fault_schedule=FaultSchedule(
-                              (PreemptionStorm(2, num_groups=3),)))
-        preemptions = sched.preemptions_at(2)
-        assert len(preemptions) == 2
-        assert sum(p.num_groups for p in preemptions) == 4
+        sched = scheduler(PreemptionStorm(2),
+                          PreemptionStorm(2, num_groups=3))
+        dead, storms = enter(sched, 2)
+        assert dead == set()
+        assert len(storms) == 2
+        assert sum(storm.num_groups for storm in storms) == 4
 
     def test_recovery_positive_scales_and_is_charged(self, tiny_task):
         sched = scheduler()
@@ -263,3 +269,25 @@ class TestOneControlBoard:
                             and node.func.attr == "nic_multipliers"):
                         callers.append((rel, func.name))
         assert callers == [("cluster/faults.py", "enter_epoch")]
+
+    def test_one_event_timeline(self):
+        """Planned preemptions and underclocks are fault-schedule events:
+        one input (``RunConfig.fault_schedule``), read once per epoch by
+        ``GlobalScheduler.enter_epoch``; the planned-event types and the
+        per-kind readers stay deleted."""
+        trees = {rel: ast.parse(text) for rel, text in self.sources().items()}
+        names = {getattr(node, "name", None) or getattr(node, "id", None)
+                 or getattr(node, "attr", None)
+                 for tree in trees.values() for node in ast.walk(tree)}
+        assert not {"UnderclockEvent", "PreemptionEvent", "apply_underclocks",
+                    "apply_faults", "preemptions_at"} & names
+        for owner in (SoCFlowOptions, GlobalScheduler):
+            assert "events" not in {f.name for f in dataclasses.fields(owner)}
+        readers = sorted(
+            (rel, node.func.attr) for rel, tree in trees.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("straggler_factors", "storms_at"))
+        assert readers == [("core/scheduler.py", "storms_at"),
+                           ("core/scheduler.py", "straggler_factors")]

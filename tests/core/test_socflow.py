@@ -1,13 +1,18 @@
 """SoCFlow end-to-end: training, ablation switches, events."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import (PreemptionEvent, SoCFlow, SoCFlowOptions,
-                        UnderclockEvent, build_socflow)
+from repro.cluster import FaultSchedule, PreemptionStorm, StragglerFault
+from repro.core import SoCFlow, SoCFlowOptions, build_socflow
 
 
-def run(config, **options):
+def run(config, *events, **options):
+    """SoCFlow on ``config`` with ``events`` as its fault schedule."""
+    if events:
+        config = replace(config, fault_schedule=FaultSchedule(events))
     return SoCFlow(SoCFlowOptions(**options)).train(config)
 
 
@@ -29,7 +34,6 @@ class TestEndToEnd:
 
     def test_accuracy_above_chance_after_training(self, tiny_task,
                                                   quick_config):
-        from dataclasses import replace
         config = replace(quick_config, max_epochs=6, num_groups=4)
         result = run(config)
         assert result.best_accuracy > 1.5 / tiny_task.num_classes
@@ -86,32 +90,29 @@ class TestAblationSwitches:
 
 class TestEvents:
     def test_preemption_drops_groups(self, quick_config):
-        result = run(quick_config,
-                     events=(PreemptionEvent(epoch=1, num_groups=2),))
+        result = run(quick_config, PreemptionStorm(epoch=1, num_groups=2))
         assert result.extra["groups_preempted"] == 2
         assert result.epochs_run == quick_config.max_epochs
 
     def test_preemption_never_kills_last_group(self, quick_config):
-        result = run(quick_config,
-                     events=(PreemptionEvent(epoch=0, num_groups=99),))
+        result = run(quick_config, PreemptionStorm(epoch=0, num_groups=99))
         assert result.extra["groups_preempted"] < quick_config.num_groups
 
     def test_underclock_slows_training(self, quick_config):
-        slow = run(quick_config, rebalance=False,
-                   events=(UnderclockEvent(epoch=0, soc=0, factor=0.4),))
+        slow = run(quick_config, StragglerFault(epoch=0, soc=0, factor=0.4),
+                   rebalance=False)
         normal = run(quick_config)
         assert slow.sim_time_s > normal.sim_time_s
 
     def test_rebalancing_mitigates_underclock(self, quick_config):
-        events = (UnderclockEvent(epoch=0, soc=0, factor=0.4),)
-        rebalanced = run(quick_config, rebalance=True, events=events)
-        straggler = run(quick_config, rebalance=False, events=events)
+        event = StragglerFault(epoch=0, soc=0, factor=0.4)
+        rebalanced = run(quick_config, event, rebalance=True)
+        straggler = run(quick_config, event, rebalance=False)
         assert rebalanced.sim_time_s < straggler.sim_time_s
 
 
 class TestAutoGroupSize:
     def test_profile_recorded_and_applied(self, quick_config):
-        from dataclasses import replace
         config = replace(quick_config, max_epochs=1,
                          topology=quick_config.topology.restricted(16))
         result = run(config, auto_group_size=True)
@@ -120,7 +121,6 @@ class TestAutoGroupSize:
         assert result.extra["num_groups"] in profile
 
     def test_disabled_when_grouping_off(self, quick_config):
-        from dataclasses import replace
         config = replace(quick_config, max_epochs=1)
         result = run(config, auto_group_size=True, grouping=False)
         assert "group_size_profile" not in result.extra

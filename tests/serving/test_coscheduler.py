@@ -4,6 +4,7 @@ saturation queueing, determinism, telemetry integration."""
 import numpy as np
 import pytest
 
+from repro.cluster import FaultSchedule, SoCCrash
 from repro.jobs import TrainingJob
 from repro.serving import (ArrivalProcess, ServiceModel, ServingCoScheduler,
                            ServingPlane)
@@ -115,6 +116,37 @@ class TestModesAndValidation:
             ServingCoScheduler(serving_topology, plane,
                                horizon_hours=6.0,
                                config_factory=config_factory)
+
+
+class TestCrashes:
+    def test_crashed_soc_stops_serving(self, serving_topology,
+                                       config_factory):
+        """From the round its crash begins a SoC holds no replica: the
+        bootstrap replica on SoC 7 serves the first window only, and the
+        end-of-run flush does not hand the dead SoC back."""
+        rounds = []
+
+        class Probe(ServingCoScheduler):
+            def _begin_round(self, hour, round_index):
+                super()._begin_round(hour, round_index)
+                rounds.append(dict(self.plane.replicas))
+
+        times = uniform_times(0.0, 6.0, 0.05)
+        arrivals = ArrivalProcess.from_times(times, horizon_hours=6.0)
+        plane = ServingPlane(arrivals, slow_service(), slo_ms=60_000.0,
+                             min_replicas=1, scale_down_patience=2)
+        sched = Probe(serving_topology, plane, quantum_hours=0.25,
+                      horizon_hours=6.0, config_factory=config_factory,
+                      fault_schedule=FaultSchedule((SoCCrash(1, 7),)))
+        report = sched.run()
+        first = rounds[0][7]                 # bootstrap claims high ids
+        assert all(7 not in replicas for replicas in rounds[1:])
+        assert 7 not in plane.replicas
+        # 45 requests arrive in the first 0.25 h window
+        assert 0 < first.requests_served <= 45
+        serving = report.extra["serving"]
+        assert serving["requests"] == len(times) == serving["served"] \
+            + serving["dropped"] + serving["queued_at_end"]
 
 
 class TestDeterminism:

@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from repro.cluster import FaultSchedule, NicDegradation, SoCCrash
+from repro.cluster import (ClusterTopology, FaultSchedule, NetworkFabric,
+                           NicDegradation, SoCCrash, StragglerFault)
 from repro.core import SoCFlow, SoCFlowOptions
 from repro.distributed import build_strategy
 from repro.harness import make_run_config
@@ -224,6 +225,20 @@ class TestNetworkHealth:
         assert report.pcb_health[0]["degraded"] is True
         assert report.faults == [
             {"ts_s": 1.0, "name": "fault:flap", "fault": "flap", "pcb": 0}]
+
+    @pytest.mark.parametrize("fault", [SoCCrash(1, 3),
+                                       StragglerFault(1, 2, 0.5)])
+    def test_soc_faults_leave_their_pcb_healthy(self, fault):
+        """A crash or straggler is traced with its SoC's PCB but is no
+        NIC fault: the run retried nothing, so no PCB is degraded."""
+        topology = ClusterTopology(num_socs=12)
+        tracer = Tracer(topology)
+        fabric = NetworkFabric(topology, telemetry=Telemetry(tracer=tracer))
+        FaultSchedule((fault,)).enter_epoch(1, fabric)
+        report = analyze_records(tracer.records)
+        assert [f["pcb"] for f in report.faults] == [0]
+        assert report.pcb_health == {}
+        assert not [a for a in report.anomalies if a.kind == "degraded_pcb"]
 
 
 class TestDiff:

@@ -58,8 +58,3 @@ def test_planning_does_not_import_networkx_or_yaml():
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
-
-def test_preemption_event_resolves_from_both_packages():
-    from repro.cluster import PreemptionEvent
-    from repro.core import scheduler
-    assert scheduler.PreemptionEvent is PreemptionEvent

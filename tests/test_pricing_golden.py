@@ -22,8 +22,7 @@ import pytest
 
 from repro.cluster import ClusterTopology, FaultSchedule, Session, SoCCrash
 from repro.cluster.faults import parse_fault_spec
-from repro.core import (PreemptionEvent, SoCFlow, SoCFlowOptions,
-                        UnderclockEvent)
+from repro.core import SoCFlow, SoCFlowOptions
 from repro.distributed import RunConfig, build_strategy
 from repro.jobs import ElasticScheduler, TrainingJob
 from repro.jobs.execution import JobExecution
@@ -47,9 +46,9 @@ SOCFLOW_VARIANTS = {
     "fp32": dict(precision="fp32"),
     "int8": dict(precision="int8"),
     "fixed_alpha": dict(fixed_alpha=0.7),
-    "underclock": dict(events=(UnderclockEvent(epoch=1, soc=2, factor=0.5),)),
+    "underclock": dict(faults="straggler:epoch=1,soc=2,factor=0.5"),
     "crash_flap": dict(faults=FAULTS),
-    "preemption": dict(events=(PreemptionEvent(epoch=1, num_groups=1),)),
+    "preemption": dict(faults="storm:epoch=1,groups=1"),
     "checkpoint": dict(checkpoint_path="epoch.npz"),
 }
 
@@ -192,6 +191,11 @@ CASES = {
 # are Python floats now.  Every other digest is the parent's.
 # jobs/day and socflow/resume were recorded before SoCFlow and the job
 # scheduler shared one group-wise run, to hold across that refactor.
+# The socflow/underclock/* and socflow/preemption/* traces were
+# re-recorded when planned events joined the fault schedule: the
+# underclock (a straggler) and the preemption (a storm) each draw one
+# ``fault`` onset event at the epoch-1 boundary; their result digests
+# held.
 GOLDEN_PATH = Path(__file__).with_name("pricing_golden.json")
 
 
