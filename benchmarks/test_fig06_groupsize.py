@@ -8,7 +8,7 @@ group-size heuristic (§3.1) is built on.
 
 from conftest import print_block
 
-from repro.core import GroupSizeSelector, SoCFlow, SoCFlowOptions
+from repro.core import SoCFlow, SoCFlowOptions, select_group_count
 from repro.harness import format_table
 
 GROUP_COUNTS = [1, 2, 4, 8, 16]
@@ -42,7 +42,7 @@ def test_fig06_accuracy_vs_group_count(benchmark, suite):
     assert first_epoch[1] > first_epoch[16]
 
     # the heuristic picks a moderate group count from the profile
-    chosen = GroupSizeSelector(drop_threshold=0.15).select(first_epoch)
+    chosen = select_group_count(first_epoch)
     print_block("Heuristic choice", format_table(
         ["selected group count"], [[chosen]]))
     assert 1 <= chosen <= 8

@@ -48,11 +48,3 @@ class PhaseClock:
     def attributed_breakdown(self) -> dict[str, float]:
         """Phase → hidden seconds (the overlapped share of the totals)."""
         return dict(self.attributed_totals)
-
-    def fraction(self, phase: str) -> float:
-        return self.phase_totals.get(phase, 0.0) / self.now if self.now else 0.0
-
-    def reset(self) -> None:
-        self.now = 0.0
-        self.phase_totals.clear()
-        self.attributed_totals.clear()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .spec import GpuSpec, SoCSpec
+from .spec import SoCSpec
 
 __all__ = ["EnergyModel", "EnergyReport"]
 
@@ -88,15 +88,3 @@ class EnergyModel:
         self.report.network_j += seconds * num_socs * _NIC_ACTIVE_WATTS
         if include_idle:
             self.report.idle_j += seconds * num_socs * self.soc.idle_watts
-
-    def charge_idle(self, seconds: float, num_socs: int) -> None:
-        if seconds < 0 or num_socs < 0:
-            raise ValueError("negative charge")
-        self.report.idle_j += seconds * num_socs * self.soc.idle_watts
-
-    @staticmethod
-    def gpu_energy(gpu: GpuSpec, seconds: float) -> EnergyReport:
-        """Whole-GPU draw for a training run of ``seconds``."""
-        report = EnergyReport()
-        report.cpu_j = seconds * gpu.busy_watts
-        return report

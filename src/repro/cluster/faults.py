@@ -229,11 +229,6 @@ class FaultSchedule:
                 tel.metrics.counter("faults.injected", kind=kind).inc()
         return self.dead_socs(epoch)
 
-    @property
-    def max_epoch(self) -> int:
-        """Last epoch at which any event begins (-1 for an empty schedule)."""
-        return max((e.epoch for e in self.events), default=-1)
-
     def validate_for(self, topology: ClusterTopology) -> "FaultSchedule":
         """Raise if any event references a SoC/PCB outside ``topology``."""
         for e in self.events:
@@ -249,13 +244,12 @@ class FaultSchedule:
 @dataclass
 class FaultInjector:
     """Deterministic fault sampling over a topology: two injectors with
-    the same seed and parameters sample the same schedule."""
+    the same seed sample the same schedule.  A sampled flap runs its PCB
+    NIC at a quarter of its bandwidth for two epochs; a sampled
+    straggler runs at half clock."""
 
     topology: ClusterTopology
     seed: int = 0
-    flap_multiplier: float = 0.25
-    flap_outage_epochs: int = 2
-    straggler_factor: float = 0.5
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -281,14 +275,11 @@ class FaultInjector:
             events.append(SoCCrash(epoch, int(soc)))
         for soc in socs[num_crashes:num_crashes + num_stragglers]:
             epoch = int(self._rng.integers(1, max_epochs))
-            events.append(StragglerFault(epoch, int(soc),
-                                         self.straggler_factor))
+            events.append(StragglerFault(epoch, int(soc), 0.5))
         pcbs = self._rng.permutation(topo.num_pcbs)
         for pcb in pcbs[:num_flaps]:
             epoch = int(self._rng.integers(1, max_epochs))
-            events.append(NicDegradation(
-                epoch, int(pcb), self.flap_multiplier,
-                epoch + self.flap_outage_epochs))
+            events.append(NicDegradation(epoch, int(pcb), 0.25, epoch + 2))
         return FaultSchedule(tuple(events))
 
 

@@ -62,9 +62,7 @@ class NetworkFabric:
     """
 
     def __init__(self, topology: ClusterTopology,
-                 num_tensors: int | None = None,
-                 retry_policy: "RetryPolicy | None" = None,
-                 telemetry=None):
+                 num_tensors: int | None = None, telemetry=None):
         from ..comm.primitives import RetryPolicy
         from ..telemetry import NULL_TELEMETRY
         self.topology = topology
@@ -73,7 +71,7 @@ class NetworkFabric:
         else:
             self.startup_per_soc_s = (STARTUP_BASE_S
                                       + STARTUP_PER_TENSOR_S * num_tensors)
-        self.retry_policy = retry_policy or RetryPolicy()
+        self.retry_policy = RetryPolicy()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: pcb -> bandwidth multiplier for degraded/flapping PCB NICs
         self._pcb_multipliers: dict[int, float] = {}
@@ -102,12 +100,6 @@ class NetworkFabric:
         self._pcb_multipliers.clear()
         for pcb, multiplier in multipliers.items():
             self.set_pcb_multiplier(pcb, multiplier)
-
-    def reset_degradations(self) -> None:
-        self._pcb_multipliers.clear()
-
-    def pcb_multiplier(self, pcb: int) -> float:
-        return self._pcb_multipliers.get(pcb, 1.0)
 
     @property
     def degraded_pcbs(self) -> dict[int, float]:
@@ -393,12 +385,6 @@ class NetworkFabric:
         participants = sum(len(g) for g in groups)
         return (self._startup(participants)
                 + up_local + up_root + down_root + down_local)
-
-    def broadcast_time(self, src: int, dsts: Sequence[int],
-                       nbytes: float) -> float:
-        """One-to-many transfer (model/data dispatch before training)."""
-        return self.transfer_time([Flow(src, d, nbytes) for d in dsts
-                                   if d != src])
 
 
 def overlap_timeline(compute_s: float, ready_times: Sequence[float],

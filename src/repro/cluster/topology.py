@@ -67,16 +67,6 @@ class ClusterTopology:
         """Number of PCBs a set of SoCs touches beyond the first."""
         return len({self.pcb_of(s) for s in socs}) - 1
 
-    def restricted(self, num_socs: int) -> "ClusterTopology":
-        """The same server using only the first ``num_socs`` chips."""
-        if num_socs > self.num_socs:
-            raise ValueError(f"server only has {self.num_socs} SoCs")
-        return ClusterTopology(
-            num_socs=num_socs, socs_per_pcb=self.socs_per_pcb, soc=self.soc,
-            pcb_nic_bps=self.pcb_nic_bps, switch_bps=self.switch_bps,
-            hop_latency_s=self.hop_latency_s,
-            startup_per_soc_s=self.startup_per_soc_s)
-
 
 @dataclass(frozen=True)
 class EdgeSite:
@@ -123,12 +113,3 @@ class WanFabric:
         one_way = max(slowest_uplink, aggregator) + max(
             site.wan_latency_s for site in self.sites)
         return 2.0 * one_way
-
-    def per_site_epoch_ratio(self, epoch_seconds: float, nbytes: float,
-                             sync_every_epochs: int = 1) -> float:
-        """Overhead factor the WAN sync adds to a site's epoch time
-        (uniform over sites in the star model)."""
-        if sync_every_epochs < 1:
-            raise ValueError("sync_every_epochs must be >= 1")
-        extra = self.sync_time(nbytes) / sync_every_epochs
-        return (epoch_seconds + extra) / epoch_seconds

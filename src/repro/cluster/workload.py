@@ -41,15 +41,15 @@ class Session:
 class SessionIndex:
     """Sorted-interval index over a session list for occupancy queries.
 
-    The naive queries rescan the whole session list per lookup
-    (O(N·S) for a busy curve); once occupancy is queried at request
-    resolution by the serving plane and the co-scheduler that rescan is
-    a hot path.  The index sorts the intervals once and answers
+    The naive queries rescan the whole session list per lookup; once
+    occupancy is queried at request resolution by the serving plane and
+    the co-scheduler that rescan is a hot path.  The index sorts the
+    intervals once and answers
 
     - :meth:`busy_socs_at` with one vectorised interval-stabbing pass
       over contiguous arrays (no Python attribute walks), and
-    - :meth:`counts_at` with an event sweep: arrival/departure times are
-      pre-sorted, so each query is two binary searches.
+    - :meth:`busy_count_at` with an event sweep: arrival/departure times
+      are pre-sorted, so each query is two binary searches.
 
     Sessions are immutable, so the index never invalidates; build it
     once per session list and query freely.
@@ -84,13 +84,6 @@ class SessionIndex:
         started = int(np.searchsorted(self._sorted_starts, hour,
                                       side="right"))
         ended = int(np.searchsorted(self._sorted_ends, hour, side="right"))
-        return started - ended
-
-    def counts_at(self, hours: np.ndarray) -> np.ndarray:
-        """Busy counts for many query times at once (O(H log N))."""
-        hours = np.asarray(hours)
-        started = np.searchsorted(self._sorted_starts, hours, side="right")
-        ended = np.searchsorted(self._sorted_ends, hours, side="right")
         return started - ended
 
     def idle_socs_at(self, hour: float, num_socs: int) -> "list[int]":
@@ -174,19 +167,6 @@ class SessionSimulator:
         """
         return self._index_for(sessions).idle_socs_at(
             hour, self.topology.num_socs)
-
-    def busy_curve(self, sessions: list[Session],
-                   resolution_hours: float = 0.25) -> tuple[np.ndarray,
-                                                            np.ndarray]:
-        """(hours, busy fraction) — the simulated counterpart of Fig 3.
-
-        One event sweep over the sorted interval edges instead of a
-        rescan per sample: O((N + H) log N) for the whole curve.
-        """
-        hours = np.arange(0.0, 24.0, resolution_hours)
-        index = self._index_for(sessions)
-        busy = index.counts_at(hours) / self.topology.num_socs
-        return hours, busy
 
     def _index_for(self, sessions: "list[Session]") -> SessionIndex:
         """Memoise the index of the last-queried session list (sessions

@@ -25,15 +25,6 @@ class SparseGradient:
     values: np.ndarray
     shape: tuple[int, ...]
 
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    @property
-    def wire_bytes(self) -> int:
-        """4-byte value + 4-byte index per kept entry."""
-        return 8 * self.nnz
-
     def densify(self) -> np.ndarray:
         dense = np.zeros(int(np.prod(self.shape)), dtype=np.float32)
         dense[self.indices] = self.values
@@ -77,10 +68,3 @@ class DgcCompressor:
         new_residual.ravel()[top] = 0.0
         self._residuals[name] = new_residual
         return SparseGradient(top.astype(np.int64), values, grad.shape)
-
-    def compression_ratio(self) -> float:
-        """Wire bytes relative to a dense FP32 transfer (value+index)."""
-        return 2.0 * self.ratio
-
-    def reset(self) -> None:
-        self._residuals.clear()

@@ -15,27 +15,24 @@
   switches (Figure 13).
 """
 
-from .grouping import (GroupSizeSelector, allocation_group_count,
-                       epoch_time_model, first_epoch_accuracy_profile,
-                       survivor_group_count)
+from .grouping import (allocation_group_count, epoch_time_model,
+                       select_group_count, survivor_group_count)
 from .mapping import (MappingResult, integrity_greedy_mapping, naive_mapping,
                       nic_conflict_count, contention_degree)
 from .planning import CommunicationPlan, build_conflict_graph, divide_into_cgs
 from .checkpoint import TrainingCheckpoint
 from .mixed_precision import GroupMixedTrainer
 from .federation import CrossSiteConfig, CrossSiteSoCFlow
-from .profiler import ProcessorProfiler, ProfileResult
 from .scheduler import GlobalScheduler
-from .socflow import SoCFlow, SoCFlowOptions, build_socflow, reform_groups
+from .socflow import SoCFlow, SoCFlowOptions, reform_groups
 
 __all__ = [
-    "GroupSizeSelector", "epoch_time_model", "first_epoch_accuracy_profile",
-    "survivor_group_count", "allocation_group_count", "reform_groups",
+    "select_group_count", "epoch_time_model", "survivor_group_count",
+    "allocation_group_count", "reform_groups",
     "MappingResult", "integrity_greedy_mapping", "naive_mapping",
     "nic_conflict_count", "contention_degree",
     "CommunicationPlan", "build_conflict_graph", "divide_into_cgs",
-    "TrainingCheckpoint", "ProcessorProfiler", "ProfileResult",
+    "TrainingCheckpoint",
     "CrossSiteConfig", "CrossSiteSoCFlow",
     "GroupMixedTrainer", "GlobalScheduler", "SoCFlow", "SoCFlowOptions",
-    "build_socflow",
 ]

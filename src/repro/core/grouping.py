@@ -5,22 +5,42 @@ Two tools:
 - :func:`epoch_time_model` — Eq. 1 of the paper: per-epoch time as a
   function of the group count ``N``; monotonically decreasing in ``N``
   (more groups = more parallel epochs-worth of data per unit time).
-- :class:`GroupSizeSelector` — the paper's heuristic: train *one epoch*
+- :func:`select_group_count` — the paper's heuristic: train *one epoch*
   at increasing group counts and stop at the first count whose
-  first-epoch accuracy falls more than ``drop_threshold`` (~15%) below
-  the best observed, because first-epoch accuracy closely mirrors
+  first-epoch accuracy falls more than :data:`DROP_THRESHOLD` (~15%)
+  below the best observed, because first-epoch accuracy closely mirrors
   convergence accuracy (Figure 6).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..distributed.base import CostModel, RunConfig
-
-__all__ = ["epoch_time_model", "first_epoch_accuracy_profile",
-           "GroupSizeSelector", "survivor_group_count",
+__all__ = ["epoch_time_model", "select_group_count", "survivor_group_count",
            "allocation_group_count"]
+
+#: the first-epoch accuracy drop that halts the warm-up scan (paper: ~15%)
+DROP_THRESHOLD = 0.15
+
+
+def select_group_count(profile: dict[int, float]) -> int:
+    """The warm-up heuristic: largest N whose first-epoch accuracy holds.
+
+    Scans candidates small→large and halts at the first count whose
+    first-epoch accuracy drops by more than :data:`DROP_THRESHOLD`
+    relative to the best seen so far; returns the previous (last good)
+    count.
+    """
+    if not profile:
+        raise ValueError("empty accuracy profile")
+    candidates = sorted(profile)
+    best_seen = profile[candidates[0]]
+    chosen = candidates[0]
+    for n in candidates:
+        accuracy = profile[n]
+        best_seen = max(best_seen, accuracy)
+        if accuracy < best_seen * (1.0 - DROP_THRESHOLD):
+            break
+        chosen = n
+    return chosen
 
 
 def allocation_group_count(num_allocated: int, target_group_size: int,
@@ -79,82 +99,3 @@ def epoch_time_model(num_samples: int, num_groups: int, group_batch: int,
     steps = num_samples / (num_groups * group_batch)
     per_step = (t_train_group_batch * num_groups / num_socs) + t_sync
     return steps * per_step
-
-
-def first_epoch_accuracy_profile(config: RunConfig,
-                                 candidate_groups: list[int],
-                                 socflow_factory) -> dict[int, float]:
-    """Train one epoch per candidate group count; return accuracies.
-
-    ``socflow_factory(num_groups)`` must build a strategy; the warm-up
-    profile runs each candidate for a single epoch on the real task.
-    """
-    profile: dict[int, float] = {}
-    for n in candidate_groups:
-        one_epoch = RunConfig(**{**config.__dict__, "max_epochs": 1,
-                                 "num_groups": n})
-        result = socflow_factory(n).train(one_epoch)
-        profile[n] = result.final_accuracy
-    return profile
-
-
-@dataclass
-class GroupSizeSelector:
-    """The warm-up heuristic: largest N whose first-epoch accuracy holds.
-
-    Scans candidates small→large and halts at the first count whose
-    first-epoch accuracy drops by more than ``drop_threshold`` relative
-    to the best seen so far; returns the previous (last good) count.
-    """
-
-    drop_threshold: float = 0.15
-
-    def select(self, profile: dict[int, float]) -> int:
-        if not profile:
-            raise ValueError("empty accuracy profile")
-        candidates = sorted(profile)
-        best_seen = profile[candidates[0]]
-        chosen = candidates[0]
-        for n in candidates:
-            accuracy = profile[n]
-            best_seen = max(best_seen, accuracy)
-            if accuracy < best_seen * (1.0 - self.drop_threshold):
-                break
-            chosen = n
-        return chosen
-
-    def select_with_time(self, profile: dict[int, float],
-                         config: RunConfig) -> int:
-        """Among accuracy-admissible counts, pick the fastest by Eq. 1.
-
-        Eq. 1 is monotone decreasing in N, so this normally returns the
-        same answer as :meth:`select`; it exists so the utility function
-        is exercised end-to-end and stays correct under different cost
-        parameters.
-        """
-        admissible = self._admissible(profile)
-        cost = CostModel(config)
-        group_batch = max(1, config.sim_global_batch
-                          // max(1, config.num_groups))
-
-        def time_of(n: int) -> float:
-            return epoch_time_model(
-                config.sim_samples_per_epoch, n, group_batch,
-                cost.compute_seconds(group_batch, "cpu"),
-                t_sync=cost.fabric.ring_allreduce_time(
-                    list(range(max(2, config.topology.num_socs // n))),
-                    cost.grad_bytes),
-                num_socs=config.topology.num_socs)
-
-        return min(admissible, key=time_of)
-
-    def _admissible(self, profile: dict[int, float]) -> list[int]:
-        candidates = sorted(profile)
-        admissible: list[int] = []
-        best_seen = profile[candidates[0]]
-        for n in candidates:
-            best_seen = max(best_seen, profile[n])
-            if profile[n] < best_seen * (1.0 - self.drop_threshold):
-                break
-            admissible.append(n)
-        return admissible

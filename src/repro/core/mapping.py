@@ -44,12 +44,6 @@ class MappingResult:
     def num_groups(self) -> int:
         return len(self.groups)
 
-    def group_of(self, soc: int) -> int | None:
-        for g, socs in enumerate(self.groups):
-            if soc in socs:
-                return g
-        return None
-
     def inter_pcb_groups_on(self, pcb: int) -> list[int]:
         """L_i^inter of Eq. 2: split groups with members on this PCB."""
         return [g for g in self.split_groups

@@ -186,11 +186,6 @@ class GroupMixedTrainer:
             self._load_module_rng_states(self.int8.model,
                                          state["int8_rngs"])
 
-    def set_lr(self, lr: float) -> None:
-        self.fp32_opt.lr = lr
-        if self.int8 is not None:
-            self.int8.lr = lr
-
     # ------------------------------------------------------------------
     def graph_stats(self) -> dict | None:
         """Per-precision graph-executor counters, or ``None`` when the

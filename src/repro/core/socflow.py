@@ -47,13 +47,13 @@ from ..distributed.base import (CostModel, RunConfig, Strategy,
 from ..quant.int8 import QuantConfig
 from ..quant.mixed import MixedPrecisionController
 from .checkpoint import TrainingCheckpoint
-from .grouping import survivor_group_count
+from .grouping import select_group_count, survivor_group_count
 from .mapping import MappingResult, integrity_greedy_mapping, naive_mapping
 from .mixed_precision import GroupMixedTrainer
 from .planning import CommunicationPlan
 from .scheduler import GlobalScheduler
 
-__all__ = ["SoCFlowOptions", "SoCFlow", "GroupRun", "build_socflow",
+__all__ = ["SoCFlowOptions", "SoCFlow", "GroupRun",
            "build_groups", "reform_groups", "make_lg_executor",
            "run_group_epoch"]
 
@@ -175,8 +175,6 @@ class SoCFlowOptions:
     #: run the §3.1 warm-up heuristic: profile first-epoch accuracy at
     #: doubling group counts and pick the largest that holds up
     auto_group_size: bool = False
-    #: accuracy-drop threshold for the heuristic (paper: ~15%)
-    group_size_drop_threshold: float = 0.15
 
     def __post_init__(self):
         if self.mapping not in ("integrity", "naive"):
@@ -305,6 +303,67 @@ class GroupRun:
         self.anchor.alpha = self.controller.alpha
         return seconds
 
+    def flush_graph_stats(self, telemetry, now: float,
+                          extra: "dict | None" = None, **attribution) -> None:
+        """Aggregate the groups' per-precision graph-executor counters
+        into ``extra["graph_stats"]`` (when given), the metrics stream
+        and the trace at simulated second ``now``; ``attribution``
+        (a scheduled job's ``job=``) labels every series and span.
+
+        No-op when ``--graph`` is off (no group has an executor), so
+        eager telemetry is byte-identical to pre-graph runs.  Counters
+        reuse the established ``graph.*`` names with a ``precision``
+        label, plus a dedicated ``graph.int8_fallbacks`` total so a
+        silently-eager INT8 path is visible rather than dropped.  One
+        ``graph_replay`` span per (group, precision) carries LG/CG
+        attribution.  The run's plan cache adds, per precision, how
+        many plans were compiled (``graph.plans``; ``unshared_plans``
+        of them for a replica that could not share), how many bindings
+        were made and the workspace bytes they all compute in — in
+        ``extra["graph_plans"]``, the metrics stream and on the spans.
+        Under ``workers > 1`` the steps run in worker replicas whose
+        executor counters are not shipped back, so the main-process
+        numbers only reflect local activity.
+        """
+        per_group = [group.graph_stats() for group in self.groups]
+        if not any(per_group):
+            return
+        totals: dict[str, dict[str, int]] = {}
+        for stats in per_group:
+            for precision, counters in (stats or {}).items():
+                total = totals.setdefault(precision, {})
+                for key, value in counters.items():
+                    total[key] = total.get(key, 0) + value
+        plans = self.groups[0].arena.snapshot()
+        if extra is not None:
+            extra["graph_stats"] = totals
+            extra["graph_plans"] = plans
+        metrics = telemetry.metrics
+        if metrics.enabled:
+            for precision, counters in totals.items():
+                for key, value in counters.items():
+                    metrics.counter(f"graph.{key}", precision=precision,
+                                    **attribution).inc(value)
+            if "int8" in totals:
+                metrics.counter("graph.int8_fallbacks", **attribution).inc(
+                    totals["int8"].get("fallbacks", 0))
+            for precision, counters in plans.items():
+                for key in ("plans", "binds", "unshared_plans"):
+                    metrics.counter(f"graph.{key}", precision=precision,
+                                    **attribution).inc(counters[key])
+                metrics.gauge("graph.workspace_bytes", precision=precision,
+                              **attribution).set(counters["workspace_bytes"])
+        tracer = telemetry.tracer
+        if tracer.enabled:
+            lg_to_cg = {lg: cg_idx for cg_idx, cg in enumerate(self.plan.cgs)
+                        for lg in cg}
+            for lg, stats in enumerate(per_group):
+                for precision, counters in (stats or {}).items():
+                    tracer.span("graph_replay", now, 0.0, lg=lg,
+                                cg=lg_to_cg.get(lg, 0),
+                                precision=precision, **attribution,
+                                **counters, **plans.get(precision, {}))
+
     def close(self) -> None:
         """Close the LG executor and drop the op workspaces the run
         pinned; the warm groups stay (a preempted job resumes on them)."""
@@ -331,7 +390,6 @@ class SoCFlow(Strategy):
         reporting).  Uses pre-merge group-local first-epoch accuracy,
         which mirrors convergence accuracy (Figure 6).
         """
-        from .grouping import GroupSizeSelector
         candidates = [1]
         while candidates[-1] * 2 <= config.topology.num_socs // 2:
             candidates.append(candidates[-1] * 2)
@@ -344,8 +402,7 @@ class SoCFlow(Strategy):
                                    telemetry=None, workers=1)
             result = SoCFlow(probe_options).train(probe_config)
             profile[n] = result.extra["first_epoch_group_accuracy"]
-        selector = GroupSizeSelector(self.options.group_size_drop_threshold)
-        return selector.select(profile), profile
+        return select_group_count(profile), profile
 
     def train(self, config: RunConfig) -> StrategyResult:
         options = self.options
@@ -458,68 +515,9 @@ class SoCFlow(Strategy):
             # the op workspace cache holds and kept reallocating some
             extra["workspace_evictions"] = evictions
             telemetry.metrics.counter("nn.workspace_evictions").inc(evictions)
-        self._flush_graph_stats(groups, plan, cost, telemetry, extra)
+        run.flush_graph_stats(telemetry, cost.clock.now, extra)
         return self._result(self.name, config, cost, run.history, state,
                             extra)
-
-    @staticmethod
-    def _flush_graph_stats(groups, plan, cost, telemetry, extra) -> None:
-        """Aggregate per-precision graph-executor counters into
-        ``extra["graph_stats"]``, the metrics stream and the trace.
-
-        No-op when ``--graph`` is off (no group has an executor), so
-        eager telemetry is byte-identical to pre-graph runs.  Counters
-        reuse the established ``graph.*`` names with a ``precision``
-        label, plus a dedicated ``graph.int8_fallbacks`` total so a
-        silently-eager INT8 path is visible rather than dropped.  One
-        ``graph_replay`` span per (group, precision) carries LG/CG
-        attribution.  The run's plan cache adds, per precision, how
-        many plans were compiled (``graph.plans``; ``unshared_plans``
-        of them for a replica that could not share), how many bindings
-        were made and the workspace bytes they all compute in — in
-        ``extra["graph_plans"]``, the metrics stream and on the spans.
-        Under ``workers > 1`` the steps run in worker replicas whose
-        executor counters are not shipped back, so the main-process
-        numbers only reflect local activity.
-        """
-        per_group = [group.graph_stats() for group in groups]
-        if not any(per_group):
-            return
-        totals: dict[str, dict[str, int]] = {}
-        for stats in per_group:
-            for precision, counters in (stats or {}).items():
-                total = totals.setdefault(precision, {})
-                for key, value in counters.items():
-                    total[key] = total.get(key, 0) + value
-        extra["graph_stats"] = totals
-        plans = extra["graph_plans"] = groups[0].arena.snapshot()
-        metrics = telemetry.metrics
-        if metrics.enabled:
-            for precision, counters in totals.items():
-                for key, value in counters.items():
-                    metrics.counter(f"graph.{key}",
-                                    precision=precision).inc(value)
-            if "int8" in totals:
-                metrics.counter("graph.int8_fallbacks").inc(
-                    totals["int8"].get("fallbacks", 0))
-            for precision, counters in plans.items():
-                for key in ("plans", "binds", "unshared_plans"):
-                    metrics.counter(f"graph.{key}",
-                                    precision=precision).inc(counters[key])
-                metrics.gauge("graph.workspace_bytes",
-                              precision=precision).set(
-                    counters["workspace_bytes"])
-        tracer = telemetry.tracer
-        if tracer.enabled:
-            lg_to_cg = {lg: cg_idx for cg_idx, cg in enumerate(plan.cgs)
-                        for lg in cg}
-            now = cost.clock.now
-            for lg, stats in enumerate(per_group):
-                for precision, counters in (stats or {}).items():
-                    tracer.span("graph_replay", now, 0.0, lg=lg,
-                                cg=lg_to_cg.get(lg, 0),
-                                precision=precision, **counters,
-                                **plans.get(precision, {}))
 
     # ------------------------------------------------------------------
     # Pieces
@@ -552,8 +550,3 @@ class SoCFlow(Strategy):
             scheduler.checkpoint(cost, "sync", name="checkpoint:preempt")
             telemetry.metrics.counter("preemptions.groups").inc(newly)
         return preempted + max(0, newly)
-
-
-def build_socflow(**kwargs) -> SoCFlow:
-    """Convenience constructor: ``build_socflow(planning=False, ...)``."""
-    return SoCFlow(SoCFlowOptions(**kwargs))

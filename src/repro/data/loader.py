@@ -34,32 +34,25 @@ class ArrayDataset:
 
 
 class DataLoader:
-    """Iterate mini-batches with optional per-epoch shuffling."""
+    """Iterate mini-batches in a fresh shuffled order each epoch; the
+    last batch keeps the remainder."""
 
     def __init__(self, dataset: ArrayDataset, batch_size: int,
-                 shuffle: bool = True, drop_last: bool = False,
                  seed: int = 0):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.dataset = dataset
         self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.drop_last = drop_last
         self._rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         n = len(self.dataset)
         order = np.arange(n)
-        if self.shuffle:
-            self._rng.shuffle(order)
-        stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
+        self._rng.shuffle(order)
+        for start in range(0, n, self.batch_size):
             idx = order[start:start + self.batch_size]
             yield self.dataset.x[idx], self.dataset.y[idx]
 

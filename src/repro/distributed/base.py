@@ -428,12 +428,6 @@ class StrategyResult:
             return {phase: 0.0 for phase in self.breakdown}
         return {phase: value / total for phase, value in self.breakdown.items()}
 
-    def time_to_target_s(self) -> float | None:
-        """Simulated time at which the target accuracy was first reached."""
-        if self.epochs_to_target is None or not self.epochs_run:
-            return None
-        return self.sim_time_s * self.epochs_to_target / self.epochs_run
-
 
 class Strategy:
     """A distributed training method: real math + simulated clock.

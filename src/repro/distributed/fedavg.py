@@ -85,7 +85,7 @@ class FedAvg(Strategy):
             run.optimizer.load_state_dict(run.fresh_optimizer)
             loader = DataLoader(
                 shard, self._local_batch(config, len(shard)),
-                shuffle=True, seed=config.seed * 1000 + epoch * 64 + index)
+                seed=config.seed * 1000 + epoch * 64 + index)
             for _ in range(self.local_epochs):
                 for x, y in loader:
                     fp32_train_step(client_model, run.optimizer, x, y)

@@ -29,8 +29,8 @@ STRATEGY_REGISTRY: dict[str, Callable[[], Strategy]] = {
 def build_strategy(name: str, **kwargs) -> Strategy:
     """Construct a baseline strategy by its registry name.
 
-    SoCFlow itself lives in :mod:`repro.core` and registers separately
-    (see :func:`repro.core.build_socflow`).
+    SoCFlow itself lives in :mod:`repro.core` (``SoCFlow(SoCFlowOptions(
+    ...))``).
     """
     try:
         factory = STRATEGY_REGISTRY[name]

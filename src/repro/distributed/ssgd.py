@@ -63,7 +63,7 @@ class SsgdStrategy(Strategy):
         model, optimizer = make_replica(config)
         loader = DataLoader(
             ArrayDataset(config.task.x_train, config.task.y_train),
-            config.batch_size, shuffle=True, seed=config.seed)
+            config.batch_size, seed=config.seed)
         layout = model.flatten_parameters().layout
         return SimpleNamespace(
             replicas=[model], optimizer=optimizer, loader=loader,

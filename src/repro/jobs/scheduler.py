@@ -383,6 +383,10 @@ class ElasticScheduler:
         t = self.start_hour
         end = self.start_hour + self.horizon_hours
         round_index = 0
+        #: job -> simulated second its latest epoch ended, where its
+        #: graph-executor counters are flushed (when it completes, else
+        #: at the horizon)
+        last_epoch_end: dict[str, float] = {}
         try:
             while t < end:
                 self._begin_round(t, round_index)
@@ -409,7 +413,10 @@ class ElasticScheduler:
                             socs=len(ex.allocated),
                             num_groups=ex.num_groups,
                             accuracy=record.final_accuracy)
+                    last_epoch_end[job_id] = t0 + seconds
                     if ex.complete:
+                        ex.run.flush_graph_stats(self.telemetry,
+                                                 t0 + seconds, job=job_id)
                         finished.append(job_id)
                 dt = max(round_s / 3600.0, self.quantum_hours)
                 dt = min(dt, end - t)
@@ -454,8 +461,13 @@ class ElasticScheduler:
                 ex.close()
         for job_id in sorted(self._records):
             record = self._records[job_id]
+            ex = self._execs.get(job_id)
             if record.status in ("queued", "running"):
                 record.status = "unfinished"
+                if job_id in last_epoch_end:
+                    ex.run.flush_graph_stats(self.telemetry,
+                                             last_epoch_end[job_id],
+                                             job=job_id)
             if record.status == "unfinished" and record.epochs_done == 0 \
                     and tracer.enabled:
                 # a job that waited out the whole horizon never got a
@@ -465,7 +477,6 @@ class ElasticScheduler:
                 tracer.span("queue", start,
                             max(0.0, self._sim_s(end) - start),
                             job=job_id, name=f"{job_id}:starved")
-            ex = self._execs.get(job_id)
             if ex is not None:
                 record.resizes = ex.resizes
             metrics.counter("jobs.soc_hours", job=job_id).inc(

@@ -84,7 +84,7 @@ class StepArena:
 
     def __init__(self):
         self._planes: dict = {}
-        self._scratch: dict[tuple, np.ndarray] = {}
+        self._scratch: dict = {}
         self._pooled: dict[tuple, object] = {}
         self._plans: dict[tuple, object] = {}
         self._stats: dict[str, dict[str, int]] = {}
@@ -97,14 +97,12 @@ class StepArena:
             plane = self._planes[layout] = GradPlane(layout)
         return plane
 
-    def param_scratch(self, layout, slot: int = 0) -> np.ndarray:
-        """A ``(param_total,)`` float32 array nobody reads across steps
-        (``slot`` tells apart scratch one step needs at the same time)."""
-        key = (layout, slot)
-        scratch = self._scratch.get(key)
+    def param_scratch(self, layout) -> np.ndarray:
+        """A ``(param_total,)`` float32 array nobody reads across steps."""
+        scratch = self._scratch.get(layout)
         if scratch is None:
-            scratch = self._scratch[key] = np.empty(layout.param_total,
-                                                    dtype=np.float32)
+            scratch = self._scratch[layout] = np.empty(layout.param_total,
+                                                       dtype=np.float32)
         return scratch
 
     def pooled(self, key: tuple, factory):

@@ -96,9 +96,6 @@ class FlatLayout:
         return [flat[a:b].reshape(shape) for a, b, shape in
                 zip(self.offsets[:-1], self.offsets[1:], self.shapes)]
 
-    def param_slice(self) -> slice:
-        return slice(0, self.param_total)
-
     def param_views(self, arr: np.ndarray) -> list[np.ndarray]:
         """Per-parameter views of a ``(param_total,)`` array (e.g. a
         fused gradient or velocity buffer)."""

@@ -14,7 +14,7 @@ from .kernels import col2im, im2col
 from .tensor import Tensor
 
 __all__ = [
-    "linear", "conv2d", "max_pool2d", "avg_pool2d", "global_avg_pool2d",
+    "linear", "conv2d", "max_pool2d", "global_avg_pool2d",
     "batch_norm", "log_softmax", "softmax", "cross_entropy", "dropout",
     "im2col", "col2im", "clear_workspaces", "workspace_evictions",
     "workspace_mark", "release_workspaces",
@@ -235,22 +235,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         grad_cols = K.window_scatter(
             arg, K.reshape(grad, slab), slabs,
-            out=_workspace("pool_gcols", cols_shape))
-        _pool_backward(x, grad_cols, kernel, stride)
-
-    return Tensor._make(out_data.reshape(out_shape), (x,), backward)
-
-
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    stride = stride or kernel
-    cols, out_shape = _pool_cols(x, kernel, stride)
-    out_data = K.mean(cols, axis=0)
-    cols_shape = cols.shape
-    scale = 1.0 / (kernel * kernel)
-
-    def backward(grad: np.ndarray) -> None:
-        grad_cols = K.multiply(
-            K.reshape(grad, (1, *cols_shape[1:])), scale,
             out=_workspace("pool_gcols", cols_shape))
         _pool_backward(x, grad_cols, kernel, stride)
 

@@ -92,7 +92,7 @@ from .tensor import Tensor
 
 __all__ = [
     "GraphCapture", "GraphExecutor", "GraphUnsupported",
-    "attach_graph_executor", "detach_graph_executor", "compile_program",
+    "attach_graph_executor", "compile_program",
     "train_step",
 ]
 
@@ -1055,8 +1055,3 @@ def attach_graph_executor(model, max_programs: int = 8,
         executor = holder._graph_exec = GraphExecutor(
             model, max_programs=max_programs, arena=arena, stages=stages)
     return executor
-
-
-def detach_graph_executor(model) -> None:
-    if getattr(model, "_graph_exec", None) is not None:
-        model._graph_exec = None

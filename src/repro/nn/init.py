@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "kaiming_normal", "xavier_uniform", "zeros",
+__all__ = ["kaiming_uniform", "kaiming_normal", "zeros",
            "ones", "skip_draws"]
 
 _SKIP_DRAWS = False
@@ -34,12 +34,11 @@ def _bare(shape: tuple[int, ...]) -> np.ndarray:
     return np.empty(shape, dtype=np.float32)
 
 
-def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
+def _fan_in(shape: tuple[int, ...]) -> int:
     if len(shape) == 2:                       # (out, in) linear weight
-        return shape[1], shape[0]
+        return shape[1]
     if len(shape) == 4:                       # (out, in, k, k) conv weight
-        receptive = shape[2] * shape[3]
-        return shape[1] * receptive, shape[0] * receptive
+        return shape[1] * shape[2] * shape[3]
     raise ValueError(f"unsupported weight shape {shape}")
 
 
@@ -47,7 +46,7 @@ def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator,
                     gain: float = math.sqrt(2.0)) -> np.ndarray:
     if _SKIP_DRAWS:
         return _bare(shape)
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
@@ -56,18 +55,9 @@ def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator,
                    gain: float = math.sqrt(2.0)) -> np.ndarray:
     if _SKIP_DRAWS:
         return _bare(shape)
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     std = gain / math.sqrt(fan_in)
     return (rng.standard_normal(shape) * std).astype(np.float32)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator,
-                   gain: float = 1.0) -> np.ndarray:
-    if _SKIP_DRAWS:
-        return _bare(shape)
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

@@ -19,8 +19,8 @@ from .flat import FlatParamBuffer, FlatState
 from .tensor import Tensor
 
 __all__ = [
-    "Module", "Sequential", "Linear", "Conv2d", "BatchNorm2d", "BatchNorm1d",
-    "ReLU", "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "Flatten", "Dropout",
+    "Module", "Sequential", "Linear", "Conv2d", "BatchNorm2d",
+    "ReLU", "MaxPool2d", "GlobalAvgPool2d", "Flatten", "Dropout",
     "Identity",
 ]
 
@@ -128,11 +128,6 @@ class Module:
         return attach_graph_executor(self, max_programs=max_programs,
                                      arena=arena)
 
-    def disable_graph_executor(self) -> None:
-        """Drop the attached executor; every step runs eager again."""
-        from .graph import detach_graph_executor
-        detach_graph_executor(self)
-
     # -- state ----------------------------------------------------------
     def state_dict(self) -> FlatState:
         """A :class:`~repro.nn.flat.FlatState` snapshot of every
@@ -227,7 +222,7 @@ class Conv2d(Module):
         return out
 
 
-class _BatchNorm(Module):
+class BatchNorm2d(Module):
     def __init__(self, num_features: int, momentum: float = 0.1,
                  eps: float = 1e-5):
         super().__init__()
@@ -248,14 +243,6 @@ class _BatchNorm(Module):
                             momentum=self.momentum, eps=self.eps)
 
 
-class BatchNorm2d(_BatchNorm):
-    pass
-
-
-class BatchNorm1d(_BatchNorm):
-    pass
-
-
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
@@ -269,16 +256,6 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: int | None = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
 
 
 class GlobalAvgPool2d(Module):

@@ -1,4 +1,4 @@
-"""Optimisers and learning-rate schedules.
+"""The optimiser.
 
 SoCFlow trains with standard SGD on the CPU path (the paper, §3.2) and
 the INT8 path re-uses the same update rule on a quantised grid, so SGD
@@ -7,7 +7,6 @@ with momentum / weight decay covers every experiment.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from .flat import PlaneParameter
 from .tensor import Tensor
 
-__all__ = ["SGD", "Adam", "StepLR", "CosineAnnealingLR", "ConstantLR"]
+__all__ = ["SGD"]
 
 
 class SGD:
@@ -32,11 +31,9 @@ class SGD:
 
     def __init__(self, params: Sequence[Tensor], lr: float,
                  momentum: float = 0.0, weight_decay: float = 0.0,
-                 nesterov: bool = False, flat=None):
+                 flat=None):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.params = list(params)
         if flat is None and self.params and isinstance(self.params[0],
                                                        PlaneParameter):
@@ -51,7 +48,6 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self._velocity = (np.zeros(flat.layout.param_total, dtype=np.float32)
                           if momentum else None)
 
@@ -92,14 +88,7 @@ class SGD:
                 velocity = self._velocity[start:stop]
                 velocity *= self.momentum
                 velocity += eff
-                if self.nesterov:
-                    if spare is None:
-                        spare = arena.param_scratch(layout, slot=1)[start:stop]
-                    np.multiply(velocity, self.momentum, out=spare)
-                    spare += eff
-                    eff, spare = spare, None
-                else:
-                    eff, spare = velocity, scratch
+                eff, spare = velocity, scratch
             step = np.multiply(eff, self.lr, out=eff if spare is None
                                else spare)
             params -= step
@@ -119,95 +108,3 @@ class SGD:
                     self._flat.layout.param_views(self._velocity),
                     state["velocity"]):
                 view[...] = 0.0 if value is None else value
-
-
-class Adam:
-    """Adam (Kingma & Ba) — used by the Transformer extension (§5).
-
-    The paper's CNN experiments all use SGD; newer NPUs make training
-    Transformers on SoC-Clusters plausible, and those need Adam.
-    """
-
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
-            raise ValueError("betas must lie in [0, 1)")
-        self.params = list(params)
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step = 0
-        self._m: list[np.ndarray | None] = [None] * len(self.params)
-        self._v: list[np.ndarray | None] = [None] * len(self.params)
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:
-        self._step += 1
-        beta1, beta2 = self.betas
-        bias1 = 1.0 - beta1 ** self._step
-        bias2 = 1.0 - beta2 ** self._step
-        for i, param in enumerate(self.params):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self._m[i] is None:
-                self._m[i] = np.zeros_like(param.data)
-                self._v[i] = np.zeros_like(param.data)
-            m, v = self._m[i], self._v[i]
-            m *= beta1
-            m += (1 - beta1) * grad
-            v *= beta2
-            v += (1 - beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class _Scheduler:
-    def __init__(self, optimizer: SGD):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        self.optimizer.lr = self.get_lr()
-
-    def get_lr(self) -> float:
-        raise NotImplementedError
-
-
-class ConstantLR(_Scheduler):
-    def get_lr(self) -> float:
-        return self.base_lr
-
-
-class StepLR(_Scheduler):
-    def __init__(self, optimizer: SGD, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class CosineAnnealingLR(_Scheduler):
-    def __init__(self, optimizer: SGD, total_epochs: int, min_lr: float = 0.0):
-        super().__init__(optimizer)
-        self.total_epochs = total_epochs
-        self.min_lr = min_lr
-
-    def get_lr(self) -> float:
-        progress = min(self.epoch / self.total_epochs, 1.0)
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (
-            1.0 + math.cos(math.pi * progress))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels as K
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -39,10 +39,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -405,19 +401,6 @@ class Tensor:
             t = K.square(out_data)
             K.subtract(1.0, t, out=t)
             self._accumulate(K.multiply(grad, t, out=t))
-
-        return self._make(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        out_data = K.negative(self.data)
-        K.exp(out_data, out=out_data)
-        K.add(out_data, 1.0, out=out_data)
-        K.divide(1.0, out_data, out=out_data)
-
-        def backward(grad: np.ndarray) -> None:
-            t = K.multiply(grad, out_data)
-            self._accumulate(
-                K.multiply(t, K.subtract(1.0, out_data), out=t))
 
         return self._make(out_data, (self,), backward)
 

@@ -7,19 +7,18 @@ symmetric INT8 grid and quantising activations/gradients each step.
 
 from .int8 import (QuantConfig, dequantize, fake_quantize, quantize,
                    quantization_error)
-from .observer import EmaObserver, MinMaxObserver
+from .observer import EmaObserver
 from .trainer import Int8Trainer
 from .ste import (ste_quantize, ste_cast_fp16, ActivationQuantizer,
-                  attach_activation_quant, detach_activation_quant)
+                  attach_activation_quant)
 from .mixed import (compute_alpha, compute_beta, cpu_fraction,
                     merge_weights, MixedPrecisionController)
 
 __all__ = [
     "QuantConfig", "quantize", "dequantize", "fake_quantize",
-    "quantization_error", "MinMaxObserver", "EmaObserver", "Int8Trainer",
+    "quantization_error", "EmaObserver", "Int8Trainer",
     "ste_quantize", "ste_cast_fp16", "ActivationQuantizer",
     "attach_activation_quant",
-    "detach_activation_quant",
     "compute_alpha", "compute_beta", "cpu_fraction", "merge_weights",
     "MixedPrecisionController",
 ]

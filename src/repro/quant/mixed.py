@@ -117,10 +117,6 @@ class MixedPrecisionController:
     def cpu_share(self) -> float:
         return cpu_fraction(self.alpha, self.beta)
 
-    @property
-    def npu_share(self) -> float:
-        return 1.0 - self.cpu_share
-
     def split_batch(self, batch_size: int) -> tuple[int, int]:
         """Integer (cpu_count, npu_count) split of one mini-batch."""
         cpu = int(round(self.cpu_share * batch_size))

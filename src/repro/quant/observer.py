@@ -1,30 +1,14 @@
-"""Range observers that track quantisation scales across steps.
+"""The range observer that tracks a quantisation scale across steps.
 
 A fixed per-batch max-abs scale is noisy; production INT8 training
-tracks ranges with a running estimate.  Both variants are provided and
-ablatable.
+tracks ranges with a running estimate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MinMaxObserver", "EmaObserver"]
-
-
-class MinMaxObserver:
-    """Scale = running max of |x| / qmax (never shrinks)."""
-
-    def __init__(self, qmax: int):
-        self.qmax = qmax
-        self._peak = 0.0
-
-    def observe(self, x: np.ndarray) -> None:
-        self._peak = max(self._peak, float(np.abs(x).max()))
-
-    @property
-    def scale(self) -> float:
-        return self._peak / self.qmax if self._peak > 0 else 1.0
+__all__ = ["EmaObserver"]
 
 
 class EmaObserver:

@@ -19,7 +19,7 @@ from .int8 import QuantConfig
 from .observer import EmaObserver
 
 __all__ = ["ste_quantize", "ste_cast_fp16", "ActivationQuantizer",
-           "attach_activation_quant", "detach_activation_quant"]
+           "attach_activation_quant"]
 
 
 def _straight_through(x: Tensor, data: np.ndarray) -> Tensor:
@@ -73,9 +73,3 @@ def attach_activation_quant(model: Module, config: QuantConfig) -> int:
             module.output_quant = ActivationQuantizer(config)
             attached += 1
     return attached
-
-
-def detach_activation_quant(model: Module) -> None:
-    for module in model.modules():
-        if isinstance(module, (Conv2d, Linear)):
-            module.output_quant = None

@@ -167,9 +167,6 @@ class Int8Trainer:
         return attach_graph_executor(self.model, max_programs=max_programs,
                                      arena=arena, stages=self)
 
-    def disable_graph_executor(self) -> None:
-        self._graph_exec = None
-
     def graph_stats(self) -> dict | None:
         if self._graph_exec is None:
             return None

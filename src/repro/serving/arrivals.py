@@ -151,18 +151,6 @@ class ArrivalProcess:
         return len(self._arrivals)
 
     # ------------------------------------------------------------------
-    def rate_rps(self, hour: float) -> float:
-        """Instantaneous aggregate request rate at ``hour``."""
-        base = sum(
-            region.peak_rps
-            * self.trace.busy_ratio(hour - region.phase_shift_hours)
-            / self.trace.peak_busy
-            for region in self.regions)
-        # superposed excess components -> overlapping crowds add
-        mult = 1.0 + sum(crowd.multiplier - 1.0 for crowd in self.flash_crowds
-                         if crowd.start_hour <= hour < crowd.end_hour)
-        return base * mult
-
     def slice_h(self, t0: float, t1: float) -> np.ndarray:
         """Arrival times in ``[t0, t1)`` (absolute hours)."""
         lo = int(np.searchsorted(self._arrivals, t0, side="left"))

@@ -13,14 +13,15 @@ exceeds the shedding timeout are dropped — and counted, never silent.
 
 At each window boundary the autoscaler compares demand against
 capacity: the target replica count covers the next window's arrival
-rate at ``target_utilisation``, plus whatever it takes to drain the
+rate at :data:`TARGET_UTILISATION`, plus whatever it takes to drain the
 current backlog within one window, bumped by one whenever the window's
-p99 violated the SLO.  Scale-ups claim idle SoCs immediately (with a
-spin-up delay before the new replica serves); when idle SoCs run out
-the shortfall is published as :attr:`pending_deficit`, which the
-co-scheduler converts into training preemptions at the next round
-boundary.  Scale-downs wait out a patience period and only release
-replicas that are idle, so in-flight batches always finish.
+p99 violated the SLO.  Scale-ups claim idle SoCs immediately (with
+:data:`SPINUP_S` of model load before the new replica serves); when
+idle SoCs run out the shortfall is published as
+:attr:`pending_deficit`, which the co-scheduler converts into training
+preemptions at the next round boundary.  Scale-downs wait out a
+patience period and only release replicas that are idle, so in-flight
+batches always finish.
 
 Determinism: arrivals are pre-generated, batch formation is a pure
 function of arrival times and replica state, and every iteration is
@@ -42,6 +43,12 @@ from .arrivals import ArrivalProcess
 from .replica import Replica, ServiceModel
 
 __all__ = ["ServingPlane", "WindowStats"]
+
+#: demand headroom: replicas are provisioned so the forecast rate uses
+#: only this share of their peak throughput
+TARGET_UTILISATION = 0.6
+#: model-load delay before a newly claimed SoC serves traffic, seconds
+SPINUP_S = 30.0
 
 
 @dataclass
@@ -92,17 +99,12 @@ class ServingPlane:
         The workload and the calibrated per-replica timing.
     slo_ms:
         The p99 latency objective per check window.
-    target_utilisation:
-        Demand headroom: replicas are provisioned so the forecast rate
-        uses only this share of their peak throughput.
     min_replicas, max_replicas:
         Pool bounds (``max_replicas=None`` = bounded by the cluster).
     check_interval_hours:
         Control period; also the stats/telemetry window.
     scale_down_patience:
         Consecutive calm windows before surplus replicas release.
-    spinup_s:
-        Model-load delay before a newly claimed SoC serves traffic.
     shed_after_s:
         Queueing-delay bound after which a request is dropped
         (defaults to ``4 * slo_ms``): the real platform sheds to other
@@ -116,17 +118,15 @@ class ServingPlane:
     """
 
     def __init__(self, arrivals: ArrivalProcess, service: ServiceModel, *,
-                 slo_ms: float = 250.0, target_utilisation: float = 0.6,
+                 slo_ms: float = 250.0,
                  min_replicas: int = 1, max_replicas: "int | None" = None,
                  check_interval_hours: float = 0.25,
-                 scale_down_patience: int = 3, spinup_s: float = 30.0,
+                 scale_down_patience: int = 3,
                  shed_after_s: "float | None" = None, autoscale: bool = True,
                  sim_zero_hour: "float | None" = None,
                  telemetry: "Telemetry | None" = None):
         if slo_ms <= 0:
             raise ValueError("slo_ms must be positive")
-        if not 0 < target_utilisation <= 1:
-            raise ValueError("target_utilisation must be in (0, 1]")
         if min_replicas < 0:
             raise ValueError("min_replicas must be non-negative")
         if max_replicas is not None and max_replicas < min_replicas:
@@ -136,12 +136,10 @@ class ServingPlane:
         self.arrivals = arrivals
         self.service = service
         self.slo_ms = slo_ms
-        self.target_utilisation = target_utilisation
         self.min_replicas = min_replicas
         self.max_replicas = max_replicas
         self.check_interval_hours = check_interval_hours
         self.scale_down_patience = scale_down_patience
-        self.spinup_s = spinup_s
         self.shed_after_s = (4.0 * slo_ms / 1000.0 if shed_after_s is None
                              else shed_after_s)
         self.autoscale = autoscale
@@ -193,7 +191,7 @@ class ServingPlane:
     def provision(self, socs: "list[int]", hour: float, *,
                   warm: bool = True) -> None:
         """Install replicas on ``socs`` (no spin-up when ``warm``)."""
-        ready = hour if warm else hour + self.spinup_s / 3600.0
+        ready = hour if warm else hour + SPINUP_S / 3600.0
         for soc in sorted(socs):
             if soc in self.replicas:
                 raise ValueError(f"soc {soc} already serves")
@@ -245,11 +243,11 @@ class ServingPlane:
 
     def _forecast_need(self, hour: float) -> int:
         """Replicas covering the next window's arrival rate at
-        ``target_utilisation`` (the stream is pre-generated)."""
+        :data:`TARGET_UTILISATION` (the stream is pre-generated)."""
         forecast_rps = self.arrivals.count_between(
             hour, hour + self.check_interval_hours) \
             / (self.check_interval_hours * 3600.0)
-        return math.ceil(forecast_rps / (self.target_utilisation
+        return math.ceil(forecast_rps / (TARGET_UTILISATION
                                          * self.service.peak_rps))
 
     def _sim_s(self, hour: float) -> float:

@@ -15,7 +15,7 @@
   health monitors (DESIGN.md "Observability").
 """
 
-from .analysis import (Anomaly, HealthMonitor, TraceDiff, TraceReport,
+from .analysis import (Anomaly, TraceDiff, TraceReport,
                        analyze_records, analyze_trace, diff_reports,
                        render_diff, render_report)
 from .context import NULL_TELEMETRY, Telemetry
@@ -34,7 +34,7 @@ __all__ = [
     "to_chrome_trace", "to_jsonl", "write_chrome_trace", "write_jsonl",
     "write_trace", "load_trace_records", "open_text",
     "render_epoch_table", "render_metrics_table",
-    "TraceReport", "TraceDiff", "Anomaly", "HealthMonitor",
+    "TraceReport", "TraceDiff", "Anomaly",
     "analyze_records", "analyze_trace", "diff_reports",
     "render_report", "render_diff",
 ]

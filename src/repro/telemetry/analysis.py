@@ -21,7 +21,7 @@ Three stages:
 - :func:`diff_reports` — align two reports epoch-by-epoch and
   phase-by-phase and flag the deltas that clear a significance
   threshold: "did ``--graph``/fusion help" as one comparison.
-- :class:`HealthMonitor` — scan a report for anomalies (epoch-time
+- :func:`check_health` — scan a report for anomalies (epoch-time
   spikes, sync-fraction regressions, straggler SoCs, degraded PCBs,
   starved jobs) and emit them as structured series into the metrics
   registry.
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = ["PathSegment", "WindowReport", "TraceReport", "TraceDiff",
-           "Anomaly", "HealthMonitor", "analyze_records", "analyze_trace",
+           "Anomaly", "analyze_records", "analyze_trace",
            "diff_reports", "render_report", "render_diff"]
 
 #: span kinds that tile the simulated wall clock, in attribution
@@ -423,12 +423,10 @@ def _windows_of(records) -> "list[WindowReport]":
 # ----------------------------------------------------------------------
 # Whole-trace analysis
 # ----------------------------------------------------------------------
-def analyze_records(records, *, monitor: "HealthMonitor | None" = None,
-                    metrics=None) -> TraceReport:
+def analyze_records(records, *, metrics=None) -> TraceReport:
     """Diagnose a list of :class:`TraceRecord`\\ s into a report.
 
-    ``monitor`` (default: a :class:`HealthMonitor` with stock
-    thresholds) scans the finished report for anomalies; pass
+    :func:`check_health` scans the finished report for anomalies; pass
     ``metrics`` to also emit them into a registry as ``health.*``
     series (the live-run hook).
     """
@@ -508,10 +506,9 @@ def analyze_records(records, *, monitor: "HealthMonitor | None" = None,
                          kind_counts=kind_counts, pcb_health=pcb_health,
                          faults=faults, jobs=jobs,
                          graph_stats=_graph_stats(records), serving=serving)
-    monitor = monitor if monitor is not None else HealthMonitor()
-    report.anomalies = monitor.check(report)
+    report.anomalies = check_health(report)
     if metrics is not None and getattr(metrics, "enabled", False):
-        monitor.emit(report.anomalies, metrics)
+        emit_anomalies(report.anomalies, metrics)
     return report
 
 
@@ -613,117 +610,107 @@ class Anomaly:
                 "detail": self.detail}
 
 
-class HealthMonitor:
-    """Anomaly scan over a :class:`TraceReport`.
+# Thresholds of the anomaly scan: multiplicative or absolute shares,
+# chosen so a healthy homogeneous run emits nothing.
+#: an epoch slower than this multiple of the median epoch time
+#: (recoveries legitimately cause these — the detail says so when a
+#: recovery phase is present)
+SPIKE_FACTOR = 1.5
+#: an epoch whose visible-sync share exceeds the first epoch's by this
+#: many percentage points
+SYNC_REGRESSION = 0.10
+#: slowest-SoC busy time over the median
+STRAGGLER_SKEW = 1.25
+#: a job queued for more than this share of the trace duration (or
+#: preempted without ever running)
+STARVATION_SHARE = 0.25
 
-    Thresholds are multiplicative or absolute shares, chosen so a
-    healthy homogeneous run emits nothing:
 
-    - ``spike_factor``: an epoch slower than this multiple of the
-      median epoch time (recoveries legitimately cause these — the
-      detail says so when a recovery phase is present);
-    - ``sync_regression``: an epoch whose visible-sync share exceeds
-      the first epoch's by this many percentage points;
-    - ``straggler_skew``: slowest-SoC busy time over the median;
-    - ``starvation_share``: a job queued for more than this share of
-      the trace duration, or preempted without ever running.
-    """
-
-    def __init__(self, *, spike_factor: float = 1.5,
-                 sync_regression: float = 0.10,
-                 straggler_skew: float = 1.25,
-                 starvation_share: float = 0.25):
-        self.spike_factor = spike_factor
-        self.sync_regression = sync_regression
-        self.straggler_skew = straggler_skew
-        self.starvation_share = starvation_share
-
-    # ------------------------------------------------------------------
-    def check(self, report: TraceReport) -> "list[Anomaly]":
-        anomalies: list[Anomaly] = []
-        epochs = report.epochs
-        if len(epochs) >= 2:
-            times = sorted(w.seconds for w in epochs)
-            median = times[len(times) // 2]
-            baseline_sync = self._sync_share(epochs[0])
-            for window in epochs:
-                if median > 0 and window.seconds > self.spike_factor * median:
-                    recovery = window.phase_seconds.get("recovery", 0.0)
-                    anomalies.append(Anomaly(
-                        kind="epoch_time_spike", where=window.label,
-                        value=window.seconds / median,
-                        threshold=self.spike_factor,
-                        detail=(f"{window.seconds:.3f}s vs median "
-                                f"{median:.3f}s"
-                                + (f" ({recovery:.3f}s of recovery)"
-                                   if recovery > 0 else ""))))
-                share = self._sync_share(window)
-                if share - baseline_sync > self.sync_regression:
-                    anomalies.append(Anomaly(
-                        kind="sync_regression", where=window.label,
-                        value=share, threshold=baseline_sync
-                        + self.sync_regression,
-                        detail=(f"visible sync share {share:.1%} vs "
-                                f"{baseline_sync:.1%} at epoch start")))
+def check_health(report: TraceReport) -> "list[Anomaly]":
+    """Anomaly scan over a :class:`TraceReport`."""
+    anomalies: list[Anomaly] = []
+    epochs = report.epochs
+    if len(epochs) >= 2:
+        times = sorted(w.seconds for w in epochs)
+        median = times[len(times) // 2]
+        baseline_sync = _sync_share(epochs[0])
         for window in epochs:
-            straggler = window.straggler
-            if straggler is not None and straggler[1] > self.straggler_skew:
+            if median > 0 and window.seconds > SPIKE_FACTOR * median:
+                recovery = window.phase_seconds.get("recovery", 0.0)
                 anomalies.append(Anomaly(
-                    kind="straggler_soc",
-                    where=f"{window.label}: soc {straggler[0]}",
-                    value=straggler[1], threshold=self.straggler_skew,
-                    detail=(f"busy {straggler[1]:.2f}x the median SoC")))
-        for pcb, stats in sorted(report.pcb_health.items()):
-            if stats["degraded"]:
+                    kind="epoch_time_spike", where=window.label,
+                    value=window.seconds / median,
+                    threshold=SPIKE_FACTOR,
+                    detail=(f"{window.seconds:.3f}s vs median "
+                            f"{median:.3f}s"
+                            + (f" ({recovery:.3f}s of recovery)"
+                               if recovery > 0 else ""))))
+            share = _sync_share(window)
+            if share - baseline_sync > SYNC_REGRESSION:
                 anomalies.append(Anomaly(
-                    kind="degraded_pcb", where=f"pcb {pcb}",
-                    value=float(stats["retries"]), threshold=0.0,
-                    detail=(f"{stats['retries']} retries, "
-                            f"{stats['wait_s']:.3f}s NIC wait")))
-        if report.serving is not None:
-            slo = report.serving.get("slo_ms") or 0.0
-            for violation in report.serving["violations"]:
-                p99 = violation.get("p99_ms")
-                anomalies.append(Anomaly(
-                    kind="slo_violation",
-                    where=f"serve t={violation['ts_s']:.0f}s",
-                    value=float(p99 if p99 is not None else 0.0),
-                    threshold=float(slo),
-                    detail=(f"p99 {p99:.0f}ms vs SLO {slo:.0f}ms, "
-                            if p99 is not None else "backlogged, ")
-                    + (f"{violation.get('replicas', '?')} replica(s), "
-                       f"queue {violation.get('queue_depth', '?')}")))
-        horizon = report.total_s
-        for job, stats in sorted(report.jobs.items()):
-            starved = (horizon > 0 and stats["queue_wait_s"]
-                       > self.starvation_share * horizon)
-            never_ran = stats["epochs"] == 0 and (
-                stats["queue_wait_s"] > 0 or stats["preemptions"] > 0)
-            if starved or never_ran:
-                anomalies.append(Anomaly(
-                    kind="starved_job", where=f"job {job}",
-                    value=stats["queue_wait_s"],
-                    threshold=self.starvation_share * horizon,
-                    detail=(f"queued {stats['queue_wait_s']:.0f}s, "
-                            f"{stats['epochs']} epoch(s) run")))
-        return anomalies
+                    kind="sync_regression", where=window.label,
+                    value=share, threshold=baseline_sync + SYNC_REGRESSION,
+                    detail=(f"visible sync share {share:.1%} vs "
+                            f"{baseline_sync:.1%} at epoch start")))
+    for window in epochs:
+        straggler = window.straggler
+        if straggler is not None and straggler[1] > STRAGGLER_SKEW:
+            anomalies.append(Anomaly(
+                kind="straggler_soc",
+                where=f"{window.label}: soc {straggler[0]}",
+                value=straggler[1], threshold=STRAGGLER_SKEW,
+                detail=(f"busy {straggler[1]:.2f}x the median SoC")))
+    for pcb, stats in sorted(report.pcb_health.items()):
+        if stats["degraded"]:
+            anomalies.append(Anomaly(
+                kind="degraded_pcb", where=f"pcb {pcb}",
+                value=float(stats["retries"]), threshold=0.0,
+                detail=(f"{stats['retries']} retries, "
+                        f"{stats['wait_s']:.3f}s NIC wait")))
+    if report.serving is not None:
+        slo = report.serving.get("slo_ms") or 0.0
+        for violation in report.serving["violations"]:
+            p99 = violation.get("p99_ms")
+            anomalies.append(Anomaly(
+                kind="slo_violation",
+                where=f"serve t={violation['ts_s']:.0f}s",
+                value=float(p99 if p99 is not None else 0.0),
+                threshold=float(slo),
+                detail=(f"p99 {p99:.0f}ms vs SLO {slo:.0f}ms, "
+                        if p99 is not None else "backlogged, ")
+                + (f"{violation.get('replicas', '?')} replica(s), "
+                   f"queue {violation.get('queue_depth', '?')}")))
+    horizon = report.total_s
+    for job, stats in sorted(report.jobs.items()):
+        starved = (horizon > 0 and stats["queue_wait_s"]
+                   > STARVATION_SHARE * horizon)
+        never_ran = stats["epochs"] == 0 and (
+            stats["queue_wait_s"] > 0 or stats["preemptions"] > 0)
+        if starved or never_ran:
+            anomalies.append(Anomaly(
+                kind="starved_job", where=f"job {job}",
+                value=stats["queue_wait_s"],
+                threshold=STARVATION_SHARE * horizon,
+                detail=(f"queued {stats['queue_wait_s']:.0f}s, "
+                        f"{stats['epochs']} epoch(s) run")))
+    return anomalies
 
-    @staticmethod
-    def _sync_share(window: WindowReport) -> float:
-        if window.seconds <= 0:
-            return 0.0
-        visible = window.phase_seconds.get("sync", 0.0) \
-            + window.phase_seconds.get("allreduce", 0.0) \
-            + window.phase_seconds.get("leader_sync", 0.0)
-        return visible / window.seconds
 
-    @staticmethod
-    def emit(anomalies: "list[Anomaly]", metrics) -> None:
-        """Mirror anomalies into the registry as ``health.*`` series."""
-        for anomaly in anomalies:
-            metrics.counter("health.anomalies", kind=anomaly.kind).inc()
-            metrics.gauge("health.value", kind=anomaly.kind,
-                          where=anomaly.where).set(anomaly.value)
+def _sync_share(window: WindowReport) -> float:
+    if window.seconds <= 0:
+        return 0.0
+    visible = window.phase_seconds.get("sync", 0.0) \
+        + window.phase_seconds.get("allreduce", 0.0) \
+        + window.phase_seconds.get("leader_sync", 0.0)
+    return visible / window.seconds
+
+
+def emit_anomalies(anomalies: "list[Anomaly]", metrics) -> None:
+    """Mirror anomalies into the registry as ``health.*`` series."""
+    for anomaly in anomalies:
+        metrics.counter("health.anomalies", kind=anomaly.kind).inc()
+        metrics.gauge("health.value", kind=anomaly.kind,
+                      where=anomaly.where).set(anomaly.value)
 
 
 # ----------------------------------------------------------------------

@@ -21,26 +21,9 @@ class TestClock:
         assert clock.now == 2.0
         assert clock.breakdown()["sync"] == 1.5
 
-    def test_fraction(self):
-        clock = PhaseClock()
-        clock.advance(3.0, "compute")
-        clock.advance(1.0, "sync")
-        assert clock.fraction("compute") == pytest.approx(0.75)
-        assert clock.fraction("missing") == 0.0
-
-    def test_fraction_of_empty_clock(self):
-        assert PhaseClock().fraction("compute") == 0.0
-
     def test_negative_rejected(self):
         clock = PhaseClock()
         with pytest.raises(ValueError):
             clock.advance(-1.0, "compute")
         with pytest.raises(ValueError):
             clock.attribute(-1.0, "sync")
-
-    def test_reset(self):
-        clock = PhaseClock()
-        clock.advance(1.0, "compute")
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.breakdown() == {}

@@ -70,9 +70,8 @@ class TestFaultSchedule:
         assert schedule.straggler_factors(2) == {0: 0.5}
         assert schedule.straggler_factors(3) == {0: 0.5}
 
-    def test_max_epoch_and_len(self):
+    def test_len_and_truth(self):
         schedule = FaultSchedule((SoCCrash(4, 0), PreemptionStorm(2)))
-        assert schedule.max_epoch == 4
         assert len(schedule) == 2
         assert bool(schedule)
         assert not FaultSchedule(())
@@ -240,7 +239,7 @@ class TestDegradedFabric:
         fabric.set_pcb_multiplier(0, 0.5)
         fabric.apply_pcb_multipliers({1: 0.25})
         assert fabric.degraded_pcbs == {1: 0.25}
-        fabric.reset_degradations()
+        fabric.apply_pcb_multipliers({})        # an epoch with no NIC fault
         assert fabric.degraded_pcbs == {}
         fabric.set_pcb_multiplier(1, 1.0)       # 1.0 clears the entry
         assert fabric.degraded_pcbs == {}

@@ -156,9 +156,6 @@ class TestTreeAggregate:
 
 
 class TestBroadcast:
-    def test_self_broadcast_free(self):
-        assert fabric().broadcast_time(0, [0], 10 * MB) == 0.0
-
     @given(st.integers(2, 32), st.floats(1e3, 1e8))
     @settings(max_examples=25, deadline=None)
     def test_monotone_in_payload(self, n, nbytes):

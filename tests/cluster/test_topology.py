@@ -49,16 +49,6 @@ class TestLayout:
 
 
 class TestRestricted:
-    def test_restricted_keeps_pcb_structure(self):
-        topo = ClusterTopology(num_socs=60).restricted(32)
-        assert topo.num_socs == 32
-        assert topo.socs_per_pcb == 5
-        assert topo.num_pcbs == 7
-
-    def test_restricted_too_large_raises(self):
-        with pytest.raises(ValueError):
-            ClusterTopology(num_socs=10).restricted(20)
-
     @given(st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
     def test_every_soc_belongs_to_exactly_one_pcb(self, num_socs):

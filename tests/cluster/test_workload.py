@@ -12,6 +12,14 @@ def simulator(seed=0, socs=60):
     return SessionSimulator(ClusterTopology(num_socs=socs), seed=seed)
 
 
+def busy_curve(sim, sessions):
+    """(hours, busy fraction) every quarter hour: the simulated Fig. 3."""
+    hours = np.arange(0.0, 24.0, 0.25)
+    index = SessionIndex(sessions)
+    busy = np.array([index.busy_count_at(h) for h in hours])
+    return hours, busy / sim.topology.num_socs
+
+
 class TestSession:
     def test_end_hour(self):
         assert Session(0, 10.0, 0.5).end_hour == 10.5
@@ -21,8 +29,7 @@ class TestSimulation:
     def test_daytime_much_busier_than_night(self):
         sim = simulator()
         sessions = sim.simulate_day()
-        _, busy = sim.busy_curve(sessions)
-        hours = np.arange(0.0, 24.0, 0.25)
+        hours, busy = busy_curve(sim, sessions)
         day = busy[(hours >= 12) & (hours < 16)].mean()
         night = busy[(hours >= 3) & (hours < 7)].mean()
         assert day > 5 * max(night, 0.01)
@@ -59,7 +66,7 @@ class TestSimulation:
         """The simulated curve correlates with the analytic trace."""
         sim = simulator()
         sessions = sim.simulate_day()
-        hours, busy = sim.busy_curve(sessions)
+        hours, busy = busy_curve(sim, sessions)
         analytic = np.array([sim.trace.busy_ratio(h) for h in hours])
         assert np.corrcoef(busy, analytic)[0, 1] > 0.7
 
@@ -160,13 +167,6 @@ class TestSessionIndex:
             assert index.busy_socs_at(hour) == naive
             assert index.busy_count_at(hour) == len(naive)
 
-    def test_counts_at_vectorised(self):
-        sessions = simulator(socs=20).simulate_day()
-        index = SessionIndex(sessions)
-        hours = np.arange(0.0, 24.0, 0.25)
-        counts = index.counts_at(hours)
-        assert counts.tolist() == [index.busy_count_at(h) for h in hours]
-
     def test_idle_complement(self):
         index = SessionIndex([Session(1, 1.0, 2.0), Session(3, 1.5, 1.0)])
         assert index.idle_socs_at(2.0, 4) == [0, 2]
@@ -182,7 +182,7 @@ class TestSessionIndex:
         index = SessionIndex([])
         assert len(index) == 0
         assert index.busy_socs_at(5.0) == set()
-        assert index.counts_at(np.array([1.0, 2.0])).tolist() == [0, 0]
+        assert index.busy_count_at(1.0) == 0
 
 
 class TestIdleSocsAt:

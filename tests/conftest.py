@@ -10,12 +10,16 @@ from repro.data import make_classification_images
 from repro.distributed import RunConfig
 
 
-@pytest.fixture(scope="session")
-def tiny_task():
+def make_tiny_task():
     """A 600-sample 6-class task that trains in a couple of seconds."""
     return make_classification_images(
         num_classes=6, train_size=600, test_size=240, channels=3,
         image_size=12, difficulty=0.4, seed=0)
+
+
+@pytest.fixture(scope="session")
+def tiny_task():
+    return make_tiny_task()
 
 
 @pytest.fixture(scope="session")

@@ -45,13 +45,6 @@ class TestWanFabric:
         wan = WanFabric([site, EdgeSite("y")]).sync_time(1e7)
         assert wan > lan
 
-    def test_epoch_ratio(self):
-        fabric = WanFabric(list(two_sites()))
-        tight = fabric.per_site_epoch_ratio(100.0, 1e7, sync_every_epochs=1)
-        relaxed = fabric.per_site_epoch_ratio(100.0, 1e7,
-                                              sync_every_epochs=10)
-        assert tight > relaxed > 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             WanFabric([])
@@ -60,8 +53,6 @@ class TestWanFabric:
         fabric = WanFabric(list(two_sites()))
         with pytest.raises(ValueError):
             fabric.sync_time(-1)
-        with pytest.raises(ValueError):
-            fabric.per_site_epoch_ratio(1.0, 1.0, 0)
 
 
 class TestCrossSiteTraining:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import GroupSizeSelector, epoch_time_model
+from repro.core import epoch_time_model, select_group_count
 
 
 class TestEpochTimeModel:
@@ -25,30 +25,24 @@ class TestEpochTimeModel:
 class TestSelector:
     def test_halts_at_first_big_drop(self):
         profile = {1: 0.70, 2: 0.68, 4: 0.66, 8: 0.40, 16: 0.20}
-        assert GroupSizeSelector(drop_threshold=0.15).select(profile) == 4
+        assert select_group_count(profile) == 4
 
     def test_keeps_going_with_small_drops(self):
         profile = {1: 0.70, 2: 0.69, 4: 0.68, 8: 0.67}
-        assert GroupSizeSelector(drop_threshold=0.15).select(profile) == 8
+        assert select_group_count(profile) == 8
 
     def test_single_candidate(self):
-        assert GroupSizeSelector().select({4: 0.5}) == 4
+        assert select_group_count({4: 0.5}) == 4
 
     def test_empty_profile_raises(self):
         with pytest.raises(ValueError):
-            GroupSizeSelector().select({})
+            select_group_count({})
 
     def test_rising_profile_never_halts(self):
         profile = {1: 0.3, 2: 0.4, 4: 0.5}
-        assert GroupSizeSelector().select(profile) == 4
+        assert select_group_count(profile) == 4
 
     def test_drop_relative_to_best_seen(self):
         # rises to 0.8 then 0.65: that is >15% below the best seen
         profile = {1: 0.5, 2: 0.8, 4: 0.65}
-        assert GroupSizeSelector(drop_threshold=0.15).select(profile) == 2
-
-    def test_select_with_time_prefers_larger_admissible(self, quick_config):
-        selector = GroupSizeSelector()
-        profile = {1: 0.7, 2: 0.69, 4: 0.68, 8: 0.30}
-        chosen = selector.select_with_time(profile, quick_config)
-        assert chosen == 4  # Eq.1 is monotone, largest admissible wins
+        assert select_group_count(profile) == 2

@@ -21,13 +21,6 @@ class TestBasics:
         sizes = [len(g) for g in mapping.groups]
         assert max(sizes) - min(sizes) <= 1
 
-    def test_group_of(self):
-        topo = ClusterTopology(num_socs=10)
-        mapping = integrity_greedy_mapping(topo, 2)
-        for g, socs in enumerate(mapping.groups):
-            for s in socs:
-                assert mapping.group_of(s) == g
-
     def test_invalid_group_count_raises(self):
         topo = ClusterTopology(num_socs=10)
         with pytest.raises(ValueError):

@@ -79,9 +79,3 @@ class TestStateRoundtrip:
         np.testing.assert_array_equal(
             trainer.fp32.state_dict()[next(iter(state))],
             trainer.int8.model.state_dict()[next(iter(state))])
-
-    def test_set_lr_propagates(self, quick_config):
-        trainer, _ = make_trainer(quick_config)
-        trainer.set_lr(0.123)
-        assert trainer.fp32_opt.lr == 0.123
-        assert trainer.int8.lr == 0.123

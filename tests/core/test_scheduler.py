@@ -148,9 +148,9 @@ class TestFaults:
         sched = scheduler(NicDegradation(1, 0, 0.25, recover_epoch=3))
         fabric = NetworkFabric(sched.topology)
         enter(sched, 1, fabric)
-        assert fabric.pcb_multiplier(0) == 0.25
+        assert fabric.degraded_pcbs == {0: 0.25}
         enter(sched, 3, fabric)
-        assert fabric.pcb_multiplier(0) == 1.0
+        assert fabric.degraded_pcbs == {}
 
     def test_storms_surface_as_preemptions(self):
         sched = scheduler(PreemptionStorm(2),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import FaultSchedule, PreemptionStorm, StragglerFault
-from repro.core import SoCFlow, SoCFlowOptions, build_socflow
+from repro.core import SoCFlow, SoCFlowOptions
 
 
 def run(config, *events, **options):
@@ -83,10 +83,6 @@ class TestAblationSwitches:
         with pytest.raises(ValueError):
             SoCFlowOptions(precision="fp64")
 
-    def test_build_socflow_kwargs(self):
-        strategy = build_socflow(planning=False)
-        assert strategy.options.planning is False
-
 
 class TestEvents:
     def test_preemption_drops_groups(self, quick_config):
@@ -114,7 +110,8 @@ class TestEvents:
 class TestAutoGroupSize:
     def test_profile_recorded_and_applied(self, quick_config):
         config = replace(quick_config, max_epochs=1,
-                         topology=quick_config.topology.restricted(16))
+                         topology=replace(quick_config.topology,
+                                          num_socs=16))
         result = run(config, auto_group_size=True)
         profile = result.extra["group_size_profile"]
         assert set(profile) == {1, 2, 4, 8}

@@ -26,35 +26,24 @@ class TestArrayDataset:
 
 class TestDataLoader:
     def test_batch_count_without_drop(self):
-        loader = DataLoader(dataset(10), batch_size=3, shuffle=False)
+        loader = DataLoader(dataset(10), batch_size=3)
         assert len(loader) == 4
         batches = list(loader)
         assert len(batches[-1][0]) == 1
 
-    def test_drop_last(self):
-        loader = DataLoader(dataset(10), batch_size=3, shuffle=False,
-                            drop_last=True)
-        assert len(loader) == 3
-        assert all(len(x) == 3 for x, _ in loader)
-
     def test_covers_every_sample_once(self):
-        loader = DataLoader(dataset(50), batch_size=7, shuffle=True, seed=3)
+        loader = DataLoader(dataset(50), batch_size=7, seed=3)
         seen = np.concatenate([y for _, y in loader])
         assert sorted(seen.tolist()) == list(range(50))
 
     def test_shuffle_changes_order_across_epochs(self):
-        loader = DataLoader(dataset(50), batch_size=50, shuffle=True, seed=3)
+        loader = DataLoader(dataset(50), batch_size=50, seed=3)
         first = next(iter(loader))[1].copy()
         second = next(iter(loader))[1].copy()
         assert not np.array_equal(first, second)
 
-    def test_no_shuffle_preserves_order(self):
-        loader = DataLoader(dataset(10), batch_size=4, shuffle=False)
-        x, y = next(iter(loader))
-        np.testing.assert_array_equal(y, [0, 1, 2, 3])
-
     def test_reshuffle_resets_stream(self):
-        loader = DataLoader(dataset(20), batch_size=20, shuffle=True, seed=5)
+        loader = DataLoader(dataset(20), batch_size=20, seed=5)
         a = next(iter(loader))[1].copy()
         loader.reshuffle(5)
         b = next(iter(loader))[1].copy()

@@ -115,14 +115,12 @@ class TestTargetTracking:
         result = RingAllReduce().train(config)
         assert result.converged
         assert result.epochs_to_target == 1
-        assert result.time_to_target_s() == pytest.approx(
-            result.sim_time_s / 4)
 
     def test_unreachable_target(self, quick_config):
         config = replace(quick_config, max_epochs=1, target_accuracy=1.01)
         result = RingAllReduce().train(config)
         assert not result.converged
-        assert result.time_to_target_s() is None
+        assert result.epochs_to_target is None
 
 
 class TestHiPressInternals:

@@ -48,11 +48,10 @@ class LoopSgd:
     """SGD one parameter at a time: the update ``repro.nn.SGD`` runs
     over the fused storage, spelled as a loop over plain arrays."""
 
-    def __init__(self, params, lr, momentum=0.0, weight_decay=0.0,
-                 nesterov=False):
+    def __init__(self, params, lr, momentum=0.0, weight_decay=0.0):
         self.params = list(params)
         self.lr, self.momentum = lr, momentum
-        self.weight_decay, self.nesterov = weight_decay, nesterov
+        self.weight_decay = weight_decay
         self.velocity = [None] * len(self.params)
 
     def zero_grad(self) -> None:
@@ -75,7 +74,7 @@ class LoopSgd:
                 v = self.velocity[i]
                 v *= momentum
                 v += grad
-                grad = grad + momentum * v if self.nesterov else v
+                grad = v
             param.data -= self.lr * grad
 
 

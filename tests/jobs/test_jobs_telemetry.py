@@ -1,6 +1,7 @@
 """Per-job attribution through the tracer and the Chrome-trace export."""
 
 import json
+from dataclasses import replace
 
 from repro.telemetry import Telemetry, Tracer, to_chrome_trace
 
@@ -93,3 +94,33 @@ class TestScheduledRunTrace:
         assert soc_hours and soc_hours[0]["labels"] == {"job": "only"}
         names = {r["name"] for r in rows}
         assert {"jobs.completed", "jobs.utilisation"} <= names
+
+    def test_graph_counters_flushed_per_job(self, jobs_topology,
+                                            config_factory):
+        """A scheduled ``--graph`` job reports its compiled steps in the
+        shared telemetry, labelled with the job: one that completes and
+        one the horizon cuts off, each precision replayed, none fell
+        back."""
+        telemetry = Telemetry.active()
+        scheduler = make_scheduler(
+            jobs_topology,
+            lambda job: replace(config_factory(job), graph=True),
+            telemetry=telemetry, horizon_hours=0.75)
+        scheduler.submit(make_job("done", epochs=1, mixed=True, max_socs=4))
+        scheduler.submit(make_job("cut", epochs=9, max_socs=4))
+        report = scheduler.run()
+        assert report.jobs["done"].status == "completed"
+        assert report.jobs["cut"].status == "unfinished"
+        series = {(r["name"], r["labels"].get("job"),
+                   r["labels"].get("precision")): r["value"]
+                  for r in telemetry.metrics.collect()
+                  if r["name"].startswith("graph.")}
+        expected = {"done": ("fp32", "int8"), "cut": ("fp32",)}
+        for job, precisions in expected.items():
+            for precision in precisions:
+                assert series[("graph.replays", job, precision)] > 0
+                assert series[("graph.fallbacks", job, precision)] == 0
+        spans = [r for r in telemetry.tracer.records
+                 if r.kind == "graph_replay"]
+        assert {(r.job, r.args["precision"]) for r in spans} == {
+            ("done", "fp32"), ("done", "int8"), ("cut", "fp32")}

@@ -162,19 +162,3 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None,
         _pool_backward(x, grad_cols, kernel, stride, workspace)
 
     return Tensor._make(out_data.reshape(out_shape), (x,), backward)
-
-
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None,
-               workspace=_allocate) -> Tensor:
-    stride = stride or kernel
-    cols, cols_shape, out_shape = _pool_cols(x, kernel, stride, workspace)
-    out_data = np.mean(cols, axis=1)
-    scale = 1.0 / (kernel * kernel)
-
-    def backward(grad: np.ndarray) -> None:
-        grad_cols = np.multiply(
-            grad.reshape(cols_shape[0], 1, -1), scale,
-            out=workspace("pool_gcols", cols_shape))
-        _pool_backward(x, grad_cols, kernel, stride, workspace)
-
-    return Tensor._make(out_data.reshape(out_shape), (x,), backward)

@@ -96,9 +96,6 @@ class TestPoolingGradients:
             2, 3, 8, 8)
         check(lambda t: F.max_pool2d(t, 2), x, (0, 1, 3, 3))
 
-    def test_avgpool_grad(self):
-        check(lambda t: F.avg_pool2d(t, 2), X_IMG, (0, 2, 5, 5))
-
     def test_global_avgpool_grad(self):
         check(lambda t: F.global_avg_pool2d(t), X_IMG, (1, 0, 2, 2))
 
@@ -151,4 +148,4 @@ class TestPropertyBased:
         rng = np.random.default_rng(seed)
         x0 = (0.5 + rng.random((4, 4))).astype(np.float32)  # positive for log
         idx = (rng.integers(0, 4), rng.integers(0, 4))
-        check(lambda t: (t.log() + t.sqrt()).sigmoid(), x0, idx)
+        check(lambda t: (t.log() + t.sqrt()).tanh(), x0, idx)

@@ -231,12 +231,10 @@ def test_storage_rebinding_writes_through_and_keeps_programs():
     assert_states_equal(eager_opt.state_dict(), optimizer.state_dict())
 
 
-def test_attach_is_idempotent_and_detach_restores_eager():
+def test_attach_is_idempotent():
     model, _, executor = make("lenet5", graph=True)
     assert attach_graph_executor(model) is executor
     assert model.enable_graph_executor() is executor
-    model.disable_graph_executor()
-    assert getattr(model, "_graph_exec", None) is None
 
 
 def test_fp32_train_step_dispatches_to_executor():

@@ -26,15 +26,6 @@ class TestKaiming:
         assert w.std() == pytest.approx(math.sqrt(2.0 / (16 * 9)), rel=0.05)
 
 
-class TestXavier:
-    def test_uniform_bound(self):
-        rng = np.random.default_rng(3)
-        w = init.xavier_uniform((100, 200), rng)
-        bound = math.sqrt(6.0 / 300)
-        assert np.abs(w).max() <= bound + 1e-6
-        assert w.mean() == pytest.approx(0.0, abs=0.01)
-
-
 class TestMisc:
     def test_zeros_ones_dtype(self):
         assert init.zeros((3,)).dtype == np.float32

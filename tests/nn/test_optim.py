@@ -1,12 +1,9 @@
-"""Optimizer math against hand-computed updates, plus LR schedules."""
-
-import math
+"""Optimizer math against hand-computed updates."""
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, ConstantLR, CosineAnnealingLR, Module, StepLR, Tensor
-from repro.nn.optim import Adam
+from repro.nn import SGD, Module, Tensor
 
 from ..flat_reference import LoopSgd
 
@@ -53,13 +50,6 @@ class TestSgd:
         opt.step()                       # v=1.9, p=-2.9
         assert m.p.data[0] == pytest.approx(-2.9)
 
-    def test_nesterov_differs_from_plain(self):
-        m1, m2 = OneParam(0.0, 1.0), OneParam(0.0, 1.0)
-        SGD([m1.p], lr=1.0, momentum=0.9).step()
-        SGD([m2.p], lr=1.0, momentum=0.9, nesterov=True).step()
-        assert m2.p.data[0] == pytest.approx(-1.9)
-        assert m1.p.data[0] == pytest.approx(-1.0)
-
     def test_trainable_param_without_grad_raises(self):
         m = OneParam(1.0)
         with pytest.raises(RuntimeError, match="no gradient"):
@@ -94,10 +84,6 @@ class TestSgd:
         with pytest.raises(ValueError):
             SGD([], lr=0.0)
 
-    def test_nesterov_requires_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1, nesterov=True)
-
     def test_state_dict_roundtrip(self):
         m = OneParam(0.0, 1.0)
         opt = SGD([m.p], lr=0.5, momentum=0.9)
@@ -115,11 +101,10 @@ class TestSgd:
 
 
 @pytest.mark.parametrize("frozen", [(), (2, 3)], ids=["full", "split"])
-@pytest.mark.parametrize("momentum,nesterov", [(0.0, False), (0.9, False),
-                                               (0.9, True)])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
 @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
 def test_fused_update_matches_the_per_parameter_loop(weight_decay, momentum,
-                                                     nesterov, frozen):
+                                                     frozen):
     """``SGD`` runs the per-parameter loop's arithmetic (its twin in
     ``tests/flat_reference.py``) over the fused storage — every
     combination of its options, and over the trainable runs only when
@@ -134,8 +119,7 @@ def test_fused_update_matches_the_per_parameter_loop(weight_decay, momentum,
             model.parameters()[index].requires_grad = False
         optimizer = SGD if fused else LoopSgd
         return model, optimizer(model.parameters(), lr=0.05,
-                                momentum=momentum, nesterov=nesterov,
-                                weight_decay=weight_decay)
+                                momentum=momentum, weight_decay=weight_decay)
 
     (fused, fused_opt), (loop, loop_opt) = make(True), make(False)
     flat = fused.flatten_parameters()
@@ -154,77 +138,3 @@ def test_fused_update_matches_the_per_parameter_loop(weight_decay, momentum,
         if ours is not None:
             assert not ours.any() if theirs is None \
                 else np.array_equal(ours, theirs)
-
-
-class TestAdam:
-    def test_first_step_is_lr_sized(self):
-        """Bias correction makes step one move by ~lr regardless of
-        gradient magnitude."""
-        p = tensor_with_grad(0.0, 10.0)
-        Adam([p], lr=0.1).step()
-        assert p.data[0] == pytest.approx(-0.1, rel=1e-3)
-
-    def test_adapts_to_gradient_scale(self):
-        big = tensor_with_grad(0.0, 100.0)
-        small = tensor_with_grad(0.0, 0.01)
-        Adam([big], lr=0.1).step()
-        Adam([small], lr=0.1).step()
-        assert big.data[0] == pytest.approx(small.data[0], rel=1e-2)
-
-    def test_weight_decay_pulls_to_zero(self):
-        p = tensor_with_grad(5.0, 0.0)
-        Adam([p], lr=0.1, weight_decay=0.1).step()
-        assert p.data[0] < 5.0
-
-    def test_skips_gradless_params(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        Adam([p], lr=0.1).step()
-        assert p.data[0] == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Adam([], lr=0.0)
-        with pytest.raises(ValueError):
-            Adam([], betas=(1.0, 0.9))
-
-    def test_converges_on_quadratic(self):
-        p = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
-        opt = Adam([p], lr=0.2)
-        for _ in range(200):
-            p.grad = 2.0 * p.data  # d/dp p^2
-            opt.step()
-        assert abs(p.data[0]) < 0.05
-
-
-class TestSchedules:
-    def make(self, schedule_cls, **kw):
-        module = OneParam(0.0)
-        opt = SGD(module.parameters(), lr=1.0)
-        return opt, schedule_cls(opt, **kw)
-
-    def test_constant(self):
-        opt, sched = self.make(ConstantLR)
-        for _ in range(5):
-            sched.step()
-        assert opt.lr == 1.0
-
-    def test_step_lr_decays(self):
-        opt, sched = self.make(StepLR, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == pytest.approx(1.0)
-        sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_cosine_endpoints(self):
-        opt, sched = self.make(CosineAnnealingLR, total_epochs=10,
-                               min_lr=0.1)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_cosine_midpoint(self):
-        opt, sched = self.make(CosineAnnealingLR, total_epochs=10)
-        for _ in range(5):
-            sched.step()
-        assert opt.lr == pytest.approx(0.5 * (1 + math.cos(math.pi / 2)),
-                                       abs=1e-9)

@@ -145,15 +145,13 @@ class TestNonlinearities:
         a.relu().sum().backward()
         np.testing.assert_allclose(a.grad, [0.0, 1.0])
 
-    def test_exp_log_sqrt_tanh_sigmoid_values(self):
+    def test_exp_log_sqrt_tanh_values(self):
         x = np.array([0.5, 1.5], dtype=np.float32)
         a = Tensor(x)
         np.testing.assert_allclose(a.exp().numpy(), np.exp(x), rtol=1e-6)
         np.testing.assert_allclose(a.log().numpy(), np.log(x), rtol=1e-6)
         np.testing.assert_allclose(a.sqrt().numpy(), np.sqrt(x), rtol=1e-6)
         np.testing.assert_allclose(a.tanh().numpy(), np.tanh(x), rtol=1e-6)
-        np.testing.assert_allclose(a.sigmoid().numpy(),
-                                   1 / (1 + np.exp(-x)), rtol=1e-6)
 
     def test_clip_gradient_mask(self):
         a = Tensor([-2.0, 0.5, 2.0], requires_grad=True)
@@ -192,13 +190,13 @@ class TestGraphMechanics:
         assert out._backward is None
 
     def test_no_grad_restores_on_exception(self):
-        from repro.nn.tensor import is_grad_enabled
+        a = Tensor([1.0], requires_grad=True)
         try:
             with no_grad():
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        assert is_grad_enabled()
+        assert (a * 2).requires_grad
 
     def test_detach_and_copy(self):
         a = Tensor([1.0], requires_grad=True)

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor
+from repro.nn import SGD, Tensor
 from repro.nn import functional as F
 from repro.nn.models import (LayerNorm, MultiHeadAttention,
                              TransformerBlock, VisionTransformer,
                              build_model)
-from repro.nn.optim import Adam
 
 RNG = np.random.default_rng(0)
 
@@ -99,11 +98,12 @@ class TestBlockAndModel:
                             image_size=16, width=0.25, seed=0)
         assert model.num_parameters() > 0
 
-    def test_trains_with_adam_on_memorized_batch(self):
+    def test_trains_with_sgd_on_memorized_batch(self):
         model = VisionTransformer(num_classes=4, in_channels=3,
                                   image_size=16, width=0.5, seed=0,
                                   depth=2)
-        optimizer = Adam(model.parameters(), lr=1e-3)
+        model.flatten_parameters()
+        optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
         x = RNG.standard_normal((8, 3, 16, 16)).astype(np.float32)
         y = np.array([0, 1, 2, 3] * 2)
         losses = []

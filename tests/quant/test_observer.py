@@ -3,25 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.quant import EmaObserver, MinMaxObserver
-
-
-class TestMinMax:
-    def test_default_scale_before_observation(self):
-        assert MinMaxObserver(127).scale == 1.0
-
-    def test_tracks_running_peak(self):
-        obs = MinMaxObserver(127)
-        obs.observe(np.array([0.5]))
-        obs.observe(np.array([-2.0]))
-        obs.observe(np.array([1.0]))
-        assert obs.scale == pytest.approx(2.0 / 127)
-
-    def test_never_shrinks(self):
-        obs = MinMaxObserver(127)
-        obs.observe(np.array([4.0]))
-        obs.observe(np.array([0.1]))
-        assert obs.scale == pytest.approx(4.0 / 127)
+from repro.quant import EmaObserver
 
 
 class TestEma:

@@ -88,14 +88,6 @@ class TestGeneration:
         assert shifted.count_between(19.0, 21.0) \
             > 2 * shifted.count_between(13.0, 15.0)
 
-    def test_rate_rps_flash_additive(self):
-        proc = process(peak_rps=10.0,
-                       flash_crowds=[FlashCrowd(14.0, 1.0, 3.0)])
-        base = process(peak_rps=10.0)
-        assert proc.rate_rps(14.5) == pytest.approx(
-            3.0 * base.rate_rps(14.5))
-        assert proc.rate_rps(16.0) == pytest.approx(base.rate_rps(16.0))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ArrivalProcess([], seed=0)

@@ -215,8 +215,6 @@ class TestDeterminismAndTelemetry:
         with pytest.raises(ValueError):
             plane_for([], slo_ms=0.0)
         with pytest.raises(ValueError):
-            plane_for([], target_utilisation=1.5)
-        with pytest.raises(ValueError):
             plane_for([], min_replicas=2, max_replicas=1)
         with pytest.raises(ValueError):
             plane_for([], check_interval_hours=0.0)

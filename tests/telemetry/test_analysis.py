@@ -17,9 +17,9 @@ from repro.cluster import (ClusterTopology, FaultSchedule, NetworkFabric,
 from repro.core import SoCFlow, SoCFlowOptions
 from repro.distributed import build_strategy
 from repro.harness import make_run_config
-from repro.telemetry import (HealthMonitor, MetricsRegistry, Telemetry,
-                             Tracer, analyze_records, diff_reports,
-                             render_diff, render_report)
+from repro.telemetry import (MetricsRegistry, Telemetry, Tracer,
+                             analyze_records, diff_reports, render_diff,
+                             render_report)
 from repro.telemetry.analysis import render_live_summary
 
 
@@ -291,9 +291,7 @@ class TestHealthMonitor:
         tracer = Tracer()
         t = _epoch(tracer, 0, 0.0, sync_s=1.0)
         _epoch(tracer, 1, t, compute_s=2.0, sync_s=6.0)
-        report = analyze_records(
-            tracer.records,
-            monitor=HealthMonitor(spike_factor=100.0))
+        report = analyze_records(tracer.records)
         kinds = {a.kind for a in report.anomalies}
         assert "sync_regression" in kinds
 

@@ -207,10 +207,8 @@ def test_golden(tiny_task, key):
 
 
 if __name__ == "__main__":                              # pragma: no cover
-    from repro.data import make_classification_images
-    task = make_classification_images(
-        num_classes=6, train_size=600, test_size=240, channels=3,
-        image_size=12, difficulty=0.4, seed=0)           # conftest.tiny_task
+    from conftest import make_tiny_task     # run as a script from tests/
+    task = make_tiny_task()
     table = {key: digest(task, *args)
              for key, (digest, *args) in CASES.items()}
     GOLDEN_PATH.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
