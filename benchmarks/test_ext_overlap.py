@@ -6,8 +6,9 @@ gradient bucket's collective as soon as backward has produced it, so
 strategies whose sync is long relative to the §4.1 baseline hiding
 (PS incast above all) finish the epoch strictly earlier; SoCFlow's
 CG-planned pipeline already hides its sync under the full compute
-window, so fusion leaves its clock exactly unchanged (the adaptive
-clamp at work) — the breakdown still attributes the hidden share.
+window, which no bucket plan can beat, so whole-model sync is charged
+and fusion leaves its clock exactly unchanged — the breakdown still
+attributes the hidden share.
 
 Writes the epoch-breakdown report to ``$BENCH_OVERLAP_OUT`` when set
 (CI uploads it as a workflow artifact).
@@ -27,8 +28,9 @@ from repro.telemetry.export import render_epoch_table
 REPORT_ENV = "BENCH_OVERLAP_OUT"
 THRESHOLD_MB = 4.0
 #: Fig. 8 rows exercised here: the compute-heavy ResNet-18 panel is
-#: where overlap has room to win; VGG11 pins the clamp's "never
-#: slower" guarantee on a sync-dominated workload.
+#: where overlap has room to win; VGG11 pins the "never slower"
+#: guarantee (a losing bucket plan is not charged) on a sync-dominated
+#: workload.
 WORKLOADS = ["resnet18", "vgg11"]
 METHODS = ["ps", "ring", "socflow"]
 EPOCHS = 2
@@ -113,6 +115,7 @@ def test_overlap_epoch_time(benchmark, suite):
     # compute-heavy Fig. 8 panel for the incast-bound baseline
     ref, fused = results["resnet18", "ps"]
     assert fused.sim_time_s < ref.sim_time_s
-    # SoCFlow's planned pipeline already overlapped: exact tie, by clamp
+    # SoCFlow's planned pipeline already overlapped: no bucket plan
+    # beats it, so whole-model sync is charged and the clock ties
     ref, fused = results["resnet18", "socflow"]
     assert fused.sim_time_s == ref.sim_time_s

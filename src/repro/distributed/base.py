@@ -30,7 +30,6 @@ from ..nn.optim import SGD
 from ..nn.tensor import Tensor, no_grad
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from . import pricing
-from .pricing import OVERLAP_FRACTION, EpochCharge
 
 __all__ = ["RunConfig", "CostModel", "StrategyResult", "Strategy",
            "make_model", "make_replica", "evaluate_accuracy",
@@ -355,28 +354,13 @@ class CostModel:
         write weight+momentum -> ~16 bytes/parameter over LPDDR5)."""
         return 16.0 * self.profile.params / self.topology.soc.mem_bps
 
-    def step_charge(self, compute_s: float, sync_s: float, num_socs: int,
-                    cpu_fraction: float = 1.0) -> EpochCharge:
-        """One flat-cluster training step as a charge.
-
-        ``sync_s`` is reduced by the computing/communication overlap
-        optimisation (all strategies get it, §4.1).  The ``steps=1``
-        case of the charge SoCFlow and the job scheduler apply per
-        epoch (:mod:`.pricing`).
-        """
-        hidden = min(sync_s, OVERLAP_FRACTION * compute_s)
-        return EpochCharge(
-            steps=1, compute_s=compute_s, sync_s=sync_s - hidden,
-            hidden_s=hidden, update_s=self.update_seconds(),
-            cpu_busy_s=compute_s * cpu_fraction,
-            npu_busy_s=compute_s * (1.0 - cpu_fraction),
-            num_socs=num_socs, cpu_fraction=cpu_fraction)
-
     def charge_step(self, compute_s: float, sync_s: float,
                     num_socs: int, cpu_fraction: float = 1.0) -> None:
-        """Advance the clock by one flat-cluster training step."""
-        pricing.apply(self, self.step_charge(compute_s, sync_s, num_socs,
-                                             cpu_fraction))
+        """Advance the clock by one flat-cluster training step whose
+        collective takes ``sync_s``."""
+        pricing.apply(self, pricing.price_epoch(
+            self, compute_s=compute_s, num_socs=num_socs,
+            cpu_share=cpu_fraction, collective=lambda *_: sync_s))
 
     def charge_epoch_sync(self, sync_s: float, num_socs: int,
                           phase: str = "sync") -> None:

@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..cluster.topology import ClusterTopology
+from . import pricing
 from .base import CostModel, RunConfig
-from .pricing import EpochCharge
 from .ssgd import SsgdStrategy
 
 __all__ = ["LocalSingleSoC"]
@@ -38,8 +38,9 @@ class LocalSingleSoC(SsgdStrategy):
                          telemetry=config.telemetry)
 
     def _price_step(self, cost: CostModel, layout,
-                    num_socs: int) -> EpochCharge:
-        return cost.step_charge(
-            cost.compute_seconds(cost.config.sim_global_batch,
-                                 self.processor),
-            0.0, num_socs, 1.0 if self.processor == "cpu" else 0.0)
+                    num_socs: int) -> pricing.EpochCharge:
+        return pricing.price_epoch(
+            cost, num_socs=num_socs, collective=lambda *_: 0.0,
+            compute_s=cost.compute_seconds(cost.config.sim_global_batch,
+                                           self.processor),
+            cpu_share=1.0 if self.processor == "cpu" else 0.0)

@@ -40,17 +40,16 @@ class EpochCharge:
     num_socs: int
     #: CPU share of the processor-seconds (flat-cluster compute span)
     cpu_fraction: float = 1.0
-    #: network-busy seconds (``sync_s + hidden_s`` when bucketed)
+    #: network-busy seconds of the charged plan
     busy_s: float = 0.0
     #: per-CG seconds of one whole-model sync, in schedule order;
     #: ``None`` = every ring on the wire at once
     cg_times: "tuple[float, ...] | None" = None
-    #: per bucket ``(start, end, hidden_s)``: its collective's offsets
-    #: into the step window, clipped to ``[0, compute_s + sync_s]`` —
-    #: the window the charge advances — and its share of ``hidden_s``
+    #: per bucket ``(start, end, hidden_s)`` when the bucket plan is
+    #: charged: its collective's offsets into the step window and its
+    #: share of ``hidden_s``; empty when whole-model sync is
     bucket_schedule: "tuple[tuple[float, float, float], ...]" = ()
-    #: adaptive fusion replaced the bucket timeline's visible seconds
-    #: with the whole-model path's
+    #: fusion was on, but whole-model sync was charged
     clamped: bool = False
     # -- group-wise attribution; no groups = one cluster-level lane -----
     groups: "tuple[tuple[int, ...], ...]" = ()
@@ -65,6 +64,13 @@ class EpochCharge:
     #: what the fabric observed pricing the tail (retries, ``nic_wait``
     #: spans); :func:`apply` commits it where the tail starts
     tail_observations: tuple = ()
+
+    def __post_init__(self):
+        if not (0.0 <= self.hidden_s <= self.compute_s
+                and self.sync_s >= 0.0):
+            raise ValueError(
+                f"a step hides {self.hidden_s!r} s of sync under "
+                f"{self.compute_s!r} s of compute and shows {self.sync_s!r} s")
 
 
 def price_epoch(cost, mapping=None, plan=None, *, cpu_share: float = 1.0,
@@ -82,24 +88,29 @@ def price_epoch(cost, mapping=None, plan=None, *, cpu_share: float = 1.0,
     ring-synchronise per step — CG after CG when ``planning``, all at
     once otherwise — and the epoch ends with the tail.  Flat (no
     mapping; the S-SGD family): the strategy supplies its per-step
-    ``compute_s`` on ``num_socs`` chips and its ``collective(nbytes,
-    num_tensors) -> seconds``; the charge is one step, no tail.
+    ``compute_s`` on ``num_socs`` chips, ``cpu_share`` of it on the
+    CPU, and its ``collective(nbytes, num_tensors) -> seconds``; the
+    charge is one step, no tail.
 
-    With bucketed fusion on (``layout`` is the model's flat layout)
-    every gradient bucket runs the whole sync on its slice of the
-    payload as backward emits it, and the overlap timeline decides how
-    much hides under compute.
+    Sync is one plan, charged whole.  Whole-model sync hides under the
+    §4.1 overlap (a full window under the CG schedule); with bucketed
+    fusion on (``layout`` is the model's flat layout) the bucket plan
+    runs the whole sync on each bucket's slice of the payload as
+    backward emits it, and the overlap timeline decides what hides.
+    The plan with fewer visible seconds is charged (a tie goes to
+    whole-model sync).
 
     The fabric counts retries and stamps ``nic_wait`` spans on every
-    query, so their order is contract: whole-model sync, then one sync
-    per bucket, observed as made (before the step window is applied);
-    the tail's queries are deferred into the charge.
+    query, so each candidate is priced deferred and only the charged
+    plan's observations are committed, here; the tail's are deferred
+    into the charge.
     """
     config, fabric, payload = cost.config, cost.fabric, cost.grad_bytes
     if mapping is None:
         steps, full_window = 1, False
         cpu_n = npu_n = 0.0
-        cpu_busy, npu_busy = compute_s, 0.0
+        cpu_busy = compute_s * cpu_share
+        npu_busy = compute_s * (1.0 - cpu_share)
 
         def sync(nbytes, num_tensors=None):
             return collective(nbytes, num_tensors), None
@@ -129,49 +140,45 @@ def price_epoch(cost, mapping=None, plan=None, *, cpu_share: float = 1.0,
                                               num_tensors=num_tensors)
             return sum(times), tuple(times)
 
-    raw, cg_times = sync(payload)
+    with fabric.deferred() as observations:
+        raw, cg_times = sync(payload)
     hidden = min(raw, compute_s if full_window
                  else OVERLAP_FRACTION * compute_s)
+    sync_s = raw - hidden
     bucket_plan = cost.bucket_plan(layout)
     bucket_bytes = schedule = ()
-    clamped = False
-    if bucket_plan is None:
-        sync_s = raw - hidden
-    else:
-        bucket_bytes = tuple(bucket_plan.sim_bytes(payload))
-        bucket_times = [
-            sync(b_bytes, b_tensors)[0] for b_bytes, b_tensors in zip(
-                bucket_bytes,
-                bucket_plan.sim_tensors(cost.profile.num_tensors))]
+    if bucket_plan is not None:
+        sliced = tuple(bucket_plan.sim_bytes(payload))
+        with fabric.deferred() as bucket_observations:
+            bucket_times = [
+                sync(b_bytes, b_tensors)[0] for b_bytes, b_tensors in zip(
+                    sliced, bucket_plan.sim_tensors(
+                        cost.profile.num_tensors))]
         ready = [fraction * compute_s
                  for fraction in bucket_plan.ready_fractions()]
         timeline, visible = overlap_timeline(compute_s, ready, bucket_times)
-        # Adaptive fusion: per-bucket collectives pay extra startup and
-        # hop latency, so a plan can *lose* to whole-model sync on a
-        # shallow compute window.  A real runtime would fall back to
-        # coarser fusion, so the visible time is clamped at the
-        # sequential path's: bucketing never slows a step, and a
-        # one-bucket plan advances the very float the unbucketed path
-        # does (``raw - hidden``), never a re-rounding of it.
-        sync_s = min(visible, max(0.0, raw - hidden))
-        clamped = visible > sync_s
-        hidden = max(0.0, sum(bucket_times) - sync_s)
-        raw = sync_s + hidden
-        # Clip each collective to the window these seconds define; what
-        # of it lies outside the visible stretch is its hidden share, so
-        # the shares add up to ``hidden`` clamped or not.
-        window = compute_s + sync_s
-        schedule = tuple(
-            (min(start, window), min(end, window),
-             (end - start) - max(0.0, min(end, window)
-                                 - min(max(start, compute_s), window)))
-            for start, end in timeline)
+        # Per-bucket collectives pay extra startup and hop latency, so
+        # the plan can lose to whole-model sync on a shallow compute
+        # window — and always does under the CG schedule's full window.
+        if visible < sync_s:
+            sync_s, hidden = visible, sum(bucket_times) - visible
+            raw = sync_s + hidden
+            bucket_bytes, observations = sliced, bucket_observations
+            # the timeline ends in the window it is charged for; what
+            # of a collective runs past compute is its visible share
+            schedule = tuple(
+                (start, end,
+                 (end - start) - max(0.0, end - max(start, compute_s)))
+                for start, end in timeline)
+    fabric.commit(observations)
 
     charge = EpochCharge(
         steps=steps, compute_s=compute_s, sync_s=sync_s, hidden_s=hidden,
         update_s=cost.update_seconds(), cpu_busy_s=cpu_busy,
-        npu_busy_s=npu_busy, num_socs=num_socs, busy_s=raw,
-        cg_times=cg_times, bucket_schedule=schedule, clamped=clamped)
+        npu_busy_s=npu_busy, num_socs=num_socs, cpu_fraction=cpu_share,
+        busy_s=raw, cg_times=cg_times, bucket_schedule=schedule,
+        clamped=bucket_plan is not None and not schedule,
+        bucket_bytes=bucket_bytes)
     if mapping is None:
         return charge
     leaders = [socs[0] for socs in mapping.groups]
@@ -182,9 +189,8 @@ def price_epoch(cost, mapping=None, plan=None, *, cpu_share: float = 1.0,
     return replace(
         charge, groups=tuple(tuple(socs) for socs in mapping.groups),
         cgs=tuple(tuple(cg) for cg in plan.cgs), slowdown=slowdown,
-        cpu_samples=cpu_n, npu_samples=npu_n, bucket_bytes=bucket_bytes,
-        tail_cg_times=tuple(tail), leader_s=leader_s,
-        tail_observations=tuple(tail_observations))
+        cpu_samples=cpu_n, npu_samples=npu_n, tail_cg_times=tuple(tail),
+        leader_s=leader_s, tail_observations=tuple(tail_observations))
 
 
 def apply(cost, charge: EpochCharge) -> None:
@@ -208,7 +214,7 @@ def apply(cost, charge: EpochCharge) -> None:
     energy.charge_network(visible, num_socs)
     energy.charge_network(hidden, num_socs, include_idle=False)
     energy.charge_compute(update, num_socs, 1.0)
-    if charge.bucket_schedule:
+    if charge.clamped or charge.bucket_schedule:        # fusion on
         metrics.counter("sync.fusion_clamped").inc(
             steps if charge.clamped else 0)
 

@@ -93,7 +93,10 @@ class StaleSynchronous(Strategy):
         sim_steps = cost.steps_per_epoch
         for _ in range(sim_steps):
             cost.charge_step(compute_s, 0.0, len(socs))
-        cost.charge_epoch_sync(sim_steps // self.staleness * sync_s,
-                               len(socs))
+        sync_t0, lump = cost.clock.now, sim_steps // self.staleness * sync_s
+        cost.charge_epoch_sync(lump, len(socs))
+        if cost.telemetry.tracer.enabled:
+            cost.telemetry.tracer.span("sync", sync_t0, lump,
+                                       num_socs=len(socs))
         merge()
         return chains[0]

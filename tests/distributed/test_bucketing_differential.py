@@ -11,8 +11,8 @@ per-tensor ``max_ops=1`` plan — a fused run must produce
   same merged bytes (the host aggregation work is resliced, never
   duplicated);
 - a simulated wall clock that is never *slower* than the unbucketed
-  run, with exact equality for the one-bucket plan (the adaptive
-  clamp's degenerate case).
+  run, with exact equality for the one-bucket plan (it never beats
+  whole-model sync, so whole-model sync is charged).
 
 The same contract must hold with tracing on and under injected faults.
 """
@@ -120,17 +120,20 @@ def test_bucketed_run_is_differentially_identical(references, tiny_task,
     assert_differential(ref, ref_metrics, fused, fused_metrics,
                         exact_clock=exact)
     if method in FUSION_AWARE and sweep != "one_bucket":
-        # fusion always reports a hidden share even when the adaptive
-        # clamp holds the clock at equality (vgg11's compute window is
-        # too shallow to hide its sync; the strict win is pinned on a
-        # compute-heavy workload below)
+        # whichever plan is charged reports a hidden share (vgg11's
+        # compute window is too shallow for its buckets, so whole-model
+        # sync is; the strict win is pinned on a compute-heavy
+        # workload below)
         assert fused.extra["sync_hidden_s"] > 0.0
 
 
 @pytest.mark.parametrize("method", ["ring", "socflow"])
 def test_tracing_does_not_perturb_fused_runs(references, tiny_task, method):
-    """The tracer observes the overlap schedule without changing it, and
-    fused runs emit per-bucket sync spans."""
+    """The tracer observes the sync plan without changing it.  vgg11's
+    compute window is too shallow for its buckets, so the plan loses
+    on every step: the traced fused run is charged whole-model sync —
+    the fusion-off clock, energy and hidden share — draws no bucket
+    span and counts every step as clamped."""
     ref, ref_metrics = references[method]
     config = base_config(tiny_task, **FUSION_SWEEP["mb4"])
     traced_config = dataclasses.replace(
@@ -141,23 +144,25 @@ def test_tracing_does_not_perturb_fused_runs(references, tiny_task, method):
     else:
         traced = build_strategy(method).train(traced_config)
     assert traced.accuracy_history == ref.accuracy_history
-    assert traced.sim_time_s <= ref.sim_time_s
     untraced, untraced_metrics = run(config, method)
-    assert traced.sim_time_s == untraced.sim_time_s
-    assert traced.breakdown == untraced.breakdown
-    spans = [r for r in traced_config.telemetry.tracer.records
-             if r.name == "bucket_sync"]
-    assert spans
-    indices = {r.args["bucket"] for r in spans}
-    assert len(indices) > 1                      # per-bucket attribution
-    assert any(r.args.get("hidden_s", 0.0) > 0.0 for r in spans)
+    assert traced.sim_time_s == untraced.sim_time_s == ref.sim_time_s
+    assert traced.breakdown == untraced.breakdown == ref.breakdown
+    assert traced.energy == ref.energy
+    assert traced.extra["sync_hidden_s"] == ref.extra["sync_hidden_s"]
+    records = traced_config.telemetry.tracer.records
+    assert not [r for r in records if r.name == "bucket_sync"]
+    compute = [r for r in records if r.name == "compute"]
+    steps = (compute[0].args["steps"] * traced.epochs_run
+             if method == "socflow" else len(compute))
+    counter = traced_config.telemetry.metrics.counter("sync.fusion_clamped")
+    assert counter.value == steps > 0
 
 
 def test_compute_heavy_workload_strictly_wins(tiny_task):
     """ResNet-18 under PS: the compute window is deep and the incast
     sync long, so early buckets genuinely start while backward still
-    runs — fusion must strictly beat the sequential clock here, not
-    just tie it under the clamp."""
+    runs — the bucket plan is charged and must strictly beat the
+    sequential clock here, not just tie it."""
     base = base_config(tiny_task, model_name="resnet18", max_epochs=1)
     ref, ref_metrics = run(base, "ps")
     fused, fused_metrics = run(

@@ -19,19 +19,28 @@ from repro.cluster import PhaseClock
 from repro.core import SoCFlow, SoCFlowOptions
 from repro.core.mapping import integrity_greedy_mapping
 from repro.core.planning import CommunicationPlan
-from repro.distributed import (CostModel, ParameterServer, build_strategy,
-                               make_model, pricing)
+from repro.distributed import (STRATEGY_REGISTRY, CostModel,
+                               ParameterServer, build_strategy, make_model,
+                               pricing)
 from repro.distributed.ssgd import SsgdStrategy
 from repro.jobs import TrainingJob
 from repro.jobs.execution import JobExecution
 from repro.telemetry import analyze_records
 
-from ..test_pricing_golden import FAULTS, TOPOLOGY, make_config
+from ..test_pricing_golden import FAULTS, TOPOLOGY, make_config, run_digests
 
 #: lenet5 has 10 parameter tensors: ops -> bucket count
 MAX_OPS = {1: 10, 2: 5, 3: 4, 5: 2}
 
 REL = 1e-9
+
+#: a NIC flap on PCB 0 for epochs 0 and 1: every query retries
+FLAP = "flap:epoch=0,pcb=0,mult=0.2,until=2"
+
+
+def build(method: str):
+    return (SoCFlow(SoCFlowOptions()) if method == "socflow"
+            else build_strategy(method))
 
 
 def in_epoch(records, window, kind, name=None):
@@ -69,11 +78,17 @@ def test_socflow_spans_tile_the_clock(tiny_task, buckets, faults, planning):
     records = telemetry.tracer.records
     if faults is None:
         assert result.extra["num_cgs"] == 2
+    clamped_steps = 0
     for window, row in zip(report.epochs, telemetry.epoch_rows):
+        # one plan per charge: a span per bucket iff buckets were
+        # charged, never under the CG schedule's full window
         buckets_here = in_epoch(records, window, "bucket_sync")
-        assert len(buckets_here) == buckets
-        compute_end = max(r.end_s for r in in_epoch(records, window,
-                                                    "compute"))
+        assert len(buckets_here) in (0, buckets)
+        assert not (planning and buckets_here)
+        compute = in_epoch(records, window, "compute")
+        if not buckets_here:
+            clamped_steps += compute[0].args["steps"]
+        compute_end = max(r.end_s for r in compute)
         (update,) = in_epoch(records, window, "update")
         # the in-step allreduce spans tile [compute_end, update start] ...
         spans = in_epoch(records, window, "allreduce", name="allreduce")
@@ -100,6 +115,8 @@ def test_socflow_spans_tile_the_clock(tiny_task, buckets, faults, planning):
         for span in buckets_here:
             assert span.ts_s >= window.start_s
             assert span.end_s <= update.ts_s * (1 + 1e-12)
+    counter = telemetry.metrics.counter("sync.fusion_clamped")
+    assert counter.value == clamped_steps
 
 
 @pytest.mark.parametrize("faults", [None, FAULTS], ids=["clean", "continue"])
@@ -111,14 +128,61 @@ def test_ring_spans_tile_the_clock(tiny_task, buckets, faults):
     report = assert_trace_tiles_clock(config.telemetry, result)
     records = config.telemetry.tracer.records
     steps = CostModel(config).steps_per_epoch
+    clamped_steps = 0
     for window in report.epochs:
-        assert len(in_epoch(records, window, "bucket_sync")) \
-            == buckets * steps
+        # an epoch's steps share one charge: every bucket of every step
+        # is drawn, or none is and the steps are counted
+        drawn = len(in_epoch(records, window, "bucket_sync"))
+        assert drawn in (0, buckets * steps)
+        clamped_steps += 0 if drawn else steps
+    counter = config.telemetry.metrics.counter("sync.fusion_clamped")
+    assert counter.value == clamped_steps
+
+
+@pytest.mark.parametrize("faults", [None, FLAP], ids=["clean", "flap"])
+@pytest.mark.parametrize("fusion", [{}, dict(fusion_max_ops=2)],
+                         ids=["whole", "ops2"])
+@pytest.mark.parametrize("method", sorted(STRATEGY_REGISTRY) + ["socflow"])
+def test_every_strategy_trace_tiles_the_clock(tiny_task, method, fusion,
+                                              faults):
+    """Every charge a run makes passes the ``EpochCharge`` invariant,
+    and every second the clock advances is drawn."""
+    config = make_config(tiny_task, faults=faults, **fusion)
+    assert_trace_tiles_clock(config.telemetry, build(method).train(config))
+
+
+@pytest.mark.parametrize("fields", [
+    dict(hidden_s=2.0),                   # more hidden than compute
+    dict(hidden_s=-1e-12),
+    dict(sync_s=-1e-12),
+    dict(hidden_s=float("nan")),
+], ids=["hidden_past_compute", "negative_hidden", "negative_sync", "nan"])
+def test_a_charge_never_hides_more_than_its_compute(fields):
+    charge = dict(steps=1, compute_s=1.0, sync_s=0.5, hidden_s=0.3,
+                  update_s=0.1, cpu_busy_s=1.0, npu_busy_s=0.0, num_socs=4)
+    pricing.EpochCharge(**charge)
+    with pytest.raises(ValueError, match="hides"):
+        pricing.EpochCharge(**{**charge, **fields})
+
+
+@pytest.mark.parametrize("fusion", [dict(fusion_max_ops=2),
+                                    dict(fusion_threshold_mb=4.0)],
+                         ids=["ops2", "mb4"])
+@pytest.mark.parametrize("method", ["socflow", "ring", "ps"])
+def test_a_lost_bucket_plan_is_the_fusion_off_run(tiny_task, method, fusion):
+    """A bucket plan that loses on every step is not charged at all:
+    result and trace are byte for byte the fusion-off run's, its
+    retries and ``nic_wait`` spans included, and every step is counted
+    as clamped."""
+    fused = make_config(tiny_task, faults=FLAP, **fusion)
+    assert run_digests(build(method), fused) == run_digests(
+        build(method), make_config(tiny_task, faults=FLAP))
+    assert fused.telemetry.metrics.counter("sync.fusion_clamped").value > 0
 
 
 def test_unclamped_bucket_timeline_is_drawn_as_priced(tiny_task):
     """ResNet-18 under PS is the configuration where bucketing wins
-    (deep compute window, long incast): the clamp stays out of it, and
+    (deep compute window, long incast): the bucket plan is charged, and
     the bucket spans are the overlap timeline itself."""
     config = make_config(tiny_task, model_name="resnet18",
                          fusion_threshold_mb=4.0)

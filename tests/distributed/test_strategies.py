@@ -330,6 +330,8 @@ def test_one_group_wise_run():
     assert files_where(calls("price_epoch")) == {
         "core/socflow.py",          # GroupRun.run_epoch
         "distributed/ssgd.py",      # the data-parallel baselines
+        "distributed/local.py",     # their one-SoC column
+        "distributed/base.py",      # CostModel.charge_step (SSP)
     }
     names = set().union(*(defined_names(ast.parse(path.read_text()))
                           for path in SRC.rglob("*.py")))

@@ -195,7 +195,11 @@ CASES = {
 # re-recorded when planned events joined the fault schedule: the
 # underclock (a straggler) and the preemption (a storm) each draw one
 # ``fault`` onset event at the epoch-1 boundary; their result digests
-# held.
+# held.  When one sync plan became charged whole (no seconds spliced
+# from the bucket plan into the whole-model one) every fused key below
+# lost its bucket plan on every step and became its ``whole`` key's
+# digests; the ssp/* traces moved (never the result) when SSP's
+# parameter-server sync lump gained its ``sync`` span.
 GOLDEN_PATH = Path(__file__).with_name("pricing_golden.json")
 
 

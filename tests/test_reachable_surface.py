@@ -62,7 +62,8 @@ DELETED = {
     "cluster/clock.py": {"PhaseClock.reset", "PhaseClock.fraction"},
     "cluster/faults.py": {"FaultSchedule.max_epoch"},
     "serving/arrivals.py": {"ArrivalProcess.rate_rps"},
-    "distributed/base.py": {"StrategyResult.time_to_target_s"},
+    "distributed/base.py": {"StrategyResult.time_to_target_s",
+                             "CostModel.step_charge"},
     "comm/compression.py": {"DgcCompressor.reset",
                             "DgcCompressor.compression_ratio",
                             "SparseGradient.wire_bytes",

@@ -47,6 +47,8 @@ SEEDS = (0, 1)
 # The one fault reader then moved trace + metrics (never the result) of
 # the 56 fail-stop/continue runs of the seven cluster strategies: they
 # draw the ``fault`` onset events and ``faults.injected`` counts.
+# The 12 ``ssp`` traces moved (never result or metrics) when its
+# parameter-server sync lump gained its ``sync`` span.
 GOLDEN_PATH = Path(__file__).with_name("strategy_golden.json")
 
 
