@@ -106,14 +106,15 @@ class GlobalScheduler:
         telemetry.metrics.histogram("recovery.seconds").observe(seconds)
         return seconds
 
-    def checkpoint(self, cost, phase: str, **span) -> float:
+    def checkpoint(self, cost, phase: str, num_socs: int, **span) -> float:
         """Write one model checkpoint to a SoC's UFS storage, charged to
-        ``phase``; ``span`` are the ``checkpoint`` span's name and args."""
+        ``phase`` while the run's ``num_socs`` SoCs wait; ``span`` are
+        the ``checkpoint`` span's name and args."""
         model_bytes = cost.grad_bytes
         seconds = model_bytes / _UFS_WRITE_BPS
         cost.telemetry.tracer.span("checkpoint", cost.clock.now, seconds,
                                    model_bytes=model_bytes, **span)
-        cost.charge_checkpoint(seconds, phase)
+        cost.charge_checkpoint(seconds, phase, num_socs)
         return seconds
 
     # -- the event timeline -----------------------------------------------

@@ -43,7 +43,7 @@ from ..cluster.faults import FaultSchedule, PreemptionStorm
 from ..distributed import pricing
 from ..distributed.base import (CostModel, RunConfig, Strategy,
                                 StrategyResult, evaluate_accuracy,
-                                record_epoch_telemetry)
+                                flush_graph_stats, record_epoch_telemetry)
 from ..quant.int8 import QuantConfig
 from ..quant.mixed import MixedPrecisionController
 from .checkpoint import TrainingCheckpoint
@@ -305,64 +305,19 @@ class GroupRun:
 
     def flush_graph_stats(self, telemetry, now: float,
                           extra: "dict | None" = None, **attribution) -> None:
-        """Aggregate the groups' per-precision graph-executor counters
-        into ``extra["graph_stats"]`` (when given), the metrics stream
-        and the trace at simulated second ``now``; ``attribution``
-        (a scheduled job's ``job=``) labels every series and span.
-
-        No-op when ``--graph`` is off (no group has an executor), so
-        eager telemetry is byte-identical to pre-graph runs.  Counters
-        reuse the established ``graph.*`` names with a ``precision``
-        label, plus a dedicated ``graph.int8_fallbacks`` total so a
-        silently-eager INT8 path is visible rather than dropped.  One
-        ``graph_replay`` span per (group, precision) carries LG/CG
-        attribution.  The run's plan cache adds, per precision, how
-        many plans were compiled (``graph.plans``; ``unshared_plans``
-        of them for a replica that could not share), how many bindings
-        were made and the workspace bytes they all compute in — in
-        ``extra["graph_plans"]``, the metrics stream and on the spans.
-        Under ``workers > 1`` the steps run in worker replicas whose
-        executor counters are not shipped back, so the main-process
-        numbers only reflect local activity.
-        """
-        per_group = [group.graph_stats() for group in self.groups]
-        if not any(per_group):
-            return
-        totals: dict[str, dict[str, int]] = {}
-        for stats in per_group:
-            for precision, counters in (stats or {}).items():
-                total = totals.setdefault(precision, {})
-                for key, value in counters.items():
-                    total[key] = total.get(key, 0) + value
-        plans = self.groups[0].arena.snapshot()
-        if extra is not None:
-            extra["graph_stats"] = totals
-            extra["graph_plans"] = plans
-        metrics = telemetry.metrics
-        if metrics.enabled:
-            for precision, counters in totals.items():
-                for key, value in counters.items():
-                    metrics.counter(f"graph.{key}", precision=precision,
-                                    **attribution).inc(value)
-            if "int8" in totals:
-                metrics.counter("graph.int8_fallbacks", **attribution).inc(
-                    totals["int8"].get("fallbacks", 0))
-            for precision, counters in plans.items():
-                for key in ("plans", "binds", "unshared_plans"):
-                    metrics.counter(f"graph.{key}", precision=precision,
-                                    **attribution).inc(counters[key])
-                metrics.gauge("graph.workspace_bytes", precision=precision,
-                              **attribution).set(counters["workspace_bytes"])
-        tracer = telemetry.tracer
-        if tracer.enabled:
-            lg_to_cg = {lg: cg_idx for cg_idx, cg in enumerate(self.plan.cgs)
-                        for lg in cg}
-            for lg, stats in enumerate(per_group):
-                for precision, counters in (stats or {}).items():
-                    tracer.span("graph_replay", now, 0.0, lg=lg,
-                                cg=lg_to_cg.get(lg, 0),
-                                precision=precision, **attribution,
-                                **counters, **plans.get(precision, {}))
+        """:func:`~repro.distributed.base.flush_graph_stats` over the
+        groups: one ``graph_replay`` span per (group, precision) with
+        its LG/CG, and the run's plan cache.  Under ``workers > 1`` the
+        steps run in worker replicas whose executor counters are not
+        shipped back, so the main-process numbers only reflect local
+        activity."""
+        lg_to_cg = {lg: cg_idx for cg_idx, cg in enumerate(self.plan.cgs)
+                    for lg in cg}
+        flush_graph_stats(
+            telemetry, now, [group.graph_stats() for group in self.groups],
+            extra, plans=self.groups[0].arena.snapshot(),
+            lanes=[{"lg": lg, "cg": lg_to_cg.get(lg, 0)}
+                   for lg in range(len(self.groups))], **attribution)
 
     def close(self) -> None:
         """Close the LG executor and drop the op workspaces the run
@@ -465,9 +420,10 @@ class SoCFlow(Strategy):
                     })
                     preempted = min(preempted, len(run.groups) - 1)
                     current_dead = dead
+                held = sum(len(socs) for socs in run.mapping.groups)
                 for storm in storms:
                     preempted = self._handle_preemption(
-                        storm, run.groups, preempted, cost, scheduler)
+                        storm, run.groups, preempted, cost, scheduler, held)
                 active = len(run.groups) - preempted
                 run.run_epoch(active, pre_merge=probe if epoch == 0 else None)
                 accuracy = run.history[-1]
@@ -479,7 +435,7 @@ class SoCFlow(Strategy):
                     # writing to UFS happens off the critical path on
                     # every SoC, but the leader's write is charged once
                     # per epoch
-                    scheduler.checkpoint(cost, "update",
+                    scheduler.checkpoint(cost, "update", held,
                                          name="checkpoint:epoch", epoch=epoch)
                 record_epoch_telemetry(
                     cost, epoch_start, epoch, accuracy,
@@ -540,13 +496,16 @@ class SoCFlow(Strategy):
     @staticmethod
     def _handle_preemption(event: PreemptionStorm,
                            groups: list[GroupMixedTrainer], preempted: int,
-                           cost: CostModel, scheduler: GlobalScheduler) -> int:
-        """Terminate whole logical groups; checkpoint their models."""
+                           cost: CostModel, scheduler: GlobalScheduler,
+                           num_socs: int) -> int:
+        """Terminate whole logical groups; checkpoint their models while
+        the run's ``num_socs`` SoCs wait."""
         newly = min(event.num_groups, len(groups) - preempted - 1)
         if newly > 0:
             telemetry = cost.telemetry
             telemetry.tracer.event("preemption", cost.clock.now,
                                    epoch=event.epoch, num_groups=newly)
-            scheduler.checkpoint(cost, "sync", name="checkpoint:preempt")
+            scheduler.checkpoint(cost, "sync", num_socs,
+                                 name="checkpoint:preempt")
             telemetry.metrics.counter("preemptions.groups").inc(newly)
         return preempted + max(0, newly)

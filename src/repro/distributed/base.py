@@ -183,31 +183,60 @@ def evaluate_accuracy(model: Module, x: np.ndarray, y: np.ndarray,
     return correct / len(x)
 
 
-def flush_graph_stats(replicas: "list[Module]", cost: "CostModel",
-                      extra: dict) -> None:
+def flush_graph_stats(telemetry: Telemetry, now: float,
+                      per_replica: "list[dict | None]",
+                      extra: "dict | None" = None, *,
+                      plans: "dict | None" = None,
+                      lanes: "list[dict] | None" = None,
+                      **attribution) -> None:
     """Surface a run's graph-executor counters after training.
 
-    No-op when no replica has an executor.  Otherwise the
-    capture/replay counters, summed over the replicas, land in
-    ``extra["graph_stats"]``, the metrics registry (``graph.captures``
-    / ``graph.replays`` / ``graph.eager_steps`` / ``graph.fallbacks``)
-    and a ``graph_replay`` summary span at the current simulated clock.
-    Numerics are untouched, so traced and untraced runs stay
-    bit-identical.
+    ``per_replica`` is each replica's ``{precision: counters}``
+    (``None``: no executor; all ``None`` is a no-op, so eager telemetry
+    stays byte-identical).  Summed per precision, they land in
+    ``extra["graph_stats"]`` and ``precision``-labelled ``graph.*``
+    series (plus a ``graph.int8_fallbacks`` total); each replica and
+    precision draws a ``graph_replay`` span at simulated second
+    ``now``, tagged by its ``lanes`` entry.  ``plans`` (a run's plan
+    cache per precision) joins ``extra["graph_plans"]``, the series and
+    the spans; ``attribution`` (a job's ``job=``) labels all of them.
     """
-    snapshots = [model._graph_exec.snapshot() for model in replicas
-                 if getattr(model, "_graph_exec", None) is not None]
-    if not snapshots:
+    if not any(per_replica):
         return
-    stats = extra["graph_stats"] = {
-        key: sum(snapshot[key] for snapshot in snapshots)
-        for key in snapshots[0]}
-    telemetry = cost.telemetry
-    if telemetry.metrics.enabled:
-        for key, value in stats.items():
-            telemetry.metrics.counter(f"graph.{key}").inc(value)
-    if telemetry.tracer.enabled:
-        telemetry.tracer.span("graph_replay", cost.clock.now, 0.0, **stats)
+    totals: dict[str, dict[str, int]] = {}
+    for stats in per_replica:
+        for precision, counters in (stats or {}).items():
+            total = totals.setdefault(precision, {})
+            for key, value in counters.items():
+                total[key] = total.get(key, 0) + value
+    plans = plans or {}
+    if extra is not None:
+        extra["graph_stats"] = totals
+        if plans:
+            extra["graph_plans"] = plans
+    metrics = telemetry.metrics
+    if metrics.enabled:
+        for precision, counters in totals.items():
+            for key, value in counters.items():
+                metrics.counter(f"graph.{key}", precision=precision,
+                                **attribution).inc(value)
+        if "int8" in totals:
+            metrics.counter("graph.int8_fallbacks", **attribution).inc(
+                totals["int8"].get("fallbacks", 0))
+        for precision, counters in plans.items():
+            for key in ("plans", "binds", "unshared_plans"):
+                metrics.counter(f"graph.{key}", precision=precision,
+                                **attribution).inc(counters[key])
+            metrics.gauge("graph.workspace_bytes", precision=precision,
+                          **attribution).set(counters["workspace_bytes"])
+    tracer = telemetry.tracer
+    if tracer.enabled:
+        for lane, stats in zip(lanes or [{}] * len(per_replica),
+                               per_replica):
+            for precision, counters in (stats or {}).items():
+                tracer.span("graph_replay", now, 0.0, **lane,
+                            precision=precision, **attribution,
+                            **counters, **plans.get(precision, {}))
 
 
 def record_epoch_telemetry(cost: "CostModel", start: tuple, epoch: int,
@@ -370,9 +399,12 @@ class CostModel:
         self.clock.advance(sync_s, phase)
         self.energy.charge_network(sync_s, num_socs)
 
-    def charge_checkpoint(self, seconds: float, phase: str) -> None:
-        """One model checkpoint written to UFS, charged to ``phase``."""
+    def charge_checkpoint(self, seconds: float, phase: str,
+                          num_socs: int) -> None:
+        """One model checkpoint written to UFS, charged to ``phase``;
+        the ``num_socs`` SoCs the run holds draw their idle floor."""
         self.clock.advance(seconds, phase)
+        self.energy.charge_mixed(0.0, 0.0, seconds, num_socs)
 
 
 @dataclass
@@ -468,7 +500,10 @@ class Strategy:
             record_epoch_telemetry(cost, epoch_start, epoch, accuracy)
         if schedule is not None:
             extra.setdefault("aborted", False)
-        flush_graph_stats(run.replicas, cost, extra)
+        flush_graph_stats(cost.telemetry, cost.clock.now, [
+            {"fp32": model._graph_exec.snapshot()}
+            for model in run.replicas
+            if getattr(model, "_graph_exec", None) is not None], extra)
         return self._result(self.name, config, cost, history, state, extra)
 
     # -- helpers shared by subclasses -----------------------------------

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 from ..comm.primitives import average_states
 from ..data.loader import DataLoader, iid_partition
+from . import pricing
 from .base import (CostModel, RunConfig, Strategy, fp32_train_step,
                    make_model, make_replica)
 
@@ -51,6 +52,20 @@ class FedAvg(Strategy):
         socs = list(range(cost.topology.num_socs))
         return cost.fabric.parameter_server_time(socs, cost.grad_bytes)
 
+    def _price_round(self, cost: CostModel,
+                     num_clients: int) -> pricing.EpochCharge:
+        """One round: every client trains its paper-scale shard (all in
+        parallel, one update per global batch, no collective), then the
+        aggregation is the round's tail."""
+        config = cost.config
+        sim_shard = config.sim_samples_per_epoch / num_clients
+        steps = math.ceil(sim_shard / config.sim_global_batch)
+        compute_s = cost.compute_seconds(sim_shard, "cpu") * self.local_epochs
+        return pricing.price_epoch(
+            cost, num_socs=num_clients, steps=steps,
+            compute_s=compute_s / steps,
+            tail_s=self.round_sync_seconds(cost))
+
     def _local_batch(self, config: RunConfig, shard_size: int) -> int:
         """Local batch small enough for several local steps per round."""
         return max(4, min(config.batch_size, shard_size // 4 or 1))
@@ -66,15 +81,14 @@ class FedAvg(Strategy):
             replicas=[client_model], global_model=global_model,
             shards=shards, optimizer=optimizer,
             # each client starts its round without momentum
-            fresh_optimizer=optimizer.state_dict(), sync_s=None)
+            fresh_optimizer=optimizer.state_dict(), charge=None)
 
     def run_epoch(self, run, cost: CostModel, epoch: int, dead):
         config = cost.config
-        if run.sync_s is None or config.fault_schedule is not None:
+        if run.charge is None or config.fault_schedule is not None:
             # under a fault schedule every round is re-priced on the
             # fabric's current degradations
-            run.sync_s = self.round_sync_seconds(cost)
-        epoch_t0 = cost.clock.now
+            run.charge = self._price_round(cost, len(run.shards))
         global_model, (client_model,) = run.global_model, run.replicas
         global_state = global_model.state_dict()
         client_states = []
@@ -93,25 +107,5 @@ class FedAvg(Strategy):
         if client_states:
             global_model.load_state_dict(average_states(
                 client_states, metrics=cost.telemetry.metrics))
-
-        # Simulated per-round cost: every client trains its full-scale
-        # shard locally (all clients in parallel), then one aggregation.
-        num_clients = len(run.shards)
-        sim_shard = config.sim_samples_per_epoch / num_clients
-        compute_s = cost.compute_seconds(sim_shard, "cpu") * self.local_epochs
-        update_s = cost.update_seconds() * math.ceil(
-            sim_shard / config.sim_global_batch)
-        tracer = cost.telemetry.tracer
-        if tracer.enabled:
-            # one round = local passes in lock-step, then the
-            # weight exchange through the server
-            tracer.span("compute", epoch_t0, compute_s, num_socs=num_clients)
-            tracer.span("update", epoch_t0 + compute_s, update_s)
-            tracer.span("sync", epoch_t0 + compute_s + update_s,
-                        run.sync_s, num_socs=num_clients)
-        cost.clock.advance(compute_s, "compute")
-        cost.energy.charge_compute(compute_s, num_clients, 1.0)
-        cost.clock.advance(update_s, "update")
-        cost.energy.charge_compute(update_s, num_clients, 1.0)
-        cost.charge_epoch_sync(run.sync_s, num_clients)
+        pricing.apply(cost, run.charge)
         return global_model

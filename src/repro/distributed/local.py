@@ -37,10 +37,10 @@ class LocalSingleSoC(SsgdStrategy):
                                  fault_schedule=None),
                          telemetry=config.telemetry)
 
-    def _price_step(self, cost: CostModel, layout,
-                    num_socs: int) -> pricing.EpochCharge:
+    def _price_epoch(self, cost: CostModel, layout,
+                     num_socs: int) -> pricing.EpochCharge:
         return pricing.price_epoch(
-            cost, num_socs=num_socs, collective=lambda *_: 0.0,
+            cost, num_socs=num_socs, steps=cost.steps_per_epoch,
             compute_s=cost.compute_seconds(cost.config.sim_global_batch,
                                            self.processor),
             cpu_share=1.0 if self.processor == "cpu" else 0.0)

@@ -25,8 +25,8 @@ OVERLAP_FRACTION = 0.3
 
 @dataclass(frozen=True)
 class EpochCharge:
-    """What ``steps`` identical training steps (and, group-wise, the
-    epoch tail after them) cost.  Seconds are per step."""
+    """What ``steps`` identical training steps and the epoch tail after
+    them cost.  Seconds are per step, except the tail's."""
 
     steps: int
     compute_s: float
@@ -58,7 +58,9 @@ class EpochCharge:
     cpu_samples: float = 0.0
     npu_samples: float = 0.0
     bucket_bytes: "tuple[float, ...]" = ()
-    # -- epoch tail: one unhidden intra-group sync + the leader ring ----
+    #: unhidden network seconds after the last step, charged once
+    tail_s: float = 0.0
+    # -- group-wise tail: one intra-group sync per CG + the leader ring --
     tail_cg_times: "tuple[float, ...]" = ()
     leader_s: float = 0.0
     #: what the fabric observed pricing the tail (retries, ``nic_wait``
@@ -77,7 +79,8 @@ def price_epoch(cost, mapping=None, plan=None, *, cpu_share: float = 1.0,
                 slowdown: float = 1.0, planning: bool = True, layout=None,
                 compute_s: "float | None" = None,
                 num_socs: "int | None" = None,
-                collective=None) -> EpochCharge:
+                collective=None, steps: int = 1,
+                tail_s: float = 0.0) -> EpochCharge:
     """Price one epoch from ``cost``'s calibration, fabric and bucket
     plan — never its clock, energy meter or telemetry.
 
@@ -86,11 +89,13 @@ def price_epoch(cost, mapping=None, plan=None, *, cpu_share: float = 1.0,
     ``cpu_share`` of them on the CPU (1.0 = FP32 only, 0.0 = INT8
     only), stretched by the worst group's ``slowdown``; groups
     ring-synchronise per step — CG after CG when ``planning``, all at
-    once otherwise — and the epoch ends with the tail.  Flat (no
-    mapping; the S-SGD family): the strategy supplies its per-step
-    ``compute_s`` on ``num_socs`` chips, ``cpu_share`` of it on the
-    CPU, and its ``collective(nbytes, num_tensors) -> seconds``; the
-    charge is one step, no tail.
+    once otherwise — and the epoch ends with the tail: one more
+    intra-group sync and the leader ring.  Flat (no mapping; the
+    baselines): the strategy supplies its per-step ``compute_s`` on
+    ``num_socs`` chips, ``cpu_share`` of it on the CPU, its
+    ``collective(nbytes, num_tensors) -> seconds`` (none: no in-step
+    sync), the epoch's ``steps`` and its unhidden end-of-epoch
+    ``tail_s`` (SSP's parameter-server syncs, FedAvg's round exchange).
 
     Sync is one plan, charged whole.  Whole-model sync hides under the
     §4.1 overlap (a full window under the CG schedule); with bucketed
@@ -107,13 +112,14 @@ def price_epoch(cost, mapping=None, plan=None, *, cpu_share: float = 1.0,
     """
     config, fabric, payload = cost.config, cost.fabric, cost.grad_bytes
     if mapping is None:
-        steps, full_window = 1, False
+        full_window = False
         cpu_n = npu_n = 0.0
         cpu_busy = compute_s * cpu_share
         npu_busy = compute_s * (1.0 - cpu_share)
 
         def sync(nbytes, num_tensors=None):
-            return collective(nbytes, num_tensors), None
+            return (collective(nbytes, num_tensors) if collective
+                    else 0.0), None
     else:
         n = mapping.num_groups
         # SoCs hosting groups this epoch (survivors only, after faults);
@@ -178,7 +184,7 @@ def price_epoch(cost, mapping=None, plan=None, *, cpu_share: float = 1.0,
         npu_busy_s=npu_busy, num_socs=num_socs, cpu_fraction=cpu_share,
         busy_s=raw, cg_times=cg_times, bucket_schedule=schedule,
         clamped=bucket_plan is not None and not schedule,
-        bucket_bytes=bucket_bytes)
+        bucket_bytes=bucket_bytes, tail_s=tail_s)
     if mapping is None:
         return charge
     leaders = [socs[0] for socs in mapping.groups]
@@ -189,7 +195,8 @@ def price_epoch(cost, mapping=None, plan=None, *, cpu_share: float = 1.0,
     return replace(
         charge, groups=tuple(tuple(socs) for socs in mapping.groups),
         cgs=tuple(tuple(cg) for cg in plan.cgs), slowdown=slowdown,
-        cpu_samples=cpu_n, npu_samples=npu_n, tail_cg_times=tuple(tail),
+        cpu_samples=cpu_n, npu_samples=npu_n,
+        tail_s=sum(tail) + leader_s, tail_cg_times=tuple(tail),
         leader_s=leader_s, tail_observations=tuple(tail_observations))
 
 
@@ -218,10 +225,10 @@ def apply(cost, charge: EpochCharge) -> None:
         metrics.counter("sync.fusion_clamped").inc(
             steps if charge.clamped else 0)
 
-    # The step window.  Group-wise charges draw per-SoC lanes with LG/CG
-    # tags and the aggregated ``steps``; a flat charge is one
-    # cluster-level lane.  ``bucket_sync`` spans ride under both, off
-    # the critical path, scaled by ``steps`` like the window.
+    # The step window: ``steps`` identical windows drawn as one, every
+    # span the product the clock advanced by.  Group-wise charges draw
+    # per-SoC lanes with LG/CG tags; a flat charge is one cluster-level
+    # lane.  ``bucket_sync`` spans ride under both, off the critical path.
     if tracer.enabled:
         compute_end = t0 + compute
         if groups:
@@ -231,20 +238,16 @@ def apply(cost, charge: EpochCharge) -> None:
                                 steps=steps, slowdown=charge.slowdown,
                                 cpu_samples=charge.cpu_samples,
                                 npu_samples=charge.npu_samples)
+            lane = {"steps": steps}
         else:
-            tracer.span("compute", t0, compute, num_socs=num_socs,
+            lane = {"num_socs": num_socs, "steps": steps}
+            tracer.span("compute", t0, compute, **lane,
                         cpu_fraction=charge.cpu_fraction)
-        lane = {"steps": steps} if groups else {"num_socs": num_socs}
         for index, (start, end, share) in enumerate(charge.bucket_schedule):
             tracer.span("bucket_sync", t0 + steps * start,
                         steps * (end - start), bucket=index,
                         hidden_s=steps * share, **lane)
-        if not groups:
-            if visible > 0 or hidden > 0:
-                tracer.span("sync", compute_end, visible, hidden_s=hidden,
-                            **lane)
-            tracer.span("update", compute_end + visible, update)
-        else:
+        if groups:
             if charge.cg_times is None:
                 rings = [(None, range(len(groups)), visible,
                           steps * charge.busy_s)]
@@ -261,18 +264,24 @@ def apply(cost, charge: EpochCharge) -> None:
                 _ring_spans(tracer, groups, lgs, cursor, seconds, cg=cg_idx,
                             raw_s=raw_s, hidden_s=hidden)
                 cursor += seconds
-            tracer.span("update", compute_end + visible, update, steps=steps)
-    if not groups:
-        return
+        elif visible > 0 or hidden > 0:
+            tracer.span("sync", compute_end, visible, hidden_s=hidden,
+                        **lane)
+        tracer.span("update", compute_end + visible, update, steps=steps)
 
-    # Epoch tail (delayed aggregation): "the extra delay of SoCFlow is
-    # only one intra-group and inter-group synchronization time".
+    # Epoch tail: the unhidden network seconds after the last step.
+    # Group-wise it is delayed aggregation — "the extra delay of SoCFlow
+    # is only one intra-group and inter-group synchronization time";
+    # flat, a baseline's end-of-epoch exchange, one ``sync`` span.
     fabric, payload = cost.fabric, cost.grad_bytes
-    leaders = [socs[0] for socs in groups]
     fabric.commit(charge.tail_observations)
     cursor = clock.now
-    cost.charge_epoch_sync(sum(charge.tail_cg_times) + charge.leader_s,
-                           num_socs)
+    cost.charge_epoch_sync(charge.tail_s, num_socs)
+    if not groups:
+        if tracer.enabled and charge.tail_s > 0:
+            tracer.span("sync", cursor, charge.tail_s, num_socs=num_socs)
+        return
+    leaders = [socs[0] for socs in groups]
     if tracer.enabled:
         for cg_idx, (cg, seconds) in enumerate(
                 zip(charge.cgs, charge.tail_cg_times)):

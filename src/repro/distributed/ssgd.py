@@ -50,11 +50,13 @@ class SsgdStrategy(Strategy):
     def on_epoch_begin(self, epoch: int) -> None:
         """Hook for per-epoch schedules (HiPress's DGC warm-up)."""
 
-    def _price_step(self, cost: CostModel, layout,
-                    num_socs: int) -> pricing.EpochCharge:
-        """One step's charge from the compute/sync hooks above."""
+    def _price_epoch(self, cost: CostModel, layout,
+                     num_socs: int) -> pricing.EpochCharge:
+        """The epoch's charge: ``steps_per_epoch`` steps priced by the
+        compute/sync hooks above."""
         return pricing.price_epoch(
             cost, layout=layout, num_socs=num_socs,
+            steps=cost.steps_per_epoch,
             compute_s=self.step_compute_seconds(cost, num_socs),
             collective=partial(self.step_sync_seconds, cost))
 
@@ -68,19 +70,18 @@ class SsgdStrategy(Strategy):
         return SimpleNamespace(
             replicas=[model], optimizer=optimizer, loader=loader,
             layout=layout,
-            charge=self._price_step(cost, layout, cost.topology.num_socs))
+            charge=self._price_epoch(cost, layout, cost.topology.num_socs))
 
     def run_epoch(self, run, cost: CostModel, epoch: int, dead):
         if cost.config.fault_schedule is not None:
             # continue-with-survivors: the same global batch spreads
             # over fewer chips and syncs over possibly degraded links.
-            run.charge = self._price_step(
+            run.charge = self._price_epoch(
                 cost, run.layout, cost.topology.num_socs - len(dead))
         self.on_epoch_begin(epoch)
         model, = run.replicas
         for x, y in run.loader:
             fp32_train_step(model, run.optimizer, x, y,
                             grad_hook=self.transform_gradients)
-        for _ in range(cost.steps_per_epoch):
-            pricing.apply(cost, run.charge)
+        pricing.apply(cost, run.charge)
         return model

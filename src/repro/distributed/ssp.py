@@ -21,6 +21,7 @@ import numpy as np
 from ..comm.primitives import average_states
 from ..data.loader import iid_partition
 from ..nn.arena import StepArena
+from . import pricing
 from .base import (CostModel, RunConfig, Strategy, fp32_train_step,
                    make_replica)
 
@@ -52,21 +53,24 @@ class StaleSynchronous(Strategy):
             replicas=list(chains), optimizers=optimizers,
             shards=iid_partition(config.task.x_train, config.task.y_train,
                                  _NUM_CHAINS, seed=config.seed),
-            rng=np.random.default_rng(config.seed), step=None,
+            rng=np.random.default_rng(config.seed), charge=None,
             extra={"staleness": self.staleness})
 
     def run_epoch(self, run, cost: CostModel, epoch: int, dead):
         config = cost.config
         socs = [s for s in range(config.topology.num_socs) if s not in dead]
-        if run.step is None or config.fault_schedule is not None:
-            # (compute, PS sync) seconds of one step: every SoC computes
-            # its slice of the global batch.  Under a fault schedule
-            # every epoch is re-priced over the survivors and the
-            # fabric's current degradations.
-            run.step = (
-                cost.compute_seconds(config.sim_global_batch / len(socs),
-                                     "cpu"),
-                cost.fabric.parameter_server_time(socs, cost.grad_bytes))
+        if run.charge is None or config.fault_schedule is not None:
+            # Every SoC computes its slice of the global batch, and one
+            # PS sync every `staleness` steps is the epoch's tail.
+            # Under a fault schedule every epoch is re-priced over the
+            # survivors and the fabric's current degradations.
+            sim_steps = cost.steps_per_epoch
+            sync_s = cost.fabric.parameter_server_time(socs, cost.grad_bytes)
+            run.charge = pricing.price_epoch(
+                cost, num_socs=len(socs), steps=sim_steps,
+                compute_s=cost.compute_seconds(
+                    config.sim_global_batch / len(socs), "cpu"),
+                tail_s=sim_steps // self.staleness * sync_s)
         chains = run.replicas
 
         def merge():
@@ -87,16 +91,6 @@ class StaleSynchronous(Strategy):
             if since_sync >= self.staleness:
                 merge()
                 since_sync = 0
-        # Simulated cost at paper scale: one PS sync every `staleness`
-        # steps.
-        compute_s, sync_s = run.step
-        sim_steps = cost.steps_per_epoch
-        for _ in range(sim_steps):
-            cost.charge_step(compute_s, 0.0, len(socs))
-        sync_t0, lump = cost.clock.now, sim_steps // self.staleness * sync_s
-        cost.charge_epoch_sync(lump, len(socs))
-        if cost.telemetry.tracer.enabled:
-            cost.telemetry.tracer.span("sync", sync_t0, lump,
-                                       num_socs=len(socs))
+        pricing.apply(cost, run.charge)
         merge()
         return chains[0]

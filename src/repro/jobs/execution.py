@@ -121,7 +121,8 @@ class JobExecution:
 
     def preempt(self) -> float:
         """Checkpoint and release every SoC; returns the charged seconds."""
-        seconds = self.run.scheduler.checkpoint(self.cost, "sync")
+        seconds = self.run.scheduler.checkpoint(self.cost, "sync",
+                                                len(self.allocated))
         self.preemptions += 1
         self.plan = None
         self.close()

@@ -448,13 +448,16 @@ class ElasticScheduler:
             # Account the idle capacity left on the table between the
             # last round and the horizon, so utilisation compares
             # policies over the same denominator instead of rewarding
-            # a baseline that merely stops early.
+            # a baseline that merely stops early.  Each tail step is a
+            # round of the fault timeline (a crash there is seen), not
+            # one of ``report.rounds``, which counts rounds that ran jobs.
             while t < end - 1e-9:
                 self._begin_round(t, round_index)
                 dt = min(self.quantum_hours, end - t)
                 report.available_soc_hours += \
                     len(self._idle_socs(t, round_index)) * dt
                 t += dt
+                round_index += 1
             self._end_run(end)
         finally:
             for ex in self._execs.values():

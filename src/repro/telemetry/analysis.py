@@ -521,16 +521,15 @@ _GRAPH_PLAN_FIELDS = ("plans", "binds", "unshared_plans", "workspace_bytes")
 def _graph_stats(records) -> "dict | None":
     """``precision -> counters`` over every ``graph_replay`` span.
 
-    Counters sum over the spans (SoCFlow draws one per group and
-    precision); the plan fields are taken once.  A span without a
-    precision is FP32 — the baselines' single span.
+    Counters sum over the spans (one per replica and precision); the
+    plan fields are taken once.
     """
     stats: dict[str, dict] = {}
     for record in records:
         if record.kind != "graph_replay":
             continue
         args = record.args
-        total = stats.setdefault(args.get("precision", "fp32"), {})
+        total = stats.setdefault(args["precision"], {})
         for key in _GRAPH_COUNTERS:
             total[key] = total.get(key, 0) + args.get(key, 0)
         for key in _GRAPH_PLAN_FIELDS:

@@ -76,7 +76,8 @@ class TestCosts:
                    if r.name == "checkpoint:epoch"]
         board = GlobalScheduler(config.topology)
         cost = CostModel(config)
-        assert span.dur_s == board.checkpoint(cost, "update") > 0
+        assert span.dur_s == board.checkpoint(
+            cost, "update", config.topology.num_socs) > 0
         assert span.args["model_bytes"] == cost.grad_bytes
 
 

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cluster import (ClusterTopology, FaultSchedule, NetworkFabric,
-                           NicDegradation, PreemptionStorm, SoCCrash,
-                           StragglerFault)
+from repro.cluster import (ClusterTopology, EnergyReport, FaultSchedule,
+                           NetworkFabric, NicDegradation, PreemptionStorm,
+                           SoCCrash, StragglerFault)
 from repro.core import GlobalScheduler, SoCFlowOptions, TrainingCheckpoint
 from repro.distributed import CostModel, RunConfig, Strategy
 from repro.jobs import ElasticScheduler
@@ -184,12 +184,21 @@ class TestCosts:
     def test_checkpoint_time_scales_with_model(self, tiny_task):
         small, large = cost_model(tiny_task, "lenet5"), \
             cost_model(tiny_task, "vgg11")
-        small_s = scheduler().checkpoint(small, "sync")
-        large_s = scheduler().checkpoint(large, "update")
+        small_s = scheduler().checkpoint(small, "sync", 20)
+        large_s = scheduler().checkpoint(large, "update", 20)
         assert large_s / small_s == pytest.approx(
             large.grad_bytes / small.grad_bytes)
         assert small.clock.breakdown() == {"sync": small_s}
         assert large.clock.breakdown() == {"update": large_s}
+
+    def test_checkpoint_charges_the_idle_floor(self, tiny_task):
+        """Every clock advance charges energy: while the checkpoint is
+        written, the SoCs the run holds draw their idle power."""
+        cost = cost_model(tiny_task)
+        seconds = scheduler().checkpoint(cost, "sync", 12)
+        soc = cost.topology.soc
+        assert cost.energy.report == EnergyReport(
+            idle_j=seconds * 12 * soc.idle_watts)
 
     def test_dispatch_covers_all_socs(self, tiny_task):
         sched = scheduler()
@@ -207,7 +216,7 @@ class TestCosts:
         sched = scheduler()
         dispatch_s = sched.dispatch(cost)
         recover_s = sched.recover(cost, [0, 1, 2], name="recovery@1")
-        checkpoint_s = sched.checkpoint(cost, "update", epoch=1)
+        checkpoint_s = sched.checkpoint(cost, "update", 20, epoch=1)
         spans = [(r.kind, r.name, r.dur_s) for r in telemetry.tracer.records
                  if r.kind != "nic_wait"]
         assert spans == [("dispatch", "dispatch", dispatch_s),

@@ -152,8 +152,7 @@ def test_tracing_does_not_perturb_fused_runs(references, tiny_task, method):
     records = traced_config.telemetry.tracer.records
     assert not [r for r in records if r.name == "bucket_sync"]
     compute = [r for r in records if r.name == "compute"]
-    steps = (compute[0].args["steps"] * traced.epochs_run
-             if method == "socflow" else len(compute))
+    steps = compute[0].args["steps"] * traced.epochs_run
     counter = traced_config.telemetry.metrics.counter("sync.fusion_clamped")
     assert counter.value == steps > 0
 

@@ -99,12 +99,13 @@ def test_graph_stats_report_replays(tiny_task, method):
     capture per shape, everything else replayed."""
     graphed, graphed_metrics = run(base_config(tiny_task, graph=True),
                                    method)
-    stats = graphed.extra["graph_stats"]
+    (stats,) = graphed.extra["graph_stats"].values()
     assert stats["captures"] >= 1
     assert stats["replays"] > stats["captures"]
     assert stats["fallbacks"] == 0
     counters = {r["name"]: r["value"] for r in graphed_metrics.collect()
-                if r["name"].startswith("graph.")}
+                if r["name"].startswith("graph.")
+                and r["labels"] == {"precision": "fp32"}}
     assert counters["graph.replays"] == stats["replays"]
     assert counters["graph.captures"] == stats["captures"]
 
@@ -122,7 +123,7 @@ def test_hipress_replays_with_its_gradient_hook(references, tiny_task):
     assert_differential(ref, ref_metrics, graphed, graphed_metrics)
     assert graphed.extra["sync_hidden_s"] == ref.extra["sync_hidden_s"]
     assert "graph_stats" not in ref.extra
-    stats = graphed.extra["graph_stats"]
+    stats = graphed.extra["graph_stats"]["fp32"]
     assert stats["replays"] > 0
     assert stats["fallbacks"] == stats["eager_steps"] == 0
     counters = {r["name"]: r["value"] for r in graphed_metrics.collect()
@@ -272,6 +273,6 @@ def test_tracing_does_not_perturb_graph_runs(references, tiny_task):
         assert traced.sim_time_s == ref.sim_time_s
         spans = [r for r in traced_config.telemetry.tracer.records
                  if r.name == "graph_replay"]
-        assert len(spans) == 1
+        assert len(spans) == 1 and spans[0].args["precision"] == "fp32"
         assert (spans[0].args["replays"]
-                == traced.extra["graph_stats"]["replays"] > 0)
+                == traced.extra["graph_stats"]["fp32"]["replays"] > 0)

@@ -10,6 +10,8 @@ times and the spans were drawn by a fourth, hand-synchronised formula.
 
 import ast
 import dataclasses
+import math
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -19,8 +21,9 @@ from repro.cluster import PhaseClock
 from repro.core import SoCFlow, SoCFlowOptions
 from repro.core.mapping import integrity_greedy_mapping
 from repro.core.planning import CommunicationPlan
-from repro.distributed import (STRATEGY_REGISTRY, CostModel,
-                               ParameterServer, build_strategy, make_model,
+from repro.distributed import (STRATEGY_REGISTRY, CostModel, FedAvg,
+                               LocalSingleSoC, ParameterServer,
+                               RingAllReduce, build_strategy, make_model,
                                pricing)
 from repro.distributed.ssgd import SsgdStrategy
 from repro.jobs import TrainingJob
@@ -130,10 +133,10 @@ def test_ring_spans_tile_the_clock(tiny_task, buckets, faults):
     steps = CostModel(config).steps_per_epoch
     clamped_steps = 0
     for window in report.epochs:
-        # an epoch's steps share one charge: every bucket of every step
-        # is drawn, or none is and the steps are counted
+        # an epoch's steps are one charge: every bucket is drawn once,
+        # scaled by the steps, or none is and the steps are counted
         drawn = len(in_epoch(records, window, "bucket_sync"))
-        assert drawn in (0, buckets * steps)
+        assert drawn in (0, buckets)
         clamped_steps += 0 if drawn else steps
     counter = config.telemetry.metrics.counter("sync.fusion_clamped")
     assert counter.value == clamped_steps
@@ -188,7 +191,7 @@ def test_unclamped_bucket_timeline_is_drawn_as_priced(tiny_task):
                          fusion_threshold_mb=4.0)
     cost = CostModel(config, telemetry=config.telemetry)
     layout = make_model(config).flatten_parameters().layout
-    charge = ParameterServer()._price_step(cost, layout, 12)
+    charge = ParameterServer()._price_epoch(cost, layout, 12)
     assert not charge.clamped and len(charge.bucket_schedule) > 1
     assert charge.bucket_schedule[-1][1] == pytest.approx(
         charge.compute_s + charge.sync_s)
@@ -238,8 +241,8 @@ def test_price_epoch_moves_nothing_and_defers_the_tail(tiny_task):
     assert all(r.ts_s == 0.0 for r in tracer.records)
 
     pricing.apply(cost, charge)
-    steps = charge.steps
-    tail_s = sum(charge.tail_cg_times) + charge.leader_s
+    steps, tail_s = charge.steps, charge.tail_s
+    assert tail_s == sum(charge.tail_cg_times) + charge.leader_s > 0
     assert cost.clock.now == pytest.approx(
         steps * (charge.compute_s + charge.sync_s + charge.update_s)
         + tail_s, rel=1e-12)
@@ -271,6 +274,91 @@ def test_charge_step_is_the_single_step_charge(tiny_task):
     assert by_step.energy.report == by_charge.energy.report
     assert by_step.telemetry.tracer.records \
         == by_charge.telemetry.tracer.records
+
+
+# ----------------------------------------------------------------------
+# every strategy applies one charge per epoch
+# ----------------------------------------------------------------------
+def _ps_tail(cost, steps):
+    """SSP's shape: one parameter-server sync every 8 steps."""
+    socs = list(range(cost.topology.num_socs))
+    return steps // 8 * cost.fabric.parameter_server_time(
+        socs, cost.grad_bytes)
+
+
+#: shape -> (the step's collective, the epoch's tail seconds)
+SHAPES = {
+    "ring": (lambda cost: partial(RingAllReduce().step_sync_seconds, cost),
+             lambda cost, steps: 0.0),
+    "ssp": (lambda cost: None, _ps_tail),
+    "fedavg": (lambda cost: None,
+               lambda cost, steps: FedAvg().round_sync_seconds(cost)),
+}
+
+
+@pytest.mark.parametrize("flap", [False, True], ids=["clean", "flap"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_an_n_step_charge_is_n_one_step_charges_and_its_tail(
+        tiny_task, shape, flap):
+    """``apply(price_epoch(steps=n, tail_s=t))`` is the per-step loop it
+    replaced: n one-step applies, then ``charge_epoch_sync(t)``."""
+    collective, tail = SHAPES[shape]
+    steps, num_socs = 31, TOPOLOGY.num_socs
+
+    def fresh():
+        config = make_config(tiny_task)
+        cost = CostModel(config, telemetry=config.telemetry)
+        if flap:
+            cost.fabric.set_pcb_multiplier(0, 0.2)   # every query retries
+        return cost, tail(cost, steps)
+
+    def price(cost, **epoch):
+        return pricing.price_epoch(
+            cost, num_socs=num_socs, collective=collective(cost),
+            compute_s=cost.compute_seconds(64 / num_socs, "cpu"), **epoch)
+
+    whole, tail_s = fresh()
+    pricing.apply(whole, price(whole, steps=steps, tail_s=tail_s))
+    stepped, _ = fresh()
+    one = price(stepped)
+    for _ in range(steps):
+        pricing.apply(stepped, one)
+    stepped.charge_epoch_sync(tail_s, num_socs)
+
+    assert (tail_s > 0) == (shape != "ring")
+    assert (whole.fabric.total_retries > 0) == flap
+    assert whole.fabric.total_retries == stepped.fabric.total_retries
+    assert whole.clock.now == pytest.approx(stepped.clock.now, rel=1e-12)
+    for view in ("breakdown", "attributed_breakdown"):
+        a, b = getattr(whole.clock, view)(), getattr(stepped.clock, view)()
+        assert a == pytest.approx(b, rel=1e-12), view
+    assert dataclasses.asdict(whole.energy.report) == pytest.approx(
+        dataclasses.asdict(stepped.energy.report), rel=1e-12)
+
+
+@pytest.mark.parametrize("method", sorted(STRATEGY_REGISTRY))
+def test_every_strategy_draws_one_compute_span_per_epoch(tiny_task, method):
+    """One charge per epoch: one ``compute`` span, carrying the epoch's
+    steps; under fusion a lost bucket plan counts every one of them."""
+    config = make_config(tiny_task, fusion_max_ops=2, max_epochs=3)
+    strategy = build_strategy(method)
+    result = strategy.train(config)
+    records = config.telemetry.tracer.records
+    compute = [r for r in records if r.kind == "compute"]
+    assert len(compute) == result.epochs_run == 3
+    per_epoch = (math.ceil(config.sim_samples_per_epoch / TOPOLOGY.num_socs
+                           / config.sim_global_batch)   # a client's shard
+                 if isinstance(strategy, FedAvg)
+                 else CostModel(config).steps_per_epoch)
+    assert [r.args["steps"] for r in compute] == [per_epoch] * 3
+    steps = 3 * per_epoch
+    assert not [r for r in records if r.kind == "bucket_sync"]
+    # the S-SGD family's collective is bucketed and its plan lost; SSP,
+    # the FedAvg pair and the one-SoC column have no in-step collective
+    bucketed = (isinstance(strategy, SsgdStrategy)
+                and not isinstance(strategy, LocalSingleSoC))
+    clamped = config.telemetry.metrics.counter("sync.fusion_clamped").value
+    assert clamped == (steps if bucketed else 0)
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +410,6 @@ CLOCK_MOVERS = {
     "distributed/pricing.py",                    # apply(): the epoch charge
     "distributed/base.py",                       # CostModel.charge_* one-liners
     "jobs/scheduler.py",                         # the tenants' shared timeline
-    "distributed/fedavg.py",                     # client rounds
 }
 
 
@@ -354,6 +441,21 @@ def test_only_the_listed_modules_move_the_clock():
     # the scan sees what it is meant to see
     assert "clock.advance" in movers["distributed/pricing.py"]
     assert "energy.charge_mixed" in movers["distributed/pricing.py"]
+
+
+def test_no_strategy_loops_over_the_steps():
+    """An epoch's steps are one charge: nothing under ``src`` iterates
+    ``range(….steps_per_epoch)`` to apply or charge a step at a time."""
+    root = Path(repro.__file__).parent
+    loops = [f"{path.relative_to(root).as_posix()}:{node.lineno}"
+             for path in sorted(root.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.For)
+             and isinstance(node.iter, ast.Call)
+             and getattr(node.iter.func, "id", None) == "range"
+             and any(getattr(arg, "attr", None) == "steps_per_epoch"
+                     for arg in node.iter.args)]
+    assert loops == []
 
 
 def test_the_hand_synchronised_copies_are_gone():

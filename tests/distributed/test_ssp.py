@@ -109,5 +109,5 @@ class TestSharedArena:
         assert plans["fp32"]["unshared_plans"] == 0
         assert plans["fp32"]["binds"] == 4
         result = strategy.train(config)
-        assert result.extra["graph_stats"]["captures"] == 1
-        assert result.extra["graph_stats"]["fallbacks"] == 0
+        assert result.extra["graph_stats"]["fp32"]["captures"] == 1
+        assert result.extra["graph_stats"]["fp32"]["fallbacks"] == 0

@@ -13,6 +13,7 @@ from repro.distributed import (STRATEGY_REGISTRY, FedAvg, HiPress,
                                LocalSingleSoC, ParameterServer,
                                RingAllReduce, TreeFedAvg, TwoDParallel,
                                build_strategy)
+from repro.telemetry import analyze_records
 
 
 @pytest.fixture(scope="module")
@@ -230,16 +231,20 @@ class TestLoopTelemetry:
     def test_graph_counters_published(self, quick_config, method):
         result, telemetry = self.traced(replace(quick_config, graph=True),
                                         method)
-        stats = result.extra["graph_stats"]
+        (stats,) = result.extra["graph_stats"].values()
         assert stats["replays"] > 0 and stats["fallbacks"] == 0
         series = {r["name"]: r["value"]
                   for r in telemetry.metrics.collect()
-                  if r["name"].startswith("graph.")}
+                  if r["name"].startswith("graph.")
+                  and r["labels"] == {"precision": "fp32"}}
         assert series == {f"graph.{key}": value
                           for key, value in stats.items()}
+        # one span per replica (SSP's four chains), summed by analysis
         replay = [r for r in telemetry.tracer.records
                   if r.kind == "graph_replay"]
-        assert len(replay) == 1
+        assert len(replay) == (4 if method == "ssp" else 1)
+        assert analyze_records(telemetry.tracer.records).graph_stats \
+            == result.extra["graph_stats"]
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +336,9 @@ def test_one_group_wise_run():
         "core/socflow.py",          # GroupRun.run_epoch
         "distributed/ssgd.py",      # the data-parallel baselines
         "distributed/local.py",     # their one-SoC column
-        "distributed/base.py",      # CostModel.charge_step (SSP)
+        "distributed/ssp.py",       # steps + parameter-server tail
+        "distributed/fedavg.py",    # client round + aggregation tail
+        "distributed/base.py",      # CostModel.charge_step
     }
     names = set().union(*(defined_names(ast.parse(path.read_text()))
                           for path in SRC.rglob("*.py")))

@@ -33,6 +33,26 @@ def test_schedule_naming_a_missing_soc_is_rejected(config_factory):
                        fault_schedule=FaultSchedule((SoCCrash(1, 99),)))
 
 
+def test_a_crash_in_the_idle_tail_is_seen(jobs_topology, config_factory):
+    """After the last job finishes, the tail steps to the horizon are
+    rounds of the fault timeline: SoC 3 dead from round 10 stops
+    counting as idle capacity there, and ``report.rounds`` still counts
+    the rounds that ran jobs."""
+    def run(schedule):
+        scheduler = make_scheduler(jobs_topology, config_factory,
+                                   fault_schedule=schedule)
+        scheduler.submit(make_job(epochs=1))
+        return scheduler.run()
+
+    clean = run(None)
+    crashed = run(FaultSchedule((SoCCrash(10, 3),)))
+    assert clean.rounds == crashed.rounds == 1
+    # every round is one 0.25 h quantum: the dead SoC is missing from
+    # rounds 10..23, the last 3.5 h of the 6 h horizon
+    assert clean.available_soc_hours == pytest.approx(8 * 6.0)
+    assert crashed.available_soc_hours == pytest.approx(8 * 6.0 - 3.5)
+
+
 class TestConcurrentJobs:
     def test_three_jobs_share_the_cluster(self, jobs_topology,
                                           config_factory):

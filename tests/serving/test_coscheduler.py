@@ -149,6 +149,25 @@ class TestCrashes:
             + serving["dropped"] + serving["queued_at_end"]
 
 
+    def test_crash_after_the_last_job_evicts_its_replica(
+            self, serving_topology, config_factory):
+        """A crash whose round falls after the last job finished is
+        still read: the bootstrap replica on SoC 7 is evicted and the
+        end-of-run flush does not hand the dead SoC back."""
+        arrivals = ArrivalProcess.from_times(uniform_times(0.0, 6.0, 0.05),
+                                             horizon_hours=6.0)
+        plane = ServingPlane(arrivals, slow_service(), slo_ms=60_000.0,
+                             min_replicas=1, scale_down_patience=2)
+        sched = ServingCoScheduler(
+            serving_topology, plane, quantum_hours=0.25, horizon_hours=6.0,
+            config_factory=config_factory,
+            fault_schedule=FaultSchedule((SoCCrash(12, 7),)))
+        record = sched.submit(make_job(epochs=1))
+        report = sched.run()
+        assert record.status == "completed" and report.rounds < 12
+        assert 7 not in plane.held_socs
+
+
 class TestDeterminism:
     def test_bit_identical_reruns(self, serving_topology, config_factory):
         def run():

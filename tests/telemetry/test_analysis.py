@@ -361,7 +361,7 @@ class TestRenderers:
         plain, shared = Tracer(), Tracer()
         for tracer in (plain, shared):
             _epoch(tracer, 0, 0.0)
-        plain.span("graph_replay", 9.5, 0.0, **counters)
+        plain.span("graph_replay", 9.5, 0.0, precision="fp32", **counters)
         shared.span("graph_replay", 9.5, 0.0, lg=3, precision="int8",
                     **counters, plans=2, binds=15, unshared_plans=0,
                     workspace_bytes=3 * 2**20)
@@ -472,14 +472,18 @@ class TestRunWideCounters:
                  if line.startswith("graph executor:")]
         assert len(lines) == len(counters) == 2
 
-    def test_graph_counters_without_precision_are_fp32(self):
+    def test_graph_counters_sum_per_precision(self):
+        """Every ``graph_replay`` span names its precision (a baseline's
+        replicas too): the report sums them per precision."""
         tracer = Tracer()
         _epoch(tracer, 0, 0.0)
-        for replays in (4, 7):
-            tracer.span("graph_replay", 9.5, 0.0, captures=1,
-                        replays=replays, eager_steps=0, fallbacks=0)
+        for precision, replays in (("fp32", 4), ("fp32", 7), ("int8", 5)):
+            tracer.span("graph_replay", 9.5, 0.0, precision=precision,
+                        captures=1, replays=replays, eager_steps=0,
+                        fallbacks=0)
         assert analyze_records(tracer.records).graph_stats == {
-            "fp32": dict(captures=2, replays=11, eager_steps=0, fallbacks=0)}
+            "fp32": dict(captures=2, replays=11, eager_steps=0, fallbacks=0),
+            "int8": dict(captures=1, replays=5, eager_steps=0, fallbacks=0)}
 
 
 class TestLoaderRoundTrip:

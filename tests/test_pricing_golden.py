@@ -199,7 +199,14 @@ CASES = {
 # from the bucket plan into the whole-model one) every fused key below
 # lost its bucket plan on every step and became its ``whole`` key's
 # digests; the ssp/* traces moved (never the result) when SSP's
-# parameter-server sync lump gained its ``sync`` span.
+# parameter-server sync lump gained its ``sync`` span.  When every
+# strategy came to apply one charge per epoch, the 15 baseline keys
+# moved (result by summation order only, within 1e-13 relative: one
+# ``steps × x`` replaced ``steps`` additions; trace: one step window of
+# ``steps``); and when checkpoint seconds began to charge the idle
+# floor of the SoCs the run holds, the result digests of
+# socflow/checkpoint/*, socflow/preemption/* and socflow/resume and the
+# job/* and jobs/day digests moved by energy alone.
 GOLDEN_PATH = Path(__file__).with_name("pricing_golden.json")
 
 

@@ -48,7 +48,13 @@ SEEDS = (0, 1)
 # the 56 fail-stop/continue runs of the seven cluster strategies: they
 # draw the ``fault`` onset events and ``faults.injected`` counts.
 # The 12 ``ssp`` traces moved (never result or metrics) when its
-# parameter-server sync lump gained its ``sync`` span.
+# parameter-server sync lump gained its ``sync`` span.  All 96 moved
+# when every strategy came to apply one charge per epoch: results by
+# summation order only (within 1e-13 relative; ``fedavg``/``t_fedavg``
+# bit-identical, their breakdown now listing ``sync`` before
+# ``update``), traces to one step window per epoch, and metrics where
+# the series moved with the results or (``--graph``) the ``graph.*``
+# series gained their ``precision`` label.
 GOLDEN_PATH = Path(__file__).with_name("strategy_golden.json")
 
 
