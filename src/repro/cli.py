@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="serving ceiling (default: the cluster)")
     jobs.add_argument("--report", default=None, metavar="PATH",
                       help="write the schedule report as JSON")
-    _add_fusion_args(jobs)
+    _add_fusion_args(jobs, graph_default="on")
     _add_telemetry_args(jobs)
 
     sub.add_parser("list", help="show workloads, methods, presets, models")
@@ -196,11 +196,12 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
                         choices=("fail-stop", "continue"),
                         help="baseline reaction to dead SoCs "
                              "(SoCFlow always recovers)")
-    _add_fusion_args(parser)
+    _add_fusion_args(parser, graph_default="off")
     _add_telemetry_args(parser)
 
 
-def _add_fusion_args(parser: argparse.ArgumentParser) -> None:
+def _add_fusion_args(parser: argparse.ArgumentParser,
+                     graph_default: str) -> None:
     parser.add_argument("--fusion-threshold-mb", type=float, default=None,
                         metavar="MB",
                         help="bucketed gradient fusion: close a bucket at "
@@ -216,7 +217,8 @@ def _add_fusion_args(parser: argparse.ArgumentParser) -> None:
                         default=None,
                         help="compile the training step: trace once, replay "
                              "many with a preallocated tensor arena "
-                             "(bit-identical to eager; default: off)")
+                             "(bit-identical to eager; --no-graph runs the "
+                             f"eager tape; default: {graph_default})")
 
 
 def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
@@ -467,7 +469,7 @@ def cmd_jobs(args, out) -> int:
     fusion_threshold = setting(args.fusion_threshold_mb,
                                "fusion_threshold_mb", None)
     fusion_max_ops = setting(args.fusion_max_ops, "fusion_max_ops", None)
-    graph = setting(args.graph, "graph", False)
+    graph = setting(args.graph, "graph", True)
     common = dict(
         quantum_hours=quantum, horizon_hours=horizon,
         start_hour=start_hour, elastic=window is None, window=window,

@@ -272,6 +272,9 @@ class GroupRun:
                 config, options.quant, options.precision, cost,
                 cost.telemetry)
         run_group_epoch(config, groups, self.rng, self._executor)
+        # no step runs until the next epoch: the plans' transient pages
+        # go back before the merge, profiling and evaluation allocate
+        self.groups[0].arena.drop_pages()
         layout = groups[0].fp32.flatten_parameters().layout
         mixed = options.precision == "mixed"
         epoch_t0 = cost.clock.now
@@ -321,7 +324,8 @@ class GroupRun:
 
     def close(self) -> None:
         """Close the LG executor and drop the op workspaces the run
-        pinned; the warm groups stay (a preempted job resumes on them)."""
+        pinned and its plans' pages; the warm groups stay (a preempted
+        job resumes on them)."""
         if self._executor is not None:
             self._executor.close()
             self._executor = None

@@ -136,6 +136,11 @@ class ElasticScheduler:
         job's workload at its preset via the experiment harness.  The
         config must keep ``telemetry=None`` — the scheduler owns the
         shared timeline.
+    graph:
+        Train every job with compiled steps (bit-identical to the eager
+        tape, which ``False`` selects).  Between epochs a job's plans
+        hold no workspace pages, so concurrent tenants do not pin the
+        sum of their arenas.
     """
 
     def __init__(self, topology: ClusterTopology, sessions: "list[Session]",
@@ -147,7 +152,7 @@ class ElasticScheduler:
                  known_workloads: "set[str] | None" = None,
                  fusion_threshold_mb: float | None = None,
                  fusion_max_ops: int | None = None,
-                 graph: bool = False):
+                 graph: bool = True):
         if quantum_hours <= 0:
             raise ValueError("quantum_hours must be positive")
         if horizon_hours <= 0:

@@ -20,18 +20,75 @@ everything else is dead the moment ``optimizer.step()`` returns.  One
 A module flattened on its own gets a private arena, so standalone
 ``flatten_parameters()`` / ``SGD`` / ``Int8Trainer`` users see exactly
 the buffers they always had.
+
+A plan's packed temporaries live on :class:`TransientPages`: every
+replay writes each of their bytes before it reads it, so while the run
+is not stepping (its group math is done for the epoch, or the run is
+closed) :meth:`StepArena.drop_pages` hands those pages back to the OS,
+and the next replay faults them in again, zero-filled.
 """
 
 from __future__ import annotations
+
+import functools
+import mmap
+import weakref
 
 import numpy as np
 
 from . import functional as F
 
-__all__ = ["GradPlane", "GradLease", "StepArena", "MISSING"]
+__all__ = ["GradPlane", "GradLease", "StepArena", "TransientPages",
+           "MISSING", "trim_heap"]
 
 #: :meth:`StepArena.get` found no plan under the key
 MISSING = object()
+
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+
+
+class TransientPages:
+    """``nbytes`` of float32 workspace on anonymous private pages of its
+    own, which :meth:`drop` returns to the OS (``MADV_DONTNEED``: the
+    next touch maps fresh zero pages).  Where the platform has no such
+    mapping it is a plain array and :meth:`drop` does nothing."""
+
+    __slots__ = ("array", "_map", "__weakref__")
+
+    def __init__(self, nbytes: int):
+        count = max(nbytes // 4, 1)
+        try:
+            self._map = mmap.mmap(-1, count * 4, flags=mmap.MAP_PRIVATE
+                                  | mmap.MAP_ANONYMOUS)
+        except AttributeError:          # no POSIX mmap flags
+            self._map = None
+            self.array = np.empty(count, dtype=np.float32)
+        else:
+            self.array = np.frombuffer(self._map, dtype=np.float32,
+                                       count=count)
+
+    def drop(self) -> None:
+        if self._map is not None and _DONTNEED is not None:
+            self._map.madvise(_DONTNEED)
+
+
+@functools.cache
+def _malloc_trim():
+    import ctypes
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):   # not glibc
+        return None
+
+
+def trim_heap() -> None:
+    """Return the free memory at the top of the C heap to the OS
+    (glibc's ``malloc_trim``; a no-op elsewhere).  A capture step is
+    one full eager step: what it frees stays in the heap otherwise, and
+    the compiled plan's pages come on top of it."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 class GradPlane:
@@ -88,6 +145,7 @@ class StepArena:
         self._pooled: dict[tuple, object] = {}
         self._plans: dict[tuple, object] = {}
         self._stats: dict[str, dict[str, int]] = {}
+        self._pages: "weakref.WeakSet[TransientPages]" = weakref.WeakSet()
         self._workspace_mark = F.workspace_mark()
 
     # -- per-layout step storage ----------------------------------------
@@ -131,8 +189,18 @@ class StepArena:
 
     def release(self) -> None:
         """The run is over: drop the op workspaces it pinned in the
-        process-wide cache (later steps just allocate them again)."""
+        process-wide cache (later steps just allocate them again) and
+        the pages of its plans."""
         F.release_workspaces(self._workspace_mark)
+        self.drop_pages()
+
+    def drop_pages(self) -> None:
+        """Return the transient workspace pages of every plan compiled
+        on this arena to the OS until their next replay, which writes
+        every byte of them before reading it.  Call it only between
+        steps."""
+        for pages in self._pages:
+            pages.drop()
 
     # -- compiled plans (repro.nn.graph) --------------------------------
     def counters(self, precision: str) -> dict[str, int]:
@@ -150,6 +218,7 @@ class StepArena:
         if plan is None:
             self._plans.setdefault(key, None)
             return
+        self._pages.add(plan.pages)
         counters = self.counters(precision)
         counters["plans"] += 1
         counters["workspace_bytes"] += plan.workspace_bytes

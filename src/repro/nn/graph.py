@@ -87,7 +87,8 @@ import numpy as np
 
 from . import functional as F
 from . import kernels as K
-from .arena import MISSING as _MISSING, StepArena
+from .arena import MISSING as _MISSING
+from .arena import StepArena, TransientPages, trim_heap
 from .tensor import Tensor
 
 __all__ = [
@@ -722,7 +723,8 @@ def compile_program(capture: GraphCapture, replica: _Replica) -> "_Plan":
     packed = [buf for buf in capture.bufs
               if buf.home is None and buf.block is None]
     arena_bytes = _pack_arena(packed)
-    arena = np.empty(max(arena_bytes // 4, 1), dtype=np.float32)
+    pages = TransientPages(arena_bytes)
+    arena = pages.array
     for buf in packed:
         buf.block = arena
     own = [(x_buf.block, False), (y_buf.block, False)] + [
@@ -736,8 +738,8 @@ def compile_program(capture: GraphCapture, replica: _Replica) -> "_Plan":
     plan = _Plan(
         template=template, x_buf=x_buf.block, y_buf=y_buf.block,
         loss=loss.resolve(), grad_params=capture.grad_params,
-        workspace=[(arena, False)] + own, shared=capture.shared,
-        stats={
+        workspace=[(arena, False)] + own, pages=pages,
+        shared=capture.shared, stats={
             "calls": calls,
             "instrs": len(template),
             "arena_bytes": arena_bytes,
@@ -761,7 +763,9 @@ class _Plan:
     Owns the instruction ``template`` (ready closures for instructions
     over the workspace alone, recorded ``[kernel, args, kwargs, out]``
     entries for those touching a leaf), the buffers every binding
-    computes in, and the re-entrancy flag that keeps the
+    computes in — the packed arena on its :class:`TransientPages`
+    ``pages``, which the run drops between epochs — and the
+    re-entrancy flag that keeps the
     sequential-replay invariant honest: bindings of one plan must
     never run inside one another.
 
@@ -773,16 +777,18 @@ class _Plan:
     """
 
     __slots__ = ("template", "x_buf", "y_buf", "loss", "grad_params",
-                 "own", "shared", "stats", "guard", "scratch", "stage_bufs")
+                 "own", "pages", "shared", "stats", "guard", "scratch",
+                 "stage_bufs")
 
     def __init__(self, template, x_buf, y_buf, loss, grad_params, workspace,
-                 shared, stats):
+                 pages, shared, stats):
         self.template = template
         self.x_buf = x_buf
         self.y_buf = y_buf
         self.loss = loss
         self.grad_params = grad_params      # indices into param_tensors
         self.own = workspace                # [(array, persistent)]
+        self.pages = pages
         self.shared = shared
         self.stats = stats
         #: [running]; a cell so plans that pool scratch share one flag
@@ -998,6 +1004,7 @@ class GraphExecutor:
             if prog is None:
                 capture = GraphCapture(replica)
                 replica.flat.claim_grads()  # not every optimiser claims it
+                mark = F.workspace_mark()
                 loss = train_step(self.model, optimizer, x, y, self.stages,
                                   grad_hook, capture=capture)
                 try:
@@ -1005,6 +1012,11 @@ class GraphExecutor:
                     prog = self._bind(plan, replica)
                 except GraphUnsupported:
                     plan = None
+                if plan is not None:
+                    # the op workspaces the capture cached serve eager
+                    # steps only; what the step freed goes back too
+                    F.release_workspaces(mark)
+                    trim_heap()
                 self.arena.add(self.precision, plan_key, plan)
                 self._programs[key] = prog
                 self.stats["fallbacks" if plan is None else "captures"] += 1

@@ -188,7 +188,10 @@ class ArrivalProcess:
                             h - r.phase_shift_hours)
                         / self.trace.peak_busy)))
         merged = np.concatenate(streams)
-        merged.sort(kind="stable")
+        # finite, non-negative float64s: equal values are the same bits,
+        # so any sort gives the stable sort's array (numpy's default is
+        # the fastest one)
+        merged.sort()
         return merged
 
     @staticmethod

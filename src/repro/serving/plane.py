@@ -133,6 +133,8 @@ class ServingPlane:
             raise ValueError("max_replicas must be >= min_replicas")
         if check_interval_hours <= 0:
             raise ValueError("check_interval_hours must be positive")
+        if shed_after_s is not None and shed_after_s < 0:
+            raise ValueError("shed_after_s must be non-negative")
         self.arrivals = arrivals
         self.service = service
         self.slo_ms = slo_ms
@@ -340,7 +342,10 @@ class ServingPlane:
         shed_h = self.shed_after_s / 3600.0
         max_batch = self.service.max_batch
         window_end = t1 - 1e-12
-        dones, sizes, socs = [], [], []
+        one_h = batch_h[1]
+        dones, socs = [], []
+        #: (batch index, size) of the batches of more than one request
+        multi_at, multi_n = [], []
         i = 0
         if not heap:
             # no capacity at all: shed what has already waited out the
@@ -351,6 +356,16 @@ class ServingPlane:
         while heap and i < size:
             free, soc = heap[0]
             arrived = window[i]
+            if free <= arrived < window_end and (
+                    i + 1 == size or window[i + 1] > arrived + 1e-12):
+                # a lone request on an idle replica (most batches): it
+                # starts on arrival, alone
+                done = arrived + one_h
+                heapreplace(heap, (done, soc))
+                dones.append(done)
+                socs.append(soc)
+                i += 1
+                continue
             start = free if free > arrived else arrived
             if start >= window_end:
                 break                    # next batch belongs to a later window
@@ -374,12 +389,16 @@ class ServingPlane:
                              stop if stop < size else size) - i
             done = start + batch_h[n]
             heapreplace(heap, (done, soc))
+            if n > 1:
+                multi_at.append(len(dones))
+                multi_n.append(n)
             dones.append(done)
-            sizes.append(n)
             socs.append(soc)
             i += n
         self._head += i
 
+        sizes = np.ones(len(dones), dtype=np.int64)
+        sizes[multi_at] = multi_n
         latencies_ms = (np.repeat(np.array(dones), sizes)
                         - arrivals[:i][served[:i]]) * 3_600_000.0
         top = max(self.replicas, default=-1) + 1

@@ -23,6 +23,8 @@ The INT8 twin is ``tests/quant/test_int8_shared_plans.py``.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +141,24 @@ def test_round_robin_replicas_match_eager_and_survive_poison(name):
     assert [s["captures"] for s in stats] == [1, 0, 0]
     assert [s["replays"] for s in stats] == [3, 4, 4]   # first step: a bind
     assert all(s["fallbacks"] == s["eager_steps"] == 0 for s in stats)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_dropped_pages_come_back_zeroed_and_replay_identically(name):
+    """Between steps the arena hands the plan's packed temporaries back
+    to the OS; they return as zero pages (not the poison left in them)
+    and the next replay does not notice."""
+    arena = StepArena()
+    eager, graphed = make_replica(name, 0), make_replica(name, 0, arena)
+    for step in range(3):
+        x, y = batch(name, step)
+        assert eager[2](x, y) == graphed[2](x, y), step
+        plan = the_plan(graphed[0])
+        poison(plan)
+        arena.drop_pages()
+        if hasattr(mmap, "MADV_DONTNEED"):
+            assert not plan.pages.array.any()
+    assert_replicas_identical(eager, graphed)
 
 
 def test_workspace_bytes_do_not_grow_with_replicas():

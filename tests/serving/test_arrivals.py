@@ -157,3 +157,22 @@ class TestChunkedThinning:
                             staticmethod(self.one_shot))
         assert np.array_equal(chunked, ArrivalProcess(**kwargs).arrivals_h)
         assert len(chunked) > 2 * (1 << 16)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_merge_equals_a_stable_sort_of_the_components(seed, monkeypatch):
+    """Equal float64 arrival times are the same bits, so the default
+    sort merges the thinned components into the stable sort's array."""
+    components = []
+    thin = ArrivalProcess._thin
+
+    def recording(*args, **kwargs):
+        components.append(thin(*args, **kwargs))
+        return components[-1]
+
+    monkeypatch.setattr(ArrivalProcess, "_thin", staticmethod(recording))
+    proc = process(seed=seed, peak_rps=3.0,
+                   flash_crowds=[FlashCrowd(20.0, 1.5, 1.8)])
+    assert len(components) == 2
+    expected = np.sort(np.concatenate(components), kind="stable")
+    assert proc.arrivals_h.tobytes() == expected.tobytes()
