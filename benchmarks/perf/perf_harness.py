@@ -45,9 +45,10 @@ Sections
 - ``replica_memory``: what a logical group costs in host memory —
   ``tracemalloc`` live bytes after a few rounds at 2, 8 and 15 groups,
   same two models, eager and compiled: bytes per added group (a mixed
-  group owns two weight and two momentum buffers; gradients and every
-  step scratch are the run's, in its step arena) and the per-run
-  constant.  Gated: at most 4.3 parameter-sized arrays per added group.
+  group owns its FP32 weights and two momentum buffers; gradients,
+  every step scratch and the INT8 twins' weights are the run's, in its
+  step arena) and the per-run constant.  Gated: at most 3.3
+  parameter-sized arrays per added group.
 - ``epoch``: one end-to-end SoCFlow epoch (real math + simulated
   clock) at quick scale, sequential and with ``--workers 2``.
 - ``serving_day``: a 24 h request-level serving day with a flash crowd
@@ -649,8 +650,8 @@ def bench_replica_memory(rounds: int = 2) -> dict:
     and compiled.
 
     Reported per model and mode: bytes per added group (also in units
-    of one parameter-sized float32 array — a mixed group owns two
-    weight and two momentum buffers, so 4 plus small change), the
+    of one parameter-sized float32 array — a mixed group owns one
+    weight and two momentum buffers, so 3 plus small change), the
     per-run constant left at each count once the groups' share is
     taken out (arena, compiled workspace, op workspaces: it must not
     depend on the count) and the step arena's own bytes.

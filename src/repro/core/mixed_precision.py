@@ -6,6 +6,9 @@ mathematically one FP32 SGD step and its NPU sub-batches one INT8 step
 (DESIGN.md decision 2).  Each batch is split by the controller's
 ``max(e^-alpha, 1-beta)`` rule, both paths step, and the weights merge
 on-chip via Eq. 5 before the (instantaneous-in-math) intra-group ring.
+After the merge the two replicas' weights are equal, so only the FP32
+ones are kept: the INT8 twin's live on the run's weight plane and are
+loaded from them before every INT8 use.
 """
 
 from __future__ import annotations
@@ -38,15 +41,17 @@ class GroupMixedTrainer:
     the same arena and they share one gradient plane, one set of
     optimiser and quantiser step scratch and (``config.graph``) one
     compiled plan and workspace per precision.  A group keeps only
-    what is live between its steps: two weight buffers, two momentum
-    buffers, RNG and observer state.  A trainer built without an arena
-    makes the run's; ``reform_groups`` passes it on to the members it
-    adds.
+    what is live between its steps: its FP32 weights, two momentum
+    buffers, RNG and observer state.  The INT8 twin's weights equal the
+    FP32 ones at every step boundary, so they live on the arena's
+    weight plane, which each INT8 step and profile loads from the FP32
+    weights first.  A trainer built without an arena makes the run's;
+    ``reform_groups`` passes it on to the members it adds.
 
     ``precision`` is the Figure 14 mode: ``"mixed"`` splits every
     batch by the controller and merges by Eq. 5, ``"fp32"`` trains on
     the CPUs alone (no INT8 twin is built), ``"int8"`` on the NPUs
-    alone, the FP32 copy following the INT8 weights.
+    alone, the FP32 weights following the INT8 step.
 
     ``init_weights=False`` is for a replica whose weights the caller
     loads before its first step (every group but the first of a run,
@@ -71,19 +76,21 @@ class GroupMixedTrainer:
         self.fp32, self.fp32_opt = make_replica(
             config, arena=self.arena, seed_offset=seed_offset,
             init_weights=init_weights)
+        self._weights = self.fp32.flatten_parameters().data
         self.int8: Int8Trainer | None = None
         if precision != "fp32":
-            # the twin starts from the FP32 weights, never from its own
+            # the twin's weights are loaded from the FP32 ones before
+            # every use, never drawn or kept
             int8_model = make_model(config, seed_offset=seed_offset,
-                                    init_weights=False, arena=self.arena)
+                                    init_weights=False, arena=self.arena,
+                                    shared_weights=True)
+            self._int8_flat = int8_model.flatten_parameters()
             self.int8 = Int8Trainer(int8_model, lr=config.lr,
                                     config=quant_config,
                                     momentum=config.momentum,
                                     weight_decay=config.weight_decay,
                                     seed=config.seed + seed_offset,
                                     arena=self.arena)
-            if init_weights:
-                int8_model.load_state_dict(self.fp32.state_dict())
             if config.graph:
                 # The INT8 replica honours the flag too: the whole
                 # quantised step (weight/input/gradient fake-quant and
@@ -97,19 +104,22 @@ class GroupMixedTrainer:
         if self.precision == "fp32":
             fp32_train_step(self.fp32, self.fp32_opt, x, y)
             return
+        # the INT8 twin starts from this group's weights (the two
+        # replicas are one architecture: one interned layout)
+        int8_flat = self._int8_flat
+        int8_flat.load_data(self._weights)
         if self.precision == "int8":
             self.int8.train_step(x, y)
-            self.fp32.load_state_dict(self.int8.model.state_dict())
+            self._weights[...] = int8_flat.data
             return
         cpu_n, npu_n = self.controller.split_batch(len(x))
         if cpu_n:
             fp32_train_step(self.fp32, self.fp32_opt, x[:cpu_n], y[:cpu_n])
         if npu_n:
             self.int8.train_step(x[cpu_n:], y[cpu_n:])
-        # the two replicas are one architecture: one interned layout
-        merge_weights_inplace(self.fp32.flatten_parameters().data,
-                              self.int8.model.flatten_parameters().data,
+        merge_weights_inplace(self._weights, int8_flat.data,
                               self.controller.alpha)
+        int8_flat.release_data()
         metrics = self.telemetry.metrics
         if metrics.enabled:
             # Real-execution (not simulated-scale) split accounting: how
@@ -127,6 +137,7 @@ class GroupMixedTrainer:
         self.fp32.eval()
         with no_grad():
             logits_fp32 = self.fp32(Tensor(val_x)).data
+        self._int8_flat.load_data(self._weights)
         logits_int8 = self.int8.predict_logits(val_x)
         return self.controller.update_alpha(logits_fp32, logits_int8)
 
@@ -141,8 +152,6 @@ class GroupMixedTrainer:
 
     def load_state(self, state: "OrderedDict[str, np.ndarray]") -> None:
         self.fp32.load_state_dict(state)
-        if self.int8 is not None:
-            self.int8.model.load_state_dict(state)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -165,7 +174,9 @@ class GroupMixedTrainer:
 
         The controller is deliberately excluded: within an epoch it is
         read-only (alpha/beta update only at epoch boundaries), so the
-        executor ships its two scalars separately.
+        executor ships its two scalars separately.  So are the INT8
+        twin's weights: they are the FP32 ones, loaded before every
+        INT8 use.
         """
         state = {
             "fp32": self.fp32.state_dict(),
@@ -173,7 +184,7 @@ class GroupMixedTrainer:
             "fp32_rngs": self._module_rng_states(self.fp32),
         }
         if self.int8 is not None:
-            state["int8"] = self.int8.runtime_state()
+            state["int8"] = self.int8.runtime_state(weights=False)
             state["int8_rngs"] = self._module_rng_states(self.int8.model)
         return state
 

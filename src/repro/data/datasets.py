@@ -8,11 +8,17 @@ run quick or full configurations.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .synthetic import SyntheticImageTask, make_classification_images
 
 __all__ = ["DatasetSpec", "DATASET_REGISTRY", "load_dataset"]
+
+#: the tasks :func:`load_dataset` handed out that someone still holds,
+#: by (name, train size, test size, image size, seed)
+_HELD_TASKS: "weakref.WeakValueDictionary[tuple, SyntheticImageTask]" = \
+    weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,10 @@ def load_dataset(name: str, scale: float = 1.0, image_size: int | None = None,
         in seconds.
     image_size:
         Override the spec's image side (the reduced harness uses 16).
+
+    Equal arguments return one shared task for as long as anyone holds
+    it (concurrent tenants of one dataset, say), so its arrays are
+    read-only.
     """
     try:
         spec = DATASET_REGISTRY[name]
@@ -67,13 +77,21 @@ def load_dataset(name: str, scale: float = 1.0, image_size: int | None = None,
         raise ValueError("scale must be positive")
     train_size = max(spec.num_classes * 4, int(spec.train_size * scale))
     test_size = max(spec.num_classes * 4, int(spec.test_size * scale))
-    return make_classification_images(
-        num_classes=spec.num_classes,
-        train_size=train_size,
-        test_size=test_size,
-        channels=spec.channels,
-        image_size=image_size or spec.image_size,
-        difficulty=spec.difficulty,
-        seed=seed,
-        name=name,
-    )
+    image_size = image_size or spec.image_size
+    key = (name, train_size, test_size, image_size, seed)
+    task = _HELD_TASKS.get(key)
+    if task is None:
+        task = make_classification_images(
+            num_classes=spec.num_classes,
+            train_size=train_size,
+            test_size=test_size,
+            channels=spec.channels,
+            image_size=image_size,
+            difficulty=spec.difficulty,
+            seed=seed,
+            name=name,
+        )
+        for array in (task.x_train, task.y_train, task.x_test, task.y_test):
+            array.flags.writeable = False
+        _HELD_TASKS[key] = task
+    return task

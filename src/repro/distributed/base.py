@@ -130,15 +130,18 @@ class RunConfig:
 
 
 def make_model(config: RunConfig, seed_offset: int = 0,
-               init_weights: bool = True, arena=None) -> Module:
+               init_weights: bool = True, arena=None,
+               shared_weights: bool = False) -> Module:
     """The run's model, on its fused storage from the start: flattened
     into ``arena`` (the run's :class:`~repro.nn.arena.StepArena`; a
-    private one without).  ``init_weights=False`` is for a replica
+    private one without), its weights on the arena's weight plane with
+    ``shared_weights``.  ``init_weights=False`` is for a replica
     whose caller overwrites every weight before use (see
     ``build_model``).  ``config.init_state`` must match the model key
     for key and shape for shape."""
     model = build_model(config.model_name, init_weights=init_weights,
-                        arena=arena, **config.model_kwargs(seed_offset))
+                        arena=arena, shared_weights=shared_weights,
+                        **config.model_kwargs(seed_offset))
     if config.init_state is not None:
         model.load_state_dict(config.init_state)
     if config.freeze_backbone:

@@ -135,7 +135,8 @@ class ElasticScheduler:
         ``job -> RunConfig`` override for tests; the default builds the
         job's workload at its preset via the experiment harness.  The
         config must keep ``telemetry=None`` — the scheduler owns the
-        shared timeline.
+        shared timeline — and its ``workers``, fusion and ``graph``
+        fields are the scheduler's, whichever builds it.
     graph:
         Train every job with compiled steps (bit-identical to the eager
         tape, which ``False`` selects).  Between epochs a job's plans
@@ -227,18 +228,21 @@ class ElasticScheduler:
         return self._idle_socs(hour, round_index)
 
     def _config_for(self, job: TrainingJob):
+        """The job's config — the factory's, or its workload at its
+        preset — with this scheduler's workers, fusion and graph."""
         if self._config_factory is not None:
-            return self._config_factory(job)
-        from ..harness.experiments import make_run_config
-        config = make_run_config(
-            job.workload, job.preset, num_socs=self.topology.num_socs,
-            num_groups=max(1, self.topology.num_socs
-                           // job.target_group_size),
-            seed=job.seed, max_epochs=job.epochs, workers=self.workers,
-            fusion_threshold_mb=self.fusion_threshold_mb,
-            fusion_max_ops=self.fusion_max_ops,
-            graph=self.graph)
-        return replace(config, topology=self.topology)
+            config = self._config_factory(job)
+        else:
+            from ..harness.experiments import make_run_config
+            config = replace(make_run_config(
+                job.workload, job.preset, num_socs=self.topology.num_socs,
+                num_groups=max(1, self.topology.num_socs
+                               // job.target_group_size),
+                seed=job.seed, max_epochs=job.epochs),
+                topology=self.topology)
+        return replace(config, workers=self.workers,
+                       fusion_threshold_mb=self.fusion_threshold_mb,
+                       fusion_max_ops=self.fusion_max_ops, graph=self.graph)
 
     # ------------------------------------------------------------------
     # Fair-share allocation

@@ -12,6 +12,11 @@ everything else is dead the moment ``optimizer.step()`` returns.  One
 - the **gradient plane** every replica's parameter gradients land in
   (:class:`GradPlane`; who may read it is an explicit claim, see
   :class:`GradLease`),
+- the **weight plane** the INT8 twins of a run's mixed groups keep
+  their weights on (:class:`WeightPlane`, claimed by
+  :class:`WeightLease`): a twin's weights equal its group's FP32
+  weights at every step boundary, so the group loads them before each
+  INT8 use instead of keeping a copy,
 - the parameter-sized scratch of the fused SGD update,
 - pooled step scratch of other layers (the INT8 step's masters,
   quantiser and clip buffers), and
@@ -38,8 +43,8 @@ import numpy as np
 
 from . import functional as F
 
-__all__ = ["GradPlane", "GradLease", "StepArena", "TransientPages",
-           "MISSING", "trim_heap"]
+__all__ = ["GradPlane", "GradLease", "WeightPlane", "WeightLease",
+           "StepArena", "TransientPages", "MISSING", "trim_heap"]
 
 #: :meth:`StepArena.get` found no plan under the key
 MISSING = object()
@@ -103,7 +108,46 @@ class GradPlane:
         self.owner: "GradLease | None" = None
 
 
-class GradLease:
+class WeightPlane:
+    """One fused weight array (parameters, then buffers) per (arena,
+    layout), plus the lease whose replica's weights it holds."""
+
+    __slots__ = ("array", "owner")
+
+    def __init__(self, layout):
+        self.array = np.empty(layout.total, dtype=np.float32)
+        self.owner: "WeightLease | None" = None
+
+
+class _Lease:
+    """One replica's handle on a plane its replicas take turns on:
+    :meth:`claim` starts the replica's turn, another replica's claim
+    (or :meth:`release`) ends it, and :meth:`check` refuses outside
+    it."""
+
+    __slots__ = ("plane",)
+    refusal = ""
+
+    def __init__(self, plane):
+        self.plane = plane
+
+    def claim(self) -> None:
+        self.plane.owner = self
+
+    def release(self) -> None:
+        if self.plane.owner is self:
+            self.plane.owner = None
+
+    @property
+    def held(self) -> bool:
+        return self.plane.owner is self
+
+    def check(self) -> None:
+        if self.plane.owner is not self:
+            raise RuntimeError(self.refusal)
+
+
+class GradLease(_Lease):
     """One replica's handle on its layout's :class:`GradPlane`.
 
     The plane holds a gradient from the owner's ``zero_grad()`` (the
@@ -114,26 +158,31 @@ class GradLease:
     :attr:`held` and refuses instead of applying them.
     """
 
-    __slots__ = ("plane",)
+    __slots__ = ()
+    refusal = ("gradient plane claimed by another replica: the replicas "
+               "of a run share one gradient buffer, so a gradient is "
+               "valid from its replica's zero_grad() (the module's, or "
+               "that of an optimiser bound to its flat buffer) until "
+               "the next replica's — zero_grad() and backward() again")
 
-    def __init__(self, plane: GradPlane):
-        self.plane = plane
 
-    def claim(self) -> None:
-        self.plane.owner = self
+class WeightLease(_Lease):
+    """One replica's handle on its layout's :class:`WeightPlane`.
 
-    @property
-    def held(self) -> bool:
-        return self.plane.owner is self
+    The plane holds the owner's weights from the load that claimed it
+    (``FlatParamBuffer.load_data``, or building the replica) until
+    another replica loads its own or the owner's are spent
+    (``release``: the Eq. 5 merge consumed them).  Outside that window
+    a step, a prediction or a snapshot of the replica refuses rather
+    than read another replica's bytes.
+    """
 
-    def check(self) -> None:
-        if self.plane.owner is not self:
-            raise RuntimeError(
-                "gradient plane claimed by another replica: the replicas "
-                "of a run share one gradient buffer, so a gradient is "
-                "valid from its replica's zero_grad() (the module's, or "
-                "that of an optimiser bound to its flat buffer) until "
-                "the next replica's — zero_grad() and backward() again")
+    __slots__ = ()
+    refusal = ("weight plane does not hold this replica's weights: the "
+               "INT8 twins of a run share one weight buffer, so load "
+               "this replica's weights (load_state_dict) before using "
+               "it — GroupMixedTrainer loads its FP32 weights before "
+               "every INT8 step and profile")
 
 
 class StepArena:
@@ -141,6 +190,7 @@ class StepArena:
 
     def __init__(self):
         self._planes: dict = {}
+        self._weights: dict = {}
         self._scratch: dict = {}
         self._pooled: dict[tuple, object] = {}
         self._plans: dict[tuple, object] = {}
@@ -153,6 +203,12 @@ class StepArena:
         plane = self._planes.get(layout)
         if plane is None:
             plane = self._planes[layout] = GradPlane(layout)
+        return plane
+
+    def weight_plane(self, layout) -> WeightPlane:
+        plane = self._weights.get(layout)
+        if plane is None:
+            plane = self._weights[layout] = WeightPlane(layout)
         return plane
 
     def param_scratch(self, layout) -> np.ndarray:
@@ -174,8 +230,10 @@ class StepArena:
 
     def buffers(self) -> list[np.ndarray]:
         """Every step-scoped array held outside the compiled plans —
-        nothing in them may be read before it is written in a step."""
+        nothing in them may be read before a step (the weight plane:
+        a load) writes it."""
         arrays = [plane.array for plane in self._planes.values()]
+        arrays += [plane.array for plane in self._weights.values()]
         arrays += self._scratch.values()
         for item in self._pooled.values():
             arrays += item.buffers()

@@ -26,7 +26,9 @@ to the numpy engine:
     rebinds a module's tensors to views of it; parameter gradients
     land in ``grads``, the gradient plane of the module's
     :class:`~repro.nn.arena.StepArena` (private to a module flattened
-    on its own, shared by the replicas of a run).
+    on its own, shared by the replicas of a run).  With
+    ``shared_weights`` ``data`` is the arena's weight plane too (the
+    INT8 twins of a run's groups).
 
 :class:`PlaneParameter`
     What a parameter becomes once its storage lives in a buffer: its
@@ -43,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arena import GradLease, StepArena
+from .arena import GradLease, StepArena, WeightLease
 from .tensor import Tensor
 
 __all__ = ["FlatLayout", "FlatState", "FlatParamBuffer", "PlaneParameter"]
@@ -275,9 +277,17 @@ class FlatParamBuffer:
     plane for good; replicas handed one arena share the plane and take
     turns: :meth:`claim_grads` (every ``zero_grad`` calls it) starts a
     replica's turn, :attr:`owns_grads` says whether it still lasts.
+
+    ``shared_weights=True`` puts :attr:`data` on the arena's weight
+    plane as well, for replicas whose weights are a copy of someone
+    else's at every step boundary: each :meth:`load_data` starts the
+    replica's turn on it, and a snapshot or an INT8 step outside that
+    turn raises (:meth:`check_data`) instead of reading another
+    replica's weights.
     """
 
-    def __init__(self, module, arena: "StepArena | None" = None):
+    def __init__(self, module, arena: "StepArena | None" = None,
+                 shared_weights: bool = False):
         named_params = list(module.named_parameters())
         named_buffers = list(module.named_buffers())
         entries = [(name, tuple(p.data.shape)) for name, p in named_params]
@@ -295,7 +305,14 @@ class FlatParamBuffer:
         self.layout = FlatLayout.from_entries(entries, len(named_params))
         self.arena = arena if arena is not None else StepArena()
 
-        self.data = np.empty(self.layout.total, dtype=np.float32)
+        self._data_lease = None
+        if shared_weights:
+            weights = self.arena.weight_plane(self.layout)
+            self._data_lease = WeightLease(weights)
+            self._data_lease.claim()    # the values moved in below
+            self.data = weights.array
+        else:
+            self.data = np.empty(self.layout.total, dtype=np.float32)
         plane = self.arena.grad_plane(self.layout)
         self._lease = GradLease(plane)
         if plane.owner is None:
@@ -387,6 +404,22 @@ class FlatParamBuffer:
             self._trainable = (flags, tuple(runs))
         return self._trainable[1]
 
+    # -- weight plane -----------------------------------------------------
+    def check_data(self) -> None:
+        """Raise unless :attr:`data` holds this replica's weights:
+        always true of private storage; on shared weights, from the
+        replica's last load until another replica's or
+        :meth:`release_data`."""
+        if self._data_lease is not None:
+            self._data_lease.check()
+
+    def release_data(self) -> None:
+        """This replica's weights on the shared plane are spent (the
+        Eq. 5 merge consumed them): nothing may read them until its
+        next load."""
+        if self._data_lease is not None:
+            self._data_lease.release()
+
     # -- state ----------------------------------------------------------
     def state_dict(self) -> FlatState:
         """Snapshot the full (param + buffer) state as a FlatState.
@@ -394,16 +427,25 @@ class FlatParamBuffer:
         One contiguous copy; per-key values are views into the copy so
         the result is independent of future training steps.
         """
+        self.check_data()
         return FlatState(self.layout, self.data.copy())
 
     def live_state(self) -> FlatState:
         """The same state over the live storage, no copy: for a reader
         that is done before the next step writes it (an epoch's
         aggregation).  Anything kept is a :meth:`state_dict`."""
+        self.check_data()
         return FlatState(self.layout, self.data)
 
     def load_flat(self, state: FlatState) -> None:
-        self.data[...] = state.flat
+        self.load_data(state.flat)
+
+    def load_data(self, flat: np.ndarray) -> None:
+        """Copy a fused ``(total,)`` array of this layout in; on shared
+        weights this replica's turn on the plane starts."""
+        if self._data_lease is not None:
+            self._data_lease.claim()
+        self.data[...] = flat
 
     def __reduce__(self):
         raise TypeError("FlatParamBuffer is bound to live tensors and "

@@ -25,10 +25,11 @@ MODEL_REGISTRY: dict[str, Callable[..., Module]] = {
 
 
 def build_model(name: str, init_weights: bool = True, arena=None,
-                **kwargs) -> Module:
+                shared_weights: bool = False, **kwargs) -> Module:
     """Construct a zoo model by name (``lenet5``, ``vgg11``, ...), on
     its fused storage: flattened into ``arena`` (a run's
-    :class:`~repro.nn.arena.StepArena`; a private one without).
+    :class:`~repro.nn.arena.StepArena`; a private one without), its
+    weights on the arena's weight plane with ``shared_weights``.
 
     ``init_weights=False`` says the caller loads every weight before
     using the model (a replica of an existing one): the random
@@ -53,5 +54,5 @@ def build_model(name: str, init_weights: bool = True, arena=None,
             model = None
     if model is None:
         model = factory(**kwargs)
-    model.flatten_parameters(arena)
+    model.flatten_parameters(arena, shared_weights)
     return model

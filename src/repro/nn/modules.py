@@ -93,7 +93,7 @@ class Module:
             self._flat.claim_grads()
 
     # -- fused storage ---------------------------------------------------
-    def flatten_parameters(self, arena=None):
+    def flatten_parameters(self, arena=None, shared_weights=False):
         """The module's :class:`~repro.nn.flat.FlatParamBuffer`: its
         parameters, buffers and gradients packed into contiguous arrays,
         on first call (``make_model`` does it where a run's model is
@@ -104,11 +104,13 @@ class Module:
         the module is one replica of a run (its gradients then land in
         the run's shared plane); without one the module gets a private
         arena.  A module is flattened into one arena for good: naming
-        another one later raises ``ValueError``.
+        another one later raises ``ValueError``.  ``shared_weights``
+        puts the weights on the arena's weight plane (see
+        :class:`~repro.nn.flat.FlatParamBuffer`), also for good.
         """
         flat = self._flat
         if flat is None:
-            flat = self._flat = FlatParamBuffer(self, arena)
+            flat = self._flat = FlatParamBuffer(self, arena, shared_weights)
         elif arena is not None and arena is not flat.arena:
             raise ValueError("module is already flattened into another "
                              "step arena")

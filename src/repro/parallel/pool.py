@@ -9,8 +9,8 @@ parallel schedule is *group-major* where the sequential loop is
 *step-major* — an equivalent reordering of independent work that keeps
 every result bit-identical.
 
-Transport: the large state (the model's fused flat buffer and the
-optimiser's flat velocity, see :class:`~repro.nn.flat.FlatParamBuffer`)
+Transport: the large state (the group's fused weights and the
+optimisers' flat velocities, see :class:`~repro.nn.flat.FlatParamBuffer`)
 moves through POSIX shared memory — one persistent segment per group,
 written in place by both sides — while the small state (RNG streams,
 EMA observers, learning rates) rides the task pickle.
@@ -53,16 +53,15 @@ __all__ = ["LgExecutor"]
 # Runtime-state packing: live float32 arrays + a small picklable dict
 # ----------------------------------------------------------------------
 def _arrays(trainer: GroupMixedTrainer) -> "list[np.ndarray]":
-    """The group's large state, in transport order: each replica's
-    fused weights, then its momentum (when it has any)."""
-    pairs = [(trainer.fp32, trainer.fp32_opt)]
+    """The group's large state, in transport order: its fused weights,
+    then each replica's momentum (when it has any).  The INT8 twin's
+    weights are the FP32 ones, loaded before every INT8 use."""
+    arrays = [trainer.fp32.flatten_parameters().data]
+    optimizers = [trainer.fp32_opt]
     if trainer.int8 is not None:
-        pairs.append((trainer.int8.model, trainer.int8.optimizer))
-    arrays = []
-    for model, optimizer in pairs:
-        arrays.append(model.flatten_parameters().data)
-        if optimizer._velocity is not None:
-            arrays.append(optimizer._velocity)
+        optimizers.append(trainer.int8.optimizer)
+    arrays += [optimizer._velocity for optimizer in optimizers
+               if optimizer._velocity is not None]
     return arrays
 
 

@@ -79,17 +79,17 @@ def merge_weights_inplace(w_fp32: np.ndarray, w_int8: np.ndarray,
                           alpha: float) -> None:
     """Eq. 5, ``w = e^-alpha * w_fp32 + (1 - e^-alpha) * w_int8``, on
     two float32 arrays — the live fused weights of one logical group:
-    both end up holding the merge, nothing is allocated.
+    ``w_fp32`` ends up holding the merge, nothing is allocated.
 
     Two weak-typed float32 products and their sum per element; the
     operands are overwritten with the products because neither
-    outlives the merge.
+    outlives the merge (``w_int8`` is left holding its scaled product:
+    the group keeps only the FP32 weights).
     """
     coeff = math.exp(-alpha)
     w_fp32 *= coeff
     w_int8 *= 1.0 - coeff
     w_fp32 += w_int8
-    w_int8[...] = w_fp32
 
 
 class MixedPrecisionController:

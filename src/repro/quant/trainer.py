@@ -94,10 +94,13 @@ class Int8Trainer:
             observer = (self._input_observer if config.quantize_activations
                         else None)
             rng = self.rng if config.stochastic_rounding else None
+            check_weights = flat.check_data
 
             def before(x, out=None, wide=None):
-                # the masters are the arena's pooled snapshot, valid
-                # until the next replica's step
+                # on a shared weight plane, refuse another replica's
+                # weights; the masters are the arena's pooled snapshot,
+                # valid until the next replica's step
+                check_weights()
                 np.copyto(masters, params)
                 if config.quantize_weights:
                     quant(params)
@@ -181,20 +184,23 @@ class Int8Trainer:
                 observers.append(quant.observer)
         return observers
 
-    def runtime_state(self) -> dict:
+    def runtime_state(self, weights: bool = True) -> dict:
         """Everything needed to resume this trainer bit-identically in
         another process: weights, optimiser velocity, the stochastic-
-        rounding RNG stream and every EMA range observer."""
-        return {
-            "model": self.model.state_dict(),
-            "optimizer": self.optimizer.state_dict(),
-            "rng": self.rng.bit_generator.state,
-            "input_ema": self._input_observer._ema,
-            "activation_emas": [o._ema for o in self._activation_observers()],
-        }
+        rounding RNG stream and every EMA range observer.
+        ``weights=False`` leaves the weights out, for a trainer whose
+        owner loads them before every use (a group's INT8 twin)."""
+        state = {"model": self.model.state_dict()} if weights else {}
+        state.update(
+            optimizer=self.optimizer.state_dict(),
+            rng=self.rng.bit_generator.state,
+            input_ema=self._input_observer._ema,
+            activation_emas=[o._ema for o in self._activation_observers()])
+        return state
 
     def load_runtime_state(self, state: dict) -> None:
-        self.model.load_state_dict(state["model"])
+        if "model" in state:
+            self.model.load_state_dict(state["model"])
         self.optimizer.load_state_dict(state["optimizer"])
         self.rng.bit_generator.state = state["rng"]
         self._input_observer._ema = state["input_ema"]

@@ -18,13 +18,23 @@ def make_trainer(quick_config, mixed=True):
         precision="mixed" if mixed else "fp32"), controller
 
 
+def assert_twin_holds_fp32_weights(trainer):
+    __tracebackhide__ = True
+    fp = trainer.fp32.state_dict()
+    i8 = trainer.int8.model.state_dict()
+    for key in fp:
+        np.testing.assert_array_equal(fp[key], i8[key])
+
+
 class TestConstruction:
     def test_int8_replica_starts_identical(self, quick_config):
+        """The twin keeps no weights of its own: its storage is the
+        run's weight plane, and its first use loads the FP32 weights."""
         trainer, _ = make_trainer(quick_config)
-        fp = trainer.fp32.state_dict()
-        i8 = trainer.int8.model.state_dict()
-        for key in fp:
-            np.testing.assert_array_equal(fp[key], i8[key])
+        flat = trainer.int8.model.flatten_parameters()
+        assert flat.data is trainer.arena.weight_plane(flat.layout).array
+        trainer.update_alpha(quick_config.task.x_test[:8])
+        assert_twin_holds_fp32_weights(trainer)
 
     def test_unmixed_has_no_int8(self, quick_config):
         trainer, _ = make_trainer(quick_config, mixed=False)
@@ -33,13 +43,16 @@ class TestConstruction:
 
 class TestTrainBatch:
     def test_models_stay_synchronized_after_step(self, quick_config):
+        """Eq. 5 spends the twin's weights: after the merge the group
+        holds one set (the FP32 replica's), the twin refuses to be read
+        until its next use loads them."""
         trainer, _ = make_trainer(quick_config)
         task = quick_config.task
         trainer.train_batch(task.x_train[:16], task.y_train[:16])
-        fp = trainer.fp32.state_dict()
-        i8 = trainer.int8.model.state_dict()
-        for key in fp:
-            np.testing.assert_array_equal(fp[key], i8[key])
+        with pytest.raises(RuntimeError, match="weight plane"):
+            trainer.int8.model.state_dict()
+        trainer.update_alpha(task.x_test[:8])
+        assert_twin_holds_fp32_weights(trainer)
 
     def test_weights_move(self, quick_config):
         trainer, _ = make_trainer(quick_config)
@@ -76,6 +89,8 @@ class TestStateRoundtrip:
         for key in state:
             state[key] = state[key] + 1.0
         trainer.load_state(state)
-        np.testing.assert_array_equal(
-            trainer.fp32.state_dict()[next(iter(state))],
-            trainer.int8.model.state_dict()[next(iter(state))])
+        key = next(iter(state))
+        np.testing.assert_array_equal(trainer.fp32.state_dict()[key],
+                                      state[key])
+        trainer.update_alpha(quick_config.task.x_test[:8])
+        assert_twin_holds_fp32_weights(trainer)

@@ -49,3 +49,27 @@ class TestLoad:
 
     def test_name_recorded(self):
         assert load_dataset("celeba", scale=0.001).name == "celeba"
+
+
+class TestSharedTasks:
+    """Equal arguments share one task while anyone holds it."""
+
+    def test_equal_arguments_return_the_same_task(self):
+        task = load_dataset("cifar10", scale=0.002, image_size=8, seed=3)
+        assert load_dataset("cifar10", scale=0.002, image_size=8,
+                            seed=3) is task
+        assert load_dataset("cifar10", scale=0.002, image_size=8,
+                            seed=4) is not task
+
+    def test_released_task_is_dropped(self):
+        import gc
+        import weakref
+        ref = weakref.ref(load_dataset("fmnist", scale=0.002, seed=5))
+        gc.collect()
+        assert ref() is None
+
+    def test_shared_arrays_are_read_only(self):
+        task = load_dataset("fmnist", scale=0.002, seed=6)
+        for array in (task.x_train, task.y_train, task.x_test, task.y_test):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0

@@ -102,10 +102,8 @@ class TestScheduledRunTrace:
         one the horizon cuts off, each precision replayed, none fell
         back."""
         telemetry = Telemetry.active()
-        scheduler = make_scheduler(
-            jobs_topology,
-            lambda job: replace(config_factory(job), graph=True),
-            telemetry=telemetry, horizon_hours=0.75)
+        scheduler = make_scheduler(jobs_topology, config_factory,
+                                   telemetry=telemetry, horizon_hours=0.75)
         scheduler.submit(make_job("done", epochs=1, mixed=True, max_socs=4))
         scheduler.submit(make_job("cut", epochs=9, max_socs=4))
         report = scheduler.run()
@@ -124,3 +122,24 @@ class TestScheduledRunTrace:
                  if r.kind == "graph_replay"]
         assert {(r.job, r.args["precision"]) for r in spans} == {
             ("done", "fp32"), ("done", "int8"), ("cut", "fp32")}
+
+    def test_scheduler_settings_override_the_factory(self, jobs_topology,
+                                                     config_factory):
+        """The scheduler decides a job's workers, fusion and graph
+        whoever builds its config: a factory's ``graph=False`` still
+        runs compiled under ``graph=True`` and writes ``graph.*``."""
+        def eager_factory(job):
+            return replace(config_factory(job), graph=False, workers=3,
+                           fusion_max_ops=1)
+
+        telemetry = Telemetry.active()
+        scheduler = make_scheduler(jobs_topology, eager_factory, graph=True,
+                                   telemetry=telemetry, horizon_hours=0.5,
+                                   fusion_threshold_mb=0.5)
+        config = scheduler._config_for(make_job("probe"))
+        assert (config.graph, config.workers, config.fusion_threshold_mb,
+                config.fusion_max_ops) == (True, 1, 0.5, None)
+        scheduler.submit(make_job("only", epochs=1, max_socs=4))
+        scheduler.run()
+        names = {r["name"] for r in telemetry.metrics.collect()}
+        assert "graph.replays" in names
