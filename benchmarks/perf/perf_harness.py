@@ -17,6 +17,11 @@ Sections
   at the eight conv and four pool shapes of vgg11 at the bench preset
   and lenet5's two and two, paired call by call in one process with a
   bit-equality assert first.  Gated: ≥ 1.15x in aggregate.
+- ``inference_conv``: vgg11 at the bench preset evaluating one
+  256-sample batch under ``no_grad`` — convolution columns unfolded
+  ``_CHUNK`` samples at a time against the same forward with the chunk
+  widened to the whole batch, timed alternately after a bit-equality
+  assert.  Gated: chunked at most 0.9x the whole-batch time.
 - ``aggregation``: ``average_states`` over 8 model replicas — the
   fused whole-model path (shared :class:`~repro.nn.flat.FlatState`
   layout, float32 sum-then-scale) against the pre-fusion per-key
@@ -56,7 +61,10 @@ Sections
   arrival stream, host microseconds of ``ServingPlane.advance`` per
   request, and the quotient of the two taken alternately
   (``dispatch_vs_generation``: the serving event core's gated number —
-  microseconds per request move with the host, the quotient does not).
+  microseconds per request move with the host, the quotient does not),
+  and generation's ``tracemalloc`` peak over the bytes it returns
+  (``generation_peak_vs_output``, gated at 2.5: the thinning streams
+  its candidates chunk by chunk).
 
 Usage::
 
@@ -78,6 +86,7 @@ import json
 import platform
 import statistics
 import time
+import tracemalloc
 from collections import OrderedDict
 from pathlib import Path
 
@@ -86,7 +95,7 @@ import numpy as np
 from repro.comm.primitives import average_states
 from repro.nn.models.registry import build_model
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 #: replicas averaged in the aggregation benchmark (paper: 8 LGs)
 NUM_REPLICAS = 8
@@ -287,6 +296,44 @@ def bench_conv_layout(repeats: int) -> dict:
     out["kernels_us"] = totals["kernels"] * 1e6
     out["aggregate"] = totals["reference"] / totals["kernels"]
     return out
+
+
+# ----------------------------------------------------------------------
+#: samples the ``inference_conv`` row evaluates (``evaluate_accuracy``'s
+#: batch)
+INFERENCE_BATCH = 256
+
+
+def bench_inference_conv(repeats: int) -> dict:
+    """One no-grad vgg11 forward (bench preset: 16x16 images, width
+    0.25) of :data:`INFERENCE_BATCH` samples, its conv columns built
+    ``F._CHUNK`` samples at a time against the chunk widened to the
+    whole batch, alternately; ``chunked_vs_whole`` is the median of the
+    per-pair ratios, the number the CI gate reads."""
+    model = build_model("vgg11", num_classes=10, in_channels=3,
+                        image_size=16, width=0.25, seed=0)
+    model.eval()
+    x = np.random.default_rng(0).standard_normal(
+        (INFERENCE_BATCH, 3, 16, 16)).astype(np.float32)
+    chunk = F._CHUNK
+
+    def forward(samples: int):
+        def run():
+            F._CHUNK = samples
+            try:
+                with no_grad():
+                    return model(Tensor(x)).data
+            finally:
+                F._CHUNK = chunk
+        return run
+
+    chunked, whole = forward(chunk), forward(INFERENCE_BATCH)
+    assert np.array_equal(chunked(), whole())
+    chunked_t, whole_t, ratio = _time_paired(chunked, whole, repeats)
+    return {"batch": INFERENCE_BATCH, "chunk": chunk,
+            "chunked_ms": chunked_t["median_s"] * 1e3,
+            "whole_ms": whole_t["median_s"] * 1e3,
+            "chunked_vs_whole": ratio}
 
 
 # ----------------------------------------------------------------------
@@ -771,6 +818,12 @@ def bench_serving_day(size: str, repeats: int) -> dict:
     plane = day["plane"]
     assert plane.total_requests == plane.total_served \
         + plane.total_dropped + plane.queue_depth
+    tracemalloc.start()
+    try:
+        generate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "peak_rps": SERVING_DAY_PEAK_RPS[size],
         "requests": plane.total_requests,
@@ -779,6 +832,8 @@ def bench_serving_day(size: str, repeats: int) -> dict:
         "dispatch_us_per_request":
             served["median_s"] * 1e6 / plane.total_requests,
         "dispatch_vs_generation": 1.0 / inverse,
+        "generation_peak_vs_output":
+            peak / day["arrivals"].arrivals_h.nbytes,
     }
 
 
@@ -794,6 +849,7 @@ def run_harness(mode: str = "smoke") -> dict:
         },
         "conv": bench_conv(repeats),
         "conv_layout": bench_conv_layout(max(repeats, 15)),
+        "inference_conv": bench_inference_conv(max(repeats, 7)),
         "aggregation": bench_aggregation(max(repeats, 20)),
         "bucketed_aggregation": bench_bucketed_aggregation(max(repeats, 20)),
         "step_time": bench_step_time(max(repeats, 15)),
@@ -878,6 +934,10 @@ def main(argv=None) -> int:
     print(f"conv layout    {layout['reference_us']:8.0f} us N-major  "
           f"{layout['kernels_us']:8.0f} us K-major  "
           f"{layout['aggregate']:5.2f}x")
+    infer = report["inference_conv"]
+    print(f"infer conv     {infer['chunked_ms']:8.1f} ms chunked  "
+          f"{infer['whole_ms']:8.1f} ms whole batch  "
+          f"{infer['chunked_vs_whole']:5.2f}x")
     print(f"agg fused      {agg['fused']['median_s']*1e6:8.1f} us")
     print(f"agg per-key    {agg['per_key']['median_s']*1e6:8.1f} us")
     print(f"agg speedup    {agg['speedup']:8.2f}x")
@@ -913,7 +973,8 @@ def main(argv=None) -> int:
         print(f"serve {size:5s}    gen {day['arrivals_gen_s']:6.3f} s  "
               f"dispatch {day['dispatch_us_per_request']:6.3f} us/request "
               f"= {day['dispatch_vs_generation']:5.2f}x gen "
-              f"({day['requests']} requests)")
+              f"({day['requests']} requests, generation peak "
+              f"{day['generation_peak_vs_output']:4.2f}x its output)")
     print(f"wrote {args.out}")
     if args.update_baseline:
         update_baseline(report)

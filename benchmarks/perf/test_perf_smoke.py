@@ -40,6 +40,7 @@ import pytest
 from perf_harness import (GRAPH_REPLICAS, MEMORY_GROUP_COUNTS,
                           bench_aggregation, bench_bucketed_aggregation,
                           bench_conv_layout, bench_graph_replicas,
+                          bench_inference_conv,
                           bench_int8_step_time, bench_serving_day,
                           bench_step_time, run_harness, update_baseline)
 
@@ -64,6 +65,7 @@ def baseline() -> dict:
 
 def test_report_has_all_sections(report):
     assert set(report) >= {"mode", "host", "conv", "conv_layout",
+                           "inference_conv",
                            "aggregation",
                            "bucketed_aggregation", "step_time",
                            "int8_step_time", "graph_replicas",
@@ -99,6 +101,19 @@ def test_conv_layout_beats_the_n_major_reference(report):
     assert aggregate >= 1.15, (
         f"K-major conv/pool kernels only {aggregate:.2f}x over the "
         f"N-major reference (need >= 1.15x)")
+
+
+def test_inference_conv_chunks_beat_the_whole_batch(report):
+    """vgg11 evaluating 256 samples with its conv columns unfolded a
+    chunk at a time (bit-equality asserted inside the harness) takes at
+    most 0.9x the whole-batch columns' time, paired call by call (≈ 0.7x
+    when it was written: the chunk's columns stay in cache)."""
+    ratio = report["inference_conv"]["chunked_vs_whole"]
+    if ratio > 0.9:                                     # noisy runner: retry
+        ratio = bench_inference_conv(repeats=15)["chunked_vs_whole"]
+    assert ratio <= 0.9, (
+        f"chunked inference conv at {ratio:.2f}x the whole-batch "
+        f"columns (need <= 0.9x)")
 
 
 def test_bucketed_aggregation_geometries(report):
@@ -322,6 +337,17 @@ def test_serving_dispatch_not_regressed_vs_baseline(report, baseline):
         f"above 125% of the committed baseline "
         f"({baseline['serving_day']['dispatch_vs_generation']:.2f}x; gate "
         f"at {ceiling:.2f}x) — the event core regressed")
+
+
+def test_arrival_generation_peaks_near_its_output(report):
+    """Generating the smoke serving day holds two chunk buffers and
+    the survivors, not two full-length candidate arrays: its
+    ``tracemalloc`` peak is at most 2.5x the arrivals it returns (2.0x
+    when it was written, 6.8x with the candidates drawn whole)."""
+    day = report["serving_day"]["smoke"]
+    assert day["generation_peak_vs_output"] <= 2.5, (
+        f"arrival generation peaks at "
+        f"{day['generation_peak_vs_output']:.2f}x its output")
 
 
 def test_update_baseline_rewrites_gated_quantities(report, baseline,

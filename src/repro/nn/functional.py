@@ -11,7 +11,7 @@ import numpy as np
 
 from . import kernels as K
 from .kernels import col2im, im2col
-from .tensor import Tensor
+from .tensor import Tensor, grad_enabled
 
 __all__ = [
     "linear", "conv2d", "max_pool2d", "global_avg_pool2d",
@@ -125,7 +125,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     columns of :func:`repro.nn.kernels.im2col`: per sample on
     ``(C*k*k, L)`` panels forward and for the input gradient, and one
     ``(C*k*k, N*L) @ (N*L, O)`` GEMM on a *view* of the columns for the
-    weight gradient.
+    weight gradient.  Under :func:`~repro.nn.tensor.no_grad` nothing is
+    kept for backward, and the forward unfolds :data:`_CHUNK` samples
+    at a time instead of the whole batch (:func:`_conv_chunked`).
     """
     if padding:
         x = x.pad2d(padding)
@@ -136,8 +138,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     # The forward columns are captured by the backward closure, so they
     # must NOT come from the reusable workspace (a same-shape sibling
-    # layer would overwrite them before backward runs).
-    if groups == 1:
+    # layer would overwrite them before backward runs).  Without a tape
+    # nothing captures them: they are built a chunk at a time in scratch.
+    # Grouped columns stay whole: einsum picks its loop order by operand
+    # shape, so a chunk of them would move bits.
+    if groups == 1 and not grad_enabled() and (kernel, stride) != (1, 1):
+        out_data = _conv_chunked(x.data, weight.data.reshape(out_c, -1),
+                                 kernel, stride, out_h * out_w)
+        backward = None
+    elif groups == 1:
         cols = im2col(x.data, kernel, stride)               # (C*k*k, N, L)
         w_mat = weight.data.reshape(out_c, -1)              # (O, C*k*k)
         out_data = K.matmul(w_mat[None, :, :], cols.transpose(1, 0, 2))
@@ -200,6 +209,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                        (x, weight), backward)
     if bias is not None:
         out = out + bias.reshape(1, out_c, 1, 1)
+    return out
+
+
+#: samples an inference convolution (nothing kept for backward) unfolds
+#: at a time: its columns are this many samples' worth, not the batch's
+_CHUNK = 16
+
+
+def _conv_chunked(x: np.ndarray, w_mat: np.ndarray, kernel: int,
+                  stride: int, length: int) -> np.ndarray:
+    """The ``groups == 1`` forward with no backward to feed: columns of
+    :data:`_CHUNK` samples at a time in one scratch buffer, each
+    sample's ``(O, C*k*k) x (C*k*k, L)`` product written straight into
+    the output — the whole-batch forward's panels, whose leading
+    dimension alone differs, so the same bits."""
+    n = len(x)
+    rows = w_mat.shape[1]
+    out = K.empty((n, len(w_mat), length), np.float32)
+    buf = _scratch((rows * min(n, _CHUNK) * length,))
+    for lo in range(0, n, _CHUNK):
+        part = x[lo:lo + _CHUNK]
+        cols = im2col(part, kernel, stride,
+                      out=buf[:rows * len(part) * length].reshape(
+                          rows, len(part), length))
+        K.matmul(w_mat[None, :, :], cols.transpose(1, 0, 2),
+                 out=out[lo:lo + len(part)])
     return out
 
 

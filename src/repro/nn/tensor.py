@@ -41,6 +41,11 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
+def grad_enabled() -> bool:
+    """False inside :func:`no_grad`: no op records its backward."""
+    return _GRAD_ENABLED
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` undoing numpy broadcasting."""
     if grad.shape == shape:

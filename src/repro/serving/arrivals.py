@@ -15,11 +15,17 @@ force a 10x envelope on the whole horizon.  All arrivals are drawn up
 front for the full horizon, which makes the realisation a pure function
 of the parameters and seed: scheduling-policy choices (round lengths,
 check windows) can never perturb the workload they are being judged
-against, and reruns are bit-identical.
+against, and reruns are bit-identical.  The candidates are streamed:
+drawn and thinned ``_THIN_CHUNK`` at a time, each draw at the position
+in the generator's stream a whole-length draw would give it, so
+generation holds two chunks and its output, never a candidate array.
+Explicit times (:meth:`ArrivalProcess.from_times`) must lie inside the
+horizon.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +34,10 @@ from ..cluster.trace import TidalTrace
 
 __all__ = ["FlashCrowd", "Region", "ArrivalProcess"]
 
-#: thinning candidates evaluated per step (rate + keep-mask temporaries
-#: of 64 Ki doubles fit in L2; a flash day draws ~4 M candidates)
-_THIN_CHUNK = 1 << 16
+#: thinning candidates drawn and evaluated per step: the two draw
+#: buffers and the rate's temporaries, 16 Ki doubles each, stay in L2
+#: (a flash day draws ~4 M candidates)
+_THIN_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -101,7 +108,11 @@ class ArrivalProcess:
         Surges applied to the *aggregate* rate (every region spikes
         together — the platform-wide launch/event case).
     start_hour, horizon_hours:
-        Absolute window the process covers.  Queries outside it raise.
+        Absolute window ``[start_hour, end_hour)`` the process covers:
+        every arrival lies inside it.  Queries may reach past it (the
+        serving plane forecasts its last window through
+        :meth:`count_between` beyond the horizon) and count only the
+        arrivals inside.
     """
 
     def __init__(self, regions: "list[Region]",
@@ -126,7 +137,21 @@ class ArrivalProcess:
     def from_times(cls, times, *, start_hour: float = 0.0,
                    horizon_hours: float = 24.0,
                    trace: TidalTrace | None = None) -> "ArrivalProcess":
-        """Wrap explicit arrival times (tests, replayed real traces)."""
+        """Wrap explicit arrival times (tests, replayed real traces).
+
+        Raises ``ValueError`` on the first time that is not a finite
+        hour inside ``[start_hour, start_hour + horizon_hours)``: the
+        plane would never admit it, and count it nowhere.
+        """
+        times = np.asarray(times, dtype=float)
+        end_hour = start_hour + horizon_hours
+        outside = np.flatnonzero(~((times >= start_hour)
+                                   & (times < end_hour)))
+        if len(outside):
+            raise ValueError(
+                f"arrival time {float(times.flat[outside[0]])} (index "
+                f"{outside[0]}) is not an hour in [{start_hour}, "
+                f"{end_hour})")
         proc = cls.__new__(cls)
         proc.regions = []
         proc.flash_crowds = []
@@ -134,7 +159,7 @@ class ArrivalProcess:
         proc.horizon_hours = horizon_hours
         proc.trace = trace or TidalTrace()
         proc.seed = 0
-        proc._arrivals = np.sort(np.asarray(times, dtype=float))
+        proc._arrivals = np.sort(times)
         return proc
 
     # ------------------------------------------------------------------
@@ -200,26 +225,31 @@ class ArrivalProcess:
         """One thinned Poisson component on ``[t0, t1)`` (hours).
 
         Candidates arrive homogeneously at ``envelope_rps``; each
-        survives with probability ``rate(t) / envelope``.  Drawing the
-        count, then all (unsorted) uniform times, then all acceptance
-        draws keeps the component three RNG calls -> reproducible;
-        ``_generate``'s merge sort orders the survivors.  The rate and
-        the keep mask are evaluated chunk by chunk, survivors compacted
-        to the front of the candidate array, so temporaries stay
-        cache-sized; every operation is element-wise, so the result
-        equals the one-shot formula bit for bit.
+        survives with probability ``rate(t) / envelope``.  The
+        realisation is fixed by the stream position of every draw: the
+        count, then the ``n`` (unsorted) uniform times, then the ``n``
+        acceptance draws; ``_generate``'s merge sort orders the
+        survivors.  Both are drawn ``_THIN_CHUNK`` at a time into two
+        reused buffers — the acceptance draws from a copy of ``rng``
+        advanced past the ``n`` times, whose end state ``rng`` takes
+        back — so the working set is two chunks and the survivors, not
+        two candidate arrays, and every value and the generator's end
+        state equal the one-shot formula's bit for bit.
         """
         hours = t1 - t0
         n = int(rng.poisson(envelope_rps * 3600.0 * hours))
-        times = rng.random(n)
-        times *= hours
-        times += t0
-        accept = rng.random(n)
-        accept *= envelope_rps
-        kept = 0
+        accept_rng = copy.deepcopy(rng)
+        accept_rng.bit_generator.advance(n)
+        times = np.empty(min(n, _THIN_CHUNK))
+        accept = np.empty_like(times)
+        survivors = [np.empty(0)]
         for lo in range(0, n, _THIN_CHUNK):
-            chunk = times[lo:lo + _THIN_CHUNK]
-            survivors = chunk[accept[lo:lo + _THIN_CHUNK] < rate_fn(chunk)]
-            times[kept:kept + len(survivors)] = survivors
-            kept += len(survivors)
-        return times[:kept].copy()      # let go of the candidate array
+            size = min(_THIN_CHUNK, n - lo)
+            chunk = rng.random(out=times[:size])
+            chunk *= hours
+            chunk += t0
+            keep = accept_rng.random(out=accept[:size])
+            keep *= envelope_rps
+            survivors.append(chunk[keep < rate_fn(chunk)])
+        rng.bit_generator.state = accept_rng.bit_generator.state
+        return np.concatenate(survivors)

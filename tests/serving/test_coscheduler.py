@@ -206,3 +206,29 @@ class TestTelemetry:
         violations = [a for a in report.anomalies
                       if a.kind == "slo_violation"]
         assert len(violations) == sched.plane.violation_windows
+
+
+class TestInferenceWorkspaces:
+    def test_a_serving_day_evicts_no_workspace(
+            self, serving_topology, config_factory, monkeypatch):
+        """Evaluation and the mixed tenant's alpha profiling convolve a
+        chunk at a time in scratch; over a co-scheduled day through a
+        burst that working set still fits the workspace cache."""
+        from repro.nn import functional as F
+        chunked = []
+        conv = F._conv_chunked
+
+        def counting(x, *args):
+            chunked.append(len(x))
+            return conv(x, *args)
+
+        monkeypatch.setattr(F, "_conv_chunked", counting)
+        mark = F.workspace_mark()
+        times = np.sort(np.concatenate([uniform_times(0.0, 6.0, 0.05),
+                                        uniform_times(1.0, 2.0, 2.5)]))
+        sched = make_coscheduler(serving_topology, config_factory, times)
+        record = sched.submit(make_job(epochs=4, mixed=True))
+        sched.run()
+        assert record.status == "completed"
+        assert max(chunked) > F._CHUNK          # batches above the chunk
+        assert F.workspace_evictions(mark) == 0

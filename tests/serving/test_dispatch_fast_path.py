@@ -16,8 +16,11 @@ WINDOWS = 4
 
 
 def build(times, service, warm, cold, shed_after_s):
+    # one window past the last dispatched: an arrival on the last edge
+    # is inside the horizon (``from_times`` refuses any outside it)
     plane = ServingPlane(
-        ArrivalProcess.from_times(times, horizon_hours=WINDOW_H * WINDOWS),
+        ArrivalProcess.from_times(times,
+                                  horizon_hours=WINDOW_H * (WINDOWS + 1)),
         service, slo_ms=500.0, check_interval_hours=WINDOW_H,
         shed_after_s=shed_after_s, autoscale=False)
     plane.provision(list(range(warm)), 0.0)
