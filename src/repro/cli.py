@@ -7,28 +7,15 @@ Commands
 ``jobs``      schedule a multi-tenant job file over the tidal trace
 ``list``      show available workloads, methods, presets and models
 ``trace``     print the tidal utilisation trace and idle windows
-``analyze``   diagnose exported traces: ``analyze report <trace.jsonl>``
-              prints the critical-path/straggler/anomaly report,
-              ``analyze diff <a.jsonl> <b.jsonl>`` compares two runs
-              phase-by-phase (``--format table|json|markdown``)
+``analyze``   diagnose exported JSONL traces: ``analyze report`` prints
+              the critical-path/straggler/anomaly report of one,
+              ``analyze diff`` compares two phase by phase
 
-``run``/``compare`` accept ``--faults SPEC`` to inject unplanned
-faults: semicolon-separated clauses like
-``crash:epoch=1,soc=3``, ``flap:epoch=2,pcb=0,mult=0.2,until=4``,
-``straggler:epoch=1,soc=7,factor=0.5``, ``storm:epoch=3,groups=2`` or
-``random:seed=7,epochs=8,crashes=4,flaps=1``.  ``--fault-mode``
-selects how *baselines* react (``fail-stop`` aborts, ``continue``
-keeps the survivors); SoCFlow always recovers.  ``jobs --faults``
-takes ``crash`` clauses only: the job scheduler prices nothing else.
-
-Telemetry: ``--trace PATH`` records every simulated span (compute,
-allreduce, leader sync, NIC waits, recovery, ...) and writes a Chrome
-``chrome://tracing``/Perfetto trace (or a JSONL event log with
-``--trace-format jsonl``); ``--metrics PATH`` writes the metrics
-registry as JSONL.  Either flag also prints the per-epoch breakdown
-table, and traced runs print the live bottleneck summary at exit.
-Paths ending in ``.gz`` are gzip-compressed transparently.
-``compare`` writes one file per method (``run.ring.json``).
+The flags of ``run``, ``compare`` and ``jobs`` are the rows of
+:data:`repro.options.OPTIONS` (``repro <command> --help`` lists them);
+a command reads each value once, through :func:`repro.options.resolve`.
+README.md gives the ``--faults`` grammar and the telemetry files.  Exit
+codes: 0 done, 1 no job admitted, 2 a bad flag, spec or job file.
 
 Examples
 --------
@@ -55,185 +42,91 @@ from .cluster import (ClusterTopology, FaultSpecError, SoCCrash, TidalTrace,
                       parse_fault_spec)
 from .cluster.faults import event_summary
 from .core import SoCFlow, SoCFlowOptions
-from .distributed import STRATEGY_REGISTRY, build_strategy
+from .distributed import build_strategy
 from .harness import SCALE_PRESETS, WORKLOADS, format_table, make_run_config
 from .nn.models import MODEL_REGISTRY
+from .options import Option, methods, options_for, resolve
 from .telemetry import Telemetry, render_epoch_table, write_trace
 
 __all__ = ["main", "build_parser"]
 
-_ALL_METHODS = sorted(STRATEGY_REGISTRY) + ["socflow"]
+
+#: every subcommand and its help, in ``repro --help`` order
+_COMMANDS_HELP = {
+    "run": "train one workload with one method",
+    "compare": "run several methods on one workload",
+    "jobs": "schedule a multi-tenant job file over the tidal trace",
+    "list": "show workloads, methods, presets, models",
+    "trace": "print the tidal trace",
+    "analyze": "diagnose exported JSONL traces (critical path, stragglers, "
+               "run-vs-run diffs)",
+    "analyze report": "bottleneck report for one trace",
+    "analyze diff": "compare two traces (A = baseline, B = new)",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="SoCFlow reproduction CLI")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="train one workload with one method")
-    _add_run_args(run)
-    run.add_argument("--method", default="socflow", choices=_ALL_METHODS)
-
-    compare = sub.add_parser("compare",
-                             help="run several methods on one workload")
-    _add_run_args(compare)
-    compare.add_argument("--methods", default="ring,fedavg,socflow",
-                         help="comma-separated method names")
-
-    jobs = sub.add_parser(
-        "jobs", help="schedule a multi-tenant job file over the tidal trace")
-    jobs.add_argument("--spec", required=True, metavar="PATH",
-                      help="YAML/JSON job file ({cluster: ..., jobs: [...]})")
-    jobs.add_argument("--socs", type=int, default=None,
-                      help="cluster size (overrides the file's cluster "
-                           "section; default 32)")
-    jobs.add_argument("--seed", type=int, default=None,
-                      help="session-trace seed (overrides the file)")
-    jobs.add_argument("--horizon", type=float, default=None,
-                      help="scheduling horizon in hours (default 24)")
-    jobs.add_argument("--start-hour", type=float, default=None,
-                      help="simulation start on the tidal day (default 0)")
-    jobs.add_argument("--quantum", type=float, default=None,
-                      help="minimum scheduling-round length, hours "
-                           "(default 0.25)")
-    jobs.add_argument("--sessions-per-hour", type=float, default=None,
-                      help="peak user-session arrival rate (default 60)")
-    jobs.add_argument("--static-window", default=None, metavar="START:HOURS",
-                      help="disable elasticity: jobs run only inside the "
-                           "fixed window, e.g. '22:8'")
-    jobs.add_argument("--workers", type=_positive_int, default=1,
-                      help="host processes for logical-group real math")
-    jobs.add_argument("--faults", default=None, metavar="SPEC",
-                      help="fault-injection spec (epochs = rounds)")
-    jobs.add_argument("--serve", action="store_true",
-                      help="co-schedule with the request-level serving "
-                           "plane: inference replicas bid for SoCs under "
-                           "an SLO and preempt training on pressure")
-    jobs.add_argument("--serve-model", default=None, metavar="MODEL",
-                      help="model the replicas serve (default resnet18)")
-    jobs.add_argument("--peak-rps", type=float, default=None,
-                      help="peak aggregate request rate (default 60)")
-    jobs.add_argument("--slo-ms", type=float, default=None,
-                      help="p99 latency SLO per check window "
-                           "(default 600 ms)")
-    jobs.add_argument("--flash-crowd", action="append", default=None,
-                      metavar="START:DUR:MULT",
-                      help="inject a flash crowd (hours, hours, rate "
-                           "multiplier); repeatable")
-    jobs.add_argument("--min-replicas", type=int, default=None,
-                      help="serving floor (default 1)")
-    jobs.add_argument("--max-replicas", type=int, default=None,
-                      help="serving ceiling (default: the cluster)")
-    jobs.add_argument("--report", default=None, metavar="PATH",
-                      help="write the schedule report as JSON")
-    _add_fusion_args(jobs, graph_default="on")
-    _add_telemetry_args(jobs)
-
-    sub.add_parser("list", help="show workloads, methods, presets, models")
-
-    trace = sub.add_parser("trace", help="print the tidal trace")
-    trace.add_argument("--threshold", type=float, default=0.25)
-    trace.add_argument("--seed", type=int, default=0)
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="diagnose exported JSONL traces (critical path, stragglers, "
-             "run-vs-run diffs)")
-    analyze_sub = analyze.add_subparsers(dest="analyze_command",
-                                         required=True)
-    report = analyze_sub.add_parser(
-        "report", help="bottleneck report for one trace")
-    report.add_argument("trace_file", metavar="TRACE.jsonl",
-                        help="JSONL trace exported with --trace-format "
-                             "jsonl (.gz accepted)")
-    report.add_argument("--top", type=_positive_int, default=8,
-                        help="critical-path segments to show (default 8)")
-    _add_analyze_args(report)
-    diff = analyze_sub.add_parser(
-        "diff", help="compare two traces (A = baseline, B = new)")
-    diff.add_argument("trace_a", metavar="A.jsonl")
-    diff.add_argument("trace_b", metavar="B.jsonl")
-    diff.add_argument("--threshold", type=float, default=0.02,
-                      help="relative significance floor (default 0.02)")
-    _add_analyze_args(diff)
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for command, help in _COMMANDS_HELP.items():
+        group, _, name = command.rpartition(" ")
+        sub = groups[group].add_parser(name, help=help)
+        if command == "analyze":
+            groups[command] = sub.add_subparsers(dest="analyze_command",
+                                                 required=True)
+        _add_options(sub, command)
     return parser
 
 
-def _add_analyze_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", default="table",
-                        choices=("table", "json", "markdown"),
-                        help="output format (default: table)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="write the rendered report to PATH instead "
-                             "of stdout")
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """One argument per :data:`~repro.options.OPTIONS` row ``command``
+    takes.
+
+    A flag not given parses to its declared default, except where the
+    value is still to be settled (:func:`~repro.options.resolve`): a
+    ``jobs`` option the job file may set, and a ``--x/--no-x`` switch,
+    parse to ``None``.
+    """
+    for option in options_for(command):
+        default = option.defaults[command]
+        kwargs = {"help": _help(option, command)}
+        if option.action == "switch":
+            kwargs["action"], default = argparse.BooleanOptionalAction, None
+        else:
+            if option.action:
+                kwargs["action"] = option.action
+            if option.convert:
+                kwargs["type"] = option.convert
+        if option.key and command == "jobs":
+            default = None
+        if option.choices:
+            kwargs["choices"] = (option.choices() if callable(option.choices)
+                                 else option.choices)
+        if option.metavar:
+            kwargs["metavar"] = option.metavar
+        if option.required:
+            kwargs["required"] = True
+        parser.add_argument(option.flag, default=default, **kwargs)
 
 
-def _positive_int(value: str) -> int:
-    parsed = int(value)
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
-    return parsed
-
-
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workload", default="vgg11",
-                        choices=sorted(WORKLOADS))
-    parser.add_argument("--preset", default="quick",
-                        choices=sorted(SCALE_PRESETS))
-    parser.add_argument("--socs", type=int, default=32)
-    parser.add_argument("--groups", type=int, default=None)
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="host processes training logical groups in "
-                             "parallel (SoCFlow real math); results are "
-                             "bit-identical for any value (default: 1)")
-    parser.add_argument("--faults", default=None, metavar="SPEC",
-                        help="fault-injection spec, e.g. "
-                             "'crash:epoch=1,soc=3;flap:epoch=2,pcb=0,"
-                             "mult=0.2,until=4'")
-    parser.add_argument("--fault-mode", default="fail-stop",
-                        choices=("fail-stop", "continue"),
-                        help="baseline reaction to dead SoCs "
-                             "(SoCFlow always recovers)")
-    _add_fusion_args(parser, graph_default="off")
-    _add_telemetry_args(parser)
-
-
-def _add_fusion_args(parser: argparse.ArgumentParser,
-                     graph_default: str) -> None:
-    parser.add_argument("--fusion-threshold-mb", type=float, default=None,
-                        metavar="MB",
-                        help="bucketed gradient fusion: close a bucket at "
-                             "this many MiB of simulated-scale gradients "
-                             "and overlap its collective with backward "
-                             "(default: whole-model sync)")
-    parser.add_argument("--fusion-max-ops", type=_positive_int, default=None,
-                        metavar="N",
-                        help="bucketed gradient fusion: at most N tensors "
-                             "per bucket (combines with the MiB threshold; "
-                             "either knob alone enables fusion)")
-    parser.add_argument("--graph", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="compile the training step: trace once, replay "
-                             "many with a preallocated tensor arena "
-                             "(bit-identical to eager; --no-graph runs the "
-                             f"eager tape; default: {graph_default})")
-
-
-def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="write a trace of the simulated run "
-                             "(open chrome format in Perfetto)")
-    parser.add_argument("--trace-format", default="chrome",
-                        choices=("chrome", "jsonl"),
-                        help="trace file format (default: chrome)")
-    parser.add_argument("--metrics", default=None, metavar="PATH",
-                        help="write the metrics registry as JSONL")
+def _help(option: Option, command: str) -> str:
+    """The row's help, noting the command's declared default and, on
+    ``jobs``, the job-file key that may set it."""
+    default, notes = option.defaults[command], []
+    if option.action == "switch":
+        notes.append(f"default: {'on' if default else 'off'}")
+    elif default is not None and not option.action:
+        notes.append(f"default: {default:g}" if isinstance(default, float)
+                     else f"default: {default}")
+    if option.key and command == "jobs":
+        notes.append(f"job file: {option.key}")
+    return f"{option.help} ({'; '.join(notes)})" if notes else option.help
 
 
 def _parse_faults(args):
-    """Parse ``--faults``; raises FaultSpecError on malformed specs."""
+    """Parse ``--faults``; raises FaultSpecError (exit 2, see
+    :func:`main`) on malformed specs."""
     if args.faults is None:
         return None
     return parse_fault_spec(args.faults,
@@ -247,20 +140,16 @@ def _telemetry_for(args) -> Telemetry | None:
 
 
 def _train(args, method: str, fault_schedule=None, telemetry=None):
-    groups = args.groups or max(2, args.socs // 4)
+    groups = max(2, args.socs // 4) if args.groups is None else args.groups
     config = make_run_config(args.workload, args.preset,
                              num_socs=args.socs, num_groups=groups,
                              max_epochs=args.epochs, seed=args.seed,
                              fault_schedule=fault_schedule,
-                             fault_mode=getattr(args, "fault_mode",
-                                                "fail-stop"),
-                             telemetry=telemetry,
-                             workers=getattr(args, "workers", 1),
-                             fusion_threshold_mb=getattr(
-                                 args, "fusion_threshold_mb", None),
-                             fusion_max_ops=getattr(
-                                 args, "fusion_max_ops", None),
-                             graph=bool(getattr(args, "graph", None)))
+                             fault_mode=args.fault_mode, telemetry=telemetry,
+                             workers=args.workers,
+                             fusion_threshold_mb=args.fusion_threshold_mb,
+                             fusion_max_ops=args.fusion_max_ops,
+                             graph=args.graph)
     if method == "socflow":
         return SoCFlow(SoCFlowOptions()).train(config)
     return build_strategy(method).train(config)
@@ -356,11 +245,8 @@ def _emit_telemetry(args, telemetry, out, method: str | None = None) -> None:
 
 
 def cmd_run(args, out) -> int:
-    try:
-        fault_schedule = _parse_faults(args)
-    except FaultSpecError as err:
-        print(f"bad --faults spec: {err}", file=sys.stderr)
-        return 2
+    args = resolve("run", args)
+    fault_schedule = _parse_faults(args)
     telemetry = _telemetry_for(args)
     result = _train(args, args.method, fault_schedule, telemetry)
     print(format_table(_HEADERS, [_result_row(args.method, result)]),
@@ -375,18 +261,10 @@ def cmd_run(args, out) -> int:
 
 
 def cmd_compare(args, out) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    unknown = [m for m in methods if m not in _ALL_METHODS]
-    if unknown:
-        print(f"unknown methods: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    try:
-        fault_schedule = _parse_faults(args)
-    except FaultSpecError as err:
-        print(f"bad --faults spec: {err}", file=sys.stderr)
-        return 2
+    args = resolve("compare", args)
+    fault_schedule = _parse_faults(args)
     rows = []
-    for method in methods:
+    for method in args.methods:
         telemetry = _telemetry_for(args)
         rows.append(_result_row(method,
                                 _train(args, method, fault_schedule,
@@ -394,20 +272,6 @@ def cmd_compare(args, out) -> int:
         _emit_telemetry(args, telemetry, out, method=method)
     print(format_table(_HEADERS, rows), file=out)
     return 0
-
-
-def _parse_static_window(spec: str) -> tuple[float, float]:
-    """``'22:8'`` -> (start hour 22.0, duration 8.0 h)."""
-    start_s, sep, hours_s = spec.partition(":")
-    try:
-        start, hours = float(start_s), float(hours_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad --static-window {spec!r}; expected START:HOURS") from None
-    if not sep or hours <= 0:
-        raise argparse.ArgumentTypeError(
-            f"bad --static-window {spec!r}; expected START:HOURS")
-    return start, hours
 
 
 def _job_row(record) -> list:
@@ -430,100 +294,59 @@ def cmd_jobs(args, out) -> int:
     except (JobSpecError, OSError) as err:
         print(f"bad job file: {err}", file=sys.stderr)
         return 2
-
-    def setting(cli_value, key, default):
-        if cli_value is not None:
-            return cli_value
-        return cluster.get(key, default)
-
-    socs = int(setting(args.socs, "socs", 32))
-    seed = int(setting(args.seed, "seed", 0))
-    peak = float(setting(args.sessions_per_hour,
-                         "peak_sessions_per_hour", 60.0))
-    horizon = float(setting(args.horizon, "horizon_hours", 24.0))
-    start_hour = float(setting(args.start_hour, "start_hour", 0.0))
-    quantum = float(setting(args.quantum, "quantum_hours", 0.25))
-    topology = ClusterTopology(num_socs=socs)
-    try:
-        fault_schedule = (None if args.faults is None
-                          else parse_fault_spec(args.faults, topology))
-        unpriced = sorted({event_summary(event)["fault"]
-                           for event in fault_schedule or ()
-                           if not isinstance(event, SoCCrash)})
-        if unpriced:
-            raise FaultSpecError(
-                "the job scheduler honours SoC crashes only (a crashed "
-                "SoC leaves the idle pool); "
-                f"{', '.join(unpriced)} would never be priced")
-    except FaultSpecError as err:
-        print(f"bad --faults spec: {err}", file=sys.stderr)
-        return 2
-    window = None
-    if args.static_window is not None:
-        try:
-            window = _parse_static_window(args.static_window)
-        except argparse.ArgumentTypeError as err:
-            print(str(err), file=sys.stderr)
-            return 2
+    args = resolve("jobs", args, cluster)
+    fault_schedule = _parse_faults(args)
+    unpriced = sorted({event_summary(event)["fault"]
+                       for event in fault_schedule or ()
+                       if not isinstance(event, SoCCrash)})
+    if unpriced:
+        raise FaultSpecError(
+            "the job scheduler honours SoC crashes only (a crashed SoC "
+            f"leaves the idle pool); {', '.join(unpriced)} would never be "
+            "priced")
+    topology = ClusterTopology(num_socs=args.socs)
+    window = args.static_window
     telemetry = _telemetry_for(args)
-    fusion_threshold = setting(args.fusion_threshold_mb,
-                               "fusion_threshold_mb", None)
-    fusion_max_ops = setting(args.fusion_max_ops, "fusion_max_ops", None)
-    graph = setting(args.graph, "graph", True)
     common = dict(
-        quantum_hours=quantum, horizon_hours=horizon,
-        start_hour=start_hour, elastic=window is None, window=window,
+        quantum_hours=args.quantum, horizon_hours=args.horizon,
+        start_hour=args.start_hour, elastic=window is None, window=window,
         fault_schedule=fault_schedule, telemetry=telemetry,
-        workers=args.workers,
-        fusion_threshold_mb=(None if fusion_threshold is None
-                             else float(fusion_threshold)),
-        fusion_max_ops=(None if fusion_max_ops is None
-                        else int(fusion_max_ops)),
-        graph=bool(graph))
+        workers=args.workers, fusion_threshold_mb=args.fusion_threshold_mb,
+        fusion_max_ops=args.fusion_max_ops, graph=args.graph)
     if args.serve:
-        from .serving import (ArrivalProcess, FlashCrowd, Region,
-                              ServiceModel, ServingCoScheduler,
-                              ServingPlane)
+        from .serving import (ArrivalProcess, Region, ServiceModel,
+                              ServingCoScheduler, ServingPlane)
         if telemetry is not None and telemetry.metrics.enabled \
                 and telemetry.metrics.histogram_reservoir is None:
             # request-resolution latencies: bound the histograms before
             # any instrument exists so a day of traffic stays O(4k)
             telemetry.metrics.histogram_reservoir = 4096
-        try:
-            crowds = [FlashCrowd.parse(spec)
-                      for spec in (args.flash_crowd or
-                                   cluster.get("flash_crowds", []))]
-        except ValueError as err:
-            print(f"bad --flash-crowd spec: {err}", file=sys.stderr)
-            return 2
-        serve_model = str(setting(args.serve_model, "serve_model",
-                                  "resnet18"))
         arrivals = ArrivalProcess(
-            [Region("global",
-                    float(setting(args.peak_rps, "peak_rps", 60.0)))],
-            start_hour=start_hour, horizon_hours=horizon,
-            flash_crowds=crowds, seed=seed)
+            [Region("global", args.peak_rps)], start_hour=args.start_hour,
+            horizon_hours=args.horizon, flash_crowds=args.flash_crowd,
+            seed=args.seed)
         try:
-            service = ServiceModel.for_model(serve_model,
+            service = ServiceModel.for_model(args.serve_model,
                                              soc=topology.soc, max_batch=4)
         except (KeyError, ValueError):
-            print(f"unknown --serve-model {serve_model!r}",
+            print(f"unknown --serve-model {args.serve_model!r}",
                   file=sys.stderr)
             return 2
-        max_replicas = setting(args.max_replicas, "max_replicas", None)
-        plane = ServingPlane(
-            arrivals, service,
-            slo_ms=float(setting(args.slo_ms, "slo_ms", 600.0)),
-            min_replicas=int(setting(args.min_replicas,
-                                     "min_replicas", 1)),
-            max_replicas=(None if max_replicas is None
-                          else int(max_replicas)),
-            check_interval_hours=min(quantum, 0.25),
-            telemetry=telemetry)
+        try:
+            plane = ServingPlane(
+                arrivals, service, slo_ms=args.slo_ms,
+                min_replicas=args.min_replicas,
+                max_replicas=args.max_replicas,
+                check_interval_hours=min(args.quantum, 0.25),
+                telemetry=telemetry)
+        except ValueError as err:       # a ceiling below the floor
+            print(f"bad serving options: {err}", file=sys.stderr)
+            return 2
         scheduler = ServingCoScheduler(topology, plane, **common)
     else:
-        simulator = SessionSimulator(topology, peak_sessions_per_hour=peak,
-                                     seed=seed)
+        simulator = SessionSimulator(
+            topology, peak_sessions_per_hour=args.sessions_per_hour,
+            seed=args.seed)
         sessions = simulator.simulate_day()
         if telemetry is not None and telemetry.metrics.enabled:
             # overload on the session side used to be invisible
@@ -576,7 +399,7 @@ def cmd_jobs(args, out) -> int:
 def cmd_list(args, out) -> int:
     del args
     print("workloads:", ", ".join(sorted(WORKLOADS)), file=out)
-    print("methods:  ", ", ".join(_ALL_METHODS), file=out)
+    print("methods:  ", ", ".join(methods()), file=out)
     print("presets:  ", ", ".join(sorted(SCALE_PRESETS)), file=out)
     print("models:   ", ", ".join(sorted(MODEL_REGISTRY)), file=out)
     return 0
@@ -622,8 +445,15 @@ _COMMANDS = {"run": cmd_run, "compare": cmd_compare, "jobs": cmd_jobs,
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, out or sys.stdout)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exit:      # a usage error (2) or --help (0)
+        return exit.code
+    try:
+        return _COMMANDS[args.command](args, out or sys.stdout)
+    except FaultSpecError as err:
+        print(f"bad --faults spec: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

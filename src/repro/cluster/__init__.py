@@ -25,8 +25,7 @@ from .faults import (FaultInjector, FaultSchedule, FaultSpecError,
                      StragglerFault, parse_fault_spec)
 from .energy import EnergyModel, EnergyReport
 from .trace import TidalTrace, IdleWindow
-from .workload import (Session, SessionIndex, SessionSimulator,
-                       derive_training_events)
+from .workload import Session, SessionIndex, SessionSimulator
 from .clock import PhaseClock
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "SOC_REGISTRY", "GPU_REGISTRY", "ClusterTopology", "NetworkFabric",
     "Flow", "EnergyModel", "EnergyReport", "TidalTrace", "IdleWindow",
     "Session", "SessionIndex", "SessionSimulator",
-    "derive_training_events",
     "EdgeSite", "WanFabric",
     "PhaseClock",
     "FaultInjector", "FaultSchedule", "FaultSpecError", "NicDegradation",

@@ -23,11 +23,10 @@ A :class:`FaultSchedule` bundles events and answers point-in-time
 queries (``dead_socs``, ``nic_multipliers``, ...); SoCFlow's control
 board reads it once per epoch
 (:meth:`~repro.core.scheduler.GlobalScheduler.enter_epoch`).  Schedules
-come from three places: hand-built event lists (the planned
-preemptions of
-:func:`~repro.cluster.workload.derive_training_events` among them), the
-seeded :class:`FaultInjector` (count-based sampling), and the CLI's
-``--faults`` spec string via :func:`parse_fault_spec`.  Everything is
+come from three places: hand-built event lists (planned preemptions
+and underclocks among them), the seeded :class:`FaultInjector`
+(count-based sampling), and the CLI's ``--faults`` spec string via
+:func:`parse_fault_spec`.  Everything is
 deterministic given the seed, which is what makes recovery
 regression-testable.
 """

@@ -4,11 +4,7 @@ The SoC-Cluster's day job is serving user-triggered sessions (cloud
 gaming, live streaming).  :class:`SessionSimulator` generates session
 arrivals from a non-homogeneous Poisson process whose rate follows the
 tidal trace, assigns sessions to SoCs, and exposes the resulting busy
-timeline.  :func:`derive_training_events` converts a planned overnight
-training window into the preemptions SoCFlow must absorb when users
-show up early — :class:`~repro.cluster.faults.PreemptionStorm` events
-for the run's fault schedule, closing the loop between the trace
-model, the scheduler and the training engine.
+timeline, which the job scheduler harvests idle SoCs from.
 """
 
 from __future__ import annotations
@@ -17,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .faults import PreemptionStorm
 from .topology import ClusterTopology
 from .trace import TidalTrace
 
-__all__ = ["Session", "SessionIndex", "SessionSimulator",
-           "derive_training_events"]
+__all__ = ["Session", "SessionIndex", "SessionSimulator"]
 
 
 @dataclass(frozen=True)
@@ -178,46 +172,3 @@ class SessionSimulator:
         index = SessionIndex(sessions)
         self._index_cache = (id(sessions), len(sessions), index)
         return index
-
-
-def derive_training_events(sessions: list[Session],
-                           window_start_hour: float,
-                           epoch_hours: float,
-                           max_epochs: int,
-                           socs_per_group: int,
-                           idle_socs: int) -> list[PreemptionStorm]:
-    """Plan preemptions for a training job inside an idle window.
-
-    The job starts at ``window_start_hour`` with ``idle_socs`` chips.
-    Whenever new sessions claim enough previously-idle SoCs to exhaust
-    a logical group's worth of capacity, one group is preempted at the
-    next epoch boundary.
-
-    A window too busy to host even one logical group (``idle_socs <
-    socs_per_group`` — the zero-idle case included) returns no events:
-    nothing was ever planned, so there is nothing to preempt.  Callers
-    (e.g. the :mod:`repro.jobs` scheduler) must keep such a job queued
-    instead of starting it — an empty logical group is never planned.
-    """
-    if socs_per_group <= 0 or epoch_hours <= 0:
-        raise ValueError("socs_per_group and epoch_hours must be positive")
-    if idle_socs < 0:
-        raise ValueError("idle_socs must be non-negative")
-    if idle_socs < socs_per_group:
-        return []
-    events: list[PreemptionStorm] = []
-    index = SessionIndex(sessions)
-    baseline = index.busy_count_at(window_start_hour)
-    claimed_groups = 0
-    for epoch in range(max_epochs):
-        hour = (window_start_hour + (epoch + 1) * epoch_hours) % 24.0
-        busy_now = index.busy_count_at(hour)
-        surge = max(0, busy_now - baseline)
-        groups_needed = min(surge // socs_per_group,
-                            idle_socs // socs_per_group - claimed_groups)
-        if groups_needed > claimed_groups:
-            events.append(PreemptionStorm(
-                epoch=epoch + 1,
-                num_groups=groups_needed - claimed_groups))
-            claimed_groups = groups_needed
-    return events

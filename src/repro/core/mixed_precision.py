@@ -156,7 +156,7 @@ class GroupMixedTrainer:
     # ------------------------------------------------------------------
     @staticmethod
     def _module_rng_states(model) -> list:
-        """RNG state of every stateful-layer generator (e.g. Dropout)."""
+        """RNG state of every generator a layer keeps (``module.rng``)."""
         return [m.rng.bit_generator.state for m in model.modules()
                 if getattr(m, "rng", None) is not None]
 

@@ -6,7 +6,7 @@ priority, an elastic SoC range (``min_socs``..``max_socs``) and an
 optional completion deadline.  Job files are YAML or JSON documents::
 
     cluster:            # optional; CLI flags override
-      socs: 32
+      socs: 32          # the keys: repro.options.OPTIONS
       seed: 0
     jobs:
       - id: vgg-nightly
@@ -28,6 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+from ..options import OPTIONS, BadValue
 
 __all__ = ["JobSpecError", "TrainingJob", "CLUSTER_KEYS", "parse_job_specs",
            "load_job_file", "parse_simple_yaml"]
@@ -90,13 +92,9 @@ class TrainingJob:
 
 _JOB_FIELDS = {f.name for f in fields(TrainingJob)}
 
-#: every key a job file's ``cluster:`` section may set (each one a
-#: ``repro jobs`` flag's default)
-CLUSTER_KEYS = frozenset({
-    "socs", "seed", "peak_sessions_per_hour", "horizon_hours", "start_hour",
-    "quantum_hours", "fusion_threshold_mb", "fusion_max_ops", "graph",
-    "flash_crowds", "serve_model", "peak_rps", "max_replicas", "slo_ms",
-    "min_replicas"})
+#: the option a job file's ``cluster:`` key sets (a ``repro jobs`` flag)
+_CLUSTER_OPTIONS = {option.key: option for option in OPTIONS if option.key}
+CLUSTER_KEYS = frozenset(_CLUSTER_OPTIONS)
 
 
 def _build_job(entry: dict, index: int) -> TrainingJob:
@@ -117,7 +115,8 @@ def parse_job_specs(payload) -> tuple[list[TrainingJob], dict]:
     """``(jobs, cluster_options)`` from a parsed job document.
 
     Accepts either ``{"jobs": [...], "cluster": {...}}`` or a bare list
-    of job mappings.  Job ids must be unique.
+    of job mappings.  Job ids must be unique.  Each ``cluster:`` value
+    is converted by its option's converter; a ``null`` one is dropped.
     """
     if isinstance(payload, list):
         entries, cluster = payload, {}
@@ -140,13 +139,20 @@ def parse_job_specs(payload) -> tuple[list[TrainingJob], dict]:
     if unknown:
         raise JobSpecError(f"unknown cluster key(s) {', '.join(unknown)}; "
                            f"expected {', '.join(sorted(CLUSTER_KEYS))}")
+    options = {}
+    for key, value in cluster.items():
+        try:
+            if value is not None:
+                options[key] = _CLUSTER_OPTIONS[key].from_file(value)
+        except BadValue as err:
+            raise JobSpecError(f"cluster key {key}: {err}") from None
     jobs = [_build_job(entry, i) for i, entry in enumerate(entries)]
     seen: set[str] = set()
     for job in jobs:
         if job.id in seen:
             raise JobSpecError(f"duplicate job id {job.id!r}")
         seen.add(job.id)
-    return jobs, dict(cluster)
+    return jobs, options
 
 
 def load_job_file(path) -> tuple[list[TrainingJob], dict]:

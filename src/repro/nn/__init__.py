@@ -8,15 +8,15 @@ the ARM kernels.
 from . import functional, init, models
 from .arena import StepArena
 from .flat import FlatLayout, FlatParamBuffer, FlatState
-from .modules import (BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool2d,
-                      Identity, Linear, MaxPool2d, Module, ReLU, Sequential)
+from .modules import (BatchNorm2d, Conv2d, Flatten, GlobalAvgPool2d, Identity,
+                      Linear, MaxPool2d, Module, ReLU, Sequential)
 from .optim import SGD
 from .tensor import Tensor, no_grad
 
 __all__ = [
     "Tensor", "no_grad", "functional", "init", "models",
     "Module", "Sequential", "Linear", "Conv2d", "BatchNorm2d",
-    "ReLU", "MaxPool2d", "GlobalAvgPool2d", "Flatten", "Dropout",
+    "ReLU", "MaxPool2d", "GlobalAvgPool2d", "Flatten",
     "Identity", "SGD",
     "FlatLayout", "FlatParamBuffer", "FlatState", "StepArena",
 ]

@@ -15,7 +15,7 @@ from .tensor import Tensor, grad_enabled
 
 __all__ = [
     "linear", "conv2d", "max_pool2d", "global_avg_pool2d",
-    "batch_norm", "log_softmax", "softmax", "cross_entropy", "dropout",
+    "batch_norm", "log_softmax", "softmax", "cross_entropy",
     "im2col", "col2im", "clear_workspaces", "workspace_evictions",
     "workspace_mark", "release_workspaces",
 ]
@@ -381,24 +381,3 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     return Tensor._make(K.ce_loss(log_probs, targets, inv_n), (logits,),
                         backward)
-
-
-def dropout(x: Tensor, p: float, training: bool,
-            rng: np.random.Generator) -> Tensor:
-    """Inverted dropout as a single graph node.
-
-    One ``rng.random`` draw per call keeps the generator stream aligned
-    with the historical ``x * Tensor(mask)`` form, and the forward/
-    backward arithmetic is operation-for-operation identical to it, so
-    values are unchanged.  The draw is a kernel taking the generator,
-    which is what lets a compiled step re-draw the mask on every replay.
-    """
-    if not training or p <= 0.0:
-        return x
-    mask = K.copy(K.greater_equal(K.random(rng, x.shape), p))
-    K.divide(mask, 1.0 - p, out=mask)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(K.multiply(grad, mask))
-
-    return Tensor._make(K.multiply(x.data, mask), (x,), backward)

@@ -43,7 +43,7 @@ with ``out=`` buffers.
     at the call, and a copy of a dying value is no copy at all — which
     makes the first gradient written to a parameter land directly in
     its fused slot.  Everything a replica owns (parameters, gradients,
-    BN running statistics, dropout generators, range observers) enters
+    BN running statistics, layer generators, range observers) enters
     the plan as a ``_Leaf`` named by *where it lives*, so the plan
     itself is replica-independent.
 
@@ -141,7 +141,7 @@ class _Buf:
 
 class _Leaf:
     """A value one replica owns — its fused parameter or gradient
-    storage, a module's array, a dropout generator, a range observer —
+    storage, a module's array, a layer's generator, a range observer —
     named by where it lives (``path``, see :class:`_Replica`) so every
     binding resolves its own.
 
@@ -292,8 +292,8 @@ _CONSTANTS = _SCALARS + (np.generic, np.dtype, type, slice, type(Ellipsis))
 
 def _public_config(obj, depth: int = 2) -> tuple:
     """The public scalar configuration of a module or hook object:
-    what a plan bakes into its instructions (BN momentum, dropout
-    ``p``, an activation quantiser's ``QuantConfig``) rather than
+    what a plan bakes into its instructions (BN momentum, an
+    activation quantiser's ``QuantConfig``) rather than
     reading through a leaf.  Private attributes are state, not
     configuration, and are skipped."""
     items = []

@@ -24,7 +24,7 @@ Every kernel follows one convention:
   exactly like ``astype`` — so a replay is bit-identical to the eager
   step by construction.
 - Anything a kernel reads that changes between steps is an array
-  argument or lives in an object argument (a dropout generator, a
+  argument or lives in an object argument (a layer's generator, a
   range observer).  Python scalars are configuration: a replay bakes
   them in.
 
@@ -200,13 +200,6 @@ def scatter_add(index, values, shape, out=None):
     out = np.zeros(shape, np.float32) if out is None else _zeroed(out)
     np.add.at(out, index, values)
     return out
-
-
-@_kernel
-def random(rng, shape, out=None):
-    """One uniform float64 draw from ``rng`` (the same stream position
-    either way)."""
-    return rng.random(shape) if out is None else rng.random(out=out)
 
 
 # -- convolution layout ------------------------------------------------------

@@ -35,7 +35,7 @@ def build_model(name: str, init_weights: bool = True, arena=None,
     using the model (a replica of an existing one): the random
     initialisation draws are skipped and the weights start as
     uninitialised storage — unless a module of the built model keeps
-    the generator (a ``Dropout`` sharing the init ``rng``), whose
+    the generator (a layer drawing from the init ``rng``), whose
     stream must start where the draws leave it; then the model is
     built in full.
     """

@@ -20,7 +20,7 @@ from .tensor import Tensor
 
 __all__ = [
     "Module", "Sequential", "Linear", "Conv2d", "BatchNorm2d",
-    "ReLU", "MaxPool2d", "GlobalAvgPool2d", "Flatten", "Dropout",
+    "ReLU", "MaxPool2d", "GlobalAvgPool2d", "Flatten",
     "Identity",
 ]
 
@@ -268,13 +268,3 @@ class GlobalAvgPool2d(Module):
 class Flatten(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.reshape(x.shape[0], -1)
-
-
-class Dropout(Module):
-    def __init__(self, p: float, rng: np.random.Generator):
-        super().__init__()
-        self.p = p
-        self.rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self.training, self.rng)

@@ -26,6 +26,7 @@ horizon.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,11 @@ class FlashCrowd:
     multiplier: float
 
     def __post_init__(self):
+        # a NaN hour would pass every comparison below and the clipping
+        # in ``_generate``: the crowd would cover the whole horizon
+        if not all(map(math.isfinite, (self.start_hour, self.duration_hours,
+                                       self.multiplier))):
+            raise ValueError("flash crowd needs finite hours and multiplier")
         if self.duration_hours <= 0:
             raise ValueError("flash crowd needs a positive duration")
         if self.multiplier <= 1.0:

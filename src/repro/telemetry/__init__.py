@@ -9,7 +9,7 @@
   ``RunConfig`` into every layer of the simulator.
 - :mod:`export` — Chrome-trace JSON (one process per PCB, one thread
   per SoC), JSONL event logs (plain or ``.gz``) with a loader, and the
-  per-epoch/metrics tables.
+  per-epoch table.
 - :mod:`analysis` — the trace diagnosis engine: per-epoch critical
   paths, straggler/bottleneck attribution, run-vs-run diffing and
   health monitors (DESIGN.md "Observability").
@@ -20,8 +20,8 @@ from .analysis import (Anomaly, TraceDiff, TraceReport,
                        render_diff, render_report)
 from .context import NULL_TELEMETRY, Telemetry
 from .export import (load_trace_records, open_text, render_epoch_table,
-                     render_metrics_table, to_chrome_trace, to_jsonl,
-                     write_chrome_trace, write_jsonl, write_trace)
+                     to_chrome_trace, to_jsonl, write_chrome_trace,
+                     write_jsonl, write_trace)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       NullMetricsRegistry)
 from .tracer import SPAN_KINDS, NullTracer, TraceRecord, Tracer
@@ -33,7 +33,7 @@ __all__ = [
     "Histogram",
     "to_chrome_trace", "to_jsonl", "write_chrome_trace", "write_jsonl",
     "write_trace", "load_trace_records", "open_text",
-    "render_epoch_table", "render_metrics_table",
+    "render_epoch_table",
     "TraceReport", "TraceDiff", "Anomaly",
     "analyze_records", "analyze_trace", "diff_reports",
     "render_report", "render_diff",

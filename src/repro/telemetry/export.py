@@ -11,9 +11,9 @@ Three views of one run's telemetry:
   written file directly in Perfetto.
 - :func:`to_jsonl` — one JSON object per trace record, in emission
   order.  Deterministic byte-for-byte for a fixed seed + fault spec.
-- :func:`render_epoch_table` / :func:`render_metrics_table` — the
-  human-readable per-epoch and metrics summaries, built on the
-  harness's :func:`~repro.harness.reporting.format_table` renderer.
+- :func:`render_epoch_table` — the human-readable per-epoch summary,
+  built on the harness's :func:`~repro.harness.reporting.format_table`
+  renderer.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 
 __all__ = ["to_chrome_trace", "write_chrome_trace", "to_jsonl",
            "write_jsonl", "write_trace", "load_trace_records",
-           "open_text", "render_epoch_table", "render_metrics_table"]
+           "open_text", "render_epoch_table"]
 
 
 def open_text(path, mode: str = "r"):
@@ -209,25 +209,3 @@ def render_epoch_table(epoch_rows) -> str:
     rows = [[row.get(key, "") if row.get(key) is not None else ""
              for key, _ in columns] for row in epoch_rows]
     return format_table(headers, rows)
-
-
-def render_metrics_table(metrics) -> str:
-    """Metrics summary table (fallback renderer: ``format_table``)."""
-    from ..harness.reporting import format_table
-    rows = metrics.collect()
-    if not rows:
-        return "(no metrics recorded)"
-    table = []
-    for row in rows:
-        labels = ",".join(f"{k}={v}" for k, v in sorted(row["labels"].items()))
-        if row["type"] == "histogram" and row.get("count"):
-            value = row["mean"]
-            detail = (f"n={row['count']} p50={row['p50']:.4g} "
-                      f"p90={row['p90']:.4g} max={row['max']:.4g}")
-        else:
-            value = row.get("value", "")
-            detail = ""
-        table.append([row["name"], labels, row["type"],
-                      value if value is not None else "", detail])
-    return format_table(["metric", "labels", "type", "value", "detail"],
-                        table)

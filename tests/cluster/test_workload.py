@@ -1,11 +1,9 @@
-"""Session simulator and training-event derivation (Figure 1's loop)."""
+"""Session simulator and its busy timeline (Figure 1's loop)."""
 
 import numpy as np
-import pytest
 
 from repro.cluster import (ClusterTopology, Session, SessionIndex,
-                           SessionSimulator, TidalTrace,
-                           derive_training_events)
+                           SessionSimulator)
 
 
 def simulator(seed=0, socs=60):
@@ -69,55 +67,6 @@ class TestSimulation:
         hours, busy = busy_curve(sim, sessions)
         analytic = np.array([sim.trace.busy_ratio(h) for h in hours])
         assert np.corrcoef(busy, analytic)[0, 1] > 0.7
-
-
-class TestEventDerivation:
-    def test_quiet_overnight_window_has_no_preemptions(self):
-        sessions = simulator().simulate_day()
-        events = derive_training_events(sessions, window_start_hour=23.0,
-                                        epoch_hours=0.5, max_epochs=8,
-                                        socs_per_group=4, idle_socs=32)
-        assert events == []
-
-    def test_morning_overrun_triggers_preemptions(self):
-        sessions = simulator().simulate_day()
-        events = derive_training_events(sessions, window_start_hour=5.0,
-                                        epoch_hours=0.5, max_epochs=12,
-                                        socs_per_group=4, idle_socs=32)
-        assert events
-        assert all(e.num_groups >= 1 for e in events)
-        # epochs strictly increase
-        epochs = [e.epoch for e in events]
-        assert epochs == sorted(epochs)
-
-    def test_never_claims_more_groups_than_exist(self):
-        sessions = simulator().simulate_day()
-        events = derive_training_events(sessions, window_start_hour=5.0,
-                                        epoch_hours=0.5, max_epochs=20,
-                                        socs_per_group=4, idle_socs=16)
-        assert sum(e.num_groups for e in events) <= 16 // 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            derive_training_events([], 0.0, 0.5, 4, 0, 16)
-        with pytest.raises(ValueError):
-            derive_training_events([], 0.0, 0.0, 4, 4, 16)
-        with pytest.raises(ValueError):
-            derive_training_events([], 0.0, 0.5, 4, 4, -1)
-
-    def test_zero_idle_socs_plans_nothing(self):
-        """A saturated window never plans a logical group (regression:
-        the zero-idle case must not divide by zero or emit events)."""
-        sessions = simulator().simulate_day()
-        assert derive_training_events(sessions, window_start_hour=13.0,
-                                      epoch_hours=0.5, max_epochs=8,
-                                      socs_per_group=4, idle_socs=0) == []
-
-    def test_idle_below_group_size_plans_nothing(self):
-        sessions = simulator().simulate_day()
-        assert derive_training_events(sessions, window_start_hour=13.0,
-                                      epoch_hours=0.5, max_epochs=8,
-                                      socs_per_group=4, idle_socs=3) == []
 
 
 class TestDroppedSessions:
@@ -196,18 +145,3 @@ class TestIdleSocsAt:
         sim = simulator(socs=3)
         sessions = [Session(s, 0.0, 5.0) for s in range(3)]
         assert sim.idle_socs_at(sessions, 1.0) == []
-
-    def test_events_feed_socflow(self, quick_config):
-        """End to end: derived events drive a real training run."""
-        from dataclasses import replace
-
-        from repro.cluster import FaultSchedule
-        from repro.core import SoCFlow
-        sessions = simulator().simulate_day()
-        events = derive_training_events(sessions, window_start_hour=5.0,
-                                        epoch_hours=0.5,
-                                        max_epochs=quick_config.max_epochs,
-                                        socs_per_group=4, idle_socs=32)
-        result = SoCFlow().train(replace(
-            quick_config, fault_schedule=FaultSchedule(tuple(events))))
-        assert result.epochs_run == quick_config.max_epochs

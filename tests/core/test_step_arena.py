@@ -32,7 +32,7 @@ from repro.core.mixed_precision import GroupMixedTrainer
 from repro.core.socflow import build_groups, reform_groups
 from repro.data import make_classification_images
 from repro.distributed import RunConfig
-from repro.nn import SGD, Dropout, Flatten, Linear, Module, Sequential, Tensor
+from repro.nn import SGD, Flatten, Linear, Module, Sequential, Tensor
 from repro.nn import functional as F
 from repro.nn.arena import StepArena
 from repro.nn.models import registry
@@ -40,6 +40,8 @@ from repro.nn.models.registry import build_model
 from repro.parallel import LgExecutor
 from repro.quant import Int8Trainer, QuantConfig
 from repro.quant.mixed import MixedPrecisionController
+
+from ..dropout_layer import Dropout
 
 TASKS = {
     1: make_classification_images(num_classes=4, train_size=96, test_size=32,

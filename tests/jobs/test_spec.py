@@ -95,6 +95,48 @@ class TestParseJobSpecs:
         with pytest.raises(JobSpecError):
             parse_job_specs(payload)
 
+    def test_cluster_values_are_converted(self):
+        _, cluster = parse_job_specs({
+            "cluster": {"socs": "16", "horizon_hours": 8, "graph": False,
+                        "flash_crowds": ["20:30:2"], "max_replicas": None},
+            "jobs": [{"id": "a", "workload": "vgg11"}]})
+        assert cluster == {"socs": 16, "horizon_hours": 8.0, "graph": False,
+                           "flash_crowds": [FlashCrowd(20.0, 30.0, 2.0)]}
+        assert type(cluster["horizon_hours"]) is float
+
+
+#: per ``cluster:`` key, a wrong-typed value and an out-of-range one
+HOSTILE = {
+    "socs": ("abc", 12.7, 0),
+    "seed": ("abc", -1),
+    "peak_sessions_per_hour": ("abc", 0),
+    "horizon_hours": (True, 0),
+    "start_hour": ("abc", -1.0),
+    "quantum_hours": ([1], -1),
+    "fusion_threshold_mb": ("abc", float("nan")),
+    "fusion_max_ops": (2.5, 0),
+    "graph": ("maybe", 1),
+    "flash_crowds": ("20:30:2", [20], ["nan:1:2"], ["20:1:0.5"]),
+    "serve_model": (5, ""),
+    "peak_rps": ("abc", -5),
+    "max_replicas": ("abc", 0),
+    "slo_ms": ("abc", float("inf")),
+    "min_replicas": (1.5, -1),
+}
+
+
+def test_every_cluster_key_has_hostile_values():
+    assert set(HOSTILE) == CLUSTER_KEYS
+
+
+@pytest.mark.parametrize("key,value", [(key, value)
+                                       for key, values in HOSTILE.items()
+                                       for value in values])
+def test_hostile_cluster_value_is_refused_naming_its_key(key, value):
+    with pytest.raises(JobSpecError, match=f"^cluster key {key}: "):
+        parse_job_specs({"cluster": {key: value},
+                         "jobs": [{"id": "a", "workload": "vgg11"}]})
+
 
 class TestSimpleYaml:
     def test_parses_nested_document(self):
@@ -137,8 +179,8 @@ class TestSimpleYaml:
                         "    - \"20:30:2\"\n"
                         "jobs:\n  - id: a\n    workload: vgg11\n")
         _, cluster = load_job_file(path)
-        plain, quoted = map(FlashCrowd.parse, cluster["flash_crowds"])
-        assert plain == quoted == FlashCrowd(20.0, 30.0, 2.0)
+        # the loader hands back converted values: two equal crowds
+        assert cluster["flash_crowds"] == [FlashCrowd(20.0, 30.0, 2.0)] * 2
 
 
 class TestLoadJobFile:

@@ -134,18 +134,6 @@ class TestSoftmaxLossDropout:
         b = F.cross_entropy(Tensor(logits + 100.0), targets).item()
         assert a == pytest.approx(b, rel=1e-4)
 
-    def test_dropout_eval_is_identity(self):
-        x = Tensor(np.ones((10, 10)))
-        out = F.dropout(x, 0.5, training=False,
-                        rng=np.random.default_rng(0))
-        assert out is x
-
-    def test_dropout_preserves_expectation(self):
-        x = Tensor(np.ones((200, 200)))
-        out = F.dropout(x, 0.3, training=True,
-                        rng=np.random.default_rng(0))
-        assert out.numpy().mean() == pytest.approx(1.0, abs=0.02)
-
 
 class TestLinear:
     def test_linear_values(self):

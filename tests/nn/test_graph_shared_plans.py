@@ -29,14 +29,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn import Dropout, Flatten, Linear, ReLU, Sequential
-from repro.nn import functional as F
+from repro.nn import Flatten, Linear, ReLU, Sequential
 from repro.nn import graph as graph_mod
 from repro.nn.arena import StepArena
 from repro.nn.graph import attach_graph_executor
 from repro.nn.models.registry import build_model
 from repro.nn.modules import Module
 from repro.nn.optim import SGD
+
+from ..dropout_layer import Dropout, dropout
 
 IMAGE = 16
 SPECS = {
@@ -282,7 +283,7 @@ class ExternalRngNet(Module):
         self.flatten_parameters()
 
     def forward(self, x):
-        return F.dropout(self.body(x), 0.25, self.training, self._external())
+        return dropout(self.body(x), 0.25, self._external())
 
 
 def test_unlocatable_leaf_gets_a_private_counted_plan():

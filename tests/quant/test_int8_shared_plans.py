@@ -21,11 +21,13 @@ from repro.core.mixed_precision import GroupMixedTrainer
 from repro.core.socflow import reform_groups
 from repro.data import make_classification_images
 from repro.distributed import RunConfig
-from repro.nn import Dropout, Flatten, Linear, ReLU, Sequential
+from repro.nn import Flatten, Linear, ReLU, Sequential
 from repro.nn.arena import StepArena
 from repro.nn.models.registry import build_model
 from repro.quant import Int8Trainer, QuantConfig
 from repro.quant.mixed import MixedPrecisionController
+
+from ..dropout_layer import Dropout
 
 IMAGE = 16
 SPECS = {

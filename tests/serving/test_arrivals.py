@@ -93,6 +93,14 @@ class TestFlashCrowd:
         with pytest.raises(ValueError):
             FlashCrowd(0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("spec", ["nan:1:2", "0:inf:2", "0:1:nan",
+                                      "-inf:1:2"])
+    def test_non_finite_fields_rejected(self, spec):
+        """A NaN start passed every comparison and the interval
+        clipping, so the crowd covered the whole horizon."""
+        with pytest.raises(ValueError, match="finite"):
+            FlashCrowd.parse(spec)
+
 
 class TestRegion:
     def test_positive_rate_required(self):

@@ -6,8 +6,7 @@ import pytest
 
 from repro.cluster import ClusterTopology
 from repro.telemetry import (MetricsRegistry, Tracer, render_epoch_table,
-                             render_metrics_table, to_chrome_trace, to_jsonl,
-                             write_trace)
+                             to_chrome_trace, to_jsonl, write_trace)
 
 
 def _sample_tracer():
@@ -96,21 +95,6 @@ class TestEpochTable:
         assert "no epochs" in render_epoch_table([])
 
 
-class TestMetricsTable:
-    def test_rows_and_histogram_detail(self):
-        reg = MetricsRegistry()
-        reg.counter("retries", pcb=0).inc(3)
-        h = reg.histogram("epoch.seconds")
-        h.observe(1.0)
-        h.observe(2.0)
-        out = render_metrics_table(reg)
-        assert "retries" in out and "pcb=0" in out
-        assert "p50=" in out and "n=2" in out
-
-    def test_empty(self):
-        assert "no metrics" in render_metrics_table(MetricsRegistry())
-
-
 class TestTableEdgeCases:
     """Renderer edge cases: empty, zero-duration, long labels, alignment."""
 
@@ -125,11 +109,11 @@ class TestTableEdgeCases:
         assert zero_row.split() == ["0", "0", "0", "0", "0.1"]
 
     def test_long_labels_widen_columns_consistently(self):
-        reg = MetricsRegistry()
+        from repro.harness.reporting import format_table
         long_name = "subsystem.component.metric_with_a_very_long_name"
-        reg.counter(long_name, shard="rack-0/pcb-11/soc-59").inc(7)
-        reg.counter("x").inc(1)
-        out = render_metrics_table(reg)
+        out = format_table(["metric", "labels", "value", "detail"],
+                           [[long_name, "shard=rack-0/pcb-11/soc-59", 7, ""],
+                            ["x", "", 1, ""]])
         lines = out.splitlines()
         assert long_name in out and "rack-0/pcb-11/soc-59" in out
         # every line is padded to the same width
@@ -153,8 +137,7 @@ class TestTableEdgeCases:
         assert lines[2].startswith("a  1")      # value not right-padded
 
     def test_empty_metrics_and_epochs(self):
-        assert render_metrics_table(MetricsRegistry()) \
-            == "(no metrics recorded)"
+        assert MetricsRegistry().collect() == []
         assert render_epoch_table([]) == "(no epochs recorded)"
 
     def test_epoch_table_all_rows_equal_width(self):

@@ -410,13 +410,107 @@ class TestServeMode:
         code, _ = run_cli(["jobs", "--spec", str(path), "--serve",
                            "--horizon", "2", "--peak-rps", "5"])
         assert code == 2
-        assert "bad --flash-crowd spec" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad job file: cluster key flash_crowds" in err
+        assert "bad flash-crowd spec" in err
+
+    def test_ceiling_below_floor_exits_2(self, tmp_path, capsys):
+        code, _ = run_cli(self.serve_args(tmp_path, "--min-replicas", "3",
+                                          "--max-replicas", "2"))
+        assert code == 2
+        assert "bad serving options: max_replicas" in capsys.readouterr().err
 
     def test_unknown_serve_model_exits_2(self, tmp_path, capsys):
         code, _ = run_cli(self.serve_args(tmp_path, "--serve-model",
                                           "nosuchmodel"))
         assert code == 2
         assert "serve-model" in capsys.readouterr().err
+
+
+class TestHostileValues:
+    """A job file's ``cluster:`` value is checked by the converter of
+    the flag of the same option: both refuse the same values, for the
+    same reason, and ``repro jobs`` exits 2 either way."""
+
+    JOBS = "jobs:\n  - id: a\n    workload: lenet5_fmnist\n"
+    #: (cluster key, value as YAML text and as the flag's argument)
+    BOTH = [("socs", "abc"), ("socs", "12.7"), ("socs", "0"),
+            ("seed", "abc"), ("seed", "-1"),
+            ("peak_sessions_per_hour", "abc"),
+            ("peak_sessions_per_hour", "0"),
+            ("horizon_hours", "abc"), ("horizon_hours", "0"),
+            ("start_hour", "abc"), ("start_hour", "-1"),
+            ("quantum_hours", "abc"), ("quantum_hours", "-1"),
+            ("fusion_threshold_mb", "abc"), ("fusion_threshold_mb", "nan"),
+            ("fusion_max_ops", "2.5"), ("fusion_max_ops", "0"),
+            ("flash_crowds", "20:1"), ("flash_crowds", "nan:1:2"),
+            ("serve_model", ""),
+            ("peak_rps", "abc"), ("peak_rps", "-5"),
+            ("max_replicas", "abc"), ("max_replicas", "0"),
+            ("slo_ms", "abc"), ("slo_ms", "0"),
+            ("min_replicas", "1.5"), ("min_replicas", "-1")]
+    #: values only a file can spell (``--graph`` takes no argument; any
+    #: ``--serve-model`` argument is text)
+    FILE_ONLY = [("graph", "maybe"), ("graph", "2"), ("serve_model", "5")]
+
+    def write_spec(self, tmp_path, key, text):
+        value = (f"\n    - {text}" if key == "flash_crowds"
+                 else f" {text or repr(text)}")
+        path = tmp_path / "hostile.yaml"
+        path.write_text(f"cluster:\n  {key}:{value}\n{self.JOBS}")
+        return str(path)
+
+    def test_every_cluster_key_is_covered(self):
+        from repro.jobs.spec import CLUSTER_KEYS
+        keys = [key for key, _ in self.BOTH + self.FILE_ONLY]
+        assert set(keys) == CLUSTER_KEYS
+        assert all(keys.count(key) >= 2 for key in CLUSTER_KEYS)
+
+    @pytest.mark.parametrize("key,text", BOTH + FILE_ONLY)
+    def test_job_file_value_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                   key, text):
+        code, _ = run_cli(["jobs", "--spec",
+                           self.write_spec(tmp_path, key, text)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"bad job file: cluster key {key}: ")
+
+    @pytest.mark.parametrize("key,text", BOTH)
+    def test_flag_refuses_it_for_the_same_reason(self, tmp_path, capsys,
+                                                 key, text):
+        from repro.options import OPTIONS
+        (flag,) = [option.flag for option in OPTIONS if option.key == key]
+        spec = self.write_spec(tmp_path, key, text)
+        assert run_cli(["jobs", "--spec", spec])[0] == 2
+        file_reason = capsys.readouterr().err.split(
+            f"cluster key {key}: ", 1)[1]
+        assert run_cli(["jobs", "--spec", spec, f"{flag}={text}"])[0] == 2
+        flag_reason = capsys.readouterr().err.split(
+            f"argument {flag}: ", 1)[1]
+        assert flag_reason == file_reason
+
+    def test_checked_in_hostile_file_exits_2(self, capsys):
+        """The file CI schedules to prove a clean refusal."""
+        from pathlib import Path
+        spec = Path(__file__).with_name("jobs") / "hostile.yaml"
+        assert run_cli(["jobs", "--spec", str(spec)])[0] == 2
+        assert capsys.readouterr().err.startswith(
+            "bad job file: cluster key socs: expected an integer")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--epochs", "0"], ["run", "--groups", "0"],
+        ["run", "--socs", "0"], ["run", "--seed", "-1"],
+        ["jobs", "--spec", "jobs.yaml", "--horizon", "0"],
+        ["jobs", "--spec", "jobs.yaml", "--quantum", "-1"],
+        ["jobs", "--spec", "jobs.yaml", "--serve", "--peak-rps", "-5"],
+        ["jobs", "--spec", "jobs.yaml", "--serve", "--flash-crowd",
+         "nan:1:2"]], ids=" ".join)
+    def test_out_of_range_flag_exits_2_naming_it(self, capsys, argv):
+        """Each used to fall back silently (``--epochs 0`` trained the
+        preset's epochs, ``--groups 0`` the default count) or end in a
+        traceback."""
+        assert run_cli(argv)[0] == 2
+        assert f"argument {argv[-2]}: " in capsys.readouterr().err
 
 
 class TestAnalyzeCommand:
@@ -533,3 +627,9 @@ class TestCompareCommand:
             "compare", "--workload", "lenet5_fmnist",
             "--methods", "warpdrive", "--epochs", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("methods", ["ring,warpdrive", ","])
+    def test_bad_method_list_exits_2_naming_the_flag(self, methods, capsys):
+        """An empty list used to run nothing and exit 0."""
+        assert run_cli(["compare", "--methods", methods])[0] == 2
+        assert "argument --methods: " in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """The command-line surface, pinned: every subcommand's options and the
-``--help`` pages of ``run``, ``compare`` and ``jobs``.
+``--help`` pages of ``run``, ``compare`` and ``jobs`` — and each
+argument of each command declared once, by one row of
+``repro.options.OPTIONS``.
 
 ``cli_surface/actions.json`` records each parser action of every
 subcommand (option strings, dest, default, choices, metavar, nargs,
@@ -13,14 +15,19 @@ CHANGES.md which lines moved and why.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser
+from repro.jobs.spec import CLUSTER_KEYS
+from repro.options import OPTIONS
 
+SRC = Path(repro.__file__).parent
 GOLDEN = Path(__file__).with_name("cli_surface")
 HELP_COMMANDS = ("run", "compare", "jobs")
 WIDTH = "80"
@@ -65,6 +72,43 @@ def test_every_action_is_unchanged():
 def test_help_page_is_unchanged(command, monkeypatch):
     monkeypatch.setenv("COLUMNS", WIDTH)
     assert help_page(command) == (GOLDEN / f"{command}.help").read_text()
+
+
+def test_every_argument_and_cluster_key_is_one_row():
+    declared = [(command, option.flag) for option in OPTIONS
+                for command in option.defaults]
+    assert len(set(declared)) == len(declared)      # one row per argument
+    parsed = [(command, (action.option_strings or [action.dest])[0])
+              for command, parser in _parsers(build_parser())
+              for action in parser._actions
+              if not isinstance(action, (argparse._HelpAction,
+                                         argparse._SubParsersAction))]
+    assert sorted(parsed) == sorted(declared)       # and back
+    keys = [option.key for option in OPTIONS if option.key]
+    assert sorted(keys) == sorted(CLUSTER_KEYS)     # each key one row
+
+
+def test_second_declarations_stay_deleted():
+    """No hand-kept flag helper, key list, ``setting`` merge or cast."""
+    trees = {path: ast.parse(path.read_text()) for path in SRC.rglob("*.py")}
+    functions = {node.name: node for tree in trees.values()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    assert not {"_add_run_args", "_add_fusion_args", "_add_telemetry_args",
+                "_add_analyze_args", "_positive_int", "_parse_static_window",
+                "setting"} & set(functions)
+    assert "setting(" not in (SRC / "cli.py").read_text()
+    casts = [node.func.id for node in ast.walk(functions["cmd_jobs"])
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id in ("int", "float", "bool", "str")]
+    assert not casts
+    (keys,) = [node.value for node in trees[SRC / "jobs" / "spec.py"].body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets]
+               == ["CLUSTER_KEYS"]]
+    assert not [node for node in ast.walk(keys)
+                if isinstance(node, ast.Constant)]
 
 
 if __name__ == "__main__":                              # pragma: no cover

@@ -35,8 +35,9 @@ DELETED = {
     "nn/optim.py": {"Adam", "_Scheduler", "ConstantLR", "StepLR",
                     "CosineAnnealingLR"},
     "nn/modules.py": {"AvgPool2d", "BatchNorm1d", "_BatchNorm",
-                      "Module.disable_graph_executor"},
-    "nn/functional.py": {"avg_pool2d"},
+                      "Module.disable_graph_executor", "Dropout"},
+    "nn/functional.py": {"avg_pool2d", "dropout"},
+    "nn/kernels.py": {"random"},
     "nn/tensor.py": {"Tensor.sigmoid", "is_grad_enabled"},
     "nn/init.py": {"xavier_uniform"},
     "nn/graph.py": {"detach_graph_executor"},
@@ -51,7 +52,8 @@ DELETED = {
     "core/mapping.py": {"MappingResult.group_of"},
     "core/mixed_precision.py": {"GroupMixedTrainer.set_lr"},
     "cluster/workload.py": {"SessionSimulator.busy_curve",
-                            "SessionIndex.counts_at"},
+                            "SessionIndex.counts_at",
+                            "derive_training_events"},
     "cluster/topology.py": {"ClusterTopology.restricted",
                             "WanFabric.per_site_epoch_ratio"},
     "cluster/network.py": {"NetworkFabric.broadcast_time",
@@ -69,6 +71,7 @@ DELETED = {
                             "SparseGradient.wire_bytes",
                             "SparseGradient.nnz"},
     "telemetry/analysis.py": {"HealthMonitor"},
+    "telemetry/export.py": {"render_metrics_table"},
 }
 
 #: modules deleted whole
@@ -103,13 +106,6 @@ ALLOWED_UNREFERENCED = {
                 "pinned to bit for bit",
     "dequantize": "the int32 reference the fused fake-quant kernel is "
                   "pinned to bit for bit",
-    # no caller yet; deleting takes their tests with them (ROADMAP)
-    "derive_training_events": "§3's planned preemptions from a session "
-                              "day; no run path derives them yet",
-    "Dropout": "the one layer with a generator; the executor's "
-               "generator capture is built for it, no zoo model has one",
-    "render_metrics_table": "a plain-text metrics table no command "
-                            "prints yet",
 }
 
 
