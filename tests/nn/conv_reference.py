@@ -9,12 +9,20 @@ ahead of its one GEMM), grouped convolutions are three ``einsum``\\ s,
 ``col2im`` adds each kernel offset window by window and max-pooling is
 ``argmax`` on the strided window axis + ``take_along_axis``.  Plain
 numpy: nothing here is traced or replayed.
+
+:func:`grouped_conv2d` is the grouped/depthwise branch exactly as
+``repro.nn.functional.conv2d`` ran it before its ``matmul`` lowering:
+the same three ``einsum``\\ s on N-major ``(N, G, C/G*k*k, L)``
+columns, filled and folded by the product's own ``im2col`` / ``col2im``
+kernels, so it must agree with the product byte for byte, NaN payloads
+included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.nn import kernels as K
 from repro.nn.tensor import Tensor
 
 
@@ -122,6 +130,47 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 x._accumulate(col2im(
                     grad_cols.reshape(n, c * kernel * kernel, -1), x.shape,
                     kernel, stride))
+
+    out = Tensor._make(out_data.reshape(n, out_c, out_h, out_w),
+                       (x, weight), backward)
+    if bias is not None:
+        out = out + bias.reshape(1, out_c, 1, 1)
+    return out
+
+
+def grouped_conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
+                   stride: int = 1, padding: int = 0,
+                   groups: int = 1) -> Tensor:
+    if padding:
+        x = x.pad2d(padding)
+    n, c, h, w = x.shape
+    out_c, in_c_per_group, kernel, _ = weight.shape
+    out_h = (h - kernel) // stride + 1
+    out_w = (w - kernel) // stride + 1
+
+    def k_major(columns: np.ndarray) -> np.ndarray:
+        return columns.reshape(n, c, kernel, kernel, out_h, out_w
+                               ).transpose(1, 2, 3, 0, 4, 5)
+
+    group_out = out_c // groups
+    cols = np.empty((n, groups, in_c_per_group * kernel * kernel,
+                     out_h * out_w), np.float32)
+    K.im2col.raw(x.data, kernel, stride, out=k_major(cols))
+    w_mat = weight.data.reshape(groups, group_out, -1)
+    out_data = _einsum("gok,ngkl->ngol", w_mat, cols,
+                       (n, groups, group_out, cols.shape[-1]))
+
+    def backward(grad: np.ndarray) -> None:
+        grad_mat = grad.reshape(n, groups, group_out, -1)
+        if weight.requires_grad:
+            weight._accumulate(_einsum(
+                "ngol,ngkl->gok", grad_mat, cols, w_mat.shape
+            ).reshape(weight.shape))
+        if x.requires_grad:
+            grad_cols = _einsum("gok,ngol->ngkl", w_mat, grad_mat,
+                                cols.shape)
+            x._accumulate(K.col2im.raw(k_major(grad_cols), x.shape,
+                                       kernel, stride))
 
     out = Tensor._make(out_data.reshape(n, out_c, out_h, out_w),
                        (x, weight), backward)

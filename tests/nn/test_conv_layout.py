@@ -29,10 +29,11 @@ import pytest
 
 import repro
 from repro.nn import (Conv2d, Flatten, Linear, MaxPool2d, ReLU,
-                      Sequential, Tensor)
+                      Sequential, Tensor, no_grad)
 from repro.nn import functional as F
 from repro.nn import kernels as K
 from repro.nn.graph import attach_graph_executor, train_step
+from repro.nn.models.registry import build_model
 from repro.nn.optim import SGD
 
 from . import conv_reference as R
@@ -166,6 +167,114 @@ def test_the_shape_classes_outside_the_contract():
     assert_same_bits(got[1], want[1])               # the input gradient
     for a, e in zip(got[:3], want[:3]):
         np.testing.assert_allclose(a, e, rtol=1e-5, atol=1e-6)
+
+
+# ----------------------------------------------------------------------
+# grouped / depthwise conv2d: byte for byte against the three einsums
+# ----------------------------------------------------------------------
+#: (groups, map side, stride) of every depthwise layer of the jobs day's
+#: mobilenet (quick preset: width 0.15, 16x16 images; 3x3, padding 1):
+#: 256, 64, 16, 4 and 1 columns a sample
+JOBS_DEPTHWISE = ((5, 16, 1), (10, 16, 2), (19, 8, 2), (19, 8, 1),
+                  (38, 4, 2), (38, 4, 1), (77, 2, 2), (77, 2, 1),
+                  (154, 1, 1))
+#: (in channels, groups, out channels, map side, kernel, stride,
+#: padding): several input and output channels a group, odd maps,
+#: 1x1 kernels (one column row a group) and a patch stride
+GROUPED_SHAPES = (
+    (6, 3, 6, 7, 3, 1, 1), (8, 4, 4, 5, 3, 2, 1), (4, 2, 8, 9, 5, 2, 2),
+    (6, 6, 12, 3, 3, 1, 0), (5, 5, 5, 7, 1, 2, 0), (4, 4, 8, 5, 1, 1, 0),
+    (9, 3, 3, 6, 2, 2, 0), (7, 7, 7, 11, 3, 1, 1),
+)
+#: one sample, a few, either side of a 16-sample chunk, the jobs day's
+#: evaluation batch and one that ends a sample past a chunk
+GROUPED_BATCHES = (1, 2, 3, 15, 16, 17, 200, 257)
+
+
+def grouped_cases():
+    """(n, c, groups, out_c, size, kernel, stride, padding)."""
+    shapes = [(g, g, g, side, 3, stride, 1)
+              for g, side, stride in JOBS_DEPTHWISE] + list(GROUPED_SHAPES)
+    return [(n, *shape) for shape in shapes for n in GROUPED_BATCHES]
+
+
+def assert_same_bytes(actual, expected, what=""):
+    __tracebackhide__ = True
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape), what
+    assert actual.tobytes() == expected.tobytes(), what
+
+
+def test_the_grouped_sweep_covers_the_jobs_day_and_the_corners():
+    cases = grouped_cases()
+    assert len(cases) == 136
+    lengths = {out_size(size, kernel, stride, padding) ** 2
+               for _, _, _, _, size, kernel, stride, padding in cases}
+    assert {256, 64, 16, 4, 1} <= lengths and {9, 25, 49, 121} & lengths
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["normal", "special"])
+def test_grouped_conv2d_is_the_three_einsums_byte_for_byte(special):
+    """Forward on the tape and under ``no_grad``, input, weight and
+    bias gradients, NaN payloads and signs of zero included."""
+    F.clear_workspaces()
+    for case in grouped_cases():
+        n, c, groups, out_c, size, kernel, stride, padding = case
+        rng = np.random.default_rng(hash(case) % 2**32)
+        x = values(rng, (n, c, size, size), special)
+        w = values(rng, (out_c, c // groups, kernel, kernel), special)
+        b = values(rng, (out_c,), special)
+        side = out_size(size, kernel, stride, padding)
+        grad = values(rng, (n, out_c, side, side), special)
+        got = run_conv(F.conv2d, x, w, b, grad, stride, padding, groups)
+        want = run_conv(R.grouped_conv2d, x, w, b, grad, stride, padding,
+                        groups)
+        for name, a, e in zip(("out", "x.grad", "w.grad", "b.grad"),
+                              got, want):
+            assert_same_bytes(a, e, f"{name} of {case}")
+        with no_grad():
+            inferred = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride,
+                                padding, groups)
+        assert_same_bytes(inferred.data, want[0], f"no_grad out of {case}")
+
+
+def train_mobilenet(steps: int, graph: bool, batch_size: int):
+    model = build_model("mobilenet_v1", seed=0, num_classes=10,
+                        image_size=16, in_channels=3, width=0.15)
+    optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9,
+                    flat=model.flatten_parameters())
+    executor = attach_graph_executor(model) if graph else None
+    losses = []
+    for step in range(steps):
+        rng = np.random.default_rng(200 + step)
+        x = values(rng, (batch_size, 3, 16, 16))
+        x[:, :, ::5, ::7] = -0.0
+        y = rng.integers(0, 10, size=batch_size)
+        losses.append(train_step(model, optimizer, x, y))
+    return losses, model.state_dict(), executor
+
+
+@pytest.mark.parametrize("batch_size", [1, 16, 17])
+def test_mobilenet_training_is_the_three_einsums_eager_and_replayed(
+        monkeypatch, batch_size):
+    """Nine depthwise layers through four steps, eager and replayed,
+    byte for byte against the same steps with every grouped conv
+    spelled as the three einsums."""
+    eager = train_mobilenet(4, graph=False, batch_size=batch_size)
+    replayed = train_mobilenet(4, graph=True, batch_size=batch_size)
+    assert replayed[2].stats == {"captures": 1, "replays": 3,
+                                 "eager_steps": 0, "fallbacks": 0}
+    conv = F.conv2d
+
+    def reference(x, weight, bias=None, stride=1, padding=0, groups=1):
+        op = R.grouped_conv2d if groups > 1 else conv
+        return op(x, weight, bias, stride, padding, groups)
+
+    monkeypatch.setattr(F, "conv2d", reference)
+    want = train_mobilenet(4, graph=False, batch_size=batch_size)
+    for got in (eager, replayed):
+        assert got[0] == want[0]
+        for key, value in want[1].items():
+            assert_same_bytes(got[1][key], value, key)
 
 
 # ----------------------------------------------------------------------

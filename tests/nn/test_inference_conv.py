@@ -32,7 +32,8 @@ from repro.nn.models.registry import build_model
 from repro.quant import Int8Trainer, QuantConfig
 
 from . import conv_reference as R
-from .test_conv_layout import assert_same_bits, out_size, values
+from .test_conv_layout import (assert_same_bits, assert_same_bytes,
+                               out_size, values)
 
 #: name -> (registry model, width, image size)
 MODELS = {
@@ -185,9 +186,10 @@ class Unfolds:
 def chunk_cases():
     """(n, c, size, out_c, kernel, stride, padding, groups) over the
     batch sizes around the chunk, kernels 1/3/5, strides 1/2, padding
-    0-2, plain and depthwise; size 3 under a 3x3 kernel is the 1x1
-    map (one column a sample), and 7 under 5x5 at stride 2 the map
-    two wide (gathered through an index)."""
+    0-2, plain, depthwise and grouped with two input and two output
+    channels a group; size 3 under a 3x3 kernel is the 1x1 map (one
+    column a sample), and 7 under 5x5 at stride 2 the map two wide
+    (gathered through an index)."""
     chunk = F._CHUNK
     cases = []
     for n, kernel, stride, padding, size in itertools.product(
@@ -197,6 +199,7 @@ def chunk_cases():
             continue
         cases.append((n, 3, size, 4, kernel, stride, padding, 1))
         cases.append((n, 4, size, 4, kernel, stride, padding, 4))
+        cases.append((n, 6, size, 6, kernel, stride, padding, 3))
     return cases
 
 
@@ -227,6 +230,9 @@ def test_chunked_forward_is_the_whole_batch_forward(monkeypatch):
         assert got.shape == (n, out_c, side, side)
         assert_same_bits(got.data, whole.data, f"whole batch {case}")
         assert_same_bits(got.data, want.data, f"reference {case}")
+        if groups > 1:
+            einsums = R.grouped_conv2d(x, w, b, stride, padding, groups)
+            assert_same_bytes(got.data, einsums.data, f"einsums {case}")
 
 
 @pytest.mark.parametrize("key", ["vgg11", "mobilenet"])
