@@ -22,6 +22,18 @@ Sections
   ``_CHUNK`` samples at a time against the same forward with the chunk
   widened to the whole batch, timed alternately after a bit-equality
   assert.  Gated: chunked at most 0.9x the whole-batch time.
+- ``grouped_conv``: the jobs day's nine depthwise mobilenet layers
+  (batch 16), forward and both gradients, as ``matmul``/``multiply``
+  calls on K-minor columns against the three ``einsum``\ s on N-major
+  ones they replaced (``tests/nn/conv_reference.grouped_conv2d``),
+  and training batch norm's statistics (``kernels.centre``: one mean,
+  the variance of the kept deviations) against ``np.mean`` +
+  ``np.var`` + the subtraction on the day's six BN shapes — each
+  paired call by call after a byte-equality assert and gated as the
+  median ratio (≤ 0.8x and ≤ 0.75x).  Plus the ``tracemalloc`` peak of
+  a no-grad forward of the first depthwise layer at the day's
+  evaluation batch (200) over the bytes of its output, a structural
+  gate (≤ 4x): the columns are unfolded a chunk at a time.
 - ``aggregation``: ``average_states`` over 8 model replicas — the
   fused whole-model path (shared :class:`~repro.nn.flat.FlatState`
   layout, float32 sum-then-scale) against the pre-fusion per-key
@@ -334,6 +346,112 @@ def bench_inference_conv(repeats: int) -> dict:
             "chunked_ms": chunked_t["median_s"] * 1e3,
             "whole_ms": whole_t["median_s"] * 1e3,
             "chunked_vs_whole": ratio}
+
+
+# ----------------------------------------------------------------------
+#: (groups, map side, stride) of the jobs day's mobilenet depthwise
+#: layers (quick preset: width 0.15, 16x16 images; 3x3, padding 1)
+GROUPED_LAYERS = ((5, 16, 1), (10, 16, 2), (19, 8, 2), (19, 8, 1),
+                  (38, 4, 2), (38, 4, 1), (77, 2, 2), (77, 2, 1),
+                  (154, 1, 1))
+#: the day's training batch-norm inputs (one group's batch of 16)
+BN_SHAPES = ((16, 5, 16, 16), (16, 10, 16, 16), (16, 19, 8, 8),
+             (16, 38, 4, 4), (16, 77, 2, 2), (16, 154, 1, 1))
+GROUPED_BATCH = 16
+#: the day's mobilenet evaluation batch (its test split)
+GROUPED_EVAL_BATCH = 200
+
+
+def _eval_peak_vs_output() -> float:
+    """``tracemalloc`` peak of one no-grad forward of the first
+    depthwise layer at :data:`GROUPED_EVAL_BATCH`, over its output's
+    bytes (cached scratch dropped first, so the chunk buffer counts)."""
+    groups, side, stride = GROUPED_LAYERS[0]
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal(
+        (GROUPED_EVAL_BATCH, groups, side, side)).astype(np.float32))
+    w = Tensor(rng.standard_normal((groups, 1, 3, 3)).astype(np.float32))
+    F.clear_workspaces()
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = F.conv2d(x, w, None, stride, 1, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / out.data.nbytes
+
+
+def bench_grouped_conv(repeats: int) -> dict:
+    """The grouped conv's and batch norm's statistics' product and
+    reference twins, paired call by call (one call runs every layer or
+    shape); ``*_vs_*`` are medians of the per-pair ratios, product
+    over reference, the numbers the CI gates read."""
+    from repro.nn import kernels as K
+    reference = _conv_reference()
+    rng = np.random.default_rng(7)
+    layers = []
+    for groups, side, stride in GROUPED_LAYERS:
+        x = rng.standard_normal(
+            (GROUPED_BATCH, groups, side, side)).astype(np.float32)
+        w = rng.standard_normal((groups, 1, 3, 3)).astype(np.float32)
+        out_side = (side + 2 - 3) // stride + 1
+        grad = rng.standard_normal(
+            (GROUPED_BATCH, groups, out_side, out_side)).astype(np.float32)
+        layers.append((x, w, grad, stride, groups))
+
+    def fwd_bwd(conv):
+        def run():
+            results = []
+            for x, w, grad, stride, groups in layers:
+                xt = Tensor(x, requires_grad=True)
+                wt = Tensor(w, requires_grad=True)
+                out = conv(xt, wt, None, stride, 1, groups)
+                out.backward(grad)
+                results.append((out.data, xt.grad, wt.grad))
+            return results
+        return run
+
+    einsums, matmuls = fwd_bwd(reference.grouped_conv2d), fwd_bwd(F.conv2d)
+    for old, new in zip(einsums(), matmuls()):
+        for a, b in zip(old, new):
+            assert a.tobytes() == b.tobytes()
+    matmul_t, einsum_t, conv_ratio = _time_paired(matmuls, einsums,
+                                                  repeats, warmup=2)
+
+    inputs = [rng.standard_normal(shape).astype(np.float32)
+              for shape in BN_SHAPES]
+    axes = (0, 2, 3)
+
+    def centre():
+        results = []
+        for x in inputs:
+            stats = np.empty((2, x.shape[1]), np.float32)
+            results.append((K.centre(x, axes, stats), stats))
+        return results
+
+    def mean_var():
+        results = []
+        for x in inputs:
+            mean, var = np.mean(x, axis=axes), np.var(x, axis=axes)
+            results.append((x - mean.reshape(1, -1, 1, 1),
+                            np.stack([mean, var])))
+        return results
+
+    for old, new in zip(mean_var(), centre()):
+        for a, b in zip(old, new):
+            assert a.tobytes() == b.tobytes()
+    centre_t, mean_var_t, bn_ratio = _time_paired(centre, mean_var,
+                                                  repeats, warmup=2)
+    return {"batch": GROUPED_BATCH,
+            "matmul_us": matmul_t["median_s"] * 1e6,
+            "einsum_us": einsum_t["median_s"] * 1e6,
+            "matmul_vs_einsum": conv_ratio,
+            "centre_us": centre_t["median_s"] * 1e6,
+            "mean_var_us": mean_var_t["median_s"] * 1e6,
+            "centre_vs_mean_var": bn_ratio,
+            "eval_batch": GROUPED_EVAL_BATCH,
+            "eval_peak_vs_output": _eval_peak_vs_output()}
 
 
 # ----------------------------------------------------------------------
@@ -850,6 +968,7 @@ def run_harness(mode: str = "smoke") -> dict:
         "conv": bench_conv(repeats),
         "conv_layout": bench_conv_layout(max(repeats, 15)),
         "inference_conv": bench_inference_conv(max(repeats, 7)),
+        "grouped_conv": bench_grouped_conv(max(repeats, 15)),
         "aggregation": bench_aggregation(max(repeats, 20)),
         "bucketed_aggregation": bench_bucketed_aggregation(max(repeats, 20)),
         "step_time": bench_step_time(max(repeats, 15)),
@@ -938,6 +1057,15 @@ def main(argv=None) -> int:
     print(f"infer conv     {infer['chunked_ms']:8.1f} ms chunked  "
           f"{infer['whole_ms']:8.1f} ms whole batch  "
           f"{infer['chunked_vs_whole']:5.2f}x")
+    grouped = report["grouped_conv"]
+    print(f"grouped conv   {grouped['matmul_us']:8.0f} us matmul  "
+          f"{grouped['einsum_us']:8.0f} us einsum  "
+          f"{grouped['matmul_vs_einsum']:5.2f}x")
+    print(f"bn statistics  {grouped['centre_us']:8.0f} us centre  "
+          f"{grouped['mean_var_us']:8.0f} us mean+var  "
+          f"{grouped['centre_vs_mean_var']:5.2f}x")
+    print(f"grouped eval   peak {grouped['eval_peak_vs_output']:5.2f}x "
+          f"its output (batch {grouped['eval_batch']})")
     print(f"agg fused      {agg['fused']['median_s']*1e6:8.1f} us")
     print(f"agg per-key    {agg['per_key']['median_s']*1e6:8.1f} us")
     print(f"agg speedup    {agg['speedup']:8.2f}x")

@@ -342,7 +342,11 @@ def cmd_jobs(args, out) -> int:
         except ValueError as err:       # a ceiling below the floor
             print(f"bad serving options: {err}", file=sys.stderr)
             return 2
-        scheduler = ServingCoScheduler(topology, plane, **common)
+        try:
+            scheduler = ServingCoScheduler(topology, plane, **common)
+        except ValueError as err:       # too many rounds
+            print(f"bad scheduler options: {err}", file=sys.stderr)
+            return 2
     else:
         simulator = SessionSimulator(
             topology, peak_sessions_per_hour=args.sessions_per_hour,
@@ -352,7 +356,11 @@ def cmd_jobs(args, out) -> int:
             # overload on the session side used to be invisible
             telemetry.metrics.counter("serving.dropped_sessions").inc(
                 simulator.dropped_sessions)
-        scheduler = ElasticScheduler(topology, sessions, **common)
+        try:
+            scheduler = ElasticScheduler(topology, sessions, **common)
+        except ValueError as err:       # too many rounds
+            print(f"bad scheduler options: {err}", file=sys.stderr)
+            return 2
     admitted = 0
     for job in jobs:
         try:

@@ -116,11 +116,20 @@ class ScheduleReport:
         }
 
 
+#: scheduling rounds a run may take at the most: an idle stretch costs
+#: one round per quantum, so ``horizon_hours / quantum_hours`` above
+#: this is refused rather than run (the default 24 h at 0.25 h is 96)
+MAX_ROUNDS = 10_000
+
+
 class ElasticScheduler:
     """Fair-share elastic gang scheduler on the shared simulated clock.
 
     Parameters
     ----------
+    quantum_hours:
+        The shortest round.  At most :data:`MAX_ROUNDS` of them may fit
+        in ``horizon_hours``.
     sessions:
         The user-session timeline (``SessionSimulator.simulate_day``)
         whose busy SoCs training must yield to.
@@ -158,6 +167,12 @@ class ElasticScheduler:
             raise ValueError("quantum_hours must be positive")
         if horizon_hours <= 0:
             raise ValueError("horizon_hours must be positive")
+        if horizon_hours / quantum_hours > MAX_ROUNDS:
+            raise ValueError(
+                f"quantum_hours {quantum_hours:g} makes "
+                f"{horizon_hours / quantum_hours:.0f} rounds of the "
+                f"{horizon_hours:g} h horizon; the most a run takes is "
+                f"{MAX_ROUNDS}")
         if not elastic and window is None:
             raise ValueError("the static baseline needs a window")
         self.topology = topology

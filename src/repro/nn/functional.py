@@ -7,6 +7,9 @@ to train inside the benchmark harness.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from . import kernels as K
@@ -125,9 +128,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     columns of :func:`repro.nn.kernels.im2col`: per sample on
     ``(C*k*k, L)`` panels forward and for the input gradient, and one
     ``(C*k*k, N*L) @ (N*L, O)`` GEMM on a *view* of the columns for the
-    weight gradient.  Under :func:`~repro.nn.tensor.no_grad` nothing is
-    kept for backward, and the forward unfolds :data:`_CHUNK` samples
-    at a time instead of the whole batch (:func:`_conv_chunked`).
+    weight gradient.  With groups, every product is the ``matmul`` or
+    ``multiply`` numpy's ``einsum`` makes of its contraction
+    (:func:`_contract`), on columns stored as its forward operand is
+    (:func:`_grouped_cols`).  Under :func:`~repro.nn.tensor.no_grad`
+    nothing is kept for backward, and the forward unfolds about
+    :data:`_CHUNK` samples at a time instead of the whole batch
+    (:func:`_conv_chunked`, :func:`_grouped_chunked`).
     """
     if padding:
         x = x.pad2d(padding)
@@ -140,8 +147,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # must NOT come from the reusable workspace (a same-shape sibling
     # layer would overwrite them before backward runs).  Without a tape
     # nothing captures them: they are built a chunk at a time in scratch.
-    # Grouped columns stay whole: einsum picks its loop order by operand
-    # shape, so a chunk of them would move bits.
     if groups == 1 and not grad_enabled() and (kernel, stride) != (1, 1):
         out_data = _conv_chunked(x.data, weight.data.reshape(out_c, -1),
                                  kernel, stride, out_h * out_w)
@@ -174,36 +179,46 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 x._accumulate(_fold(grad_cols, x.shape, kernel, stride,
                                     "conv_gx"))
     else:
-        # Grouped/depthwise: three einsums, batched over the group
-        # axis.  numpy lowers each to a batched matmul whose operand
-        # order and BLAS variant follow the strides it is handed, so
-        # these columns stay N-major, (N, C*k*k, L): the same kernels
-        # fill and fold them through a transposed view.
-        def k_major(columns: np.ndarray) -> np.ndarray:
-            return columns.reshape(n, c, kernel, kernel, out_h, out_w
-                                   ).transpose(1, 2, 3, 0, 4, 5)
-
         group_out = out_c // groups
-        cols = K.empty((n, groups, in_c_per_group * kernel * kernel,
-                        out_h * out_w), np.float32)
-        im2col(x.data, kernel, stride, out=k_major(cols))
         w_mat = weight.data.reshape(groups, group_out, -1)
-        out_data = K.einsum(
-            "gok,ngkl->ngol", w_mat, cols,
-            out=K.empty((n, groups, group_out, cols.shape[-1]), np.float32))
+        out_data = K.empty((n, groups, group_out, out_h * out_w),
+                           np.float32)
+        if not grad_enabled():
+            _grouped_chunked(x.data, w_mat, kernel, stride, out_data)
+            backward = None
+        else:
+            k_minor = _k_minor(n, out_h * out_w)
+            cols = _grouped_cols(x.data, groups, kernel, stride, k_minor)
+            _contract("ngkl,gok->ngol", cols, w_mat, out_data)
+            # K-minor columns are not kept: the weight gradient's
+            # operand is C-ordered (G, C/G*k*k, N*L) rows, the K-major
+            # layout im2col unfolds as fast as a copy of them would take
+            kept = None if k_minor else cols
 
-        def backward(grad: np.ndarray) -> None:
-            grad_mat = grad.reshape(n, groups, group_out, -1)
-            if weight.requires_grad:
-                weight._accumulate(K.einsum(
-                    "ngol,ngkl->gok", grad_mat, cols,
-                    out=K.empty(w_mat.shape, np.float32)
-                ).reshape(weight.shape))
-            if x.requires_grad:
-                grad_cols = K.einsum("gok,ngol->ngkl", w_mat, grad_mat,
-                                     out=K.empty(cols.shape, np.float32))
-                x._accumulate(_fold(k_major(grad_cols), x.shape, kernel,
-                                    stride, "conv_gx"))
+            def backward(grad: np.ndarray) -> None:
+                grad_mat = grad.reshape(out_data.shape)
+                if weight.requires_grad:
+                    rows = kept
+                    if rows is None:
+                        rows = K.empty((groups, in_c_per_group * kernel
+                                        * kernel, n, out_h * out_w),
+                                       np.float32)
+                        im2col(x.data, kernel, stride,
+                               out=rows.reshape(c * kernel * kernel, n, -1))
+                        rows = rows.transpose(2, 0, 1, 3)
+                    weight._accumulate(_contract(
+                        "ngkl,ngol->gok", rows, grad_mat,
+                        K.empty(w_mat.shape, np.float32)
+                    ).reshape(weight.shape))
+                if x.requires_grad:
+                    grad_cols = _contract(
+                        "ngol,gok->ngkl", grad_mat, w_mat,
+                        K.empty((n, groups, w_mat.shape[2], out_h * out_w),
+                                np.float32))
+                    x._accumulate(_fold(
+                        grad_cols.reshape(n, c, kernel, kernel, out_h, out_w
+                                          ).transpose(1, 2, 3, 0, 4, 5),
+                        x.shape, kernel, stride, "conv_gx"))
 
     out = Tensor._make(out_data.reshape(n, out_c, out_h, out_w),
                        (x, weight), backward)
@@ -236,6 +251,166 @@ def _conv_chunked(x: np.ndarray, w_mat: np.ndarray, kernel: int,
         K.matmul(w_mat[None, :, :], cols.transpose(1, 0, 2),
                  out=out[lo:lo + len(part)])
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _bmm_plan(spec: str, a_shape: tuple, b_shape: tuple) -> tuple:
+    """How numpy 2.4's ``einsum(spec, a, b, out=..., optimize=True)``
+    computes one of the grouped convolution's contractions (two
+    operands, no repeated index, a group axis in all three terms;
+    ``numpy._core.einsumfunc.bmm_einsum``), as data for
+    :func:`_contract`: per operand the size-1 axes it drops, the order
+    of the rest and the shape it fuses them to; then either a
+    broadcast ``multiply`` into ``out`` (nothing is contracted) or a
+    batched ``matmul`` and the shape and axis order that carry its
+    product into ``out``."""
+    inputs, out = spec.split("->")
+    terms = inputs.split(",")
+    size = dict(zip("".join(terms), a_shape + b_shape))
+    a_big, b_big = ([ix for ix in term if size[ix] > 1] for term in terms)
+    con = [ix for ix in a_big if ix in b_big and ix not in out]
+    if not con:
+        desired = ([ix for ix in out if ix in term] for term in terms)
+        shapes = ([size[ix] if ix in term else 1 for ix in out]
+                  for term in terms)
+        return (*map(_operand_plan, terms, desired, shapes), None)
+    bat = [ix for ix in a_big if ix in b_big and ix in out]     # the groups
+    a_keep = [ix for ix in a_big if ix not in b_big]
+    b_keep = [ix for ix in b_big if ix not in a_big]
+    groups = ((bat, a_keep, con), (bat, con, b_keep), (bat, a_keep, b_keep))
+
+    def fused(group_list):
+        if all(len(group) == 1 for group in group_list):
+            return None
+        return tuple(math.prod(size[ix] for ix in group)
+                     for group in group_list)
+
+    plans = [_operand_plan(term, sum(group_list, []), fused(group_list))
+             for term, group_list in zip(terms, groups)]
+    ones = [ix for ix in out if size[ix] == 1]
+    produced = ones + sum(groups[2], [])
+    shape = None
+    if fused(groups[2]) is not None or ones:
+        shape = tuple(size[ix] for ix in produced)
+    perm = None
+    if produced != list(out):
+        perm = tuple(produced.index(ix) for ix in out)
+    return (*plans, (shape, perm))
+
+
+def _operand_plan(term: str, desired: list, shape) -> tuple:
+    """``(index dropping the axes not desired, order of the rest,
+    fused shape)`` of one operand."""
+    drop = tuple(0 if ix not in desired else slice(None) for ix in term)
+    kept = [ix for ix in term if ix in desired]
+    return drop, tuple(kept.index(ix) for ix in desired), shape
+
+
+def _operand(array: np.ndarray, drop: tuple, perm: tuple, shape):
+    """An operand as einsum hands it on: a view where it only permutes
+    axes, a copy where it drops size-1 ones (a sum over one term:
+    ``0 + x``, so ``-0.0`` comes out ``+0.0``, laid out in the input's
+    memory order), then fused to ``shape`` (a view where the strides
+    allow it, else a C-ordered copy)."""
+    view = array[drop].transpose(perm)
+    if view.ndim < array.ndim:
+        view = K.add(view, 0.0)
+    return view if shape is None else K.reshape(view, shape)
+
+
+def _contract(spec: str, a: np.ndarray, b: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, a, b, out=out, optimize=True)`` for the grouped
+    convolution's contractions, through the same ``multiply`` or
+    ``matmul`` calls on the same operands (layout included: BLAS picks
+    its routine by strides) — so the same bits — without einsum's
+    per-call path search.  ``spec`` names the operands in the order
+    einsum contracts them, which is the reverse of how it is written:
+    ``"gok,ngkl->ngol"`` runs as ``"ngkl,gok->ngol"``."""
+    plan_a, plan_b, product = _bmm_plan(spec, a.shape, b.shape)
+    a, b = _operand(a, *plan_a), _operand(b, *plan_b)
+    if product is None:
+        return K.multiply(a, b, out=out)
+    shape, perm = product
+    ab = K.matmul(a, b)
+    if shape is not None:
+        ab = ab.reshape(shape)
+    if perm is not None:
+        ab = ab.transpose(perm)
+    return K.copy(ab, out=out)
+
+
+def _k_minor(n: int, length: int) -> bool:
+    """Whether grouped columns are stored K-minor: einsum's forward
+    multiplies a C-ordered ``(G, N*L, C/G*k*k)`` copy of its N-major
+    operand, except with one sample or one column a sample, where the
+    copy that drops that axis keeps the N-major memory order."""
+    return n > 1 and length > 1
+
+
+def _grouped_cols(x: np.ndarray, groups: int, kernel: int, stride: int,
+                  k_minor: bool, buf: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """``x``'s columns as the ``(N, G, C/G*k*k, L)`` operand of the
+    grouped contractions, stored as einsum's forward operand is
+    (:func:`_k_minor`): K-minor, ``(G, N, L, C/G*k*k)``, the matrix it
+    multiplies as a view; else N-major, ``(N, G, C/G*k*k, L)``.
+    ``buf``, when given, is float32 storage for them."""
+    n, c, h, w = x.shape
+    out_h, out_w = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    shape = ((groups, n, out_h, out_w, c // groups, kernel, kernel)
+             if k_minor else
+             (n, groups, c // groups, kernel, kernel, out_h, out_w))
+    if buf is None:
+        store = K.empty(shape, np.float32)
+    else:
+        store = buf[:math.prod(shape)].reshape(shape)
+    cols = store.transpose((0, 4, 5, 6, 1, 2, 3) if k_minor
+                           else (1, 2, 3, 4, 0, 5, 6))
+    im2col(x, kernel, stride, out=cols)             # (G, C/G, k, k, N, ..)
+    return cols.transpose(4, 0, 1, 2, 3, 5, 6).reshape(
+        n, groups, -1, out_h * out_w)
+
+
+#: rows of a grouped product an inference chunk holds a multiple of:
+#: each chunk then starts where a block of the whole batch's product
+#: starts, for any kernel that takes rows in blocks dividing this
+#: (OpenBLAS's sgemv takes 4)
+_ROW_BLOCK = 64
+
+
+def _grouped_chunk(length: int) -> int:
+    """Samples per grouped inference chunk at ``length`` columns a
+    sample: the fewest, from :data:`_CHUNK` up, whose rows are a
+    multiple of :data:`_ROW_BLOCK`."""
+    step = _ROW_BLOCK // math.gcd(length, _ROW_BLOCK)
+    return -(-_CHUNK // step) * step
+
+
+def _grouped_chunked(x: np.ndarray, w_mat: np.ndarray, kernel: int,
+                     stride: int, out: np.ndarray) -> None:
+    """The grouped forward with no backward to feed: columns of about
+    :data:`_CHUNK` samples at a time in one scratch buffer, each
+    chunk's product written into its rows of ``out``.
+
+    Only a product with one output per group (a matrix-vector product)
+    over more than one column a sample is chunked, by a multiple of
+    :data:`_ROW_BLOCK` rows: every output is then the same dot product
+    at the same position in its block as in the whole batch's.  A
+    wider product is a GEMM whose blocking follows the row count, so it
+    unfolds the whole batch, as training does."""
+    n, length = len(x), out.shape[-1]
+    groups, group_out, rows = w_mat.shape
+    chunk = _grouped_chunk(length)
+    if group_out > 1 or length == 1 or chunk >= n:
+        _contract("ngkl,gok->ngol", _grouped_cols(
+            x, groups, kernel, stride, _k_minor(n, length)), w_mat, out)
+        return
+    buf = _scratch((chunk * groups * rows * length,))
+    for lo in range(0, n, chunk):
+        cols = _grouped_cols(x[lo:lo + chunk], groups, kernel, stride,
+                             k_minor=True, buf=buf)
+        _contract("ngkl,gok->ngol", cols, w_mat, out[lo:lo + chunk])
 
 
 def _pool_cols(x: Tensor, kernel: int, stride: int):
@@ -294,20 +469,23 @@ def batch_norm(x: Tensor, weight: Tensor, bias: Tensor,
     shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
 
     if training:
-        mean = K.mean(x.data, axis=axes)
-        var = K.var(x.data, axis=axes)
+        # the batch mean once; the variance of the centred values,
+        # which are kept as x_hat
+        stats = K.empty((2, x.shape[1]), x.data.dtype)
+        x_hat = K.centre(x.data, axes, stats)
+        mean, var = stats
         for running, batch in ((running_mean, mean), (running_var, var)):
             K.multiply(running, 1.0 - momentum, out=running)
             K.add(running, K.multiply(batch, momentum), out=running)
     else:
         mean, var = running_mean, running_var
+        x_hat = K.subtract(x.data, mean.reshape(shape))
 
     inv_std = K.add(var, eps)
     K.sqrt(inv_std, out=inv_std)
     K.divide(1.0, inv_std, out=inv_std)
     inv_std = inv_std.reshape(shape)
     scale = weight.data.reshape(shape)
-    x_hat = K.subtract(x.data, mean.reshape(shape))
     K.multiply(x_hat, inv_std, out=x_hat)
     out_data = K.multiply(x_hat, scale)
     K.add(out_data, bias.data.reshape(shape), out=out_data)

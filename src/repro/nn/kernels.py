@@ -100,8 +100,6 @@ greater_equal = _kernel(np.greater_equal)
 less_equal = _kernel(np.less_equal)
 equal = _kernel(np.equal)
 logical_and = _kernel(np.logical_and, elementwise=True)
-mean = _kernel(np.mean)
-var = _kernel(np.var)
 matmul = _kernel(np.matmul)
 
 
@@ -117,8 +115,25 @@ def amax(a, axis=None, keepdims=False, out=None):
 
 
 @_kernel
-def einsum(spec, a, b, out=None):
-    return np.einsum(spec, a, b, out=out, optimize=True)
+def centre(a, axis, stats, out=None):
+    """``a`` minus its mean over ``axis``, with ``stats`` — ``(2, C)``
+    for the one axis kept — set to that mean and the variance.
+
+    It is ``np.mean`` followed by ``np.var``'s own sequence, the mean
+    computed once: ``add.reduce``; divide by ``np.intp(count)`` (a
+    float64 divide, cast back: a Python int would divide in float32);
+    subtract; multiply; ``add.reduce``; divide.  The result is laid out
+    like ``a``, as ``np.var``'s deviations are.
+    """
+    count = np.intp(a.size // stats.shape[1])
+    kept = [1 if i in axis else n for i, n in enumerate(a.shape)]
+    mean, var = stats.reshape(2, *kept)
+    np.add.reduce(a, axis=axis, keepdims=True, out=mean)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    out = np.subtract(a, mean, out=out)
+    np.add.reduce(np.multiply(out, out), axis=axis, keepdims=True, out=var)
+    np.true_divide(var, count, out=var, casting="unsafe")
+    return out
 
 
 # -- allocation, copies, gathers and scatters ------------------------------
@@ -265,7 +280,8 @@ def im2col(x, kernel, stride, out=None):
     anything else is one strided copy.  ``out``, when given, is a
     contiguous ``(C*k*k, N, L)`` array or any ``(C, k, k, N, out_h,
     out_w)`` view — a transposed one receives the same columns in
-    another memory order.
+    another memory order — or, for grouped columns, a ``(G, C/G, k, k,
+    N, out_h, out_w)`` view.
     """
     n, c, h, w = x.shape
     out_h, out_w = _windows(h, w, kernel, stride)
@@ -279,11 +295,20 @@ def im2col(x, kernel, stride, out=None):
                 out=out.reshape(-1), mode="clip")
         return out
     s0, s1, s2, s3 = x.strides
-    np.copyto(_six(out, x.shape, kernel, stride),
-              np.lib.stride_tricks.as_strided(
-                  x, shape=(c, kernel, kernel, n, out_h, out_w),
-                  strides=(s1, s2, s3, s0, s2 * stride, s3 * stride),
-                  writeable=False))
+    cols = out if out.ndim == 7 else _six(out, x.shape, kernel, stride)
+    windows = np.lib.stride_tricks.as_strided(
+        x, shape=(c, kernel, kernel, n, out_h, out_w),
+        strides=(s1, s2, s3, s0, s2 * stride, s3 * stride),
+        writeable=False).reshape(cols.shape)
+    if cols.ndim == 7 and out_w > kernel:
+        # grouped columns, K-minor (the kernel offsets innermost): a
+        # copy per offset runs along a window row, where one copy would
+        # run along a kernel row
+        for ki in range(kernel):
+            for kj in range(kernel):
+                np.copyto(cols[:, :, ki, kj], windows[:, :, ki, kj])
+        return out
+    np.copyto(cols, windows)
     return out
 
 

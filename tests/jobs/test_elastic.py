@@ -33,6 +33,24 @@ def test_schedule_naming_a_missing_soc_is_rejected(config_factory):
                        fault_schedule=FaultSchedule((SoCCrash(1, 99),)))
 
 
+def test_a_quantum_past_the_round_budget_is_refused(config_factory):
+    """Every idle round lasts one quantum: a tiny one used to spin for
+    minutes before the first output.  The budget is the rounds of the
+    horizon, so the same quantum fits a shorter day."""
+    from repro.jobs.scheduler import MAX_ROUNDS
+    topology = ClusterTopology(num_socs=16)
+    with pytest.raises(ValueError, match="quantum_hours 1e-06 makes "
+                                         "24000000 rounds"):
+        make_scheduler(topology, config_factory, quantum_hours=1e-6,
+                       horizon_hours=24.0)
+    quantum = 24.0 / MAX_ROUNDS
+    make_scheduler(topology, config_factory, quantum_hours=quantum,
+                   horizon_hours=24.0)
+    with pytest.raises(ValueError, match="quantum_hours"):
+        make_scheduler(topology, config_factory, quantum_hours=quantum,
+                       horizon_hours=24.1)
+
+
 def test_a_crash_in_the_idle_tail_is_seen(jobs_topology, config_factory):
     """After the last job finishes, the tail steps to the horizon are
     rounds of the fault timeline: SoC 3 dead from round 10 stops

@@ -237,6 +237,30 @@ def test_grouped_conv2d_is_the_three_einsums_byte_for_byte(special):
         assert_same_bytes(inferred.data, want[0], f"no_grad out of {case}")
 
 
+@pytest.mark.parametrize("n,o,k,l", list(itertools.product(
+    (1, 5), (1, 2), (1, 18), (1, 9))), ids=str)
+def test_contract_makes_the_calls_einsum_makes(n, o, k, l):
+    """Every combination of size-1 axes — each changes which copies,
+    views and BLAS routine einsum picks — for the three contractions,
+    byte for byte, signs of zero and NaN payloads included."""
+    rng = np.random.default_rng(n * 1000 + o * 100 + k * 10 + l)
+    cols = values(rng, (n, 3, k, l), special=True)
+    weight = values(rng, (3, o, k), special=True)
+    grad = values(rng, (n, 3, o, l), special=True)
+    for written, a, b in (("gok,ngkl->ngol", weight, cols),
+                          ("ngol,ngkl->gok", grad, cols),
+                          ("gok,ngol->ngkl", weight, grad)):
+        inputs, out = written.split("->")
+        first, second = inputs.split(",")
+        shape = [dict(zip(first + second, a.shape + b.shape))[ix]
+                 for ix in out]
+        want = np.einsum(written, a, b, out=np.empty(shape, np.float32),
+                         optimize=True)
+        got = F._contract(f"{second},{first}->{out}", b, a,
+                          np.full(shape, np.nan, np.float32))
+        assert_same_bytes(got, want, written)
+
+
 def train_mobilenet(steps: int, graph: bool, batch_size: int):
     model = build_model("mobilenet_v1", seed=0, num_classes=10,
                         image_size=16, in_channels=3, width=0.15)
@@ -460,9 +484,11 @@ def test_functional_spells_conv_with_matmul_and_pool_without_argmax():
                   and ast.unparse(node.test) == "groups == 1"]
     assert "einsum" not in set().union(*map(names, ungrouped.body))
     assert "matmul" in set().union(*map(names, ungrouped.body))
-    assert "einsum" in set().union(*map(names, ungrouped.orelse))
+    grouped = set().union(*map(names, ungrouped.orelse))
+    assert "einsum" not in grouped and "_contract" in grouped
+    assert {"matmul", "multiply"} <= names(functions["_contract"])
     assert not {"argmax", "take_along", "put_along"} & names(
         functions["max_pool2d"])
     # the old kernels are gone from the table, not merely unused
-    for name in ("argmax", "take_along", "put_along"):
+    for name in ("argmax", "take_along", "put_along", "einsum"):
         assert not hasattr(K, name), name

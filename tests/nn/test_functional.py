@@ -5,7 +5,16 @@ import pytest
 
 from repro.nn import Tensor
 from repro.nn import functional as F
+from repro.nn import kernels as K
 from repro.nn.functional import col2im, im2col
+
+from .test_conv_layout import values
+
+#: the training batch-norm inputs of the jobs day's models (batch 16),
+#: one sample, plain (N, C) features and a transposed batch
+BN_SHAPES = [(16, 5, 16, 16), (16, 10, 16, 16), (16, 19, 8, 8),
+             (16, 38, 4, 4), (16, 77, 2, 2), (16, 154, 1, 1), (1, 7, 3, 3),
+             (5, 6), (1, 4), "transposed"]
 
 
 class TestIm2Col:
@@ -97,6 +106,34 @@ class TestBatchNorm:
         F.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
                      mean, var, training=True, momentum=1.0)
         np.testing.assert_allclose(mean, x.mean(0), rtol=1e-4)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("special", [False, True],
+                             ids=["normal", "special"])
+    @pytest.mark.parametrize("shape", BN_SHAPES, ids=str)
+    def test_statistics_are_np_mean_and_np_var_byte_for_byte(self, shape,
+                                                             special):
+        """One mean, deviations kept: the bytes ``np.mean``, ``np.var``
+        and the subtraction of the mean made, NaN payloads and signs
+        of zero included, into fresh or given storage."""
+        rng = np.random.default_rng(9)
+        if shape == "transposed":
+            x = values(rng, (6, 4, 5, 8), special).transpose(3, 1, 2, 0)
+        else:
+            x = values(rng, shape, special) * 3.0 + 1.5
+        axes = (0,) if x.ndim == 2 else (0, 2, 3)
+        mean, var = np.mean(x, axis=axes), np.var(x, axis=axes)
+        kept = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+        deviations = np.subtract(x, mean.reshape(kept))
+        stats = np.full((2, x.shape[1]), np.nan, np.float32)
+        centred = K.centre(x, axes, stats)
+        assert centred.strides == deviations.strides
+        for got, want in ((stats[0], mean), (stats[1], var),
+                          (centred, deviations)):
+            assert got.tobytes() == want.tobytes()
+        into = np.full_like(centred, np.nan)
+        assert K.centre(x, axes, stats, out=into) is into
+        assert into.tobytes() == deviations.tobytes()
 
     def test_eval_uses_running_stats(self):
         x = np.ones((4, 2), dtype=np.float32)

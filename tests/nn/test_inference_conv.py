@@ -5,7 +5,11 @@ A ``conv2d`` whose columns nobody keeps for backward (``no_grad``:
 ``_CHUNK`` samples at a time into one reused buffer and runs each
 sample's ``matmul`` straight into the output — the same
 ``(O, C*k*k) x (C*k*k, L)`` panels as the whole-batch forward, where
-only the panel's leading dimension differs.  So everything here is
+only the panel's leading dimension differs.  A grouped conv with one
+output per group over more than one column a sample unfolds a chunk
+whose rows are a multiple of 64 (16 samples, or more at odd maps), so
+each of its matrix-vector products keeps every row where the whole
+batch's has it.  So everything here is
 compared *bit for bit*: against ``tests/nn/conv_reference.py`` and the
 whole-batch forward over the shape classes, and against digests of
 five models' logits recorded before the change.  A training forward
@@ -151,36 +155,56 @@ def test_the_cases_straddle_the_chunk():
 
 
 class Unfolds:
-    """Records the batch of every ``im2col`` call ``conv2d`` makes
-    (pooling's are not convolution columns)."""
+    """Records every ``im2col`` call ``conv2d`` makes (pooling's are not
+    convolution columns): batch, kernel, stride, groups, outputs per
+    group and columns per sample."""
 
     def __init__(self, monkeypatch):
-        self.calls: list[tuple[int, int, int, int]] = []
-        self.groups = None
+        self.calls: list[tuple[int, ...]] = []
+        self.conv = None
         unfold, conv = F.im2col, F.conv2d
 
         def recording(x, kernel, stride, out=None):
-            if self.groups is not None:
-                self.calls.append((len(x), kernel, stride, self.groups))
+            if self.conv is not None:
+                length = out_size(x.shape[2], kernel, stride, 0) * out_size(
+                    x.shape[3], kernel, stride, 0)
+                self.calls.append((len(x), kernel, stride, *self.conv,
+                                   length))
             return unfold(x, kernel, stride, out=out)
 
         def convolving(x, weight, *args, **kwargs):
-            self.groups = x.shape[1] // weight.shape[1]
+            groups = kwargs.get("groups", args[3] if len(args) > 3 else 1)
+            self.conv = (groups, len(weight) // groups)
             try:
                 return conv(x, weight, *args, **kwargs)
             finally:
-                self.groups = None
+                self.conv = None
 
         monkeypatch.setattr(F, "im2col", recording)
         monkeypatch.setattr(F, "conv2d", convolving)
 
+    @staticmethod
+    def chunk(kernel, stride, groups, group_out, length) -> int | None:
+        """The samples an inference chunk of this conv holds, or None
+        where it unfolds whole: a 1x1 kernel at stride 1 without groups
+        (its columns are a view of the input), a grouped product with
+        several outputs a group or one column a sample."""
+        if groups == 1:
+            return None if (kernel, stride) == (1, 1) else F._CHUNK
+        if group_out > 1 or length == 1:
+            return None
+        return F._grouped_chunk(length)
+
     def batches(self, chunked_only: bool = False) -> set:
         """Batches unfolded; with ``chunked_only`` those of the convs
-        inference chunks (``groups == 1``, not a 1x1 kernel at stride
-        1, whose columns are a view of the input)."""
-        return {n for n, kernel, stride, groups in self.calls
-                if not chunked_only
-                or (groups == 1 and (kernel, stride) != (1, 1))}
+        inference chunks."""
+        return {n for n, *conv in self.calls
+                if not chunked_only or self.chunk(*conv) is not None}
+
+    def chunks(self) -> set:
+        """``(batch unfolded, chunk)`` of the convs inference chunks."""
+        return {(n, self.chunk(*conv)) for n, *conv in self.calls
+                if self.chunk(*conv) is not None}
 
 
 def chunk_cases():
@@ -217,10 +241,12 @@ def test_chunked_forward_is_the_whole_batch_forward(monkeypatch):
         unfolds.calls.clear()
         with no_grad():
             got = F.conv2d(x, w, b, stride, padding, groups)
-        chunked = unfolds.batches(chunked_only=True)
         assert not got.requires_grad
-        if chunked:
-            assert max(chunked) == min(n, F._CHUNK), case
+        for unfolded, chunk in unfolds.chunks():
+            assert unfolded <= min(n, chunk), case
+        if unfolds.chunks():
+            assert max(unfolds.batches()) == min(n, max(
+                chunk for _, chunk in unfolds.chunks())), case
         unfolds.calls.clear()
         whole = F.conv2d(x, w, b, stride, padding, groups)
         assert whole.requires_grad and unfolds.batches() <= {n}
@@ -249,6 +275,7 @@ def test_training_keeps_whole_batch_columns(key, monkeypatch):
     with no_grad():
         model(Tensor(inputs(key, TRAIN_BATCH)[0]))
     assert max(unfolds.batches(chunked_only=True)) == F._CHUNK
+    assert all(unfolded <= chunk for unfolded, chunk in unfolds.chunks())
 
 
 if __name__ == "__main__":

@@ -513,6 +513,32 @@ class TestHostileValues:
         assert f"argument {argv[-2]}: " in capsys.readouterr().err
 
 
+def test_a_tiny_quantum_exits_2_before_the_first_round(tmp_path):
+    """``--quantum 0.000001`` (or ``quantum_hours`` in the job file)
+    asks for 24 million rounds; it used to run for minutes with no
+    output.  Run as a process under a timeout, so a regression fails
+    instead of hanging the suite."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    spec = root / "examples" / "jobs.yaml"
+    tiny = tmp_path / "tiny.yaml"
+    tiny.write_text(spec.read_text().replace(
+        "cluster:\n", "cluster:\n  quantum_hours: 0.000001\n", 1))
+    for argv in (["--spec", str(spec), "--quantum", "0.000001"],
+                 ["--spec", str(spec), "--serve", "--quantum", "0.000001"],
+                 ["--spec", str(tiny)]):
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "jobs", *argv], env=env,
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("bad scheduler options: "
+                                      "quantum_hours 1e-06 makes")
+
+
 class TestAnalyzeCommand:
     def _traced_run(self, tmp_path, name="run.jsonl", extra=()):
         trace = tmp_path / name

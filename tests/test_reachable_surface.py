@@ -37,7 +37,7 @@ DELETED = {
     "nn/modules.py": {"AvgPool2d", "BatchNorm1d", "_BatchNorm",
                       "Module.disable_graph_executor", "Dropout"},
     "nn/functional.py": {"avg_pool2d", "dropout"},
-    "nn/kernels.py": {"random"},
+    "nn/kernels.py": {"random", "einsum", "var", "mean"},
     "nn/tensor.py": {"Tensor.sigmoid", "is_grad_enabled"},
     "nn/init.py": {"xavier_uniform"},
     "nn/graph.py": {"detach_graph_executor"},
@@ -110,11 +110,15 @@ ALLOWED_UNREFERENCED = {
 
 
 def _definitions(path: Path) -> set[str]:
-    """Module-level and one-level-nested (``Class.method``) names."""
+    """Module-level names (defined or assigned: a kernel table entry
+    can be either) and one-level-nested (``Class.method``) names."""
     names = set()
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
+        if isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets
+                         if isinstance(target, ast.Name))
         if isinstance(node, ast.ClassDef):
             names.update(f"{node.name}.{child.name}" for child in node.body
                          if isinstance(child, (ast.FunctionDef,
