@@ -22,6 +22,14 @@ Sections
   ``_CHUNK`` samples at a time against the same forward with the chunk
   widened to the whole batch, timed alternately after a bit-equality
   assert.  Gated: chunked at most 0.9x the whole-batch time.
+- ``inference_pool``: vgg11 at the bench preset evaluating its 600
+  test samples (``evaluate_accuracy``: batches of 256, 256 and 88) —
+  max-pool windows unfolded a block of rows at a time into scratch
+  against the whole batch unfolded at once
+  (``tests/nn/conv_reference.whole_batch_max_pool2d``), timed
+  alternately after a logits bit-equality assert, gated at most 1.05x;
+  and the evaluation's ``tracemalloc`` peak over its largest
+  activation, a structural gate (≤ 3x).
 - ``grouped_conv``: the jobs day's nine depthwise mobilenet layers
   (batch 16), forward and both gradients, as ``matmul``/``multiply``
   calls on K-minor columns against the three ``einsum``\ s on N-major
@@ -57,8 +65,10 @@ Sections
   vit_tiny and vgg11, eager against compiled — the multi-replica
   number the single-model ``step_time`` cannot show: ms per group
   step, plans compiled, bindings made, shared-workspace bytes (also
-  at two replicas: it must not depend on the count) and resident-set
-  growth.  Gated: compiled must not be slower than eager end to end.
+  at two replicas: it must not depend on the count) and the
+  ``tracemalloc`` bytes the groups hold after their first round,
+  measured apart from the timing.  Gated: compiled must not be slower
+  than eager end to end.
 - ``replica_memory``: what a logical group costs in host memory —
   ``tracemalloc`` live bytes after a few rounds at 2, 8 and 15 groups,
   same two models, eager and compiled: bytes per added group (a mixed
@@ -71,12 +81,14 @@ Sections
 - ``serving_day``: a 24 h request-level serving day with a flash crowd
   on a 16-SoC pool, no training tenants — seconds to generate the
   arrival stream, host microseconds of ``ServingPlane.advance`` per
-  request, and the quotient of the two taken alternately
-  (``dispatch_vs_generation``: the serving event core's gated number —
-  microseconds per request move with the host, the quotient does not),
-  and generation's ``tracemalloc`` peak over the bytes it returns
-  (``generation_peak_vs_output``, gated at 2.5: the thinning streams
-  its candidates chunk by chunk).
+  request and the quotient of the two; the seconds spent in the
+  plane's ``_dispatch`` against its twin that searches every batch
+  (``tests/serving/dispatch_reference.py``) on the same arrivals, days
+  run alternately (``dispatch_vs_reference``, gated at 0.9: two Python
+  loops over the same requests, where dispatch over vectorised
+  generation moved with the host); and generation's ``tracemalloc``
+  peak over the bytes it returns (``generation_peak_vs_output``, gated
+  at 2.5: the thinning streams its candidates chunk by chunk).
 
 Usage::
 
@@ -93,6 +105,7 @@ see DESIGN.md's baseline-regeneration workflow.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import platform
@@ -202,12 +215,11 @@ POOL_LAYOUT_SHAPES = (
 CONV_LAYOUT_BATCH = 16
 
 
-def _conv_reference():
-    """``tests/nn/conv_reference.py``, by path: the harness runs as a
+def _reference(relative: str):
+    """A reference twin under ``tests/``, by path: the harness runs as a
     script and ``tests`` is not a package on its path."""
-    path = (Path(__file__).resolve().parents[2] / "tests" / "nn"
-            / "conv_reference.py")
-    spec = importlib.util.spec_from_file_location("conv_reference", path)
+    path = Path(__file__).resolve().parents[2] / "tests" / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -224,7 +236,7 @@ def bench_conv_layout(repeats: int) -> dict:
     medians of per-pair ratios; ``aggregate`` is total reference time
     over total kernel time, the number the CI gate reads.
     """
-    reference = _conv_reference()
+    reference = _reference("nn/conv_reference.py")
     buffers: dict = {}
 
     def workspace(tag, shape):
@@ -349,6 +361,66 @@ def bench_inference_conv(repeats: int) -> dict:
 
 
 # ----------------------------------------------------------------------
+#: samples the ``inference_pool`` row evaluates: vgg11's test split at
+#: the bench preset (batches of 256, 256 and 88)
+EVAL_SAMPLES = 600
+
+
+def bench_inference_pool(repeats: int) -> dict:
+    """``evaluate_accuracy`` of vgg11 (bench preset: 16x16 images, width
+    0.25) over :data:`EVAL_SAMPLES` samples, its max-pools unfolded a
+    block of rows at a time against the whole-batch twin
+    (``tests/nn/conv_reference.whole_batch_max_pool2d``), alternately
+    after a logits bit-equality assert: ``blocked_vs_whole`` is the
+    median of the per-pair ratios.  ``eval_peak_vs_activation`` is the
+    ``tracemalloc`` peak of the evaluation (op scratch dropped first)
+    over the bytes of its largest activation, the first conv's output
+    at 256 samples — both numbers the CI gates read."""
+    from repro.distributed.base import evaluate_accuracy
+
+    whole_pool = _reference("nn/conv_reference.py").whole_batch_max_pool2d
+    model = build_model("vgg11", num_classes=10, in_channels=3,
+                        image_size=16, width=0.25, seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((EVAL_SAMPLES, 3, 16, 16)).astype(np.float32)
+    y = rng.integers(0, 10, size=EVAL_SAMPLES)
+    blocked_pool = F.max_pool2d
+
+    def pooling(pool, fn):
+        def run():
+            F.max_pool2d = pool
+            try:
+                return fn()
+            finally:
+                F.max_pool2d = blocked_pool
+        return run
+
+    def logits():
+        with no_grad():
+            return model(Tensor(x[:256])).data
+
+    assert (pooling(blocked_pool, logits)().tobytes()
+            == pooling(whole_pool, logits)().tobytes())
+    blocked, whole = (pooling(pool, lambda: evaluate_accuracy(model, x, y))
+                      for pool in (blocked_pool, whole_pool))
+    blocked_t, whole_t, ratio = _time_paired(blocked, whole, repeats)
+    F.clear_workspaces()
+    tracemalloc.start()
+    try:
+        blocked()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    activation = 256 * 16 * 16 * 16 * 4     # first conv's output
+    return {"samples": EVAL_SAMPLES, "block_bytes": F._POOL_BLOCK_BYTES,
+            "blocked_ms": blocked_t["median_s"] * 1e3,
+            "whole_ms": whole_t["median_s"] * 1e3,
+            "blocked_vs_whole": ratio,
+            "eval_peak_mb": peak / 2**20,
+            "eval_peak_vs_activation": peak / activation}
+
+
+# ----------------------------------------------------------------------
 #: (groups, map side, stride) of the jobs day's mobilenet depthwise
 #: layers (quick preset: width 0.15, 16x16 images; 3x3, padding 1)
 GROUPED_LAYERS = ((5, 16, 1), (10, 16, 2), (19, 8, 2), (19, 8, 1),
@@ -388,7 +460,7 @@ def bench_grouped_conv(repeats: int) -> dict:
     shape); ``*_vs_*`` are medians of the per-pair ratios, product
     over reference, the numbers the CI gates read."""
     from repro.nn import kernels as K
-    reference = _conv_reference()
+    reference = _reference("nn/conv_reference.py")
     rng = np.random.default_rng(7)
     layers = []
     for groups, side, stride in GROUPED_LAYERS:
@@ -696,17 +768,6 @@ def bench_int8_step_time(repeats: int) -> dict:
 GRAPH_REPLICAS = 15
 
 
-def _rss_mb() -> "float | None":
-    """Current (not peak) resident set of this process, Linux only."""
-    try:
-        with open("/proc/self/statm") as fh:
-            pages = int(fh.read().split()[1])
-    except (OSError, ValueError, IndexError):
-        return None
-    import resource
-    return pages * resource.getpagesize() / 2**20
-
-
 def _replica_bench():
     """The multi-replica sections' common ground: the claims benchmark's
     ``train_*`` configuration per model, logical groups built the way a
@@ -754,23 +815,19 @@ def bench_graph_replicas(rounds: int, replicas: int = GRAPH_REPLICAS) -> dict:
     Groups and rounds as in :func:`_replica_bench`.  Eager and compiled
     rounds alternate so host noise lands on both; the first compiled
     round (captures + binds) is reported apart.  After timing, every
-    compiled group is asserted **bit-identical** to its eager twin.
+    compiled group is asserted **bit-identical** to its eager twin, and
+    each mode's groups are built again, untimed, for the ``tracemalloc``
+    bytes they hold after one round (``*_live_mb``).
     """
     from dataclasses import replace
 
     configs, groups_for, one_round, batch = _replica_bench()
     out: dict = {"replicas": replicas, "rounds": rounds, "batch": batch}
     for model, config in configs.items():
-        # resident-set growth of building the groups and touching all
-        # their state once (eager first: its freed temporaries stay
-        # with the allocator, so the compiled figure is not charged them)
-        rss0 = _rss_mb()
         eager = groups_for(config, replicas)
         one_round(eager, 0)
-        rss1 = _rss_mb()
         graphed = groups_for(replace(config, graph=True), replicas)
         first_round_s = one_round(graphed, 0)
-        rss2 = _rss_mb()
         eager_s, graph_s = [], []
         for index in range(1, rounds + 1):
             for groups, samples in ((eager, eager_s), (graphed, graph_s))[
@@ -797,10 +854,36 @@ def bench_graph_replicas(rounds: int, replicas: int = GRAPH_REPLICAS) -> dict:
             "workspace_bytes_2_replicas": sum(
                 p["workspace_bytes"]
                 for p in pair[0].arena.snapshot().values()),
-            "eager_rss_mb": None if rss0 is None else rss1 - rss0,
-            "graph_rss_mb": None if rss0 is None else rss2 - rss1,
         }
+        # what the groups hold after their first round, untimed
+        del eager, graphed, pair
+        for mode in ("eager", "graph"):
+            out[model][f"{mode}_live_mb"] = _live_bytes(
+                groups_for, one_round, replace(config, graph=mode == "graph"),
+                replicas, 1) / 2**20
     return out
+
+
+def _live_bytes(groups_for, one_round, config, count: int, rounds: int,
+                arena_bytes: "dict | None" = None) -> int:
+    """``tracemalloc`` bytes still live after building ``count`` groups
+    of ``config`` and stepping each ``rounds`` times (the
+    :func:`_replica_bench` helpers), from an empty op workspace cache;
+    ``arena_bytes[count]`` gets the step arena's own."""
+    F.clear_workspaces()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        groups = groups_for(config, count)
+        for index in range(rounds):
+            one_round(groups, index)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    if arena_bytes is not None:
+        arena_bytes[count] = sum(a.nbytes for a in groups[0].arena.buffers())
+    return live
 
 
 #: group counts the replica-memory section measures at (the first and
@@ -821,8 +904,6 @@ def bench_replica_memory(rounds: int = 2) -> dict:
     taken out (arena, compiled workspace, op workspaces: it must not
     depend on the count) and the step arena's own bytes.
     """
-    import gc
-    import tracemalloc
     from dataclasses import replace
 
     configs, groups_for, one_round, _ = _replica_bench()
@@ -830,17 +911,8 @@ def bench_replica_memory(rounds: int = 2) -> dict:
     arena_bytes: dict = {}
 
     def live_bytes(config, count):
-        F.clear_workspaces()
-        gc.collect()
-        tracemalloc.start()
-        groups = groups_for(config, count)
-        for index in range(rounds):
-            one_round(groups, index)
-        gc.collect()
-        live = tracemalloc.get_traced_memory()[0]
-        tracemalloc.stop()
-        arena_bytes[count] = sum(a.nbytes for a in groups[0].arena.buffers())
-        return live
+        return _live_bytes(groups_for, one_round, config, count, rounds,
+                           arena_bytes)
 
     out: dict = {"rounds": rounds, "group_counts": list(MEMORY_GROUP_COUNTS)}
     for model, config in configs.items():
@@ -903,11 +975,17 @@ SERVING_DAY_PEAK_RPS = {"smoke": 6.0, "full": 48.0}
 
 
 def bench_serving_day(size: str, repeats: int) -> dict:
-    """Arrival generation + the dispatch loop over one simulated day."""
+    """Arrival generation + the dispatch loop over one simulated day;
+    and the plane's ``_dispatch`` against its reference twin
+    (``tests/serving/dispatch_reference.py``: every batch searched) on
+    the same arrivals, the seconds spent inside each summed over the
+    day and the days run alternately — ``dispatch_vs_reference`` is the
+    median of the per-pair ratios, the number the CI gate reads."""
     from repro.cluster import ClusterTopology
     from repro.serving import (ArrivalProcess, FlashCrowd, Region,
                                ServiceModel, ServingPlane)
 
+    reference = _reference("serving/dispatch_reference.py")
     topology = ClusterTopology(num_socs=16)
     service = ServiceModel.for_model("resnet18", soc=topology.soc,
                                      max_batch=4)
@@ -919,18 +997,28 @@ def bench_serving_day(size: str, repeats: int) -> dict:
             horizon_hours=24.0, seed=0,
             flash_crowds=[FlashCrowd(20.0, 1.5, 1.8)])
 
-    def serve():
+    def serve(dispatch=None):
+        """The day; with ``dispatch(plane, t1)`` standing in for the
+        plane's own, returns the seconds spent in it."""
         plane = ServingPlane(day["arrivals"], service, slo_ms=600.0,
                              min_replicas=1)
+        spent = [0.0]
+        if dispatch is not None:
+            def timed(t1, own=dispatch):
+                t0 = time.perf_counter()
+                result = own(plane, t1)
+                spent[0] += time.perf_counter() - t0
+                return result
+            plane._dispatch = timed
         plane.bootstrap(list(range(topology.num_socs)), 0.0)
         for window in range(1, 97):
             free = [s for s in range(topology.num_socs)
                     if s not in plane.held_socs]
             plane.advance(window * 0.25, claimable=free)
         day["plane"] = plane
+        return spent[0]
 
-    # generated and served alternately: their quotient is the gated
-    # number, and it should not move with the host
+    # generated and served alternately (their quotient is reported)
     generated, served, inverse = _time_paired(generate, serve, repeats,
                                               warmup=0)
     plane = day["plane"]
@@ -942,6 +1030,23 @@ def bench_serving_day(size: str, repeats: int) -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    own_s, reference_s, days = [], [], {}
+    for index in range(max(repeats, 11) + 1):
+        pair = (("own", ServingPlane._dispatch, own_s),
+                ("reference", reference.reference_dispatch, reference_s))
+        for name, dispatch, into in pair[::1 if index % 2 else -1]:
+            # no collector pass inside a timed day (as timeit): its cost
+            # is the heap's, not the loop's, and lands on either side
+            gc.collect()
+            gc.disable()
+            try:
+                seconds = serve(dispatch)
+            finally:
+                gc.enable()
+            if index:                           # the first pair warms up
+                into.append(seconds)
+            days[name] = repr(day["plane"].windows)    # every statistic
+    assert days["own"] == days["reference"]
     return {
         "peak_rps": SERVING_DAY_PEAK_RPS[size],
         "requests": plane.total_requests,
@@ -950,6 +1055,10 @@ def bench_serving_day(size: str, repeats: int) -> dict:
         "dispatch_us_per_request":
             served["median_s"] * 1e6 / plane.total_requests,
         "dispatch_vs_generation": 1.0 / inverse,
+        "own_dispatch_ms": statistics.median(own_s) * 1e3,
+        "reference_dispatch_ms": statistics.median(reference_s) * 1e3,
+        "dispatch_vs_reference": statistics.median(
+            a / b for a, b in zip(own_s, reference_s)),
         "generation_peak_vs_output":
             peak / day["arrivals"].arrivals_h.nbytes,
     }
@@ -968,6 +1077,7 @@ def run_harness(mode: str = "smoke") -> dict:
         "conv": bench_conv(repeats),
         "conv_layout": bench_conv_layout(max(repeats, 15)),
         "inference_conv": bench_inference_conv(max(repeats, 7)),
+        "inference_pool": bench_inference_pool(max(repeats, 9)),
         "grouped_conv": bench_grouped_conv(max(repeats, 15)),
         "aggregation": bench_aggregation(max(repeats, 20)),
         "bucketed_aggregation": bench_bucketed_aggregation(max(repeats, 20)),
@@ -1057,6 +1167,11 @@ def main(argv=None) -> int:
     print(f"infer conv     {infer['chunked_ms']:8.1f} ms chunked  "
           f"{infer['whole_ms']:8.1f} ms whole batch  "
           f"{infer['chunked_vs_whole']:5.2f}x")
+    pool = report["inference_pool"]
+    print(f"infer pool     {pool['blocked_ms']:8.1f} ms blocked  "
+          f"{pool['whole_ms']:8.1f} ms whole batch  "
+          f"{pool['blocked_vs_whole']:5.2f}x, peak "
+          f"{pool['eval_peak_vs_activation']:4.2f}x an activation")
     grouped = report["grouped_conv"]
     print(f"grouped conv   {grouped['matmul_us']:8.0f} us matmul  "
           f"{grouped['einsum_us']:8.0f} us einsum  "
@@ -1100,7 +1215,8 @@ def main(argv=None) -> int:
     for size, day in report["serving_day"].items():
         print(f"serve {size:5s}    gen {day['arrivals_gen_s']:6.3f} s  "
               f"dispatch {day['dispatch_us_per_request']:6.3f} us/request "
-              f"= {day['dispatch_vs_generation']:5.2f}x gen "
+              f"= {day['dispatch_vs_generation']:5.2f}x gen, "
+              f"{day['dispatch_vs_reference']:4.2f}x its reference "
               f"({day['requests']} requests, generation peak "
               f"{day['generation_peak_vs_output']:4.2f}x its output)")
     print(f"wrote {args.out}")

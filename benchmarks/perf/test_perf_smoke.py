@@ -7,15 +7,16 @@ fails when a gated microbenchmark regresses more than 25% relative to
 the committed ``baseline.json``: the fused-vs-per-key aggregation
 speedup, the per-tensor bucketed-averaging overhead, the compiled
 (graph-executor) FP32 and INT8 training-step speedups on lenet5 and
-vit_tiny, the serving event core's host time per request relative to
-generating the request stream, and the K-major conv/pool kernels
-against their N-major reference (>= 1.15x, absolute).  The grouped
-conv and batch-norm statistics are gated against their reference
-twins (<= 1.0x and <= 0.8x, absolute), and a no-grad depthwise
-forward's memory peak against its output (<= 4x, structural).  The
-step-time, serving, conv-layout and grouped gates read the median
-ratio of two things timed alternately in one process, so they hold on
-a loaded runner.
+vit_tiny, and the K-major conv/pool kernels against their N-major
+reference (>= 1.15x, absolute).  The grouped conv and batch-norm
+statistics, the serving event core's dispatch and blocked inference
+pooling are gated against their reference twins (<= 1.0x, <= 0.8x,
+<= 0.9x and <= 1.05x, absolute); a no-grad depthwise forward's memory
+peak against its output (<= 4x) and an evaluation's against its
+largest activation (<= 3x) are structural.  The step-time, serving,
+conv-layout, grouped and pooling gates read the median ratio of two
+things timed alternately in one process, so they hold on a loaded
+runner.
 Two gates are absolute rather than relative: fifteen logical groups
 stepping round-robin must not be slower compiled than eager
 (``graph_replicas``), on the ViT *and* on BLAS-bound vgg11; and an
@@ -45,6 +46,7 @@ from perf_harness import (GRAPH_REPLICAS, MEMORY_GROUP_COUNTS,
                           bench_aggregation, bench_bucketed_aggregation,
                           bench_conv_layout, bench_graph_replicas,
                           bench_grouped_conv, bench_inference_conv,
+                          bench_inference_pool,
                           bench_int8_step_time, bench_serving_day,
                           bench_step_time, run_harness, update_baseline)
 
@@ -69,7 +71,8 @@ def baseline() -> dict:
 
 def test_report_has_all_sections(report):
     assert set(report) >= {"mode", "host", "conv", "conv_layout",
-                           "inference_conv", "grouped_conv",
+                           "inference_conv", "inference_pool",
+                           "grouped_conv",
                            "aggregation",
                            "bucketed_aggregation", "step_time",
                            "int8_step_time", "graph_replicas",
@@ -118,6 +121,31 @@ def test_inference_conv_chunks_beat_the_whole_batch(report):
     assert ratio <= 0.9, (
         f"chunked inference conv at {ratio:.2f}x the whole-batch "
         f"columns (need <= 0.9x)")
+
+
+def test_inference_pool_no_slower_than_the_whole_batch(report):
+    """vgg11 evaluating its 600 bench test samples with max-pool windows
+    unfolded a block of rows at a time (logits bit-equality asserted
+    inside the harness) takes at most 1.05x the time of the whole
+    batch's windows unfolded at once, paired call by call (≈ 0.98x when
+    it was written)."""
+    ratio = report["inference_pool"]["blocked_vs_whole"]
+    if ratio > 1.05:                                    # noisy runner: retry
+        ratio = bench_inference_pool(repeats=21)["blocked_vs_whole"]
+    assert ratio <= 1.05, (
+        f"blocked inference pooling at {ratio:.2f}x the whole-batch "
+        f"windows (need <= 1.05x)")
+
+
+def test_evaluation_peak_is_set_by_activations(report):
+    """The ``tracemalloc`` peak of that evaluation is at most 3x its
+    largest activation (the first conv's output at 256 samples; 2.73x
+    when it was written: that activation, the next one, a mask and the
+    op scratch).  The whole batch's pooling windows on top read 3.47x."""
+    peak = report["inference_pool"]["eval_peak_vs_activation"]
+    assert peak <= 3.0, (
+        f"evaluation peaks at {peak:.2f}x its largest activation "
+        f"(need <= 3x)")
 
 
 def test_grouped_conv_no_slower_than_its_einsums(report):
@@ -360,24 +388,25 @@ def test_run_constant_does_not_depend_on_group_count(report):
                 row["live_bytes"].values()), (model, mode)
 
 
-def test_serving_dispatch_not_regressed_vs_baseline(report, baseline):
-    """CI gate: fail when the serving event core spends >25% more host
-    time per request *relative to generating those requests* than the
-    committed baseline.  The two are timed alternately, so the quotient
-    holds on a loaded runner where the absolute microseconds per
-    request (still reported) read anywhere from 0.56 to 0.89 on an
-    unchanged tree; the request count is exact by seed everywhere."""
+def test_serving_dispatch_beats_the_searching_loop(report, baseline):
+    """CI gate: the serving event core's ``_dispatch`` over the smoke
+    day, against its reference twin that searches every batch
+    (``tests/serving/dispatch_reference.py``; every window's statistics
+    asserted equal inside the harness), on the same arrivals, the days
+    run alternately: at most 0.9x the twin's seconds (≈ 0.73x when it
+    was written: a lone request on an idle replica skips the search).
+    Two Python loops over the same requests, so the ratio holds on any
+    host, where dispatch over generation (still reported) moved 2.7–4.2
+    with the box; the request count is exact by seed everywhere."""
     day = report["serving_day"]["smoke"]
     assert day["requests"] == baseline["serving_day"]["requests"]
-    ceiling = 1.25 * baseline["serving_day"]["dispatch_vs_generation"]
-    cost = day["dispatch_vs_generation"]
-    if cost > ceiling:                                  # noisy runner: retry
-        cost = bench_serving_day("smoke", repeats=9)["dispatch_vs_generation"]
-    assert cost <= ceiling, (
-        f"serving dispatch costs {cost:.2f}x generating its requests, "
-        f"above 125% of the committed baseline "
-        f"({baseline['serving_day']['dispatch_vs_generation']:.2f}x; gate "
-        f"at {ceiling:.2f}x) — the event core regressed")
+    ratio = day["dispatch_vs_reference"]
+    if ratio > 0.9:                                     # noisy runner: retry
+        ratio = bench_serving_day("smoke", repeats=15)[
+            "dispatch_vs_reference"]
+    assert ratio <= 0.9, (
+        f"serving dispatch at {ratio:.2f}x its searching reference "
+        f"(need <= 0.9x) — the event core regressed")
 
 
 def test_arrival_generation_peaks_near_its_output(report):

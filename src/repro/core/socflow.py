@@ -44,6 +44,7 @@ from ..distributed import pricing
 from ..distributed.base import (CostModel, RunConfig, Strategy,
                                 StrategyResult, evaluate_accuracy,
                                 flush_graph_stats, record_epoch_telemetry)
+from ..nn.arena import trim_heap
 from ..quant.int8 import QuantConfig
 from ..quant.mixed import MixedPrecisionController
 from .checkpoint import TrainingCheckpoint
@@ -302,6 +303,9 @@ class GroupRun:
             groups[0].update_alpha(config.task.x_test[:128])
         self.history.append(evaluate_accuracy(
             groups[0].fp32, config.task.x_test, config.task.y_test))
+        # what profiling and evaluation freed goes back to the OS rather
+        # than stay under the next epoch's plan pages
+        trim_heap()
         self.anchor.accuracy_history = list(self.history)
         self.anchor.alpha = self.controller.alpha
         return seconds

@@ -16,6 +16,9 @@ import numpy as np
 
 __all__ = ["SyntheticImageTask", "make_classification_images"]
 
+#: bytes of one float64 temporary a block of generated samples fills
+_BLOCK_BYTES = 1 << 19
+
 
 def _gaussian_smooth(raw: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian over the two image axes of a ``(C, H, W)``
@@ -114,14 +117,24 @@ def make_classification_images(
     def sample(count: int) -> tuple[np.ndarray, np.ndarray]:
         labels = rng.integers(0, num_classes, size=count)
         proto_idx = rng.integers(0, prototypes_per_class, size=count)
-        images = prototypes[labels, proto_idx].copy()
         shifts = rng.integers(-2, 3, size=(count, 2))
-        for i, (dy, dx) in enumerate(shifts):
-            images[i] = np.roll(images[i], (int(dy), int(dx)), axis=(1, 2))
         gains = rng.uniform(0.85, 1.15, size=(count, 1, 1, 1))
-        images = images * gains + noise_level * rng.standard_normal(
-            images.shape)
-        return images.astype(np.float32), labels.astype(np.int64)
+        images = np.empty((count, *prototypes.shape[2:]), np.float32)
+        # the float64 images and noise a block of rows at a time: the
+        # noise is the last draw, and drawn block after block it is the
+        # stream one whole draw makes
+        rows = max(1, _BLOCK_BYTES // (8 * prototypes[0, 0].size))
+        for lo in range(0, count, rows):
+            hi = min(lo + rows, count)
+            block = prototypes[labels[lo:hi], proto_idx[lo:hi]]
+            for i, (dy, dx) in enumerate(shifts[lo:hi]):
+                block[i] = np.roll(block[i], (int(dy), int(dx)), axis=(1, 2))
+            wide = np.multiply(block, gains[lo:hi])
+            noise = rng.standard_normal(wide.shape)
+            np.multiply(noise, noise_level, out=noise)
+            np.add(wide, noise, out=wide)
+            np.copyto(images[lo:hi], wide)
+        return images, labels.astype(np.int64)
 
     x_train, y_train = sample(train_size)
     x_test, y_test = sample(test_size)

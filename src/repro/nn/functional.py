@@ -64,8 +64,8 @@ def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     callers share buffers by size class (the next power of two) instead
     of holding one per shape."""
     size = int(np.prod(shape))
-    return _workspace("scratch", (1 << size.bit_length(),))[:size].reshape(
-        shape)
+    return _workspace("scratch", (1 << (size - 1).bit_length(),))[
+        :size].reshape(shape)
 
 
 def _fold(grad_cols: np.ndarray, x_shape: tuple, kernel: int, stride: int,
@@ -413,42 +413,70 @@ def _grouped_chunked(x: np.ndarray, w_mat: np.ndarray, kernel: int,
         _contract("ngkl,gok->ngol", cols, w_mat, out[lo:lo + chunk])
 
 
-def _pool_cols(x: Tensor, kernel: int, stride: int):
-    """``x``'s pooling windows as ``(k*k, N*C, L)`` columns — one
-    contiguous slab per window position — and the shape of the output.
-    Neither the columns nor the gradient columns outlive the op, so
-    both come from reusable workspaces (no per-step allocation)."""
-    n, c, h, w = x.shape
-    out_h = (h - kernel) // stride + 1
-    out_w = (w - kernel) // stride + 1
-    cols_shape = (kernel * kernel, n * c, out_h * out_w)
-    cols = im2col(K.reshape(x.data, (n * c, 1, h, w)), kernel, stride,
-                  out=_workspace("pool_cols", cols_shape, x.data.dtype))
-    return cols, (n, c, out_h, out_w)
-
-
-def _pool_backward(x: Tensor, grad_cols: np.ndarray, kernel: int,
-                   stride: int) -> None:
-    n, c, h, w = x.shape
-    grad_x = _fold(grad_cols, (n * c, 1, h, w), kernel, stride, "pool_gx")
-    x._accumulate(grad_x.reshape(x.shape))
+#: bytes of float32 pooling columns a no-grad max-pool unfolds at a time
+_POOL_BLOCK_BYTES = 1 << 19
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
+    """Max pooling over NCHW input: the first maximum of each window
+    (:func:`repro.nn.kernels.window_max`) and, for backward, the window
+    position it came from.
+
+    The windows are unfolded as ``(k*k, rows, L)`` columns of the
+    ``N*C`` images, one contiguous slab per window position.  With a
+    tape that is one unfold of all rows.  Under
+    :func:`~repro.nn.tensor.no_grad` nothing is kept, and blocks of rows
+    of at most :data:`_POOL_BLOCK_BYTES` of columns are unfolded into
+    scratch, each block's maxima written straight into the output: a
+    window's maximum is selected element by element, so the bits do
+    not depend on the block.
+    """
     stride = stride or kernel
-    cols, out_shape = _pool_cols(x, kernel, stride)
-    cols_shape = cols.shape
-    slabs, slab = cols_shape[0], cols_shape[1:]
-    arg = K.empty(slab, np.int8 if slabs < 128 else np.intp)
-    out_data = K.window_max(cols, arg)
+    n, c, h, w = x.shape
+    out_h = (h - kernel) // stride + 1
+    out_w = (w - kernel) // stride + 1
+    slabs, rows, length = kernel * kernel, n * c, out_h * out_w
+    images = K.reshape(x.data, (rows, 1, h, w))
+    index = np.int8 if slabs < 128 else np.intp
+    if not grad_enabled():
+        out_data = _pool_blocks(images, kernel, stride, length, index)
+        backward = None
+    else:
+        cols = im2col(images, kernel, stride)
+        arg = K.empty((rows, length), index)
+        out_data = K.window_max(cols, arg)
+        cols_shape = cols.shape
 
-    def backward(grad: np.ndarray) -> None:
-        grad_cols = K.window_scatter(
-            arg, K.reshape(grad, slab), slabs,
-            out=_workspace("pool_gcols", cols_shape))
-        _pool_backward(x, grad_cols, kernel, stride)
+        def backward(grad: np.ndarray) -> None:
+            grad_cols = K.window_scatter(
+                arg, K.reshape(grad, (rows, length)), slabs,
+                out=_workspace("pool_gcols", cols_shape))
+            grad_x = _fold(grad_cols, (rows, 1, h, w), kernel, stride,
+                           "pool_gx")
+            x._accumulate(grad_x.reshape(x.shape))
 
-    return Tensor._make(out_data.reshape(out_shape), (x,), backward)
+    return Tensor._make(out_data.reshape(n, c, out_h, out_w), (x,), backward)
+
+
+def _pool_blocks(images: np.ndarray, kernel: int, stride: int, length: int,
+                 index) -> np.ndarray:
+    """The max-pool forward with no backward to feed: the windows of
+    blocks of rows of ``images`` unfolded into one scratch buffer, each
+    block's maxima written into its rows of the output."""
+    rows, slabs = len(images), kernel * kernel
+    block = max(1, _POOL_BLOCK_BYTES // (4 * slabs * length))
+    # the budget's size class at any batch: a short batch (an
+    # evaluation's tail) unfolds into the buffer the full ones did
+    buf = _scratch((max(_POOL_BLOCK_BYTES // 4, slabs * length),))
+    arg = K.empty((min(rows, block), length), index)
+    out = K.empty((rows, length), np.float32)
+    for lo in range(0, rows, block):
+        part = images[lo:lo + block]
+        cols = im2col(part, kernel, stride,
+                      out=buf[:slabs * len(part) * length].reshape(
+                          slabs, len(part), length))
+        K.window_max(cols, arg[:len(part)], out=out[lo:lo + len(part)])
+    return out
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:
@@ -487,7 +515,9 @@ def batch_norm(x: Tensor, weight: Tensor, bias: Tensor,
     inv_std = inv_std.reshape(shape)
     scale = weight.data.reshape(shape)
     K.multiply(x_hat, inv_std, out=x_hat)
-    out_data = K.multiply(x_hat, scale)
+    # without a tape nothing reads x_hat again: the output overwrites it
+    out_data = K.multiply(x_hat, scale,
+                          out=None if grad_enabled() else x_hat)
     K.add(out_data, bias.data.reshape(shape), out=out_data)
 
     count = x.data.size // x.shape[1 if x.ndim > 1 else 0]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import zlib
 
 __all__ = ["to_chrome_trace", "write_chrome_trace", "to_jsonl",
            "write_jsonl", "write_trace", "load_trace_records",
@@ -164,21 +165,27 @@ def load_trace_records(path) -> "list":
     """
     from .tracer import TraceRecord
     records = []
-    with open_text(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(
-                    f"{path}:{lineno}: not valid JSON ({err})") from None
-            if lineno == 1 and "traceEvents" in payload:
-                raise ValueError(
-                    f"{path} is a Chrome-format trace; analysis needs the "
-                    "typed JSONL log — re-run with --trace-format jsonl")
-            records.append(TraceRecord.from_dict(payload))
+    try:
+        with open_text(path, "r") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    payload = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise ValueError(
+                        f"{path}:{lineno}: not valid JSON ({err})") from None
+                if lineno == 1 and "traceEvents" in payload:
+                    raise ValueError(
+                        f"{path} is a Chrome-format trace; analysis needs "
+                        "the typed JSONL log — re-run with --trace-format "
+                        "jsonl")
+                records.append(TraceRecord.from_dict(payload))
+    except (EOFError, zlib.error) as err:
+        # a gzip stream cut short or damaged: the file, not a traceback
+        raise ValueError(
+            f"{path}: truncated or corrupt gzip stream ({err})") from None
     return records
 
 

@@ -42,6 +42,28 @@ class TestEndToEnd:
         result = run(quick_config)
         assert len(result.extra["alpha_history"]) == quick_config.max_epochs
 
+    def test_each_epoch_returns_the_heap_after_evaluating(self, quick_config,
+                                                         monkeypatch):
+        """What α profiling and evaluation freed goes back to the OS
+        once an epoch, after both ran."""
+        from repro.core import socflow
+        from repro.distributed import base
+        calls = []
+        monkeypatch.setattr(socflow, "trim_heap",
+                            lambda: calls.append("trim"))
+        evaluate = socflow.evaluate_accuracy
+
+        def evaluating(*args, **kwargs):
+            calls.append("evaluate")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(socflow, "evaluate_accuracy", evaluating)
+        result = run(quick_config)
+        trims = [i for i, call in enumerate(calls) if call == "trim"]
+        assert len(trims) == result.epochs_run
+        assert all(calls[i - 1] == "evaluate" for i in trims)
+        assert base.evaluate_accuracy is evaluate
+
 
 class TestAblationSwitches:
     def test_grouping_off_single_ring(self, quick_config):

@@ -137,3 +137,62 @@ class TestGaussianMatchesScipy:
                                 env={"PYTHONPATH": src, "PATH": ""},
                                 timeout=120)
         assert result.returncode == 0
+
+
+class TestBlockedSynthesis:
+    """Images are synthesised a block of samples at a time into the
+    float32 output.  The small draws (labels, prototype indices, shifts,
+    gains) stay whole and in their order, and the noise is the same
+    stream drawn block by block, so every task keeps the bytes it had
+    when it was generated whole: the digests below were recorded then.
+    """
+
+    #: name -> generator arguments: the vgg11 and lenet5_emnist bench
+    #: presets' tasks (many blocks) and a small odd one (one block)
+    CASES = {
+        "cifar10_bench": dict(num_classes=10, train_size=3000,
+                              test_size=600, channels=3, image_size=16,
+                              difficulty=0.55, seed=0),
+        "emnist_bench": dict(num_classes=47, train_size=6768,
+                             test_size=1128, channels=1, image_size=16,
+                             difficulty=0.30, seed=1),
+        "odd": dict(num_classes=7, train_size=37, test_size=11,
+                    channels=2, image_size=12, difficulty=0.9,
+                    prototypes_per_class=3, seed=5),
+    }
+    DIGESTS = {
+        "cifar10_bench":
+            "810e2e444de223e3362be90476a30ad9b5c8ac02d37fdb70e33f2548da05d8e5",
+        "emnist_bench":
+            "12f2908c2e57d27970af6e9c2a5d517b194dbefbb4b4a12e2d116672d426b977",
+        "odd":
+            "37e3314b5372605a85b0054c1cc810c40d24e66467f5ec5f01644eae9d61f062",
+    }
+
+    @staticmethod
+    def digest(task) -> str:
+        import hashlib
+        sha = hashlib.sha256()
+        for array in (task.x_train, task.y_train, task.x_test, task.y_test):
+            sha.update(str((array.dtype, array.shape)).encode())
+            sha.update(array.tobytes())
+        return sha.hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_tasks_keep_their_bytes(self, name):
+        task = make_classification_images(**self.CASES[name])
+        assert self.digest(task) == self.DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["cifar10_bench", "emnist_bench"])
+    def test_peak_is_near_the_output(self, name):
+        """The whole-batch float64 images and noise peaked at 4.3x the
+        float32 output; a block at a time holds 1.5x at most."""
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            task = make_classification_images(**self.CASES[name])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = task.x_train.nbytes + task.x_test.nbytes
+        assert peak <= 1.5 * output, peak / output

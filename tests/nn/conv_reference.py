@@ -16,6 +16,12 @@ the same three ``einsum``\\ s on N-major ``(N, G, C/G*k*k, L)``
 columns, filled and folded by the product's own ``im2col`` / ``col2im``
 kernels, so it must agree with the product byte for byte, NaN payloads
 included.
+
+:func:`whole_batch_max_pool2d` is the no-grad max-pool forward as it ran
+before its blocks: the K-major columns of all ``N*C`` images unfolded at
+once, then one :func:`~repro.nn.kernels.window_max` over them — the
+product's own kernels, so the blocked forward must equal it byte for
+byte.
 """
 
 from __future__ import annotations
@@ -211,3 +217,16 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None,
         _pool_backward(x, grad_cols, kernel, stride, workspace)
 
     return Tensor._make(out_data.reshape(out_shape), (x,), backward)
+
+
+def whole_batch_max_pool2d(x: Tensor, kernel: int,
+                           stride: int | None = None) -> Tensor:
+    """Max pooling with the windows of the whole batch in one buffer
+    (no backward)."""
+    stride = stride or kernel
+    n, c, h, w = x.shape
+    cols = K.im2col(np.ascontiguousarray(x.data).reshape(n * c, 1, h, w),
+                    kernel, stride)
+    out = K.window_max(cols, np.empty(cols.shape[1:], np.int8))
+    return Tensor(out.reshape(n, c, (h - kernel) // stride + 1,
+                              (w - kernel) // stride + 1))

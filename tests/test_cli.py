@@ -623,6 +623,34 @@ class TestAnalyzeCommand:
         assert code == 0
         assert "phase accounting" in output
 
+    @staticmethod
+    def _damaged(trace, tmp_path, how: str):
+        """A copy of the gzipped ``trace`` cut in half, or with a run of
+        its deflate stream overwritten."""
+        data = bytearray(trace.read_bytes())
+        if how == "truncated":
+            data = data[:len(data) // 2]
+        else:
+            middle = len(data) // 2
+            data[middle:middle + 64] = b"\xff" * 64
+        path = tmp_path / f"{how}.jsonl.gz"
+        path.write_bytes(bytes(data))
+        return path
+
+    @pytest.mark.parametrize("how", ["truncated", "corrupt"])
+    def test_damaged_gzip_trace_is_a_clean_error(self, tmp_path, capsys,
+                                                 how):
+        """``report`` and ``diff`` print the file and exit 2 where a cut
+        ``.gz`` used to end in an ``EOFError`` traceback."""
+        whole = self._traced_run(tmp_path, "run.jsonl.gz")
+        damaged = self._damaged(whole, tmp_path, how)
+        for argv in (["report", str(damaged)],
+                     ["diff", str(whole), str(damaged)]):
+            code, _ = run_cli(["analyze", *argv])
+            err = capsys.readouterr().err
+            assert code == 2, argv
+            assert err.startswith("analyze: ") and str(damaged) in err, err
+
     def test_live_summary_printed_for_traced_runs(self, tmp_path):
         trace = tmp_path / "run.jsonl"
         code, output = run_cli([

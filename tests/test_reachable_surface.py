@@ -36,7 +36,8 @@ DELETED = {
                     "CosineAnnealingLR"},
     "nn/modules.py": {"AvgPool2d", "BatchNorm1d", "_BatchNorm",
                       "Module.disable_graph_executor", "Dropout"},
-    "nn/functional.py": {"avg_pool2d", "dropout"},
+    "nn/functional.py": {"avg_pool2d", "dropout", "_pool_cols",
+                         "_pool_backward"},
     "nn/kernels.py": {"random", "einsum", "var", "mean"},
     "nn/tensor.py": {"Tensor.sigmoid", "is_grad_enabled"},
     "nn/init.py": {"xavier_uniform"},
